@@ -559,19 +559,27 @@ impl SweepEngine {
         T: Send,
         F: Fn(&Cell, &Prepared) -> T + Sync,
     {
-        let cache = &self.cache;
+        self.run_cells(matrix, |cell| f(cell, &self.cache.get(cell.scene, &cell.config)))
+    }
+
+    /// [`run_map`](Self::run_map) without the up-front [`Prepared`]: same
+    /// pool, journal keys and result order, but `f` sees only the cell.
+    /// For callers that can often settle a cell without its scene (the
+    /// `vtq-serve` result cache) and fetch from [`cache`](Self::cache)
+    /// themselves when they cannot.
+    pub fn run_cells<T, F>(&self, matrix: &RunMatrix, f: F) -> Vec<CellResult<T>>
+    where
+        T: Send,
+        F: Fn(&Cell) -> T + Sync,
+    {
         let f = &f;
         let tasks: Vec<(String, String, Task<'_, T>)> = matrix
             .cells()
             .iter()
             .map(|cell| {
                 let key_base = format!("{}#{:016x}", cell.label, cell_key_fingerprint(cell));
-                let label = cell.label.clone();
-                let task = Box::new(move || {
-                    let prepared = cache.get(cell.scene, &cell.config);
-                    f(cell, &prepared)
-                }) as Task<'_, T>;
-                (key_base, label, task)
+                let task = Box::new(move || f(cell)) as Task<'_, T>;
+                (key_base, cell.label.clone(), task)
             })
             .collect();
         self.execute(tasks)

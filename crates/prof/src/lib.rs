@@ -95,11 +95,16 @@ pub enum Counter {
     /// Progress events dropped because a watcher could not keep up
     /// (slow-client graceful degradation).
     EventsDropped,
+    /// Protocol frames appended to a `vtq-serve` wire buffer (either end).
+    FramesWritten,
+    /// Non-empty wire-buffer flushes — one socket write each, so
+    /// `frames_written / wire_flushes` is the frames carried per write.
+    WireFlushes,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 14] = [
+    pub const ALL: [Counter; 16] = [
         Counter::RaysTraced,
         Counter::CyclesSimulated,
         Counter::CellsCompleted,
@@ -114,6 +119,8 @@ impl Counter {
         Counter::CellsQuarantined,
         Counter::ResultCacheHits,
         Counter::EventsDropped,
+        Counter::FramesWritten,
+        Counter::WireFlushes,
     ];
 
     /// Stable snake_case name used in reports and JSONL records.
@@ -133,6 +140,8 @@ impl Counter {
             Counter::CellsQuarantined => "cells_quarantined",
             Counter::ResultCacheHits => "result_cache_hits",
             Counter::EventsDropped => "events_dropped",
+            Counter::FramesWritten => "frames_written",
+            Counter::WireFlushes => "wire_flushes",
         }
     }
 }

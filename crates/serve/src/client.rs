@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use crate::proto::{CellRecord, Frame, Request, SubmitSpec};
 use crate::server::ADDR_FILE;
+use crate::wire::{self, FrameWriter};
 
 /// Reads the daemon address a server wrote to `dir/serve.addr`.
 pub fn discover_addr(dir: &Path) -> io::Result<SocketAddr> {
@@ -20,7 +21,7 @@ pub fn discover_addr(dir: &Path) -> io::Result<SocketAddr> {
 /// One connection to the daemon.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    writer: FrameWriter<TcpStream>,
 }
 
 impl Client {
@@ -30,25 +31,29 @@ impl Client {
         Client::connect_with_timeout(addr, Duration::from_secs(30))
     }
 
-    /// Connects with an explicit per-read timeout.
+    /// Connects with an explicit timeout, applied to the connection
+    /// attempt itself and to every read and write after it.
     pub fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_read_timeout(Some(timeout))?;
-        stream.set_write_timeout(Some(timeout))?;
-        let writer = stream.try_clone()?;
+        let stream = TcpStream::connect_timeout(&addr, timeout)?;
+        wire::configure(&stream, timeout)?;
+        let writer = FrameWriter::new(stream.try_clone()?);
         Ok(Client { reader: BufReader::new(stream), writer })
+    }
+
+    /// Whether the connection runs with `TCP_NODELAY` (it always should).
+    pub fn nodelay(&self) -> io::Result<bool> {
+        self.reader.get_ref().nodelay()
     }
 
     /// Sends one request line.
     pub fn send(&mut self, request: &Request) -> io::Result<()> {
-        self.writer.write_all(request.to_line().as_bytes())?;
-        self.writer.write_all(b"\n")
+        self.writer.send(request.to_line())
     }
 
     /// Sends raw bytes verbatim (the chaos harness uses this to produce
     /// torn frames).
     pub fn send_raw(&mut self, bytes: &str) -> io::Result<()> {
-        self.writer.write_all(bytes.as_bytes())
+        self.writer.get_mut().write_all(bytes.as_bytes())
     }
 
     /// Reads and parses one server frame.

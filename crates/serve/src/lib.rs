@@ -26,6 +26,10 @@
 //!   timeouts; progress events ride bounded channels that drop (counted)
 //!   rather than block ([`server`], [`chaos`]).
 //!
+//! Both ends frame and flush through one [`wire::FrameWriter`] on
+//! `TCP_NODELAY` sockets: a reply is one write, never a wait on the
+//! peer's delayed-ACK timer.
+//!
 //! The `vtq-bench serve` / `vtq-bench submit` subcommands are thin CLI
 //! shells over [`Server`] and [`Client`].
 
@@ -38,6 +42,7 @@ pub mod client;
 pub mod jobs;
 pub mod proto;
 pub mod server;
+pub mod wire;
 
 pub use cache::ResultCache;
 pub use client::{discover_addr, Client};

@@ -28,7 +28,7 @@
 //! rather than block when a watcher stops draining.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead as _, BufReader, Write as _};
+use std::io::{self, BufRead as _, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,6 +46,7 @@ use vtq::sweep::RunMatrix;
 use crate::cache::ResultCache;
 use crate::jobs::{AdmitError, Job, JobState, PoisonList, Registry};
 use crate::proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
+use crate::wire::{self, FrameWriter};
 
 /// File (inside the service dir) holding the bound address, so clients
 /// can discover an ephemeral port.
@@ -180,6 +181,13 @@ impl ServerHandle {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// The daemon's prepared-scene cache; its
+    /// [`builds`](PreparedCache::builds) count says how many scenes this
+    /// daemon life actually had to construct.
+    pub fn prepared(&self) -> &PreparedCache {
+        &self.state.prepared
     }
 
     /// Requests shutdown and joins the daemon (drains in-flight cells).
@@ -357,7 +365,9 @@ fn run_job(state: &ServeState, job: &Job) {
         .scoped(&format!("serve/{:016x}", job.spec_fingerprint));
 
     let allow_chaos = state.config.allow_chaos;
-    let results = engine.run_map(&matrix, |cell, prepared| {
+    // `run_cells`, not `run_map`: the result cache is probed first, and
+    // scene + BVH + path trace are built only for a cell that misses.
+    let results = engine.run_cells(&matrix, |cell| {
         if allow_chaos && job.spec.chaos_panic.contains(&cell.label) {
             panic!("chaos: injected panic in {}", cell.label);
         }
@@ -372,28 +382,15 @@ fn run_job(state: &ServeState, job: &Job) {
                 }
             }
         }
-        let fingerprint = cell_key_fingerprint(cell);
-        let key = ResultCache::key(cell.scene.name(), fingerprint);
+        let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(cell));
         if let Some(record) = state.cache.load(&key, cfg_fp) {
             note_cell(state, job, "cached", &record);
             return record;
         }
-        let report = prepared.run_policy(cell.policy);
-        let record = CellRecord {
-            scene: cell.scene.name().to_string(),
-            label: cell.label.clone(),
-            fingerprint,
-            cycles: report.stats.cycles,
-            rays: report.stats.rays_completed,
-            box_tests: report.stats.box_tests,
-            tri_tests: report.stats.tri_tests,
-        };
         // The cache write happens INSIDE the cell, before the engine
         // journals `done`: `journaled done ⇒ result on disk` must hold
         // across a kill at any instant.
-        if let Err(e) = state.cache.store(&key, cfg_fp, &record) {
-            eprintln!("[serve] cannot cache `{key}`: {e}");
-        }
+        let record = simulate_and_store(state, cell, &key, cfg_fp);
         note_cell(state, job, "done", &record);
         record
     });
@@ -434,20 +431,7 @@ fn run_job(state: &ServeState, job: &Job) {
                              recomputing",
                             job.id, cell.label
                         );
-                        let prepared = state.prepared.get(cell.scene, &cell.config);
-                        let report = prepared.run_policy(cell.policy);
-                        let record = CellRecord {
-                            scene: cell.scene.name().to_string(),
-                            label: cell.label.clone(),
-                            fingerprint: cell_key_fingerprint(cell),
-                            cycles: report.stats.cycles,
-                            rays: report.stats.rays_completed,
-                            box_tests: report.stats.box_tests,
-                            tri_tests: report.stats.tri_tests,
-                        };
-                        if let Err(e) = state.cache.store(&key, cfg_fp, &record) {
-                            eprintln!("[serve] cannot cache `{key}`: {e}");
-                        }
+                        let record = simulate_and_store(state, cell, &key, cfg_fp);
                         note_cell(state, job, "recomputed", &record);
                     }
                 }
@@ -464,12 +448,33 @@ fn run_job(state: &ServeState, job: &Job) {
     } else {
         JobState::Done
     };
-    let mut registry = state.registry.lock().unwrap();
-    if let Some(j) = registry.get_mut(&job.id) {
+    if let Some(j) = state.registry.lock().unwrap().get_mut(&job.id) {
         if !j.state.terminal() {
             j.state = terminal;
         }
     }
+    // Hang up the event channel: a watcher that already drained the last
+    // event wakes now instead of at its next 50 ms poll.
+    state.watchers.lock().unwrap().remove(&job.id);
+}
+
+/// Simulates one cell on its (memoized) prepared scene and writes the
+/// record to the result cache under `key`.
+fn simulate_and_store(state: &ServeState, cell: &Cell, key: &str, cfg_fp: u64) -> CellRecord {
+    let report = state.prepared.get(cell.scene, &cell.config).run_policy(cell.policy);
+    let record = CellRecord {
+        scene: cell.scene.name().to_string(),
+        label: cell.label.clone(),
+        fingerprint: cell_key_fingerprint(cell),
+        cycles: report.stats.cycles,
+        rays: report.stats.rays_completed,
+        box_tests: report.stats.box_tests,
+        tri_tests: report.stats.tri_tests,
+    };
+    if let Err(e) = state.cache.store(key, cfg_fp, &record) {
+        eprintln!("[serve] cannot cache `{key}`: {e}");
+    }
+    record
 }
 
 fn bump(state: &ServeState, job_id: &str, f: impl FnOnce(&mut Job)) {
@@ -493,16 +498,22 @@ fn note_cell(state: &ServeState, job: &Job, status: &str, record: &CellRecord) {
 // Client handlers
 // ---------------------------------------------------------------------------
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> io::Result<()> {
-    stream.write_all(frame.to_line().as_bytes())?;
-    stream.write_all(b"\n")
+/// The daemon's end of a connection's write half.
+type Wire = FrameWriter<TcpStream>;
+
+/// Sends a complete single-frame reply; `false` when the client is gone.
+fn reply(writer: &mut Wire, frame: &Frame) -> bool {
+    writer.send(frame.to_line()).is_ok()
 }
 
 fn handle_client(state: &ServeState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(state.config.client_timeout));
-    let _ = stream.set_write_timeout(Some(state.config.client_timeout));
+    // A socket that cannot take its timeouts could hold this thread
+    // hostage: refuse it rather than serve it unprotected.
+    if wire::configure(&stream, state.config.client_timeout).is_err() {
+        return;
+    }
     let mut writer = match stream.try_clone() {
-        Ok(w) => w,
+        Ok(w) => FrameWriter::new(w),
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
@@ -523,7 +534,7 @@ fn handle_client(state: &ServeState, stream: TcpStream) {
             Err(detail) => {
                 // A torn or malformed frame gets a typed rejection; the
                 // connection stays usable for a corrected retry.
-                let _ = write_frame(
+                let _ = reply(
                     &mut writer,
                     &Frame::Rejected { reason: RejectReason::BadRequest, detail },
                 );
@@ -545,11 +556,11 @@ fn handle_client(state: &ServeState, stream: TcpStream) {
                         detail: format!("no cancellable job `{job}`"),
                     }
                 };
-                write_frame(&mut writer, &frame).is_ok()
+                reply(&mut writer, &frame)
             }
             Request::Results { job } => handle_results(state, &mut writer, &job),
             Request::Shutdown => {
-                let _ = write_frame(&mut writer, &Frame::ShuttingDown);
+                let _ = reply(&mut writer, &Frame::ShuttingDown);
                 state.shutdown.store(true, Ordering::SeqCst);
                 state.work.notify_all();
                 false
@@ -561,20 +572,20 @@ fn handle_client(state: &ServeState, stream: TcpStream) {
     }
 }
 
-fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -> bool {
+fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> bool {
     if state.shutting_down() {
         let frame = Frame::Rejected {
             reason: RejectReason::ShuttingDown,
             detail: "daemon is draining".to_string(),
         };
-        return write_frame(writer, &frame).is_ok();
+        return reply(writer, &frame);
     }
     if (!spec.chaos_panic.is_empty() || spec.chaos_sleep.is_some()) && !state.config.allow_chaos {
         let frame = Frame::Rejected {
             reason: RejectReason::BadRequest,
             detail: "chaos injection requires a server started with --chaos".to_string(),
         };
-        return write_frame(writer, &frame).is_ok();
+        return reply(writer, &frame);
     }
     let cfg = spec_config(&spec);
     let cfg_fp = config_fingerprint(&cfg);
@@ -586,7 +597,7 @@ fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -
                 reason: RejectReason::FingerprintMismatch,
                 detail: format!("client expects {expected:#018x}, server computes {cfg_fp:#018x}"),
             };
-            return write_frame(writer, &frame).is_ok();
+            return reply(writer, &frame);
         }
     }
     let total_cells = spec.scenes.len() * spec.policies.len();
@@ -610,12 +621,11 @@ fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -
             drop(registry);
             state.work.notify_all();
             let job = job.clone();
-            let ok = write_frame(
-                writer,
-                &Frame::Accepted { job: job.id.clone(), fingerprint: cfg_fp, cells: total_cells },
-            )
-            .is_ok();
-            if !ok {
+            // Buffered, not sent: `stream_watch` flushes it together with
+            // whatever events are already waiting.
+            let accepted =
+                Frame::Accepted { job: job.id.clone(), fingerprint: cfg_fp, cells: total_cells };
+            if writer.append(accepted.to_line()).is_err() {
                 state.watchers.lock().unwrap().remove(&job.id);
                 return false;
             }
@@ -635,29 +645,44 @@ fn handle_submit(state: &ServeState, writer: &mut TcpStream, spec: SubmitSpec) -
             detail: format!("tenant quota reached ({})", state.config.tenant_quota),
         },
     };
-    write_frame(writer, &frame).is_ok()
+    reply(writer, &frame)
 }
 
 /// Forwards events until the job reaches a terminal state, then sends
 /// the terminal status frame. The terminal frame comes from the
 /// *registry*, not the event channel, so a full (degraded) channel can
-/// never lose the one frame the client must see.
+/// never lose the one frame the client must see. Frames accumulate in
+/// the writer while events keep arriving and go out whenever the
+/// channel is momentarily empty, so a burst is one write and a trickle
+/// is still live.
 fn stream_watch(
     state: &ServeState,
-    writer: &mut TcpStream,
+    writer: &mut Wire,
     job_id: &str,
     rx: &std::sync::mpsc::Receiver<Frame>,
 ) -> bool {
+    use std::sync::mpsc::RecvTimeoutError;
     let ok = loop {
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(frame) => {
-                if write_frame(writer, &frame).is_err() {
+        let event = match rx.try_recv() {
+            Ok(frame) => Ok(frame),
+            Err(_) => {
+                if writer.flush().is_err() {
                     break false; // watcher hung up; job keeps running
                 }
+                rx.recv_timeout(Duration::from_millis(50))
             }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break true,
-        }
+        };
+        let hung_up = match event {
+            Ok(frame) => {
+                if writer.append(frame.to_line()).is_err() {
+                    break false;
+                }
+                false
+            }
+            Err(RecvTimeoutError::Timeout) => false,
+            // The executor settled the job and dropped the sender.
+            Err(RecvTimeoutError::Disconnected) => true,
+        };
         let terminal = {
             let registry = state.registry.lock().unwrap();
             registry.get(job_id).map(|j| (j.state.terminal(), state.status_frame(j)))
@@ -665,18 +690,21 @@ fn stream_watch(
         if let Some((true, status)) = terminal {
             // Drain events that raced the state change, then finish.
             while let Ok(frame) = rx.try_recv() {
-                if write_frame(writer, &frame).is_err() {
+                if writer.append(frame.to_line()).is_err() {
                     break;
                 }
             }
-            break write_frame(writer, &status).is_ok();
+            break writer.append(status.to_line()).is_ok();
+        }
+        if hung_up {
+            break true;
         }
     };
     state.watchers.lock().unwrap().remove(job_id);
-    ok
+    ok && writer.flush().is_ok()
 }
 
-fn handle_status(state: &ServeState, writer: &mut TcpStream, job: Option<&str>) -> bool {
+fn handle_status(state: &ServeState, writer: &mut Wire, job: Option<&str>) -> bool {
     let frame = match job {
         Some(id) => {
             let registry = state.registry.lock().unwrap();
@@ -694,17 +722,17 @@ fn handle_status(state: &ServeState, writer: &mut TcpStream, job: Option<&str>) 
             Frame::Summary { queued, running, finished, poisoned }
         }
     };
-    write_frame(writer, &frame).is_ok()
+    reply(writer, &frame)
 }
 
-fn handle_results(state: &ServeState, writer: &mut TcpStream, job_id: &str) -> bool {
+fn handle_results(state: &ServeState, writer: &mut Wire, job_id: &str) -> bool {
     let job = state.registry.lock().unwrap().get(job_id).cloned();
     let Some(job) = job else {
         let frame = Frame::Rejected {
             reason: RejectReason::BadRequest,
             detail: format!("unknown job `{job_id}`"),
         };
-        return write_frame(writer, &frame).is_ok();
+        return reply(writer, &frame);
     };
     let cfg = spec_config(&job.spec);
     let cfg_fp = config_fingerprint(&cfg);
@@ -715,12 +743,12 @@ fn handle_results(state: &ServeState, writer: &mut TcpStream, job_id: &str) -> b
             let cell = Cell { scene, config: cfg, policy, label };
             let key = ResultCache::key(scene.name(), cell_key_fingerprint(&cell));
             if let Some(record) = state.cache.load(&key, cfg_fp) {
-                if write_frame(writer, &Frame::CellResult(record)).is_err() {
+                if writer.append(Frame::CellResult(record).to_line()).is_err() {
                     return false;
                 }
                 cells += 1;
             }
         }
     }
-    write_frame(writer, &Frame::ResultsEnd { cells }).is_ok()
+    reply(writer, &Frame::ResultsEnd { cells })
 }

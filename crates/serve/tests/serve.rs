@@ -8,9 +8,9 @@
 //! simulates in milliseconds.
 
 use std::path::PathBuf;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use vtq_serve::proto::parse_policy;
+use vtq_serve::proto::{parse_policy, parse_scene};
 use vtq_serve::server::spec_config;
 use vtq_serve::{Client, Frame, RejectReason, Request, Server, ServerConfig, SubmitSpec};
 
@@ -321,6 +321,119 @@ fn restart_serves_results_from_cache_without_rerunning() {
     assert_eq!(*cached_cells, 1, "restart must serve from cache: {events:?}");
     let records2 = client.fetch_results(job).expect("results after restart");
     assert_eq!(records, records2, "cache survives restart bit-identically");
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The benchmark's smoke job: two scenes under the three policies the
+/// wire protocol names, at a size where a cell simulates in milliseconds.
+fn smoke_spec() -> SubmitSpec {
+    SubmitSpec {
+        scenes: vec![parse_scene("REF").unwrap(), parse_scene("BUNNY").unwrap()],
+        policies: ["baseline", "prefetch", "vtq"].map(|p| parse_policy(p).unwrap()).to_vec(),
+        res: Some(16),
+        detail: Some(16),
+        ..SubmitSpec::default()
+    }
+}
+
+#[test]
+fn both_ends_of_a_connection_run_nodelay() {
+    let dir = test_dir("nodelay");
+    let handle = Server::spawn(config(dir.clone())).expect("spawn");
+    let client = Client::connect(handle.addr()).expect("connect");
+    assert!(client.nodelay().expect("client socket option"));
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The daemon configures an accepted socket with the same function the
+    // client uses; an accepted socket does not start out NODELAY.
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let _peer = std::net::TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+    let (accepted, _) = listener.accept().expect("accept");
+    assert!(!accepted.nodelay().expect("socket option"));
+    vtq_serve::wire::configure(&accepted, Duration::from_secs(1)).expect("configure");
+    assert!(accepted.nodelay().expect("socket option"));
+    assert_eq!(accepted.read_timeout().unwrap(), Some(Duration::from_secs(1)));
+    assert_eq!(accepted.write_timeout().unwrap(), Some(Duration::from_secs(1)));
+}
+
+#[test]
+fn warm_resubmits_do_not_wait_on_the_wire() {
+    let dir = test_dir("warm-latency");
+    let handle = Server::spawn(config(dir.clone())).expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let spec = smoke_spec();
+    let total = spec.scenes.len() * spec.policies.len();
+
+    let round_trip = |client: &mut Client| {
+        let start = Instant::now();
+        let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("submit");
+        let Frame::Status { job, state, cached_cells, .. } = terminal else { unreachable!() };
+        assert_eq!(state, "done");
+        let records = client.fetch_results(&job).expect("results");
+        (start.elapsed(), cached_cells, records)
+    };
+    let (_, _, cold) = round_trip(&mut client);
+    assert_eq!(cold.len(), total);
+
+    let mut warm: Vec<Duration> = (0..20)
+        .map(|_| {
+            let (elapsed, cached_cells, records) = round_trip(&mut client);
+            assert_eq!(cached_cells, total, "a resubmit is all cache hits");
+            assert_eq!(records, cold);
+            elapsed
+        })
+        .collect();
+    warm.sort();
+    // Two-write framing without NODELAY parked four frames per round trip
+    // behind the peer's ~40 ms delayed-ACK timer (160+ ms); the work
+    // itself is 1-4 ms, so the bound has > 5x margin either way.
+    let median = warm[warm.len() / 2];
+    assert!(median < Duration::from_millis(20), "warm round trips: {warm:?}");
+
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
+    let dir = test_dir("cached-restart");
+    let spec = smoke_spec();
+    let total = spec.scenes.len() * spec.policies.len();
+
+    let handle = Server::spawn(config(dir.clone())).expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("submit");
+    let Frame::Status { job, state, .. } = &terminal else { unreachable!() };
+    assert_eq!(state, "done");
+    let first = client.fetch_results(job).expect("results");
+    assert_eq!(first.len(), total);
+    assert_eq!(handle.prepared().builds(), spec.scenes.len(), "cold fill prepares each scene");
+    handle.shutdown().expect("shutdown");
+
+    // A new daemon life with a *fresh* journal (no `resume`): nothing says
+    // the cells are done except the result cache itself.
+    let handle = Server::spawn(config(dir.clone())).expect("respawn");
+    let mut client = Client::connect(handle.addr()).expect("reconnect");
+    let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("resubmit");
+    let Frame::Status { job, state, cached_cells, total_cells, failed_cells, .. } = &terminal
+    else {
+        unreachable!()
+    };
+    assert_eq!((state.as_str(), *failed_cells), ("done", 0));
+    assert_eq!((*cached_cells, *total_cells), (total, total));
+    assert_eq!(client.fetch_results(job).expect("results"), first);
+
+    // A different submit scope (other journal keys) sharing the cells.
+    let mut subset = spec;
+    subset.policies.truncate(2);
+    let terminal = client.submit_and_watch(subset.clone(), |_| {}).expect("subset submit");
+    let Frame::Status { cached_cells, total_cells, .. } = &terminal else { unreachable!() };
+    assert_eq!(*cached_cells, subset.scenes.len() * subset.policies.len());
+    assert_eq!(cached_cells, total_cells);
+
+    assert_eq!(handle.prepared().builds(), 0, "a fully cached job must not build any scene");
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
