@@ -49,9 +49,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use gpusim::{Checkpoint, Simulator};
+use gpusim::{Checkpoint, RunOptions, Simulator};
 use vtq::diskfault::{arm, disarm, DiskFault, FaultPlan};
-use vtq::jsonl::{check_line, frame_line, json_quote};
+use vtq::jsonl::{check_line, frame_line, Record};
 use vtq::prelude::*;
 use vtq_serve::{Client, ResultCache, Server, ServerConfig, SubmitSpec};
 
@@ -169,7 +169,7 @@ fn build_ctx() -> Result<Ctx, String> {
     // resume to the uninterrupted run's exact stats before we start
     // damaging copies of it.
     let resumed = Simulator::new(&ref_prepared.bvh, ref_prepared.scene.triangles(), cfg.gpu)
-        .resume_from(&ref_prepared.workload, &ckpt)
+        .try_run_with(&ref_prepared.workload, RunOptions::new().resume(&ckpt))
         .map_err(|e| format!("intact checkpoint failed to resume: {e}"))?;
     if stats_of(&resumed) != stats_of(&report) {
         return Err("intact checkpoint resume diverged from the uninterrupted run".to_string());
@@ -231,8 +231,7 @@ fn build_ctx() -> Result<Ctx, String> {
 /// layer to reject it. The one scenario that needs no injected I/O
 /// fault: it directly catches a build whose verification is disabled.
 fn canary(seed: u64, rng: &mut u64) -> Verdict {
-    let line = format!("{{\"record\":\"canary\",\"seed\":{seed},\"nonce\":{}}}", next(rng));
-    let framed = frame_line(&line);
+    let framed = Record::new("canary").num("seed", seed).num("nonce", next(rng)).framed();
     let mut bytes = framed.clone().into_bytes();
     let payload_len = bytes.len() - FRAME_SUFFIX_LEN;
     let pos = (next(rng) % payload_len as u64) as usize;
@@ -720,20 +719,19 @@ fn chaos_jsonl(seeds: u64, outcomes: &[Outcome]) -> String {
             Ok(d) => (1, d),
             Err(d) => (0, d),
         };
-        out.push_str(&frame_line(&format!(
-            "{{\"record\":\"chaos_scenario\",\"seed\":{},\"scenario\":\"{}\",\"ok\":{ok},\
-             \"detail\":{}}}",
-            o.seed,
-            o.scenario,
-            json_quote(detail),
-        )));
+        let scenario = Record::new("chaos_scenario")
+            .num("seed", o.seed)
+            .str("scenario", o.scenario)
+            .num("ok", ok)
+            .str("detail", detail);
+        out.push_str(&scenario.framed());
         out.push('\n');
     }
-    out.push_str(&frame_line(&format!(
-        "{{\"record\":\"chaos_summary\",\"seeds\":{seeds},\"scenarios\":{},\"violations\":{}}}",
-        outcomes.len(),
-        violations,
-    )));
+    let summary = Record::new("chaos_summary")
+        .num("seeds", seeds)
+        .num("scenarios", outcomes.len())
+        .num("violations", violations);
+    out.push_str(&summary.framed());
     out.push('\n');
     out
 }

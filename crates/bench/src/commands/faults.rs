@@ -16,6 +16,7 @@
 use std::fs;
 use std::io::Write as _;
 
+use vtq::jsonl::Record;
 use vtq::prelude::*;
 
 use crate::{header, row, HarnessOpts};
@@ -30,16 +31,17 @@ fn cell_jsonl(c: &CellOutcome) -> String {
         }
         CellStatus::Panicked { message } => ("panicked", "", message.clone(), 0, 0),
     };
-    format!(
-        "{{\"record\":\"fault_cell\",\"index\":{},\"kind\":\"{}\",\"status\":\"{status}\",\
-         \"error_kind\":\"{error_kind}\",\"retries\":{},\"final_budget\":{},\"cycles\":{cycles},\
-         \"rays_completed\":{rays},\"detail\":\"{}\"}}",
-        c.index,
-        c.kind.label(),
-        c.retries,
-        c.final_budget,
-        detail.replace('\\', "\\\\").replace('"', "\\\""),
-    )
+    Record::new("fault_cell")
+        .num("index", c.index)
+        .str("kind", c.kind.label())
+        .str("status", status)
+        .str("error_kind", error_kind)
+        .num("retries", c.retries)
+        .num("final_budget", c.final_budget)
+        .num("cycles", cycles)
+        .num("rays_completed", rays)
+        .str("detail", detail)
+        .framed()
 }
 
 fn persist(
@@ -59,7 +61,7 @@ fn persist(
         ))
     )?;
     for cell in &report.cells {
-        writeln!(file, "{}", vtq::jsonl::frame_line(&cell_jsonl(cell)))?;
+        writeln!(file, "{}", cell_jsonl(cell))?;
     }
     file.sync_all()?;
     eprintln!("[faults] outcomes in {}", dir.join("faults.jsonl").display());

@@ -43,6 +43,7 @@ use gpusim::queues::TreeletQueues;
 use gpusim::{predict_key, PredictTable, RayId, TRACE_T_MIN};
 use rtbvh::{aabb4_intersect, quantize, Bvh4Node, NodeId, TreeletId};
 use rtmath::Aabb;
+use vtq::jsonl::{check_line, frame_line, parse_line, Record};
 use vtq::prelude::*;
 
 use crate::{header, row, HarnessOpts};
@@ -351,58 +352,26 @@ fn macro_suite(
 // BENCH_<n>.json persistence (flat JSONL, exporter conventions)
 // ---------------------------------------------------------------------------
 
-fn entry_jsonl(e: &BenchEntry) -> String {
-    format!(
-        "{{\"record\":\"bench\",\"kind\":\"{}\",\"name\":\"{}\",\"trials\":{},\"iters\":{},\
-         \"median_ns\":{},\"mad_ns\":{}}}",
-        e.kind, e.name, e.trials, e.iters, e.median_ns, e.mad_ns
-    )
-}
-
 /// Renders a whole BENCH file: provenance header, suite meta, entries.
 /// Every line is checksum-framed so a damaged baseline is detected at
 /// compare time instead of gating a perf run on corrupt numbers.
 pub fn bench_file(entries: &[BenchEntry], fingerprint: u64, quick: bool) -> String {
-    let frame = vtq::jsonl::frame_line;
-    let mut out = format!("{}\n", frame(&provenance_line(Some(fingerprint), None)));
-    out.push_str(&frame(&format!("{{\"record\":\"bench_meta\",\"version\":1,\"quick\":{quick}}}")));
+    let mut out = frame_line(&provenance_line(Some(fingerprint), None));
+    out.push('\n');
+    out.push_str(&Record::new("bench_meta").num("version", 1).bool("quick", quick).framed());
     out.push('\n');
     for e in entries {
-        out.push_str(&frame(&entry_jsonl(e)));
+        let entry = Record::new("bench")
+            .str("kind", &e.kind)
+            .str("name", &e.name)
+            .num("trials", e.trials)
+            .num("iters", e.iters)
+            .num("median_ns", e.median_ns)
+            .num("mad_ns", e.mad_ns);
+        out.push_str(&entry.framed());
         out.push('\n');
     }
     out
-}
-
-/// Splits one flat JSON object into raw `key -> value` pairs (same
-/// hand-rolled shape as the snapshot and golden parsers).
-fn parse_flat_line(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        let (key, after) = {
-            let r = rest.trim_start().strip_prefix('"')?;
-            let end = r.find('"')?;
-            (r[..end].to_string(), r[end + 1..].trim_start().strip_prefix(':')?)
-        };
-        let after = after.trim_start();
-        let (value, remainder) = if let Some(r) = after.strip_prefix('"') {
-            let end = r.find('"')?;
-            (r[..end].to_string(), &r[end + 1..])
-        } else {
-            let end = after.find(',').unwrap_or(after.len());
-            (after[..end].trim().to_string(), &after[end..])
-        };
-        pairs.push((key, value));
-        rest = remainder;
-    }
-    Some(pairs)
-}
-
-fn field<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
 }
 
 /// Parses a BENCH file's `bench` records (provenance/meta lines and
@@ -416,26 +385,19 @@ pub fn parse_bench_file(text: &str) -> Result<Vec<BenchEntry>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let line = vtq::jsonl::check_line(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let pairs =
-            parse_flat_line(&line).ok_or_else(|| format!("line {}: malformed JSON", no + 1))?;
-        if field(&pairs, "record") != Some("bench") {
+        let at = |e: String| format!("line {}: {e}", no + 1);
+        let line = check_line(line).map_err(|e| at(e.to_string()))?;
+        let f = parse_line(&line).map_err(at)?;
+        if f.record() != Some("bench") {
             continue;
         }
-        let num = |key: &str| {
-            field(&pairs, key)
-                .and_then(|v| v.parse::<u64>().ok())
-                .ok_or_else(|| format!("line {}: bad {key}", no + 1))
-        };
         entries.push(BenchEntry {
-            kind: field(&pairs, "kind").unwrap_or("micro").to_string(),
-            name: field(&pairs, "name")
-                .ok_or_else(|| format!("line {}: missing name", no + 1))?
-                .to_string(),
-            trials: num("trials")?,
-            iters: num("iters")?,
-            median_ns: num("median_ns")?,
-            mad_ns: num("mad_ns")?,
+            kind: f.str("kind").map_or_else(|_| "micro".to_string(), |k| k.into_owned()),
+            name: f.str("name").map_err(at)?.into_owned(),
+            trials: f.u64("trials").map_err(at)?,
+            iters: f.u64("iters").map_err(at)?,
+            median_ns: f.u64("median_ns").map_err(at)?,
+            mad_ns: f.u64("mad_ns").map_err(at)?,
         });
     }
     if entries.is_empty() {
@@ -639,11 +601,16 @@ mod tests {
 
     #[test]
     fn bench_file_round_trips() {
-        let entries = vec![entry("aabb4/hit", 123, 4), {
-            let mut e = entry("ref/vtq", 9_999_999, 1_000);
-            e.kind = "macro".to_string();
-            e
-        }];
+        let entries = vec![
+            entry("aabb4/hit", 123, 4),
+            {
+                let mut e = entry("ref/vtq", 9_999_999, 1_000);
+                e.kind = "macro".to_string();
+                e
+            },
+            // The writer escapes, so the reader must unescape.
+            entry("odd \"name\\\", with: everything", 5, 0),
+        ];
         let text = bench_file(&entries, 0xfeed, true);
         let first = text.lines().next().unwrap();
         assert!(first.starts_with("{\"record\":\"provenance\""), "missing header: {first}");
@@ -667,6 +634,27 @@ mod tests {
             })
             .collect();
         assert_eq!(parse_bench_file(&doctored).unwrap()[0].median_ns, 99_123);
+    }
+
+    /// Every committed baseline parses, and rendering what was parsed
+    /// reproduces its `bench` lines byte for byte.
+    #[test]
+    fn committed_bench_files_reparse_and_rerender_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../perf");
+        let bench_lines = |text: &str| -> Vec<String> {
+            text.lines()
+                .map(|l| check_line(l).expect("intact frame"))
+                .filter(|l| l.contains("\"record\":\"bench\""))
+                .collect()
+        };
+        let numbers = bench_numbers(&dir);
+        assert!(!numbers.is_empty(), "no committed BENCH files under {}", dir.display());
+        for n in numbers {
+            let text = fs::read_to_string(dir.join(format!("BENCH_{n}.json"))).unwrap();
+            let entries = parse_bench_file(&text).unwrap_or_else(|e| panic!("BENCH_{n}: {e}"));
+            let rendered = bench_file(&entries, 0, true);
+            assert_eq!(bench_lines(&rendered), bench_lines(&text), "BENCH_{n} re-renders");
+        }
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! drives all three, riding [`SweepEngine`] for parallelism and exiting
 //! nonzero on any divergence or out-of-band golden value.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs;
 use std::path::Path;
@@ -48,6 +49,7 @@ use crate::experiment::{
     free_virtualization_params, grouped_params, naive_params, quantized_config, repack_params,
     ExperimentConfig, Fig10Row, Fig13Row, ModeBreakdownRow, PolicyFigRow,
 };
+use crate::jsonl::{check_line, frame_line, parse_line, Record};
 use crate::sweep::{config_fingerprint, Cell, CellResult, RunMatrix, SweepEngine};
 
 // ---------------------------------------------------------------------------
@@ -641,127 +643,77 @@ pub fn current_goldens(
 }
 
 // ---------------------------------------------------------------------------
-// Golden persistence (hand-rolled flat JSON, snapshot_jsonl style)
+// Golden persistence
 // ---------------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
 
 /// Serializes a golden figure to its JSONL file content: the shared
 /// provenance header, a meta line, then one line per entry (flat
-/// objects, lexical diff friendly). Every line is checksum-framed
-/// ([`crate::jsonl::frame_line`]); legacy unframed snapshots are still
-/// parseable.
+/// objects, lexical diff friendly), every line checksum-framed.
 pub fn golden_jsonl(g: &GoldenFigure) -> String {
-    let frame = crate::jsonl::frame_line;
-    let mut out =
-        format!("{}\n", frame(&crate::provenance::provenance_line(Some(g.fingerprint), None)));
-    out.push_str(&frame(&format!(
-        "{{\"record\":\"golden_meta\",\"figure\":\"{}\",\"fingerprint\":\"{:#018x}\",\
-         \"scenes\":\"{}\"}}",
-        json_escape(&g.figure),
-        g.fingerprint,
-        json_escape(&g.scenes.join(",")),
-    )));
+    let mut out = frame_line(&crate::provenance::provenance_line(Some(g.fingerprint), None));
+    out.push('\n');
+    let meta = Record::new("golden_meta")
+        .str("figure", &g.figure)
+        .str("fingerprint", format_args!("{:#018x}", g.fingerprint))
+        .str("scenes", g.scenes.join(","));
+    out.push_str(&meta.framed());
     out.push('\n');
     for e in &g.entries {
-        out.push_str(&frame(&format!(
-            "{{\"record\":\"golden_entry\",\"key\":\"{}\",\"value\":{},\"tol\":{},\"rel\":{}}}",
-            json_escape(&e.key),
-            e.value,
-            e.tol,
-            e.rel,
-        )));
+        let entry = Record::new("golden_entry")
+            .str("key", &e.key)
+            .f64("value", e.value)
+            .f64("tol", e.tol)
+            .bool("rel", e.rel);
+        out.push_str(&entry.framed());
         out.push('\n');
     }
     out
 }
 
-/// Splits one flat JSON object (no nesting) into raw `key -> value`
-/// pairs, the same hand-rolled approach as `gpusim`'s snapshot parser.
-fn parse_flat_line(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut pairs = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        rest = rest.trim_start_matches(',');
-        let (key, after) = {
-            let r = rest.trim_start().strip_prefix('"')?;
-            let end = r.find('"')?;
-            (r[..end].to_string(), r[end + 1..].trim_start().strip_prefix(':')?)
-        };
-        let after = after.trim_start();
-        let (value, remainder) = if let Some(r) = after.strip_prefix('"') {
-            let end = r.find('"')?;
-            (r[..end].to_string(), &r[end + 1..])
-        } else {
-            let end = after.find(',').unwrap_or(after.len());
-            (after[..end].trim().to_string(), &after[end..])
-        };
-        pairs.push((key, value));
-        rest = remainder;
-    }
-    Some(pairs)
-}
-
-fn field<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
-/// Parses [`golden_jsonl`] output back into a [`GoldenFigure`].
+/// Parses [`golden_jsonl`] output back into a [`GoldenFigure`]; legacy
+/// unframed snapshots are still accepted.
 ///
 /// # Errors
 ///
-/// A description of the first malformed line.
+/// A description of the first corrupt or malformed line.
 pub fn parse_golden_jsonl(text: &str) -> Result<GoldenFigure, String> {
     let mut figure: Option<GoldenFigure> = None;
     for (no, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let line = crate::jsonl::check_line(line).map_err(|e| format!("line {}: {e}", no + 1))?;
-        let pairs =
-            parse_flat_line(&line).ok_or_else(|| format!("line {}: malformed JSON", no + 1))?;
-        match field(&pairs, "record") {
+        let at = |e: String| format!("line {}: {e}", no + 1);
+        let line = check_line(line).map_err(|e| at(e.to_string()))?;
+        let f = parse_line(&line).map_err(at)?;
+        match f.record() {
             // The shared artifact-provenance header: carries build
             // metadata, not golden data, so it is validated elsewhere
             // (config fingerprints compare via golden_meta) and skipped
             // here. Pre-stamp snapshots simply lack the line.
             Some(crate::provenance::PROVENANCE_RECORD) => {}
             Some("golden_meta") => {
-                let fp = field(&pairs, "fingerprint")
-                    .and_then(|v| u64::from_str_radix(v.trim_start_matches("0x"), 16).ok())
-                    .ok_or_else(|| format!("line {}: bad fingerprint", no + 1))?;
+                let scenes = f.str("scenes").unwrap_or_default();
                 figure = Some(GoldenFigure {
-                    figure: field(&pairs, "figure").unwrap_or("?").to_string(),
-                    fingerprint: fp,
-                    scenes: field(&pairs, "scenes")
-                        .map(|s| {
-                            s.split(',').filter(|p| !p.is_empty()).map(str::to_string).collect()
-                        })
-                        .unwrap_or_default(),
+                    figure: f.str("figure").map_or_else(|_| "?".to_string(), Cow::into_owned),
+                    fingerprint: f.hex64("fingerprint").map_err(at)?,
+                    scenes: scenes
+                        .split(',')
+                        .filter(|p| !p.is_empty())
+                        .map(str::to_string)
+                        .collect(),
                     entries: Vec::new(),
                 });
             }
             Some("golden_entry") => {
-                let fig =
-                    figure.as_mut().ok_or_else(|| format!("line {}: entry before meta", no + 1))?;
-                let parse_f64 = |key: &str| {
-                    field(&pairs, key)
-                        .and_then(|v| v.parse::<f64>().ok())
-                        .ok_or_else(|| format!("line {}: bad {key}", no + 1))
-                };
+                let fig = figure.as_mut().ok_or_else(|| at("entry before meta".to_string()))?;
                 fig.entries.push(GoldenEntry {
-                    key: field(&pairs, "key")
-                        .ok_or_else(|| format!("line {}: missing key", no + 1))?
-                        .to_string(),
-                    value: parse_f64("value")?,
-                    tol: parse_f64("tol")?,
-                    rel: field(&pairs, "rel") == Some("true"),
+                    key: f.str("key").map_err(at)?.into_owned(),
+                    value: f.f64("value").map_err(at)?,
+                    tol: f.f64("tol").map_err(at)?,
+                    rel: f.bool("rel").map_err(at)?,
                 });
             }
-            other => return Err(format!("line {}: unknown record {other:?}", no + 1)),
+            other => return Err(at(format!("unknown record {other:?}"))),
         }
     }
     figure.ok_or_else(|| "no golden_meta record".to_string())
@@ -1072,10 +1024,44 @@ mod tests {
             entries: vec![
                 rel("scene/ref/vtq_speedup".into(), 1.9375),
                 abs("agg/mean_initial_fraction".into(), 0.125),
+                // The writer escapes, so the reader must unescape: a key
+                // with every character the line grammar itself uses.
+                abs("scene/\"odd\\name\", with: all/of_them".into(), -0.5),
             ],
         };
         let parsed = parse_golden_jsonl(&golden_jsonl(&g)).expect("parses");
         assert_eq!(parsed, g);
+    }
+
+    /// Every committed snapshot parses, and rendering what was parsed
+    /// reproduces the file's lines: the codec neither loses nor reformats
+    /// anything the goldens hold. (The provenance header is build
+    /// metadata, stamped afresh on every write, so it is not compared.)
+    #[test]
+    fn committed_goldens_reparse_and_rerender_identically() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+        let mut files: Vec<_> =
+            fs::read_dir(&dir).expect("golden/ exists").map(|e| e.unwrap().path()).collect();
+        files.sort();
+        assert!(files.len() >= 5, "expected the five figure snapshots, found {files:?}");
+        let data_lines = |text: &str| -> Vec<String> {
+            text.lines()
+                .map(|l| check_line(l).expect("intact frame"))
+                .filter(|l| !l.contains("\"record\":\"provenance\""))
+                .collect()
+        };
+        for path in files {
+            let text = fs::read_to_string(&path).unwrap();
+            let golden =
+                parse_golden_jsonl(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(!golden.entries.is_empty(), "{}", path.display());
+            assert_eq!(
+                data_lines(&golden_jsonl(&golden)),
+                data_lines(&text),
+                "{}: re-rendered snapshot differs",
+                path.display()
+            );
+        }
     }
 
     #[test]

@@ -27,12 +27,14 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gpusim::{
-    AuditMode, GpuConfig, PathTask, Sabotage, SimError, SimReport, Simulator, TraceCall,
-    TraversalPolicy, VtqParams, Workload,
+    AuditMode, GpuConfig, PathTask, RunOptions, Sabotage, SimError, SimReport, Simulator,
+    TraceCall, TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtmath::Ray;
 use rtscene::lumibench::{self, SceneId};
+
+use crate::jsonl::{check_line, frame_line, parse_line, Pair, Record};
 
 // ---------------------------------------------------------------------------
 // Cooperative cancellation
@@ -348,15 +350,14 @@ impl SweepJournal {
         detail: &str,
     ) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap();
-        let line = format!(
-            "{{\"record\":\"cell\",\"key\":{},\"status\":\"{}\",\"retries\":{},\"detail\":{}}}",
-            json_quote(key),
-            disposition.label(),
-            retries,
-            json_quote(detail),
-        );
-        let framed = format!("{}\n", frame_line(&line));
-        crate::diskfault::guarded_write(&mut inner.file, framed.as_bytes())?;
+        let mut line = Record::new("cell")
+            .str("key", key)
+            .str("status", disposition.label())
+            .num("retries", retries)
+            .str("detail", detail)
+            .framed();
+        line.push('\n');
+        crate::diskfault::guarded_write(&mut inner.file, line.as_bytes())?;
         inner.file.flush()?;
         inner.unsynced += 1;
         if inner.unsynced >= JOURNAL_SYNC_EVERY {
@@ -378,7 +379,7 @@ impl SweepJournal {
         let line = format!(
             "{}\n{}\n",
             frame_line(&crate::provenance::provenance_line(None, None)),
-            frame_line(&format!("{{\"record\":\"journal\",\"version\":1,\"mode\":\"{mode}\"}}")),
+            Record::new("journal").num("version", 1).str("mode", mode).framed(),
         );
         inner.file.write_all(line.as_bytes())?;
         inner.file.flush()?;
@@ -406,24 +407,22 @@ fn scan_journal(text: &str, done: &mut HashSet<String>) -> (usize, Option<String
             Ok(payload) => payload,
             Err(e) => return (good_end, Some(e.to_string())),
         };
-        if json_str_field(&payload, "record").as_deref() == Some("cell") {
-            let (Some(key), Some(status)) =
-                (json_str_field(&payload, "key"), json_str_field(&payload, "status"))
-            else {
+        let fields = match parse_line(&payload) {
+            Ok(fields) => fields,
+            Err(e) => return (good_end, Some(e)),
+        };
+        if fields.record() == Some("cell") {
+            let (Ok(key), Ok(status)) = (fields.str("key"), fields.str("status")) else {
                 return (good_end, Some("cell record with unparseable key/status".to_string()));
             };
             if status == CellDisposition::Done.label() {
-                done.insert(key);
+                done.insert(key.into_owned());
             }
         }
         good_end += raw.len();
     }
     (good_end, None)
 }
-
-// The flat-JSONL primitives live in [`crate::jsonl`] (shared with the
-// serve protocol); these local names keep the journal/repro code terse.
-use crate::jsonl::{check_line, frame_line, json_quote, json_str_field};
 
 // ---------------------------------------------------------------------------
 // Delta-debugging shrinker
@@ -620,65 +619,61 @@ impl Repro {
     pub fn to_jsonl(&self) -> String {
         let base = gpu_base_of(&self.gpu).expect("Repro::for_cell verified representability");
         let f = &self.gpu.mem.faults;
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"record\":\"repro\",\"version\":{},\"scene\":\"{}\",\"detail_divisor\":{},\
-             \"treelet_bytes\":{},\"gpu_base\":\"{}\",\"num_sms\":{},\"max_cycles\":\"{}\",\
-             \"audit\":\"{}\",\"jitter\":\"{}:{}\",\"faults\":\"{}:{}:{}:{}\",\
-             \"policy\":\"{}\",\"vtq\":\"{}\",\"sabotage\":\"{}\",\"error_kind\":{},\
-             \"tasks\":{}}}\n",
-            REPRO_VERSION,
-            self.scene.name(),
-            self.detail_divisor,
-            self.treelet_bytes,
-            base,
-            self.gpu.mem.num_sms,
-            match self.gpu.max_cycles {
-                Some(c) => c.to_string(),
-                None => "-".to_string(),
-            },
-            match self.gpu.audit {
-                AuditMode::Auto => "auto".to_string(),
-                AuditMode::Off => "off".to_string(),
-                AuditMode::Every(n) => format!("every:{n}"),
-            },
-            self.gpu.sched_jitter_cycles,
-            self.gpu.sched_jitter_seed,
-            f.spike_per_mille,
-            f.spike_extra_cycles,
-            f.bandwidth_divisor,
-            f.seed,
-            self.gpu.policy.label(),
-            match self.gpu.policy {
-                TraversalPolicy::Vtq(v) => format!(
-                    "{}:{}:{}:{}:{}:{}:{}:{}:{}",
-                    v.max_virtual_rays,
-                    v.divergence_treelets,
-                    v.queue_threshold,
-                    v.repack_threshold,
-                    v.preload as u8,
-                    v.group_underpopulated as u8,
-                    v.charge_virtualization as u8,
-                    v.count_table_entries,
-                    v.queue_table_entries,
+        let header = Record::new("repro")
+            .num("version", REPRO_VERSION)
+            .str("scene", self.scene.name())
+            .num("detail_divisor", self.detail_divisor)
+            .num("treelet_bytes", self.treelet_bytes)
+            .str("gpu_base", base)
+            .num("num_sms", self.gpu.mem.num_sms)
+            .opt("max_cycles", self.gpu.max_cycles)
+            .str(
+                "audit",
+                match self.gpu.audit {
+                    AuditMode::Auto => "auto".to_string(),
+                    AuditMode::Off => "off".to_string(),
+                    AuditMode::Every(n) => format!("every:{n}"),
+                },
+            )
+            .str("jitter", Pair(self.gpu.sched_jitter_cycles, self.gpu.sched_jitter_seed))
+            .str(
+                "faults",
+                Pair(
+                    f.spike_per_mille,
+                    Pair(f.spike_extra_cycles, Pair(f.bandwidth_divisor, f.seed)),
                 ),
-                _ => "-".to_string(),
-            },
-            match self.sabotage {
-                Some(s) => format!("{}:{}", s.at_cycle, s.queue_total_delta),
-                None => "-".to_string(),
-            },
-            json_quote(&self.error_kind),
-            self.workload.tasks.len(),
-        ));
+            )
+            .str("policy", self.gpu.policy.label())
+            .opt(
+                "vtq",
+                match self.gpu.policy {
+                    TraversalPolicy::Vtq(v) => Some(format!(
+                        "{}:{}:{}:{}:{}:{}:{}:{}:{}",
+                        v.max_virtual_rays,
+                        v.divergence_treelets,
+                        v.queue_threshold,
+                        v.repack_threshold,
+                        v.preload as u8,
+                        v.group_underpopulated as u8,
+                        v.charge_virtualization as u8,
+                        v.count_table_entries,
+                        v.queue_table_entries,
+                    )),
+                    _ => None,
+                },
+            )
+            .opt("sabotage", self.sabotage.map(|s| Pair(s.at_cycle, s.queue_total_delta)))
+            .str("error_kind", &self.error_kind)
+            .num("tasks", self.workload.tasks.len());
+        let mut out = header.finish();
+        out.push('\n');
         for task in &self.workload.tasks {
-            let rays: Vec<String> = task.rays.iter().map(ray_blob).collect();
-            out.push_str(&format!(
-                "{{\"record\":\"repro_task\",\"rays\":\"{}\"}}\n",
-                rays.join(" ")
-            ));
+            let line = Record::new("repro_task").list("rays", task.rays.iter().map(ray_blob));
+            out.push_str(&line.finish());
+            out.push('\n');
         }
-        out.push_str("{\"record\":\"repro_end\"}\n");
+        out.push_str(&Record::new("repro_end").finish());
+        out.push('\n');
         out
     }
 
@@ -686,33 +681,31 @@ impl Repro {
     pub fn from_jsonl(text: &str) -> Result<Repro, String> {
         let mut lines = text.lines().enumerate().filter(|(_, l)| !l.trim().is_empty());
         let (_, header) = lines.next().ok_or("empty reproducer file")?;
-        if json_str_field(header, "record").as_deref() != Some("repro") {
+        let header = parse_line(header)?;
+        if header.record() != Some("repro") {
             return Err("first record is not a `repro` header".to_string());
         }
-        let version: u32 = field_int(header, "version")?;
+        let version: u32 = header.num("version")?;
         if version != REPRO_VERSION {
             return Err(format!(
                 "unsupported reproducer version {version} (expected {REPRO_VERSION})"
             ));
         }
 
-        let scene_name = field_str(header, "scene")?;
+        let scene_name = header.str("scene")?;
         let scene = SceneId::ALL_WITH_EXTRAS
             .into_iter()
             .find(|s| s.name() == scene_name)
             .ok_or_else(|| format!("unknown scene `{scene_name}`"))?;
-        let detail_divisor: u32 = field_int(header, "detail_divisor")?;
-        let treelet_bytes: u32 = field_int(header, "treelet_bytes")?;
+        let detail_divisor: u32 = header.num("detail_divisor")?;
+        let treelet_bytes: u32 = header.num("treelet_bytes")?;
 
-        let base_name = field_str(header, "gpu_base")?;
+        let base_name = header.str("gpu_base")?;
         let mut gpu =
             gpu_base_config(&base_name).ok_or_else(|| format!("unknown gpu base `{base_name}`"))?;
-        gpu.mem.num_sms = field_int(header, "num_sms")?;
-        gpu.max_cycles = match field_str(header, "max_cycles")?.as_str() {
-            "-" => None,
-            c => Some(c.parse().map_err(|_| format!("bad max_cycles `{c}`"))?),
-        };
-        gpu.audit = match field_str(header, "audit")?.as_str() {
+        gpu.mem.num_sms = header.num("num_sms")?;
+        gpu.max_cycles = header.opt("max_cycles")?;
+        gpu.audit = match header.str("audit")?.as_ref() {
             "auto" => AuditMode::Auto,
             "off" => AuditMode::Off,
             other => match other.strip_prefix("every:") {
@@ -722,26 +715,15 @@ impl Repro {
                 None => return Err(format!("bad audit mode `{other}`")),
             },
         };
-        let jitter = field_str(header, "jitter")?;
-        let (jc, js) = jitter.split_once(':').ok_or_else(|| format!("bad jitter `{jitter}`"))?;
-        gpu.sched_jitter_cycles = jc.parse().map_err(|_| format!("bad jitter `{jitter}`"))?;
-        gpu.sched_jitter_seed = js.parse().map_err(|_| format!("bad jitter `{jitter}`"))?;
-        let faults = field_str(header, "faults")?;
-        let ftoks: Vec<&str> = faults.split(':').collect();
-        if ftoks.len() != 4 {
-            return Err(format!("bad faults `{faults}`"));
-        }
-        gpu.mem.faults.spike_per_mille =
-            ftoks[0].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.spike_extra_cycles =
-            ftoks[1].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.bandwidth_divisor =
-            ftoks[2].parse().map_err(|_| format!("bad faults `{faults}`"))?;
-        gpu.mem.faults.seed = ftoks[3].parse().map_err(|_| format!("bad faults `{faults}`"))?;
+        Pair(gpu.sched_jitter_cycles, gpu.sched_jitter_seed) = header.num("jitter")?;
+        let faults = &mut gpu.mem.faults;
+        Pair(
+            faults.spike_per_mille,
+            Pair(faults.spike_extra_cycles, Pair(faults.bandwidth_divisor, faults.seed)),
+        ) = header.num("faults")?;
 
-        let policy = field_str(header, "policy")?;
-        let vtq = field_str(header, "vtq")?;
-        gpu.policy = match policy.as_str() {
+        let vtq = header.str("vtq")?;
+        gpu.policy = match header.str("policy")?.as_ref() {
             "baseline" => TraversalPolicy::Baseline,
             "prefetch" => TraversalPolicy::TreeletPrefetch,
             "vtq" => {
@@ -765,39 +747,33 @@ impl Repro {
             other => return Err(format!("unknown policy `{other}`")),
         };
 
-        let sabotage = match field_str(header, "sabotage")?.as_str() {
-            "-" => None,
-            s => {
-                let (c, d) = s.split_once(':').ok_or_else(|| format!("bad sabotage `{s}`"))?;
-                Some(Sabotage {
-                    at_cycle: c.parse().map_err(|_| format!("bad sabotage `{s}`"))?,
-                    queue_total_delta: d.parse().map_err(|_| format!("bad sabotage `{s}`"))?,
-                })
-            }
-        };
-        let error_kind = field_str(header, "error_kind")?;
-        let task_count: usize = field_int(header, "tasks")?;
+        let sabotage = header
+            .opt::<Pair<u64, isize>>("sabotage")?
+            .map(|Pair(at_cycle, queue_total_delta)| Sabotage { at_cycle, queue_total_delta });
+        let error_kind = header.str("error_kind")?.into_owned();
+        let task_count: usize = header.num("tasks")?;
 
         let mut tasks = Vec::with_capacity(task_count);
         let mut ended = false;
         for (i, line) in lines {
-            match json_str_field(line, "record").as_deref() {
+            let at = |e: String| format!("line {}: {e}", i + 1);
+            let f = parse_line(line).map_err(at)?;
+            match f.record() {
                 Some("repro_task") => {
                     if ended {
-                        return Err(format!("line {}: data after `repro_end`", i + 1));
+                        return Err(at("data after `repro_end`".to_string()));
                     }
-                    let blob = field_str(line, "rays")?;
+                    let blob = f.str("rays").map_err(at)?;
                     let rays: Result<Vec<TraceCall>, String> = blob
                         .split_whitespace()
                         .map(|tok| {
-                            parse_ray_blob(tok)
-                                .ok_or_else(|| format!("line {}: bad ray `{tok}`", i + 1))
+                            parse_ray_blob(tok).ok_or_else(|| at(format!("bad ray `{tok}`")))
                         })
                         .collect();
                     tasks.push(PathTask { rays: rays? });
                 }
                 Some("repro_end") => ended = true,
-                other => return Err(format!("line {}: unexpected record {:?}", i + 1, other)),
+                other => return Err(at(format!("unexpected record {other:?}"))),
             }
         }
         if !ended {
@@ -833,7 +809,7 @@ impl Repro {
         );
         let sim = Simulator::new(&bvh, scene.triangles(), self.gpu);
         match self.sabotage {
-            Some(s) => sim.try_run_sabotaged(&self.workload, s),
+            Some(s) => sim.try_run_with(&self.workload, RunOptions::new().sabotage(s)),
             None => sim.try_run(&self.workload),
         }
     }
@@ -883,9 +859,6 @@ fn parse_ray_blob(tok: &str) -> Option<TraceCall> {
     };
     Some(TraceCall { ray, t_max: f32::from_bits(bits[9]), anyhit })
 }
-
-use crate::jsonl::json_int_field as field_int;
-use crate::jsonl::json_str_field_required as field_str;
 
 // ---------------------------------------------------------------------------
 // High-level shrink driver
@@ -948,7 +921,7 @@ pub fn shrink_failure(
     let sim = Simulator::new(&bvh, built.triangles(), *gpu);
     let mut oracle = |w: &Workload| {
         let run = match sabotage {
-            Some(s) => sim.try_run_sabotaged(w, s),
+            Some(s) => sim.try_run_with(w, RunOptions::new().sabotage(s)),
             None => sim.try_run(w),
         };
         matches!(run, Err(ref e) if e.kind() == expected_kind)
@@ -996,16 +969,6 @@ mod tests {
         assert!(cancel_requested());
         reset_cancel();
         assert!(!cancel_requested());
-    }
-
-    #[test]
-    fn json_quote_escapes_and_scans_back() {
-        let nasty = "a \"b\"\\c\nd\te\u{1}";
-        let line =
-            format!("{{\"record\":\"cell\",\"key\":{},\"status\":\"done\"}}", json_quote(nasty));
-        assert_eq!(json_str_field(&line, "key").as_deref(), Some(nasty));
-        assert_eq!(json_str_field(&line, "status").as_deref(), Some("done"));
-        assert_eq!(json_str_field(&line, "missing"), None);
     }
 
     #[test]

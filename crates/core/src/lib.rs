@@ -40,9 +40,10 @@
 //!   resume without re-running completed cells, and a delta-debugging
 //!   shrinker that reduces a failing cell to a replayable minimal
 //!   reproducer,
-//! * [`jsonl`] — the flat-JSONL primitives plus the artifact-integrity
-//!   frame: every durable line carries a CRC32, parsers reject
-//!   mismatches as typed `CorruptFrame` errors,
+//! * [`jsonl`] — the workspace's one flat-JSONL codec (`gpusim::jsonl`
+//!   re-exported; this is the canonical import path): line writer and
+//!   reader, the CRC32 artifact-integrity frame every durable line
+//!   carries, and the FNV-1a fingerprint hash,
 //! * [`diskfault`] — the durable-write discipline (unique temp files,
 //!   fsync, atomic rename) and a seeded disk-fault injection shim
 //!   (torn write, bit flip, ENOSPC, failed rename, short read) that
@@ -72,13 +73,13 @@ pub mod durable;
 pub mod experiment;
 pub mod faults;
 pub mod general;
-pub mod jsonl;
 pub mod provenance;
 pub mod reorder;
 pub mod sweep;
 pub mod workload;
 
 pub use experiment::{ExperimentConfig, Prepared};
+pub use gpusim::jsonl;
 pub use sweep::{PreparedCache, RunMatrix, SweepEngine};
 
 /// Host-side performance observability (re-export of the workspace

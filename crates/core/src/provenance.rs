@@ -20,6 +20,8 @@
 //! by pre-stamp parsers that ignore unknown records — and the strict
 //! parsers (golden snapshots) were taught to accept it.
 
+use crate::jsonl::Record;
+
 /// Value of the `"record"` field identifying a provenance header line.
 pub const PROVENANCE_RECORD: &str = "provenance";
 
@@ -31,25 +33,18 @@ pub const PROVENANCE_VERSION: u32 = 1;
 /// `config_fingerprint` is rendered in the `{:#018x}` form used by the
 /// golden snapshots; `None` fields render as JSON `null`.
 pub fn provenance_line(config_fingerprint: Option<u64>, seed: Option<u64>) -> String {
-    let fingerprint = match config_fingerprint {
-        Some(f) => format!("\"{f:#018x}\""),
-        None => "null".to_string(),
+    let r = Record::new(PROVENANCE_RECORD)
+        .num("version", PROVENANCE_VERSION)
+        .str("crate_version", env!("CARGO_PKG_VERSION"));
+    let r = match config_fingerprint {
+        Some(f) => r.str("config_fingerprint", format_args!("{f:#018x}")),
+        None => r.null("config_fingerprint"),
     };
-    let seed = match seed {
-        Some(s) => s.to_string(),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"record\":\"{PROVENANCE_RECORD}\",\"version\":{PROVENANCE_VERSION},\
-         \"crate_version\":\"{}\",\"config_fingerprint\":{fingerprint},\"seed\":{seed}}}",
-        env!("CARGO_PKG_VERSION"),
-    )
-}
-
-/// `true` if a JSONL line is a provenance header (cheap check for
-/// parsers that want to skip it without a full parse).
-pub fn is_provenance_line(line: &str) -> bool {
-    line.trim_start().starts_with("{\"record\":\"provenance\"")
+    match seed {
+        Some(s) => r.num("seed", s),
+        None => r.null("seed"),
+    }
+    .finish()
 }
 
 #[cfg(test)]
@@ -67,7 +62,6 @@ mod tests {
                 env!("CARGO_PKG_VERSION")
             )
         );
-        assert!(is_provenance_line(&line));
         assert!(!line.contains('\n'), "header must be a single flat line");
     }
 
@@ -76,7 +70,5 @@ mod tests {
         let line = provenance_line(None, None);
         assert!(line.contains("\"config_fingerprint\":null"));
         assert!(line.contains("\"seed\":null"));
-        assert!(is_provenance_line(line.trim()));
-        assert!(!is_provenance_line("{\"record\":\"cell\",\"key\":\"x\"}"));
     }
 }

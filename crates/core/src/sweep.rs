@@ -56,6 +56,7 @@ use rtscene::lumibench::SceneId;
 
 use crate::durable::{cancel_requested, CancelToken, CellDisposition, SweepJournal};
 use crate::experiment::{ExperimentConfig, Prepared};
+use crate::jsonl::Fnv1a;
 
 /// Global progress-line switch set by `vtq-bench --quiet`: suppresses
 /// the stderr `[prepare]`-style chatter (useful under CI and when
@@ -109,28 +110,6 @@ pub fn cell_key_fingerprint(cell: &Cell) -> u64 {
     hash.write(&config_fingerprint(&cell.config).to_le_bytes());
     hash.write(format!("{:?}", cell.policy).as_bytes());
     hash.finish()
-}
-
-#[derive(Debug)]
-struct Fnv1a(u64);
-
-impl Default for Fnv1a {
-    fn default() -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// Memoizes [`Prepared::build`] per `(SceneId, config fingerprint)`.

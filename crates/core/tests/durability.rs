@@ -218,13 +218,11 @@ fn killed_and_resumed_sweeps_settle_each_cell_exactly_once() {
         let text = fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal file");
         let mut done_counts = std::collections::HashMap::<String, usize>::new();
         for line in text.lines() {
-            if vtq::jsonl::json_str_field(line, "record").as_deref() != Some("cell") {
+            let f = vtq::jsonl::parse_line(line).expect("journal line parses");
+            if f.record() != Some("cell") || f.get("status") != Some("done") {
                 continue;
             }
-            if vtq::jsonl::json_str_field(line, "status").as_deref() != Some("done") {
-                continue;
-            }
-            let key = vtq::jsonl::json_str_field(line, "key").expect("done record has a key");
+            let key = f.str("key").expect("done record has a key").into_owned();
             *done_counts.entry(key).or_insert(0) += 1;
         }
         assert_eq!(done_counts.len(), total, "seed {seed}: lost a done record");

@@ -115,7 +115,7 @@ impl Default for MemConfig {
 }
 
 /// Serialized state of one [`Cache`]: contents plus counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheSnapshot {
     /// Lines in [`Cache::export_lines`] order.
     pub lines: Vec<LineState>,
@@ -139,7 +139,7 @@ impl CacheSnapshot {
 /// checkpointing. Restoring into a system built from the *same*
 /// [`MemConfig`] reproduces bit-identical timing for every subsequent
 /// access; restoring into a mismatched geometry fails.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MemSnapshot {
     /// Per-SM L1 contents and counters.
     pub l1s: Vec<CacheSnapshot>,

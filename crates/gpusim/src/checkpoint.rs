@@ -7,25 +7,24 @@
 //! `f32` as raw bits), the memory hierarchy (cache tags, MSHRs, the
 //! fractional DRAM service-queue head, fault RNG), scheduler heaps, the
 //! jitter RNG, accumulated statistics and trace-sink counters. Resuming
-//! from a checkpoint with
-//! [`Simulator::resume_from`](crate::Simulator::resume_from) produces a
-//! final [`SimStats`] bit-identical to the uninterrupted run.
+//! from a checkpoint with [`RunOptions::resume`](crate::RunOptions::resume)
+//! produces a final [`SimStats`] bit-identical to the uninterrupted run.
 //!
-//! The on-disk form ([`Checkpoint::to_jsonl`]) is flat JSONL in the same
-//! dialect as [`export::snapshot_jsonl`](crate::export::snapshot_jsonl):
-//! one record per line, scalar values only, lists as space-separated
-//! strings, `a:b` pair tokens, `-` for `None`. A terminal `ckpt_end`
+//! The on-disk form ([`Checkpoint::to_jsonl`]) is [`crate::jsonl`] flat
+//! JSONL, one checksum-framed record per line. A terminal `ckpt_end`
 //! record guards against truncation; [`Checkpoint::from_jsonl`] returns a
-//! typed [`ParseError`] for any corruption and never panics.
+//! typed [`ParseError`] for any corruption and never panics. Adding state
+//! is one `.num(..)` in the writer and one `f.num(..)?` in the reader —
+//! and a [`CHECKPOINT_VERSION`] bump, which the format pin in
+//! `tests/checkpoint.rs` enforces.
 
-use std::fmt::Write as _;
+use std::hash::Hasher as _;
 
-use gpumem::{
-    AccessKind, CacheSnapshot, CacheStats, KindStats, LineState, MemSnapshot, WindowPoint,
-};
+use gpumem::{CacheSnapshot, CacheStats, KindStats, LineState, MemSnapshot, WindowPoint};
 
-use crate::export::{flat_str, flat_u64, parse_flat_line, ParseError};
+use crate::export::ParseError;
 use crate::hw_table::QueueTableStats;
+use crate::jsonl::{check_line, parse_line, Fields, Fnv1a, Opt, Pair, Record};
 use crate::observe::{SamplePoint, StallBreakdown, StallKind};
 use crate::predict::PredictTableStats;
 use crate::ray::{RayTraversalState, StackEntry};
@@ -41,12 +40,9 @@ pub const CHECKPOINT_VERSION: u32 = 2;
 /// the checkpoint header so a resume against a different configuration is
 /// rejected up front.
 pub fn config_tag(cfg: &GpuConfig) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for byte in format!("{cfg:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut hash = Fnv1a::default();
+    hash.write(format!("{cfg:?}").as_bytes());
+    hash.finish()
 }
 
 /// Serialized CTA scheduling state (one per CTA).
@@ -86,7 +82,7 @@ pub(crate) struct WarpState {
 }
 
 /// Complete state of one SM's RT unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct RtUnitState {
     /// `(arrival cycle, ray ids)` per issued-but-not-installed warp, in
     /// queue order.
@@ -117,35 +113,13 @@ pub(crate) struct RtUnitState {
     pub last_mode: Option<u8>,
 }
 
-impl RtUnitState {
-    fn empty() -> RtUnitState {
-        RtUnitState {
-            incoming: Vec::new(),
-            slots: Vec::new(),
-            queues: Vec::new(),
-            queue_total: 0,
-            current_queue: None,
-            preloaded: None,
-            last_prefetch_at: 0,
-            prefetched: Vec::new(),
-            rays_in_flight: 0,
-            hw_buckets: Vec::new(),
-            hw_live: 0,
-            hw_stats: QueueTableStats::default(),
-            predict_buckets: Vec::new(),
-            predict_stats: PredictTableStats::default(),
-            last_mode: None,
-        }
-    }
-}
-
 /// A complete simulator checkpoint; see the [module docs](self).
 ///
 /// Produced by
 /// [`Simulator::try_run_checkpointed`](crate::Simulator::try_run_checkpointed),
-/// consumed by [`Simulator::resume_from`](crate::Simulator::resume_from),
+/// consumed by [`RunOptions::resume`](crate::RunOptions::resume),
 /// persisted via [`Checkpoint::to_jsonl`] / [`Checkpoint::from_jsonl`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Checkpoint {
     pub(crate) version: u32,
     pub(crate) num_sms: usize,
@@ -195,852 +169,591 @@ impl Checkpoint {
         self.config_tag
     }
 
-    /// Serializes to flat JSONL; inverse of [`Checkpoint::from_jsonl`].
+    /// Serializes to flat JSONL, every line checksum-framed; inverse of
+    /// [`Checkpoint::from_jsonl`].
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        let o = &mut out;
-        let _ = writeln!(
-            o,
-            "{{\"record\":\"checkpoint\",\"version\":{},\"cycle\":{},\"num_sms\":{},\
-             \"tasks\":{},\"total_rays\":{},\"config_tag\":{}}}",
-            self.version, self.now, self.num_sms, self.tasks, self.total_rays, self.config_tag
+        let mut emit = |r: Record| {
+            out.push_str(&r.framed());
+            out.push('\n');
+        };
+        emit(
+            Record::new("checkpoint")
+                .num("version", self.version)
+                .num("cycle", self.now)
+                .num("num_sms", self.num_sms)
+                .num("tasks", self.tasks)
+                .num("total_rays", self.total_rays)
+                .num("config_tag", self.config_tag),
         );
-        let _ = writeln!(
-            o,
-            "{{\"record\":\"ckpt_engine\",\"next_sm\":{},\"last_audit\":{},\
-             \"jitter_state\":{},\"sink_events\":{},\"sabotage\":\"{}\",\"pending\":\"{}\",\
-             \"timers\":\"{}\",\"resume_ready\":\"{}\",\"shader_active\":\"{}\",\
-             \"reserved_rays\":\"{}\",\"slot_release\":\"{}\",\"free_slots\":\"{}\",\
-             \"last_progress\":\"{}\"}}",
-            self.next_sm,
-            self.last_audit,
-            self.jitter_state,
-            self.sink_events,
-            match self.sabotage {
-                Some((at, delta)) => format!("{at}:{delta}"),
-                None => "-".to_string(),
-            },
-            join(self.pending.iter()),
-            join_pairs(self.timers.iter().map(|&(t, i)| (t, i as u64))),
-            join(self.resume_ready.iter()),
-            join(self.shader_active.iter()),
-            join(self.reserved_rays.iter()),
-            join_pairs(self.slot_release.iter().map(|&(t, i)| (t, i as u64))),
-            join(self.free_slots.iter()),
-            join(self.last_progress.iter()),
+        emit(
+            Record::new("ckpt_engine")
+                .num("next_sm", self.next_sm)
+                .num("last_audit", self.last_audit)
+                .num("jitter_state", self.jitter_state)
+                .num("sink_events", self.sink_events)
+                .opt("sabotage", self.sabotage.map(Pair::from))
+                .list("pending", &self.pending)
+                .pairs("timers", self.timers.iter().copied())
+                .list("resume_ready", &self.resume_ready)
+                .list("shader_active", &self.shader_active)
+                .list("reserved_rays", &self.reserved_rays)
+                .pairs("slot_release", self.slot_release.iter().copied())
+                .list("free_slots", &self.free_slots)
+                .list("last_progress", &self.last_progress),
         );
         let s = &self.stats;
-        let _ = writeln!(
-            o,
-            "{{\"record\":\"ckpt_stats\",\"cycles\":{},\"active_lane_steps\":{},\
-             \"total_lane_steps\":{},\"mode_cycles\":\"{}\",\"mode_isect_tests\":\"{}\",\
-             \"box_tests\":{},\"tri_tests\":{},\"warps_issued\":{},\"repack_events\":{},\
-             \"repacked_rays\":{},\"treelet_dispatches\":{},\"cta_suspends\":{},\
-             \"cta_resumes\":{},\"cta_state_bytes\":{},\"peak_rays_in_flight\":{},\
-             \"prefetches_issued\":{},\"prefetch_lines\":{},\"prefetch_lines_used\":{},\
-             \"rays_completed\":{},\"queue_table_max_chain\":{},\
-             \"queue_table_peak_entries\":{},\"queue_table_overflows\":{},\
-             \"predict_lookups\":{},\"predict_hits\":{},\"predict_inserts\":{},\
-             \"predict_evictions\":{}}}",
-            s.cycles,
-            s.active_lane_steps,
-            s.total_lane_steps,
-            join(s.mode_cycles.iter()),
-            join(s.mode_isect_tests.iter()),
-            s.box_tests,
-            s.tri_tests,
-            s.warps_issued,
-            s.repack_events,
-            s.repacked_rays,
-            s.treelet_dispatches,
-            s.cta_suspends,
-            s.cta_resumes,
-            s.cta_state_bytes,
-            s.peak_rays_in_flight,
-            s.prefetches_issued,
-            s.prefetch_lines,
-            s.prefetch_lines_used,
-            s.rays_completed,
-            s.queue_table_max_chain,
-            s.queue_table_peak_entries,
-            s.queue_table_overflows,
-            s.predict_lookups,
-            s.predict_hits,
-            s.predict_inserts,
-            s.predict_evictions,
+        emit(
+            Record::new("ckpt_stats")
+                .num("cycles", s.cycles)
+                .num("active_lane_steps", s.active_lane_steps)
+                .num("total_lane_steps", s.total_lane_steps)
+                .list("mode_cycles", s.mode_cycles)
+                .list("mode_isect_tests", s.mode_isect_tests)
+                .num("box_tests", s.box_tests)
+                .num("tri_tests", s.tri_tests)
+                .num("warps_issued", s.warps_issued)
+                .num("repack_events", s.repack_events)
+                .num("repacked_rays", s.repacked_rays)
+                .num("treelet_dispatches", s.treelet_dispatches)
+                .num("cta_suspends", s.cta_suspends)
+                .num("cta_resumes", s.cta_resumes)
+                .num("cta_state_bytes", s.cta_state_bytes)
+                .num("peak_rays_in_flight", s.peak_rays_in_flight)
+                .num("prefetches_issued", s.prefetches_issued)
+                .num("prefetch_lines", s.prefetch_lines)
+                .num("prefetch_lines_used", s.prefetch_lines_used)
+                .num("rays_completed", s.rays_completed)
+                .num("queue_table_max_chain", s.queue_table_max_chain)
+                .num("queue_table_peak_entries", s.queue_table_peak_entries)
+                .num("queue_table_overflows", s.queue_table_overflows)
+                .num("predict_lookups", s.predict_lookups)
+                .num("predict_hits", s.predict_hits)
+                .num("predict_inserts", s.predict_inserts)
+                .num("predict_evictions", s.predict_evictions),
         );
         for (sm, b) in s.stall.iter().enumerate() {
-            let _ = writeln!(o, "{{\"record\":\"ckpt_stall\",\"sm\":{sm},{}}}", stall_fields(b));
+            emit(stall_fields(Record::new("ckpt_stall").num("sm", sm), b));
         }
         for w in &s.series {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_series\",\"start_cycle\":{},\"covered_cycles\":{},\
-                 \"ray_cycles\":{},\"occupied_slot_cycles\":{},\"mode_cycles\":\"{}\",{}}}",
-                w.start_cycle,
-                w.covered_cycles,
-                w.ray_cycles,
-                w.occupied_slot_cycles,
-                join(w.mode_cycles.iter()),
-                stall_fields(&w.stall),
-            );
+            let r = Record::new("ckpt_series")
+                .num("start_cycle", w.start_cycle)
+                .num("covered_cycles", w.covered_cycles)
+                .num("ray_cycles", w.ray_cycles)
+                .num("occupied_slot_cycles", w.occupied_slot_cycles)
+                .list("mode_cycles", w.mode_cycles);
+            emit(stall_fields(r, &w.stall));
         }
         for (id, c) in self.ctas.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_cta\",\"id\":{id},\"first_task\":{},\"task_count\":{},\
-                 \"bounce\":{},\"phase\":{},\"ready_at\":{},\"sm\":{},\"outstanding\":{},\
-                 \"resume_queued\":{}}}",
-                c.first_task,
-                c.task_count,
-                c.bounce,
-                c.phase,
-                c.ready_at,
-                c.sm,
-                c.outstanding,
-                c.resume_queued as u8,
+            emit(
+                Record::new("ckpt_cta")
+                    .num("id", id)
+                    .num("first_task", c.first_task)
+                    .num("task_count", c.task_count)
+                    .num("bounce", c.bounce)
+                    .num("phase", c.phase)
+                    .num("ready_at", c.ready_at)
+                    .num("sm", c.sm)
+                    .num("outstanding", c.outstanding)
+                    .num("resume_queued", u8::from(c.resume_queued)),
             );
         }
         for r in &self.rays {
             let t = &r.traversal;
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_ray\",\"id\":{},\"origin\":\"{}\",\"dir\":\"{}\",\
-                 \"inv_dir\":\"{}\",\"treelet\":{},\"cur_stack\":\"{}\",\"tre_stack\":\"{}\",\
-                 \"best\":\"{}\",\"best_node\":\"{}\",\"t_min\":{},\"t_max\":{},\"limit\":{},\
-                 \"anyhit\":{},\"nodes\":{},\"cta\":{},\"task\":{},\"bounce\":{},\"sm\":{}}}",
-                t.id,
-                join(t.origin_bits.iter()),
-                join(t.dir_bits.iter()),
-                join(t.inv_dir_bits.iter()),
-                t.current_treelet,
-                join_pairs(t.current_stack.iter().map(|e| (e.node as u64, e.t_bits as u64))),
-                join_pairs(t.treelet_stack.iter().map(|e| (e.node as u64, e.t_bits as u64))),
-                opt_pair(t.best.map(|(a, b)| (a as u64, b as u64))),
-                opt_tok(t.best_node),
-                t.t_min_bits,
-                t.t_max_bits,
-                t.limit_bits,
-                t.anyhit as u8,
-                t.nodes_visited,
-                r.cta,
-                r.task,
-                r.bounce,
-                r.sm,
+            fn stack(entries: &[StackEntry]) -> impl Iterator<Item = (u32, u32)> + '_ {
+                entries.iter().map(|e| (e.node, e.t_bits))
+            }
+            emit(
+                Record::new("ckpt_ray")
+                    .num("id", t.id)
+                    .list("origin", t.origin_bits)
+                    .list("dir", t.dir_bits)
+                    .list("inv_dir", t.inv_dir_bits)
+                    .num("treelet", t.current_treelet)
+                    .pairs("cur_stack", stack(&t.current_stack))
+                    .pairs("tre_stack", stack(&t.treelet_stack))
+                    .opt("best", t.best.map(Pair::from))
+                    .opt("best_node", t.best_node)
+                    .num("t_min", t.t_min_bits)
+                    .num("t_max", t.t_max_bits)
+                    .num("limit", t.limit_bits)
+                    .num("anyhit", u8::from(t.anyhit))
+                    .num("nodes", t.nodes_visited)
+                    .num("cta", r.cta)
+                    .num("task", r.task)
+                    .num("bounce", r.bounce)
+                    .num("sm", r.sm),
             );
         }
         for (task, calls) in self.hits.iter().enumerate() {
-            let toks: Vec<String> =
-                calls.iter().map(|h| opt_pair(h.map(|(a, b)| (a as u64, b as u64)))).collect();
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_hits\",\"task\":{task},\"hits\":\"{}\"}}",
-                toks.join(" ")
-            );
+            let hits = calls.iter().map(|h| Opt(h.map(Pair::from)));
+            emit(Record::new("ckpt_hits").num("task", task).list("hits", hits));
         }
         for (sm, u) in self.rt.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_rt\",\"sm\":{sm},\"current_queue\":\"{}\",\
-                 \"preloaded\":\"{}\",\"last_prefetch_at\":{},\"rays_in_flight\":{},\
-                 \"last_mode\":\"{}\",\"queue_total\":{},\"hw_live\":{},\"hw_max_chain\":{},\
-                 \"hw_peak\":{},\"hw_overflows\":{},\"hw_inserts\":{},\"hw_buckets\":{},\
-                 \"pt_lookups\":{},\"pt_hits\":{},\"pt_inserts\":{},\"pt_evictions\":{},\
-                 \"pt_buckets\":{},\"slots\":{}}}",
-                opt_tok(u.current_queue),
-                opt_tok(u.preloaded),
-                u.last_prefetch_at,
-                u.rays_in_flight,
-                opt_tok(u.last_mode),
-                u.queue_total,
-                u.hw_live,
-                u.hw_stats.max_chain,
-                u.hw_stats.peak_entries,
-                u.hw_stats.overflows,
-                u.hw_stats.inserts,
-                u.hw_buckets.len(),
-                u.predict_stats.lookups,
-                u.predict_stats.hits,
-                u.predict_stats.inserts,
-                u.predict_stats.evictions,
-                u.predict_buckets.len(),
-                u.slots.len(),
+            emit(
+                Record::new("ckpt_rt")
+                    .num("sm", sm)
+                    .opt("current_queue", u.current_queue)
+                    .opt("preloaded", u.preloaded)
+                    .num("last_prefetch_at", u.last_prefetch_at)
+                    .num("rays_in_flight", u.rays_in_flight)
+                    .opt("last_mode", u.last_mode)
+                    .num("queue_total", u.queue_total)
+                    .num("hw_live", u.hw_live)
+                    .num("hw_max_chain", u.hw_stats.max_chain)
+                    .num("hw_peak", u.hw_stats.peak_entries)
+                    .num("hw_overflows", u.hw_stats.overflows)
+                    .num("hw_inserts", u.hw_stats.inserts)
+                    .num("hw_buckets", u.hw_buckets.len())
+                    .num("pt_lookups", u.predict_stats.lookups)
+                    .num("pt_hits", u.predict_stats.hits)
+                    .num("pt_inserts", u.predict_stats.inserts)
+                    .num("pt_evictions", u.predict_stats.evictions)
+                    .num("pt_buckets", u.predict_buckets.len())
+                    .num("slots", u.slots.len()),
             );
             for (arrive, rays) in &u.incoming {
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_inc\",\"sm\":{sm},\"arrive\":{arrive},\
-                     \"rays\":\"{}\"}}",
-                    join(rays.iter())
+                emit(
+                    Record::new("ckpt_inc").num("sm", sm).num("arrive", arrive).list("rays", rays),
                 );
             }
             for (slot, w) in u.slots.iter().enumerate() {
                 let Some(w) = w else { continue };
-                let lanes: Vec<String> = w.lanes.iter().map(|l| opt_tok(*l)).collect();
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_slot\",\"sm\":{sm},\"slot\":{slot},\
-                     \"lanes\":\"{}\",\"mode\":{},\"restrict\":\"{}\",\"ready_at\":{},\
-                     \"mem_ready_at\":{}}}",
-                    lanes.join(" "),
-                    w.mode,
-                    opt_tok(w.restrict),
-                    w.ready_at,
-                    w.mem_ready_at,
+                emit(
+                    Record::new("ckpt_slot")
+                        .num("sm", sm)
+                        .num("slot", slot)
+                        .list("lanes", w.lanes.iter().map(|l| Opt(*l)))
+                        .num("mode", w.mode)
+                        .opt("restrict", w.restrict)
+                        .num("ready_at", w.ready_at)
+                        .num("mem_ready_at", w.mem_ready_at),
                 );
             }
             for (treelet, rays) in &u.queues {
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_queue\",\"sm\":{sm},\"treelet\":{treelet},\
-                     \"rays\":\"{}\"}}",
-                    join(rays.iter())
+                emit(
+                    Record::new("ckpt_queue")
+                        .num("sm", sm)
+                        .num("treelet", treelet)
+                        .list("rays", rays),
                 );
             }
-            for (bucket, entries) in u.hw_buckets.iter().enumerate() {
-                if entries.is_empty() {
-                    continue;
+            for (record, buckets) in [("ckpt_hw", &u.hw_buckets), ("ckpt_pt", &u.predict_buckets)] {
+                for (bucket, entries) in buckets.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
+                    emit(
+                        Record::new(record)
+                            .num("sm", sm)
+                            .num("bucket", bucket)
+                            .pairs("entries", entries.iter().copied()),
+                    );
                 }
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_hw\",\"sm\":{sm},\"bucket\":{bucket},\
-                     \"entries\":\"{}\"}}",
-                    join_pairs(entries.iter().map(|&(t, r)| (t, r as u64)))
-                );
-            }
-            for (bucket, entries) in u.predict_buckets.iter().enumerate() {
-                if entries.is_empty() {
-                    continue;
-                }
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_pt\",\"sm\":{sm},\"bucket\":{bucket},\
-                     \"entries\":\"{}\"}}",
-                    join_pairs(entries.iter().map(|&(k, n)| (k, n as u64)))
-                );
             }
             if !u.prefetched.is_empty() {
-                let _ = writeln!(
-                    o,
-                    "{{\"record\":\"ckpt_pref\",\"sm\":{sm},\"lines\":\"{}\"}}",
-                    join_pairs(u.prefetched.iter().map(|&(a, used)| (a, used as u64)))
-                );
+                let lines = u.prefetched.iter().map(|&(addr, used)| (addr, u8::from(used)));
+                emit(Record::new("ckpt_pref").num("sm", sm).pairs("lines", lines));
             }
         }
         let m = &self.mem;
-        let _ = writeln!(
-            o,
-            "{{\"record\":\"ckpt_mem\",\"dram_free_at_bits\":{},\"fault_rng\":{}}}",
-            m.dram_free_at_bits, m.fault_rng
+        emit(
+            Record::new("ckpt_mem")
+                .num("dram_free_at_bits", m.dram_free_at_bits)
+                .num("fault_rng", m.fault_rng),
         );
         for (sm, pool) in m.mshrs.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_mshr\",\"sm\":{sm},\"free_at\":\"{}\"}}",
-                join(pool.iter())
-            );
+            emit(Record::new("ckpt_mshr").num("sm", sm).list("free_at", pool));
         }
         for (kind, k) in m.per_kind.iter().enumerate() {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_kind\",\"kind\":{kind},\"lines\":{},\"l1_hits\":{},\
-                 \"l2_hits\":{},\"dram\":{},\"l1_lookups\":{}}}",
-                k.lines, k.l1_hits, k.l2_hits, k.dram, k.l1_lookups
+            emit(
+                Record::new("ckpt_kind")
+                    .num("kind", kind)
+                    .num("lines", k.lines)
+                    .num("l1_hits", k.l1_hits)
+                    .num("l2_hits", k.l2_hits)
+                    .num("dram", k.dram)
+                    .num("l1_lookups", k.l1_lookups),
             );
         }
         for w in &m.windows {
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_memwin\",\"start_cycle\":{},\"accesses\":{},\
-                 \"misses\":{}}}",
-                w.start_cycle, w.accesses, w.misses
+            emit(
+                Record::new("ckpt_memwin")
+                    .num("start_cycle", w.start_cycle)
+                    .num("accesses", w.accesses)
+                    .num("misses", w.misses),
             );
         }
-        for (name, cache) in self.caches() {
-            let lines: Vec<String> = cache
-                .lines
-                .iter()
-                .map(|l| format!("{}:{}:{}", l.tag, l.last_used, l.valid as u8))
-                .collect();
-            let _ = writeln!(
-                o,
-                "{{\"record\":\"ckpt_cache\",\"cache\":\"{name}\",\"accesses\":{},\
-                 \"hits\":{},\"lines\":\"{}\"}}",
-                cache.stats.accesses,
-                cache.stats.hits,
-                lines.join(" ")
+        let l1s = m.l1s.iter().enumerate().map(|(i, c)| (format!("l1@{i}"), c));
+        let shared = [("l2".to_string(), &m.l2), ("ray".to_string(), &m.ray_reserve)];
+        for (name, cache) in l1s.chain(shared) {
+            let lines =
+                cache.lines.iter().map(|l| Pair(l.tag, Pair(l.last_used, u8::from(l.valid))));
+            emit(
+                Record::new("ckpt_cache")
+                    .str("cache", name)
+                    .num("accesses", cache.stats.accesses)
+                    .num("hits", cache.stats.hits)
+                    .list("lines", lines),
             );
         }
-        let _ = writeln!(o, "{{\"record\":\"ckpt_end\",\"cycle\":{}}}", self.now);
-        // Integrity pass: every persisted line carries its CRC32 frame
-        // so `from_jsonl` can reject torn writes and bit flips as typed
-        // errors instead of mis-restoring state.
-        let mut framed = String::with_capacity(out.len() + 20 * out.lines().count());
-        for line in out.lines() {
-            framed.push_str(&crate::frames::frame_line(line));
-            framed.push('\n');
-        }
-        framed
-    }
-
-    fn caches(&self) -> Vec<(String, &CacheSnapshot)> {
-        let mut v: Vec<(String, &CacheSnapshot)> =
-            self.mem.l1s.iter().enumerate().map(|(i, c)| (format!("l1@{i}"), c)).collect();
-        v.push(("l2".to_string(), &self.mem.l2));
-        v.push(("ray".to_string(), &self.mem.ray_reserve));
-        v
+        emit(Record::new("ckpt_end").num("cycle", self.now));
+        out
     }
 
     /// Parses a checkpoint written by [`Checkpoint::to_jsonl`].
     ///
     /// # Errors
     ///
-    /// Returns a typed [`ParseError`] locating the first malformed line,
-    /// missing field, geometry contradiction, or a missing terminal
-    /// `ckpt_end` record (truncated file). Never panics.
-    #[allow(clippy::too_many_lines)]
+    /// Returns a typed [`ParseError`] locating the first corrupt frame,
+    /// malformed line, missing field, geometry contradiction, or a
+    /// missing terminal `ckpt_end` record (truncated file). Never panics.
     pub fn from_jsonl(text: &str) -> Result<Checkpoint, ParseError> {
         let mut lines =
             text.lines().enumerate().map(|(i, l)| (i + 1, l)).filter(|(_, l)| !l.trim().is_empty());
-        let (header_no, header_line) =
+        let (header_no, header) =
             lines.next().ok_or_else(|| ParseError::at(0, "empty checkpoint"))?;
-        let header_line = crate::frames::check_line(header_line)
-            .map_err(|e| ParseError::at(header_no, e.to_string()))?;
-        let header = parse_flat_line(&header_line).map_err(|r| ParseError::at(header_no, r))?;
-        let at = |r: String| ParseError::at(header_no, r);
-        if flat_str(&header, "record").map_err(&at)? != "checkpoint" {
-            return Err(at("expected a `checkpoint` header record".to_string()));
-        }
-        let version = flat_u64(&header, "version").map_err(&at)? as u32;
-        if version != CHECKPOINT_VERSION {
-            return Err(at(format!(
-                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
-            )));
-        }
-        let num_sms = flat_u64(&header, "num_sms").map_err(&at)? as usize;
-        let tasks = flat_u64(&header, "tasks").map_err(&at)? as usize;
-        if num_sms == 0 || num_sms > 1 << 16 || tasks > 1 << 28 {
-            return Err(at(format!("implausible geometry: {num_sms} SMs, {tasks} tasks")));
-        }
-        let mut ckpt = Checkpoint {
-            version,
-            num_sms,
-            tasks,
-            total_rays: flat_u64(&header, "total_rays").map_err(&at)? as usize,
-            config_tag: flat_u64(&header, "config_tag").map_err(&at)?,
-            now: flat_u64(&header, "cycle").map_err(&at)?,
-            next_sm: 0,
-            last_audit: 0,
-            jitter_state: 1,
-            sink_events: 0,
-            sabotage: None,
-            pending: Vec::new(),
-            timers: Vec::new(),
-            resume_ready: Vec::new(),
-            shader_active: Vec::new(),
-            reserved_rays: Vec::new(),
-            slot_release: Vec::new(),
-            free_slots: Vec::new(),
-            last_progress: Vec::new(),
-            stats: SimStats::default(),
-            ctas: Vec::new(),
-            rays: Vec::new(),
-            hits: vec![Vec::new(); tasks],
-            rt: (0..num_sms).map(|_| RtUnitState::empty()).collect(),
-            mem: MemSnapshot {
-                l1s: (0..num_sms)
-                    .map(|_| CacheSnapshot { lines: Vec::new(), stats: CacheStats::default() })
-                    .collect(),
-                l2: CacheSnapshot { lines: Vec::new(), stats: CacheStats::default() },
-                ray_reserve: CacheSnapshot { lines: Vec::new(), stats: CacheStats::default() },
-                dram_free_at_bits: 0,
-                mshrs: vec![Vec::new(); num_sms],
-                per_kind: [KindStats::default(); AccessKind::ALL.len()],
-                windows: Vec::new(),
-                fault_rng: 1,
-            },
-        };
+        let mut ckpt = Checkpoint::read_header(header).map_err(|r| ParseError::at(header_no, r))?;
         let mut ended = false;
         for (no, line) in lines {
             if ended {
-                return Err(ParseError::at(no, "data after `ckpt_end`".to_string()));
+                return Err(ParseError::at(no, "data after `ckpt_end`"));
             }
-            let at = |r: String| ParseError::at(no, r);
-            let line = crate::frames::check_line(line).map_err(|e| at(e.to_string()))?;
-            let p = parse_flat_line(&line).map_err(&at)?;
-            let u = |key: &str| flat_u64(&p, key).map_err(&at);
-            let sm_of = |key: &str| -> Result<usize, ParseError> {
-                let sm = flat_u64(&p, key).map_err(&at)? as usize;
-                if sm >= num_sms {
-                    return Err(at(format!("SM index {sm} out of range (num_sms {num_sms})")));
-                }
-                Ok(sm)
-            };
-            match flat_str(&p, "record").map_err(&at)? {
-                "ckpt_engine" => {
-                    ckpt.next_sm = u("next_sm")? as usize;
-                    ckpt.last_audit = u("last_audit")?;
-                    ckpt.jitter_state = u("jitter_state")?;
-                    ckpt.sink_events = u("sink_events")?;
-                    ckpt.sabotage = match flat_str(&p, "sabotage").map_err(&at)? {
-                        "-" => None,
-                        tok => {
-                            let (a, d) = split_pair(tok).map_err(&at)?;
-                            let delta = d
-                                .parse::<i64>()
-                                .map_err(|_| at(format!("bad sabotage delta: {d}")))?;
-                            Some((a, delta))
-                        }
-                    };
-                    ckpt.pending =
-                        parse_list(flat_str(&p, "pending").map_err(&at)?).map_err(&at)?;
-                    ckpt.timers = parse_pair_list(flat_str(&p, "timers").map_err(&at)?)
-                        .map_err(&at)?
-                        .into_iter()
-                        .map(|(t, i)| (t, i as usize))
-                        .collect();
-                    ckpt.resume_ready =
-                        parse_list(flat_str(&p, "resume_ready").map_err(&at)?).map_err(&at)?;
-                    ckpt.shader_active =
-                        parse_list(flat_str(&p, "shader_active").map_err(&at)?).map_err(&at)?;
-                    ckpt.reserved_rays =
-                        parse_list(flat_str(&p, "reserved_rays").map_err(&at)?).map_err(&at)?;
-                    ckpt.slot_release = parse_pair_list(flat_str(&p, "slot_release").map_err(&at)?)
-                        .map_err(&at)?
-                        .into_iter()
-                        .map(|(t, i)| (t, i as usize))
-                        .collect();
-                    ckpt.free_slots =
-                        parse_list(flat_str(&p, "free_slots").map_err(&at)?).map_err(&at)?;
-                    ckpt.last_progress =
-                        parse_list(flat_str(&p, "last_progress").map_err(&at)?).map_err(&at)?;
-                    for (name, len) in [
-                        ("shader_active", ckpt.shader_active.len()),
-                        ("reserved_rays", ckpt.reserved_rays.len()),
-                        ("free_slots", ckpt.free_slots.len()),
-                        ("last_progress", ckpt.last_progress.len()),
-                    ] {
-                        if len != num_sms {
-                            return Err(at(format!(
-                                "`{name}` has {len} entries, expected {num_sms}"
-                            )));
-                        }
-                    }
-                }
-                "ckpt_stats" => {
-                    let s = &mut ckpt.stats;
-                    s.cycles = u("cycles")?;
-                    s.active_lane_steps = u("active_lane_steps")?;
-                    s.total_lane_steps = u("total_lane_steps")?;
-                    s.mode_cycles =
-                        parse_triple(flat_str(&p, "mode_cycles").map_err(&at)?).map_err(&at)?;
-                    s.mode_isect_tests =
-                        parse_triple(flat_str(&p, "mode_isect_tests").map_err(&at)?)
-                            .map_err(&at)?;
-                    s.box_tests = u("box_tests")?;
-                    s.tri_tests = u("tri_tests")?;
-                    s.warps_issued = u("warps_issued")?;
-                    s.repack_events = u("repack_events")?;
-                    s.repacked_rays = u("repacked_rays")?;
-                    s.treelet_dispatches = u("treelet_dispatches")?;
-                    s.cta_suspends = u("cta_suspends")?;
-                    s.cta_resumes = u("cta_resumes")?;
-                    s.cta_state_bytes = u("cta_state_bytes")?;
-                    s.peak_rays_in_flight = u("peak_rays_in_flight")? as usize;
-                    s.prefetches_issued = u("prefetches_issued")?;
-                    s.prefetch_lines = u("prefetch_lines")?;
-                    s.prefetch_lines_used = u("prefetch_lines_used")?;
-                    s.rays_completed = u("rays_completed")?;
-                    s.queue_table_max_chain = u("queue_table_max_chain")? as u32;
-                    s.queue_table_peak_entries = u("queue_table_peak_entries")? as u32;
-                    s.queue_table_overflows = u("queue_table_overflows")?;
-                    s.predict_lookups = u("predict_lookups")?;
-                    s.predict_hits = u("predict_hits")?;
-                    s.predict_inserts = u("predict_inserts")?;
-                    s.predict_evictions = u("predict_evictions")?;
-                }
-                "ckpt_stall" => {
-                    let sm = u("sm")? as usize;
-                    if ckpt.stats.stall.len() != sm {
-                        return Err(at(format!(
-                            "ckpt_stall records out of order: got sm {sm}, expected {}",
-                            ckpt.stats.stall.len()
-                        )));
-                    }
-                    ckpt.stats.stall.push(parse_stall(&p).map_err(&at)?);
-                }
-                "ckpt_series" => {
-                    ckpt.stats.series.push(SamplePoint {
-                        start_cycle: u("start_cycle")?,
-                        covered_cycles: u("covered_cycles")?,
-                        ray_cycles: u("ray_cycles")?,
-                        occupied_slot_cycles: u("occupied_slot_cycles")?,
-                        mode_cycles: parse_triple(flat_str(&p, "mode_cycles").map_err(&at)?)
-                            .map_err(&at)?,
-                        stall: parse_stall(&p).map_err(&at)?,
-                    });
-                }
-                "ckpt_cta" => {
-                    let id = u("id")? as usize;
-                    if ckpt.ctas.len() != id {
-                        return Err(at(format!(
-                            "ckpt_cta records out of order: got id {id}, expected {}",
-                            ckpt.ctas.len()
-                        )));
-                    }
-                    ckpt.ctas.push(CtaState {
-                        first_task: u("first_task")? as usize,
-                        task_count: u("task_count")? as usize,
-                        bounce: u("bounce")? as usize,
-                        phase: u("phase")? as u8,
-                        ready_at: u("ready_at")?,
-                        sm: sm_of("sm")?,
-                        outstanding: u("outstanding")? as usize,
-                        resume_queued: u("resume_queued")? != 0,
-                    });
-                }
-                "ckpt_ray" => {
-                    let stack = |key: &str| -> Result<Vec<StackEntry>, ParseError> {
-                        Ok(parse_pair_list(flat_str(&p, key).map_err(&at)?)
-                            .map_err(&at)?
-                            .into_iter()
-                            .map(|(n, b)| StackEntry { node: n as u32, t_bits: b as u32 })
-                            .collect())
-                    };
-                    ckpt.rays.push(RayState {
-                        traversal: RayTraversalState {
-                            id: u("id")? as u32,
-                            origin_bits: parse_triple32(flat_str(&p, "origin").map_err(&at)?)
-                                .map_err(&at)?,
-                            dir_bits: parse_triple32(flat_str(&p, "dir").map_err(&at)?)
-                                .map_err(&at)?,
-                            inv_dir_bits: parse_triple32(flat_str(&p, "inv_dir").map_err(&at)?)
-                                .map_err(&at)?,
-                            current_treelet: u("treelet")? as u32,
-                            current_stack: stack("cur_stack")?,
-                            treelet_stack: stack("tre_stack")?,
-                            best: parse_opt_pair(flat_str(&p, "best").map_err(&at)?)
-                                .map_err(&at)?
-                                .map(|(a, b)| (a as u32, b as u32)),
-                            best_node: parse_opt_u64(flat_str(&p, "best_node").map_err(&at)?)
-                                .map_err(&at)?
-                                .map(|v| v as u32),
-                            t_min_bits: u("t_min")? as u32,
-                            t_max_bits: u("t_max")? as u32,
-                            limit_bits: u("limit")? as u32,
-                            anyhit: u("anyhit")? != 0,
-                            nodes_visited: u("nodes")? as u32,
-                        },
-                        cta: u("cta")? as usize,
-                        task: u("task")? as usize,
-                        bounce: u("bounce")? as usize,
-                        sm: sm_of("sm")?,
-                    });
-                }
-                "ckpt_hits" => {
-                    let task = u("task")? as usize;
-                    if task >= tasks {
-                        return Err(at(format!("task {task} out of range ({tasks} tasks)")));
-                    }
-                    ckpt.hits[task] = flat_str(&p, "hits")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(|tok| {
-                            parse_opt_pair(tok).map(|h| h.map(|(a, b)| (a as u32, b as u32)))
-                        })
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
-                }
-                "ckpt_rt" => {
-                    let sm = sm_of("sm")?;
-                    let unit = &mut ckpt.rt[sm];
-                    unit.current_queue = parse_opt_u64(flat_str(&p, "current_queue").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u32);
-                    unit.preloaded = parse_opt_u64(flat_str(&p, "preloaded").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u32);
-                    unit.last_prefetch_at = u("last_prefetch_at")?;
-                    unit.rays_in_flight = u("rays_in_flight")? as usize;
-                    unit.last_mode = parse_opt_u64(flat_str(&p, "last_mode").map_err(&at)?)
-                        .map_err(&at)?
-                        .map(|v| v as u8);
-                    unit.queue_total = u("queue_total")? as usize;
-                    unit.hw_live = u("hw_live")? as u32;
-                    unit.hw_stats = QueueTableStats {
-                        max_chain: u("hw_max_chain")? as u32,
-                        peak_entries: u("hw_peak")? as u32,
-                        overflows: u("hw_overflows")?,
-                        inserts: u("hw_inserts")?,
-                    };
-                    unit.predict_stats = PredictTableStats {
-                        lookups: u("pt_lookups")?,
-                        hits: u("pt_hits")?,
-                        inserts: u("pt_inserts")?,
-                        evictions: u("pt_evictions")?,
-                    };
-                    let buckets = u("hw_buckets")? as usize;
-                    let pt_buckets = u("pt_buckets")? as usize;
-                    let slots = u("slots")? as usize;
-                    if buckets > 1 << 24 || pt_buckets > 1 << 24 || slots > 1 << 16 {
-                        return Err(at(format!(
-                            "implausible RT-unit geometry: {buckets} buckets, \
-                             {pt_buckets} predict buckets, {slots} slots"
-                        )));
-                    }
-                    unit.hw_buckets = vec![Vec::new(); buckets];
-                    unit.predict_buckets = vec![Vec::new(); pt_buckets];
-                    unit.slots = vec![None; slots];
-                }
-                "ckpt_inc" => {
-                    let sm = sm_of("sm")?;
-                    let rays: Vec<u64> =
-                        parse_list(flat_str(&p, "rays").map_err(&at)?).map_err(&at)?;
-                    ckpt.rt[sm]
-                        .incoming
-                        .push((u("arrive")?, rays.into_iter().map(|r| r as u32).collect()));
-                }
-                "ckpt_slot" => {
-                    let sm = sm_of("sm")?;
-                    let slot = u("slot")? as usize;
-                    if slot >= ckpt.rt[sm].slots.len() {
-                        return Err(at(format!(
-                            "slot {slot} out of range ({} slots; is ckpt_rt missing?)",
-                            ckpt.rt[sm].slots.len()
-                        )));
-                    }
-                    let lanes = flat_str(&p, "lanes")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(|tok| parse_opt_u64(tok).map(|v| v.map(|v| v as u32)))
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
-                    ckpt.rt[sm].slots[slot] = Some(WarpState {
-                        lanes,
-                        mode: u("mode")? as u8,
-                        restrict: parse_opt_u64(flat_str(&p, "restrict").map_err(&at)?)
-                            .map_err(&at)?
-                            .map(|v| v as u32),
-                        ready_at: u("ready_at")?,
-                        mem_ready_at: u("mem_ready_at")?,
-                    });
-                }
-                "ckpt_queue" => {
-                    let sm = sm_of("sm")?;
-                    let rays: Vec<u64> =
-                        parse_list(flat_str(&p, "rays").map_err(&at)?).map_err(&at)?;
-                    ckpt.rt[sm]
-                        .queues
-                        .push((u("treelet")? as u32, rays.into_iter().map(|r| r as u32).collect()));
-                }
-                "ckpt_hw" => {
-                    let sm = sm_of("sm")?;
-                    let bucket = u("bucket")? as usize;
-                    if bucket >= ckpt.rt[sm].hw_buckets.len() {
-                        return Err(at(format!(
-                            "bucket {bucket} out of range ({} buckets; is ckpt_rt missing?)",
-                            ckpt.rt[sm].hw_buckets.len()
-                        )));
-                    }
-                    ckpt.rt[sm].hw_buckets[bucket] =
-                        parse_pair_list(flat_str(&p, "entries").map_err(&at)?)
-                            .map_err(&at)?
-                            .into_iter()
-                            .map(|(t, r)| (t, r as u32))
-                            .collect();
-                }
-                "ckpt_pt" => {
-                    let sm = sm_of("sm")?;
-                    let bucket = u("bucket")? as usize;
-                    if bucket >= ckpt.rt[sm].predict_buckets.len() {
-                        return Err(at(format!(
-                            "predict bucket {bucket} out of range ({} buckets; is ckpt_rt \
-                             missing?)",
-                            ckpt.rt[sm].predict_buckets.len()
-                        )));
-                    }
-                    ckpt.rt[sm].predict_buckets[bucket] =
-                        parse_pair_list(flat_str(&p, "entries").map_err(&at)?)
-                            .map_err(&at)?
-                            .into_iter()
-                            .map(|(k, n)| (k, n as u32))
-                            .collect();
-                }
-                "ckpt_pref" => {
-                    let sm = sm_of("sm")?;
-                    ckpt.rt[sm].prefetched = parse_pair_list(flat_str(&p, "lines").map_err(&at)?)
-                        .map_err(&at)?
-                        .into_iter()
-                        .map(|(a, used)| (a, used != 0))
-                        .collect();
-                }
-                "ckpt_mem" => {
-                    ckpt.mem.dram_free_at_bits = u("dram_free_at_bits")?;
-                    ckpt.mem.fault_rng = u("fault_rng")?;
-                }
-                "ckpt_mshr" => {
-                    let sm = sm_of("sm")?;
-                    ckpt.mem.mshrs[sm] =
-                        parse_list(flat_str(&p, "free_at").map_err(&at)?).map_err(&at)?;
-                }
-                "ckpt_kind" => {
-                    let kind = u("kind")? as usize;
-                    if kind >= ckpt.mem.per_kind.len() {
-                        return Err(at(format!("access kind {kind} out of range")));
-                    }
-                    ckpt.mem.per_kind[kind] = KindStats {
-                        lines: u("lines")?,
-                        l1_hits: u("l1_hits")?,
-                        l2_hits: u("l2_hits")?,
-                        dram: u("dram")?,
-                        l1_lookups: u("l1_lookups")?,
-                    };
-                }
-                "ckpt_memwin" => {
-                    ckpt.mem.windows.push(WindowPoint {
-                        start_cycle: u("start_cycle")?,
-                        accesses: u("accesses")?,
-                        misses: u("misses")?,
-                    });
-                }
-                "ckpt_cache" => {
-                    let lines = flat_str(&p, "lines")
-                        .map_err(&at)?
-                        .split_whitespace()
-                        .map(parse_line_state)
-                        .collect::<Result<Vec<_>, String>>()
-                        .map_err(&at)?;
-                    let snap = CacheSnapshot {
-                        lines,
-                        stats: CacheStats { accesses: u("accesses")?, hits: u("hits")? },
-                    };
-                    match flat_str(&p, "cache").map_err(&at)? {
-                        "l2" => ckpt.mem.l2 = snap,
-                        "ray" => ckpt.mem.ray_reserve = snap,
-                        name => {
-                            match name.strip_prefix("l1@").and_then(|i| i.parse::<usize>().ok()) {
-                                Some(i) if i < num_sms => ckpt.mem.l1s[i] = snap,
-                                _ => return Err(at(format!("unknown cache `{name}`"))),
-                            }
-                        }
-                    }
-                }
-                "ckpt_end" => {
-                    if u("cycle")? != ckpt.now {
-                        return Err(at("`ckpt_end` cycle disagrees with header".to_string()));
-                    }
-                    ended = true;
-                }
-                other => return Err(at(format!("unknown checkpoint record `{other}`"))),
-            }
+            ended = ckpt.read_record(line).map_err(|r| ParseError::at(no, r))?;
         }
         if !ended {
             return Err(ParseError::at(0, "truncated checkpoint: no `ckpt_end` record"));
         }
-        if ckpt.stats.stall.len() != num_sms {
+        if ckpt.stats.stall.len() != ckpt.num_sms {
             return Err(ParseError::at(
                 0,
-                format!("{} ckpt_stall records, expected {num_sms}", ckpt.stats.stall.len()),
+                format!("{} ckpt_stall records, expected {}", ckpt.stats.stall.len(), ckpt.num_sms),
             ));
         }
         Ok(ckpt)
     }
+
+    /// The `checkpoint` header line: an otherwise-empty checkpoint of the
+    /// declared geometry, for [`read_record`](Self::read_record) to fill.
+    fn read_header(line: &str) -> Result<Checkpoint, String> {
+        let line = check_line(line).map_err(|e| e.to_string())?;
+        let f = parse_line(&line)?;
+        if f.record() != Some("checkpoint") {
+            return Err("expected a `checkpoint` header record".to_string());
+        }
+        let version = f.num("version")?;
+        if version != CHECKPOINT_VERSION {
+            return Err(format!(
+                "unsupported checkpoint version {version} (expected {CHECKPOINT_VERSION})"
+            ));
+        }
+        let (num_sms, tasks): (usize, usize) = (f.num("num_sms")?, f.num("tasks")?);
+        if num_sms == 0 || num_sms > 1 << 16 || tasks > 1 << 28 {
+            return Err(format!("implausible geometry: {num_sms} SMs, {tasks} tasks"));
+        }
+        // Everything a body record fills starts empty; the two RNG
+        // states start at a valid (non-zero) xorshift seed.
+        Ok(Checkpoint {
+            version,
+            num_sms,
+            tasks,
+            total_rays: f.num("total_rays")?,
+            config_tag: f.u64("config_tag")?,
+            now: f.u64("cycle")?,
+            jitter_state: 1,
+            hits: vec![Vec::new(); tasks],
+            rt: vec![RtUnitState::default(); num_sms],
+            mem: MemSnapshot {
+                l1s: vec![CacheSnapshot::default(); num_sms],
+                mshrs: vec![Vec::new(); num_sms],
+                fault_rng: 1,
+                ..MemSnapshot::default()
+            },
+            ..Checkpoint::default()
+        })
+    }
+
+    /// Applies one body line; `Ok(true)` for the terminal `ckpt_end`.
+    #[allow(clippy::too_many_lines)]
+    fn read_record(&mut self, line: &str) -> Result<bool, String> {
+        let line = check_line(line).map_err(|e| e.to_string())?;
+        let f = parse_line(&line)?;
+        let (num_sms, tasks) = (self.num_sms, self.tasks);
+        let sm_of = || -> Result<usize, String> {
+            let sm: usize = f.num("sm")?;
+            if sm >= num_sms {
+                return Err(format!("SM index {sm} out of range (num_sms {num_sms})"));
+            }
+            Ok(sm)
+        };
+        // Index into a per-unit table whose size `ckpt_rt` declared.
+        let slot_of = |key: &str, len: usize| -> Result<usize, String> {
+            let i: usize = f.num(key)?;
+            if i >= len {
+                return Err(format!("{key} {i} out of range ({len}; is ckpt_rt missing?)"));
+            }
+            Ok(i)
+        };
+        match f.str("record")?.as_ref() {
+            "ckpt_engine" => {
+                self.next_sm = f.num("next_sm")?;
+                self.last_audit = f.u64("last_audit")?;
+                self.jitter_state = f.u64("jitter_state")?;
+                self.sink_events = f.u64("sink_events")?;
+                self.sabotage = f.opt::<Pair<u64, i64>>("sabotage")?.map(Into::into);
+                self.pending = f.list("pending")?;
+                self.timers = f.pairs("timers")?;
+                self.resume_ready = f.list("resume_ready")?;
+                self.shader_active = f.list("shader_active")?;
+                self.reserved_rays = f.list("reserved_rays")?;
+                self.slot_release = f.pairs("slot_release")?;
+                self.free_slots = f.list("free_slots")?;
+                self.last_progress = f.list("last_progress")?;
+                for (name, len) in [
+                    ("shader_active", self.shader_active.len()),
+                    ("reserved_rays", self.reserved_rays.len()),
+                    ("free_slots", self.free_slots.len()),
+                    ("last_progress", self.last_progress.len()),
+                ] {
+                    if len != num_sms {
+                        return Err(format!("`{name}` has {len} entries, expected {num_sms}"));
+                    }
+                }
+            }
+            "ckpt_stats" => {
+                let s = &mut self.stats;
+                s.cycles = f.u64("cycles")?;
+                s.active_lane_steps = f.u64("active_lane_steps")?;
+                s.total_lane_steps = f.u64("total_lane_steps")?;
+                s.mode_cycles = triple(&f, "mode_cycles")?;
+                s.mode_isect_tests = triple(&f, "mode_isect_tests")?;
+                s.box_tests = f.u64("box_tests")?;
+                s.tri_tests = f.u64("tri_tests")?;
+                s.warps_issued = f.u64("warps_issued")?;
+                s.repack_events = f.u64("repack_events")?;
+                s.repacked_rays = f.u64("repacked_rays")?;
+                s.treelet_dispatches = f.u64("treelet_dispatches")?;
+                s.cta_suspends = f.u64("cta_suspends")?;
+                s.cta_resumes = f.u64("cta_resumes")?;
+                s.cta_state_bytes = f.u64("cta_state_bytes")?;
+                s.peak_rays_in_flight = f.num("peak_rays_in_flight")?;
+                s.prefetches_issued = f.u64("prefetches_issued")?;
+                s.prefetch_lines = f.u64("prefetch_lines")?;
+                s.prefetch_lines_used = f.u64("prefetch_lines_used")?;
+                s.rays_completed = f.u64("rays_completed")?;
+                s.queue_table_max_chain = f.num("queue_table_max_chain")?;
+                s.queue_table_peak_entries = f.num("queue_table_peak_entries")?;
+                s.queue_table_overflows = f.u64("queue_table_overflows")?;
+                s.predict_lookups = f.u64("predict_lookups")?;
+                s.predict_hits = f.u64("predict_hits")?;
+                s.predict_inserts = f.u64("predict_inserts")?;
+                s.predict_evictions = f.u64("predict_evictions")?;
+            }
+            "ckpt_stall" => {
+                let (sm, expected): (usize, usize) = (f.num("sm")?, self.stats.stall.len());
+                if sm != expected {
+                    return Err(format!(
+                        "ckpt_stall records out of order: got sm {sm}, expected {expected}"
+                    ));
+                }
+                self.stats.stall.push(parse_stall(&f)?);
+            }
+            "ckpt_series" => self.stats.series.push(SamplePoint {
+                start_cycle: f.u64("start_cycle")?,
+                covered_cycles: f.u64("covered_cycles")?,
+                ray_cycles: f.u64("ray_cycles")?,
+                occupied_slot_cycles: f.u64("occupied_slot_cycles")?,
+                mode_cycles: triple(&f, "mode_cycles")?,
+                stall: parse_stall(&f)?,
+            }),
+            "ckpt_cta" => {
+                let (id, expected): (usize, usize) = (f.num("id")?, self.ctas.len());
+                if id != expected {
+                    return Err(format!(
+                        "ckpt_cta records out of order: got id {id}, expected {expected}"
+                    ));
+                }
+                self.ctas.push(CtaState {
+                    first_task: f.num("first_task")?,
+                    task_count: f.num("task_count")?,
+                    bounce: f.num("bounce")?,
+                    phase: f.num("phase")?,
+                    ready_at: f.u64("ready_at")?,
+                    sm: sm_of()?,
+                    outstanding: f.num("outstanding")?,
+                    resume_queued: f.bool("resume_queued")?,
+                });
+            }
+            "ckpt_ray" => {
+                let stack = |key: &str| -> Result<Vec<StackEntry>, String> {
+                    let entries = f.pairs(key)?;
+                    Ok(entries
+                        .into_iter()
+                        .map(|(node, t_bits)| StackEntry { node, t_bits })
+                        .collect())
+                };
+                self.rays.push(RayState {
+                    traversal: RayTraversalState {
+                        id: f.num("id")?,
+                        origin_bits: triple(&f, "origin")?,
+                        dir_bits: triple(&f, "dir")?,
+                        inv_dir_bits: triple(&f, "inv_dir")?,
+                        current_treelet: f.num("treelet")?,
+                        current_stack: stack("cur_stack")?,
+                        treelet_stack: stack("tre_stack")?,
+                        best: f.opt::<Pair<u32, u32>>("best")?.map(Into::into),
+                        best_node: f.opt("best_node")?,
+                        t_min_bits: f.num("t_min")?,
+                        t_max_bits: f.num("t_max")?,
+                        limit_bits: f.num("limit")?,
+                        anyhit: f.bool("anyhit")?,
+                        nodes_visited: f.num("nodes")?,
+                    },
+                    cta: f.num("cta")?,
+                    task: f.num("task")?,
+                    bounce: f.num("bounce")?,
+                    sm: sm_of()?,
+                });
+            }
+            "ckpt_hits" => {
+                let task: usize = f.num("task")?;
+                if task >= tasks {
+                    return Err(format!("task {task} out of range ({tasks} tasks)"));
+                }
+                let hits = f.list::<Opt<Pair<u32, u32>>>("hits")?;
+                self.hits[task] = hits.into_iter().map(|h| h.0.map(Into::into)).collect();
+            }
+            "ckpt_rt" => {
+                let unit = &mut self.rt[sm_of()?];
+                unit.current_queue = f.opt("current_queue")?;
+                unit.preloaded = f.opt("preloaded")?;
+                unit.last_prefetch_at = f.u64("last_prefetch_at")?;
+                unit.rays_in_flight = f.num("rays_in_flight")?;
+                unit.last_mode = f.opt("last_mode")?;
+                unit.queue_total = f.num("queue_total")?;
+                unit.hw_live = f.num("hw_live")?;
+                unit.hw_stats = QueueTableStats {
+                    max_chain: f.num("hw_max_chain")?,
+                    peak_entries: f.num("hw_peak")?,
+                    overflows: f.u64("hw_overflows")?,
+                    inserts: f.u64("hw_inserts")?,
+                };
+                let buckets: usize = f.num("hw_buckets")?;
+                unit.predict_stats = PredictTableStats {
+                    lookups: f.u64("pt_lookups")?,
+                    hits: f.u64("pt_hits")?,
+                    inserts: f.u64("pt_inserts")?,
+                    evictions: f.u64("pt_evictions")?,
+                };
+                let (pt_buckets, slots): (usize, usize) = (f.num("pt_buckets")?, f.num("slots")?);
+                if buckets > 1 << 24 || pt_buckets > 1 << 24 || slots > 1 << 16 {
+                    return Err(format!(
+                        "implausible RT-unit geometry: {buckets} buckets, \
+                         {pt_buckets} predict buckets, {slots} slots"
+                    ));
+                }
+                unit.hw_buckets = vec![Vec::new(); buckets];
+                unit.predict_buckets = vec![Vec::new(); pt_buckets];
+                unit.slots = vec![None; slots];
+            }
+            "ckpt_inc" => {
+                let unit = &mut self.rt[sm_of()?];
+                unit.incoming.push((f.u64("arrive")?, f.list("rays")?));
+            }
+            "ckpt_slot" => {
+                let unit = &mut self.rt[sm_of()?];
+                let slot = slot_of("slot", unit.slots.len())?;
+                unit.slots[slot] = Some(WarpState {
+                    lanes: f.list::<Opt<u32>>("lanes")?.into_iter().map(|l| l.0).collect(),
+                    mode: f.num("mode")?,
+                    restrict: f.opt("restrict")?,
+                    ready_at: f.u64("ready_at")?,
+                    mem_ready_at: f.u64("mem_ready_at")?,
+                });
+            }
+            "ckpt_queue" => {
+                let unit = &mut self.rt[sm_of()?];
+                unit.queues.push((f.num("treelet")?, f.list("rays")?));
+            }
+            "ckpt_hw" => {
+                let unit = &mut self.rt[sm_of()?];
+                let bucket = slot_of("bucket", unit.hw_buckets.len())?;
+                unit.hw_buckets[bucket] = f.pairs("entries")?;
+            }
+            "ckpt_pt" => {
+                let unit = &mut self.rt[sm_of()?];
+                let bucket = slot_of("bucket", unit.predict_buckets.len())?;
+                unit.predict_buckets[bucket] = f.pairs("entries")?;
+            }
+            "ckpt_pref" => {
+                let lines = f.pairs::<u64, u8>("lines")?;
+                self.rt[sm_of()?].prefetched =
+                    lines.into_iter().map(|(addr, used)| (addr, used != 0)).collect();
+            }
+            "ckpt_mem" => {
+                self.mem.dram_free_at_bits = f.u64("dram_free_at_bits")?;
+                self.mem.fault_rng = f.u64("fault_rng")?;
+            }
+            "ckpt_mshr" => self.mem.mshrs[sm_of()?] = f.list("free_at")?,
+            "ckpt_kind" => {
+                let kind = slot_of("kind", self.mem.per_kind.len())?;
+                self.mem.per_kind[kind] = KindStats {
+                    lines: f.u64("lines")?,
+                    l1_hits: f.u64("l1_hits")?,
+                    l2_hits: f.u64("l2_hits")?,
+                    dram: f.u64("dram")?,
+                    l1_lookups: f.u64("l1_lookups")?,
+                };
+            }
+            "ckpt_memwin" => self.mem.windows.push(WindowPoint {
+                start_cycle: f.u64("start_cycle")?,
+                accesses: f.u64("accesses")?,
+                misses: f.u64("misses")?,
+            }),
+            "ckpt_cache" => {
+                let name = f.str("cache")?;
+                let stats = CacheStats { accesses: f.u64("accesses")?, hits: f.u64("hits")? };
+                let lines = f
+                    .list::<Pair<u64, Pair<u64, u8>>>("lines")?
+                    .into_iter()
+                    .map(|Pair(tag, Pair(last_used, valid))| LineState {
+                        tag,
+                        last_used,
+                        valid: valid != 0,
+                    })
+                    .collect();
+                let snap = CacheSnapshot { lines, stats };
+                match name.as_ref() {
+                    "l2" => self.mem.l2 = snap,
+                    "ray" => self.mem.ray_reserve = snap,
+                    name => match name.strip_prefix("l1@").and_then(|i| i.parse::<usize>().ok()) {
+                        Some(i) if i < num_sms => self.mem.l1s[i] = snap,
+                        _ => return Err(format!("unknown cache `{name}`")),
+                    },
+                }
+            }
+            "ckpt_end" => {
+                if f.u64("cycle")? != self.now {
+                    return Err("`ckpt_end` cycle disagrees with header".to_string());
+                }
+                return Ok(true);
+            }
+            other => return Err(format!("unknown checkpoint record `{other}`")),
+        }
+        Ok(false)
+    }
 }
 
-fn stall_fields(b: &StallBreakdown) -> String {
-    format!(
-        "\"busy\":{},\"waiting_memory\":{},\"warp_buffer_empty\":{},\"queue_drained\":{},\
-         \"idle\":{}",
-        b.busy, b.waiting_memory, b.warp_buffer_empty, b.queue_drained, b.idle
-    )
+fn stall_fields(r: Record, b: &StallBreakdown) -> Record {
+    StallKind::ALL.into_iter().fold(r, |r, kind| r.num(kind.label(), b.get(kind)))
 }
 
-fn parse_stall(p: &[(String, String)]) -> Result<StallBreakdown, String> {
+fn parse_stall(f: &Fields<'_>) -> Result<StallBreakdown, String> {
     let mut b = StallBreakdown::default();
-    b.add(StallKind::Busy, flat_u64(p, "busy")?);
-    b.add(StallKind::WaitingMemory, flat_u64(p, "waiting_memory")?);
-    b.add(StallKind::WarpBufferEmpty, flat_u64(p, "warp_buffer_empty")?);
-    b.add(StallKind::QueueDrained, flat_u64(p, "queue_drained")?);
-    b.add(StallKind::Idle, flat_u64(p, "idle")?);
+    for kind in StallKind::ALL {
+        b.add(kind, f.u64(kind.label())?);
+    }
     Ok(b)
 }
 
-fn join<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
-    items.map(|v| v.to_string()).collect::<Vec<_>>().join(" ")
-}
-
-fn join_pairs(items: impl Iterator<Item = (u64, u64)>) -> String {
-    items.map(|(a, b)| format!("{a}:{b}")).collect::<Vec<_>>().join(" ")
-}
-
-fn opt_pair(v: Option<(u64, u64)>) -> String {
-    match v {
-        Some((a, b)) => format!("{a}:{b}"),
-        None => "-".to_string(),
-    }
-}
-
-fn opt_tok<T: std::fmt::Display>(v: Option<T>) -> String {
-    match v {
-        Some(v) => v.to_string(),
-        None => "-".to_string(),
-    }
-}
-
-fn parse_list<T: TryFrom<u64>>(s: &str) -> Result<Vec<T>, String> {
-    s.split_whitespace()
-        .map(|tok| {
-            let v: u64 = tok.parse().map_err(|_| format!("not an integer: {tok}"))?;
-            T::try_from(v).map_err(|_| format!("out of range: {tok}"))
-        })
-        .collect()
-}
-
-fn split_pair(tok: &str) -> Result<(u64, &str), String> {
-    let (a, b) = tok.split_once(':').ok_or_else(|| format!("malformed pair: {tok}"))?;
-    let a = a.parse().map_err(|_| format!("not an integer: {a}"))?;
-    Ok((a, b))
-}
-
-fn parse_pair(tok: &str) -> Result<(u64, u64), String> {
-    let (a, b) = split_pair(tok)?;
-    let b = b.parse().map_err(|_| format!("not an integer: {b}"))?;
-    Ok((a, b))
-}
-
-fn parse_pair_list(s: &str) -> Result<Vec<(u64, u64)>, String> {
-    s.split_whitespace().map(parse_pair).collect()
-}
-
-fn parse_opt_pair(tok: &str) -> Result<Option<(u64, u64)>, String> {
-    match tok {
-        "-" => Ok(None),
-        tok => parse_pair(tok).map(Some),
-    }
-}
-
-fn parse_opt_u64(tok: &str) -> Result<Option<u64>, String> {
-    match tok {
-        "-" => Ok(None),
-        tok => tok.parse().map(Some).map_err(|_| format!("not an integer: {tok}")),
-    }
-}
-
-fn parse_triple(s: &str) -> Result<[u64; 3], String> {
-    let v: Vec<u64> = parse_list(s)?;
-    v.try_into().map_err(|_| format!("expected 3 values, got: {s}"))
-}
-
-fn parse_triple32(s: &str) -> Result<[u32; 3], String> {
-    let v: Vec<u32> = parse_list(s)?;
-    v.try_into().map_err(|_| format!("expected 3 values, got: {s}"))
-}
-
-fn parse_line_state(tok: &str) -> Result<LineState, String> {
-    let mut it = tok.splitn(3, ':');
-    let mut next = || it.next().ok_or_else(|| format!("malformed cache line: {tok}"));
-    let tag = next()?.parse().map_err(|_| format!("malformed cache line: {tok}"))?;
-    let last_used = next()?.parse().map_err(|_| format!("malformed cache line: {tok}"))?;
-    let valid = next()?.parse::<u8>().map_err(|_| format!("malformed cache line: {tok}"))? != 0;
-    Ok(LineState { tag, last_used, valid })
+fn triple<T: std::str::FromStr>(f: &Fields<'_>, key: &str) -> Result<[T; 3], String> {
+    let values: Vec<T> = f.list(key)?;
+    values.try_into().map_err(|_| format!("field `{key}` must hold 3 values"))
 }

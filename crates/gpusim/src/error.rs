@@ -4,9 +4,7 @@
 //! never panics on a sick configuration or a stuck engine — it returns a
 //! [`SimError`] that says *what* went wrong, *when* (the cycle), and, for
 //! watchdog trips, carries a [`ForensicsSnapshot`] of the machine state so
-//! the stall is diagnosable offline. The legacy panicking
-//! [`Simulator::run`](crate::Simulator) is a thin wrapper that formats the
-//! same error.
+//! the stall is diagnosable offline.
 
 use std::fmt;
 

@@ -49,8 +49,8 @@ mod config;
 pub mod energy;
 mod error;
 pub mod export;
-pub mod frames;
 pub mod hw_table;
+pub mod jsonl;
 mod observe;
 pub mod predict;
 pub mod queues;

@@ -8,7 +8,7 @@
 //!    (CTA launch/suspend/resume, warp issue/retire, treelet dispatch,
 //!    grouping, repacking, mode transitions, cache-miss bursts) into a
 //!    [`TraceSink`]. When no sink is attached the event structs are never
-//!    even constructed, so plain [`crate::Simulator::run`] pays nothing.
+//!    even constructed, so plain [`crate::Simulator::try_run`] pays nothing.
 //! 2. **Stall attribution** — every simulated cycle of every RT unit is
 //!    attributed to exactly one [`StallKind`] bucket of a
 //!    [`StallBreakdown`]; per unit the buckets sum to the kernel's total

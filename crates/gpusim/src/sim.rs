@@ -1,6 +1,6 @@
 //! The cycle-level GPU + RT-unit simulator.
 //!
-//! One [`Simulator::run`] call simulates a full path-tracing kernel: every
+//! One [`Simulator::try_run`] call simulates a full path-tracing kernel: every
 //! [`PathTask`] is one raygen-shader thread that issues one `traceRayEXT`
 //! per bounce. Threads are grouped into warps and CTAs, CTAs are scheduled
 //! onto SMs, and each SM's RT unit traverses warps of rays through the BVH
@@ -301,8 +301,13 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Restores `snapshot` before cycling instead of starting from cycle 0.
-    /// The snapshot must come from the same scene, workload and config.
+    /// Restores `snapshot` (captured by [`RunOptions::checkpoint`] on the
+    /// *same* scene, workload and configuration) before cycling instead of
+    /// starting from cycle 0, and runs the remainder of the kernel; the
+    /// final [`SimStats`] is bit-identical to the run the checkpoint was
+    /// taken from. A snapshot whose version, config fingerprint, workload
+    /// shape or machine geometry does not match fails the run with
+    /// [`SimError::Checkpoint`].
     pub fn resume(mut self, snapshot: &'r Checkpoint) -> RunOptions<'r> {
         self.resume = Some(snapshot);
         self
@@ -322,7 +327,9 @@ impl<'r> RunOptions<'r> {
         self
     }
 
-    /// Test hook: schedules a state corruption for auditor tests.
+    /// Test hook: schedules a state corruption so the invariant auditor's
+    /// detection path can be exercised end to end. Not part of the public
+    /// API contract.
     #[doc(hidden)]
     pub fn sabotage(mut self, sabotage: Sabotage) -> RunOptions<'r> {
         self.sabotage = Some(sabotage);
@@ -377,24 +384,6 @@ impl<'a> Simulator<'a> {
         &self.config
     }
 
-    /// Runs the kernel to completion and returns the report.
-    ///
-    /// Thin wrapper over [`Simulator::try_run`] for callers that treat any
-    /// simulation failure as fatal.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`] — an empty workload, a tripped watchdog
-    /// ([`GpuConfig::max_cycles`] or a true engine deadlock), or an
-    /// invariant violation caught by the auditor. Use
-    /// [`Simulator::try_run`] to receive the typed error (with its
-    /// forensics snapshot) instead of aborting the process.
-    #[deprecated(note = "panics on simulation failure; use `try_run` (or `try_run_with` \
-                with `RunOptions`) and handle the `SimError`")]
-    pub fn run(&self, workload: &Workload) -> SimReport {
-        self.try_run(workload).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Runs the kernel to completion, returning a typed error instead of
     /// panicking when the simulation cannot complete.
     ///
@@ -439,24 +428,11 @@ impl<'a> Simulator<'a> {
         Ok((report, capture.expect("a completed run always fills the requested capture")))
     }
 
-    /// Like [`Simulator::run`], but streams structured [`TraceEvent`]s into
-    /// `sink` as the kernel executes.
-    ///
-    /// Tracing is pure observation: the traced run is cycle-identical to an
-    /// untraced one (the sink never feeds back into timing), which the test
-    /// suite asserts.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`SimError`]; use [`Simulator::try_run_traced`] for
-    /// the typed-error form.
-    #[deprecated(note = "panics on simulation failure; use `try_run_traced` (or `try_run_with` \
-                with `RunOptions::trace`) and handle the `SimError`")]
-    pub fn run_traced(&self, workload: &Workload, sink: &mut dyn TraceSink) -> SimReport {
-        self.try_run_traced(workload, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Simulator::try_run`] with structured-event tracing.
+    /// [`Simulator::try_run`] with structured-event tracing: streams
+    /// [`TraceEvent`]s into `sink` as the kernel executes. Tracing is pure
+    /// observation — the traced run is cycle-identical to an untraced one
+    /// (the sink never feeds back into timing), which the test suite
+    /// asserts.
     ///
     /// # Errors
     ///
@@ -473,7 +449,7 @@ impl<'a> Simulator<'a> {
     /// `every_cycles` simulated cycles (at the first clock advance past the
     /// mark) the complete architectural state is captured and handed to
     /// `on_checkpoint`. Persist it with [`Checkpoint::to_jsonl`] and later
-    /// [`Simulator::resume_from`] it — the resumed run's final
+    /// resume it with [`RunOptions::resume`] — the resumed run's final
     /// [`SimStats`] is bit-identical to the uninterrupted run's.
     ///
     /// Checkpointing is pure observation: the checkpointed run itself is
@@ -489,36 +465,6 @@ impl<'a> Simulator<'a> {
         on_checkpoint: &mut dyn FnMut(Checkpoint),
     ) -> Result<SimReport, SimError> {
         self.try_run_with(workload, RunOptions::new().checkpoint(every_cycles, on_checkpoint))
-    }
-
-    /// Restores `snapshot` (captured by [`Simulator::try_run_checkpointed`]
-    /// on the *same* scene, workload and configuration) and runs the
-    /// remainder of the kernel to completion. The final [`SimStats`] is
-    /// bit-identical to the run the checkpoint was taken from.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Checkpoint`] when the snapshot's version, config
-    /// fingerprint, workload shape or machine geometry does not match this
-    /// simulator; otherwise identical to [`Simulator::try_run`].
-    pub fn resume_from(
-        &self,
-        workload: &Workload,
-        snapshot: &Checkpoint,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().resume(snapshot))
-    }
-
-    /// Test hook: runs with a scheduled state corruption so the invariant
-    /// auditor's detection path can be exercised end to end. Not part of
-    /// the public API contract.
-    #[doc(hidden)]
-    pub fn try_run_sabotaged(
-        &self,
-        workload: &Workload,
-        sabotage: Sabotage,
-    ) -> Result<SimReport, SimError> {
-        self.try_run_with(workload, RunOptions::new().sabotage(sabotage))
     }
 
     /// [`Simulator::try_run`] with explicit per-run [`RunOptions`]: trace

@@ -4,9 +4,10 @@
 //! survive a JSONL round-trip losslessly, and every mismatch or corruption
 //! path returns a typed error instead of panicking.
 
+use gpusim::jsonl::crc32;
 use gpusim::{
-    config_tag, Checkpoint, GpuConfig, PathTask, SimStats, Simulator, TraversalPolicy, VtqParams,
-    Workload, CHECKPOINT_VERSION,
+    config_tag, AuditMode, Checkpoint, GpuConfig, PathTask, PredictParams, RunOptions, SimError,
+    SimReport, SimStats, Simulator, TraversalPolicy, VtqParams, Workload, CHECKPOINT_VERSION,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -26,6 +27,14 @@ fn small_workload(scene: &rtscene::Scene, rays: u32) -> Workload {
             })
             .collect(),
     }
+}
+
+fn resume(
+    sim: &Simulator<'_>,
+    workload: &Workload,
+    ckpt: &Checkpoint,
+) -> Result<SimReport, SimError> {
+    sim.try_run_with(workload, RunOptions::new().resume(ckpt))
 }
 
 fn policies() -> [TraversalPolicy; 3] {
@@ -75,8 +84,7 @@ fn run_all_ways(
     // Resume from the first (most remaining work) and last (least) snapshot;
     // both must converge to the same final state as the uninterrupted run.
     for ckpt in [ckpts.first().unwrap(), ckpts.last().unwrap()] {
-        let resumed = sim
-            .resume_from(workload, ckpt)
+        let resumed = resume(&sim, workload, ckpt)
             .unwrap_or_else(|e| panic!("{label}: resume from cycle {}: {e}", ckpt.cycle()));
         assert_eq!(
             resumed.stats,
@@ -117,7 +125,7 @@ fn every_checkpoint_of_one_run_resumes_identically() {
         assert!(pair[0].cycle() < pair[1].cycle());
     }
     for ckpt in &ckpts {
-        let resumed = sim.resume_from(&workload, ckpt).expect("resume");
+        let resumed = resume(&sim, &workload, ckpt).expect("resume");
         assert_eq!(resumed.stats, plain.stats, "resume from cycle {} diverged", ckpt.cycle());
     }
 }
@@ -139,7 +147,7 @@ fn checkpoint_round_trips_through_jsonl() {
         // Lossless: the parsed snapshot is structurally identical...
         assert_eq!(&back, ckpt, "JSONL round-trip lost state at cycle {}", ckpt.cycle());
         // ...and behaviorally identical: resuming it reaches the same end.
-        let resumed = sim.resume_from(&workload, &back).expect("resume parsed snapshot");
+        let resumed = resume(&sim, &workload, &back).expect("resume parsed snapshot");
         assert_eq!(resumed.stats, plain.stats);
     }
 }
@@ -156,20 +164,20 @@ fn resume_rejects_mismatched_config_and_workload() {
 
     // Different policy => different config fingerprint.
     let other = Simulator::new(&bvh, scene.triangles(), config(TraversalPolicy::Baseline));
-    let err = other.resume_from(&workload, ckpt).expect_err("config mismatch must be rejected");
+    let err = resume(&other, &workload, ckpt).expect_err("config mismatch must be rejected");
     assert_eq!(err.kind(), "checkpoint");
     assert!(err.to_string().contains("checkpoint rejected"), "got: {err}");
 
     // Same config, different workload shape.
     let short = small_workload(&scene, 16);
-    let err = sim.resume_from(&short, ckpt).expect_err("workload mismatch must be rejected");
+    let err = resume(&sim, &short, ckpt).expect_err("workload mismatch must be rejected");
     assert_eq!(err.kind(), "checkpoint");
 
     // Same config, different machine geometry.
     let mut wide = config(TraversalPolicy::Vtq(VtqParams::default()));
     wide.mem.num_sms = 4;
     let wide_sim = Simulator::new(&bvh, scene.triangles(), wide);
-    let err = wide_sim.resume_from(&workload, ckpt).expect_err("geometry mismatch");
+    let err = resume(&wide_sim, &workload, ckpt).expect_err("geometry mismatch");
     assert_eq!(err.kind(), "checkpoint");
 }
 
@@ -211,7 +219,7 @@ fn corrupt_checkpoint_dumps_return_typed_errors() {
     // rejected by the restore validator — defense in depth, not a panic.
     let hollow = Checkpoint::from_jsonl(&without("\"ckpt_engine\""))
         .expect("engine-less dump parses (defaults)");
-    let err = sim.resume_from(&workload, &hollow).expect_err("restore must reject hollow state");
+    let err = resume(&sim, &workload, &hollow).expect_err("restore must reject hollow state");
     assert_eq!(err.kind(), "checkpoint");
 
     // Garbage injection mid-stream names the offending line.
@@ -262,7 +270,48 @@ fn mid_run_snapshots_carry_live_stack_entries() {
     let (ckpt, text) = live;
     let back = Checkpoint::from_jsonl(&text).expect("round-trip parses");
     assert_eq!(&back, ckpt, "live-stack snapshot lost state in the JSONL round-trip");
-    let resumed = sim.resume_from(&workload, &back).expect("resume live-stack snapshot");
+    let resumed = resume(&sim, &workload, &back).expect("resume live-stack snapshot");
     assert_eq!(resumed.stats, plain.stats, "resume from live-stack snapshot diverged");
     assert_eq!(resumed.hits, plain.hits);
+}
+
+/// Format pin: the exact bytes `to_jsonl` writes for a fixed tiny run,
+/// held to the CRC32 and length the version-2 writer produced before the
+/// codec moved to `gpusim::jsonl`. The first checkpoint is pinned alone
+/// and every checkpoint of the run together, so between the three
+/// policies each record kind (`ckpt_queue`, `ckpt_hw`, `ckpt_pref`,
+/// `ckpt_pt`, ...) is covered. A deliberate format change bumps
+/// `CHECKPOINT_VERSION` and these constants with it.
+#[test]
+fn checkpoint_bytes_are_pinned() {
+    const PINS: [(&str, u32, usize, u32, usize); 3] = [
+        ("vtq", 0x84c2_11c3, 45_415, 0x2bcd_1e89, 595_555),
+        ("prefetch", 0x4b03_1443, 45_184, 0xbefc_37f7, 683_346),
+        ("predict", 0xb14d_fc17, 45_189, 0x0af7_4cef, 794_220),
+    ];
+    assert_eq!(CHECKPOINT_VERSION, 2, "format version changed: re-pin the constants below");
+    let (scene, bvh) = small_scene(SceneId::Bunny);
+    let workload = small_workload(&scene, 64);
+    let policies = [
+        TraversalPolicy::Vtq(VtqParams::default()),
+        TraversalPolicy::TreeletPrefetch,
+        TraversalPolicy::Predict(PredictParams::default()),
+    ];
+    for (policy, (label, first_crc, first_len, all_crc, all_len)) in policies.into_iter().zip(PINS)
+    {
+        assert_eq!(policy.label(), label);
+        // `AuditMode::Auto` audits in debug builds only, and the engine
+        // record carries the last audit cycle: pin one profile-free mode.
+        let cfg = GpuConfig { audit: AuditMode::Off, ..config(policy) };
+        let sim = Simulator::new(&bvh, scene.triangles(), cfg);
+        let mut texts = Vec::new();
+        sim.try_run_checkpointed(&workload, 256, &mut |c| texts.push(c.to_jsonl()))
+            .expect("checkpointed run");
+        let all = texts.concat();
+        assert_eq!(
+            (crc32(texts[0].as_bytes()), texts[0].len(), crc32(all.as_bytes()), all.len()),
+            (first_crc, first_len, all_crc, all_len),
+            "{label}: checkpoint bytes moved"
+        );
+    }
 }

@@ -6,8 +6,8 @@
 
 use gpusim::export::{parse_snapshot_jsonl, snapshot_jsonl};
 use gpusim::{
-    AuditMode, GpuConfig, PathTask, Sabotage, SimError, Simulator, TraversalPolicy, VtqParams,
-    Workload,
+    AuditMode, GpuConfig, PathTask, RunOptions, Sabotage, SimError, Simulator, TraversalPolicy,
+    VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -83,15 +83,6 @@ fn deadlock_returns_typed_error_with_forensics() {
 }
 
 #[test]
-#[should_panic(expected = "deadlock")]
-#[allow(deprecated)] // the panicking wrapper's contract is what's under test
-fn legacy_run_still_panics_on_deadlock() {
-    let (scene, bvh) = small_scene();
-    let workload = small_workload(&scene, 8);
-    Simulator::new(&bvh, scene.triangles(), deadlocking_config()).run(&workload);
-}
-
-#[test]
 fn cycle_budget_trips_before_completion() {
     let (scene, bvh) = small_scene();
     let workload = small_workload(&scene, 16);
@@ -137,7 +128,10 @@ fn sabotaged_queue_counter_is_caught_by_the_auditor() {
     let workload = small_workload(&scene, 16);
     let cfg = GpuConfig { audit: AuditMode::Every(1), ..GpuConfig::default() };
     let err = Simulator::new(&bvh, scene.triangles(), cfg)
-        .try_run_sabotaged(&workload, Sabotage { at_cycle: 0, queue_total_delta: 3 })
+        .try_run_with(
+            &workload,
+            RunOptions::new().sabotage(Sabotage { at_cycle: 0, queue_total_delta: 3 }),
+        )
         .expect_err("corrupted counter must trip the auditor");
     match err {
         SimError::Invariant(v) => {

@@ -23,8 +23,8 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use vtq::diskfault::{guarded_read_to_string, sweep_orphan_tmps, write_file_durable};
-use vtq::jsonl::{check_line, frame_line, is_framed, json_str_field};
-use vtq::provenance::{is_provenance_line, provenance_line};
+use vtq::jsonl::{check_line, frame_line, is_framed, parse_line};
+use vtq::provenance::{provenance_line, PROVENANCE_RECORD};
 
 use crate::proto::CellRecord;
 
@@ -92,16 +92,15 @@ impl ResultCache {
             return None;
         }
         let mut lines = verified.iter().map(String::as_str);
-        let header = lines.next()?;
-        if !is_provenance_line(header) {
+        let header = parse_line(lines.next()?).ok();
+        let Some(header) = header.filter(|f| f.record() == Some(PROVENANCE_RECORD)) else {
             eprintln!("[cache] {key}: entry lacks a provenance header; ignoring");
             return None;
-        }
+        };
         // The header's config fingerprint must match the configuration
         // the *caller* is about to run — a daemon restarted with a
         // different base config must not serve stale results.
-        let stamped = json_str_field(header, "config_fingerprint")
-            .and_then(|fp| u64::from_str_radix(fp.trim_start_matches("0x"), 16).ok());
+        let stamped = header.hex64("config_fingerprint").ok();
         if stamped != Some(config_fingerprint) {
             eprintln!(
                 "[cache] {key}: provenance fingerprint {stamped:?} != expected \

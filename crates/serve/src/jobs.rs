@@ -18,7 +18,7 @@ use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use vtq::jsonl::{json_quote, json_str_field};
+use vtq::jsonl::{parse_line, Record};
 use vtq::prelude::CancelToken;
 
 use crate::proto::SubmitSpec;
@@ -237,17 +237,15 @@ impl PoisonList {
         match std::fs::read_to_string(&path) {
             Ok(text) => {
                 for line in text.lines() {
-                    if json_str_field(line, "record").as_deref() != Some("poison") {
+                    // An unparseable line is the torn tail of a hard kill.
+                    let Ok(f) = parse_line(line) else { continue };
+                    if f.record() != Some("poison") {
                         continue;
                     }
-                    let (Some(key), Some(detail)) =
-                        (json_str_field(line, "key"), json_str_field(line, "detail"))
-                    else {
-                        continue; // torn tail from a hard kill
-                    };
-                    let entry = strikes.entry(key).or_insert((0, String::new()));
+                    let (Ok(key), Ok(detail)) = (f.str("key"), f.str("detail")) else { continue };
+                    let entry = strikes.entry(key.into_owned()).or_insert((0, String::new()));
                     entry.0 += 1;
-                    entry.1 = detail;
+                    entry.1 = detail.into_owned();
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::NotFound => {}
@@ -266,11 +264,12 @@ impl PoisonList {
         if count == self.threshold {
             prof::add(prof::Counter::CellsQuarantined, 1);
         }
-        let line = format!(
-            "{{\"record\":\"poison\",\"key\":{},\"strikes\":{count},\"detail\":{}}}\n",
-            json_quote(key),
-            json_quote(detail),
-        );
+        let mut line = Record::new("poison")
+            .str("key", key)
+            .num("strikes", count)
+            .str("detail", detail)
+            .finish();
+        line.push('\n');
         let write = OpenOptions::new()
             .create(true)
             .append(true)

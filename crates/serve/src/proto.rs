@@ -1,11 +1,11 @@
 //! The wire protocol: line-delimited flat JSON over TCP.
 //!
-//! Every frame is one `\n`-terminated flat JSON object built on the
-//! workspace's [`vtq::jsonl`] primitives — the same closed format the
+//! Every frame is one `\n`-terminated flat JSON object written and read
+//! with the workspace's [`vtq::jsonl`] codec — the same closed format the
 //! sweep journal and reproducers use, so a torn frame (a client killed
-//! mid-write) is detected exactly like a torn journal tail: the
-//! escape-aware scanner returns `None` and the server answers with a
-//! typed `bad_request` instead of crashing or hanging.
+//! mid-write) is detected exactly like a torn journal tail: the line
+//! does not parse and the server answers with a typed `bad_request`
+//! instead of crashing or hanging.
 //!
 //! Requests carry a `"req"` discriminant; responses a `"resp"` one;
 //! streamed progress a `"event"` one. Unknown fields are ignored (both
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use gpusim::TraversalPolicy;
 use rtscene::lumibench::SceneId;
-use vtq::jsonl::{json_quote, json_str_field};
+use vtq::jsonl::{parse_line, Fields, Fnv1a, Record};
 
 /// Reasons a submission is rejected, as stable wire strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,132 +154,116 @@ pub fn parse_scene(name: &str) -> Option<SceneId> {
     SceneId::ALL_WITH_EXTRAS.into_iter().find(|s| s.name().eq_ignore_ascii_case(name))
 }
 
-fn int_field(line: &str, name: &str) -> Option<u64> {
-    vtq::jsonl::json_int_field(line, name).ok()
+/// An optional string field; absent and malformed read the same.
+fn opt_str(f: &Fields<'_>, key: &str) -> Option<String> {
+    f.str(key).ok().map(|s| s.into_owned())
 }
 
 impl Request {
     /// Serializes the request as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        match self {
-            Request::Submit(spec) => {
-                let scenes: Vec<&str> = spec.scenes.iter().map(|s| s.name()).collect();
-                let policies: Vec<&str> = spec.policies.iter().map(|p| p.label()).collect();
-                let mut line = format!(
-                    "{{\"req\":\"submit\",\"tenant\":{},\"scenes\":{},\"policies\":{},\
-                     \"quick\":{},\"watch\":{}",
-                    json_quote(&spec.tenant),
-                    json_quote(&scenes.join(",")),
-                    json_quote(&policies.join(",")),
-                    u8::from(spec.quick),
-                    u8::from(spec.watch),
-                );
-                if let Some(res) = spec.res {
-                    line.push_str(&format!(",\"res\":{res}"));
-                }
-                if let Some(detail) = spec.detail {
-                    line.push_str(&format!(",\"detail\":{detail}"));
-                }
-                if let Some(deadline) = spec.deadline {
-                    line.push_str(&format!(",\"deadline_ms\":{}", deadline.as_millis()));
-                }
-                if let Some(fp) = spec.expect_fingerprint {
-                    line.push_str(&format!(
-                        ",\"expect_fingerprint\":{}",
-                        json_quote(&format!("{fp:016x}"))
-                    ));
-                }
-                if !spec.chaos_panic.is_empty() {
-                    line.push_str(&format!(
-                        ",\"chaos_panic\":{}",
-                        json_quote(&spec.chaos_panic.join(","))
-                    ));
-                }
-                if let Some(sleep) = spec.chaos_sleep {
-                    line.push_str(&format!(",\"chaos_sleep_ms\":{}", sleep.as_millis()));
-                }
-                line.push('}');
-                line
-            }
-            Request::Status { job } => match job {
-                Some(job) => format!("{{\"req\":\"status\",\"job\":{}}}", json_quote(job)),
-                None => "{\"req\":\"status\"}".to_string(),
-            },
-            Request::Cancel { job } => {
-                format!("{{\"req\":\"cancel\",\"job\":{}}}", json_quote(job))
-            }
-            Request::Results { job } => {
-                format!("{{\"req\":\"results\",\"job\":{}}}", json_quote(job))
-            }
-            Request::Shutdown => "{\"req\":\"shutdown\"}".to_string(),
+        let (req, job) = match self {
+            Request::Submit(spec) => return spec.to_line(),
+            Request::Status { job } => ("status", job.as_deref()),
+            Request::Cancel { job } => ("cancel", Some(job.as_str())),
+            Request::Results { job } => ("results", Some(job.as_str())),
+            Request::Shutdown => ("shutdown", None),
+        };
+        let r = Record::tagged("req", req);
+        match job {
+            Some(job) => r.str("job", job),
+            None => r,
         }
+        .finish()
     }
 
     /// Parses one wire line. `Err` carries a human-readable reason the
     /// server echoes inside its `bad_request` rejection.
     pub fn parse(line: &str) -> Result<Request, String> {
         // A complete frame is one flat JSON object; a line that does not
-        // close its brace was torn mid-write and must never be acted on
-        // (the flat field scanner would otherwise silently default the
-        // missing tail fields).
-        let line = line.trim_end();
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err("torn or non-JSON frame".to_string());
-        }
-        let req =
-            json_str_field(line, "req").ok_or_else(|| "missing or torn `req` field".to_string())?;
-        match req.as_str() {
-            "submit" => {
-                let mut spec = SubmitSpec {
-                    tenant: json_str_field(line, "tenant").unwrap_or_else(|| "anon".to_string()),
-                    quick: int_field(line, "quick").unwrap_or(1) != 0,
-                    watch: int_field(line, "watch").unwrap_or(0) != 0,
-                    res: int_field(line, "res").map(|v| v as u32),
-                    detail: int_field(line, "detail").map(|v| v as u32),
-                    deadline: int_field(line, "deadline_ms").map(Duration::from_millis),
-                    chaos_sleep: int_field(line, "chaos_sleep_ms").map(Duration::from_millis),
-                    ..SubmitSpec::default()
-                };
-                if let Some(list) = json_str_field(line, "scenes") {
-                    spec.scenes = list
-                        .split(',')
-                        .map(|name| {
-                            parse_scene(name).ok_or_else(|| format!("unknown scene `{name}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                if let Some(list) = json_str_field(line, "policies") {
-                    spec.policies = list
-                        .split(',')
-                        .map(|name| {
-                            parse_policy(name).ok_or_else(|| format!("unknown policy `{name}`"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
-                if let Some(fp) = json_str_field(line, "expect_fingerprint") {
-                    spec.expect_fingerprint = Some(
-                        u64::from_str_radix(&fp, 16)
-                            .map_err(|_| format!("bad expect_fingerprint `{fp}`"))?,
-                    );
-                }
-                if let Some(list) = json_str_field(line, "chaos_panic") {
-                    spec.chaos_panic = list.split(',').map(str::to_string).collect();
-                }
-                if spec.scenes.is_empty() || spec.policies.is_empty() {
-                    return Err("empty scene or policy list".to_string());
-                }
-                Ok(Request::Submit(spec))
+        // close its brace was torn mid-write and must never be acted on.
+        let f = parse_line(line).map_err(|e| format!("torn or non-JSON frame: {e}"))?;
+        let req = f.str("req").map_err(|_| "missing or torn `req` field".to_string())?;
+        match req.as_ref() {
+            "submit" => SubmitSpec::parse(&f).map(Request::Submit),
+            "status" => Ok(Request::Status { job: opt_str(&f, "job") }),
+            "cancel" => {
+                Ok(Request::Cancel { job: opt_str(&f, "job").ok_or("cancel needs a `job`")? })
             }
-            "status" => Ok(Request::Status { job: json_str_field(line, "job") }),
-            "cancel" => Ok(Request::Cancel {
-                job: json_str_field(line, "job").ok_or("cancel needs a `job`")?,
-            }),
-            "results" => Ok(Request::Results {
-                job: json_str_field(line, "job").ok_or("results needs a `job`")?,
-            }),
+            "results" => {
+                Ok(Request::Results { job: opt_str(&f, "job").ok_or("results needs a `job`")? })
+            }
             "shutdown" => Ok(Request::Shutdown),
             other => Err(format!("unknown request `{other}`")),
         }
+    }
+}
+
+impl SubmitSpec {
+    fn to_line(&self) -> String {
+        let comma = |names: Vec<&str>| names.join(",");
+        let mut r = Record::tagged("req", "submit")
+            .str("tenant", &self.tenant)
+            .str("scenes", comma(self.scenes.iter().map(|s| s.name()).collect()))
+            .str("policies", comma(self.policies.iter().map(|p| p.label()).collect()))
+            .num("quick", u8::from(self.quick))
+            .num("watch", u8::from(self.watch));
+        if let Some(res) = self.res {
+            r = r.num("res", res);
+        }
+        if let Some(detail) = self.detail {
+            r = r.num("detail", detail);
+        }
+        if let Some(deadline) = self.deadline {
+            r = r.num("deadline_ms", deadline.as_millis());
+        }
+        if let Some(fp) = self.expect_fingerprint {
+            r = r.str("expect_fingerprint", format_args!("{fp:016x}"));
+        }
+        if !self.chaos_panic.is_empty() {
+            r = r.str("chaos_panic", self.chaos_panic.join(","));
+        }
+        if let Some(sleep) = self.chaos_sleep {
+            r = r.num("chaos_sleep_ms", sleep.as_millis());
+        }
+        r.finish()
+    }
+
+    /// Absent fields take their defaults; unknown ones are ignored.
+    fn parse(f: &Fields<'_>) -> Result<SubmitSpec, String> {
+        let millis = |key: &str| f.u64(key).ok().map(Duration::from_millis);
+        let mut spec = SubmitSpec {
+            tenant: opt_str(f, "tenant").unwrap_or_else(|| "anon".to_string()),
+            quick: f.bool("quick").unwrap_or(true),
+            watch: f.bool("watch").unwrap_or(false),
+            res: f.num("res").ok(),
+            detail: f.num("detail").ok(),
+            deadline: millis("deadline_ms"),
+            chaos_sleep: millis("chaos_sleep_ms"),
+            ..SubmitSpec::default()
+        };
+        if let Ok(list) = f.str("scenes") {
+            spec.scenes = list
+                .split(',')
+                .map(|name| parse_scene(name).ok_or_else(|| format!("unknown scene `{name}`")))
+                .collect::<Result<_, _>>()?;
+        }
+        if let Ok(list) = f.str("policies") {
+            spec.policies = list
+                .split(',')
+                .map(|name| parse_policy(name).ok_or_else(|| format!("unknown policy `{name}`")))
+                .collect::<Result<_, _>>()?;
+        }
+        if f.get("expect_fingerprint").is_some() {
+            spec.expect_fingerprint = Some(f.hex64("expect_fingerprint")?);
+        }
+        if let Ok(list) = f.str("chaos_panic") {
+            spec.chaos_panic = list.split(',').map(str::to_string).collect();
+        }
+        if spec.scenes.is_empty() || spec.policies.is_empty() {
+            return Err("empty scene or policy list".to_string());
+        }
+        Ok(spec)
     }
 }
 
@@ -378,33 +362,35 @@ pub struct CellRecord {
 impl CellRecord {
     /// Renders the flat cache/wire line (no trailing newline).
     pub fn to_line(&self) -> String {
-        format!(
-            "{{\"record\":\"cell_result\",\"scene\":{},\"label\":{},\"fingerprint\":{},\
-             \"cycles\":{},\"rays\":{},\"box_tests\":{},\"tri_tests\":{}}}",
-            json_quote(&self.scene),
-            json_quote(&self.label),
-            json_quote(&format!("{:016x}", self.fingerprint)),
-            self.cycles,
-            self.rays,
-            self.box_tests,
-            self.tri_tests,
-        )
+        Record::new("cell_result")
+            .str("scene", &self.scene)
+            .str("label", &self.label)
+            .str("fingerprint", format_args!("{:016x}", self.fingerprint))
+            .num("cycles", self.cycles)
+            .num("rays", self.rays)
+            .num("box_tests", self.box_tests)
+            .num("tri_tests", self.tri_tests)
+            .finish()
     }
 
     /// Parses a line rendered by [`to_line`](Self::to_line); `None` for
     /// non-`cell_result` records or torn lines.
     pub fn parse(line: &str) -> Option<CellRecord> {
-        if json_str_field(line, "record").as_deref() != Some("cell_result") {
+        CellRecord::from_fields(&parse_line(line).ok()?)
+    }
+
+    fn from_fields(f: &Fields<'_>) -> Option<CellRecord> {
+        if f.record() != Some("cell_result") {
             return None;
         }
         Some(CellRecord {
-            scene: json_str_field(line, "scene")?,
-            label: json_str_field(line, "label")?,
-            fingerprint: u64::from_str_radix(&json_str_field(line, "fingerprint")?, 16).ok()?,
-            cycles: int_field(line, "cycles")?,
-            rays: int_field(line, "rays")?,
-            box_tests: int_field(line, "box_tests")?,
-            tri_tests: int_field(line, "tri_tests")?,
+            scene: opt_str(f, "scene")?,
+            label: opt_str(f, "label")?,
+            fingerprint: f.hex64("fingerprint").ok()?,
+            cycles: f.u64("cycles").ok()?,
+            rays: f.u64("rays").ok()?,
+            box_tests: f.u64("box_tests").ok()?,
+            tri_tests: f.u64("tri_tests").ok()?,
         })
     }
 }
@@ -412,94 +398,92 @@ impl CellRecord {
 impl Frame {
     /// Serializes the frame as one wire line (no trailing newline).
     pub fn to_line(&self) -> String {
+        let resp = |kind| Record::tagged("resp", kind);
         match self {
-            Frame::Accepted { job, fingerprint, cells } => format!(
-                "{{\"resp\":\"accepted\",\"job\":{},\"fingerprint\":{},\"cells\":{cells}}}",
-                json_quote(job),
-                json_quote(&format!("{fingerprint:016x}")),
-            ),
-            Frame::Rejected { reason, detail } => format!(
-                "{{\"resp\":\"rejected\",\"reason\":\"{}\",\"detail\":{}}}",
-                reason.label(),
-                json_quote(detail),
-            ),
+            Frame::Accepted { job, fingerprint, cells } => resp("accepted")
+                .str("job", job)
+                .str("fingerprint", format_args!("{fingerprint:016x}"))
+                .num("cells", cells),
+            Frame::Rejected { reason, detail } => {
+                resp("rejected").str("reason", reason.label()).str("detail", detail)
+            }
             Frame::Status { job, state, done_cells, total_cells, cached_cells, failed_cells } => {
-                format!(
-                    "{{\"resp\":\"status\",\"job\":{},\"state\":{},\"done_cells\":{done_cells},\
-                     \"total_cells\":{total_cells},\"cached_cells\":{cached_cells},\
-                     \"failed_cells\":{failed_cells}}}",
-                    json_quote(job),
-                    json_quote(state),
-                )
+                resp("status")
+                    .str("job", job)
+                    .str("state", state)
+                    .num("done_cells", done_cells)
+                    .num("total_cells", total_cells)
+                    .num("cached_cells", cached_cells)
+                    .num("failed_cells", failed_cells)
             }
-            Frame::Summary { queued, running, finished, poisoned } => format!(
-                "{{\"resp\":\"summary\",\"queued\":{queued},\"running\":{running},\
-                 \"finished\":{finished},\"poisoned\":{poisoned}}}"
-            ),
-            Frame::CellEvent { job, label, status, cycles, rays } => format!(
-                "{{\"event\":\"cell\",\"job\":{},\"label\":{},\"status\":{},\
-                 \"cycles\":{cycles},\"rays\":{rays}}}",
-                json_quote(job),
-                json_quote(label),
-                json_quote(status),
-            ),
-            Frame::CellResult(record) => record.to_line(),
-            Frame::ResultsEnd { cells } => {
-                format!("{{\"resp\":\"results_end\",\"cells\":{cells}}}")
+            Frame::Summary { queued, running, finished, poisoned } => resp("summary")
+                .num("queued", queued)
+                .num("running", running)
+                .num("finished", finished)
+                .num("poisoned", poisoned),
+            Frame::CellEvent { job, label, status, cycles, rays } => {
+                Record::tagged("event", "cell")
+                    .str("job", job)
+                    .str("label", label)
+                    .str("status", status)
+                    .num("cycles", cycles)
+                    .num("rays", rays)
             }
-            Frame::ShuttingDown => "{\"resp\":\"shutting_down\"}".to_string(),
+            Frame::CellResult(record) => return record.to_line(),
+            Frame::ResultsEnd { cells } => resp("results_end").num("cells", cells),
+            Frame::ShuttingDown => resp("shutting_down"),
         }
+        .finish()
     }
 
     /// Parses one server line; `Err` carries the reason (torn frame,
-    /// unknown discriminant).
+    /// unknown discriminant). Absent counters read as 0.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        if let Some(record) = CellRecord::parse(line) {
+        let f = parse_line(line).map_err(|e| format!("torn frame `{line}`: {e}"))?;
+        if let Some(record) = CellRecord::from_fields(&f) {
             return Ok(Frame::CellResult(record));
         }
-        if json_str_field(line, "event").as_deref() == Some("cell") {
+        let text = |key: &str, torn: &str| opt_str(&f, key).ok_or_else(|| torn.to_string());
+        let count = |key: &str| f.num::<usize>(key).unwrap_or(0);
+        if f.get("event") == Some("cell") {
             return Ok(Frame::CellEvent {
-                job: json_str_field(line, "job").ok_or("torn event")?,
-                label: json_str_field(line, "label").ok_or("torn event")?,
-                status: json_str_field(line, "status").ok_or("torn event")?,
-                cycles: int_field(line, "cycles").unwrap_or(0),
-                rays: int_field(line, "rays").unwrap_or(0),
+                job: text("job", "torn event")?,
+                label: text("label", "torn event")?,
+                status: text("status", "torn event")?,
+                cycles: f.u64("cycles").unwrap_or(0),
+                rays: f.u64("rays").unwrap_or(0),
             });
         }
-        let resp = json_str_field(line, "resp")
-            .ok_or_else(|| format!("missing or torn `resp` field in `{line}`"))?;
-        match resp.as_str() {
+        let resp =
+            f.str("resp").map_err(|_| format!("missing or torn `resp` field in `{line}`"))?;
+        match resp.as_ref() {
             "accepted" => Ok(Frame::Accepted {
-                job: json_str_field(line, "job").ok_or("torn accepted frame")?,
-                fingerprint: json_str_field(line, "fingerprint")
-                    .and_then(|fp| u64::from_str_radix(&fp, 16).ok())
-                    .ok_or("torn accepted frame")?,
-                cells: int_field(line, "cells").unwrap_or(0) as usize,
+                job: text("job", "torn accepted frame")?,
+                fingerprint: f.hex64("fingerprint").map_err(|_| "torn accepted frame")?,
+                cells: count("cells"),
             }),
             "rejected" => Ok(Frame::Rejected {
-                reason: json_str_field(line, "reason")
-                    .as_deref()
+                reason: f
+                    .get("reason")
                     .and_then(RejectReason::parse)
                     .ok_or("torn rejected frame")?,
-                detail: json_str_field(line, "detail").unwrap_or_default(),
+                detail: opt_str(&f, "detail").unwrap_or_default(),
             }),
             "status" => Ok(Frame::Status {
-                job: json_str_field(line, "job").ok_or("torn status frame")?,
-                state: json_str_field(line, "state").ok_or("torn status frame")?,
-                done_cells: int_field(line, "done_cells").unwrap_or(0) as usize,
-                total_cells: int_field(line, "total_cells").unwrap_or(0) as usize,
-                cached_cells: int_field(line, "cached_cells").unwrap_or(0) as usize,
-                failed_cells: int_field(line, "failed_cells").unwrap_or(0) as usize,
+                job: text("job", "torn status frame")?,
+                state: text("state", "torn status frame")?,
+                done_cells: count("done_cells"),
+                total_cells: count("total_cells"),
+                cached_cells: count("cached_cells"),
+                failed_cells: count("failed_cells"),
             }),
             "summary" => Ok(Frame::Summary {
-                queued: int_field(line, "queued").unwrap_or(0) as usize,
-                running: int_field(line, "running").unwrap_or(0) as usize,
-                finished: int_field(line, "finished").unwrap_or(0) as usize,
-                poisoned: int_field(line, "poisoned").unwrap_or(0) as usize,
+                queued: count("queued"),
+                running: count("running"),
+                finished: count("finished"),
+                poisoned: count("poisoned"),
             }),
-            "results_end" => {
-                Ok(Frame::ResultsEnd { cells: int_field(line, "cells").unwrap_or(0) as usize })
-            }
+            "results_end" => Ok(Frame::ResultsEnd { cells: count("cells") }),
             "shutting_down" => Ok(Frame::ShuttingDown),
             other => Err(format!("unknown response `{other}`")),
         }
@@ -525,7 +509,7 @@ pub fn spec_fingerprint(spec: &SubmitSpec) -> u64 {
     fields.insert("detail", format!("{:?}", spec.detail));
     fields.insert("chaos", spec.chaos_panic.join(","));
     fields.insert("chaos_sleep", format!("{:?}", spec.chaos_sleep));
-    let mut hash = FnvHasher(0xcbf2_9ce4_8422_2325);
+    let mut hash = Fnv1a::default();
     for (k, v) in fields {
         hash.write(k.as_bytes());
         hash.write(b"=");
@@ -533,21 +517,6 @@ pub fn spec_fingerprint(spec: &SubmitSpec) -> u64 {
         hash.write(b";");
     }
     hash.finish()
-}
-
-struct FnvHasher(u64);
-
-impl std::hash::Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 #[cfg(test)]
