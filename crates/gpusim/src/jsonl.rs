@@ -446,6 +446,13 @@ impl<'a> Fields<'a> {
             .collect()
     }
 
+    /// A token list of exactly `N` values (a vector's components, the
+    /// per-mode counters).
+    pub fn array<T: FromStr, const N: usize>(&self, key: &str) -> Result<[T; N], String> {
+        let values: Vec<T> = self.list(key)?;
+        values.try_into().map_err(|_| format!("field `{key}` must hold {N} values"))
+    }
+
     /// A list of `a:b` tokens (see [`Record::pairs`]).
     pub fn pairs<A: FromStr, B: FromStr>(&self, key: &str) -> Result<Vec<(A, B)>, String> {
         Ok(self.list::<Pair<A, B>>(key)?.into_iter().map(|Pair(a, b)| (a, b)).collect())

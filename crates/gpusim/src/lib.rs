@@ -52,9 +52,13 @@ pub mod export;
 pub mod hw_table;
 pub mod jsonl;
 mod observe;
+mod observer;
 pub mod predict;
 pub mod queues;
 pub mod ray;
+mod ray_table;
+mod rt_unit;
+mod sched;
 mod sim;
 mod stats;
 
@@ -71,7 +75,7 @@ pub use observe::{
 };
 pub use predict::{predict_key, PredictTable, PredictTableStats};
 pub use queues::TreeletQueues;
-pub use ray::{NextNode, RayId, RayTraversal, StackArena, StackEntry, VisitCost};
+pub use ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
 pub use sim::{
     HitCapture, PathTask, RunOptions, Sabotage, SimReport, Simulator, TraceCall, Workload,
     TRACE_T_MIN,

@@ -21,6 +21,9 @@
 use rtbvh::NodeId;
 use rtmath::{Aabb, Ray};
 
+use crate::checkpoint::{in_range, index_of};
+use crate::jsonl::{Fields, Record};
+
 /// Occupancy and accuracy counters accumulated over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PredictTableStats {
@@ -41,48 +44,30 @@ struct Entry {
     node: u32,
 }
 
-/// The per-RT-unit ray-path prediction table.
-///
-/// # Example
-///
-/// ```
-/// use gpusim::predict::PredictTable;
-/// use rtbvh::NodeId;
-/// let mut t = PredictTable::new(64);
-/// assert_eq!(t.lookup(42), None);
-/// t.train(42, NodeId(7));
-/// assert_eq!(t.lookup(42), Some(NodeId(7)));
-/// assert_eq!(t.stats().hits, 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PredictTable {
-    buckets: Vec<Vec<Entry>>,
-    capacity: u32,
-    live_entries: u32,
-    stats: PredictTableStats,
-}
-
 /// In-bucket chain cap: two tags per bucket, the same bound the queue
 /// table's §4.2 measurement pins.
 const CHAIN_CAP: usize = 2;
 
-impl PredictTable {
-    /// Creates a table with `entries` total entry slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is zero.
-    pub fn new(entries: u32) -> PredictTable {
-        assert!(entries > 0, "degenerate prediction table");
-        // One bucket per power-of-two hash slot, at most CHAIN_CAP entries
-        // chained per bucket.
+/// Everything of a prediction table that changes while it runs — what a
+/// checkpoint holds, and what an RT unit embeds. The entry capacity comes
+/// from the configuration, not from a checkpoint file, so
+/// [`train`](Self::train) takes it as an argument; [`PredictTable`] is
+/// this state plus that number.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct PredictState {
+    /// In-bucket insertion order is state: it decides the eviction victim.
+    buckets: Vec<Vec<Entry>>,
+    live_entries: u32,
+    stats: PredictTableStats,
+}
+
+impl PredictState {
+    /// Empty state for a table of `entries` slots: one bucket per
+    /// power-of-two hash slot, at most [`CHAIN_CAP`] entries chained per
+    /// bucket.
+    pub(crate) fn new(entries: u32) -> PredictState {
         let slots = entries.div_ceil(CHAIN_CAP as u32).next_power_of_two().max(1);
-        PredictTable {
-            buckets: vec![Vec::new(); slots as usize],
-            capacity: entries,
-            live_entries: 0,
-            stats: PredictTableStats::default(),
-        }
+        PredictState { buckets: vec![Vec::new(); slots as usize], ..PredictState::default() }
     }
 
     /// The two candidate bucket indices (2-way skewed-associative
@@ -96,7 +81,7 @@ impl PredictTable {
     }
 
     /// Looks up the predicted leaf for a quantized ray.
-    pub fn lookup(&mut self, key: u64) -> Option<NodeId> {
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<NodeId> {
         self.stats.lookups += 1;
         for b in self.hashes(key) {
             for e in &self.buckets[b] {
@@ -109,12 +94,13 @@ impl PredictTable {
         None
     }
 
-    /// Trains the table: maps `key` to `node`, re-training an existing
-    /// entry in place. When both candidate buckets are chained to the cap
-    /// (and a relocation cannot free a slot), the *first-inserted* entry
-    /// of the fuller candidate is replaced — a deterministic FIFO-ish
-    /// victim choice, not dependent on any map iteration order.
-    pub fn train(&mut self, key: u64, node: NodeId) {
+    /// Trains a table of `capacity` entry slots: maps `key` to `node`,
+    /// re-training an existing entry in place. When both candidate buckets
+    /// are chained to the cap (and a relocation cannot free a slot), the
+    /// *first-inserted* entry of the fuller candidate is replaced — a
+    /// deterministic FIFO-ish victim choice, not dependent on any map
+    /// iteration order.
+    pub(crate) fn train(&mut self, key: u64, node: NodeId, capacity: u32) {
         self.stats.inserts += 1;
         let [b0, b1] = self.hashes(key);
         for b in [b0, b1] {
@@ -128,13 +114,13 @@ impl PredictTable {
         let entry = Entry { key, node: node.0 };
         // Prefer the shorter candidate chain.
         let mut b = if self.buckets[b1].len() < self.buckets[b0].len() { b1 } else { b0 };
-        if self.buckets[b].len() >= CHAIN_CAP || self.live_entries >= self.capacity {
+        if self.buckets[b].len() >= CHAIN_CAP || self.live_entries >= capacity {
             // Both candidates full (or the table is at capacity): try one
             // cuckoo step out of each candidate, then evict the oldest
             // resident of the chosen bucket.
-            if self.live_entries < self.capacity && self.try_relocate(b0) {
+            if self.live_entries < capacity && self.try_relocate(b0) {
                 b = b0;
-            } else if self.live_entries < self.capacity && self.try_relocate(b1) {
+            } else if self.live_entries < capacity && self.try_relocate(b1) {
                 b = b1;
             } else {
                 self.buckets[b].remove(0);
@@ -162,47 +148,132 @@ impl PredictTable {
         false
     }
 
+    pub(crate) fn stats(&self) -> PredictTableStats {
+        self.stats
+    }
+
+    // -- checkpoint records ---------------------------------------------------
+
+    /// This table's share of its unit's `ckpt_rt` line.
+    pub(crate) fn header_fields(&self, r: Record) -> Record {
+        r.num("pt_lookups", self.stats.lookups)
+            .num("pt_hits", self.stats.hits)
+            .num("pt_inserts", self.stats.inserts)
+            .num("pt_evictions", self.stats.evictions)
+            .num("pt_buckets", self.buckets.len())
+    }
+
+    /// One `ckpt_pt` line per non-empty bucket, entries as `key:leaf`.
+    pub(crate) fn write_buckets(&self, sm: usize, emit: &mut dyn FnMut(Record)) {
+        for (bucket, entries) in self.buckets.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
+            let entries = entries.iter().map(|e| (e.key, e.node));
+            emit(
+                Record::new("ckpt_pt")
+                    .num("sm", sm)
+                    .num("bucket", bucket)
+                    .pairs("entries", entries),
+            );
+        }
+    }
+
+    /// Inverse of [`header_fields`](Self::header_fields): empty buckets of
+    /// the declared count, for `ckpt_pt` lines to fill. The live-entry
+    /// count is not in the file; it is the entries read.
+    pub(crate) fn read_header(f: &Fields<'_>) -> Result<PredictState, String> {
+        let buckets: usize = f.num("pt_buckets")?;
+        if buckets > 1 << 24 {
+            return Err(format!("implausible prediction table: {buckets} buckets"));
+        }
+        Ok(PredictState {
+            buckets: vec![Vec::new(); buckets],
+            live_entries: 0,
+            stats: PredictTableStats {
+                lookups: f.u64("pt_lookups")?,
+                hits: f.u64("pt_hits")?,
+                inserts: f.u64("pt_inserts")?,
+                evictions: f.u64("pt_evictions")?,
+            },
+        })
+    }
+
+    /// Applies one `ckpt_pt` line.
+    pub(crate) fn read_bucket(&mut self, f: &Fields<'_>) -> Result<(), String> {
+        let bucket = index_of(f, "bucket", self.buckets.len())?;
+        if !self.buckets[bucket].is_empty() {
+            return Err(format!("bucket {bucket} filled twice"));
+        }
+        let entries = f.pairs("entries")?;
+        self.live_entries += entries.len() as u32;
+        self.buckets[bucket] = entries.into_iter().map(|(key, node)| Entry { key, node }).collect();
+        Ok(())
+    }
+
+    /// Checks restored state against a freshly built table of the target
+    /// geometry (same bucket count) and every predicted leaf against the
+    /// BVH's `nodes` node count — a prediction becomes a node visit.
+    pub(crate) fn validate(&self, fresh: &PredictState, nodes: usize) -> Result<(), String> {
+        if self.buckets.len() != fresh.buckets.len() {
+            return Err(format!(
+                "prediction table has {} buckets, snapshot has {}",
+                fresh.buckets.len(),
+                self.buckets.len()
+            ));
+        }
+        let leaves = self.buckets.iter().flatten().map(|e| e.node as usize);
+        in_range("predicted leaf", leaves, nodes)
+    }
+}
+
+/// The per-RT-unit ray-path prediction table.
+///
+/// # Example
+///
+/// ```
+/// use gpusim::predict::PredictTable;
+/// use rtbvh::NodeId;
+/// let mut t = PredictTable::new(64);
+/// assert_eq!(t.lookup(42), None);
+/// t.train(42, NodeId(7));
+/// assert_eq!(t.lookup(42), Some(NodeId(7)));
+/// assert_eq!(t.stats().hits, 1);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PredictTable {
+    state: PredictState,
+    capacity: u32,
+}
+
+impl PredictTable {
+    /// Creates a table with `entries` total entry slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entries` is zero.
+    pub fn new(entries: u32) -> PredictTable {
+        assert!(entries > 0, "degenerate prediction table");
+        PredictTable { state: PredictState::new(entries), capacity: entries }
+    }
+
+    /// Looks up the predicted leaf for a quantized ray.
+    pub fn lookup(&mut self, key: u64) -> Option<NodeId> {
+        self.state.lookup(key)
+    }
+
+    /// Trains the table: maps `key` to `node`, re-training an existing
+    /// entry in place; when both candidate buckets are full the
+    /// first-inserted entry of the chosen one is replaced.
+    pub fn train(&mut self, key: u64, node: NodeId) {
+        self.state.train(key, node, self.capacity);
+    }
+
     /// Live entry count.
     pub fn live_entries(&self) -> u32 {
-        self.live_entries
+        self.state.live_entries
     }
 
     /// Accumulated statistics.
     pub fn stats(&self) -> PredictTableStats {
-        self.stats
-    }
-
-    /// Exports contents bucket by bucket as `(key, node)` pairs in
-    /// insertion order (it determines future eviction behaviour), plus the
-    /// statistics.
-    pub(crate) fn export_state(&self) -> (Vec<Vec<(u64, u32)>>, PredictTableStats) {
-        let buckets =
-            self.buckets.iter().map(|b| b.iter().map(|e| (e.key, e.node)).collect()).collect();
-        (buckets, self.stats)
-    }
-
-    /// Restores state captured by [`PredictTable::export_state`] into a
-    /// table of identical geometry.
-    pub(crate) fn import_state(
-        &mut self,
-        buckets: &[Vec<(u64, u32)>],
-        stats: PredictTableStats,
-    ) -> Result<(), String> {
-        if buckets.len() != self.buckets.len() {
-            return Err(format!(
-                "prediction table has {} buckets, snapshot has {}",
-                self.buckets.len(),
-                buckets.len()
-            ));
-        }
-        let mut live = 0u32;
-        for (dst, src) in self.buckets.iter_mut().zip(buckets) {
-            *dst = src.iter().map(|&(key, node)| Entry { key, node }).collect();
-            live += dst.len() as u32;
-        }
-        self.live_entries = live;
-        self.stats = stats;
-        Ok(())
+        self.state.stats
     }
 }
 
@@ -239,6 +310,7 @@ pub fn predict_key(scene_bounds: &Aabb, ray: &Ray, origin_bits: u32, dir_bits: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl::parse_line;
     use rtbvh::NodeId;
     use rtmath::Vec3;
 
@@ -265,7 +337,7 @@ mod tests {
         for k in 0..5u64 {
             t.train(k, NodeId(k as u32));
             assert!(t.live_entries() <= 4);
-            for b in &t.buckets {
+            for b in &t.state.buckets {
                 assert!(b.len() <= CHAIN_CAP, "chain cap violated");
             }
         }
@@ -286,7 +358,7 @@ mod tests {
             a.train(key, NodeId(k as u32));
             b.train(key, NodeId(k as u32));
         }
-        assert_eq!(a.export_state(), b.export_state());
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -296,14 +368,20 @@ mod tests {
             t.train(k * 7, NodeId(k as u32));
             t.lookup(k * 3);
         }
-        let (buckets, stats) = t.export_state();
-        let mut fresh = PredictTable::new(32);
-        fresh.import_state(&buckets, stats).unwrap();
-        assert_eq!(fresh.export_state(), t.export_state());
-        assert_eq!(fresh.live_entries(), t.live_entries());
-        // Geometry mismatches are rejected.
-        let mut wrong = PredictTable::new(4);
-        assert!(wrong.import_state(&buckets, stats).is_err());
+        // Through the checkpoint records and back.
+        let mut lines = vec![t.state.header_fields(Record::new("ckpt_rt")).finish()];
+        t.state.write_buckets(0, &mut |r| lines.push(r.finish()));
+        let mut back = PredictState::read_header(&parse_line(&lines[0]).unwrap()).unwrap();
+        for line in &lines[1..] {
+            back.read_bucket(&parse_line(line).unwrap()).unwrap();
+        }
+        assert_eq!(back, t.state);
+        assert_eq!(back.validate(&PredictState::new(32), 40), Ok(()));
+        // A bucket line may not arrive twice, geometry mismatches and
+        // leaves beyond the BVH are rejected.
+        assert!(back.read_bucket(&parse_line(&lines[1]).unwrap()).is_err());
+        assert!(back.validate(&PredictState::new(4), 40).is_err());
+        assert!(back.validate(&PredictState::new(32), 39).is_err());
     }
 
     #[test]

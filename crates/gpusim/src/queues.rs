@@ -12,10 +12,12 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rtbvh::TreeletId;
 
+use crate::checkpoint::in_range;
+use crate::jsonl::{Fields, Record};
 use crate::ray::RayId;
 
 /// Per-RT-unit treelet queues.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TreeletQueues {
     queues: BTreeMap<TreeletId, VecDeque<RayId>>,
     total: usize,
@@ -113,13 +115,6 @@ impl TreeletQueues {
         self.queues.len().saturating_sub(count_table_entries)
     }
 
-    /// Recounts the queued rays directly from the per-treelet FIFOs; the
-    /// invariant auditor checks this against the cached
-    /// [`TreeletQueues::total_rays`] counter.
-    pub(crate) fn recount(&self) -> usize {
-        self.queues.values().map(VecDeque::len).sum()
-    }
-
     /// Test hook for the auditor: skews the cached ray counter without
     /// touching the queues, so a sabotaged run trips the
     /// `queue-accounting` invariant.
@@ -127,26 +122,55 @@ impl TreeletQueues {
         self.total = self.total.saturating_add_signed(delta);
     }
 
-    /// Exports every queue as `(treelet, rays-in-FIFO-order)`, ascending by
-    /// treelet id, plus the cached total (checkpointing). The total is
-    /// exported verbatim rather than recomputed so a checkpoint taken
-    /// mid-sabotage restores the exact (possibly skewed) counter.
-    pub(crate) fn export_state(&self) -> (Vec<(u32, Vec<u32>)>, usize) {
-        let queues =
-            self.queues.iter().map(|(t, q)| (t.0, q.iter().map(|r| r.0).collect())).collect();
-        (queues, self.total)
+    // -- checkpoint records ---------------------------------------------------
+
+    /// One `ckpt_queue` line per queue, ascending by treelet, rays in FIFO
+    /// order. The cached total travels on the unit's `ckpt_rt` line,
+    /// verbatim rather than recounted, so a checkpoint taken mid-sabotage
+    /// restores the exact (possibly skewed) counter.
+    pub(crate) fn write_jsonl(&self, sm: usize, emit: &mut dyn FnMut(Record)) {
+        for (treelet, rays) in &self.queues {
+            let rays = rays.iter().map(|r| r.0);
+            emit(
+                Record::new("ckpt_queue")
+                    .num("sm", sm)
+                    .num("treelet", treelet.0)
+                    .list("rays", rays),
+            );
+        }
     }
 
-    /// Rebuilds queues from [`TreeletQueues::export_state`] output.
-    pub(crate) fn import_state(queues: &[(u32, Vec<u32>)], total: usize) -> TreeletQueues {
-        let mut out = TreeletQueues::new();
-        for (t, rays) in queues {
-            for r in rays {
-                out.push(TreeletId(*t), RayId(*r));
-            }
+    /// Reads the cached total off a `ckpt_rt` line.
+    pub(crate) fn read_total(&mut self, f: &Fields<'_>) -> Result<(), String> {
+        self.total = f.num("queue_total")?;
+        Ok(())
+    }
+
+    /// Applies one `ckpt_queue` line (the total is not touched).
+    pub(crate) fn read_queue(&mut self, f: &Fields<'_>) -> Result<(), String> {
+        let treelet = TreeletId(f.num("treelet")?);
+        let rays: VecDeque<RayId> = f.list("rays")?.into_iter().map(RayId).collect();
+        if rays.is_empty() || self.queues.insert(treelet, rays).is_some() {
+            return Err(format!("queue of treelet {} is empty or written twice", treelet.0));
         }
-        out.total = total;
-        out
+        Ok(())
+    }
+
+    /// Checks every queued id against the run being restored into: the
+    /// engine indexes the ray table with the ray ids and asks the BVH for
+    /// the extent of the treelet ids.
+    pub(crate) fn validate(&self, rays: usize, treelets: usize) -> Result<(), String> {
+        in_range("queued treelet", self.queues.keys().map(|t| t.0 as usize), treelets)?;
+        in_range("queued ray", self.queues.values().flatten().map(|r| r.index()), rays)
+    }
+
+    /// The cached ray counter must match the queues (`queue-accounting`).
+    pub(crate) fn audit(&self) -> Result<(), String> {
+        let recount: usize = self.queues.values().map(VecDeque::len).sum();
+        if recount != self.total {
+            return Err(format!("cached total {} != recounted {recount}", self.total));
+        }
+        Ok(())
     }
 }
 
@@ -219,10 +243,10 @@ mod tests {
         q.push(t(1), r(1));
         q.push(t(2), r(2));
         q.push(t(2), r(3));
-        assert_eq!(q.recount(), q.total_rays());
+        assert_eq!(q.audit(), Ok(()));
         q.corrupt_total(2);
         assert_eq!(q.total_rays(), 5);
-        assert_eq!(q.recount(), 3);
+        assert_eq!(q.audit(), Err("cached total 5 != recounted 3".to_string()));
         q.corrupt_total(-10); // saturates at zero instead of wrapping
         assert_eq!(q.total_rays(), 0);
     }

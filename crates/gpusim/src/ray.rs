@@ -11,6 +11,9 @@ use rtbvh::{aabb4_intersect, Bvh, NodeId, PrimHit, TreeletId, WIDE_WIDTH};
 use rtmath::Ray;
 use rtscene::Triangle;
 
+use crate::checkpoint::in_range;
+use crate::jsonl::{Fields, Pair, Record};
+
 /// Identifier of a ray within one simulated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RayId(pub u32);
@@ -28,17 +31,6 @@ impl RayId {
 struct Pending {
     node: NodeId,
     t_enter: f32,
-}
-
-/// One pending node of a [`TraversalSnapshot`](crate::export) stack in
-/// serialized form: the raw node id plus the entry distance as raw `f32`
-/// bits, so checkpoint round-trips are bit-exact.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StackEntry {
-    /// Raw BVH node id.
-    pub node: u32,
-    /// `f32::to_bits` of the node entry distance.
-    pub t_bits: u32,
 }
 
 /// Reusable stack storage for one [`RayTraversal`].
@@ -83,7 +75,7 @@ pub struct VisitCost {
 }
 
 /// Traversal state of a single ray in the RT unit.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RayTraversal {
     /// This ray's id (also addresses its 32 B record in the ray region).
     pub id: RayId,
@@ -325,55 +317,71 @@ impl RayTraversal {
         self.treelet_stack.len()
     }
 
-    /// Exports the complete traversal state with every `f32` as raw bits,
-    /// so a restore is bit-exact (checkpointing).
-    pub(crate) fn export_state(&self) -> RayTraversalState {
-        let stack = |s: &[Pending]| {
-            s.iter().map(|e| StackEntry { node: e.node.0, t_bits: e.t_enter.to_bits() }).collect()
-        };
-        RayTraversalState {
-            id: self.id.0,
-            origin_bits: vec3_bits(self.ray.origin),
-            dir_bits: vec3_bits(self.ray.dir),
-            inv_dir_bits: vec3_bits(self.ray.inv_dir),
-            current_treelet: self.current_treelet.0,
-            current_stack: stack(&self.current_stack),
-            treelet_stack: stack(&self.treelet_stack),
-            best: self.best.map(|h| (h.t.to_bits(), h.prim)),
-            t_min_bits: self.t_min.to_bits(),
-            t_max_bits: self.t_max.to_bits(),
-            limit_bits: self.limit.to_bits(),
-            anyhit: self.anyhit,
-            nodes_visited: self.nodes_visited,
-            best_node: self.best_node.map(|n| n.0),
+    // -- checkpoint record ----------------------------------------------------
+
+    /// This ray's share of its `ckpt_ray` line. Every `f32` travels as raw
+    /// bits, so a restore is bit-exact; stacks are `node:t_enter` tokens,
+    /// bottom of stack first.
+    pub(crate) fn fields(&self, r: Record) -> Record {
+        fn stack(s: &[Pending]) -> impl Iterator<Item = (u32, u32)> + '_ {
+            s.iter().map(|e| (e.node.0, e.t_enter.to_bits()))
         }
+        r.num("id", self.id.0)
+            .list("origin", vec3_bits(self.ray.origin))
+            .list("dir", vec3_bits(self.ray.dir))
+            .list("inv_dir", vec3_bits(self.ray.inv_dir))
+            .num("treelet", self.current_treelet.0)
+            .pairs("cur_stack", stack(&self.current_stack))
+            .pairs("tre_stack", stack(&self.treelet_stack))
+            .opt("best", self.best.map(|h| Pair(h.t.to_bits(), h.prim)))
+            .opt("best_node", self.best_node.map(|n| n.0))
+            .num("t_min", self.t_min.to_bits())
+            .num("t_max", self.t_max.to_bits())
+            .num("limit", self.limit.to_bits())
+            .num("anyhit", u8::from(self.anyhit))
+            .num("nodes", self.nodes_visited)
     }
 
-    /// Rebuilds traversal state from [`RayTraversal::export_state`] output.
-    pub(crate) fn import_state(s: &RayTraversalState) -> RayTraversal {
-        let stack = |v: &[StackEntry]| {
-            v.iter()
-                .map(|e| Pending { node: NodeId(e.node), t_enter: f32::from_bits(e.t_bits) })
-                .collect()
+    /// Inverse of [`fields`](Self::fields).
+    pub(crate) fn read(f: &Fields<'_>) -> Result<RayTraversal, String> {
+        let stack = |key: &str| -> Result<Vec<Pending>, String> {
+            let entries = f.pairs::<u32, u32>(key)?;
+            Ok(entries
+                .into_iter()
+                .map(|(node, t)| Pending { node: NodeId(node), t_enter: f32::from_bits(t) })
+                .collect())
         };
-        RayTraversal {
-            id: RayId(s.id),
+        let bits = |key: &str| f.num::<u32>(key).map(f32::from_bits);
+        Ok(RayTraversal {
+            id: RayId(f.num("id")?),
             ray: Ray {
-                origin: vec3_from_bits(s.origin_bits),
-                dir: vec3_from_bits(s.dir_bits),
-                inv_dir: vec3_from_bits(s.inv_dir_bits),
+                origin: vec3_from_bits(f.array("origin")?),
+                dir: vec3_from_bits(f.array("dir")?),
+                inv_dir: vec3_from_bits(f.array("inv_dir")?),
             },
-            current_treelet: TreeletId(s.current_treelet),
-            current_stack: stack(&s.current_stack),
-            treelet_stack: stack(&s.treelet_stack),
-            best: s.best.map(|(t, prim)| PrimHit { t: f32::from_bits(t), prim }),
-            t_min: f32::from_bits(s.t_min_bits),
-            t_max: f32::from_bits(s.t_max_bits),
-            limit: f32::from_bits(s.limit_bits),
-            anyhit: s.anyhit,
-            nodes_visited: s.nodes_visited,
-            best_node: s.best_node.map(NodeId),
-        }
+            current_treelet: TreeletId(f.num("treelet")?),
+            current_stack: stack("cur_stack")?,
+            treelet_stack: stack("tre_stack")?,
+            best: f
+                .opt::<Pair<u32, u32>>("best")?
+                .map(|Pair(t, prim)| PrimHit { t: f32::from_bits(t), prim }),
+            best_node: f.opt("best_node")?.map(NodeId),
+            t_min: bits("t_min")?,
+            t_max: bits("t_max")?,
+            limit: bits("limit")?,
+            anyhit: f.bool("anyhit")?,
+            nodes_visited: f.num("nodes")?,
+        })
+    }
+
+    /// Checks the ids traversal will index the BVH with: every pending
+    /// node and the best-hit leaf against the node count, the current
+    /// treelet against the partition size.
+    pub(crate) fn validate(&self, bvh: &Bvh) -> Result<(), String> {
+        let pending = self.current_stack.iter().chain(&self.treelet_stack).map(|e| e.node);
+        let nodes = pending.chain(self.best_node).map(|n| n.0 as usize);
+        in_range("node id", nodes, bvh.nodes().len())?;
+        in_range("treelet id", [self.current_treelet.0 as usize], bvh.partition().len())
     }
 }
 
@@ -383,39 +391,6 @@ fn vec3_bits(v: rtmath::Vec3) -> [u32; 3] {
 
 fn vec3_from_bits(bits: [u32; 3]) -> rtmath::Vec3 {
     rtmath::Vec3::new(f32::from_bits(bits[0]), f32::from_bits(bits[1]), f32::from_bits(bits[2]))
-}
-
-/// Bit-exact serialized form of one [`RayTraversal`] (checkpointing).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RayTraversalState {
-    /// Raw ray id.
-    pub id: u32,
-    /// `f32::to_bits` of the ray origin components.
-    pub origin_bits: [u32; 3],
-    /// `f32::to_bits` of the ray direction components.
-    pub dir_bits: [u32; 3],
-    /// `f32::to_bits` of the cached reciprocal direction components.
-    pub inv_dir_bits: [u32; 3],
-    /// Current treelet id.
-    pub current_treelet: u32,
-    /// Pending current-treelet entries, bottom of stack first.
-    pub current_stack: Vec<StackEntry>,
-    /// Pending other-treelet entries, bottom of stack first.
-    pub treelet_stack: Vec<StackEntry>,
-    /// Best hit so far as `(t bits, prim)`.
-    pub best: Option<(u32, u32)>,
-    /// `f32::to_bits` of the search interval minimum.
-    pub t_min_bits: u32,
-    /// `f32::to_bits` of the search interval maximum.
-    pub t_max_bits: u32,
-    /// `f32::to_bits` of the pruning limit.
-    pub limit_bits: u32,
-    /// Anyhit (occlusion) semantics flag.
-    pub anyhit: bool,
-    /// Nodes fetched so far.
-    pub nodes_visited: u32,
-    /// Raw id of the leaf the best hit came from, if any.
-    pub best_node: Option<u32>,
 }
 
 #[cfg(test)]

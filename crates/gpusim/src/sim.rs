@@ -8,24 +8,32 @@
 //! event-driven clock (it jumps to the next CTA-phase or warp-memory
 //! completion), so big scenes simulate in seconds while remaining
 //! cycle-accurate with respect to the modelled latencies.
-
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+//!
+//! This module is the public run API ([`Simulator`], [`RunOptions`], the
+//! workload and report types) and the engine's cross-component cycle loop
+//! (`run`, `schedule`, `issue_trace`, `acquire_work`, `step_warp`). The
+//! machine's state is declared in four components, each with its own
+//! checkpoint records, restore validation and invariant audit beside it:
+//! [`sched`](crate::sched) (CTA scheduler), [`rt_unit`](crate::rt_unit)
+//! (one RT unit per SM), [`ray_table`](crate::ray_table) and
+//! [`observer`](crate::observer); the engine's `capture` clones them into
+//! a [`Checkpoint`] and `restore` validates and replaces them.
 
 use gpumem::{AccessKind, CachePolicy, MemStats, MemorySystem};
 use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
 use rtmath::Ray;
 use rtscene::Triangle;
 
-use crate::checkpoint::CHECKPOINT_VERSION;
-use crate::checkpoint::{config_tag, Checkpoint, CtaState, RayState, RtUnitState, WarpState};
+use crate::checkpoint::{config_tag, Checkpoint, CHECKPOINT_VERSION};
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::error::{ForensicsSnapshot, InvariantViolation, SimError, SmSnapshot};
-use crate::hw_table::HwQueueTable;
-use crate::observe::{SamplePoint, StallBreakdown, StallKind, TraceEvent, TraceSink};
-use crate::predict::{predict_key, PredictTable};
-use crate::queues::TreeletQueues;
+use crate::observe::{TraceEvent, TraceSink};
+use crate::observer::{Observer, StallClass};
+use crate::predict::predict_key;
 use crate::ray::{NextNode, RayId, RayTraversal, StackArena};
+use crate::ray_table::{RayMeta, RayTable};
+use crate::rt_unit::{RtUnit, Warp};
+use crate::sched::{CtaScheduler, Phase};
 use crate::{GpuConfig, PredictParams, SimStats, TraversalMode, TraversalPolicy, VtqParams};
 
 /// Byte address regions (disjoint so cache tags never alias across kinds).
@@ -502,7 +510,7 @@ impl<'a> Simulator<'a> {
                 // sabotage schedule; a caller-supplied one is ignored so
                 // the resumed run replays the original faithfully.
                 Some(snapshot) => engine.restore(snapshot)?,
-                None => engine.sabotage = sabotage,
+                None => engine.obs.sabotage = sabotage,
             }
             engine
         };
@@ -512,15 +520,15 @@ impl<'a> Simulator<'a> {
         }
         let _report = prof_on.then(|| prof::span("report"));
         if prof_on {
-            prof::add(prof::Counter::CyclesSimulated, engine.stats.cycles);
-            prof::add(prof::Counter::RaysTraced, engine.stats.rays_completed);
+            prof::add(prof::Counter::CyclesSimulated, engine.obs.stats.cycles);
+            prof::add(prof::Counter::RaysTraced, engine.obs.stats.rays_completed);
         }
-        let energy = self.energy.evaluate(&engine.stats, engine.mem.stats());
+        let energy = self.energy.evaluate(&engine.obs.stats, engine.mem.stats());
         let report = SimReport {
-            stats: engine.stats,
+            stats: engine.obs.stats,
             mem: engine.mem.stats().clone(),
             energy,
-            hits: engine.hits,
+            hits: engine.rays.hits,
         };
         if let Some(slot) = hits {
             *slot = Some(HitCapture::from_report(&report));
@@ -534,7 +542,7 @@ impl<'a> Simulator<'a> {
 /// touching the queues themselves, which a subsequent audit must catch as
 /// a `queue-accounting` violation.
 #[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sabotage {
     /// First cycle at (or after) which the corruption is applied.
     pub at_cycle: u64,
@@ -546,167 +554,54 @@ pub struct Sabotage {
 // Engine internals
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    /// Waiting for first launch.
-    Pending,
-    /// In a slot, running the raygen preamble; trace issues at `ready_at`.
-    Raygen,
-    /// In a slot, waiting for the RT unit (baseline only).
-    WaitTraversal,
-    /// Off-slot, rays in the RT unit (ray virtualization).
-    Suspended,
-    /// Rays finished at `ready_at`; waiting for a slot to resume into.
-    ReadyToResume,
-    /// In a slot, shading; advances to the next bounce at `ready_at`.
-    Shade,
-    /// All bounces complete.
-    Done,
-}
-
-#[derive(Debug)]
-struct Cta {
-    first_task: usize,
-    task_count: usize,
-    bounce: usize,
-    phase: Phase,
-    ready_at: u64,
-    sm: usize,
-    outstanding: usize,
-    resume_queued: bool,
-}
-
-#[derive(Debug)]
-struct Warp {
-    lanes: Vec<Option<RayId>>,
-    mode: TraversalMode,
-    restrict: Option<TreeletId>,
-    ready_at: u64,
-    /// When the warp's outstanding memory (node fetches, treelet load, ray
-    /// records) completes; between `mem_ready_at` and `ready_at` the
-    /// fixed-function intersection pipeline is executing. Used by stall
-    /// attribution to split waiting-on-memory from busy cycles.
-    mem_ready_at: u64,
-}
-
-#[derive(Debug)]
-struct RtUnit {
-    incoming: VecDeque<(u64, Vec<RayId>)>,
-    /// Warp buffer (Table 1: one slot; configurable for sensitivity
-    /// studies via [`GpuConfig::warp_buffer_slots`]).
-    slots: Vec<Option<Warp>>,
-    queues: TreeletQueues,
-    current_queue: Option<TreeletId>,
-    preloaded: Option<TreeletId>,
-    last_prefetch_at: u64,
-    /// line addr -> used? (TreeletPrefetch usefulness tracking)
-    prefetched: std::collections::HashMap<u64, bool>,
-    rays_in_flight: usize,
-    /// Hardware queue-table shadow (validates §4.2/§6.5 sizing claims).
-    hw_table: HwQueueTable,
-    /// Ray-path prediction table (1-entry stub for non-Predict policies,
-    /// mirroring how `hw_table` is degenerate outside Vtq).
-    predict: PredictTable,
-    /// Mode of the most recently installed warp, for mode-transition trace
-    /// events.
-    last_mode: Option<TraversalMode>,
-}
-
-impl RtUnit {
-    fn new(
-        warp_buffer_slots: usize,
-        queue_table_entries: u32,
-        warp_size: u32,
-        predict_entries: u32,
-    ) -> RtUnit {
-        RtUnit {
-            incoming: VecDeque::new(),
-            slots: (0..warp_buffer_slots.max(1)).map(|_| None).collect(),
-            queues: TreeletQueues::new(),
-            current_queue: None,
-            preloaded: None,
-            last_prefetch_at: 0,
-            prefetched: std::collections::HashMap::new(),
-            rays_in_flight: 0,
-            hw_table: HwQueueTable::new(queue_table_entries.max(1), warp_size.max(1)),
-            predict: PredictTable::new(predict_entries.max(1)),
-            last_mode: None,
-        }
-    }
-}
-
-struct RayMeta {
-    cta: usize,
-    task: usize,
-    bounce: usize,
-    sm: usize,
-}
-
+/// The machine: the four stateful components (`sched`, `rays`, `rt`,
+/// `obs`), the memory system and the clock, plus what is not state —
+/// borrowed inputs, the trace sink, the audit cadence and scratch buffers.
+/// The methods here are the cross-component orchestration; each component
+/// keeps what touches only itself.
 pub(crate) struct Engine<'a> {
     bvh: &'a Bvh,
     triangles: &'a [Triangle],
     cfg: &'a GpuConfig,
     vtq: Option<VtqParams>,
     predict: Option<PredictParams>,
-    mem: MemorySystem,
-    rays: Vec<RayTraversal>,
-    ray_meta: Vec<RayMeta>,
-    rt: Vec<RtUnit>,
-    ctas: Vec<Cta>,
-    pending: VecDeque<usize>,
-    /// CTA phase timers: (ready_at, cta id). Entries may be stale; they are
-    /// validated against the CTA's current `ready_at` when popped.
-    timers: BinaryHeap<Reverse<(u64, usize)>>,
-    /// CTAs whose rays are done and that are waiting for a free slot.
-    resume_ready: Vec<usize>,
-    /// Per-SM count of CTAs currently executing a shader phase (raygen or
-    /// shading), for the optional CUDA-core contention model.
-    shader_active: Vec<usize>,
-    /// Per-SM rays reserved by admitted-but-not-yet-issued CTAs, so the
-    /// virtualized-ray cap holds across the raygen/shade latency between
-    /// admission and the actual trace issue.
-    reserved_rays: Vec<usize>,
-    /// Deferred slot releases: a suspending CTA's slot (and register file)
-    /// is only reusable once its state save has drained to memory.
-    slot_release: BinaryHeap<Reverse<(u64, usize)>>,
-    free_slots: Vec<usize>,
-    now: u64,
-    pub(crate) stats: SimStats,
-    pub(crate) hits: Vec<Vec<Option<PrimHit>>>,
+    /// Entry capacities of each unit's queue table and prediction table
+    /// (1-entry stubs outside their policy). Configuration, not state:
+    /// the tables' checkpointed state does not carry them.
+    queue_table_entries: u32,
+    predict_entries: u32,
     workload: &'a Workload,
-    next_sm: usize,
+    mem: MemorySystem,
+    now: u64,
+    sched: CtaScheduler,
+    rays: RayTable,
+    rt: Vec<RtUnit>,
+    obs: Observer,
     /// Optional structured-event sink. Events are only constructed when a
     /// sink is attached; observation never feeds back into timing.
     sink: Option<&'a mut dyn TraceSink>,
-    /// Time-series window width in cycles (0 disables sampling).
-    obs_window: u64,
-    /// Per-SM cycle of the last RT-unit action (warp installed or stepped),
-    /// reported in forensics snapshots.
-    last_progress: Vec<u64>,
     /// Invariant-audit interval resolved from the config's `AuditMode`
     /// (`None` = auditing off for this build flavour).
     audit_every: Option<u64>,
-    /// Cycle of the last audit.
-    last_audit: u64,
-    /// xorshift state for the scheduling-jitter draw (never zero).
-    jitter_state: u64,
-    /// Scheduled state corruption (auditor tests only).
-    sabotage: Option<Sabotage>,
-    /// Trace events recorded into the attached sink so far (0 when
-    /// untraced); checkpointed so a resumed traced run continues the count.
-    sink_events: u64,
-    /// Stack arenas reclaimed from finished rays, reused for fresh ones so
-    /// steady-state cycling never allocates. Pure scratch: never
-    /// checkpointed (a restored engine simply re-warms the pool).
+    scratch: Scratch,
+}
+
+/// Buffers the cycle loop reuses so that steady-state cycling never
+/// allocates. Never checkpointed: a restored engine simply re-warms them.
+#[derive(Default)]
+struct Scratch {
+    /// Stack arenas reclaimed from finished rays, reused for fresh ones.
     arena_pool: Vec<StackArena>,
-    /// Reusable `step_warp` scratch buffers (taken with `mem::take` for
-    /// the duration of one step, then put back). Pure scratch.
-    scratch_visits: Vec<(usize, RayId, NodeId)>,
-    scratch_exits: Vec<(TreeletId, RayId)>,
-    scratch_treelets: Vec<TreeletId>,
-    scratch_fetched: Vec<NodeId>,
-    /// Reusable `issue_trace` ray-id buffer. Pure scratch.
-    scratch_new_rays: Vec<RayId>,
+    /// `step_warp` buffers (taken with `mem::take` for the duration of
+    /// one step, then put back).
+    visits: Vec<(usize, RayId, NodeId)>,
+    exits: Vec<(TreeletId, RayId)>,
+    treelets: Vec<TreeletId>,
+    fetched: Vec<NodeId>,
+    /// `issue_trace`'s ray ids.
+    new_rays: Vec<RayId>,
+    /// `observe_interval`'s per-unit classification.
+    classes: Vec<StallClass>,
 }
 
 impl<'a> Engine<'a> {
@@ -726,84 +621,28 @@ impl<'a> Engine<'a> {
             _ => None,
         };
         let num_sms = cfg.num_sms();
-        let mut ctas = Vec::new();
-        let mut pending = VecDeque::new();
-        let mut first = 0;
-        while first < workload.tasks.len() {
-            let count = cfg.cta_size.min(workload.tasks.len() - first);
-            pending.push_back(ctas.len());
-            ctas.push(Cta {
-                first_task: first,
-                task_count: count,
-                bounce: 0,
-                phase: Phase::Pending,
-                ready_at: 0,
-                sm: 0,
-                outstanding: 0,
-                resume_queued: false,
-            });
-            first += count;
-        }
-        let hits = workload.tasks.iter().map(|t| vec![None; t.rays.len()]).collect();
+        let queue_table_entries = vtq.map_or(1, |v| v.queue_table_entries as u32).max(1);
+        let predict_entries = predict.map_or(1, |p| p.table_entries as u32).max(1);
         Engine {
             bvh,
             triangles,
             cfg,
             vtq,
             predict,
-            mem: MemorySystem::new(&cfg.mem),
-            rays: Vec::new(),
-            ray_meta: Vec::new(),
-            rt: (0..num_sms)
-                .map(|_| {
-                    RtUnit::new(
-                        cfg.warp_buffer_slots,
-                        match cfg.policy {
-                            TraversalPolicy::Vtq(v) => v.queue_table_entries as u32,
-                            _ => 1,
-                        },
-                        cfg.warp_size as u32,
-                        match cfg.policy {
-                            TraversalPolicy::Predict(p) => p.table_entries as u32,
-                            _ => 1,
-                        },
-                    )
-                })
-                .collect(),
-            ctas,
-            pending,
-            timers: BinaryHeap::new(),
-            resume_ready: Vec::new(),
-            shader_active: vec![0; num_sms],
-            reserved_rays: vec![0; num_sms],
-            slot_release: BinaryHeap::new(),
-            free_slots: vec![cfg.max_ctas_per_sm; num_sms],
-            now: 0,
-            stats: SimStats {
-                stall: vec![StallBreakdown::default(); num_sms],
-                ..SimStats::default()
-            },
-            hits,
+            queue_table_entries,
+            predict_entries,
             workload,
-            next_sm: 0,
+            mem: MemorySystem::new(&cfg.mem),
+            now: 0,
+            sched: CtaScheduler::new(cfg, workload),
+            rays: RayTable::new(workload),
+            rt: (0..num_sms)
+                .map(|_| RtUnit::new(cfg.warp_buffer_slots, queue_table_entries, predict_entries))
+                .collect(),
+            obs: Observer::new(num_sms),
             sink,
-            obs_window: cfg.sample_window_cycles,
-            last_progress: vec![0; num_sms],
             audit_every: cfg.audit.interval(),
-            last_audit: 0,
-            jitter_state: cfg
-                .sched_jitter_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(0xD1B5_4A32_D192_ED03)
-                | 1,
-            sabotage: None,
-            sink_events: 0,
-            arena_pool: Vec::new(),
-            scratch_visits: Vec::new(),
-            scratch_exits: Vec::new(),
-            scratch_treelets: Vec::new(),
-            scratch_fetched: Vec::new(),
-            scratch_new_rays: Vec::new(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -827,7 +666,7 @@ impl<'a> Engine<'a> {
                     break;
                 }
             }
-            if self.ctas.iter().all(|c| c.phase == Phase::Done) {
+            if self.sched.all_done() {
                 break;
             }
             match self.next_event() {
@@ -845,8 +684,8 @@ impl<'a> Engine<'a> {
                     self.now = t;
                     self.apply_sabotage();
                     if let Some(every) = self.audit_every {
-                        if self.now - self.last_audit >= every {
-                            self.last_audit = self.now;
+                        if self.now - self.obs.last_audit >= every {
+                            self.obs.last_audit = self.now;
                             self.audit_invariants()?;
                         }
                     }
@@ -865,18 +704,18 @@ impl<'a> Engine<'a> {
                 _ => return Err(SimError::Deadlock { snapshot: self.snapshot() }),
             }
         }
-        self.stats.cycles = self.now;
+        let stats = &mut self.obs.stats;
+        stats.cycles = self.now;
         for rt in &self.rt {
             let qt = rt.hw_table.stats();
-            self.stats.queue_table_max_chain = self.stats.queue_table_max_chain.max(qt.max_chain);
-            self.stats.queue_table_peak_entries =
-                self.stats.queue_table_peak_entries.max(qt.peak_entries);
-            self.stats.queue_table_overflows += qt.overflows;
+            stats.queue_table_max_chain = stats.queue_table_max_chain.max(qt.max_chain);
+            stats.queue_table_peak_entries = stats.queue_table_peak_entries.max(qt.peak_entries);
+            stats.queue_table_overflows += qt.overflows;
             let ps = rt.predict.stats();
-            self.stats.predict_lookups += ps.lookups;
-            self.stats.predict_hits += ps.hits;
-            self.stats.predict_inserts += ps.inserts;
-            self.stats.predict_evictions += ps.evictions;
+            stats.predict_lookups += ps.lookups;
+            stats.predict_hits += ps.hits;
+            stats.predict_inserts += ps.inserts;
+            stats.predict_evictions += ps.evictions;
         }
         // Closing audit: the finished state must satisfy the conservation
         // laws too (all rays accounted for, stall buckets sum to the clock).
@@ -888,61 +727,11 @@ impl<'a> Engine<'a> {
 
     // -- checkpointing -------------------------------------------------------
 
-    /// Serializes the complete architectural state into a [`Checkpoint`].
-    /// Must be called at a clock-advance quiescent point (see
-    /// [`Engine::run`]); [`Engine::restore`] + re-entering `run` then
-    /// replays the remainder bit-identically.
+    /// Clones the architectural state into a [`Checkpoint`]. Must be
+    /// called at a clock-advance quiescent point (see [`Engine::run`]);
+    /// [`Engine::restore`] + re-entering `run` then replays the remainder
+    /// bit-identically.
     fn capture(&self) -> Checkpoint {
-        let heap_sorted = |h: &BinaryHeap<Reverse<(u64, usize)>>| {
-            let mut v: Vec<(u64, usize)> = h.iter().map(|Reverse(t)| *t).collect();
-            v.sort_unstable();
-            v
-        };
-        let rt = self
-            .rt
-            .iter()
-            .map(|u| {
-                let (queues, queue_total) = u.queues.export_state();
-                let (hw_buckets, hw_live, hw_stats) = u.hw_table.export_state();
-                let (predict_buckets, predict_stats) = u.predict.export_state();
-                let mut prefetched: Vec<(u64, bool)> =
-                    u.prefetched.iter().map(|(k, v)| (*k, *v)).collect();
-                prefetched.sort_unstable();
-                RtUnitState {
-                    incoming: u
-                        .incoming
-                        .iter()
-                        .map(|(t, rays)| (*t, rays.iter().map(|r| r.0).collect()))
-                        .collect(),
-                    slots: u
-                        .slots
-                        .iter()
-                        .map(|s| {
-                            s.as_ref().map(|w| WarpState {
-                                lanes: w.lanes.iter().map(|l| l.map(|r| r.0)).collect(),
-                                mode: w.mode.index() as u8,
-                                restrict: w.restrict.map(|t| t.0),
-                                ready_at: w.ready_at,
-                                mem_ready_at: w.mem_ready_at,
-                            })
-                        })
-                        .collect(),
-                    queues,
-                    queue_total,
-                    current_queue: u.current_queue.map(|t| t.0),
-                    preloaded: u.preloaded.map(|t| t.0),
-                    last_prefetch_at: u.last_prefetch_at,
-                    prefetched,
-                    rays_in_flight: u.rays_in_flight,
-                    hw_buckets,
-                    hw_live,
-                    hw_stats,
-                    predict_buckets,
-                    predict_stats,
-                    last_mode: u.last_mode.map(|m| m.index() as u8),
-                }
-            })
-            .collect();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             num_sms: self.rt.len(),
@@ -950,266 +739,36 @@ impl<'a> Engine<'a> {
             total_rays: self.workload.total_rays(),
             config_tag: config_tag(self.cfg),
             now: self.now,
-            next_sm: self.next_sm,
-            last_audit: self.last_audit,
-            jitter_state: self.jitter_state,
-            sink_events: self.sink_events,
-            sabotage: self.sabotage.map(|s| (s.at_cycle, s.queue_total_delta as i64)),
-            pending: self.pending.iter().copied().collect(),
-            timers: heap_sorted(&self.timers),
-            resume_ready: self.resume_ready.clone(),
-            shader_active: self.shader_active.clone(),
-            reserved_rays: self.reserved_rays.clone(),
-            slot_release: heap_sorted(&self.slot_release),
-            free_slots: self.free_slots.clone(),
-            last_progress: self.last_progress.clone(),
-            stats: self.stats.clone(),
-            ctas: self
-                .ctas
-                .iter()
-                .map(|c| CtaState {
-                    first_task: c.first_task,
-                    task_count: c.task_count,
-                    bounce: c.bounce,
-                    phase: phase_to_u8(c.phase),
-                    ready_at: c.ready_at,
-                    sm: c.sm,
-                    outstanding: c.outstanding,
-                    resume_queued: c.resume_queued,
-                })
-                .collect(),
-            rays: self
-                .rays
-                .iter()
-                .zip(&self.ray_meta)
-                .map(|(r, m)| RayState {
-                    traversal: r.export_state(),
-                    cta: m.cta,
-                    task: m.task,
-                    bounce: m.bounce,
-                    sm: m.sm,
-                })
-                .collect(),
-            hits: self
-                .hits
-                .iter()
-                .map(|t| t.iter().map(|h| h.map(|h| (h.t.to_bits(), h.prim))).collect())
-                .collect(),
-            rt,
+            sched: self.sched.clone(),
+            rays: self.rays.clone(),
+            rt: self.rt.clone(),
+            obs: self.obs.clone(),
             mem: self.mem.snapshot(),
         }
     }
 
     /// Restores a freshly constructed engine (same scene, workload and
-    /// config as the checkpointed run) to the captured state.
+    /// config as the checkpointed run) to the captured state: the header
+    /// is checked, each component validates its saved state against this
+    /// engine's fresh one (geometry, and every id the cycle loop will
+    /// index with), and only then is anything replaced.
     fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), SimError> {
-        let err = SimError::Checkpoint;
-        if ckpt.version != CHECKPOINT_VERSION {
-            return Err(err(format!(
-                "version {} unsupported (this build reads {CHECKPOINT_VERSION})",
-                ckpt.version
-            )));
+        let check = |r: Result<(), String>| r.map_err(SimError::Checkpoint);
+        check(ckpt.check_header(self.cfg, self.workload))?;
+        check(ckpt.sched.validate(&self.sched))?;
+        check(ckpt.rays.validate(self.workload, self.sched.ctas.len(), self.bvh))?;
+        let (treelets, nodes) = (self.bvh.partition().len(), self.bvh.nodes().len());
+        for (sm, (saved, fresh)) in ckpt.rt.iter().zip(&self.rt).enumerate() {
+            let r = saved.validate(fresh, ckpt.rays.len(), treelets, nodes);
+            check(r.map_err(|e| format!("sm {sm}: {e}")))?;
         }
-        if ckpt.config_tag != config_tag(self.cfg) {
-            return Err(err(format!(
-                "config fingerprint {:#x} does not match the simulator's {:#x}",
-                ckpt.config_tag,
-                config_tag(self.cfg)
-            )));
-        }
-        if ckpt.num_sms != self.rt.len() {
-            return Err(err(format!(
-                "checkpoint has {} SMs, simulator has {}",
-                ckpt.num_sms,
-                self.rt.len()
-            )));
-        }
-        if ckpt.tasks != self.workload.tasks.len() || ckpt.total_rays != self.workload.total_rays()
-        {
-            return Err(err(format!(
-                "checkpoint workload shape ({} tasks, {} rays) does not match \
-                 ({} tasks, {} rays)",
-                ckpt.tasks,
-                ckpt.total_rays,
-                self.workload.tasks.len(),
-                self.workload.total_rays()
-            )));
-        }
-        if ckpt.ctas.len() != self.ctas.len() {
-            return Err(err(format!(
-                "checkpoint has {} CTAs, workload builds {}",
-                ckpt.ctas.len(),
-                self.ctas.len()
-            )));
-        }
-        if ckpt.jitter_state == 0 {
-            return Err(err("jitter RNG state must be non-zero".to_string()));
-        }
-        let n = self.rt.len();
-        for (name, len) in [
-            ("shader_active", ckpt.shader_active.len()),
-            ("reserved_rays", ckpt.reserved_rays.len()),
-            ("free_slots", ckpt.free_slots.len()),
-            ("last_progress", ckpt.last_progress.len()),
-            ("stall", ckpt.stats.stall.len()),
-            ("rt", ckpt.rt.len()),
-        ] {
-            if len != n {
-                return Err(err(format!("`{name}` has {len} entries, expected {n}")));
-            }
-        }
-        let nctas = ckpt.ctas.len();
-        for &id in ckpt.pending.iter().chain(&ckpt.resume_ready) {
-            if id >= nctas {
-                return Err(err(format!("CTA id {id} out of range ({nctas} CTAs)")));
-            }
-        }
-        for &(_, id) in &ckpt.timers {
-            if id >= nctas {
-                return Err(err(format!("timer CTA id {id} out of range ({nctas} CTAs)")));
-            }
-        }
-        for &(_, sm) in &ckpt.slot_release {
-            if sm >= n {
-                return Err(err(format!("slot-release SM {sm} out of range ({n} SMs)")));
-            }
-        }
-        let nrays = ckpt.rays.len();
-        for (sm, s) in ckpt.rt.iter().enumerate() {
-            let referenced = s
-                .incoming
-                .iter()
-                .flat_map(|(_, r)| r.iter())
-                .chain(s.queues.iter().flat_map(|(_, r)| r.iter()))
-                .chain(s.slots.iter().flatten().flat_map(|w| w.lanes.iter().flatten()));
-            for &r in referenced {
-                if r as usize >= nrays {
-                    return Err(err(format!("sm {sm}: ray id {r} out of range ({nrays} rays)")));
-                }
-            }
-        }
-        if ckpt.hits.len() != self.workload.tasks.len() {
-            return Err(err("hit-record shape does not match the workload".to_string()));
-        }
-        for (task, (calls, t)) in ckpt.hits.iter().zip(&self.workload.tasks).enumerate() {
-            if calls.len() != t.rays.len() {
-                return Err(err(format!(
-                    "task {task} has {} hit records, workload makes {} calls",
-                    calls.len(),
-                    t.rays.len()
-                )));
-            }
-        }
-
+        check(ckpt.obs.validate(self.rt.len()))?;
+        check(self.mem.restore(&ckpt.mem))?;
         self.now = ckpt.now;
-        self.next_sm = ckpt.next_sm;
-        self.last_audit = ckpt.last_audit;
-        self.jitter_state = ckpt.jitter_state;
-        self.sink_events = ckpt.sink_events;
-        self.sabotage =
-            ckpt.sabotage.map(|(at, d)| Sabotage { at_cycle: at, queue_total_delta: d as isize });
-        self.pending = ckpt.pending.iter().copied().collect();
-        self.timers = ckpt.timers.iter().map(|&t| Reverse(t)).collect();
-        self.resume_ready = ckpt.resume_ready.clone();
-        self.shader_active = ckpt.shader_active.clone();
-        self.reserved_rays = ckpt.reserved_rays.clone();
-        self.slot_release = ckpt.slot_release.iter().map(|&t| Reverse(t)).collect();
-        self.free_slots = ckpt.free_slots.clone();
-        self.last_progress = ckpt.last_progress.clone();
-        self.stats = ckpt.stats.clone();
-        for (id, (cta, s)) in self.ctas.iter_mut().zip(&ckpt.ctas).enumerate() {
-            if s.first_task != cta.first_task || s.task_count != cta.task_count {
-                return Err(err(format!(
-                    "CTA {id} covers tasks {}+{} in the checkpoint but {}+{} here \
-                     (different workload or cta_size)",
-                    s.first_task, s.task_count, cta.first_task, cta.task_count
-                )));
-            }
-            if s.sm >= n {
-                return Err(err(format!("CTA {id} on SM {} out of range ({n} SMs)", s.sm)));
-            }
-            cta.bounce = s.bounce;
-            cta.phase = phase_from_u8(s.phase)
-                .ok_or_else(|| err(format!("CTA {id} has unknown phase code {}", s.phase)))?;
-            cta.ready_at = s.ready_at;
-            cta.sm = s.sm;
-            cta.outstanding = s.outstanding;
-            cta.resume_queued = s.resume_queued;
-        }
-        self.rays = ckpt.rays.iter().map(|r| RayTraversal::import_state(&r.traversal)).collect();
-        self.ray_meta = ckpt
-            .rays
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                if r.cta >= nctas || r.task >= self.workload.tasks.len() || r.sm >= n {
-                    return Err(err(format!("ray {i} references out-of-range cta/task/sm")));
-                }
-                Ok(RayMeta { cta: r.cta, task: r.task, bounce: r.bounce, sm: r.sm })
-            })
-            .collect::<Result<_, _>>()?;
-        self.hits = ckpt
-            .hits
-            .iter()
-            .map(|t| {
-                t.iter()
-                    .map(|h| h.map(|(bits, prim)| PrimHit { t: f32::from_bits(bits), prim }))
-                    .collect()
-            })
-            .collect();
-        for (sm, (unit, s)) in self.rt.iter_mut().zip(&ckpt.rt).enumerate() {
-            if s.slots.len() != unit.slots.len() {
-                return Err(err(format!(
-                    "sm {sm}: checkpoint has {} warp-buffer slots, config builds {}",
-                    s.slots.len(),
-                    unit.slots.len()
-                )));
-            }
-            unit.incoming = s
-                .incoming
-                .iter()
-                .map(|(t, rays)| (*t, rays.iter().map(|r| RayId(*r)).collect()))
-                .collect();
-            unit.slots = s
-                .slots
-                .iter()
-                .map(|w| {
-                    w.as_ref()
-                        .map(|w| {
-                            Ok::<Warp, SimError>(Warp {
-                                lanes: w.lanes.iter().map(|l| l.map(RayId)).collect(),
-                                mode: mode_from_u8(w.mode).ok_or_else(|| {
-                                    err(format!("sm {sm}: unknown mode code {}", w.mode))
-                                })?,
-                                restrict: w.restrict.map(TreeletId),
-                                ready_at: w.ready_at,
-                                mem_ready_at: w.mem_ready_at,
-                            })
-                        })
-                        .transpose()
-                })
-                .collect::<Result<_, _>>()?;
-            unit.queues = TreeletQueues::import_state(&s.queues, s.queue_total);
-            unit.current_queue = s.current_queue.map(TreeletId);
-            unit.preloaded = s.preloaded.map(TreeletId);
-            unit.last_prefetch_at = s.last_prefetch_at;
-            unit.prefetched = s.prefetched.iter().copied().collect();
-            unit.rays_in_flight = s.rays_in_flight;
-            unit.hw_table
-                .import_state(&s.hw_buckets, s.hw_live, s.hw_stats)
-                .map_err(|e| err(format!("sm {sm}: {e}")))?;
-            unit.predict
-                .import_state(&s.predict_buckets, s.predict_stats)
-                .map_err(|e| err(format!("sm {sm}: {e}")))?;
-            unit.last_mode = match s.last_mode {
-                None => None,
-                Some(m) => Some(
-                    mode_from_u8(m)
-                        .ok_or_else(|| err(format!("sm {sm}: unknown mode code {m}")))?,
-                ),
-            };
-        }
-        self.mem.restore(&ckpt.mem).map_err(err)?;
+        self.sched = ckpt.sched.clone();
+        self.rays = ckpt.rays.clone();
+        self.rt = ckpt.rt.clone();
+        self.obs = ckpt.obs.clone();
         Ok(())
     }
 
@@ -1223,26 +782,26 @@ impl<'a> Engine<'a> {
             .enumerate()
             .map(|(sm, unit)| SmSnapshot {
                 sm,
-                free_cta_slots: self.free_slots[sm],
+                free_cta_slots: self.sched.free_slots[sm],
                 resident_warps: unit.slots.iter().filter(|s| s.is_some()).count(),
                 warp_buffer_slots: unit.slots.len(),
                 incoming_warps: unit.incoming.len(),
                 queued_rays: unit.queues.total_rays(),
                 treelet_queues: unit.queues.queue_count(),
                 rays_in_flight: unit.rays_in_flight,
-                shader_active: self.shader_active[sm],
-                reserved_rays: self.reserved_rays[sm],
-                last_progress_cycle: self.last_progress[sm],
+                shader_active: self.sched.shader_active[sm],
+                reserved_rays: self.sched.reserved_rays[sm],
+                last_progress_cycle: self.obs.last_progress[sm],
             })
             .collect();
         ForensicsSnapshot {
             cycle: self.now,
             rays_created: self.rays.len() as u64,
-            rays_completed: self.stats.rays_completed,
-            ctas_total: self.ctas.len(),
-            ctas_unfinished: self.ctas.iter().filter(|c| c.phase != Phase::Done).count(),
-            pending_ctas: self.pending.len(),
-            resume_ready_ctas: self.resume_ready.len(),
+            rays_completed: self.obs.stats.rays_completed,
+            ctas_total: self.sched.ctas.len(),
+            ctas_unfinished: self.sched.ctas.iter().filter(|c| c.phase != Phase::Done).count(),
+            pending_ctas: self.sched.pending.len(),
+            resume_ready_ctas: self.sched.resume_ready.len(),
             mem_in_flight: self.mem.in_flight_requests(self.now),
             sms,
         }
@@ -1250,192 +809,80 @@ impl<'a> Engine<'a> {
 
     /// Applies a pending scheduled corruption (auditor tests only).
     fn apply_sabotage(&mut self) {
-        let due = self.sabotage.is_some_and(|s| self.now >= s.at_cycle);
-        if due {
-            let s = self.sabotage.take().expect("checked above");
+        if let Some(s) = self.obs.sabotage.take_if(|s| self.now >= s.at_cycle) {
             self.rt[0].queues.corrupt_total(s.queue_total_delta);
         }
     }
 
     /// Re-derives the engine's conservation laws from first principles and
-    /// reports the first violated one. See
+    /// reports the first violated one: ray conservation across the ray
+    /// table and the units, then each SM's unit, scheduler and observer
+    /// laws, then the memory hierarchy's. See
     /// [`AuditMode`](crate::AuditMode) for when this runs.
     fn audit_invariants(&self) -> Result<(), InvariantViolation> {
-        let fail = |site: &str, detail: String| InvariantViolation {
+        let fail = |(site, detail): (&str, String)| InvariantViolation {
             cycle: self.now,
             site: site.to_string(),
             detail,
         };
-        // Ray conservation: every ray ever created is either completed or
-        // in flight on exactly one SM.
         let in_flight: usize = self.rt.iter().map(|r| r.rays_in_flight).sum();
-        if self.rays.len() as u64 != self.stats.rays_completed + in_flight as u64 {
-            return Err(fail(
-                "ray-conservation",
-                format!(
-                    "{} rays created != {} completed + {} in flight",
-                    self.rays.len(),
-                    self.stats.rays_completed,
-                    in_flight
-                ),
-            ));
-        }
+        self.rays.audit(self.obs.stats.rays_completed, in_flight).map_err(fail)?;
         for (sm, unit) in self.rt.iter().enumerate() {
-            // The cached treelet-queue ray counter must match the queues.
-            let recount = unit.queues.recount();
-            if recount != unit.queues.total_rays() {
-                return Err(fail(
-                    "queue-accounting",
-                    format!(
-                        "sm {sm}: cached total {} != recounted {recount}",
-                        unit.queues.total_rays()
-                    ),
-                ));
-            }
-            // Slot accounting can never exceed the hardware capacity.
-            if self.free_slots[sm] > self.cfg.max_ctas_per_sm {
-                return Err(fail(
-                    "cta-slots",
-                    format!(
-                        "sm {sm}: {} free slots > capacity {}",
-                        self.free_slots[sm], self.cfg.max_ctas_per_sm
-                    ),
-                ));
-            }
-            // No warp may be wider than the machine's warp width.
-            for warp in unit.slots.iter().flatten() {
-                if warp.lanes.len() > self.cfg.warp_size {
-                    return Err(fail(
-                        "warp-width",
-                        format!(
-                            "sm {sm}: warp of {} lanes > warp size {}",
-                            warp.lanes.len(),
-                            self.cfg.warp_size
-                        ),
-                    ));
-                }
-            }
-            // Stall attribution is exhaustive: every elapsed cycle lands in
-            // exactly one bucket, so the buckets sum to the clock.
-            let attributed = self.stats.stall[sm].total();
-            if attributed != self.now {
-                return Err(fail(
-                    "stall-sum",
-                    format!("sm {sm}: {attributed} attributed cycles != clock {}", self.now),
-                ));
-            }
+            let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
+            unit.audit(self.cfg.warp_size).map_err(on_sm)?;
+            self.sched.audit(sm, self.cfg.max_ctas_per_sm).map_err(on_sm)?;
+            self.obs.audit(sm, self.now).map_err(on_sm)?;
         }
-        // Memory-hierarchy accounting (per-kind service levels, cache
-        // hit/access ordering).
-        if let Err(detail) = self.mem.audit() {
-            return Err(fail("mem-accounting", detail));
-        }
-        Ok(())
+        self.mem.audit().map_err(|detail| fail(("mem-accounting", detail)))
     }
 
     // -- observation --------------------------------------------------------
 
     /// Attributes the quiescent interval `[self.now, until)` — the engine
     /// is at a fixed point, so no architectural state changes until the
-    /// clock jumps — to stall buckets and time-series windows.
-    ///
-    /// Per RT unit the interval is classified from its quiescent state:
-    /// with resident warps, cycles before the earliest outstanding memory
-    /// completion are waiting-on-memory and the rest are busy (the
-    /// intersection pipeline of the warp whose data arrived is executing
-    /// through `until`, since every resident `ready_at >= until`); with no
-    /// resident warp the whole interval is warp-buffer-empty (local rays
-    /// queued or arriving), queue-drained (shader phases still running on
-    /// this SM), or idle. Every cycle lands in exactly one bucket, so each
-    /// unit's buckets sum to [`SimStats::cycles`].
+    /// clock jumps — to stall buckets and time-series windows: each unit
+    /// classifies the interval from its own state
+    /// ([`RtUnit::stall_class`]), the observer books it. Every cycle lands
+    /// in exactly one bucket, so each unit's buckets sum to
+    /// [`SimStats::cycles`].
     fn observe_interval(&mut self, until: u64) {
-        let dt = until.saturating_sub(self.now);
-        if dt == 0 {
+        if until <= self.now {
             return;
         }
-        // (first kind until `split`, second kind from `split` to `until`).
-        let mut classes: Vec<(StallKind, u64, StallKind)> = Vec::with_capacity(self.rt.len());
-        for (sm, unit) in self.rt.iter().enumerate() {
-            let class = if unit.slots.iter().any(|s| s.is_some()) {
-                let mem_done = unit
-                    .slots
-                    .iter()
-                    .flatten()
-                    .map(|w| w.mem_ready_at)
-                    .min()
-                    .expect("resident warp")
-                    .clamp(self.now, until);
-                (StallKind::WaitingMemory, mem_done, StallKind::Busy)
-            } else if !unit.incoming.is_empty() || !unit.queues.is_empty() {
-                (StallKind::WarpBufferEmpty, until, StallKind::WarpBufferEmpty)
-            } else if self.shader_active[sm] > 0 {
-                (StallKind::QueueDrained, until, StallKind::QueueDrained)
-            } else {
-                (StallKind::Idle, until, StallKind::Idle)
-            };
-            self.stats.stall[sm].add(class.0, class.1 - self.now);
-            self.stats.stall[sm].add(class.2, until - class.1);
-            classes.push(class);
+        let mut classes = std::mem::take(&mut self.scratch.classes);
+        classes.clear();
+        let units = self.rt.iter().zip(&self.sched.shader_active);
+        classes.extend(units.map(|(unit, active)| unit.stall_class(self.now, until, *active > 0)));
+        let window = self.cfg.sample_window_cycles;
+        // Only the time series needs the machine-wide occupancy.
+        let (mut rays, mut occupied) = (0u64, 0u64);
+        if window != 0 {
+            rays = self.rt.iter().map(|r| r.rays_in_flight as u64).sum();
+            let total_slots = (self.rt.len() * self.cfg.max_ctas_per_sm) as u64;
+            let free: u64 = self.sched.free_slots.iter().map(|f| *f as u64).sum();
+            occupied = total_slots.saturating_sub(free);
         }
-
-        if self.obs_window == 0 {
-            return;
-        }
-        let window = self.obs_window;
-        let rays: u64 = self.rt.iter().map(|r| r.rays_in_flight as u64).sum();
-        let total_slots = (self.rt.len() * self.cfg.max_ctas_per_sm) as u64;
-        let occupied =
-            total_slots.saturating_sub(self.free_slots.iter().map(|f| *f as u64).sum::<u64>());
-        // Split the interval at window boundaries; quantities are cycle
-        // integrals, so each chunk contributes weight (b - a).
-        let mut a = self.now;
-        while a < until {
-            let idx = (a / window) as usize;
-            let b = until.min((idx as u64 + 1) * window);
-            let point = self.window_mut(idx);
-            point.covered_cycles += b - a;
-            point.ray_cycles += rays * (b - a);
-            point.occupied_slot_cycles += occupied * (b - a);
-            for &(first, split, second) in &classes {
-                let m = split.clamp(a, b);
-                point.stall.add(first, m - a);
-                point.stall.add(second, b - m);
-            }
-            a = b;
-        }
+        self.obs.attribute((self.now, until), window, &classes, rays, occupied);
+        self.scratch.classes = classes;
     }
 
-    /// The sample window containing window index `idx`, growing the series
-    /// as the clock advances.
-    fn window_mut(&mut self, idx: usize) -> &mut SamplePoint {
-        while self.stats.series.len() <= idx {
-            let start_cycle = self.stats.series.len() as u64 * self.obs_window;
-            self.stats.series.push(SamplePoint { start_cycle, ..SamplePoint::default() });
+    /// Records an event when a sink is attached, bumping the observer's
+    /// recorded-event counter. The closure defers event construction so
+    /// untraced runs pay nothing at the call sites.
+    #[inline]
+    fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
+        if let Some(sink) = self.sink.as_deref_mut() {
+            self.obs.sink_events += 1;
+            sink.record(&make());
         }
-        &mut self.stats.series[idx]
-    }
-
-    /// Credits `cycles` of mode activity to the window containing `at`.
-    fn sample_mode_cycles(&mut self, at: u64, mode: TraversalMode, cycles: u64) {
-        if self.obs_window == 0 {
-            return;
-        }
-        let idx = (at / self.obs_window) as usize;
-        self.window_mut(idx).mode_cycles[mode.index()] += cycles;
     }
 
     /// Emits a mode-transition event when `mode` differs from the last warp
     /// installed on `sm`.
     fn note_mode(&mut self, sm: usize, mode: TraversalMode) {
         if self.rt[sm].last_mode != Some(mode) {
-            let from = self.rt[sm].last_mode;
-            let now = self.now;
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::ModeTransition {
-                cycle: now,
-                sm,
-                from,
-                to: mode,
-            });
+            let (now, from) = (self.now, self.rt[sm].last_mode);
+            self.emit(|| TraceEvent::ModeTransition { cycle: now, sm, from, to: mode });
             self.rt[sm].last_mode = Some(mode);
         }
     }
@@ -1444,156 +891,110 @@ impl<'a> Engine<'a> {
 
     /// Launches pending CTAs and resumes suspended ones into free slots.
     fn schedule(&mut self) -> bool {
-        let mut progress = false;
         // Deferred slot releases from suspending CTAs.
-        while let Some(&Reverse((t, sm))) = self.slot_release.peek() {
-            if t > self.now {
-                break;
-            }
-            self.slot_release.pop();
-            self.free_slots[sm] += 1;
+        let mut progress = self.sched.release_slots(self.now);
+        // Resumes take priority (§3.1: "We prioritize resuming CTAs that
+        // have completed traversal") and are NOT gated by the
+        // virtualized-ray cap: §4.1 applies the cap to launching new raygen
+        // CTAs, while resuming drains pressure (the resumed CTA finishes
+        // its bounce and retires or re-suspends). Gating resumes here
+        // starves the pipeline.
+        let mut i = 0;
+        while i < self.sched.resume_ready.len() {
+            let Some(sm) = self.sched.find_slot(|_, _| true) else {
+                i += 1;
+                continue;
+            };
+            let id = self.sched.resume_ready.swap_remove(i);
+            self.sched.ctas[id].resume_queued = false;
+            self.sched.free_slots[sm] -= 1;
+            let charge = self.vtq.is_none_or(|v| v.charge_virtualization);
+            let restore_done = if charge { self.transfer_cta_state(sm, id) } else { self.now };
+            self.obs.stats.cta_resumes += 1;
+            let now = self.now;
+            self.emit(|| TraceEvent::CtaResume { cycle: now, cta: id, sm });
+            self.sched.shader_active[sm] += 1;
+            let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
+            self.enter_phase(id, sm, Phase::Shade, restore_done + shade);
             progress = true;
         }
-        // Resumes take priority (§3.1: "We prioritize resuming CTAs that
-        // have completed traversal").
-        let mut i = 0;
-        while i < self.resume_ready.len() {
-            let id = self.resume_ready[i];
-            {
-                // Resumes take priority over fresh launches and are NOT
-                // gated by the virtualized-ray cap: §4.1 applies the cap to
-                // launching new raygen CTAs, while resuming drains pressure
-                // (the resumed CTA finishes its bounce and retires or
-                // re-suspends). Gating resumes here starves the pipeline.
-                if let Some(sm) = self.find_free_slot() {
-                    self.resume_ready.swap_remove(i);
-                    self.ctas[id].resume_queued = false;
-                    self.free_slots[sm] -= 1;
-                    let charge = self.vtq.is_none_or(|v| v.charge_virtualization);
-                    let restore_done = if charge {
-                        let bytes = self.cfg.cta_state_bytes();
-                        self.stats.cta_state_bytes += bytes as u64;
-                        self.mem.access(
-                            sm,
-                            CTA_REGION + id as u64 * 0x1_0000,
-                            bytes,
-                            AccessKind::CtaState,
-                            CachePolicy::DramOnly,
-                            self.now,
-                        )
-                    } else {
-                        self.now
-                    };
-                    self.stats.cta_resumes += 1;
-                    let now = self.now;
-                    emit(&mut self.sink, &mut self.sink_events, || TraceEvent::CtaResume {
-                        cycle: now,
-                        cta: id,
-                        sm,
-                    });
-                    self.shader_active[sm] += 1;
-                    let shade = self.shader_phase_cycles(sm, self.cfg.shade_cycles);
-                    let cta = &mut self.ctas[id];
-                    cta.sm = sm;
-                    cta.phase = Phase::Shade;
-                    cta.ready_at = restore_done + shade;
-                    self.timers.push(Reverse((cta.ready_at, id)));
-                    progress = true;
-                } else {
-                    i += 1;
-                }
-            }
-        }
         // Fresh launches.
-        while let Some(&id) = self.pending.front() {
+        while let Some(&id) = self.sched.pending.front() {
             let Some(sm) = self.find_launch_slot() else {
                 break;
             };
-            self.pending.pop_front();
+            self.sched.pending.pop_front();
             let now = self.now;
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::CtaLaunch {
-                cycle: now,
-                cta: id,
-                sm,
-            });
-            self.free_slots[sm] -= 1;
-            self.shader_active[sm] += 1;
-            let ready = self.now + self.shader_phase_cycles(sm, self.cfg.raygen_cycles);
-            let cta = &mut self.ctas[id];
-            cta.sm = sm;
-            cta.phase = Phase::Raygen;
-            cta.ready_at = ready;
-            self.timers.push(Reverse((cta.ready_at, id)));
+            self.emit(|| TraceEvent::CtaLaunch { cycle: now, cta: id, sm });
+            self.sched.free_slots[sm] -= 1;
+            self.sched.shader_active[sm] += 1;
+            let raygen = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.raygen_cycles);
+            self.enter_phase(id, sm, Phase::Raygen, self.now + raygen);
             progress = true;
         }
         progress
     }
 
-    fn find_free_slot(&mut self) -> Option<usize> {
-        let n = self.rt.len();
-        for i in 0..n {
-            let sm = (self.next_sm + i) % n;
-            if self.free_slots[sm] > 0 {
-                self.next_sm = (sm + 1) % n;
-                return Some(sm);
-            }
-        }
-        None
+    /// Moves CTA `id`'s saved state between `sm` and memory (the save of a
+    /// suspend or the restore of a resume); returns the completion cycle.
+    fn transfer_cta_state(&mut self, sm: usize, id: usize) -> u64 {
+        let bytes = self.cfg.cta_state_bytes();
+        self.obs.stats.cta_state_bytes += bytes as u64;
+        self.mem.access(
+            sm,
+            CTA_REGION + id as u64 * 0x1_0000,
+            bytes,
+            AccessKind::CtaState,
+            CachePolicy::DramOnly,
+            self.now,
+        )
     }
 
-    /// Like [`find_free_slot`] but also enforces the virtualized-ray cap,
-    /// reserving the prospective CTA's rays on success.
+    /// Puts CTA `id` into a timed shader `phase` on `sm`, due at `ready_at`.
+    fn enter_phase(&mut self, id: usize, sm: usize, phase: Phase, ready_at: u64) {
+        let cta = &mut self.sched.ctas[id];
+        cta.sm = sm;
+        cta.phase = phase;
+        cta.ready_at = ready_at;
+        self.sched.timers.push(ready_at, id);
+    }
+
+    /// A free slot for a fresh launch: under ray virtualization the SM
+    /// must also have room under the virtualized-ray cap, and the
+    /// prospective CTA's rays are reserved on success.
     fn find_launch_slot(&mut self) -> Option<usize> {
-        let n = self.rt.len();
-        for i in 0..n {
-            let sm = (self.next_sm + i) % n;
-            let cap_ok = match self.vtq {
-                Some(v) => {
-                    self.rt[sm].rays_in_flight + self.reserved_rays[sm] + self.cfg.cta_size
-                        <= v.max_virtual_rays
-                }
-                None => true,
-            };
-            if self.free_slots[sm] > 0 && cap_ok {
-                if self.vtq.is_some() {
-                    self.reserved_rays[sm] += self.cfg.cta_size;
-                }
-                self.next_sm = (sm + 1) % n;
-                return Some(sm);
-            }
-        }
-        None
+        let Some(v) = self.vtq else { return self.sched.find_slot(|_, _| true) };
+        let (rt, cta_size) = (&self.rt, self.cfg.cta_size);
+        let sm = self.sched.find_slot(|sched, sm| {
+            rt[sm].rays_in_flight + sched.reserved_rays[sm] + cta_size <= v.max_virtual_rays
+        })?;
+        self.sched.reserved_rays[sm] += cta_size;
+        Some(sm)
     }
 
     /// Completes Raygen/Shade phases whose timers expired and queues
     /// CTAs whose traversal finished for resume.
     fn process_cta_phases(&mut self) -> bool {
         let mut progress = false;
-        while let Some(&Reverse((t, id))) = self.timers.peek() {
-            if t > self.now {
-                break;
-            }
-            self.timers.pop();
-            if self.ctas[id].ready_at != t {
+        while let Some((t, id)) = self.sched.timers.pop_due(self.now) {
+            let cta = &mut self.sched.ctas[id];
+            if cta.ready_at != t {
                 continue; // stale entry
             }
-            match self.ctas[id].phase {
-                Phase::Raygen => {
-                    self.shader_active[self.ctas[id].sm] =
-                        self.shader_active[self.ctas[id].sm].saturating_sub(1);
+            match cta.phase {
+                Phase::Raygen | Phase::Shade => {
+                    // Shading ends a bounce; raygen precedes the first.
+                    if cta.phase == Phase::Shade {
+                        cta.bounce += 1;
+                    }
+                    let active = &mut self.sched.shader_active[cta.sm];
+                    *active = active.saturating_sub(1);
                     self.issue_trace(id);
                     progress = true;
                 }
-                Phase::Shade => {
-                    self.shader_active[self.ctas[id].sm] =
-                        self.shader_active[self.ctas[id].sm].saturating_sub(1);
-                    self.ctas[id].bounce += 1;
-                    self.issue_trace(id);
-                    progress = true;
-                }
-                Phase::ReadyToResume if !self.ctas[id].resume_queued => {
-                    self.ctas[id].resume_queued = true;
-                    self.resume_ready.push(id);
+                Phase::ReadyToResume if !cta.resume_queued => {
+                    cta.resume_queued = true;
+                    self.sched.resume_ready.push(id);
                     progress = true;
                 }
                 _ => {}
@@ -1605,25 +1006,29 @@ impl<'a> Engine<'a> {
     /// The CTA's warps call traceRayEXT for the current bounce.
     fn issue_trace(&mut self, id: usize) {
         let (first, count, bounce, sm) = {
-            let c = &self.ctas[id];
+            let c = &self.sched.ctas[id];
             (c.first_task, c.task_count, c.bounce, c.sm)
         };
         // Release this CTA's launch-admission reservation (resumed CTAs
         // never held one; saturating_sub makes the release idempotent
         // across bounces).
-        if self.vtq.is_some() && self.ctas[id].bounce == 0 {
-            self.reserved_rays[sm] = self.reserved_rays[sm].saturating_sub(self.cfg.cta_size);
+        if self.vtq.is_some() && bounce == 0 {
+            let reserved = &mut self.sched.reserved_rays[sm];
+            *reserved = reserved.saturating_sub(self.cfg.cta_size);
         }
         // Collect live threads (tasks that still have a ray this bounce).
-        let mut new_rays = std::mem::take(&mut self.scratch_new_rays);
+        let mut new_rays = std::mem::take(&mut self.scratch.new_rays);
         new_rays.clear();
         for t in first..first + count {
             if let Some(call) = self.workload.tasks[t].rays.get(bounce) {
                 let rid = RayId(self.rays.len() as u32);
                 // Recycle a reclaimed stack arena (allocation-free once the
                 // pool has warmed up).
-                let arena =
-                    self.arena_pool.pop().unwrap_or_else(|| StackArena::with_capacity(16, 8));
+                let arena = self
+                    .scratch
+                    .arena_pool
+                    .pop()
+                    .unwrap_or_else(|| StackArena::with_capacity(16, 8));
                 let mut traversal =
                     RayTraversal::new_in(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max, arena);
                 if call.anyhit {
@@ -1650,29 +1055,24 @@ impl<'a> Engine<'a> {
                         }
                     }
                 }
-                self.rays.push(traversal);
-                self.ray_meta.push(RayMeta { cta: id, task: t, bounce, sm });
+                self.rays.push(traversal, RayMeta { cta: id, task: t, bounce, sm });
                 new_rays.push(rid);
             }
         }
         if new_rays.is_empty() {
-            self.scratch_new_rays = new_rays;
+            self.scratch.new_rays = new_rays;
             // Path ended for every thread: CTA retires, slot freed.
-            self.ctas[id].phase = Phase::Done;
-            self.free_slots[sm] += 1;
+            self.sched.ctas[id].phase = Phase::Done;
+            self.sched.free_slots[sm] += 1;
             let now = self.now;
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::CtaRetire {
-                cycle: now,
-                cta: id,
-                sm,
-            });
+            self.emit(|| TraceEvent::CtaRetire { cycle: now, cta: id, sm });
             return;
         }
 
-        self.ctas[id].outstanding = new_rays.len();
+        self.sched.ctas[id].outstanding = new_rays.len();
         self.rt[sm].rays_in_flight += new_rays.len();
-        self.stats.peak_rays_in_flight =
-            self.stats.peak_rays_in_flight.max(self.rt[sm].rays_in_flight);
+        self.obs.stats.peak_rays_in_flight =
+            self.obs.stats.peak_rays_in_flight.max(self.rt[sm].rays_in_flight);
 
         // With virtualization the ray records are written to the reserved
         // L2 region at issue (§4.2 ①).
@@ -1700,15 +1100,9 @@ impl<'a> Engine<'a> {
         };
         for chunk in new_rays.chunks(self.cfg.warp_size) {
             self.rt[sm].incoming.push_back((arrive, chunk.to_vec()));
-            self.stats.warps_issued += 1;
-            let now = self.now;
-            let rays = chunk.len();
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::WarpIssue {
-                cycle: now,
-                sm,
-                cta: id,
-                rays,
-            });
+            self.obs.stats.warps_issued += 1;
+            let (now, rays) = (self.now, chunk.len());
+            self.emit(|| TraceEvent::WarpIssue { cycle: now, sm, cta: id, rays });
         }
 
         let charge = self.vtq.is_some_and(|v| v.charge_virtualization);
@@ -1720,73 +1114,31 @@ impl<'a> Engine<'a> {
                 // file backing the slot can only be reallocated once its
                 // values have been read out into the store path — one
                 // 64-byte register-file read per cycle.
-                self.stats.cta_suspends += 1;
-                let now = self.now;
-                let rays = self.ctas[id].outstanding;
-                emit(&mut self.sink, &mut self.sink_events, || TraceEvent::CtaSuspend {
-                    cycle: now,
-                    cta: id,
-                    sm,
-                    rays,
-                });
-                self.ctas[id].phase = Phase::Suspended;
+                self.obs.stats.cta_suspends += 1;
+                let (now, rays) = (self.now, new_rays.len());
+                self.emit(|| TraceEvent::CtaSuspend { cycle: now, cta: id, sm, rays });
+                self.sched.ctas[id].phase = Phase::Suspended;
                 if charge {
-                    let bytes = self.cfg.cta_state_bytes();
-                    self.stats.cta_state_bytes += bytes as u64;
-                    self.mem.access(
-                        sm,
-                        CTA_REGION + id as u64 * 0x1_0000,
-                        bytes,
-                        AccessKind::CtaState,
-                        CachePolicy::DramOnly,
-                        self.now,
-                    );
-                    let readout = self.now + (bytes as u64).div_ceil(64);
-                    self.slot_release.push(Reverse((readout, sm)));
+                    self.transfer_cta_state(sm, id);
+                    let readout = self.now + (self.cfg.cta_state_bytes() as u64).div_ceil(64);
+                    self.sched.slot_release.push(readout, sm);
                 } else {
-                    self.free_slots[sm] += 1;
+                    self.sched.free_slots[sm] += 1;
                 }
             }
             None => {
-                self.ctas[id].phase = Phase::WaitTraversal;
+                self.sched.ctas[id].phase = Phase::WaitTraversal;
             }
         }
-        self.scratch_new_rays = new_rays;
-    }
-
-    /// Duration of a shader phase of nominal `base` cycles on `sm`,
-    /// stretched by CUDA-core contention when enabled and by the optional
-    /// fault-injection scheduling jitter. Call *after* incrementing
-    /// `shader_active[sm]` for the entering CTA.
-    fn shader_phase_cycles(&mut self, sm: usize, base: u32) -> u64 {
-        let nominal = match self.cfg.shader_slots_per_sm {
-            0 => base as u64,
-            slots => {
-                let active = self.shader_active[sm].max(1) as u64;
-                base as u64 * active.div_ceil(slots as u64)
-            }
-        };
-        match self.cfg.sched_jitter_cycles {
-            0 => nominal,
-            jitter => nominal + self.next_jitter_draw() % (jitter as u64 + 1),
-        }
-    }
-
-    /// One xorshift64 step of the scheduling-jitter RNG.
-    fn next_jitter_draw(&mut self) -> u64 {
-        let mut x = self.jitter_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter_state = x;
-        x
+        self.scratch.new_rays = new_rays;
     }
 
     /// Enqueues a ray for a treelet, mirroring the hardware queue table.
     fn enqueue(&mut self, sm: usize, t: TreeletId, rid: RayId) {
         self.rt[sm].queues.push(t, rid);
         let (addr, _) = self.bvh.treelet_extent(t);
-        let _resident = self.rt[sm].hw_table.push(addr);
+        let (entries, lanes) = (self.queue_table_entries, self.cfg.warp_size as u32);
+        let _resident = self.rt[sm].hw_table.push(addr, entries, lanes);
     }
 
     /// Mirrors queue pops into the hardware queue table.
@@ -1799,43 +1151,37 @@ impl<'a> Engine<'a> {
 
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let meta = &self.ray_meta[rid.index()];
-        let (cta_id, task, bounce, sm) = (meta.cta, meta.task, meta.bounce, meta.sm);
-        self.hits[task][bounce] = self.rays[rid.index()].best;
+        let RayMeta { cta: cta_id, task, bounce, sm } = self.rays.complete(rid);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
         // quantizing to the same cell.
         if let Some(p) = self.predict {
-            if let Some(leaf) = self.rays[rid.index()].best_node {
+            if let Some(leaf) = self.rays[rid].best_node {
                 let call = &self.workload.tasks[task].rays[bounce];
                 let key =
                     predict_key(&self.bvh.root_bounds(), &call.ray, p.origin_bits, p.dir_bits);
-                self.rt[sm].predict.train(key, leaf);
+                self.rt[sm].predict.train(key, leaf, self.predict_entries);
             }
         }
         // Recycle the finished ray's stack storage for future rays.
-        let arena = self.rays[rid.index()].reclaim();
-        self.arena_pool.push(arena);
-        self.stats.rays_completed += 1;
+        let arena = self.rays[rid].reclaim();
+        self.scratch.arena_pool.push(arena);
+        self.obs.stats.rays_completed += 1;
         self.rt[sm].rays_in_flight -= 1;
-        let cta = &mut self.ctas[cta_id];
+        let cta = &mut self.sched.ctas[cta_id];
         cta.outstanding -= 1;
         if cta.outstanding == 0 {
             match cta.phase {
                 Phase::WaitTraversal => {
                     // Baseline: shade in place.
                     let sm = cta.sm;
-                    cta.phase = Phase::Shade;
-                    self.shader_active[sm] += 1;
-                    let shade = self.shader_phase_cycles(sm, self.cfg.shade_cycles);
-                    let cta = &mut self.ctas[cta_id];
-                    cta.ready_at = at + shade;
-                    self.timers.push(Reverse((cta.ready_at, cta_id)));
+                    self.sched.shader_active[sm] += 1;
+                    let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
+                    self.enter_phase(cta_id, sm, Phase::Shade, at + shade);
                 }
                 Phase::Suspended => {
-                    cta.phase = Phase::ReadyToResume;
-                    cta.ready_at = at;
-                    self.timers.push(Reverse((cta.ready_at, cta_id)));
+                    let sm = cta.sm;
+                    self.enter_phase(cta_id, sm, Phase::ReadyToResume, at);
                 }
                 other => panic!("rays completed while CTA in phase {other:?}"),
             }
@@ -1853,13 +1199,13 @@ impl<'a> Engine<'a> {
                         if !self.acquire_work(sm, slot) {
                             break;
                         }
-                        self.last_progress[sm] = self.now;
+                        self.obs.last_progress[sm] = self.now;
                     }
                     if self.rt[sm].slots[slot].as_ref().is_some_and(|w| w.ready_at > self.now) {
                         break;
                     }
                     self.step_warp(sm, slot);
-                    self.last_progress[sm] = self.now;
+                    self.obs.last_progress[sm] = self.now;
                     progress = true;
                 }
             }
@@ -1868,6 +1214,12 @@ impl<'a> Engine<'a> {
             }
         }
         progress
+    }
+
+    /// Installs `warp` in the SM's warp-buffer slot.
+    fn install(&mut self, sm: usize, slot: usize, warp: Warp) {
+        self.note_mode(sm, warp.mode);
+        self.rt[sm].slots[slot] = Some(warp);
     }
 
     /// Tries to fill one of the SM's warp-buffer slots; returns `true` if a
@@ -1881,14 +1233,10 @@ impl<'a> Engine<'a> {
             } else {
                 TraversalMode::RayStationary
             };
-            self.note_mode(sm, mode);
-            self.rt[sm].slots[slot] = Some(Warp {
-                lanes: rays.into_iter().map(Some).collect(),
-                mode,
-                restrict: None,
-                ready_at: self.now,
-                mem_ready_at: self.now,
-            });
+            let lanes = rays.into_iter().map(Some).collect();
+            let warp =
+                Warp { lanes, mode, restrict: None, ready_at: self.now, mem_ready_at: self.now };
+            self.install(sm, slot, warp);
             return true;
         }
         let Some(vtq) = self.vtq else { return false };
@@ -1911,32 +1259,20 @@ impl<'a> Engine<'a> {
             self.rt[sm].current_queue = Some(t);
             let mut ready = self.now;
             if switching {
-                self.stats.treelet_dispatches += 1;
+                self.obs.stats.treelet_dispatches += 1;
                 ready = ready.max(self.load_treelet(sm, t));
             }
-            let rays = self.rt[sm].queues.pop_from(t, self.cfg.warp_size);
-            self.dequeue_hw(sm, t, rays.len());
-            self.charge_queue_overflow(sm, &vtq, rays.len());
-            for r in &rays {
-                self.rays[r.index()].enter_treelet(self.bvh, t);
-                ready = ready.max(self.fetch_ray_record(sm, *r));
-            }
-            let now = self.now;
-            let n_rays = rays.len();
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::TreeletDispatch {
-                cycle: now,
-                sm,
-                treelet: t,
-                rays: n_rays,
-            });
-            self.note_mode(sm, TraversalMode::TreeletStationary);
-            self.rt[sm].slots[slot] = Some(Warp {
-                lanes: rays.into_iter().map(Some).collect(),
+            let (lanes, fetched) =
+                self.take_treelet_warp(sm, t, &vtq).expect("a dispatch target has queued rays");
+            ready = ready.max(fetched);
+            let warp = Warp {
+                lanes,
                 mode: TraversalMode::TreeletStationary,
                 restrict: Some(t),
                 ready_at: ready,
                 mem_ready_at: ready,
-            });
+            };
+            self.install(sm, slot, warp);
             self.maybe_preload(sm, &vtq);
             return true;
         }
@@ -1951,28 +1287,50 @@ impl<'a> Engine<'a> {
             let mut lanes = Vec::with_capacity(grabbed.len());
             for (t, r) in grabbed {
                 self.dequeue_hw(sm, t, 1);
-                self.rays[r.index()].enter_treelet(self.bvh, t);
+                self.rays[r].enter_treelet(self.bvh, t);
                 ready = ready.max(self.fetch_ray_record(sm, r));
                 lanes.push(Some(r));
             }
-            let now = self.now;
-            let n_rays = lanes.len();
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::GroupDispatch {
-                cycle: now,
-                sm,
-                rays: n_rays,
-            });
-            self.note_mode(sm, TraversalMode::RayStationary);
-            self.rt[sm].slots[slot] = Some(Warp {
+            let (now, n_rays) = (self.now, lanes.len());
+            self.emit(|| TraceEvent::GroupDispatch { cycle: now, sm, rays: n_rays });
+            let warp = Warp {
                 lanes,
                 mode: TraversalMode::RayStationary,
                 restrict: None,
                 ready_at: ready,
                 mem_ready_at: ready,
-            });
+            };
+            self.install(sm, slot, warp);
             return true;
         }
         false
+    }
+
+    /// Draws a treelet-stationary warp's lanes from the queue of `t`: pops
+    /// up to a warp of rays (mirrored into the hardware table, spill
+    /// traffic charged), activates each for the treelet and fetches its
+    /// record. Returns the lanes and the cycle the last record arrives, or
+    /// `None` when the queue is empty.
+    fn take_treelet_warp(
+        &mut self,
+        sm: usize,
+        t: TreeletId,
+        vtq: &VtqParams,
+    ) -> Option<(Vec<Option<RayId>>, u64)> {
+        let rays = self.rt[sm].queues.pop_from(t, self.cfg.warp_size);
+        if rays.is_empty() {
+            return None;
+        }
+        self.dequeue_hw(sm, t, rays.len());
+        self.charge_queue_overflow(sm, vtq, rays.len());
+        let mut ready = self.now;
+        for r in &rays {
+            self.rays[*r].enter_treelet(self.bvh, t);
+            ready = ready.max(self.fetch_ray_record(sm, *r));
+        }
+        let (now, n_rays) = (self.now, rays.len());
+        self.emit(|| TraceEvent::TreeletDispatch { cycle: now, sm, treelet: t, rays: n_rays });
+        Some((rays.into_iter().map(Some).collect(), ready))
     }
 
     /// One lockstep step of the resident warp.
@@ -1984,10 +1342,10 @@ impl<'a> Engine<'a> {
         // the treelet queues once lanes spread over too many treelets.
         if warp.mode == TraversalMode::Initial {
             if let Some(v) = vtq {
-                let mut treelets = std::mem::take(&mut self.scratch_treelets);
+                let mut treelets = std::mem::take(&mut self.scratch.treelets);
                 treelets.clear();
                 for lane in warp.lanes.iter().flatten() {
-                    if let Some(t) = self.rays[lane.index()].pending_treelet(self.bvh) {
+                    if let Some(t) = self.rays[*lane].pending_treelet(self.bvh) {
                         if !treelets.contains(&t) {
                             treelets.push(t);
                         }
@@ -1995,19 +1353,18 @@ impl<'a> Engine<'a> {
                 }
                 let diverged = treelets.len() > v.divergence_treelets;
                 let n_treelets = treelets.len();
-                self.scratch_treelets = treelets;
+                self.scratch.treelets = treelets;
                 if diverged {
                     let lanes: Vec<RayId> = warp.lanes.iter().flatten().copied().collect();
-                    let now = self.now;
-                    let n_rays = lanes.len();
-                    emit(&mut self.sink, &mut self.sink_events, || TraceEvent::DivergenceSplit {
+                    let (now, n_rays) = (self.now, lanes.len());
+                    self.emit(|| TraceEvent::DivergenceSplit {
                         cycle: now,
                         sm,
                         treelets: n_treelets,
                         rays: n_rays,
                     });
                     for lane in lanes {
-                        match self.rays[lane.index()].pending_treelet(self.bvh) {
+                        match self.rays[lane].pending_treelet(self.bvh) {
                             Some(t) => self.enqueue(sm, t, lane),
                             None => self.complete_ray(lane, self.now),
                         }
@@ -2031,15 +1388,10 @@ impl<'a> Engine<'a> {
                     let want = self.cfg.warp_size - active;
                     let grabbed = self.rt[sm].queues.pop_any(want);
                     if !grabbed.is_empty() {
-                        self.stats.repack_events += 1;
-                        self.stats.repacked_rays += grabbed.len() as u64;
-                        let now = self.now;
-                        let added = grabbed.len();
-                        emit(&mut self.sink, &mut self.sink_events, || TraceEvent::Repack {
-                            cycle: now,
-                            sm,
-                            added,
-                        });
+                        self.obs.stats.repack_events += 1;
+                        self.obs.stats.repacked_rays += grabbed.len() as u64;
+                        let (now, added) = (self.now, grabbed.len());
+                        self.emit(|| TraceEvent::Repack { cycle: now, sm, added });
                         for (t, _) in &grabbed {
                             self.dequeue_hw(sm, *t, 1);
                         }
@@ -2048,7 +1400,7 @@ impl<'a> Engine<'a> {
                         for lane in warp.lanes.iter_mut() {
                             if lane.is_none() {
                                 if let Some((t, r)) = it.next() {
-                                    self.rays[r.index()].enter_treelet(self.bvh, t);
+                                    self.rays[r].enter_treelet(self.bvh, t);
                                     fetch_done = fetch_done.max(self.fetch_ray_record(sm, r));
                                     *lane = Some(r);
                                 }
@@ -2067,13 +1419,13 @@ impl<'a> Engine<'a> {
 
         // Gather each active lane's next node (into pooled scratch so the
         // steady-state step allocates nothing).
-        let mut visits = std::mem::take(&mut self.scratch_visits);
+        let mut visits = std::mem::take(&mut self.scratch.visits);
         visits.clear();
-        let mut exits = std::mem::take(&mut self.scratch_exits);
+        let mut exits = std::mem::take(&mut self.scratch.exits);
         exits.clear();
         for (i, lane) in warp.lanes.iter_mut().enumerate() {
             let Some(rid) = *lane else { continue };
-            match self.rays[rid.index()].next_node(self.bvh, warp.restrict) {
+            match self.rays[rid].next_node(self.bvh, warp.restrict) {
                 NextNode::Visit(n) => visits.push((i, rid, n)),
                 NextNode::ExitTreelet(t) => {
                     exits.push((t, rid));
@@ -2089,29 +1441,16 @@ impl<'a> Engine<'a> {
         for &(t, rid) in &exits {
             self.enqueue(sm, t, rid);
         }
-        self.scratch_exits = exits;
+        self.scratch.exits = exits;
 
         if visits.is_empty() {
-            self.scratch_visits = visits;
+            self.scratch.visits = visits;
             // Warp drained: treelet warps refill from their queue;
             // everything else retires the warp.
             if warp.mode == TraversalMode::TreeletStationary {
                 if let (Some(v), Some(t)) = (vtq, warp.restrict) {
-                    let rays = self.rt[sm].queues.pop_from(t, self.cfg.warp_size);
-                    if !rays.is_empty() {
-                        self.dequeue_hw(sm, t, rays.len());
-                        self.charge_queue_overflow(sm, &v, rays.len());
-                        let mut ready = self.now;
-                        for r in &rays {
-                            self.rays[r.index()].enter_treelet(self.bvh, t);
-                            ready = ready.max(self.fetch_ray_record(sm, *r));
-                        }
-                        let now = self.now;
-                        let n_rays = rays.len();
-                        emit(&mut self.sink, &mut self.sink_events, || {
-                            TraceEvent::TreeletDispatch { cycle: now, sm, treelet: t, rays: n_rays }
-                        });
-                        warp.lanes = rays.into_iter().map(Some).collect();
+                    if let Some((lanes, ready)) = self.take_treelet_warp(sm, t, &v) {
+                        warp.lanes = lanes;
                         warp.ready_at = ready;
                         warp.mem_ready_at = ready;
                         self.rt[sm].slots[slot] = Some(warp);
@@ -2121,24 +1460,19 @@ impl<'a> Engine<'a> {
                     self.rt[sm].current_queue = None;
                 }
             }
-            let now = self.now;
-            let mode = warp.mode;
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::WarpRetire {
-                cycle: now,
-                sm,
-                mode,
-            });
+            let (now, mode) = (self.now, warp.mode);
+            self.emit(|| TraceEvent::WarpRetire { cycle: now, sm, mode });
             return; // warp retires
         }
 
         // SIMT accounting (Figure 1b / 13b).
-        self.stats.active_lane_steps += visits.len() as u64;
-        self.stats.total_lane_steps += self.cfg.warp_size as u64;
+        self.obs.stats.active_lane_steps += visits.len() as u64;
+        self.obs.stats.total_lane_steps += self.cfg.warp_size as u64;
 
         // Memory: fetch every distinct node record; warp advances when the
         // slowest lane's data arrives (lockstep).
         let mut completion = self.now;
-        let mut fetched = std::mem::take(&mut self.scratch_fetched);
+        let mut fetched = std::mem::take(&mut self.scratch.fetched);
         fetched.clear();
         for &(_, _, n) in &visits {
             if !fetched.contains(&n) {
@@ -2167,33 +1501,27 @@ impl<'a> Engine<'a> {
         // Intersection (fixed-function) and stack updates.
         let mut tests = 0u64;
         for &(_, rid, n) in &visits {
-            let cost = self.rays[rid.index()].visit(self.bvh, self.triangles, n);
-            self.stats.box_tests += cost.box_tests as u64;
-            self.stats.tri_tests += cost.tri_tests as u64;
+            let cost = self.rays[rid].visit(self.bvh, self.triangles, n);
+            self.obs.stats.box_tests += cost.box_tests as u64;
+            self.obs.stats.tri_tests += cost.tri_tests as u64;
             tests += (cost.box_tests + cost.tri_tests) as u64;
         }
-        self.stats.add_mode_isect(warp.mode, tests);
-        self.scratch_visits = visits;
+        self.obs.stats.add_mode_isect(warp.mode, tests);
+        self.scratch.visits = visits;
 
         // A step whose slowest line arrives well past L1 latency indicates a
         // burst of misses serialized behind DRAM; surface it to the sink.
         let stall = completion.saturating_sub(self.now);
         if stall > self.cfg.mem.l1.latency as u64 {
-            let now = self.now;
-            let (mode, lines) = (warp.mode, fetched.len());
-            emit(&mut self.sink, &mut self.sink_events, || TraceEvent::MissBurst {
-                cycle: now,
-                sm,
-                mode,
-                lines,
-                stall,
-            });
+            let (now, mode, lines) = (self.now, warp.mode, fetched.len());
+            self.emit(|| TraceEvent::MissBurst { cycle: now, sm, mode, lines, stall });
         }
-        self.scratch_fetched = fetched;
+        self.scratch.fetched = fetched;
 
         let ready = completion + self.cfg.isect_latency as u64;
-        self.stats.add_mode_cycles(warp.mode, ready - self.now);
-        self.sample_mode_cycles(self.now, warp.mode, ready - self.now);
+        self.obs.stats.add_mode_cycles(warp.mode, ready - self.now);
+        let window = self.cfg.sample_window_cycles;
+        self.obs.sample_mode_cycles(window, self.now, warp.mode, ready - self.now);
         warp.ready_at = ready;
         warp.mem_ready_at = completion;
         self.rt[sm].slots[slot] = Some(warp);
@@ -2308,7 +1636,7 @@ impl<'a> Engine<'a> {
         // Vote: most common pending treelet.
         let mut votes: Vec<(TreeletId, usize)> = Vec::new();
         for r in lanes {
-            if let Some(t) = self.rays[r.index()].pending_treelet(self.bvh) {
+            if let Some(t) = self.rays[r].pending_treelet(self.bvh) {
                 match votes.iter_mut().find(|(vt, _)| *vt == t) {
                     Some((_, n)) => *n += 1,
                     None => votes.push((t, 1)),
@@ -2328,13 +1656,13 @@ impl<'a> Engine<'a> {
             if self.mem.missing_l1_lines(sm, addr, 1) > 0 {
                 self.mem.access(sm, addr, 1, AccessKind::Prefetch, CachePolicy::L1AndL2, self.now);
                 self.rt[sm].prefetched.insert(addr, false);
-                self.stats.prefetch_lines += 1;
+                self.obs.stats.prefetch_lines += 1;
                 issued = true;
             }
             addr += line;
         }
         if issued {
-            self.stats.prefetches_issued += 1;
+            self.obs.stats.prefetches_issued += 1;
         }
         issued
     }
@@ -2351,7 +1679,7 @@ impl<'a> Engine<'a> {
             if let Some(used) = self.rt[sm].prefetched.get_mut(&a) {
                 if !*used {
                     *used = true;
-                    self.stats.prefetch_lines_used += 1;
+                    self.obs.stats.prefetch_lines_used += 1;
                 }
             }
             a += line;
@@ -2362,77 +1690,12 @@ impl<'a> Engine<'a> {
 
     /// Earliest future event across CTAs and RT units.
     fn next_event(&self) -> Option<u64> {
-        let mut next: Option<u64> = None;
-        let mut consider = |t: u64| {
-            if t > self.now {
-                next = Some(next.map_or(t, |n| n.min(t)));
-            }
-        };
-        if let Some(&Reverse((t, _))) = self.timers.peek() {
-            consider(t);
-        }
-        if let Some(&Reverse((t, _))) = self.slot_release.peek() {
-            consider(t);
-        }
-        for rt in &self.rt {
-            for w in rt.slots.iter().flatten() {
-                consider(w.ready_at);
-            }
-            if let Some((arrive, _)) = rt.incoming.front() {
-                consider(*arrive);
-            }
-        }
-        next
+        let timers = [self.sched.timers.peek(), self.sched.slot_release.peek()];
+        let units = self.rt.iter().flat_map(RtUnit::wake_cycles);
+        timers.into_iter().flatten().map(|(t, _)| t).chain(units).filter(|t| *t > self.now).min()
     }
 }
 
 fn ray_addr(cfg: &GpuConfig, r: RayId) -> u64 {
     RAY_REGION + r.0 as u64 * cfg.ray_record_bytes as u64
-}
-
-/// Stable checkpoint encoding of [`Phase`] (the enum itself is private).
-fn phase_to_u8(p: Phase) -> u8 {
-    match p {
-        Phase::Pending => 0,
-        Phase::Raygen => 1,
-        Phase::WaitTraversal => 2,
-        Phase::Suspended => 3,
-        Phase::ReadyToResume => 4,
-        Phase::Shade => 5,
-        Phase::Done => 6,
-    }
-}
-
-fn phase_from_u8(b: u8) -> Option<Phase> {
-    Some(match b {
-        0 => Phase::Pending,
-        1 => Phase::Raygen,
-        2 => Phase::WaitTraversal,
-        3 => Phase::Suspended,
-        4 => Phase::ReadyToResume,
-        5 => Phase::Shade,
-        6 => Phase::Done,
-        _ => return None,
-    })
-}
-
-fn mode_from_u8(b: u8) -> Option<TraversalMode> {
-    TraversalMode::ALL.get(b as usize).copied()
-}
-
-/// Records an event when a sink is attached, bumping the engine's recorded
-/// event counter (`counter` is checkpointed so a resumed traced run
-/// continues the count). The closure defers event construction so untraced
-/// runs pay nothing at the call sites.
-#[inline]
-fn emit(
-    sink: &mut Option<&mut dyn TraceSink>,
-    counter: &mut u64,
-    make: impl FnOnce() -> TraceEvent,
-) {
-    if let Some(sink) = sink.as_deref_mut() {
-        *counter += 1;
-        let event = make();
-        sink.record(&event);
-    }
 }

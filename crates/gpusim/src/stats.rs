@@ -1,6 +1,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
+use crate::jsonl::{Fields, Record};
 use crate::observe::{SamplePoint, StallBreakdown, StallKind};
 
 /// The three traversal modes of dynamic treelet queues (§3.2), used to
@@ -249,6 +250,70 @@ impl SimStats {
                 }
             }
         }
+    }
+
+    /// The scalar counters as the fields of a `ckpt_stats` checkpoint
+    /// line (the per-unit stalls and the series have records of their
+    /// own, written by the observer).
+    pub(crate) fn counter_fields(&self, r: Record) -> Record {
+        r.num("cycles", self.cycles)
+            .num("active_lane_steps", self.active_lane_steps)
+            .num("total_lane_steps", self.total_lane_steps)
+            .list("mode_cycles", self.mode_cycles)
+            .list("mode_isect_tests", self.mode_isect_tests)
+            .num("box_tests", self.box_tests)
+            .num("tri_tests", self.tri_tests)
+            .num("warps_issued", self.warps_issued)
+            .num("repack_events", self.repack_events)
+            .num("repacked_rays", self.repacked_rays)
+            .num("treelet_dispatches", self.treelet_dispatches)
+            .num("cta_suspends", self.cta_suspends)
+            .num("cta_resumes", self.cta_resumes)
+            .num("cta_state_bytes", self.cta_state_bytes)
+            .num("peak_rays_in_flight", self.peak_rays_in_flight)
+            .num("prefetches_issued", self.prefetches_issued)
+            .num("prefetch_lines", self.prefetch_lines)
+            .num("prefetch_lines_used", self.prefetch_lines_used)
+            .num("rays_completed", self.rays_completed)
+            .num("queue_table_max_chain", self.queue_table_max_chain)
+            .num("queue_table_peak_entries", self.queue_table_peak_entries)
+            .num("queue_table_overflows", self.queue_table_overflows)
+            .num("predict_lookups", self.predict_lookups)
+            .num("predict_hits", self.predict_hits)
+            .num("predict_inserts", self.predict_inserts)
+            .num("predict_evictions", self.predict_evictions)
+    }
+
+    /// Inverse of [`counter_fields`](Self::counter_fields); leaves
+    /// `stall` and `series` alone.
+    pub(crate) fn read_counters(&mut self, f: &Fields<'_>) -> Result<(), String> {
+        self.cycles = f.u64("cycles")?;
+        self.active_lane_steps = f.u64("active_lane_steps")?;
+        self.total_lane_steps = f.u64("total_lane_steps")?;
+        self.mode_cycles = f.array("mode_cycles")?;
+        self.mode_isect_tests = f.array("mode_isect_tests")?;
+        self.box_tests = f.u64("box_tests")?;
+        self.tri_tests = f.u64("tri_tests")?;
+        self.warps_issued = f.u64("warps_issued")?;
+        self.repack_events = f.u64("repack_events")?;
+        self.repacked_rays = f.u64("repacked_rays")?;
+        self.treelet_dispatches = f.u64("treelet_dispatches")?;
+        self.cta_suspends = f.u64("cta_suspends")?;
+        self.cta_resumes = f.u64("cta_resumes")?;
+        self.cta_state_bytes = f.u64("cta_state_bytes")?;
+        self.peak_rays_in_flight = f.num("peak_rays_in_flight")?;
+        self.prefetches_issued = f.u64("prefetches_issued")?;
+        self.prefetch_lines = f.u64("prefetch_lines")?;
+        self.prefetch_lines_used = f.u64("prefetch_lines_used")?;
+        self.rays_completed = f.u64("rays_completed")?;
+        self.queue_table_max_chain = f.num("queue_table_max_chain")?;
+        self.queue_table_peak_entries = f.num("queue_table_peak_entries")?;
+        self.queue_table_overflows = f.u64("queue_table_overflows")?;
+        self.predict_lookups = f.u64("predict_lookups")?;
+        self.predict_hits = f.u64("predict_hits")?;
+        self.predict_inserts = f.u64("predict_inserts")?;
+        self.predict_evictions = f.u64("predict_evictions")?;
+        Ok(())
     }
 
     /// Multi-line human-readable summary of the run.

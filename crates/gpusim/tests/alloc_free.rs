@@ -1,11 +1,11 @@
-//! Pins the allocation-free steady state of the traversal hot path.
+//! Pins the allocation-free steady state of the cycle loop's hot paths.
 //!
 //! Only compiled with the `count-allocs` feature, which installs prof's
-//! counting global allocator. The test drives the same ray set through
-//! [`RayTraversal`] twice with a pooled [`StackArena`]: the first pass
-//! warms the arena's `Vec` capacities, the second must complete without a
-//! single heap allocation — the contract the simulator's arena pool
-//! relies on for per-cycle allocation-free cycling.
+//! counting global allocator. Each case does its work twice: the first
+//! pass warms `Vec` capacities, the second must complete without a single
+//! heap allocation. The counter is process-wide, so the cases run one
+//! after the other inside one `#[test]` — a second test thread (or the
+//! harness reporting its result) would allocate into a measured region.
 #![cfg(feature = "count-allocs")]
 
 use gpusim::{NextNode, RayId, RayTraversal, StackArena};
@@ -16,7 +16,14 @@ use rtscene::lumibench::{self, SceneId};
 static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
 
 #[test]
-fn steady_state_traversal_does_not_allocate() {
+fn steady_state_hot_paths_do_not_allocate() {
+    traversal_with_a_pooled_arena();
+    warm_queue_table_push_pop();
+}
+
+/// The same ray set through [`RayTraversal`] twice with a pooled
+/// [`StackArena`] — the contract the simulator's arena pool relies on.
+fn traversal_with_a_pooled_arena() {
     let scene = lumibench::build_scaled(SceneId::Bunny, 32);
     let tris = scene.triangles().to_vec();
     // Small treelets so rays genuinely exercise both stacks.
@@ -59,4 +66,45 @@ fn steady_state_traversal_does_not_allocate() {
         "steady-state traversal must not touch the heap ({} allocations)",
         after - before
     );
+}
+
+/// Every VTQ enqueue and dequeue is mirrored into the queue table, so its
+/// push/pop must not allocate once the bucket chains have grown to their
+/// working size — including pushes that open a fresh entry, chain onto a
+/// colliding tag, relocate a tag group, or overflow.
+fn warm_queue_table_push_pop() {
+    use gpusim::hw_table::HwQueueTable;
+
+    // 16 entry slots of 4 rays under 64 tags: resident tags, duplicate
+    // entries (more than 4 rays of one tag), collisions and overflows all
+    // occur.
+    let mut table = HwQueueTable::new(16, 4);
+    let tags: Vec<u64> = (0..64u64).map(|i| i.wrapping_mul(0x9E37_79B9) << 6).collect();
+    let cycle = |table: &mut HwQueueTable| -> (u32, u32) {
+        let (mut resident, mut popped) = (0, 0);
+        for round in 0..6 {
+            for tag in &tags[..8 * (round + 1)] {
+                resident += u32::from(table.push(*tag));
+            }
+            for tag in &tags {
+                popped += u32::from(table.pop(*tag));
+            }
+        }
+        // Drain, so the next cycle starts from the same contents.
+        for tag in &tags {
+            while table.pop(*tag) {
+                popped += 1;
+            }
+        }
+        (resident, popped)
+    };
+
+    let warm = cycle(&mut table);
+    let stats = table.stats();
+    assert!(stats.overflows > 0 && stats.max_chain >= 2, "the cycle must stress the table");
+    let before = prof::CountingAlloc::allocations();
+    let steady = cycle(&mut table);
+    let after = prof::CountingAlloc::allocations();
+    assert_eq!(warm, steady, "both cycles do identical work");
+    assert_eq!(after - before, 0, "warm push/pop must not touch the heap");
 }

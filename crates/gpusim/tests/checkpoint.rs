@@ -4,7 +4,7 @@
 //! survive a JSONL round-trip losslessly, and every mismatch or corruption
 //! path returns a typed error instead of panicking.
 
-use gpusim::jsonl::crc32;
+use gpusim::jsonl::{check_line, crc32, frame_line};
 use gpusim::{
     config_tag, AuditMode, Checkpoint, GpuConfig, PathTask, PredictParams, RunOptions, SimError,
     SimReport, SimStats, Simulator, TraversalPolicy, VtqParams, Workload, CHECKPOINT_VERSION,
@@ -314,4 +314,112 @@ fn checkpoint_bytes_are_pinned() {
             "{label}: checkpoint bytes moved"
         );
     }
+}
+
+/// The first line of `text` of record `kind`, as its unframed payload.
+fn payload_of(text: &str, kind: &str) -> Option<(usize, String)> {
+    let needle = format!("\"record\":\"{kind}\"");
+    let (i, line) = text.lines().enumerate().find(|(_, l)| l.contains(&needle))?;
+    Some((i, check_line(line).expect("intact frame")))
+}
+
+/// `text` with line `at` replaced by `lines`, each re-framed with a fresh
+/// checksum — a CRC-valid file whose content is wrong.
+fn with_line(text: &str, at: usize, lines: &[String]) -> String {
+    let mut out = String::new();
+    for (i, line) in text.lines().enumerate() {
+        if i == at {
+            lines.iter().for_each(|l| out.push_str(&(frame_line(l) + "\n")));
+        } else {
+            out.push_str(line);
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// `payload` with the value of `key` (a bare number or a quoted string
+/// without escapes) replaced by `value`, given as it should appear.
+fn set_field(payload: &str, key: &str, value: &str) -> String {
+    let start = payload.find(&format!("\"{key}\":")).expect("field present") + key.len() + 3;
+    let rest = &payload[start..];
+    let len = match rest.strip_prefix('"') {
+        Some(s) => s.find('"').expect("closing quote") + 2,
+        None => rest.find([',', '}']).expect("value end"),
+    };
+    format!("{}{value}{}", &payload[..start], &rest[len..])
+}
+
+#[test]
+fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
+    let (scene, bvh) = small_scene(SceneId::Bunny);
+    let workload = small_workload(&scene, 64);
+    let sim =
+        Simulator::new(&bvh, scene.triangles(), config(TraversalPolicy::Vtq(VtqParams::default())));
+    let mut texts = Vec::new();
+    sim.try_run_checkpointed(&workload, 32, &mut |c| texts.push(c.to_jsonl()))
+        .expect("checkpointed run");
+    // A snapshot with every record kind the cases below rewrite.
+    let kinds = ["ckpt_ray", "ckpt_rt", "ckpt_slot", "ckpt_queue", "ckpt_hw"];
+    let text = texts
+        .iter()
+        .find(|t| kinds.iter().all(|k| payload_of(t, k).is_some()))
+        .expect("some snapshot has queued rays and a resident warp");
+
+    // Typed rejection at either stage; a panic fails the test by itself.
+    let assert_rejected = |label: &str, mutated: String| match Checkpoint::from_jsonl(&mutated) {
+        Err(_) => {}
+        Ok(ckpt) => match resume(&sim, &workload, &ckpt) {
+            Ok(_) => panic!("{label}: accepted and resumed"),
+            Err(err) => assert_eq!(err.kind(), "checkpoint", "{label}: {err}"),
+        },
+    };
+
+    // The harness itself is sound: rewriting a field to a valid value and
+    // re-framing still parses and resumes.
+    let (at, engine) = payload_of(text, "ckpt_engine").unwrap();
+    let same = with_line(text, at, &[set_field(&engine, "sink_events", "0")]);
+    let ckpt = Checkpoint::from_jsonl(&same).expect("re-framed checkpoint parses");
+    resume(&sim, &workload, &ckpt).expect("re-framed checkpoint resumes");
+
+    // One field of one line pointing outside what the cycle loop indexes.
+    let out_of_range = [
+        ("ckpt_ray", "bounce", "7"),                   // hits[task][bounce]
+        ("ckpt_ray", "task", "4000000000"),            // hits[task]
+        ("ckpt_ray", "treelet", "4000000000"),         // bvh.treelet_extent
+        ("ckpt_ray", "cur_stack", "\"4000000000:0\""), // bvh.node
+        ("ckpt_ray", "tre_stack", "\"4000000000:0\""),
+        ("ckpt_ray", "best_node", "\"4000000000\""),
+        ("ckpt_queue", "treelet", "4000000000"),
+        ("ckpt_queue", "rays", "\"4000000000\""),
+        ("ckpt_rt", "current_queue", "\"4000000000\""),
+        ("ckpt_rt", "preloaded", "\"4000000000\""),
+        ("ckpt_rt", "hw_live", "77"),
+        ("ckpt_slot", "restrict", "\"4000000000\""),
+        ("ckpt_slot", "mode", "9"),
+        ("ckpt_cta", "phase", "9"),
+    ];
+    for (kind, key, value) in out_of_range {
+        let (at, payload) = payload_of(text, kind).unwrap();
+        assert_rejected(
+            &format!("{kind}.{key}={value}"),
+            with_line(text, at, &[set_field(&payload, key, value)]),
+        );
+    }
+
+    // A record that may appear once, appearing twice, would silently
+    // overwrite the first (a second `ckpt_rt` also empties the buckets its
+    // SM's `ckpt_hw` lines filled): the parser refuses all of them.
+    for kind in ["ckpt_engine", "ckpt_stats", "ckpt_mem", "ckpt_rt", "ckpt_hw", "ckpt_queue"] {
+        let (at, payload) = payload_of(text, kind).unwrap();
+        let err = Checkpoint::from_jsonl(&with_line(text, at, &[payload.clone(), payload]))
+            .expect_err(&format!("a repeated `{kind}` must not parse"));
+        assert_eq!(err.line, at + 2, "repeated `{kind}`: {err}");
+    }
+    // The repeated `ckpt_rt` is caught wherever it sits, e.g. after the
+    // bucket lines it would have reset.
+    let (_, rt) = payload_of(text, "ckpt_rt").unwrap();
+    let (at, hw) = payload_of(text, "ckpt_hw").unwrap();
+    let err = Checkpoint::from_jsonl(&with_line(text, at, &[hw, rt])).expect_err("late ckpt_rt");
+    assert!(err.reason.contains("ckpt_rt"), "got: {err}");
 }
