@@ -25,6 +25,7 @@
 #![warn(missing_docs)]
 
 mod cache;
+mod heap;
 mod stats;
 mod system;
 

@@ -1,4 +1,5 @@
 use crate::cache::{Assoc, Cache, CacheConfig, CacheStats, LineState};
+use crate::heap::MinHeaps;
 use crate::stats::{AccessKind, KindStats, MemStats, WindowPoint};
 
 /// How an access flows through the hierarchy.
@@ -14,6 +15,16 @@ pub enum CachePolicy {
     RayReserve,
     /// Straight to DRAM (uncached state save/restore streams).
     DramOnly,
+}
+
+impl CachePolicy {
+    /// Every policy, in declaration order.
+    pub const ALL: [CachePolicy; 4] = [
+        CachePolicy::L1AndL2,
+        CachePolicy::BypassL1,
+        CachePolicy::RayReserve,
+        CachePolicy::DramOnly,
+    ];
 }
 
 /// Deterministic perturbation knobs for the DRAM model, used by the
@@ -128,10 +139,10 @@ impl CacheSnapshot {
         CacheSnapshot { lines: cache.export_lines(), stats: cache.stats() }
     }
 
-    fn restore_into(&self, cache: &mut Cache) -> Result<(), String> {
-        cache.import_lines(&self.lines)?;
+    /// Restores a snapshot [`Cache::validate_lines`] has accepted.
+    fn restore_into(&self, cache: &mut Cache) {
+        cache.load_lines(&self.lines);
         cache.set_stats(self.stats);
-        Ok(())
     }
 }
 
@@ -168,6 +179,10 @@ pub struct MemSnapshot {
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     config: MemConfig,
+    /// `log2` of the line size every access is split by.
+    line_shift: u32,
+    /// Cycles one line occupies the DRAM service queue.
+    dram_service: f64,
     l1s: Vec<Cache>,
     l2: Cache,
     ray_reserve: Cache,
@@ -176,6 +191,12 @@ pub struct MemorySystem {
     /// Per-SM MSHR pools: each entry is the cycle at which that MSHR's
     /// outstanding fill returns.
     mshrs: Vec<Vec<u64>>,
+    /// Earliest-free MSHR of each pool: one heap per SM keyed by
+    /// `mshrs[sm][slot]`, derived from `mshrs` and never checkpointed.
+    mshr_order: MinHeaps,
+    /// Lines served under each [`CachePolicy`] by this instance (a host
+    /// profiling count: not part of [`MemStats`], not checkpointed).
+    policy_lines: [u64; CachePolicy::ALL.len()],
     stats: MemStats,
     /// xorshift state for the fault-injection spike draw (never zero).
     fault_rng: u64,
@@ -184,13 +205,19 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates the hierarchy with cold caches.
     pub fn new(config: &MemConfig) -> MemorySystem {
+        let mshrs_per_sm = config.mshrs_per_sm.max(1);
         MemorySystem {
             config: *config,
+            line_shift: config.l1.line_bytes.trailing_zeros(),
+            dram_service: config.faults.bandwidth_divisor.max(1) as f64
+                / config.dram_lines_per_cycle,
             l1s: (0..config.num_sms).map(|_| Cache::new(&config.l1)).collect(),
             l2: Cache::new(&config.l2),
             ray_reserve: Cache::new(&config.ray_reserve),
             dram_free_at: 0.0,
-            mshrs: vec![vec![0u64; config.mshrs_per_sm.max(1)]; config.num_sms],
+            mshrs: vec![vec![0u64; mshrs_per_sm]; config.num_sms],
+            mshr_order: MinHeaps::new(config.num_sms, mshrs_per_sm),
+            policy_lines: [0; CachePolicy::ALL.len()],
             stats: MemStats::default(),
             fault_rng: config
                 .faults
@@ -209,6 +236,19 @@ impl MemorySystem {
     /// Aggregated statistics.
     pub fn stats(&self) -> &MemStats {
         &self.stats
+    }
+
+    /// Lines served under each policy since construction, in
+    /// [`CachePolicy::ALL`] order. Unlike [`MemorySystem::stats`] this is
+    /// not restored from a checkpoint: it counts this instance's own work.
+    pub fn policy_lines(&self) -> [u64; CachePolicy::ALL.len()] {
+        self.policy_lines
+    }
+
+    /// The line addresses covering `[addr, addr + bytes)`.
+    fn lines(&self, addr: u64, bytes: u32) -> impl Iterator<Item = u64> {
+        let shift = self.line_shift;
+        ((addr >> shift)..=((addr + bytes as u64 - 1) >> shift)).map(move |line| line << shift)
     }
 
     /// Direct read-only access to one SM's L1 (tests, occupancy probes).
@@ -239,12 +279,9 @@ impl MemorySystem {
         now: u64,
     ) -> u64 {
         assert!(bytes > 0, "zero-byte access");
-        let line = self.config.l1.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + bytes as u64 - 1) / line;
         let mut done = now;
-        for l in first..=last {
-            done = done.max(self.access_line(sm, l * line, kind, policy, now));
+        for line_addr in self.lines(addr, bytes) {
+            done = done.max(self.access_line(sm, line_addr, kind, policy, now));
         }
         done
     }
@@ -258,6 +295,7 @@ impl MemorySystem {
         policy: CachePolicy,
         now: u64,
     ) -> u64 {
+        self.policy_lines[policy as usize] += 1;
         let ks = self.stats.kind_mut(kind);
         ks.lines += 1;
         match policy {
@@ -303,23 +341,12 @@ impl MemorySystem {
     /// and fixed latency.
     fn dram(&mut self, sm: usize, kind: AccessKind, ready: u64) -> u64 {
         self.stats.kind_mut(kind).dram += 1;
-        // Allocate the earliest-free MSHR; if all are occupied the request
-        // stalls until one retires.
-        let slot = {
-            let pool = &self.mshrs[sm];
-            let mut best = 0;
-            for (i, &free_at) in pool.iter().enumerate() {
-                if free_at < pool[best] {
-                    best = i;
-                }
-            }
-            best
-        };
-        let issue = ready.max(self.mshrs[sm][slot]);
-        let divisor = self.config.faults.bandwidth_divisor.max(1);
-        let service = divisor as f64 / self.config.dram_lines_per_cycle;
+        // Allocate the earliest-free MSHR (the lowest slot among equals);
+        // if all are occupied the request stalls until one retires.
+        let (free_at, slot) = self.mshr_order.min(sm);
+        let issue = ready.max(free_at);
         let start = self.dram_free_at.max(issue as f64);
-        self.dram_free_at = start + service;
+        self.dram_free_at = start + self.dram_service;
         let mut completion = start as u64 + self.config.dram_latency as u64;
         // Injected latency spike: only draws from the RNG when enabled, so
         // nominal configurations stay bit-identical to a fault-free build.
@@ -329,6 +356,7 @@ impl MemorySystem {
             completion += self.config.faults.spike_extra_cycles as u64;
         }
         self.mshrs[sm][slot] = completion;
+        self.mshr_order.update(sm, slot, completion);
         completion
     }
 
@@ -348,22 +376,16 @@ impl MemorySystem {
     /// returned completion of a matching [`MemorySystem::access`] call or
     /// models preload latency itself).
     pub fn fill_l1(&mut self, sm: usize, addr: u64, bytes: u32, now: u64) {
-        let line = self.config.l1.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + bytes as u64 - 1) / line;
-        for l in first..=last {
-            self.l1s[sm].fill(l * line, now);
-            self.l2.fill(l * line, now);
+        for line_addr in self.lines(addr, bytes) {
+            self.l1s[sm].fill(line_addr, now);
+            self.l2.fill(line_addr, now);
         }
     }
 
     /// Number of lines of `[addr, addr+bytes)` *not* already resident in SM
     /// `sm`'s L1 — used to price preloads.
     pub fn missing_l1_lines(&self, sm: usize, addr: u64, bytes: u32) -> u32 {
-        let line = self.config.l1.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + bytes as u64 - 1) / line;
-        (first..=last).filter(|l| !self.l1s[sm].probe(l * line)).count() as u32
+        self.lines(addr, bytes).filter(|&line_addr| !self.l1s[sm].probe(line_addr)).count() as u32
     }
 
     /// Number of outstanding DRAM fills across all SMs at cycle `now`
@@ -373,13 +395,24 @@ impl MemorySystem {
         self.mshrs.iter().flatten().filter(|&&free_at| free_at > now).count()
     }
 
+    /// Every cache with its name in messages: the L1s, the L2, the reserve.
+    fn caches(&self) -> impl Iterator<Item = (String, &Cache)> {
+        self.l1s
+            .iter()
+            .enumerate()
+            .map(|(sm, c)| (format!("l1[{sm}]"), c))
+            .chain([("l2".to_string(), &self.l2), ("ray-reserve".to_string(), &self.ray_reserve)])
+    }
+
     /// Checks the hierarchy's accounting invariants, returning a
     /// description of the first violation:
     ///
     /// * per [`AccessKind`]: every line was serviced by exactly one level
     ///   (`l1_hits + l2_hits + dram == lines`), and
     ///   `l1_hits <= l1_lookups <= lines`;
-    /// * per cache: `hits <= accesses`.
+    /// * per cache: `hits <= accesses`, and the derived lookup state (tag
+    ///   table, LRU heaps) agrees with the line array;
+    /// * each MSHR heap agrees with its pool's retirement cycles.
     ///
     /// The caller (the simulator's invariant auditor) wraps the message in
     /// a typed error with the cycle and site attached.
@@ -403,18 +436,14 @@ impl MemorySystem {
                 ));
             }
         }
-        let caches =
-            self.l1s.iter().enumerate().map(|(sm, c)| (format!("l1[{sm}]"), c)).chain([
-                ("l2".to_string(), &self.l2),
-                ("ray-reserve".to_string(), &self.ray_reserve),
-            ]);
-        for (name, cache) in caches {
+        for (name, cache) in self.caches() {
             let s = cache.stats();
             if s.hits > s.accesses {
                 return Err(format!("{name}: hits {} > accesses {}", s.hits, s.accesses));
             }
+            cache.audit().map_err(|e| format!("{name}: {e}"))?;
         }
-        Ok(())
+        self.mshr_order.audit(|sm, slot| self.mshrs[sm][slot]).map_err(|e| format!("mshr {e}"))
     }
 
     /// Captures the complete mutable state of the hierarchy. Pair with
@@ -452,13 +481,20 @@ impl MemorySystem {
         {
             return Err("snapshot MSHR pool shape mismatch".to_string());
         }
-        for (cache, s) in self.l1s.iter_mut().zip(&snap.l1s) {
-            s.restore_into(cache)?;
+        // Everything that can fail is checked before anything is replaced.
+        let saved = || snap.l1s.iter().chain([&snap.l2, &snap.ray_reserve]);
+        for ((name, cache), s) in self.caches().zip(saved()) {
+            cache.validate_lines(&s.lines).map_err(|e| format!("{name}: {e}"))?;
         }
-        snap.l2.restore_into(&mut self.l2)?;
-        snap.ray_reserve.restore_into(&mut self.ray_reserve)?;
+        let caches = self.l1s.iter_mut().chain([&mut self.l2, &mut self.ray_reserve]);
+        for (cache, s) in caches.zip(saved()) {
+            s.restore_into(cache);
+        }
         self.dram_free_at = f64::from_bits(snap.dram_free_at_bits);
-        self.mshrs = snap.mshrs.clone();
+        self.mshrs.clone_from(&snap.mshrs);
+        for (sm, pool) in self.mshrs.iter().enumerate() {
+            self.mshr_order.load(sm, pool.iter().copied());
+        }
         self.stats = MemStats::from_parts(snap.per_kind, snap.windows.clone());
         self.fault_rng = snap.fault_rng;
         Ok(())
@@ -728,6 +764,62 @@ mod tests {
     }
 
     #[test]
+    fn a_rejected_restore_leaves_every_cache_as_it_was() {
+        let mut m = MemorySystem::new(&small_config());
+        for i in 0..12u64 {
+            m.access((i % 2) as usize, i * 128, 128, AccessKind::Bvh, CachePolicy::L1AndL2, i);
+            m.access(0, i * 128, 128, AccessKind::Ray, CachePolicy::RayReserve, i);
+        }
+        let good = m.snapshot();
+        let mut target = MemorySystem::new(&small_config());
+        target.access(1, 1 << 20, 128, AccessKind::Bvh, CachePolicy::L1AndL2, 3);
+        let before = target.snapshot();
+        // The last cache restored is the bad one: the L1s and the L2 ahead
+        // of it must not have been replaced by the time it is refused.
+        let mut repeated_tag = good.clone();
+        repeated_tag.ray_reserve.lines[1] = repeated_tag.ray_reserve.lines[0];
+        let err = target.restore(&repeated_tag).unwrap_err();
+        assert!(err.contains("ray-reserve") && err.contains("two ways"), "{err}");
+        let mut wrapping_tick = good.clone();
+        wrapping_tick.l2.lines.iter_mut().find(|l| l.valid).unwrap().last_used = u64::MAX;
+        let err = target.restore(&wrapping_tick).unwrap_err();
+        assert!(err.contains("l2") && err.contains("overflows"), "{err}");
+        assert_eq!(target.snapshot(), before);
+        assert_eq!(target.audit(), Ok(()));
+        target.restore(&good).unwrap();
+        assert_eq!(target.snapshot(), good);
+        assert_eq!(target.audit(), Ok(()));
+    }
+
+    #[test]
+    fn audit_reports_lookup_state_that_disagrees_with_the_checkpointed_state() {
+        let mut cfg = small_config();
+        cfg.ray_reserve.size_bytes = 128 * 1024; // wide enough to be indexed
+        let mut m = MemorySystem::new(&cfg);
+        for i in 0..40u64 {
+            m.access(0, i * 128, 128, AccessKind::Ray, CachePolicy::RayReserve, i);
+            m.access(1, i * 128, 128, AccessKind::CtaState, CachePolicy::DramOnly, i);
+        }
+        assert_eq!(m.audit(), Ok(()));
+
+        let mut broken = m.clone();
+        broken.ray_reserve.corrupt_index();
+        let err = broken.audit().unwrap_err();
+        assert!(err.starts_with("ray-reserve: tag table"), "{err}");
+
+        // An MSHR's heap key no longer matches its retirement cycle.
+        let mut broken = m.clone();
+        broken.mshr_order.corrupt_key(1, 3, 0);
+        let err = broken.audit().unwrap_err();
+        assert!(err.starts_with("mshr heap 1: item 3"), "{err}");
+
+        // The pool moved without the heap hearing of it.
+        let mut broken = m;
+        broken.mshrs[0][0] += 1;
+        assert!(broken.audit().unwrap_err().starts_with("mshr heap 0: item 0"));
+    }
+
+    #[test]
     fn default_config_matches_table1() {
         let c = MemConfig::default();
         assert_eq!(c.num_sms, 16);
@@ -736,6 +828,13 @@ mod tests {
         assert_eq!(c.l2.size_bytes, 128 * 1024);
         assert_eq!(c.l2.latency, 187);
         assert_eq!(c.l2.assoc, Assoc::Ways(16));
+        assert_eq!(c.mshrs_per_sm, 64);
+        // §4.2 ①: 4096 rays x 32 B in one fully associative 1024-line set,
+        // whatever the scale of the L1 and L2 beside it.
+        assert_eq!(c.ray_reserve.size_bytes, 128 * 1024);
+        assert_eq!(c.ray_reserve.assoc, Assoc::Full);
+        assert_eq!(c.ray_reserve.num_lines(), 1024);
+        assert_eq!(c.ray_reserve.latency, c.l2.latency);
     }
 }
 

@@ -19,6 +19,8 @@
 //! [`observer`](crate::observer); the engine's `capture` clones them into
 //! a [`Checkpoint`] and `restore` validates and replaces them.
 
+use std::time::Instant;
+
 use gpumem::{AccessKind, CachePolicy, MemStats, MemorySystem};
 use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
 use rtmath::Ray;
@@ -494,10 +496,10 @@ impl<'a> Simulator<'a> {
             return Err(SimError::Workload("empty workload: no tasks to simulate".to_string()));
         }
         // Profiling spans wrap whole phases (setup, cycle loop, report
-        // assembly) and counters are bumped once per run, so the
-        // per-cycle loop itself carries no instrumentation — the
-        // disabled path costs nothing and the enabled path costs O(1)
-        // per *run*, not per cycle.
+        // assembly) and counters are bumped once per run. Inside the
+        // cycle loop a profiled run reads the clock once per phase into
+        // plain integers (`PhaseClock`); an unprofiled one reads none.
+        let prof_on = prof_on && prof::enabled();
         let _run = prof_on.then(|| prof::span("sim/run"));
         let mut engine = {
             let _setup = prof_on.then(|| prof::span("setup"));
@@ -516,12 +518,22 @@ impl<'a> Simulator<'a> {
         };
         {
             let _cycles = prof_on.then(|| prof::span("cycles"));
-            engine.run(checkpoint)?;
+            engine.run(checkpoint, prof_on.then(PhaseClock::start))?;
         }
         let _report = prof_on.then(|| prof::span("report"));
         if prof_on {
             prof::add(prof::Counter::CyclesSimulated, engine.obs.stats.cycles);
             prof::add(prof::Counter::RaysTraced, engine.obs.stats.rays_completed);
+            // In `CachePolicy::ALL` order.
+            let counters = [
+                prof::Counter::MemLinesL1AndL2,
+                prof::Counter::MemLinesBypassL1,
+                prof::Counter::MemLinesRayReserve,
+                prof::Counter::MemLinesDramOnly,
+            ];
+            for (counter, lines) in counters.into_iter().zip(engine.mem.policy_lines()) {
+                prof::add(counter, lines);
+            }
         }
         let energy = self.energy.evaluate(&engine.obs.stats, engine.mem.stats());
         let report = SimReport {
@@ -604,6 +616,53 @@ struct Scratch {
     classes: Vec<StallClass>,
 }
 
+/// A phase of the cycle loop, as a profiled run reports it
+/// (`sim/run/cycles/<name>`).
+#[derive(Clone, Copy)]
+enum LoopPhase {
+    /// `schedule` + `process_cta_phases`.
+    Sched,
+    RtUnits,
+    NextEvent,
+    Observe,
+}
+
+const LOOP_PHASE_NAMES: [&str; 4] = ["sched", "rt_units", "next_event", "observe"];
+
+/// Host time the cycle loop spends in each [`LoopPhase`]: one clock read
+/// per phase, each lap charged to the phase that just ended, summed in
+/// plain integers and handed to `prof` once per run. Exists only in a
+/// profiled run, so an unprofiled one reads no clock.
+struct PhaseClock {
+    mark: Instant,
+    /// `(laps, nanoseconds)` per phase.
+    laps: [(u64, u64); LOOP_PHASE_NAMES.len()],
+}
+
+impl PhaseClock {
+    fn start() -> PhaseClock {
+        PhaseClock { mark: Instant::now(), laps: Default::default() }
+    }
+
+    /// Ends a lap; `None` discards it (audits and checkpoints are not
+    /// the loop's own work).
+    fn lap(&mut self, phase: Option<LoopPhase>) {
+        let now = Instant::now();
+        if let Some(phase) = phase {
+            let (laps, ns) = &mut self.laps[phase as usize];
+            *laps += 1;
+            *ns += now.duration_since(self.mark).as_nanos() as u64;
+        }
+        self.mark = now;
+    }
+
+    fn report(&self) {
+        for (name, (laps, ns)) in LOOP_PHASE_NAMES.iter().zip(self.laps) {
+            prof::record(name, laps, ns);
+        }
+    }
+}
+
 impl<'a> Engine<'a> {
     fn new(
         bvh: &'a Bvh,
@@ -652,16 +711,30 @@ impl<'a> Engine<'a> {
     /// advance (sabotage applied, audit passed) and before the fixed-point
     /// iteration at the new cycle — the exact state a resumed engine
     /// re-enters this loop with.
-    fn run(&mut self, mut ckpt: Option<(u64, &mut dyn FnMut(Checkpoint))>) -> Result<(), SimError> {
+    ///
+    /// `clock` is `Some` in a profiled run and collects the host time of
+    /// each [`LoopPhase`].
+    fn run(
+        &mut self,
+        mut ckpt: Option<(u64, &mut dyn FnMut(Checkpoint))>,
+        mut clock: Option<PhaseClock>,
+    ) -> Result<(), SimError> {
         let mut next_ckpt_at =
             ckpt.as_ref().map_or(u64::MAX, |(every, _)| self.now.saturating_add(*every));
+        let mut lap = |phase: Option<LoopPhase>| {
+            if let Some(clock) = &mut clock {
+                clock.lap(phase);
+            }
+        };
         loop {
             // Iterate to a fixed point at the current cycle.
             loop {
                 let mut progress = false;
                 progress |= self.schedule();
                 progress |= self.process_cta_phases();
+                lap(Some(LoopPhase::Sched));
                 progress |= self.step_rt_units();
+                lap(Some(LoopPhase::RtUnits));
                 if !progress {
                     break;
                 }
@@ -669,7 +742,9 @@ impl<'a> Engine<'a> {
             if self.sched.all_done() {
                 break;
             }
-            match self.next_event() {
+            let next = self.next_event();
+            lap(Some(LoopPhase::NextEvent));
+            match next {
                 Some(t) if t > self.now => {
                     // Watchdog: refuse to jump past the cycle budget.
                     if let Some(budget) = self.cfg.max_cycles {
@@ -681,17 +756,20 @@ impl<'a> Engine<'a> {
                         }
                     }
                     self.observe_interval(t);
+                    lap(Some(LoopPhase::Observe));
                     self.now = t;
                     self.apply_sabotage();
                     if let Some(every) = self.audit_every {
                         if self.now - self.obs.last_audit >= every {
                             self.obs.last_audit = self.now;
                             self.audit_invariants()?;
+                            lap(None);
                         }
                     }
                     if self.now >= next_ckpt_at {
                         if let Some((every, on_checkpoint)) = ckpt.as_mut() {
                             on_checkpoint(self.capture());
+                            lap(None);
                             let every = (*every).max(1);
                             while next_ckpt_at <= self.now {
                                 next_ckpt_at = next_ckpt_at.saturating_add(every);
@@ -721,6 +799,9 @@ impl<'a> Engine<'a> {
         // laws too (all rays accounted for, stall buckets sum to the clock).
         if self.audit_every.is_some() {
             self.audit_invariants()?;
+        }
+        if let Some(clock) = &clock {
+            clock.report();
         }
         Ok(())
     }

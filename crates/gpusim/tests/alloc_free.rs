@@ -19,6 +19,7 @@ static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
 fn steady_state_hot_paths_do_not_allocate() {
     traversal_with_a_pooled_arena();
     warm_queue_table_push_pop();
+    warm_memory_system_access();
 }
 
 /// The same ray set through [`RayTraversal`] twice with a pooled
@@ -107,4 +108,56 @@ fn warm_queue_table_push_pop() {
     let after = prof::CountingAlloc::allocations();
     assert_eq!(warm, steady, "both cycles do identical work");
     assert_eq!(after - before, 0, "warm push/pop must not touch the heap");
+}
+
+/// Every simulated byte goes through `MemorySystem::access`, so a warmed
+/// hierarchy must serve all four policies without touching the heap:
+/// the caches' lookup state and the MSHR heaps are sized at construction,
+/// whatever is evicted, and a miss-rate window is only pushed the first
+/// time a cycle lands in it.
+fn warm_memory_system_access() {
+    use gpumem::{AccessKind, CachePolicy, MemConfig, MemorySystem};
+
+    let cfg = MemConfig { num_sms: 2, ..MemConfig::default() };
+    let mut mem = MemorySystem::new(&cfg);
+    let line = cfg.l1.line_bytes as u64;
+    // Three times the reserve (and the L2) in distinct lines, cycled: no
+    // replacement order keeps more than a third of them, so every pass
+    // misses, evicts and goes to DRAM throughout.
+    let capacity = cfg.ray_reserve.num_lines() as u64;
+    let lines = 3 * capacity;
+    let streams = [
+        (AccessKind::Bvh, CachePolicy::L1AndL2),
+        (AccessKind::Ray, CachePolicy::RayReserve),
+        (AccessKind::Shader, CachePolicy::BypassL1),
+        (AccessKind::CtaState, CachePolicy::DramOnly),
+    ];
+    let pass = |mem: &mut MemorySystem| -> u64 {
+        let mut latest = 0;
+        for i in 0..lines {
+            // Both passes stay inside the first two miss-rate windows, and
+            // ticks repeat and run backwards as they do in the simulator.
+            let now = (i * 37) % (2 * cfg.window_cycles);
+            for (n, (kind, policy)) in streams.into_iter().enumerate() {
+                // Each stream in its own address range.
+                let addr = ((n as u64) << 32) + i * line;
+                latest = latest.max(mem.access((i % 2) as usize, addr, 96, kind, policy, now));
+            }
+        }
+        latest
+    };
+
+    pass(&mut mem);
+    let warm = mem.stats().clone();
+    let before = prof::CountingAlloc::allocations();
+    let latest = pass(&mut mem);
+    let after = prof::CountingAlloc::allocations();
+
+    assert!(latest > 0);
+    for (kind, policy) in streams {
+        let dram = mem.stats().kind(kind).dram - warm.kind(kind).dram;
+        assert!(dram >= lines - capacity, "{policy:?}: only {dram} of {lines} lines reached DRAM");
+    }
+    assert_eq!(mem.stats().bvh_l1_windows.len(), warm.bvh_l1_windows.len());
+    assert_eq!(after - before, 0, "a warm memory system must not touch the heap");
 }

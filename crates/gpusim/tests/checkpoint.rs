@@ -407,6 +407,40 @@ fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
         );
     }
 
+    // Cache contents no running cache reaches, which the lookup state
+    // derived on restore cannot represent: one valid tag in two ways of a
+    // set (the scan used to let the first way win), and a valid line whose
+    // `last_used + 1` victim priority wraps to an invalid line's.
+    // The L1s and the ray reserve are one set each, so any two of their
+    // valid lines share a set.
+    let lines_of = |payload: &str| -> Vec<String> {
+        let list = payload.split("\"lines\":\"").nth(1).unwrap().split('"').next().unwrap();
+        list.split(' ').map(str::to_string).collect()
+    };
+    let valid_ways = |lines: &[String]| -> Vec<usize> {
+        (0..lines.len()).filter(|&i| lines[i].ends_with(":1")).collect()
+    };
+    let (at, cache) = text
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("\"record\":\"ckpt_cache\"") && !l.contains("\"cache\":\"l2\""))
+        .map(|(at, l)| (at, check_line(l).expect("intact frame")))
+        .find(|(_, payload)| valid_ways(&lines_of(payload)).len() >= 2)
+        .expect("some one-set cache holds two lines");
+    let lines = lines_of(&cache);
+    let valid = valid_ways(&lines);
+    let tag = |i: usize| lines[i].split(':').next().unwrap();
+    let bad_lines = [
+        ("repeated tag", valid[1], format!("{}:5:1", tag(valid[0]))),
+        ("last_used overflow", valid[0], format!("{}:{}:1", tag(valid[0]), u64::MAX)),
+    ];
+    for (label, way, entry) in bad_lines {
+        let mut lines = lines.clone();
+        lines[way] = entry;
+        let payload = set_field(&cache, "lines", &format!("\"{}\"", lines.join(" ")));
+        assert_rejected(&format!("ckpt_cache: {label}"), with_line(text, at, &[payload]));
+    }
+
     // A record that may appear once, appearing twice, would silently
     // overwrite the first (a second `ckpt_rt` also empties the buckets its
     // SM's `ckpt_hw` lines filled): the parser refuses all of them.

@@ -313,9 +313,11 @@ fn disabled_profiler_records_nothing_during_simulation() {
     // The host-side profiler must be pay-for-use: with the switch off
     // (the default), a full simulation leaves no spans, no counters and
     // no registry entries behind. The instrumentation sits at phase
-    // granularity (run/setup/cycles/report), so the per-cycle loops
-    // contain no profiling calls at all — this test pins the phase-level
-    // gate, prof's own unit tests pin the per-call cost.
+    // granularity (run/setup/cycles/report); what the cycle loop times
+    // itself exists only in a run that found the profiler on when it
+    // started (`tests/prof_phases.rs`), so here it reads no clock and
+    // reports no `sim/run/cycles/*` row — this test pins the gate, prof's
+    // own unit tests pin the per-call cost.
     assert!(!prof::enabled(), "tests must run with the profiler off");
     let (scene, bvh) = setup();
     let workload = camera_workload(&scene, 24);
@@ -325,6 +327,9 @@ fn disabled_profiler_records_nothing_during_simulation() {
     assert!(report.stats.cycles > 0);
     assert_eq!(prof::get(prof::Counter::CyclesSimulated), before, "counter bumped while off");
     assert_eq!(prof::get(prof::Counter::RaysTraced), 0, "counter bumped while off");
+    assert!(report.mem.total_lines() > 0);
+    assert_eq!(prof::get(prof::Counter::MemLinesL1AndL2), 0, "counter bumped while off");
+    assert_eq!(prof::get(prof::Counter::MemLinesRayReserve), 0, "counter bumped while off");
     let snap = prof::snapshot();
     assert!(snap.spans.is_empty(), "spans recorded while off: {:?}", snap.spans);
 }

@@ -21,9 +21,10 @@
 //!   no-sink trace path: until [`enable`] is called, [`span`] and [`add`]
 //!   are a single relaxed atomic load and a branch; nothing is recorded
 //!   and nothing allocates. Instrumented code therefore never pays for
-//!   observability it did not ask for, and none of the instrumentation
-//!   sits inside per-cycle simulator loops (spans wrap whole phases,
-//!   counters are added once per run).
+//!   observability it did not ask for, and no guard sits inside a
+//!   per-cycle simulator loop: spans wrap whole phases, counters are
+//!   added once per run, and what the cycle loop times itself (only when
+//!   [`enabled`]) arrives pre-aggregated through [`record`].
 //! * **Allocation counting** (feature `count-allocs`) — [`CountingAlloc`]
 //!   wraps the system allocator and counts every allocation, for
 //!   measurement binaries that want heap-churn numbers next to timings.
@@ -100,11 +101,19 @@ pub enum Counter {
     /// Non-empty wire-buffer flushes — one socket write each, so
     /// `frames_written / wire_flushes` is the frames carried per write.
     WireFlushes,
+    /// Simulated cache lines served on the demand path (L1 → L2 → DRAM).
+    MemLinesL1AndL2,
+    /// Simulated cache lines served past the L1 (L2 → DRAM).
+    MemLinesBypassL1,
+    /// Simulated cache lines served by the reserved ray region of the L2.
+    MemLinesRayReserve,
+    /// Simulated cache lines streamed straight to or from DRAM.
+    MemLinesDramOnly,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 16] = [
+    pub const ALL: [Counter; 20] = [
         Counter::RaysTraced,
         Counter::CyclesSimulated,
         Counter::CellsCompleted,
@@ -121,6 +130,10 @@ impl Counter {
         Counter::EventsDropped,
         Counter::FramesWritten,
         Counter::WireFlushes,
+        Counter::MemLinesL1AndL2,
+        Counter::MemLinesBypassL1,
+        Counter::MemLinesRayReserve,
+        Counter::MemLinesDramOnly,
     ];
 
     /// Stable snake_case name used in reports and JSONL records.
@@ -142,6 +155,10 @@ impl Counter {
             Counter::EventsDropped => "events_dropped",
             Counter::FramesWritten => "frames_written",
             Counter::WireFlushes => "wire_flushes",
+            Counter::MemLinesL1AndL2 => "mem_lines_l1_and_l2",
+            Counter::MemLinesBypassL1 => "mem_lines_bypass_l1",
+            Counter::MemLinesRayReserve => "mem_lines_ray_reserve",
+            Counter::MemLinesDramOnly => "mem_lines_dram_only",
         }
     }
 }
@@ -180,6 +197,32 @@ struct ThreadState {
     frames: Vec<Frame>,
     /// Closed-span aggregates not yet flushed to the global registry.
     local: BTreeMap<String, Agg>,
+}
+
+impl ThreadState {
+    /// Books `agg` under `name` as a child of the innermost open span.
+    fn close(&mut self, name: String, agg: Agg) {
+        if let Some(parent) = self.frames.last_mut() {
+            parent.child += agg.total;
+        }
+        self.local.entry(name).or_default().merge(agg);
+        // Root close: flush this thread's aggregates so short-lived
+        // pool workers never strand data, while nested spans stay
+        // lock-free.
+        if self.frames.is_empty() {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.local.is_empty() {
+            return;
+        }
+        let mut global = lock(registry());
+        for (path, agg) in std::mem::take(&mut self.local) {
+            global.entry(path).or_default().merge(agg);
+        }
+    }
 }
 
 thread_local! {
@@ -274,26 +317,31 @@ impl Drop for Span {
         STATE.with(|s| {
             let mut st = s.borrow_mut();
             let Some(frame) = st.frames.pop() else { return };
-            let elapsed = frame.start.elapsed();
-            if let Some(parent) = st.frames.last_mut() {
-                parent.child += elapsed;
-            }
-            let agg = st.local.entry(frame.path).or_default();
-            agg.count += 1;
-            agg.total += elapsed;
-            agg.self_time += elapsed.saturating_sub(frame.child);
-            // Root close: flush this thread's aggregates so short-lived
-            // pool workers never strand data, while nested spans stay
-            // lock-free.
-            if st.frames.is_empty() {
-                let local = std::mem::take(&mut st.local);
-                let mut global = lock(registry());
-                for (path, agg) in local {
-                    global.entry(path).or_default().merge(agg);
-                }
-            }
+            let total = frame.start.elapsed();
+            let agg = Agg { count: 1, total, self_time: total.saturating_sub(frame.child) };
+            st.close(frame.path, agg);
         });
     }
+}
+
+/// Records a span the caller timed itself: `count` closings of `name`
+/// totalling `total_ns`, as a child of the span open on this thread. For
+/// regions entered too often to pay a guard each time — the caller reads
+/// the clock only when [`enabled`] says so, sums plain integers and
+/// reports once. A no-op while profiling is disabled.
+pub fn record(name: &str, count: u64, total_ns: u64) {
+    if !enabled() {
+        return;
+    }
+    STATE.with(|s| {
+        let mut st = s.borrow_mut();
+        let path = match st.frames.last() {
+            Some(parent) => format!("{}/{name}", parent.path),
+            None => name.to_string(),
+        };
+        let total = Duration::from_nanos(total_ns);
+        st.close(path, Agg { count, total, self_time: total });
+    });
 }
 
 /// Adds `n` to a counter. A no-op (one relaxed load, one branch) while
@@ -464,16 +512,7 @@ fn escape(s: &str) -> String {
 /// their own root-span closes, which the scoped pool guarantees happen
 /// before the sweep returns.
 pub fn snapshot() -> ProfSnapshot {
-    STATE.with(|s| {
-        let mut st = s.borrow_mut();
-        if !st.local.is_empty() {
-            let local = std::mem::take(&mut st.local);
-            let mut global = lock(registry());
-            for (path, agg) in local {
-                global.entry(path).or_default().merge(agg);
-            }
-        }
-    });
+    STATE.with(|s| s.borrow_mut().flush());
     let spans = lock(registry())
         .iter()
         .map(|(path, agg)| SpanReport {
@@ -618,6 +657,30 @@ mod tests {
             "self must exclude children"
         );
         assert!(outer.self_ns >= Duration::from_millis(1).as_nanos() as u64);
+    }
+
+    #[test]
+    fn recorded_aggregates_nest_under_the_open_span() {
+        let _gate = exclusive();
+        reset();
+        enable();
+        reset();
+        {
+            let _outer = span("loop");
+            spin(Duration::from_millis(2));
+            record("phase", 1000, 1_500_000);
+            record("phase", 24, 100_000);
+        }
+        disable();
+        record("phase", 1, 1);
+        let snap = snapshot();
+        let phase = snap.spans.iter().find(|s| s.path == "loop/phase").expect("nested");
+        assert_eq!((phase.count, phase.total_ns, phase.self_ns), (1024, 1_600_000, 1_600_000));
+        // The parent's self time excludes what its caller-timed child took.
+        let outer = snap.spans.iter().find(|s| s.path == "loop").expect("outer recorded");
+        assert!(outer.total_ns >= 2_000_000);
+        assert!(outer.self_ns + 1_600_000 <= outer.total_ns + 1_000, "{outer:?}");
+        assert_eq!(snap.spans.len(), 2, "nothing recorded while off: {:?}", snap.spans);
     }
 
     #[test]
