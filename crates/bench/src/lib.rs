@@ -9,7 +9,8 @@
 //! * `--res N` — override the image resolution,
 //! * `--jobs N` — worker threads for the parallel sweep engine
 //!   (default: one per available hardware thread; `--jobs 1` runs
-//!   serially and produces byte-identical output),
+//!   serially and produces byte-identical output). Also bounds the
+//!   threads one scene prepare forks onto (`prof::par`),
 //! * `--csv` — emit comma-separated rows instead of aligned tables (for
 //!   plotting scripts),
 //! * `--out DIR` — persist machine-readable artifacts (per-run stall and
@@ -179,7 +180,8 @@ options (all subcommands):
   --scenes A,B,C   run a subset of the LumiBench scene names
   --res N          override the image resolution
   --jobs N         sweep-engine worker threads (default: all hardware
-                   threads; results are identical for every N)
+                   threads; results are identical for every N); also
+                   bounds the threads of one scene prepare
   --csv            emit CSV rows instead of aligned tables
   --out DIR        persist per-run artifacts (CSVs + metrics.jsonl) and
                    keep a crash-tolerant cell journal in DIR
@@ -269,6 +271,9 @@ impl HarnessOpts {
                         return Err("--jobs must be at least 1".to_string());
                     }
                     opts.jobs = jobs;
+                    // A prepare forks on its own; an explicit `--jobs`
+                    // bounds that too, so `--jobs 1` means one thread.
+                    prof::par::set_limit(jobs);
                 }
                 "--out" => {
                     i += 1;

@@ -51,6 +51,7 @@ use crate::experiment::{
 };
 use crate::jsonl::{check_line, frame_line, parse_line, Record};
 use crate::sweep::{config_fingerprint, Cell, CellResult, RunMatrix, SweepEngine};
+use crate::workload::PARALLEL_MIN_TASKS;
 
 // ---------------------------------------------------------------------------
 // Functional oracle
@@ -88,36 +89,38 @@ impl OracleRun {
 /// ad-hoc `run_free` helpers from `gpusim`'s ray tests into a first-class
 /// oracle: the simulator under *any* [`TraversalPolicy`] must reproduce
 /// these answers exactly (see [`compare_hits`]).
+///
+/// Every answer is a pure function of its call, so a large workload is
+/// replayed on [`prof::par::threads`] threads by ranges of tasks; the
+/// answers come back in workload order whatever the thread count.
 pub fn oracle_run(bvh: &Bvh, triangles: &[Triangle], workload: &Workload) -> OracleRun {
+    let threads = prof::par::threads_for(workload.tasks.len(), PARALLEL_MIN_TASKS);
+    oracle_run_on(threads, bvh, triangles, workload)
+}
+
+/// [`oracle_run`] on exactly `threads` threads.
+fn oracle_run_on(
+    threads: usize,
+    bvh: &Bvh,
+    triangles: &[Triangle],
+    workload: &Workload,
+) -> OracleRun {
+    /// Tasks per unit of work handed to a thread.
+    const RANGE_TASKS: usize = 2048;
     let _oracle = prof::span("oracle");
     prof::add(prof::Counter::OracleRays, workload.total_rays() as u64);
-    let answers = workload
-        .tasks
-        .iter()
-        .map(|task: &PathTask| {
-            task.rays
-                .iter()
-                .map(|call: &TraceCall| {
-                    if call.anyhit {
-                        OracleAnswer::Occluded(bvh.occluded(
-                            triangles,
-                            &call.ray,
-                            TRACE_T_MIN,
-                            call.t_max,
-                        ))
-                    } else {
-                        OracleAnswer::Closest(bvh.intersect(
-                            triangles,
-                            &call.ray,
-                            TRACE_T_MIN,
-                            call.t_max,
-                        ))
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    OracleRun { answers }
+    let answer = |call: &TraceCall| {
+        if call.anyhit {
+            OracleAnswer::Occluded(bvh.occluded(triangles, &call.ray, TRACE_T_MIN, call.t_max))
+        } else {
+            OracleAnswer::Closest(bvh.intersect(triangles, &call.ray, TRACE_T_MIN, call.t_max))
+        }
+    };
+    let ranges: Vec<&[PathTask]> = workload.tasks.chunks(RANGE_TASKS).collect();
+    let answered = prof::par::map(threads, ranges, |tasks| {
+        tasks.iter().map(|task| task.rays.iter().map(answer).collect()).collect::<Vec<_>>()
+    });
+    OracleRun { answers: answered.into_iter().flatten().collect() }
 }
 
 // ---------------------------------------------------------------------------
@@ -889,6 +892,20 @@ mod tests {
                 .unwrap_or_else(|d| panic!("{d}"));
             assert_eq!(eq.calls_checked, p.workload.total_rays());
             assert!(eq.hits > 0, "bunny rays must hit something");
+        }
+    }
+
+    #[test]
+    fn the_thread_count_does_not_change_the_oracle() {
+        // 9216 tasks: four full ranges and a short one, closest and anyhit.
+        let cfg = ExperimentConfig { resolution: 96, shadow_rays: true, ..tiny_cfg() };
+        let p = Prepared::build(SceneId::Bunny, &cfg);
+        let serial = oracle_run_on(1, &p.bvh, p.scene.triangles(), &p.workload);
+        assert_eq!(serial.answers.len(), p.workload.tasks.len());
+        assert_eq!(serial, oracle_run(&p.bvh, p.scene.triangles(), &p.workload));
+        for threads in [2, 3, 8] {
+            let forked = oracle_run_on(threads, &p.bvh, p.scene.triangles(), &p.workload);
+            assert_eq!(serial, forked, "{threads} threads");
         }
     }
 

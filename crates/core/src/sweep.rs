@@ -139,7 +139,9 @@ impl PreparedCache {
             let mut slots = self.slots.lock().expect("prepared cache poisoned");
             Arc::clone(slots.entry(key).or_default())
         };
-        Arc::clone(slot.get_or_init(|| {
+        // A worker that blocks here on another worker's build is not
+        // using its core, so the build may fork onto it (`prof::par`).
+        let build = || {
             self.builds.fetch_add(1, Ordering::Relaxed);
             if !quiet() {
                 eprintln!(
@@ -148,7 +150,8 @@ impl PreparedCache {
                 );
             }
             Arc::new(Prepared::build(id, cfg))
-        }))
+        };
+        Arc::clone(prof::par::waiting(|| slot.get_or_init(|| prof::par::working(build))))
     }
 
     /// How many scenes were actually built (cache misses).
@@ -758,7 +761,7 @@ impl SweepEngine {
                 // Whole-cell span: prepare, simulate and any per-cell
                 // export all nest under `cell/...` in profiles.
                 let _cell = prof::span("cell");
-                panic::catch_unwind(AssertUnwindSafe(task))
+                panic::catch_unwind(AssertUnwindSafe(|| prof::par::working(task)))
             };
             match outcome {
                 Ok(value) => {

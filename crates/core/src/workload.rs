@@ -8,6 +8,8 @@
 //! and the rendered image — so the timing simulation is deterministic and
 //! independent of shading arithmetic.
 
+use std::ops::Range;
+
 use gpusim::{PathTask, TraceCall, Workload};
 use rtbvh::Bvh;
 use rtmath::{Vec3, XorShiftRng};
@@ -16,6 +18,17 @@ use rtscene::{HitRecord, Scene};
 /// Minimum path throughput before a path is terminated ("contribution to
 /// the final pixel color is too small").
 pub const MIN_THROUGHPUT: f32 = 0.01;
+
+/// Most samples per pixel [`PathTracer::with_spp`] accepts.
+pub const MAX_SPP: u32 = 16;
+
+/// Fewest tasks (pixel·samples, or trace tasks replayed by the oracle) at
+/// which a prepare loop forks; below it — every quick configuration — a
+/// thread spawn is not worth its cost.
+pub(crate) const PARALLEL_MIN_TASKS: usize = 16 * 1024;
+
+/// Image rows per unit of work handed to a thread.
+const BAND_ROWS: u32 = 8;
 
 /// A simple float RGB image.
 #[derive(Debug, Clone)]
@@ -48,10 +61,6 @@ impl Image {
     /// Panics if out of bounds.
     pub fn pixel(&self, x: u32, y: u32) -> Vec3 {
         self.pixels[(y * self.width + x) as usize]
-    }
-
-    fn pixel_mut(&mut self, x: u32, y: u32) -> &mut Vec3 {
-        &mut self.pixels[(y * self.width + x) as usize]
     }
 
     /// Mean luminance (used by tests to check a render isn't black).
@@ -128,20 +137,35 @@ impl PathTracer {
     ///
     /// # Panics
     ///
-    /// Panics if `spp == 0`.
+    /// Panics if `spp == 0`, or if `spp > MAX_SPP`: a sample's RNG seed
+    /// gives the sample index four bits, so a seventeenth sample would
+    /// share its stream with the first sample of the next pixel.
     pub fn with_spp(self, spp: u32) -> PathTracer {
         assert!(spp > 0, "need at least one sample per pixel");
+        assert!(spp <= MAX_SPP, "at most {MAX_SPP} samples per pixel have distinct RNG streams");
         PathTracer { spp, ..self }
     }
 
     /// Traces every pixel, returning the simulator workload (one task per
     /// pixel, one ray per bounce actually traced) and the rendered image.
+    ///
+    /// Large images are traced on [`prof::par::threads`] threads by bands
+    /// of rows. Every sample seeds its own RNG from `(seed, pixel,
+    /// sample)` and bands are concatenated in row order, so the result
+    /// does not depend on the thread count.
     pub fn run(&self, scene: &Scene, bvh: &Bvh) -> (Workload, Image) {
+        let tasks = (self.resolution * self.resolution * self.spp) as usize;
+        self.run_on(prof::par::threads_for(tasks, PARALLEL_MIN_TASKS), scene, bvh)
+    }
+
+    /// [`PathTracer::run`] on exactly `threads` threads.
+    pub(crate) fn run_on(&self, threads: usize, scene: &Scene, bvh: &Bvh) -> (Workload, Image) {
         let res = self.resolution;
-        let tris = scene.triangles();
         // Emissive triangles, for next-event estimation.
         let lights: Vec<u32> = if self.shadow_rays {
-            tris.iter()
+            scene
+                .triangles()
+                .iter()
                 .enumerate()
                 .filter(|(_, t)| scene.material(t.material).is_emissive())
                 .map(|(i, _)| i as u32)
@@ -149,9 +173,35 @@ impl PathTracer {
         } else {
             Vec::new()
         };
+        // Bands, not halves: sky rows are cheap, so an even split of the
+        // rows is an uneven split of the work.
+        let bands: Vec<Range<u32>> =
+            (0..res).step_by(BAND_ROWS as usize).map(|y| y..(y + BAND_ROWS).min(res)).collect();
+        let traced =
+            prof::par::map(threads, bands, |rows| self.trace_rows(scene, bvh, &lights, rows));
         let mut tasks = Vec::with_capacity((res * res * self.spp) as usize);
-        let mut image = Image::new(res, res);
-        for py in 0..res {
+        let mut pixels = Vec::with_capacity((res * res) as usize);
+        for (band_tasks, band_pixels) in traced {
+            tasks.extend(band_tasks);
+            pixels.extend(band_pixels);
+        }
+        (Workload { tasks }, Image { width: res, height: res, pixels })
+    }
+
+    /// Traces the pixels of `rows` in row-major order: their tasks (`spp`
+    /// per pixel) and their radiance.
+    fn trace_rows(
+        &self,
+        scene: &Scene,
+        bvh: &Bvh,
+        lights: &[u32],
+        rows: Range<u32>,
+    ) -> (Vec<PathTask>, Vec<Vec3>) {
+        let res = self.resolution;
+        let tris = scene.triangles();
+        let mut tasks = Vec::with_capacity((rows.len() as u32 * res * self.spp) as usize);
+        let mut pixels = Vec::with_capacity((rows.len() as u32 * res) as usize);
+        for py in rows {
             for px in 0..res {
                 let mut pixel_radiance = Vec3::ZERO;
                 for sample in 0..self.spp {
@@ -226,10 +276,10 @@ impl PathTracer {
                     pixel_radiance += radiance;
                     tasks.push(PathTask { rays });
                 }
-                *image.pixel_mut(px, py) = pixel_radiance / self.spp as f32;
+                pixels.push(pixel_radiance / self.spp as f32);
             }
         }
-        (Workload { tasks }, image)
+        (tasks, pixels)
     }
 }
 
@@ -325,6 +375,63 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn zero_spp_panics() {
         let _ = PathTracer::new(8, 1).with_spp(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 samples")]
+    fn more_samples_than_the_seed_has_bits_for_panics() {
+        // Sample 16 of pixel x would share its RNG stream with sample 0
+        // of pixel x + 1.
+        let _ = PathTracer::new(8, 1).with_spp(MAX_SPP + 1);
+    }
+
+    /// Every field of every trace call and every pixel, floats by bits.
+    fn bits(run: &(Workload, Image)) -> (Vec<Vec<[u32; 11]>>, Vec<[u32; 3]>) {
+        let v = |v: Vec3| [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()];
+        let calls = |task: &PathTask| {
+            let call = |c: &TraceCall| {
+                let (o, d, i) = (v(c.ray.origin), v(c.ray.dir), v(c.ray.inv_dir));
+                let [t, a] = [c.t_max.to_bits(), c.anyhit as u32];
+                [o[0], o[1], o[2], d[0], d[1], d[2], i[0], i[1], i[2], t, a]
+            };
+            task.rays.iter().map(call).collect()
+        };
+        (run.0.tasks.iter().map(calls).collect(), run.1.pixels.iter().map(|&p| v(p)).collect())
+    }
+
+    #[test]
+    fn the_thread_count_changes_neither_workload_nor_image() {
+        let (scene, bvh) = setup();
+        // 20 rows: two full bands and a short one.
+        let plain = PathTracer::new(20, 3);
+        for tracer in [plain, plain.with_shadow_rays(), plain.with_spp(4)] {
+            let serial = tracer.run_on(1, &scene, &bvh);
+            assert_eq!(bits(&serial), bits(&tracer.run(&scene, &bvh)), "{tracer:?}: run");
+            for threads in [2, 3, 8] {
+                let forked = tracer.run_on(threads, &scene, &bvh);
+                assert_eq!(bits(&serial), bits(&forked), "{tracer:?}: {threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn a_panic_inside_a_band_reaches_a_sweep_as_a_cell_error() {
+        use crate::sweep::{CellErrorKind, SweepEngine};
+        // A BVH over a finer mesh names primitives the scene does not
+        // have, so shading the first such hit indexes out of bounds —
+        // inside `trace_rows`, on whichever thread claimed that band.
+        let (scene, _) = setup();
+        let finer = lumibench::build_scaled(SceneId::Bunny, 8);
+        assert!(finer.triangles().len() > scene.triangles().len());
+        let bvh = Bvh::build(finer.triangles(), &BvhConfig::default());
+        let trace = || PathTracer::new(32, 1).run_on(4, &scene, &bvh).0.total_rays();
+        let out = SweepEngine::new(2).run_tasks(vec![("mismatched".to_string(), trace)]);
+        let err = out[0].as_ref().expect_err("the band's panic must fail the cell");
+        assert_eq!(
+            (err.index, err.label.as_str(), err.kind),
+            (0, "mismatched", CellErrorKind::Panic)
+        );
+        assert!(err.message.contains("index out of bounds"), "got: {}", err.message);
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //!   per-cycle simulator loop: spans wrap whole phases, counters are
 //!   added once per run, and what the cycle loop times itself (only when
 //!   [`enabled`]) arrives pre-aggregated through [`record`].
+//! * **Fork-join for the prepare loops** — [`par`] holds the one
+//!   fork-join primitive ([`par::map`]) and the one rule for how many
+//!   threads a scene prepare may use ([`par::threads`]). Not
+//!   instrumentation, but this is the lowest crate every prepare layer
+//!   depends on and the home of the process-wide host-side switches.
 //! * **Allocation counting** (feature `count-allocs`) — [`CountingAlloc`]
 //!   wraps the system allocator and counts every allocation, for
 //!   measurement binaries that want heap-churn numbers next to timings.
@@ -53,6 +58,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
+
+pub mod par;
 
 #[cfg(feature = "count-allocs")]
 pub use alloc_count::CountingAlloc;
@@ -109,11 +116,13 @@ pub enum Counter {
     MemLinesRayReserve,
     /// Simulated cache lines streamed straight to or from DRAM.
     MemLinesDramOnly,
+    /// Helper threads spawned by [`par::map`] (zero on a serial prepare).
+    ForkJoinHelpers,
 }
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 20] = [
+    pub const ALL: [Counter; 21] = [
         Counter::RaysTraced,
         Counter::CyclesSimulated,
         Counter::CellsCompleted,
@@ -134,6 +143,7 @@ impl Counter {
         Counter::MemLinesBypassL1,
         Counter::MemLinesRayReserve,
         Counter::MemLinesDramOnly,
+        Counter::ForkJoinHelpers,
     ];
 
     /// Stable snake_case name used in reports and JSONL records.
@@ -159,6 +169,7 @@ impl Counter {
             Counter::MemLinesBypassL1 => "mem_lines_bypass_l1",
             Counter::MemLinesRayReserve => "mem_lines_ray_reserve",
             Counter::MemLinesDramOnly => "mem_lines_dram_only",
+            Counter::ForkJoinHelpers => "fork_join_helpers",
         }
     }
 }

@@ -5,6 +5,8 @@
 //! traverses. Exposed publicly so tests and tools can inspect the
 //! intermediate tree.
 
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+
 use rtmath::Aabb;
 use rtscene::Triangle;
 
@@ -60,23 +62,79 @@ struct PrimInfo {
     index: u32,
 }
 
+/// Most SAH bins a split may use: the binning scratch is fixed arrays of
+/// this size, so no split allocates. [`build`] rejects a larger
+/// [`BvhConfig::sah_bins`].
+pub const MAX_BINS: usize = 32;
+
+/// [`build`] forks only when there are at least this many primitives...
+const PARALLEL_MIN_PRIMS: usize = 16 * 1024;
+
+/// ...and only at a split whose two sides both hold at least this many:
+/// a fork has to outweigh a thread spawn and a copy of the subtree.
+const FORK_MIN_PRIMS: usize = 4 * 1024;
+
 /// Builds a binary BVH over `triangles` with binned SAH splits.
+///
+/// Large inputs are built on [`prof::par::threads`] threads: wherever both
+/// sides of a split are large and a thread is free, each side is built
+/// into an arena of its own and the two are appended with their child
+/// links offset, which is the serial arena exactly (left subtree, right
+/// subtree, parent) — the result does not depend on the thread count or
+/// on which splits happened to fork.
 ///
 /// # Panics
 ///
-/// Panics if `triangles` is empty.
+/// Panics if `triangles` is empty or `config.sah_bins` exceeds
+/// [`MAX_BINS`].
 pub fn build(triangles: &[Triangle], config: &BvhConfig) -> Bvh2 {
+    let threads = prof::par::threads_for(triangles.len(), PARALLEL_MIN_PRIMS);
+    build_on(threads, FORK_MIN_PRIMS, triangles, config)
+}
+
+/// [`build`] on exactly `threads` threads, forking wherever both sides of
+/// a split hold at least `fork_min` primitives.
+fn build_on(threads: usize, fork_min: usize, triangles: &[Triangle], config: &BvhConfig) -> Bvh2 {
     assert!(!triangles.is_empty(), "cannot build a BVH over zero triangles");
+    assert!(config.sah_bins <= MAX_BINS, "sah_bins {} exceeds {MAX_BINS}", config.sah_bins);
     let mut prims: Vec<PrimInfo> = triangles
         .iter()
         .enumerate()
         .map(|(i, t)| PrimInfo { bounds: t.bounds(), centroid: t.centroid(), index: i as u32 })
         .collect();
     let mut nodes = Vec::with_capacity(2 * triangles.len());
-    let n = prims.len();
-    let root = build_range(&mut nodes, &mut prims, 0, n, config);
+    let forks = Forks { idle_threads: AtomicUsize::new(threads.saturating_sub(1)), fork_min };
+    let root = build_range(&mut nodes, &mut prims, 0, &forks, config);
     let prim_indices = prims.iter().map(|p| p.index).collect();
     Bvh2 { nodes, root, prim_indices }
+}
+
+/// When a split may fork. Fork by subtree size and by which threads are
+/// idle *now*, not by depth or a fixed share: scenes that open with sliver
+/// splits (ROBOT: 1400 / 371082, then four more) have nothing to hand out
+/// near the root, and the small side of an uneven split frees its thread
+/// for the next split of the large side.
+struct Forks {
+    /// Threads of the build's budget that are not building anything.
+    idle_threads: AtomicUsize,
+    fork_min: usize,
+}
+
+impl Forks {
+    /// Claims an idle thread for a split into `lo` and `hi` primitives.
+    fn try_claim(&self, lo: usize, hi: usize) -> bool {
+        // Relaxed: the counter only rations threads; the subtrees
+        // themselves are handed over by `par::map`.
+        lo.min(hi) >= self.fork_min
+            && self
+                .idle_threads
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |idle| idle.checked_sub(1))
+                .is_ok()
+    }
+
+    fn release(&self) {
+        self.idle_threads.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 fn range_bounds(prims: &[PrimInfo]) -> (Aabb, Aabb) {
@@ -89,14 +147,18 @@ fn range_bounds(prims: &[PrimInfo]) -> (Aabb, Aabb) {
     (bounds, centroid_bounds)
 }
 
+/// Builds the subtree over `prims` — the slice of the permutation that
+/// starts at absolute position `first` — into `nodes`, and returns its
+/// root.
 fn build_range(
     nodes: &mut Vec<Node2>,
     prims: &mut [PrimInfo],
     first: usize,
-    count: usize,
+    forks: &Forks,
     config: &BvhConfig,
 ) -> u32 {
-    let (bounds, centroid_bounds) = range_bounds(&prims[first..first + count]);
+    let count = prims.len();
+    let (bounds, centroid_bounds) = range_bounds(prims);
 
     let make_leaf = |nodes: &mut Vec<Node2>| -> u32 {
         nodes.push(Node2::Leaf { bounds, first: first as u32, count: count as u32 });
@@ -115,34 +177,62 @@ fn build_range(
         if count <= config.max_leaf_prims_hard {
             return make_leaf(nodes);
         }
-        first + count / 2 // forced median split of coincident centroids
+        count / 2 // forced median split of coincident centroids
     } else {
-        match binned_sah_split(
-            &mut prims[first..first + count],
-            axis,
-            centroid_bounds,
-            bounds,
-            config,
-        ) {
-            Some(offset) => first + offset,
+        match binned_sah_split(prims, axis, centroid_bounds, bounds, config) {
+            Some(offset) => offset,
             None => {
                 if count <= config.max_leaf_prims_hard {
                     return make_leaf(nodes);
                 }
                 // SAH says "leaf" but the leaf would be oversized: median split.
                 let k = count / 2;
-                prims[first..first + count].select_nth_unstable_by(k, |a, b| {
+                prims.select_nth_unstable_by(k, |a, b| {
                     a.centroid[axis.index()].total_cmp(&b.centroid[axis.index()])
                 });
-                first + k
+                k
             }
         }
     };
 
-    debug_assert!(mid > first && mid < first + count);
-    let left = build_range(nodes, prims, first, mid - first, config);
-    let right = build_range(nodes, prims, mid, first + count - mid, config);
+    debug_assert!(mid > 0 && mid < count);
+    let (lo, hi) = prims.split_at_mut(mid);
+    let (left, right) = if forks.try_claim(lo.len(), hi.len()) {
+        // Two sides on two threads until the first side is done; the
+        // thread that frees goes back to the budget while the other side
+        // is still building (and may fork again).
+        let first_done = AtomicBool::new(false);
+        let sides = vec![(lo, first), (hi, first + mid)];
+        let arenas = prof::par::map(2, sides, |(prims, first)| {
+            // About one node per two primitives at the default leaf size.
+            let mut arena = Vec::with_capacity(prims.len());
+            build_range(&mut arena, prims, first, forks, config);
+            if !first_done.swap(true, Ordering::Relaxed) {
+                forks.release();
+            }
+            arena
+        });
+        let roots: Vec<u32> = arenas.into_iter().map(|a| append_arena(nodes, a)).collect();
+        (roots[0], roots[1])
+    } else {
+        let left = build_range(nodes, lo, first, forks, config);
+        (left, build_range(nodes, hi, first + mid, forks, config))
+    };
     nodes.push(Node2::Inner { bounds, left, right });
+    (nodes.len() - 1) as u32
+}
+
+/// Appends a subtree built into its own arena, shifting its child links
+/// (leaf ranges are absolute already), and returns its root — a subtree's
+/// root is its last node.
+fn append_arena(nodes: &mut Vec<Node2>, arena: Vec<Node2>) -> u32 {
+    let base = nodes.len() as u32;
+    nodes.extend(arena.into_iter().map(|node| match node {
+        Node2::Inner { bounds, left, right } => {
+            Node2::Inner { bounds, left: left + base, right: right + base }
+        }
+        leaf @ Node2::Leaf { .. } => leaf,
+    }));
     (nodes.len() - 1) as u32
 }
 
@@ -162,8 +252,8 @@ fn binned_sah_split(
     let bin_of =
         |p: &PrimInfo| -> usize { (((p.centroid[ax] - lo) * scale) as usize).min(nbins - 1) };
 
-    let mut bin_bounds = vec![Aabb::EMPTY; nbins];
-    let mut bin_counts = vec![0usize; nbins];
+    let mut bin_bounds = [Aabb::EMPTY; MAX_BINS];
+    let mut bin_counts = [0usize; MAX_BINS];
     for p in prims.iter() {
         let b = bin_of(p);
         bin_bounds[b] = bin_bounds[b].union(&p.bounds);
@@ -171,8 +261,8 @@ fn binned_sah_split(
     }
 
     // Sweep: suffix areas/counts right-to-left, then prefix left-to-right.
-    let mut right_area = vec![0.0f32; nbins];
-    let mut right_count = vec![0usize; nbins];
+    let mut right_area = [0.0f32; MAX_BINS];
+    let mut right_count = [0usize; MAX_BINS];
     let mut acc_bounds = Aabb::EMPTY;
     let mut acc_count = 0;
     for i in (1..nbins).rev() {
@@ -228,6 +318,25 @@ fn partition_in_place<T>(items: &mut [T], pred: impl Fn(&T) -> bool) -> usize {
         }
     }
     i
+}
+
+/// Every field of every node and the whole permutation, floats by bits:
+/// what "the same `Bvh2`" means in the builders' tests.
+#[cfg(test)]
+pub(crate) fn arena_bits(bvh: &Bvh2) -> (Vec<[u32; 9]>, u32, &[u32]) {
+    let nodes = bvh
+        .nodes
+        .iter()
+        .map(|node| {
+            let (b, tag, x, y) = match *node {
+                Node2::Inner { bounds, left, right } => (bounds, 0, left, right),
+                Node2::Leaf { bounds, first, count } => (bounds, 1, first, count),
+            };
+            let f = [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f32::to_bits);
+            [f[0], f[1], f[2], f[3], f[4], f[5], tag, x, y]
+        })
+        .collect();
+    (nodes, bvh.root, &bvh.prim_indices)
 }
 
 #[cfg(test)]
@@ -326,6 +435,34 @@ mod tests {
     #[should_panic(expected = "zero triangles")]
     fn empty_input_panics() {
         let _ = build(&[], &BvhConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 32")]
+    fn more_bins_than_the_scratch_arrays_hold_panics() {
+        let cfg = BvhConfig { sah_bins: MAX_BINS + 1, ..Default::default() };
+        let _ = build(&grid_triangles(2), &cfg);
+    }
+
+    #[test]
+    fn forked_build_is_the_serial_arena_bit_for_bit() {
+        use rtscene::lumibench::{build_scaled, SceneId};
+        let cfg = BvhConfig::default();
+        let inputs = [
+            ("LANDS (balanced)", build_scaled(SceneId::Lands, 8).triangles().to_vec()),
+            // Opens with five sliver splits, so the first forks sit deep.
+            ("ROBOT (sliver-topped)", build_scaled(SceneId::Robot, 8).triangles().to_vec()),
+            ("coincident (median splits)", vec![grid_triangles(1)[0]; 64]),
+        ];
+        for (name, tris) in &inputs {
+            let serial = build_on(1, 0, tris, &cfg);
+            assert_eq!(arena_bits(&serial), arena_bits(&build(tris, &cfg)), "{name}: build");
+            for threads in [2, 3, 8] {
+                // `fork_min` 0: fork at every split that finds a thread idle.
+                let forked = build_on(threads, 0, tris, &cfg);
+                assert_eq!(arena_bits(&serial), arena_bits(&forked), "{name}: {threads} threads");
+            }
+        }
     }
 
     #[test]

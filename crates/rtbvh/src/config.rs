@@ -79,7 +79,8 @@ pub enum NodeFormat {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BvhConfig {
-    /// Number of SAH bins per axis sweep.
+    /// Number of SAH bins per axis sweep (at most
+    /// [`build2::MAX_BINS`](crate::build2::MAX_BINS)).
     pub sah_bins: usize,
     /// Preferred maximum primitives per leaf (SAH may still merge more,
     /// bounded by `max_leaf_prims_hard`).

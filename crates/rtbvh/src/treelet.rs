@@ -101,6 +101,41 @@ pub fn partition(
     budget_bytes: u32,
     layout: &NodeLayout,
 ) -> TreeletPartition {
+    // What every pick compares, once per node instead of once per
+    // frontier node per pick.
+    let area: Vec<f32> = nodes.iter().map(|n| n.bounds().surface_area()).collect();
+    let size: Vec<u32> = nodes.iter().map(|n| n.byte_size(layout)).collect();
+    partition_by(nodes, root, budget_bytes, |n| area[n.index()], |n| size[n.index()])
+}
+
+/// [`partition`] with every pick recomputing the area and byte size of
+/// every frontier node, as it did before the per-node tables. Kept as the
+/// reference the tests compare against.
+#[cfg(test)]
+fn partition_reference(
+    nodes: &[Bvh4Node],
+    root: NodeId,
+    budget_bytes: u32,
+    layout: &NodeLayout,
+) -> TreeletPartition {
+    partition_by(
+        nodes,
+        root,
+        budget_bytes,
+        |n| nodes[n.index()].bounds().surface_area(),
+        |n| nodes[n.index()].byte_size(layout),
+    )
+}
+
+/// The greedy growth itself, over any source of a node's surface area
+/// and record size.
+fn partition_by(
+    nodes: &[Bvh4Node],
+    root: NodeId,
+    budget_bytes: u32,
+    area: impl Fn(NodeId) -> f32,
+    size: impl Fn(NodeId) -> u32,
+) -> TreeletPartition {
     let mut node_to_treelet = vec![TreeletId(u32::MAX); nodes.len()];
     let mut treelets = Vec::new();
     let mut pending: VecDeque<NodeId> = VecDeque::new();
@@ -123,15 +158,8 @@ pub fn partition(
             let best = frontier
                 .iter()
                 .enumerate()
-                .filter(|(_, n)| {
-                    members.is_empty() || nodes[n.index()].byte_size(layout) <= remaining
-                })
-                .max_by(|(_, a), (_, b)| {
-                    nodes[a.index()]
-                        .bounds()
-                        .surface_area()
-                        .total_cmp(&nodes[b.index()].bounds().surface_area())
-                })
+                .filter(|(_, &n)| members.is_empty() || size(n) <= remaining)
+                .max_by(|(_, &a), (_, &b)| area(a).total_cmp(&area(b)))
                 .map(|(i, _)| i);
             let Some(best) = best else {
                 // Nothing fits: the whole frontier seeds future treelets.
@@ -142,7 +170,7 @@ pub fn partition(
             };
             let candidate = frontier.swap_remove(best);
             node_to_treelet[candidate.index()] = tid;
-            bytes += nodes[candidate.index()].byte_size(layout);
+            bytes += size(candidate);
             members.push(candidate);
             for c in nodes[candidate.index()].children() {
                 if node_to_treelet[c.index()] == TreeletId(u32::MAX) {
@@ -207,6 +235,28 @@ mod tests {
         }
         let b2 = build2::build(&tris, &BvhConfig::default());
         wide::collapse(&b2)
+    }
+
+    #[test]
+    fn per_node_tables_pick_what_the_reference_picks() {
+        use rtscene::lumibench::{build_scaled, SceneId};
+        for (id, layout) in [
+            (SceneId::Crnvl, NodeLayout::wide()),
+            (SceneId::Lands, NodeLayout::compressed()),
+            (SceneId::Fox, NodeLayout::wide()),
+        ] {
+            let scene = build_scaled(id, 8);
+            let (nodes, root) =
+                wide::collapse(&build2::build(scene.triangles(), &BvhConfig::default()));
+            let got = partition(&nodes, root, 2048, &layout);
+            let want = partition_reference(&nodes, root, 2048, &layout);
+            assert_eq!(got.node_to_treelet, want.node_to_treelet, "{}", id.name());
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.treelets().iter().zip(want.treelets()) {
+                assert_eq!((&g.nodes, g.bytes, g.entry), (&w.nodes, w.bytes, w.entry));
+                assert_eq!(g.mean_depth.to_bits(), w.mean_depth.to_bits());
+            }
+        }
     }
 
     #[test]

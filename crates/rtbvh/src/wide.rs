@@ -244,9 +244,11 @@ fn collapse_node(bvh2: &Bvh2, idx: u32, out: &mut Vec<Bvh4Node>) -> NodeId {
         Node2::Inner { left, right, .. } => {
             // Gather up to WIDE_WIDTH grandchildren, expanding the largest
             // inner child each step.
-            let mut slots: Vec<u32> = vec![*left, *right];
-            while slots.len() < WIDE_WIDTH {
-                let expandable = slots
+            let mut slots = [0u32; WIDE_WIDTH];
+            (slots[0], slots[1]) = (*left, *right);
+            let mut filled = 2;
+            while filled < WIDE_WIDTH {
+                let expandable = slots[..filled]
                     .iter()
                     .enumerate()
                     .filter(|(_, &s)| matches!(bvh2.nodes[s as usize], Node2::Inner { .. }))
@@ -260,12 +262,13 @@ fn collapse_node(bvh2: &Bvh2, idx: u32, out: &mut Vec<Bvh4Node>) -> NodeId {
                 let Some(i) = expandable else { break };
                 if let Node2::Inner { left, right, .. } = bvh2.nodes[slots[i] as usize] {
                     slots[i] = left;
-                    slots.push(right);
+                    slots[filled] = right;
+                    filled += 1;
                 }
             }
 
             let mut node = Bvh4Node::BLANK;
-            for (lane, s) in slots.iter().enumerate() {
+            for (lane, s) in slots[..filled].iter().enumerate() {
                 node.set_lane_bounds(lane, bvh2.nodes[*s as usize].bounds());
                 node.child[lane] = collapse_node(bvh2, *s, out).0;
             }
