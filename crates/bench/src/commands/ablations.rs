@@ -17,10 +17,7 @@ use vtq::prelude::*;
 use crate::{header, ok_rows, row, HarnessOpts};
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands, SceneId::Frst];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands, SceneId::Frst]);
     let cache = engine.cache();
 
     for id in &scenes {

@@ -5,196 +5,56 @@
 //! Full configuration: `vtq-bench all`
 //! Smoke run:          `vtq-bench all --quick`
 //!
-//! All eleven policy cells per scene go into one [`RunMatrix`], so the
-//! sweep pool keeps every `--jobs` worker busy across scene boundaries;
-//! the analytical Figure 5 model runs as a second wave against the
-//! now-hot prepared cache. The report prints after everything finishes,
-//! in matrix order, so output is identical for every `--jobs N`.
+//! Every cell any figure of [`FIGURES`] needs goes, once, into one wave,
+//! so the sweep pool keeps every `--jobs` worker busy across scene
+//! boundaries; the analytical Figure 5 model and the scene statistics run
+//! as a second wave against the now-hot prepared cache. The report prints
+//! after everything finishes, in matrix order, so output is identical for
+//! every `--jobs N`.
 
-use gpumem::AccessKind;
-use gpusim::{SimReport, TraversalMode, TraversalPolicy, VtqParams};
-use rtscene::lumibench::SceneId;
-use vtq::analytical;
-use vtq::experiment::{
-    aggregate_stats, figpolicies_sweep, free_virtualization_params, grouped_params, naive_params,
-    repack_params, PolicyFigRow,
-};
-use vtq::prelude::{RunMatrix, SweepEngine};
+use vtq::experiment::{aggregate_stats, fig05, run_figures, FIGURES};
+use vtq::prelude::SweepEngine;
 
-use crate::{geomean, mean, mean_opt, pct_or_na, HarnessOpts};
-
-struct SceneResults {
-    id: SceneId,
-    tris: usize,
-    bvh_bytes: u64,
-    base: SimReport,
-    pref: SimReport,
-    vtq: SimReport,
-    norepack: SimReport,
-    naive: SimReport,
-    grouped32: SimReport,
-    grouped64: SimReport,
-    repack8: SimReport,
-    repack16: SimReport,
-    repack24: SimReport,
-    free: SimReport,
-    fig5: Vec<(usize, f64)>,
-}
+use crate::{pct_or_na, report_cell_errors, table_markdown, HarnessOpts};
 
 const FIG5_BATCHES: [usize; 6] = [32, 128, 512, 1024, 2048, 4096];
 
-/// The eleven simulated policy cells per scene, in [`SceneResults`] order.
-fn policies() -> Vec<TraversalPolicy> {
-    vec![
-        TraversalPolicy::Baseline,
-        TraversalPolicy::TreeletPrefetch,
-        TraversalPolicy::Vtq(VtqParams::default()),
-        TraversalPolicy::Vtq(repack_params(0)),
-        TraversalPolicy::Vtq(naive_params()),
-        TraversalPolicy::Vtq(grouped_params(32)),
-        TraversalPolicy::Vtq(grouped_params(64)),
-        TraversalPolicy::Vtq(repack_params(8)),
-        TraversalPolicy::Vtq(repack_params(16)),
-        TraversalPolicy::Vtq(repack_params(24)),
-        TraversalPolicy::Vtq(free_virtualization_params()),
-    ]
-}
-
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let policies = policies();
-    let mut matrix = RunMatrix::new();
-    matrix.cross(&opts.scenes, &opts.config, &policies);
-    let mut reports = engine.run(&matrix).into_iter();
+    let run = run_figures(engine, &FIGURES, &opts.scenes, &opts.config);
+    let mut failed = report_cell_errors(run.cells());
 
-    // Second wave: the analytical model + scene statistics, against the
-    // prepared cache the matrix just filled.
+    // Second wave: scene statistics + the analytical model.
     let analytic = engine.run_scenes(&opts.scenes, &opts.config, |p| {
-        let traces = analytical::record_traces(&p.bvh, p.scene.triangles(), &p.workload);
-        (
-            p.scene.triangles().len(),
-            p.bvh.total_bytes(),
-            analytical::analytical_speedups(&p.bvh, &traces, &FIG5_BATCHES),
-        )
+        (p.id, p.scene.triangles().len(), p.bvh.total_bytes(), fig05(p, &FIG5_BATCHES).speedups)
     });
-
-    let mut results = Vec::new();
-    for (&id, extra) in opts.scenes.iter().zip(analytic) {
-        let mut chunk = Vec::with_capacity(policies.len());
-        let mut failed = false;
-        for _ in 0..policies.len() {
-            match reports.next().expect("matrix covers every scene") {
-                Ok(r) => chunk.push(r),
-                Err(e) => {
-                    eprintln!("[sweep] {e}");
-                    failed = true;
-                }
-            }
-        }
-        let (tris, bvh_bytes, fig5) = match extra {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("[sweep] {e}");
-                continue;
-            }
-        };
-        if failed {
-            eprintln!("[sweep] skipping {id}: one or more cells failed");
-            continue;
-        }
-        let mut it = chunk.into_iter();
-        results.push(SceneResults {
-            id,
-            tris,
-            bvh_bytes,
-            base: it.next().unwrap(),
-            pref: it.next().unwrap(),
-            vtq: it.next().unwrap(),
-            norepack: it.next().unwrap(),
-            naive: it.next().unwrap(),
-            grouped32: it.next().unwrap(),
-            grouped64: it.next().unwrap(),
-            repack8: it.next().unwrap(),
-            repack16: it.next().unwrap(),
-            repack24: it.next().unwrap(),
-            free: it.next().unwrap(),
-            fig5,
-        });
-    }
-
-    // Third wave: the policy-experiment figure (ray-path prediction +
-    // quantized nodes). Its quantized cells carry a different BVH config,
-    // so they cannot share the main matrix; the wide cells still hit the
-    // hot prepared cache.
-    let policy_rows: Vec<PolicyFigRow> = figpolicies_sweep(engine, &opts.scenes, &opts.config)
-        .into_iter()
-        .filter_map(|r| match r {
-            Ok(row) => Some(row),
-            Err(e) => {
-                eprintln!("[sweep] {e}");
-                None
-            }
-        })
-        .collect();
+    failed |= report_cell_errors(&analytic);
+    let analytic: Vec<_> = analytic.into_iter().flatten().collect();
 
     // Artifacts persist in scene order after all runs complete, so
     // metrics.jsonl line order never depends on worker scheduling.
-    for r in &results {
-        let scene = r.id.name();
-        opts.persist(&format!("{scene}/base"), &r.base);
-        opts.persist(&format!("{scene}/prefetch"), &r.pref);
-        opts.persist(&format!("{scene}/vtq"), &r.vtq);
+    for scene in run.scenes() {
+        for (preset, name) in [("baseline", "base"), ("prefetch", "prefetch"), ("vtq", "vtq")] {
+            if let Some(report) = run.report(*scene, preset) {
+                opts.persist(&format!("{}/{name}", scene.name()), report);
+            }
+        }
     }
 
-    print_report(&results, &policy_rows);
-    eprintln!(
-        "done. ({} scenes prepared, {} cells simulated)",
-        engine.cache().builds(),
-        matrix.len()
-    );
-    crate::EXIT_OK
-}
-
-fn print_report(results: &[SceneResults], policy_rows: &[PolicyFigRow]) {
     println!("# Measured results (all figures)\n");
 
     println!("## Table 2 — scenes\n");
     println!("| scene | tris | BVH KB | paper tris | paper BVH MB |");
     println!("|---|---|---|---|---|");
-    for r in results {
+    for (id, tris, bvh_bytes, _) in &analytic {
         println!(
             "| {} | {} | {:.0} | {} | {:.2} |",
-            r.id,
-            r.tris,
-            r.bvh_bytes as f64 / 1024.0,
-            r.id.paper_triangles(),
-            r.id.paper_bvh_mb()
+            id,
+            tris,
+            *bvh_bytes as f64 / 1024.0,
+            id.paper_triangles(),
+            id.paper_bvh_mb()
         );
     }
-
-    println!("\n## Figure 1 — baseline L1 BVH miss rate & SIMT efficiency\n");
-    println!("| scene | L1 BVH miss | SIMT eff |");
-    println!("|---|---|---|");
-    for r in results {
-        println!(
-            "| {} | {:.3} | {:.3} |",
-            r.id,
-            r.base.mem.kind(AccessKind::Bvh).l1_miss_rate(),
-            r.base.stats.simt_efficiency()
-        );
-    }
-    // Average only the scenes where the rate is defined (a scene whose
-    // baseline issued no BVH accesses / warp steps must not drag the
-    // mean toward zero via the 0.0 sentinel).
-    let miss_mean = mean_opt(
-        &results
-            .iter()
-            .map(|r| r.base.mem.kind(AccessKind::Bvh).l1_miss_rate_opt())
-            .collect::<Vec<_>>(),
-    );
-    let simt_mean =
-        mean_opt(&results.iter().map(|r| r.base.stats.simt_efficiency_opt()).collect::<Vec<_>>());
-    let fmt3 = |v: Option<f64>| v.map_or("n/a".to_string(), |v| format!("{v:.3}"));
-    println!("| **mean** | **{}** | **{}** |", fmt3(miss_mean), fmt3(simt_mean));
 
     println!("\n## Figure 5 — analytical speedup vs concurrent rays\n");
     print!("| scene |");
@@ -207,162 +67,20 @@ fn print_report(results: &[SceneResults], policy_rows: &[PolicyFigRow]) {
         print!("---|");
     }
     println!();
-    for r in results {
-        print!("| {} |", r.id);
-        for (_, s) in &r.fig5 {
+    for (id, _, _, fig5) in &analytic {
+        print!("| {id} |");
+        for (_, s) in fig5 {
             print!(" {s:.2}x |");
         }
         println!();
     }
 
-    println!("\n## Figure 10 — overall speedup\n");
-    println!("| scene | vtq vs base | prefetch vs base | vtq vs prefetch |");
-    println!("|---|---|---|---|");
-    let sp = |a: &SimReport, b: &SimReport| a.stats.cycles as f64 / b.stats.cycles as f64;
-    let mut v_b = Vec::new();
-    let mut p_b = Vec::new();
-    for r in results {
-        let (vb, pb) = (sp(&r.base, &r.vtq), sp(&r.base, &r.pref));
-        v_b.push(vb);
-        p_b.push(pb);
-        println!("| {} | {:.2}x | {:.2}x | {:.2}x |", r.id, vb, pb, sp(&r.pref, &r.vtq));
-    }
-    println!(
-        "| **geomean** | **{:.2}x** | **{:.2}x** | **{:.2}x** |",
-        geomean(&v_b),
-        geomean(&p_b),
-        geomean(&v_b) / geomean(&p_b)
-    );
-
-    println!("\n## Figure 12 — grouping underpopulated queues (speedup vs baseline)\n");
-    println!("| scene | naive | thr=32 | thr=64 | thr=128 |");
-    println!("|---|---|---|---|---|");
-    let mut naive_all = Vec::new();
-    let mut g128_all = Vec::new();
-    for r in results {
-        let naive = sp(&r.base, &r.naive);
-        let g128 = sp(&r.base, &r.norepack);
-        naive_all.push(naive);
-        g128_all.push(g128);
-        println!(
-            "| {} | {:.3}x | {:.3}x | {:.3}x | {:.3}x |",
-            r.id,
-            naive,
-            sp(&r.base, &r.grouped32),
-            sp(&r.base, &r.grouped64),
-            g128
-        );
-    }
-    println!(
-        "| **geomean** | **{:.3}x** | | | **{:.3}x** | (grouping gain ≈ {:.1}x)",
-        geomean(&naive_all),
-        geomean(&g128_all),
-        geomean(&g128_all) / geomean(&naive_all)
-    );
-
-    println!("\n## Figure 13 — warp repacking (speedup vs baseline / SIMT efficiency)\n");
-    println!(
-        "| scene | norepack | t=8 | t=16 | t=22 | t=24 | simt base | simt norepack | simt t=22 |"
-    );
-    println!("|---|---|---|---|---|---|---|---|---|");
-    for r in results {
-        println!(
-            "| {} | {:.3}x | {:.3}x | {:.3}x | {:.3}x | {:.3}x | {:.3} | {:.3} | {:.3} |",
-            r.id,
-            sp(&r.base, &r.norepack),
-            sp(&r.base, &r.repack8),
-            sp(&r.base, &r.repack16),
-            sp(&r.base, &r.vtq),
-            sp(&r.base, &r.repack24),
-            r.base.stats.simt_efficiency(),
-            r.norepack.stats.simt_efficiency(),
-            r.vtq.stats.simt_efficiency(),
-        );
-    }
-
-    println!("\n## Figures 14/15 — traversal mode breakdown (cycles / intersection tests)\n");
-    println!(
-        "| scene | cyc initial | cyc treelet | cyc ray | isect initial | isect treelet | isect ray |"
-    );
-    println!("|---|---|---|---|---|---|---|");
-    for r in results {
-        let cy: Vec<u64> = TraversalMode::ALL.iter().map(|m| r.vtq.stats.cycles_in(*m)).collect();
-        let is: Vec<u64> = TraversalMode::ALL.iter().map(|m| r.vtq.stats.isect_in(*m)).collect();
-        let ct = cy.iter().sum::<u64>().max(1) as f64;
-        let it = is.iter().sum::<u64>().max(1) as f64;
-        println!(
-            "| {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |",
-            r.id,
-            cy[0] as f64 / ct,
-            cy[1] as f64 / ct,
-            cy[2] as f64 / ct,
-            is[0] as f64 / it,
-            is[1] as f64 / it,
-            is[2] as f64 / it,
-        );
-    }
-
-    println!("\n## Figure 16 — ray virtualization overhead\n");
-    println!("| scene | overhead |");
-    println!("|---|---|");
-    let mut ovs = Vec::new();
-    for r in results {
-        let ov = r.vtq.stats.cycles as f64 / r.free.stats.cycles as f64 - 1.0;
-        ovs.push(ov);
-        println!("| {} | {:.1}% |", r.id, ov * 100.0);
-    }
-    println!("| **mean** | **{:.1}%** |", mean(&ovs) * 100.0);
-
-    println!("\n## Figure 17 — energy (normalized to baseline)\n");
-    println!("| scene | vtq | vtq w/o virt | virt fraction |");
-    println!("|---|---|---|---|");
-    let mut ratios = Vec::new();
-    let mut fracs = Vec::new();
-    for r in results {
-        let ratio = r.vtq.energy.total_pj() / r.base.energy.total_pj();
-        let frac = r.vtq.energy.virtualization_fraction();
-        ratios.push(ratio);
-        fracs.push(frac);
-        println!(
-            "| {} | {:.3} | {:.3} | {:.1}% |",
-            r.id,
-            ratio,
-            r.free.energy.total_pj() / r.base.energy.total_pj(),
-            frac * 100.0
-        );
-    }
-    println!("| **mean** | **{:.3}** | | **{:.1}%** |", mean(&ratios), mean(&fracs) * 100.0);
-
-    println!("\n## Policy experiments — ray-path prediction & quantized nodes\n");
-    println!("| scene | predict speedup | predict hit rate | qnode speedup | qnode BVH traffic |");
-    println!("|---|---|---|---|---|");
-    let mut pred_sp = Vec::new();
-    let mut qn_sp = Vec::new();
-    let mut qn_tr = Vec::new();
-    for r in policy_rows {
-        pred_sp.push(r.predict_speedup());
-        qn_sp.push(r.qnode_speedup());
-        qn_tr.push(r.qnode_traffic_ratio());
-        println!(
-            "| {} | {:.2}x | {:.1}% | {:.2}x | {:.2}x |",
-            r.scene,
-            r.predict_speedup(),
-            r.predict_hit_rate * 100.0,
-            r.qnode_speedup(),
-            r.qnode_traffic_ratio()
-        );
-    }
-    if !pred_sp.is_empty() {
-        println!(
-            "| **geomean** | **{:.2}x** | | **{:.2}x** | **{:.2}x** |",
-            geomean(&pred_sp),
-            geomean(&qn_sp),
-            geomean(&qn_tr)
-        );
+    for figure in &FIGURES {
+        print!("\n{}", table_markdown(&run.table(figure)));
     }
 
     println!("\n## RT-unit stall attribution (VTQ, aggregated over scenes)\n");
-    let agg = aggregate_stats(results.iter().map(|r| &r.vtq));
+    let agg = aggregate_stats(run.scenes().iter().filter_map(|s| run.report(*s, "vtq")));
     let total: u64 = agg.stall.iter().map(|u| u.total()).sum();
     println!("| category | share |");
     println!("|---|---|");
@@ -370,5 +88,16 @@ fn print_report(results: &[SceneResults], policy_rows: &[PolicyFigRow]) {
         let cycles: u64 = agg.stall.iter().map(|u| u.get(kind)).sum();
         let share = if total > 0 { Some(cycles as f64 / total as f64) } else { None };
         println!("| {} | {} |", kind.label(), pct_or_na(share));
+    }
+
+    eprintln!(
+        "done. ({} scenes prepared, {} cells simulated)",
+        engine.cache().builds(),
+        run.cells().len()
+    );
+    if failed {
+        crate::EXIT_VIOLATION
+    } else {
+        crate::EXIT_OK
     }
 }

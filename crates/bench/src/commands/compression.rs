@@ -10,10 +10,7 @@ use vtq::prelude::*;
 use crate::{header, ok_rows, row, HarnessOpts};
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands, SceneId::Car];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands, SceneId::Car]);
     // One pool task per (scene, node layout); the two layouts fingerprint
     // differently so each builds its own cached BVH.
     let cache = engine.cache();

@@ -36,7 +36,7 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     eprintln!(
         "[conformance] differential: {} scenes x {} policies ({} jobs)",
         opts.scenes.len(),
-        vtq::conformance::conformance_presets().len(),
+        vtq::experiment::presets().len(),
         engine.jobs()
     );
     let report = run_differential(engine, &opts.scenes, &opts.config);

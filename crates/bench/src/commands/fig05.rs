@@ -13,10 +13,7 @@ const BATCHES: [usize; 6] = [32, 128, 512, 1024, 2048, 4096];
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     // Figure 5 includes WKND and SHIP, the suite's smallest-BVH scenes,
     // which "stand out" in the paper's plot.
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = SceneId::ALL_WITH_EXTRAS.to_vec();
-    }
+    let scenes = opts.scenes_or(&SceneId::ALL_WITH_EXTRAS);
     let rows = ok_rows(experiment::fig05_sweep(engine, &scenes, &opts.config, &BATCHES));
     let cols: Vec<String> = BATCHES.iter().map(|b| format!("c={b}")).collect();
     let col_refs: Vec<&str> =

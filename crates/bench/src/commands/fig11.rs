@@ -11,10 +11,7 @@ use crate::{ok_rows, HarnessOpts};
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     // Default to the paper's scene when no subset was requested.
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands]);
     for d in ok_rows(experiment::fig11_sweep(engine, &scenes, &opts.config)) {
         println!("# {} — L1 BVH miss rate over time (window starts in cycles)", d.scene.name());
         println!("{:>12} {:>12} {:>12}", "cycle", "baseline", "treelet");

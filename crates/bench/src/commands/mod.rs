@@ -7,6 +7,7 @@
 //! [`vtq::sweep::SweepEngine`], so scenes are prepared once and cells run
 //! in parallel under `--jobs N` with deterministic output.
 
+use vtq::experiment::{self, run_figures};
 use vtq::prelude::SweepEngine;
 
 use crate::HarnessOpts;
@@ -18,17 +19,8 @@ mod chaos;
 mod compression;
 mod conformance;
 mod faults;
-mod fig01;
 mod fig05;
-mod fig10;
 mod fig11;
-mod fig12;
-mod fig13;
-mod fig14;
-mod fig15;
-mod fig16;
-mod fig17;
-mod figpolicies;
 mod nee;
 mod perf;
 mod reorder;
@@ -68,7 +60,7 @@ pub const ALL: &[Command] = &[
     Command {
         name: "fig01",
         about: "Figure 1: baseline L1 BVH miss rate + SIMT efficiency",
-        run: fig01::run,
+        run: |o, e| run_figure("fig01", o, e),
     },
     Command {
         name: "fig05",
@@ -78,31 +70,43 @@ pub const ALL: &[Command] = &[
     Command {
         name: "fig10",
         about: "Figure 10: headline speedups vs baseline and prefetching",
-        run: fig10::run,
+        run: |o, e| run_figure("fig10", o, e),
     },
     Command { name: "fig11", about: "Figure 11: L1 miss rate over time (LANDS)", run: fig11::run },
     Command {
         name: "fig12",
         about: "Figure 12: grouping underpopulated treelet queues",
-        run: fig12::run,
+        run: |o, e| run_figure("fig12", o, e),
     },
-    Command { name: "fig13", about: "Figure 13: warp repacking sweep", run: fig13::run },
+    Command {
+        name: "fig13",
+        about: "Figure 13: warp repacking sweep",
+        run: |o, e| run_figure("fig13", o, e),
+    },
     Command {
         name: "fig14",
         about: "Figure 14: cycle breakdown by traversal mode",
-        run: fig14::run,
+        run: |o, e| run_figure("fig14", o, e),
     },
     Command {
         name: "fig15",
         about: "Figure 15: intersection tests by traversal mode",
-        run: fig15::run,
+        run: |o, e| run_figure("fig15", o, e),
     },
-    Command { name: "fig16", about: "Figure 16: ray virtualization overhead", run: fig16::run },
-    Command { name: "fig17", about: "Figure 17: energy vs baseline", run: fig17::run },
+    Command {
+        name: "fig16",
+        about: "Figure 16: ray virtualization overhead",
+        run: |o, e| run_figure("fig16", o, e),
+    },
+    Command {
+        name: "fig17",
+        about: "Figure 17: energy vs baseline",
+        run: |o, e| run_figure("fig17", o, e),
+    },
     Command {
         name: "figpolicies",
         about: "ray-path prediction + quantized nodes vs baseline",
-        run: figpolicies::run,
+        run: |o, e| run_figure("figpolicies", o, e),
     },
     Command { name: "area", about: "§6.5 storage overheads", run: area::run },
     Command {
@@ -168,6 +172,22 @@ pub const ALL: &[Command] = &[
         run: submit::run,
     },
 ];
+
+/// The scene × policy figures (`fig01`, `fig10`, `fig12` … `fig17`,
+/// `figpolicies`): runs the [`vtq::experiment::FIGURES`] entry named
+/// `name` over `--scenes` and prints its table. A scene with a failed
+/// cell is dropped from the table, named on stderr, and fails the run.
+fn run_figure(name: &str, opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
+    let figure = experiment::figure(name).expect("figure subcommands are FIGURES entries");
+    let run = run_figures(engine, std::slice::from_ref(figure), &opts.scenes, &opts.config);
+    let failed = crate::report_cell_errors(run.cells());
+    print!("{}", crate::table_text(&run.table(figure), crate::csv()));
+    if failed {
+        crate::EXIT_VIOLATION
+    } else {
+        crate::EXIT_OK
+    }
+}
 
 /// Looks a subcommand up by (case-insensitive) name.
 pub fn find(name: &str) -> Option<&'static Command> {

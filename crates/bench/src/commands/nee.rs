@@ -10,10 +10,7 @@ use vtq::prelude::*;
 use crate::{header, ok_rows, row, HarnessOpts};
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Bath, SceneId::Lands];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Bath, SceneId::Lands]);
     // One pool task per (scene, workload variant). The plain and NEE
     // configurations differ in fingerprint, so each gets its own cache
     // entry and the workloads build in parallel too.

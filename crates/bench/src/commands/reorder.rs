@@ -13,10 +13,7 @@ use crate::{header, ok_rows, row, HarnessOpts};
 const ORDERS: [&str; 3] = ["pixel", "sorted", "shuffled"];
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands, SceneId::Park];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands, SceneId::Park]);
     // One pool task per (scene, ray order); each runs baseline + VTQ on
     // the cached prepared scene with the reordered workload.
     let cfg = &opts.config;

@@ -11,10 +11,7 @@ use vtq::prelude::*;
 use crate::{header, ok_rows, row, HarnessOpts};
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands]);
     // One pool task per (scene, detail divisor). Each point derives its
     // own full-detail-relative config, so this sweep intentionally starts
     // from `ExperimentConfig::default()` rather than `--quick` overrides.

@@ -35,10 +35,7 @@ fn mode_shares(
 }
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let mut scenes = opts.scenes.clone();
-    if scenes.len() == SceneId::ALL.len() {
-        scenes = vec![SceneId::Lands];
-    }
+    let scenes = opts.scenes_or(&[SceneId::Lands]);
     // Sweep points: (spp, bounces); the paper varies one axis at a time.
     const POINTS: [(u32, u32); 6] = [(1, 3), (2, 3), (4, 3), (1, 1), (1, 3), (1, 5)];
 

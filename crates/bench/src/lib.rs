@@ -31,9 +31,10 @@
 //! | code | meaning |
 //! |------|---------|
 //! | 0    | the command completed and every check it ran passed |
-//! | 1    | a contract violation or I/O failure: fault-campaign cells off |
-//! |      | contract, conformance divergence, a reproducer that no longer |
-//! |      | reproduces, or an artifact that could not be written |
+//! | 1    | a contract violation or I/O failure: a figure cell that |
+//! |      | failed (its scene is dropped from the table), fault-campaign |
+//! |      | cells off contract, conformance divergence, a reproducer that |
+//! |      | no longer reproduces, or an artifact that could not be written |
 //! | 2    | usage error: unknown subcommand, flag, scene or argument |
 //! | 3    | interrupted (SIGINT) but journaled — re-run with `--resume` |
 //!
@@ -47,18 +48,22 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use vtq::experiment::FigureTable;
 use vtq::prelude::*;
 
 pub mod commands;
+
+pub use vtq::experiment::{geomean, mean, mean_opt};
 
 /// Global output mode toggled by `--csv`.
 static CSV: AtomicBool = AtomicBool::new(false);
 
 /// Exit code: the command completed and every check it ran passed.
 pub const EXIT_OK: u8 = 0;
-/// Exit code: a contract violation or I/O failure — fault cells off
-/// contract, conformance divergence, a reproducer that no longer
-/// reproduces its recorded failure, or an artifact that failed to write.
+/// Exit code: a contract violation or I/O failure — a failed figure
+/// cell, fault cells off contract, conformance divergence, a reproducer
+/// that no longer reproduces its recorded failure, or an artifact that
+/// failed to write.
 pub const EXIT_VIOLATION: u8 = 1;
 /// Exit code: usage error (unknown subcommand, flag, scene or argument).
 pub const EXIT_USAGE: u8 = 2;
@@ -74,6 +79,9 @@ pub struct HarnessOpts {
     pub config: ExperimentConfig,
     /// Scenes to run.
     pub scenes: Vec<SceneId>,
+    /// Whether `--scenes` was passed, i.e. `scenes` is the user's choice
+    /// and not the 14-scene default (see [`HarnessOpts::scenes_or`]).
+    pub scenes_given: bool,
     /// Output directory for machine-readable artifacts (`--out`).
     pub out: Option<PathBuf>,
     /// Sweep-engine worker threads (`--jobs`; default:
@@ -146,6 +154,7 @@ impl Default for HarnessOpts {
         HarnessOpts {
             config: ExperimentConfig::default(),
             scenes: SceneId::ALL.to_vec(),
+            scenes_given: false,
             out: None,
             jobs: default_jobs(),
             update_golden: false,
@@ -252,6 +261,7 @@ impl HarnessOpts {
                                 .ok_or_else(|| format!("unknown scene: {name}"))
                         })
                         .collect::<Result<_, _>>()?;
+                    opts.scenes_given = true;
                 }
                 "--csv" => {
                     CSV.store(true, Ordering::Relaxed);
@@ -451,6 +461,16 @@ impl HarnessOpts {
         })
     }
 
+    /// The scenes a command with its own default subset runs: the
+    /// `--scenes` list when one was given, `default` otherwise.
+    pub fn scenes_or(&self, default: &[SceneId]) -> Vec<SceneId> {
+        if self.scenes_given {
+            self.scenes.clone()
+        } else {
+            default.to_vec()
+        }
+    }
+
     /// A sweep engine sized by `--jobs` (fresh cache). When an output
     /// directory is set, the engine carries a [`SweepJournal`]: a fresh
     /// one under `--out`, a resumed one (skipping journaled-done cells)
@@ -517,60 +537,33 @@ impl HarnessOpts {
     }
 }
 
-/// Unwraps the successful rows of a sweep, reporting failed cells to
-/// stderr. Keeps the sweep's deterministic order. Cells skipped by a
-/// resumed journal are quiet one-liners, not errors — their artifacts
-/// are already on disk from the interrupted run.
-pub fn ok_rows<T>(results: Vec<CellResult<T>>) -> Vec<T> {
-    results
-        .into_iter()
-        .filter_map(|r| match r {
-            Ok(row) => Some(row),
-            Err(e) if e.kind == CellErrorKind::Skipped => {
-                if !vtq::sweep::quiet() {
-                    eprintln!("[resume] {} already done, skipped", e.label);
-                }
-                None
-            }
-            Err(e) => {
-                eprintln!("[sweep] {e}");
-                None
-            }
-        })
-        .collect()
-}
-
-/// Geometric mean (the paper's average for speedups).
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn geomean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geomean of nothing");
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
-/// Arithmetic mean.
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-pub fn mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "mean of nothing");
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-/// Arithmetic mean over the *defined* rates only: `None` entries (a rate
-/// whose denominator was zero) are excluded rather than averaged in as
-/// zero. Returns `None` when no entry is defined.
-pub fn mean_opt(values: &[Option<f64>]) -> Option<f64> {
-    let defined: Vec<f64> = values.iter().copied().flatten().collect();
-    if defined.is_empty() {
-        None
-    } else {
-        Some(mean(&defined))
+/// Reports a cell that produced no payload on stderr; `true` when that
+/// is a failure of the run (the cell panicked). A cell skipped by a
+/// resumed journal is a quiet one-liner, not an error — its artifacts are
+/// already on disk from the interrupted run.
+pub fn report_cell_error(e: &CellError) -> bool {
+    if e.kind == CellErrorKind::Skipped {
+        if !vtq::sweep::quiet() {
+            eprintln!("[resume] {} already done, skipped", e.label);
+        }
+        return false;
     }
+    eprintln!("[sweep] {e}");
+    e.kind == CellErrorKind::Panic
+}
+
+/// Reports the cells of `results` that produced no payload
+/// ([`report_cell_error`]); `true` when any of them fails the run.
+pub fn report_cell_errors<'r, T: 'r>(results: impl IntoIterator<Item = &'r CellResult<T>>) -> bool {
+    let errors = results.into_iter().filter_map(|r| r.as_ref().err());
+    errors.filter(|e| report_cell_error(e)).count() > 0
+}
+
+/// Unwraps the successful rows of a sweep, reporting the other cells to
+/// stderr ([`report_cell_error`]). Keeps the sweep's deterministic order.
+pub fn ok_rows<T>(results: Vec<CellResult<T>>) -> Vec<T> {
+    report_cell_errors(&results);
+    results.into_iter().flatten().collect()
 }
 
 /// Formats an optional rate as a percentage, `n/a` when undefined.
@@ -581,30 +574,72 @@ pub fn pct_or_na(value: Option<f64>) -> String {
     }
 }
 
-/// Prints a header line followed by a separator (or a CSV header row).
-pub fn header(columns: &[&str]) {
-    if CSV.load(Ordering::Relaxed) {
-        println!("{}", columns.join(","));
-        return;
-    }
-    let line: Vec<String> = columns.iter().map(|c| format!("{c:>12}")).collect();
-    println!("{}", line.join(" "));
-    println!("{}", "-".repeat(13 * columns.len()));
+/// Whether `--csv` was given.
+fn csv() -> bool {
+    CSV.load(Ordering::Relaxed)
 }
 
-/// Formats one row with a leading scene column (CSV-aware).
-pub fn row(scene: &str, values: &[String]) {
-    if CSV.load(Ordering::Relaxed) {
-        let mut cells = vec![scene.to_string()];
-        cells.extend(values.iter().cloned());
-        println!("{}", cells.join(","));
-        return;
+/// A header line followed by a separator (or a CSV header row).
+fn header_text(columns: &[&str], csv: bool) -> String {
+    if csv {
+        return format!("{}\n", columns.join(","));
     }
-    let mut line = format!("{scene:>12}");
+    let line: Vec<String> = columns.iter().map(|c| format!("{c:>12}")).collect();
+    format!("{}\n{}\n", line.join(" "), "-".repeat(13 * columns.len()))
+}
+
+/// One row with a leading scene column.
+fn row_text(scene: &str, values: &[String], csv: bool) -> String {
+    let mut line = if csv { scene.to_string() } else { format!("{scene:>12}") };
     for v in values {
-        line.push_str(&format!(" {v:>12}"));
+        line.push_str(&if csv { format!(",{v}") } else { format!(" {v:>12}") });
     }
-    println!("{line}");
+    line.push('\n');
+    line
+}
+
+/// Prints a header line followed by a separator (or a CSV header row).
+pub fn header(columns: &[&str]) {
+    print!("{}", header_text(columns, csv()));
+}
+
+/// Prints one row with a leading scene column (CSV-aware).
+pub fn row(scene: &str, values: &[String]) {
+    print!("{}", row_text(scene, values, csv()));
+}
+
+/// A figure's table as `vtq-bench figNN` prints it — header, one row per
+/// surviving scene, and the summary row when there is something to
+/// summarise — as aligned text, or as CSV.
+pub fn table_text(table: &FigureTable, csv: bool) -> String {
+    let mut text = header_text(&table.header(), csv);
+    for cells in table.body().iter().chain(&table.summary_row()) {
+        text.push_str(&row_text(&cells[0], &cells[1..], csv));
+    }
+    text
+}
+
+/// A figure's table as a section of the `vtq-bench all` markdown report:
+/// the same cells, summary row in bold.
+pub fn table_markdown(table: &FigureTable) -> String {
+    let line = |cells: &[String]| {
+        let cells =
+            cells.iter().map(|c| if c.is_empty() { " |".into() } else { format!(" {c} |") });
+        format!("|{}\n", cells.collect::<String>())
+    };
+    let header: Vec<String> = table.header().iter().map(|h| h.to_string()).collect();
+    let mut text = format!("## {}\n\n{}", table.figure.title, line(&header));
+    text.push_str(&format!("|{}\n", "---|".repeat(header.len())));
+    for cells in table.body() {
+        text.push_str(&line(&cells));
+    }
+    if let Some(summary) = table.summary_row() {
+        let bold = |c: &String| if c.is_empty() { String::new() } else { format!("**{c}**") };
+        let mut cells: Vec<String> = summary.iter().map(bold).collect();
+        cells[0] = cells[0].to_lowercase();
+        text.push_str(&line(&cells));
+    }
+    text
 }
 
 #[cfg(test)]
@@ -652,6 +687,68 @@ mod tests {
         assert_eq!(opts.scenes.len(), SceneId::ALL.len());
         assert_eq!(opts.jobs, default_jobs());
         assert!(opts.out.is_none());
+    }
+
+    #[test]
+    fn parse_records_whether_scenes_were_given() {
+        // All fourteen default scenes, named explicitly, are still the
+        // user's choice: a command with its own default must run them.
+        let all: Vec<&str> = SceneId::ALL.iter().map(|s| s.name()).collect();
+        let explicit = parse(&["--scenes", &all.join(",")]).unwrap();
+        assert!(explicit.scenes_given);
+        assert_eq!(explicit.scenes_or(&[SceneId::Lands]), SceneId::ALL);
+        let implicit = parse(&[]).unwrap();
+        assert!(!implicit.scenes_given);
+        assert_eq!(implicit.scenes, SceneId::ALL);
+        assert_eq!(implicit.scenes_or(&[SceneId::Lands]), [SceneId::Lands]);
+    }
+
+    /// Aligned text, CSV and markdown are three layouts of one set of
+    /// cell strings.
+    #[test]
+    fn text_and_markdown_renderings_hold_the_same_cells() {
+        // Figure 13 has unprinted columns, both summary rules and, with
+        // the `None`, an undefined cell.
+        let figure = vtq::experiment::figure("fig13").expect("declared");
+        let row = |v: f64| (0..figure.columns.len()).map(|i| Some(v + i as f64 / 8.0)).collect();
+        let mut rows: Vec<(SceneId, Vec<Option<f64>>)> =
+            vec![(SceneId::Ref, row(0.5)), (SceneId::Bunny, row(1.5))];
+        rows[1].1[0] = None;
+        let table = FigureTable { figure, rows };
+
+        let text = table_text(&table, false);
+        let mut text = text.lines().map(|l| l.split_whitespace().collect::<Vec<_>>());
+        let csv = table_text(&table, true);
+        let mut csv = csv.lines().map(|l| l.split(',').collect::<Vec<_>>());
+        let markdown = table_markdown(&table);
+        let mut markdown = markdown.lines().skip(2).map(|l| {
+            let cells = l.trim_matches('|').split('|');
+            cells.map(|c| c.trim().trim_matches('*').to_string()).collect::<Vec<_>>()
+        });
+
+        let header = text.next().unwrap();
+        assert_eq!(header.len(), 9, "scene + the eight printed columns: {header:?}");
+        assert_eq!(markdown.next().unwrap(), header);
+        assert_eq!(csv.next().unwrap(), header);
+        text.next().expect("the dashes under the aligned header");
+        markdown.next().expect("the markdown alignment row");
+        for scene in ["REF", "BUNNY"] {
+            let cells = text.next().unwrap();
+            assert_eq!(cells[0], scene);
+            assert_eq!(cells.len(), header.len());
+            assert_eq!(markdown.next().unwrap(), cells);
+            assert_eq!(csv.next().unwrap(), cells);
+        }
+        // Every printed column of Figure 13 has a summary, so no cell of
+        // the closing row is empty and whitespace splitting keeps them.
+        let summary = text.next().unwrap();
+        assert_eq!((summary[0], summary.len()), ("MEAN", header.len()));
+        assert_eq!(csv.next().unwrap(), summary);
+        let bold = markdown.next().unwrap();
+        assert_eq!(bold[0], "mean");
+        assert_eq!(bold[1..], summary[1..]);
+        assert!(text.next().is_none() && csv.next().is_none() && markdown.next().is_none());
+        assert!(table_text(&table, false).contains("n/a"), "the undefined cell");
     }
 
     #[test]
@@ -782,6 +879,9 @@ mod tests {
             "submit",
         ] {
             assert!(commands::find(name).is_some(), "missing subcommand {name}");
+        }
+        for figure in &vtq::experiment::FIGURES {
+            assert!(commands::find(figure.name).is_some(), "missing subcommand {}", figure.name);
         }
         assert!(commands::find("fig99").is_none());
     }

@@ -21,9 +21,10 @@
 //!    divergent ray is reported with a forensics-style [`Divergence`]
 //!    dump.
 //! 3. **Golden-figure regression** ([`check_golden`] / [`write_golden`])
-//!    — the headline statistics behind Figures 10/13/14/15 (geomean
-//!    speedups, mode-cycle fractions, per-mode intersection shares) are
-//!    snapshotted into checked-in `golden/*.json` files with per-entry
+//!    — every column of [`FIGURES`] that carries a tolerance (speedups
+//!    and their geomeans, mode-cycle fractions, per-mode intersection
+//!    shares, virtualization overhead, energy ratios, ...) is snapshotted
+//!    into a checked-in `golden/<figure>.json` file with per-entry
 //!    tolerance bands, turning EXPERIMENTS.md claims into executable
 //!    assertions.
 //!
@@ -36,21 +37,16 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gpusim::{
-    HitCapture, PathTask, PredictParams, TraceCall, TraversalPolicy, VtqParams, Workload,
-    TRACE_T_MIN,
-};
-use rtbvh::{Bvh, NodeFormat, PrimHit};
+use gpusim::{HitCapture, PathTask, TraceCall, Workload, TRACE_T_MIN};
+use rtbvh::{Bvh, PrimHit};
 use rtscene::lumibench::SceneId;
 use rtscene::Triangle;
 
 use crate::experiment::{
-    always_stationary_params, fig10_sweep, fig13_sweep, fig14_15_sweep, figpolicies_sweep,
-    free_virtualization_params, grouped_params, naive_params, quantized_config, repack_params,
-    ExperimentConfig, Fig10Row, Fig13Row, ModeBreakdownRow, PolicyFigRow,
+    presets, run_figures, ExperimentConfig, FigureTable, Summary, Tolerance, FIGURES,
 };
 use crate::jsonl::{check_line, frame_line, parse_line, Record};
-use crate::sweep::{config_fingerprint, Cell, CellResult, RunMatrix, SweepEngine};
+use crate::sweep::{config_fingerprint, RunMatrix, SweepEngine};
 use crate::workload::PARALLEL_MIN_TASKS;
 
 // ---------------------------------------------------------------------------
@@ -145,7 +141,7 @@ pub struct Equivalence {
 pub struct Divergence {
     /// Scene under comparison.
     pub scene: SceneId,
-    /// Preset label (see [`conformance_presets`]).
+    /// Preset label (see [`presets`]).
     pub policy: String,
     /// Workload task (pixel × sample) index.
     pub task: usize,
@@ -252,66 +248,25 @@ pub fn compare_hits(
 // Differential runner (scene × policy sweep)
 // ---------------------------------------------------------------------------
 
-/// One labelled conformance preset: the traversal policy a cell runs
-/// under, plus the BVH node format its scene is built with. Every preset
-/// is checked against the *wide-node* oracle: policies may only change
-/// traversal order, and quantized nodes only conservatively inflate
-/// interior bounds (a superset of leaves visited; triangle tests are
-/// exact and ties break identically), so closest-hit `(prim, t)` answers
-/// must stay bit-equal either way.
-#[derive(Debug, Clone, Copy)]
-pub struct ConformancePreset {
-    /// Stable label (`baseline`, `vtq-repack-8`, `predict`, `qnode`, ...).
-    pub label: &'static str,
-    /// Traversal architecture.
-    pub policy: TraversalPolicy,
-    /// BVH interior-node format the scene is built under.
-    pub node_format: NodeFormat,
-}
+/// The conformance matrix is the preset list: whatever a figure may
+/// simulate is checked. Every preset is compared against the *wide-node*
+/// oracle — policies may only change traversal order, and quantized nodes
+/// only conservatively inflate interior bounds (a superset of leaves
+/// visited; triangle tests are exact and ties break identically), so
+/// closest-hit `(prim, t)` answers must stay bit-equal either way.
+pub use crate::experiment::{presets as conformance_presets, Preset as ConformancePreset};
 
-impl ConformancePreset {
-    fn wide(label: &'static str, policy: TraversalPolicy) -> ConformancePreset {
-        ConformancePreset { label, policy, node_format: NodeFormat::Wide }
-    }
-
-    /// The cell configuration this preset runs under: `base` with the
-    /// preset's node format applied.
-    pub fn config(&self, base: &ExperimentConfig) -> ExperimentConfig {
-        match self.node_format {
-            NodeFormat::Wide => *base,
-            NodeFormat::Quantized => quantized_config(base),
+/// The differential matrix: every scene under every preset, scene-major,
+/// cells labelled `<scene>/<preset label>`.
+fn differential_matrix(scenes: &[SceneId], cfg: &ExperimentConfig) -> RunMatrix {
+    let presets = presets();
+    let mut matrix = RunMatrix::new();
+    for &scene in scenes {
+        for preset in &presets {
+            matrix.push(preset.cell(scene, cfg, preset.label));
         }
     }
-}
-
-/// The labelled preset matrix every scene is checked under: the paper's
-/// three headline architectures, the grouping / repacking /
-/// virtualization variants the figures sweep, ray-path prediction, and
-/// the quantized-node build — each exercises a different scheduling
-/// order or node encoding that must leave functional results untouched.
-pub fn conformance_presets() -> Vec<ConformancePreset> {
-    vec![
-        ConformancePreset::wide("baseline", TraversalPolicy::Baseline),
-        ConformancePreset::wide("prefetch", TraversalPolicy::TreeletPrefetch),
-        ConformancePreset::wide("vtq", TraversalPolicy::Vtq(VtqParams::default())),
-        ConformancePreset::wide("vtq-naive", TraversalPolicy::Vtq(naive_params())),
-        ConformancePreset::wide("vtq-grouped-32", TraversalPolicy::Vtq(grouped_params(32))),
-        ConformancePreset::wide("vtq-grouped-64", TraversalPolicy::Vtq(grouped_params(64))),
-        ConformancePreset::wide("vtq-repack-8", TraversalPolicy::Vtq(repack_params(8))),
-        ConformancePreset::wide("vtq-repack-16", TraversalPolicy::Vtq(repack_params(16))),
-        ConformancePreset::wide("vtq-repack-24", TraversalPolicy::Vtq(repack_params(24))),
-        ConformancePreset::wide("vtq-stationary", TraversalPolicy::Vtq(always_stationary_params())),
-        ConformancePreset::wide(
-            "vtq-free-virt",
-            TraversalPolicy::Vtq(free_virtualization_params()),
-        ),
-        ConformancePreset::wide("predict", TraversalPolicy::Predict(PredictParams::default())),
-        ConformancePreset {
-            label: "qnode",
-            policy: TraversalPolicy::Baseline,
-            node_format: NodeFormat::Quantized,
-        },
-    ]
+    matrix
 }
 
 /// Outcome of one scene × policy differential cell.
@@ -339,7 +294,7 @@ pub struct ConformanceCell {
 /// Every scene × policy verdict of one differential run, in matrix order.
 #[derive(Debug, Clone, Default)]
 pub struct ConformanceReport {
-    /// Per-cell verdicts (scene-major, [`conformance_presets`] order).
+    /// Per-cell verdicts (scene-major, [`presets`] order).
     pub cells: Vec<ConformanceCell>,
 }
 
@@ -386,18 +341,8 @@ pub fn run_differential(
 
     // Phase 2: scene × policy simulations with hit capture, compared
     // against the scene's oracle inside the worker.
-    let presets = conformance_presets();
-    let mut matrix = RunMatrix::new();
-    for &scene in scenes {
-        for preset in &presets {
-            matrix.push(Cell {
-                scene,
-                config: preset.config(cfg),
-                policy: preset.policy,
-                label: format!("{}/{}", scene.name(), preset.label),
-            });
-        }
-    }
+    let presets = presets();
+    let matrix = differential_matrix(scenes, cfg);
     let oracles_ref = &oracles;
     let verdicts = engine.run_map(&matrix, |cell, prepared| {
         let (_, oracle) = oracles_ref
@@ -463,7 +408,7 @@ impl GoldenEntry {
 /// A checked-in snapshot of one figure's headline statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenFigure {
-    /// Figure name (`fig10`, `fig13`, `fig14`, `fig15`) = file stem.
+    /// Figure name ([`crate::experiment::Figure::name`]) = file stem.
     pub figure: String,
     /// Fingerprint of the [`ExperimentConfig`] the snapshot was taken
     /// under ([`config_fingerprint`]); values are only comparable between
@@ -482,167 +427,68 @@ pub const REL_TOL: f64 = 0.05;
 /// Absolute tolerance for fraction-valued statistics (mode shares).
 pub const ABS_TOL: f64 = 0.02;
 
-fn geomean(values: &[f64]) -> f64 {
-    let logs: f64 = values.iter().map(|v| v.ln()).sum();
-    (logs / values.len() as f64).exp()
-}
-
-fn mean(values: &[f64]) -> f64 {
-    values.iter().sum::<f64>() / values.len() as f64
-}
-
-fn rel(key: String, value: f64) -> GoldenEntry {
-    GoldenEntry { key, value, tol: REL_TOL, rel: true }
-}
-
-fn abs(key: String, value: f64) -> GoldenEntry {
-    GoldenEntry { key, value, tol: ABS_TOL, rel: false }
-}
-
-/// Figure 10 snapshot: per-scene and geomean speedups of VTQ and
-/// prefetching over the baseline.
-pub fn golden_fig10(cfg: &ExperimentConfig, rows: &[Fig10Row]) -> GoldenFigure {
-    let mut entries = Vec::new();
-    for r in rows {
-        entries.push(rel(format!("scene/{}/vtq_speedup", r.scene.name()), r.vtq_speedup()));
-        entries
-            .push(rel(format!("scene/{}/prefetch_speedup", r.scene.name()), r.prefetch_speedup()));
-    }
-    if !rows.is_empty() {
-        let vtq: Vec<f64> = rows.iter().map(Fig10Row::vtq_speedup).collect();
-        let pref: Vec<f64> = rows.iter().map(Fig10Row::prefetch_speedup).collect();
-        entries.push(rel("agg/geomean_vtq_speedup".into(), geomean(&vtq)));
-        entries.push(rel("agg/geomean_prefetch_speedup".into(), geomean(&pref)));
-    }
-    GoldenFigure {
-        figure: "fig10".into(),
-        fingerprint: config_fingerprint(cfg),
-        scenes: rows.iter().map(|r| r.scene.name().to_string()).collect(),
-        entries,
+fn entry(tolerance: Tolerance, key: String, value: f64) -> GoldenEntry {
+    match tolerance {
+        Tolerance::Rel => GoldenEntry { key, value, tol: REL_TOL, rel: true },
+        Tolerance::Abs => GoldenEntry { key, value, tol: ABS_TOL, rel: false },
     }
 }
 
-/// Figure 13 snapshot: per-scene speedup over baseline at each repack
-/// threshold (plus no-repack), SIMT efficiencies, and geomeans.
-pub fn golden_fig13(cfg: &ExperimentConfig, rows: &[Fig13Row]) -> GoldenFigure {
-    let mut entries = Vec::new();
-    let mut agg: Vec<(String, Vec<f64>)> = Vec::new();
-    let mut push_agg = |key: &str, v: f64| match agg.iter_mut().find(|(k, _)| k == key) {
-        Some((_, vs)) => vs.push(v),
-        None => agg.push((key.to_string(), vec![v])),
-    };
-    for r in rows {
-        let base = r.baseline.0 as f64;
-        let s0 = base / r.no_repack.0 as f64;
-        entries.push(rel(format!("scene/{}/speedup_norepack", r.scene.name()), s0));
-        entries.push(abs(format!("scene/{}/simt_norepack", r.scene.name()), r.no_repack.1));
-        push_agg("speedup_norepack", s0);
-        for (t, cycles, simt) in &r.repack {
-            let s = base / *cycles as f64;
-            entries.push(rel(format!("scene/{}/speedup_repack_{t}", r.scene.name()), s));
-            entries.push(abs(format!("scene/{}/simt_repack_{t}", r.scene.name()), *simt));
-            push_agg(&format!("speedup_repack_{t}"), s);
+impl GoldenFigure {
+    /// The snapshot of one figure's table: `scene/<scene>/<key>` for every
+    /// defined cell of every column that carries a tolerance (rows in scene
+    /// order, columns in declaration order), then `agg/<rule>_<key>` for
+    /// those of them that have a summary rule. `None` for a figure without a
+    /// pinned column.
+    pub fn of(cfg: &ExperimentConfig, table: &FigureTable) -> Option<GoldenFigure> {
+        let pinned: Vec<_> = (table.figure.columns.iter().enumerate())
+            .filter_map(|(i, c)| Some((i, c, c.tolerance?)))
+            .collect();
+        if pinned.is_empty() {
+            return None;
         }
-    }
-    for (key, values) in agg {
-        entries.push(rel(format!("agg/geomean_{key}"), geomean(&values)));
-    }
-    GoldenFigure {
-        figure: "fig13".into(),
-        fingerprint: config_fingerprint(cfg),
-        scenes: rows.iter().map(|r| r.scene.name().to_string()).collect(),
-        entries,
-    }
-}
-
-/// Policy-experiment snapshot: per-scene prediction and quantized-node
-/// speedups, prediction hit rate and the quantized-over-wide BVH DRAM
-/// traffic ratio, plus their aggregates.
-pub fn golden_figpolicies(cfg: &ExperimentConfig, rows: &[PolicyFigRow]) -> GoldenFigure {
-    let mut entries = Vec::new();
-    for r in rows {
-        let scene = r.scene.name();
-        entries.push(rel(format!("scene/{scene}/predict_speedup"), r.predict_speedup()));
-        entries.push(rel(format!("scene/{scene}/qnode_speedup"), r.qnode_speedup()));
-        entries.push(abs(format!("scene/{scene}/predict_hit_rate"), r.predict_hit_rate));
-        entries.push(rel(format!("scene/{scene}/qnode_traffic_ratio"), r.qnode_traffic_ratio()));
-    }
-    if !rows.is_empty() {
-        let predict: Vec<f64> = rows.iter().map(PolicyFigRow::predict_speedup).collect();
-        let qnode: Vec<f64> = rows.iter().map(PolicyFigRow::qnode_speedup).collect();
-        let traffic: Vec<f64> = rows.iter().map(PolicyFigRow::qnode_traffic_ratio).collect();
-        let hit: Vec<f64> = rows.iter().map(|r| r.predict_hit_rate).collect();
-        entries.push(rel("agg/geomean_predict_speedup".into(), geomean(&predict)));
-        entries.push(rel("agg/geomean_qnode_speedup".into(), geomean(&qnode)));
-        entries.push(rel("agg/geomean_qnode_traffic_ratio".into(), geomean(&traffic)));
-        entries.push(abs("agg/mean_predict_hit_rate".into(), mean(&hit)));
-    }
-    GoldenFigure {
-        figure: "figpolicies".into(),
-        fingerprint: config_fingerprint(cfg),
-        scenes: rows.iter().map(|r| r.scene.name().to_string()).collect(),
-        entries,
-    }
-}
-
-/// Figures 14/15 snapshots: per-scene and mean per-mode cycle fractions
-/// (`fig14`) and intersection-test shares (`fig15`).
-pub fn golden_fig14_15(
-    cfg: &ExperimentConfig,
-    rows: &[ModeBreakdownRow],
-) -> (GoldenFigure, GoldenFigure) {
-    const MODES: [&str; 3] = ["initial", "treelet", "ray"];
-    let scenes: Vec<String> = rows.iter().map(|r| r.scene.name().to_string()).collect();
-    let fingerprint = config_fingerprint(cfg);
-    let build = |figure: &str, fractions: &dyn Fn(&ModeBreakdownRow) -> [f64; 3]| {
         let mut entries = Vec::new();
-        for r in rows {
-            for (m, label) in MODES.iter().enumerate() {
-                entries.push(abs(
-                    format!("scene/{}/{label}_fraction", r.scene.name()),
-                    fractions(r)[m],
-                ));
+        for (scene, values) in &table.rows {
+            for &(i, c, tolerance) in &pinned {
+                if let Some(value) = values[i] {
+                    entries.push(entry(
+                        tolerance,
+                        format!("scene/{}/{}", scene.name(), c.key),
+                        value,
+                    ));
+                }
             }
         }
-        if !rows.is_empty() {
-            for (m, label) in MODES.iter().enumerate() {
-                let vs: Vec<f64> = rows.iter().map(|r| fractions(r)[m]).collect();
-                entries.push(abs(format!("agg/mean_{label}_fraction"), mean(&vs)));
+        // Geomeans before means: the order the committed snapshots hold.
+        for rule in [Summary::Geomean, Summary::Mean] {
+            for &(i, c, tolerance) in pinned.iter().filter(|(_, c, _)| c.summary == Some(rule)) {
+                if let Some(value) = table.summary(i) {
+                    entries.push(entry(tolerance, format!("agg/{}_{}", rule.name(), c.key), value));
+                }
             }
         }
-        GoldenFigure { figure: figure.to_string(), fingerprint, scenes: scenes.clone(), entries }
-    };
-    (build("fig14", &|r| r.cycle_fractions), build("fig15", &|r| r.isect_fractions))
+        Some(GoldenFigure {
+            figure: table.figure.name.to_string(),
+            fingerprint: config_fingerprint(cfg),
+            scenes: table.rows.iter().map(|(scene, _)| scene.name().to_string()).collect(),
+            entries,
+        })
+    }
 }
 
-/// Computes the current golden figures for Figures 10/13/14/15 plus the
-/// policy-experiment figure by running the underlying sweeps (repack
-/// thresholds 8/16/22/24, matching the `fig13` subcommand). Failed sweep
-/// cells are dropped with a stderr notice, mirroring the harness
-/// convention.
+/// Computes the current snapshot of every figure that pins a column, from
+/// one sweep over the union of their cells. A scene with a failed cell is
+/// dropped from the figures that need it, with a stderr notice.
 pub fn current_goldens(
     engine: &SweepEngine,
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> Vec<GoldenFigure> {
-    fn keep_ok<T>(label: &str, results: Vec<CellResult<T>>) -> Vec<T> {
-        results
-            .into_iter()
-            .filter_map(|r| match r {
-                Ok(row) => Some(row),
-                Err(e) => {
-                    eprintln!("[conformance] {label} sweep cell failed: {e}");
-                    None
-                }
-            })
-            .collect()
+    let run = run_figures(engine, &FIGURES, scenes, cfg);
+    for e in run.failures() {
+        eprintln!("[conformance] golden sweep cell failed: {e}");
     }
-    let f10 = keep_ok("fig10", fig10_sweep(engine, scenes, cfg));
-    let f13 = keep_ok("fig13", fig13_sweep(engine, scenes, cfg, &[8, 16, 22, 24]));
-    let f1415 = keep_ok("fig14/15", fig14_15_sweep(engine, scenes, cfg));
-    let fpol = keep_ok("figpolicies", figpolicies_sweep(engine, scenes, cfg));
-    let (g14, g15) = golden_fig14_15(cfg, &f1415);
-    vec![golden_fig10(cfg, &f10), golden_fig13(cfg, &f13), g14, g15, golden_figpolicies(cfg, &fpol)]
+    FIGURES.iter().filter_map(|figure| GoldenFigure::of(cfg, &run.table(figure))).collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -868,7 +714,9 @@ pub fn check_golden(dir: &Path, current: &GoldenFigure) -> GoldenOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::Prepared;
+    use crate::experiment::{quantized_config, Prepared};
+    use gpusim::{PredictParams, TraversalPolicy, VtqParams};
+    use rtbvh::NodeFormat;
 
     fn tiny_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick();
@@ -991,21 +839,28 @@ mod tests {
 
     #[test]
     fn preset_matrix_covers_the_new_policies() {
-        let presets = conformance_presets();
-        assert_eq!(presets.len(), 13);
+        let presets = presets();
+        assert_eq!(presets.len(), 14);
         let labels: Vec<&str> = presets.iter().map(|p| p.label).collect();
-        assert!(labels.contains(&"predict"));
-        assert!(labels.contains(&"qnode"));
-        // qnode is the only preset that changes the BVH build, and its
-        // config override must survive into the cell configuration.
+        for label in ["predict", "qnode", "vtq-norepack"] {
+            assert!(labels.contains(&label), "{label}");
+        }
+        // The matrix is the preset list: one cell per preset, in list
+        // order, under the preset's label, policy and build. qnode is the
+        // only preset that changes the BVH build, and its config override
+        // must survive into the cell configuration.
         let base = tiny_cfg();
-        for p in &presets {
-            let expect = match p.label {
+        let matrix = differential_matrix(&[SceneId::Bunny, SceneId::Ref], &base);
+        assert_eq!(matrix.len(), 2 * presets.len());
+        for (cell, preset) in matrix.cells()[presets.len()..].iter().zip(&presets) {
+            assert_eq!(cell.label, format!("REF/{}", preset.label));
+            assert_eq!(cell.policy, preset.policy, "preset {}", preset.label);
+            let expect = match preset.label {
                 "qnode" => NodeFormat::Quantized,
                 _ => NodeFormat::Wide,
             };
-            assert_eq!(p.node_format, expect, "preset {}", p.label);
-            assert_eq!(p.config(&base).bvh.node_format, expect, "preset {}", p.label);
+            assert_eq!(preset.node_format, expect, "preset {}", preset.label);
+            assert_eq!(cell.config.bvh.node_format, expect, "preset {}", preset.label);
         }
     }
 
@@ -1039,11 +894,11 @@ mod tests {
             fingerprint: 0xDEAD_BEEF_0123_4567,
             scenes: vec!["ref".into(), "spnza".into()],
             entries: vec![
-                rel("scene/ref/vtq_speedup".into(), 1.9375),
-                abs("agg/mean_initial_fraction".into(), 0.125),
+                entry(Tolerance::Rel, "scene/ref/vtq_speedup".into(), 1.9375),
+                entry(Tolerance::Abs, "agg/mean_initial_fraction".into(), 0.125),
                 // The writer escapes, so the reader must unescape: a key
                 // with every character the line grammar itself uses.
-                abs("scene/\"odd\\name\", with: all/of_them".into(), -0.5),
+                entry(Tolerance::Abs, "scene/\"odd\\name\", with: all/of_them".into(), -0.5),
             ],
         };
         let parsed = parse_golden_jsonl(&golden_jsonl(&g)).expect("parses");
@@ -1060,7 +915,7 @@ mod tests {
         let mut files: Vec<_> =
             fs::read_dir(&dir).expect("golden/ exists").map(|e| e.unwrap().path()).collect();
         files.sort();
-        assert!(files.len() >= 5, "expected the five figure snapshots, found {files:?}");
+        assert_eq!(files.len(), 9, "expected the nine figure snapshots, found {files:?}");
         let data_lines = |text: &str| -> Vec<String> {
             text.lines()
                 .map(|l| check_line(l).expect("intact frame"))
@@ -1081,11 +936,47 @@ mod tests {
         }
     }
 
+    /// Every committed snapshot holds exactly the entries its figure's
+    /// declaration derives for the snapshot's scenes — key, band and `rel`
+    /// flag, in order — and every figure that pins a column has one.
+    #[test]
+    fn committed_golden_keys_derive_from_the_figure_table() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+        let mut pinned = 0;
+        for figure in &FIGURES {
+            if figure.columns.iter().all(|c| c.tolerance.is_none()) {
+                continue;
+            }
+            pinned += 1;
+            let path = dir.join(format!("{}.json", figure.name));
+            let text =
+                fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            let golden = parse_golden_jsonl(&text).expect("parses");
+            assert_eq!(golden.figure, figure.name);
+            // A table of 1.0s over the snapshot's scenes: every pinned
+            // cell and summary is defined, so every key is derived.
+            let scene = |name: &String| {
+                let all = SceneId::ALL_WITH_EXTRAS.iter();
+                *all.clone().find(|s| s.name() == name).expect("a scene name")
+            };
+            let row = vec![Some(1.0); figure.columns.len()];
+            let rows = golden.scenes.iter().map(|name| (scene(name), row.clone())).collect();
+            let derived =
+                GoldenFigure::of(&tiny_cfg(), &FigureTable { figure, rows }).expect("pinned");
+            let shape = |g: &GoldenFigure| -> Vec<(String, f64, bool)> {
+                g.entries.iter().map(|e| (e.key.clone(), e.tol, e.rel)).collect()
+            };
+            assert_eq!(shape(&derived), shape(&golden), "{}", figure.name);
+        }
+        let files = fs::read_dir(&dir).expect("golden/ exists").count();
+        assert_eq!(files, pinned, "a snapshot no figure declares");
+    }
+
     #[test]
     fn golden_tolerance_bands() {
-        let e = rel("x".into(), 2.0);
+        let e = entry(Tolerance::Rel, "x".into(), 2.0);
         assert!(e.accepts(2.0) && e.accepts(2.09) && !e.accepts(2.2));
-        let a = abs("y".into(), 0.5);
+        let a = entry(Tolerance::Abs, "y".into(), 0.5);
         assert!(a.accepts(0.519) && !a.accepts(0.53));
     }
 
@@ -1096,7 +987,10 @@ mod tests {
             figure: "fig10".into(),
             fingerprint: 7,
             scenes: vec!["ref".into()],
-            entries: vec![rel("scene/ref/vtq_speedup".into(), 2.0), rel("agg/g".into(), 2.0)],
+            entries: vec![
+                entry(Tolerance::Rel, "scene/ref/vtq_speedup".into(), 2.0),
+                entry(Tolerance::Rel, "agg/g".into(), 2.0),
+            ],
         };
         assert_eq!(check_golden(&dir, &g), GoldenOutcome::MissingFile);
         write_golden(&dir, std::slice::from_ref(&g)).expect("writes");
@@ -1115,7 +1009,7 @@ mod tests {
         // Scene subset: aggregate entries skipped, not compared.
         let mut subset = g.clone();
         subset.scenes = vec!["other".into()];
-        subset.entries = vec![rel("scene/other/vtq_speedup".into(), 9.0)];
+        subset.entries = vec![entry(Tolerance::Rel, "scene/other/vtq_speedup".into(), 9.0)];
         match check_golden(&dir, &subset) {
             GoldenOutcome::Match { checked: 0, skipped: 2 } => {}
             other => panic!("unexpected outcome {other:?}"),

@@ -1,10 +1,14 @@
-//! One runner per paper table/figure.
+//! The paper's tables and figures as runnable experiments.
 //!
 //! [`Prepared`] bundles everything one scene needs (scene, BVH, workload,
-//! reference image); the `figNN` functions run the policy configurations a
-//! figure compares and return typed rows. The `vtq-bench` harness binaries
-//! print these rows in the paper's format; EXPERIMENTS.md records the
-//! resulting paper-vs-measured comparison.
+//! reference image). [`presets`] lists every labelled policy configuration
+//! the evaluation simulates; [`FIGURES`] declares each scene × policy
+//! figure once — its presets and its columns — and [`run_figures`] runs any
+//! set of them as one deduplicated sweep. The `vtq-bench` CLI prints the
+//! resulting [`FigureTable`]s in the paper's format; EXPERIMENTS.md records
+//! the paper-vs-measured comparison. Figure 5 (analytical model), Figure 11
+//! (time series) and Table 2 are not scene × policy tables and have their
+//! own runners below.
 
 use std::fs;
 use std::io::Write as _;
@@ -20,8 +24,8 @@ use rtbvh::{Bvh, BvhConfig, NodeFormat};
 use rtscene::lumibench::{self, SceneId};
 use rtscene::Scene;
 
-use crate::analytical::{self, RayTrace};
-use crate::sweep::{CellResult, SweepEngine};
+use crate::analytical;
+use crate::sweep::{Cell, CellError, CellResult, RunMatrix, SweepEngine};
 use crate::workload::{Image, PathTracer};
 
 /// Shared experiment parameters (defaults = the paper's §5 methodology).
@@ -132,10 +136,11 @@ impl Prepared {
     ///
     /// # Panics
     ///
-    /// Panics on any [`gpusim::SimError`]; use
-    /// [`Prepared::try_run_policy`] for the typed-error form.
+    /// Panics on any [`gpusim::SimError`].
     pub fn run_policy(&self, policy: TraversalPolicy) -> SimReport {
-        self.try_run_policy(policy).unwrap_or_else(|e| panic!("{e}"))
+        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
+            .try_run(&self.workload)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Simulates under the VTQ policy with explicit parameters.
@@ -143,18 +148,7 @@ impl Prepared {
         self.run_policy(TraversalPolicy::Vtq(params))
     }
 
-    /// Fallible [`Prepared::run_policy`]: returns the typed
-    /// [`gpusim::SimError`] instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`gpusim::Simulator::try_run`].
-    pub fn try_run_policy(&self, policy: TraversalPolicy) -> Result<SimReport, SimError> {
-        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run(&self.workload)
-    }
-
-    /// [`Prepared::try_run_policy`] plus the explicit functional
+    /// Fallible [`Prepared::run_policy`] plus the explicit functional
     /// [`HitCapture`], for the differential conformance harness.
     ///
     /// # Errors
@@ -182,11 +176,6 @@ impl Prepared {
         Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
             .try_run_traced(&self.workload, sink)
             .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Records per-ray node-access traces (for the analytical model).
-    pub fn traces(&self) -> Vec<RayTrace> {
-        analytical::record_traces(&self.bvh, self.scene.triangles(), &self.workload)
     }
 }
 
@@ -244,29 +233,8 @@ pub fn export_run(dir: &Path, label: &str, report: &SimReport) -> std::io::Resul
 }
 
 // ---------------------------------------------------------------------------
-// Figure rows
-//
-// Each figure is layered so the serial and parallel paths share one
-// row-assembly function:
-//
-//   * `figNN_policies()` — the policy cells the figure runs per scene, in
-//     a fixed order,
-//   * `figNN_from_reports(scene, reports)` — reports (in that order) →
-//     the typed row,
-//   * `figNN(&Prepared)` — the serial path: runs the policies in order on
-//     one prepared scene,
-//   * `figNN_sweep(engine, scenes, cfg)` — the parallel path: submits the
-//     scene-major grid through the [`SweepEngine`].
-//
-// Both paths funnel through the same assembler on reports produced by the
-// same deterministic simulator, which is what makes a `--jobs N` sweep
-// bit-identical to `--jobs 1`.
+// Presets
 // ---------------------------------------------------------------------------
-
-/// Runs `policies` in order on one prepared scene (the serial path).
-fn run_policies(p: &Prepared, policies: &[TraversalPolicy]) -> Vec<SimReport> {
-    policies.iter().map(|&policy| p.run_policy(policy)).collect()
-}
 
 /// The fig11 contrast configuration: permanently treelet-stationary —
 /// diverge instantly, dispatch any queue, never drain into ray-stationary
@@ -312,44 +280,676 @@ pub fn free_virtualization_params() -> VtqParams {
     VtqParams::builder().charge_virtualization(false).build().expect("free-virtualization preset")
 }
 
-/// Figure 1: baseline L1 BVH miss rate (a) and RT-unit SIMT efficiency (b).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig1Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// L1 miss rate of BVH accesses issued from the RT unit.
-    pub l1_bvh_miss_rate: f64,
-    /// Baseline RT-unit SIMT efficiency.
-    pub simt_efficiency: f64,
+/// The same experiment with the BVH rebuilt under quantized
+/// ([`rtbvh::QBvh4Node`]) interior nodes: a distinct prepared-scene cache
+/// key, so quantized cells coexist with wide cells in one sweep.
+pub fn quantized_config(cfg: &ExperimentConfig) -> ExperimentConfig {
+    let mut q = *cfg;
+    q.bvh.node_format = NodeFormat::Quantized;
+    q
 }
 
-/// The policy cells Figure 1 runs per scene.
-pub fn fig01_policies() -> Vec<TraversalPolicy> {
-    vec![TraversalPolicy::Baseline]
+/// One labelled simulation preset: the traversal policy a cell runs
+/// under, plus the BVH node format its scene is built with.
+#[derive(Debug, Clone, Copy)]
+pub struct Preset {
+    /// Stable label (`baseline`, `vtq-repack-8`, `predict`, `qnode`, ...):
+    /// what [`Figure::presets`] and the conformance matrix name it by.
+    pub label: &'static str,
+    /// Traversal architecture.
+    pub policy: TraversalPolicy,
+    /// BVH interior-node format the scene is built under.
+    pub node_format: NodeFormat,
 }
 
-/// Assembles a Figure 1 row from [`fig01_policies`]-ordered reports.
-pub fn fig01_from_reports(scene: SceneId, reports: &[SimReport]) -> Fig1Row {
-    let r = &reports[0];
-    Fig1Row {
-        scene,
-        l1_bvh_miss_rate: r.mem.kind(AccessKind::Bvh).l1_miss_rate(),
-        simt_efficiency: r.stats.simt_efficiency(),
+impl Preset {
+    fn wide(label: &'static str, policy: TraversalPolicy) -> Preset {
+        Preset { label, policy, node_format: NodeFormat::Wide }
+    }
+
+    /// The cell configuration this preset runs under: `base` with the
+    /// preset's node format applied.
+    pub fn config(&self, base: &ExperimentConfig) -> ExperimentConfig {
+        match self.node_format {
+            NodeFormat::Wide => *base,
+            NodeFormat::Quantized => quantized_config(base),
+        }
+    }
+
+    /// The sweep cell that runs this preset on `scene`, labelled
+    /// `<scene>/<label>`.
+    pub fn cell(&self, scene: SceneId, base: &ExperimentConfig, label: &str) -> Cell {
+        let label = format!("{}/{label}", scene.name());
+        Cell { scene, config: self.config(base), policy: self.policy, label }
     }
 }
 
-/// Runs the baseline and extracts Figure 1's two series.
-pub fn fig01(p: &Prepared) -> Fig1Row {
-    fig01_from_reports(p.id, &run_policies(p, &fig01_policies()))
+/// Every preset the figures simulate and the conformance matrix checks —
+/// the paper's three headline architectures, the grouping / repacking /
+/// virtualization variants its figures sweep (thresholds included: a
+/// threshold a figure plots is a preset here), ray-path prediction, and
+/// the quantized-node build. No two presets of one node format share a
+/// policy, so naming a preset names a distinct simulation.
+///
+/// `vtq-norepack` is also Figure 12's `thr=128` point (128 is the default
+/// queue threshold) and `vtq` Figure 13's `t=22` (the default repack
+/// threshold).
+pub fn presets() -> Vec<Preset> {
+    let vtq = |label, params| Preset::wide(label, TraversalPolicy::Vtq(params));
+    vec![
+        Preset::wide("baseline", TraversalPolicy::Baseline),
+        Preset::wide("prefetch", TraversalPolicy::TreeletPrefetch),
+        vtq("vtq", VtqParams::default()),
+        vtq("vtq-norepack", repack_params(0)),
+        vtq("vtq-naive", naive_params()),
+        vtq("vtq-grouped-32", grouped_params(32)),
+        vtq("vtq-grouped-64", grouped_params(64)),
+        vtq("vtq-repack-8", repack_params(8)),
+        vtq("vtq-repack-16", repack_params(16)),
+        vtq("vtq-repack-24", repack_params(24)),
+        vtq("vtq-stationary", always_stationary_params()),
+        vtq("vtq-free-virt", free_virtualization_params()),
+        Preset::wide("predict", TraversalPolicy::Predict(PredictParams::default())),
+        Preset {
+            label: "qnode",
+            policy: TraversalPolicy::Baseline,
+            node_format: NodeFormat::Quantized,
+        },
+    ]
 }
 
-/// Figure 1 across `scenes`, submitted through the sweep engine.
-pub fn fig01_sweep(
+/// The reports of one `scenes × presets` wave.
+#[derive(Debug)]
+pub struct PresetRun {
+    scenes: Vec<SceneId>,
+    /// The presets simulated, in cell order within a scene.
+    labels: Vec<&'static str>,
+    /// Scene-major, `labels.len()` cells per scene.
+    cells: Vec<CellResult<SimReport>>,
+}
+
+/// Simulates every scene under every preset `labels` names (each once,
+/// however often it is named, in [`presets`] order) as a single
+/// [`RunMatrix`] wave — wide and quantized cells side by side.
+///
+/// # Panics
+///
+/// Panics on a label [`presets`] does not list.
+pub fn run_presets(
     engine: &SweepEngine,
+    labels: &[&str],
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
-) -> Vec<CellResult<Fig1Row>> {
-    engine.run_grid(scenes, cfg, &fig01_policies(), fig01_from_reports)
+) -> PresetRun {
+    let presets = presets();
+    if let Some(unknown) = labels.iter().find(|l| !presets.iter().any(|p| p.label == **l)) {
+        panic!("no preset is labelled `{unknown}`");
+    }
+    let chosen: Vec<&Preset> = presets.iter().filter(|p| labels.contains(&p.label)).collect();
+    let mut matrix = RunMatrix::new();
+    for &scene in scenes {
+        for preset in &chosen {
+            // Journal labels are the policy's (`REF/vtq` for every VTQ
+            // variant; the key's fingerprint tells them apart), except
+            // where the preset changes the build.
+            let label = match preset.node_format {
+                NodeFormat::Wide => preset.policy.label(),
+                NodeFormat::Quantized => preset.label,
+            };
+            matrix.push(preset.cell(scene, cfg, label));
+        }
+    }
+    PresetRun {
+        scenes: scenes.to_vec(),
+        labels: chosen.iter().map(|p| p.label).collect(),
+        cells: engine.run(&matrix),
+    }
+}
+
+impl PresetRun {
+    /// The scenes swept, in row order.
+    pub fn scenes(&self) -> &[SceneId] {
+        &self.scenes
+    }
+
+    /// `scene`'s reports under the presets `labels`, in that order — or
+    /// the first of those cells that produced none.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a scene or a preset this wave did not simulate.
+    pub fn reports(&self, scene: SceneId, labels: &[&str]) -> Result<Vec<&SimReport>, &CellError> {
+        let scene = self.scenes.iter().position(|s| *s == scene).expect("a scene of this wave");
+        let cell = |label: &&str| {
+            let preset =
+                self.labels.iter().position(|l| l == label).expect("a preset of this wave");
+            self.cells[scene * self.labels.len() + preset].as_ref()
+        };
+        labels.iter().map(cell).collect()
+    }
+
+    /// `scene`'s report under the preset `label`, if that cell produced
+    /// one.
+    pub fn report(&self, scene: SceneId, label: &str) -> Option<&SimReport> {
+        self.reports(scene, &[label]).ok().map(|reports| reports[0])
+    }
+
+    /// Every cell's outcome, scene-major, presets in [`presets`] order.
+    pub fn cells(&self) -> &[CellResult<SimReport>] {
+        &self.cells
+    }
+
+    /// Every cell that produced no report, in matrix order.
+    pub fn failures(&self) -> impl Iterator<Item = &CellError> {
+        self.cells.iter().filter_map(|cell| cell.as_ref().err())
+    }
+
+    /// `figure`'s table over this wave: one row per scene whose every
+    /// cell the figure needs produced a report.
+    pub fn table(&self, figure: &'static Figure) -> FigureTable {
+        let rows = self.scenes.iter().filter_map(|&scene| {
+            let reports = self.reports(scene, figure.presets).ok()?;
+            Some((scene, figure.columns.iter().map(|c| (c.value)(&reports)).collect()))
+        });
+        FigureTable { figure, rows: rows.collect() }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The scene × policy figures, declared once
+//
+// A figure is data: the presets it simulates per scene and a list of
+// columns, each a function of those reports with a format, a summary rule
+// and (when its value is pinned by a golden snapshot) a tolerance.
+// `vtq-bench figNN`, the sections of `vtq-bench all` and the
+// `golden/<name>.json` snapshots are all renderings of [`FIGURES`]; adding
+// a figure is adding an entry.
+// ---------------------------------------------------------------------------
+
+/// How a column's values print.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Format {
+    /// A count (cycles), as an integer.
+    Int,
+    /// A ratio as `1.23x`.
+    Times2,
+    /// A ratio as `1.234x`.
+    Times3,
+    /// A fraction or ratio as `0.123`.
+    Ratio3,
+    /// A fraction as `12.3%`.
+    Percent1,
+}
+
+impl Format {
+    /// `value` as this format prints it.
+    pub fn text(self, value: f64) -> String {
+        match self {
+            Format::Int => format!("{}", value as u64),
+            Format::Times2 => format!("{value:.2}x"),
+            Format::Times3 => format!("{value:.3}x"),
+            Format::Ratio3 => format!("{value:.3}"),
+            Format::Percent1 => format!("{:.1}%", value * 100.0),
+        }
+    }
+}
+
+/// How a column's cells fold into the table's closing row: always over
+/// the defined cells only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Summary {
+    /// Arithmetic mean (fractions, rates).
+    Mean,
+    /// Geometric mean (the paper's average for speedups).
+    Geomean,
+}
+
+impl Summary {
+    /// `mean` / `geomean`: the row label, and the `agg/<name>_<key>`
+    /// prefix of golden keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            Summary::Mean => "mean",
+            Summary::Geomean => "geomean",
+        }
+    }
+
+    /// Folds `cells`; `None` without a defined cell.
+    pub fn of(self, cells: &[Option<f64>]) -> Option<f64> {
+        match self {
+            Summary::Mean => mean_opt(cells),
+            Summary::Geomean => {
+                let defined: Vec<f64> = cells.iter().copied().flatten().collect();
+                (!defined.is_empty()).then(|| geomean(&defined))
+            }
+        }
+    }
+}
+
+/// Geometric mean (the paper's average for speedups).
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn geomean(values: &[f64]) -> f64 {
+    assert!(!values.is_empty(), "geomean of nothing");
+    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
+    (log_sum / values.len() as f64).exp()
+}
+
+/// Arithmetic mean.
+///
+/// # Panics
+///
+/// Panics on an empty slice.
+pub fn mean(values: &[f64]) -> f64 {
+    assert!(!values.is_empty(), "mean of nothing");
+    values.iter().sum::<f64>() / values.len() as f64
+}
+
+/// Arithmetic mean over the *defined* rates only: `None` entries (a rate
+/// whose denominator was zero) are excluded rather than averaged in as
+/// zero. Returns `None` when no entry is defined.
+pub fn mean_opt(values: &[Option<f64>]) -> Option<f64> {
+    let defined: Vec<f64> = values.iter().copied().flatten().collect();
+    if defined.is_empty() {
+        None
+    } else {
+        Some(mean(&defined))
+    }
+}
+
+/// Which golden tolerance band pins a column (the widths are
+/// [`crate::conformance::REL_TOL`] and [`crate::conformance::ABS_TOL`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tolerance {
+    /// Relative to the snapshotted value: cycle-derived ratios.
+    Rel,
+    /// Absolute: fraction-valued statistics.
+    Abs,
+}
+
+/// A column's value for one scene, from the figure's own reports (in
+/// [`Figure::presets`] order); `None` where it is undefined (a rate whose
+/// denominator was zero).
+pub type ColumnValue = fn(&[&SimReport]) -> Option<f64>;
+
+/// One column of a figure.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    /// Printed header; empty for a column that is pinned but not printed.
+    pub header: &'static str,
+    /// What tests and golden snapshots (`scene/<scene>/<key>`,
+    /// `agg/<summary>_<key>`) name the column by: the golden key when the
+    /// column is pinned, the header otherwise.
+    pub key: &'static str,
+    /// The per-scene value.
+    pub value: ColumnValue,
+    /// How values print.
+    pub format: Format,
+    /// The closing-row rule, for the columns that have a summary cell.
+    pub summary: Option<Summary>,
+    /// The golden band, for the columns a snapshot pins.
+    pub tolerance: Option<Tolerance>,
+}
+
+impl Column {
+    const fn new(header: &'static str, format: Format, value: ColumnValue) -> Column {
+        Column { header, key: header, value, format, summary: None, tolerance: None }
+    }
+
+    const fn mean(mut self) -> Column {
+        self.summary = Some(Summary::Mean);
+        self
+    }
+
+    const fn geomean(mut self) -> Column {
+        self.summary = Some(Summary::Geomean);
+        self
+    }
+
+    /// Pins the column in the figure's snapshot under `key`, ±5 %.
+    const fn rel(mut self, key: &'static str) -> Column {
+        self.key = key;
+        self.tolerance = Some(Tolerance::Rel);
+        self
+    }
+
+    /// Pins the column in the figure's snapshot under `key`, ±0.02.
+    const fn abs(mut self, key: &'static str) -> Column {
+        self.key = key;
+        self.tolerance = Some(Tolerance::Abs);
+        self
+    }
+}
+
+/// One scene × policy table of the evaluation.
+#[derive(Debug)]
+pub struct Figure {
+    /// Subcommand name and snapshot file stem (`fig10`).
+    pub name: &'static str,
+    /// Section title in the `vtq-bench all` report.
+    pub title: &'static str,
+    /// The [`presets`] labels simulated per scene; columns index their
+    /// reports in this order.
+    pub presets: &'static [&'static str],
+    /// The columns. Printed left to right; snapshot entries follow the
+    /// same order, so a pinned column whose snapshot position differs
+    /// from its printed one is listed twice (once unprinted, once
+    /// unpinned).
+    pub columns: &'static [Column],
+}
+
+/// The figure named `name`, if [`FIGURES`] declares one.
+pub fn figure(name: &str) -> Option<&'static Figure> {
+    FIGURES.iter().find(|f| f.name == name)
+}
+
+fn cycles(r: &SimReport) -> Option<f64> {
+    Some(r.stats.cycles as f64)
+}
+
+/// How many times faster than `base` the run `other` finished.
+fn speedup(base: &SimReport, other: &SimReport) -> Option<f64> {
+    Some(base.stats.cycles as f64 / other.stats.cycles as f64)
+}
+
+fn simt(r: &SimReport) -> Option<f64> {
+    r.stats.simt_efficiency_opt()
+}
+
+/// The share of `count` (cycles or intersection tests per traversal
+/// mode) that fell to the `mode`-th of [`TraversalMode::ALL`].
+fn mode_share(
+    r: &SimReport,
+    count: fn(&SimStats, TraversalMode) -> u64,
+    mode: usize,
+) -> Option<f64> {
+    let total: u64 = TraversalMode::ALL.iter().map(|&m| count(&r.stats, m)).sum();
+    Some(count(&r.stats, TraversalMode::ALL[mode]) as f64 / total.max(1) as f64)
+}
+
+fn energy_vs(base: &SimReport, other: &SimReport) -> Option<f64> {
+    Some(other.energy.total_pj() / base.energy.total_pj())
+}
+
+fn bvh_dram_lines(r: &SimReport) -> u64 {
+    r.mem.kind(AccessKind::Bvh).dram
+}
+
+use Format::{Int, Percent1, Ratio3, Times2, Times3};
+
+/// Every scene × policy figure, in report order.
+pub static FIGURES: [Figure; 9] = [
+    // Baseline RT-unit bottlenecks. Paper: mean miss rate 58% (up to
+    // 70%), low SIMT efficiency (~0.37).
+    Figure {
+        name: "fig01",
+        title: "Figure 1 — baseline L1 BVH miss rate & SIMT efficiency",
+        presets: &["baseline"],
+        columns: &[
+            Column::new("l1_bvh_miss", Ratio3, |r| {
+                r[0].mem.kind(AccessKind::Bvh).l1_miss_rate_opt()
+            })
+            .mean()
+            .abs("l1_bvh_miss"),
+            Column::new("simt_eff", Ratio3, |r| simt(r[0])).mean().abs("simt_eff"),
+        ],
+    },
+    // VTQ (4096 concurrent rays) vs the baseline and vs Treelet
+    // Prefetching [8]. Paper: 95% mean speedup over baseline, 43% over
+    // prefetching.
+    Figure {
+        name: "fig10",
+        title: "Figure 10 — overall speedup",
+        presets: &["baseline", "prefetch", "vtq"],
+        columns: &[
+            Column::new("base_cyc", Int, |r| cycles(r[0])),
+            Column::new("pref_cyc", Int, |r| cycles(r[1])),
+            Column::new("vtq_cyc", Int, |r| cycles(r[2])),
+            Column::new("vtq_speedup", Times2, |r| speedup(r[0], r[2]))
+                .geomean()
+                .rel("vtq_speedup"),
+            Column::new("pref_speedup", Times2, |r| speedup(r[0], r[1]))
+                .geomean()
+                .rel("prefetch_speedup"),
+            Column::new("vtq/pref", Times2, |r| speedup(r[1], r[2])).geomean(),
+        ],
+    },
+    // Grouping underpopulated treelet queues, repacking disabled
+    // throughout so the grouping effect is isolated. Paper: grouping at a
+    // 128-ray threshold is ~8× faster than naive treelet queues yet still
+    // ~5% slower than the baseline (repacking closes the gap, Figure 13).
+    Figure {
+        name: "fig12",
+        title: "Figure 12 — grouping underpopulated queues (speedup vs baseline)",
+        presets: &["baseline", "vtq-naive", "vtq-grouped-32", "vtq-grouped-64", "vtq-norepack"],
+        columns: &[
+            Column::new("naive", Times3, |r| speedup(r[0], r[1])).geomean().rel("naive_speedup"),
+            Column::new("thr=32", Times3, |r| speedup(r[0], r[2]))
+                .geomean()
+                .rel("grouped_32_speedup"),
+            Column::new("thr=64", Times3, |r| speedup(r[0], r[3]))
+                .geomean()
+                .rel("grouped_64_speedup"),
+            Column::new("thr=128", Times3, |r| speedup(r[0], r[4]))
+                .geomean()
+                .rel("grouped_128_speedup"),
+        ],
+    },
+    // Warp repacking: (a) speedup over baseline per repack threshold,
+    // (b) SIMT efficiency. Paper: no-repack is ~5% below baseline;
+    // threshold 22 reaches 95% speedup and SIMT efficiency ~0.82. The
+    // snapshot pins the SIMT efficiency of every threshold, beside its
+    // speedup; the table prints three of them, after the speedups.
+    Figure {
+        name: "fig13",
+        title: "Figure 13 — warp repacking (speedup vs baseline / SIMT efficiency)",
+        presets: &[
+            "baseline",
+            "vtq-norepack",
+            "vtq-repack-8",
+            "vtq-repack-16",
+            "vtq",
+            "vtq-repack-24",
+        ],
+        columns: &[
+            Column::new("norepack", Times3, |r| speedup(r[0], r[1]))
+                .geomean()
+                .rel("speedup_norepack"),
+            Column::new("", Ratio3, |r| simt(r[1])).abs("simt_norepack"),
+            Column::new("t=8", Times3, |r| speedup(r[0], r[2])).geomean().rel("speedup_repack_8"),
+            Column::new("", Ratio3, |r| simt(r[2])).abs("simt_repack_8"),
+            Column::new("t=16", Times3, |r| speedup(r[0], r[3])).geomean().rel("speedup_repack_16"),
+            Column::new("", Ratio3, |r| simt(r[3])).abs("simt_repack_16"),
+            Column::new("t=22", Times3, |r| speedup(r[0], r[4])).geomean().rel("speedup_repack_22"),
+            Column::new("", Ratio3, |r| simt(r[4])).abs("simt_repack_22"),
+            Column::new("t=24", Times3, |r| speedup(r[0], r[5])).geomean().rel("speedup_repack_24"),
+            Column::new("", Ratio3, |r| simt(r[5])).abs("simt_repack_24"),
+            Column::new("simt_base", Ratio3, |r| simt(r[0])).mean(),
+            Column::new("simt_nore", Ratio3, |r| simt(r[1])).mean(),
+            Column::new("simt_t22", Ratio3, |r| simt(r[4])).mean(),
+        ],
+    },
+    // Cycle distribution over the three traversal modes. Paper: a short
+    // initial phase, then ray-stationary dominates the cycle count.
+    Figure {
+        name: "fig14",
+        title: "Figure 14 — cycles by traversal mode",
+        presets: &["vtq"],
+        columns: &[
+            Column::new("initial", Ratio3, |r| mode_share(r[0], SimStats::cycles_in, 0))
+                .mean()
+                .abs("initial_fraction"),
+            Column::new("treelet", Ratio3, |r| mode_share(r[0], SimStats::cycles_in, 1))
+                .mean()
+                .abs("treelet_fraction"),
+            Column::new("ray", Ratio3, |r| mode_share(r[0], SimStats::cycles_in, 2))
+                .mean()
+                .abs("ray_fraction"),
+        ],
+    },
+    // Intersection tests processed under each traversal mode. Paper:
+    // treelet-stationary handles up to 52% with a 15% mean;
+    // ray-stationary takes the rest.
+    Figure {
+        name: "fig15",
+        title: "Figure 15 — intersection tests by traversal mode",
+        presets: &["vtq"],
+        columns: &[
+            Column::new("initial", Ratio3, |r| mode_share(r[0], SimStats::isect_in, 0))
+                .mean()
+                .abs("initial_fraction"),
+            Column::new("treelet", Ratio3, |r| mode_share(r[0], SimStats::isect_in, 1))
+                .mean()
+                .abs("treelet_fraction"),
+            Column::new("ray", Ratio3, |r| mode_share(r[0], SimStats::isect_in, 2))
+                .mean()
+                .abs("ray_fraction"),
+        ],
+    },
+    // VTQ with CTA state save/restore charged vs idealized ("free")
+    // virtualization. Paper: ~10% mean slowdown.
+    Figure {
+        name: "fig16",
+        title: "Figure 16 — ray virtualization overhead",
+        presets: &["vtq", "vtq-free-virt"],
+        columns: &[
+            Column::new("charged_cyc", Int, |r| cycles(r[0])),
+            Column::new("free_cyc", Int, |r| cycles(r[1])),
+            Column::new("overhead", Percent1, |r| {
+                Some(r[0].stats.cycles as f64 / r[1].stats.cycles as f64 - 1.0)
+            })
+            .mean()
+            .abs("overhead"),
+        ],
+    },
+    // Energy with and without virtualization charges. Paper: ~60% energy
+    // savings overall; virtualization consumes ~11% of the design's
+    // energy.
+    Figure {
+        name: "fig17",
+        title: "Figure 17 — energy (normalized to baseline)",
+        presets: &["baseline", "vtq", "vtq-free-virt"],
+        columns: &[
+            Column::new("vtq/base", Ratio3, |r| energy_vs(r[0], r[1])).mean().rel("vtq_energy"),
+            Column::new("novirt/base", Ratio3, |r| energy_vs(r[0], r[2])).rel("novirt_energy"),
+            Column::new("virt_frac", Percent1, |r| Some(r[1].energy.virtualization_fraction()))
+                .mean()
+                .abs("virt_frac"),
+        ],
+    },
+    // Ray-path prediction and quantized BVH4 nodes vs the wide-node
+    // baseline — the one figure whose cells differ in BVH build, not just
+    // policy. Both presets are oracle-proven (`vtq-bench conformance`);
+    // this reports what they buy: cycles, prediction hit rate, and BVH
+    // DRAM traffic of the compressed layout (< 1 = the smaller nodes cut
+    // traffic).
+    Figure {
+        name: "figpolicies",
+        title: "Policy experiments — ray-path prediction & quantized nodes",
+        presets: &["baseline", "predict", "qnode"],
+        columns: &[
+            Column::new("base_cyc", Int, |r| cycles(r[0])),
+            Column::new("pred_cyc", Int, |r| cycles(r[1])),
+            Column::new("qnode_cyc", Int, |r| cycles(r[2])),
+            Column::new("pred_speedup", Times2, |r| speedup(r[0], r[1]))
+                .geomean()
+                .rel("predict_speedup"),
+            Column::new("pred_hit", Percent1, |r| r[1].stats.predict_hit_rate_opt()),
+            Column::new("qnode_speedup", Times2, |r| speedup(r[0], r[2]))
+                .geomean()
+                .rel("qnode_speedup"),
+            Column::new("", Percent1, |r| r[1].stats.predict_hit_rate_opt())
+                .mean()
+                .abs("predict_hit_rate"),
+            Column::new("qnode_traffic", Times2, |r| {
+                Some(bvh_dram_lines(r[2]) as f64 / bvh_dram_lines(r[0]).max(1) as f64)
+            })
+            .geomean()
+            .rel("qnode_traffic_ratio"),
+        ],
+    },
+];
+
+/// Simulates the union of the cells `figures` need — every preset once
+/// per scene, however many figures read it — as one wave.
+pub fn run_figures(
+    engine: &SweepEngine,
+    figures: &[Figure],
+    scenes: &[SceneId],
+    cfg: &ExperimentConfig,
+) -> PresetRun {
+    let labels: Vec<&str> = figures.iter().flat_map(|f| f.presets.iter().copied()).collect();
+    run_presets(engine, &labels, scenes, cfg)
+}
+
+/// One figure's values over a sweep; see [`PresetRun::table`].
+#[derive(Debug, Clone)]
+pub struct FigureTable {
+    /// The figure.
+    pub figure: &'static Figure,
+    /// Per surviving scene, one value per [`Figure::columns`] entry.
+    pub rows: Vec<(SceneId, Vec<Option<f64>>)>,
+}
+
+impl FigureTable {
+    /// The value of the column keyed `key` in `scene`'s row.
+    pub fn value(&self, scene: SceneId, key: &str) -> Option<f64> {
+        let column = self.figure.columns.iter().position(|c| c.key == key)?;
+        self.rows.iter().find(|(s, _)| *s == scene)?.1[column]
+    }
+
+    /// The `column`-th column's summary over the rows, per its rule.
+    pub fn summary(&self, column: usize) -> Option<f64> {
+        let cells: Vec<Option<f64>> = self.rows.iter().map(|(_, values)| values[column]).collect();
+        self.figure.columns[column].summary?.of(&cells)
+    }
+
+    /// The printed columns, with their index in [`Figure::columns`].
+    fn printed(&self) -> impl Iterator<Item = (usize, &'static Column)> {
+        self.figure.columns.iter().enumerate().filter(|(_, c)| !c.header.is_empty())
+    }
+
+    /// The header row: `scene`, then the printed columns.
+    pub fn header(&self) -> Vec<&'static str> {
+        std::iter::once("scene").chain(self.printed().map(|(_, c)| c.header)).collect()
+    }
+
+    /// The body rows as printed: scene name, then one cell per printed
+    /// column (`n/a` where the value is undefined).
+    pub fn body(&self) -> Vec<Vec<String>> {
+        let cell =
+            |value: Option<f64>, c: &Column| value.map_or("n/a".into(), |v| c.format.text(v));
+        self.rows
+            .iter()
+            .map(|(scene, values)| {
+                std::iter::once(scene.name().to_string())
+                    .chain(self.printed().map(|(i, c)| cell(values[i], c)))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The closing row — `GEOMEAN` when every summarised column printed
+    /// is a geometric mean, `MEAN` otherwise, then one cell per printed
+    /// column (empty without a rule, `n/a` without a defined value) — or
+    /// `None` for a table without rows or without a summarised column.
+    pub fn summary_row(&self) -> Option<Vec<String>> {
+        let rules: Vec<Summary> = self.printed().filter_map(|(_, c)| c.summary).collect();
+        if rules.is_empty() || self.rows.is_empty() {
+            return None;
+        }
+        let all_geomean = rules.iter().all(|rule| *rule == Summary::Geomean);
+        let label = if all_geomean { "GEOMEAN" } else { "MEAN" };
+        let cell = |i: usize, c: &Column| match (c.summary, self.summary(i)) {
+            (None, _) => String::new(),
+            (_, Some(v)) => c.format.text(v),
+            (_, None) => "n/a".to_string(),
+        };
+        let cells = self.printed().map(|(i, c)| cell(i, c));
+        Some(std::iter::once(label.to_string()).chain(cells).collect())
+    }
 }
 
 /// Figure 5: analytical treelet speedup vs concurrent rays.
@@ -363,7 +963,7 @@ pub struct Fig5Row {
 
 /// Evaluates the §2.4 analytical model on this scene's traces.
 pub fn fig05(p: &Prepared, batch_sizes: &[usize]) -> Fig5Row {
-    let traces = p.traces();
+    let traces = analytical::record_traces(&p.bvh, p.scene.triangles(), &p.workload);
     Fig5Row { scene: p.id, speedups: analytical::analytical_speedups(&p.bvh, &traces, batch_sizes) }
 }
 
@@ -378,69 +978,6 @@ pub fn fig05_sweep(
     engine.run_scenes(scenes, cfg, |p| fig05(p, batch_sizes))
 }
 
-/// Figure 10: overall speedup of VTQ and treelet prefetching over baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig10Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// Baseline cycles.
-    pub baseline_cycles: u64,
-    /// Treelet-prefetching cycles.
-    pub prefetch_cycles: u64,
-    /// Virtualized-treelet-queue cycles.
-    pub vtq_cycles: u64,
-}
-
-impl Fig10Row {
-    /// VTQ speedup over the baseline.
-    pub fn vtq_speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.vtq_cycles as f64
-    }
-
-    /// Prefetching speedup over the baseline.
-    pub fn prefetch_speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.prefetch_cycles as f64
-    }
-
-    /// VTQ speedup over prefetching.
-    pub fn vtq_over_prefetch(&self) -> f64 {
-        self.prefetch_cycles as f64 / self.vtq_cycles as f64
-    }
-}
-
-/// The policy cells Figure 10 runs per scene: baseline, prefetch, VTQ.
-pub fn fig10_policies() -> Vec<TraversalPolicy> {
-    vec![
-        TraversalPolicy::Baseline,
-        TraversalPolicy::TreeletPrefetch,
-        TraversalPolicy::Vtq(VtqParams::default()),
-    ]
-}
-
-/// Assembles a Figure 10 row from [`fig10_policies`]-ordered reports.
-pub fn fig10_from_reports(scene: SceneId, reports: &[SimReport]) -> Fig10Row {
-    Fig10Row {
-        scene,
-        baseline_cycles: reports[0].stats.cycles,
-        prefetch_cycles: reports[1].stats.cycles,
-        vtq_cycles: reports[2].stats.cycles,
-    }
-}
-
-/// Runs all three policies (the paper's headline comparison).
-pub fn fig10(p: &Prepared) -> Fig10Row {
-    fig10_from_reports(p.id, &run_policies(p, &fig10_policies()))
-}
-
-/// Figure 10 across `scenes`, submitted through the sweep engine.
-pub fn fig10_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-) -> Vec<CellResult<Fig10Row>> {
-    engine.run_grid(scenes, cfg, &fig10_policies(), fig10_from_reports)
-}
-
 /// Figure 11: L1 BVH miss rate over time, baseline vs permanently
 /// treelet-stationary.
 #[derive(Debug, Clone, PartialEq)]
@@ -453,402 +990,25 @@ pub struct Fig11Data {
     pub treelet_stationary: Vec<WindowPoint>,
 }
 
-/// The policy cells Figure 11 runs per scene: baseline, then "if it were
-/// to operate permanently in treelet-stationary mode"
-/// ([`always_stationary_params`]).
-pub fn fig11_policies() -> Vec<TraversalPolicy> {
-    vec![TraversalPolicy::Baseline, TraversalPolicy::Vtq(always_stationary_params())]
-}
-
-/// Assembles the Figure 11 series from [`fig11_policies`]-ordered reports.
-pub fn fig11_from_reports(scene: SceneId, reports: &[SimReport]) -> Fig11Data {
-    Fig11Data {
-        scene,
-        baseline: reports[0].mem.bvh_l1_windows.clone(),
-        treelet_stationary: reports[1].mem.bvh_l1_windows.clone(),
-    }
-}
-
-/// Runs the baseline and a permanently-treelet-stationary configuration.
-pub fn fig11(p: &Prepared) -> Fig11Data {
-    fig11_from_reports(p.id, &run_policies(p, &fig11_policies()))
-}
-
-/// Figure 11 across `scenes`, submitted through the sweep engine.
+/// Figure 11 across `scenes`: the baseline, then VTQ "if it were to
+/// operate permanently in treelet-stationary mode" (the `vtq-stationary`
+/// preset). A scene with a failed cell yields that cell's error.
 pub fn fig11_sweep(
     engine: &SweepEngine,
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> Vec<CellResult<Fig11Data>> {
-    engine.run_grid(scenes, cfg, &fig11_policies(), fig11_from_reports)
-}
-
-/// Figure 12: grouping underpopulated treelet queues.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig12Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// Baseline cycles (normalization).
-    pub baseline_cycles: u64,
-    /// Naive treelet queues (no grouping, no repacking).
-    pub naive_cycles: u64,
-    /// `(queue threshold, cycles)` with grouping enabled (no repacking).
-    pub grouped: Vec<(usize, u64)>,
-}
-
-impl Fig12Row {
-    /// Speedup of the naive configuration over baseline (< 1 = slowdown).
-    pub fn naive_speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.naive_cycles as f64
-    }
-
-    /// Speedup of a grouped configuration over baseline.
-    pub fn grouped_speedup(&self, idx: usize) -> f64 {
-        self.baseline_cycles as f64 / self.grouped[idx].1 as f64
-    }
-}
-
-/// The policy cells Figure 12 runs per scene: baseline, naive queues,
-/// then grouping at each queue threshold (repacking disabled throughout
-/// so the grouping effect is isolated, as in the paper's figure).
-pub fn fig12_policies(thresholds: &[usize]) -> Vec<TraversalPolicy> {
-    let mut policies = vec![TraversalPolicy::Baseline, TraversalPolicy::Vtq(naive_params())];
-    policies.extend(thresholds.iter().map(|&t| TraversalPolicy::Vtq(grouped_params(t))));
-    policies
-}
-
-/// Assembles a Figure 12 row from [`fig12_policies`]-ordered reports.
-pub fn fig12_from_reports(scene: SceneId, thresholds: &[usize], reports: &[SimReport]) -> Fig12Row {
-    Fig12Row {
-        scene,
-        baseline_cycles: reports[0].stats.cycles,
-        naive_cycles: reports[1].stats.cycles,
-        grouped: thresholds.iter().zip(&reports[2..]).map(|(&t, r)| (t, r.stats.cycles)).collect(),
-    }
-}
-
-/// Sweeps the §4.4 queue thresholds.
-pub fn fig12(p: &Prepared, thresholds: &[usize]) -> Fig12Row {
-    fig12_from_reports(p.id, thresholds, &run_policies(p, &fig12_policies(thresholds)))
-}
-
-/// Figure 12 across `scenes`, submitted through the sweep engine.
-pub fn fig12_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-    thresholds: &[usize],
-) -> Vec<CellResult<Fig12Row>> {
-    engine.run_grid(scenes, cfg, &fig12_policies(thresholds), |scene, reports| {
-        fig12_from_reports(scene, thresholds, reports)
-    })
-}
-
-/// Figure 13: warp repacking speedup (a) and SIMT efficiency (b).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig13Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// Baseline cycles and SIMT efficiency.
-    pub baseline: (u64, f64),
-    /// VTQ without repacking: cycles and SIMT efficiency.
-    pub no_repack: (u64, f64),
-    /// `(repack threshold, cycles, SIMT efficiency)` sweeps.
-    pub repack: Vec<(usize, u64, f64)>,
-}
-
-/// The policy cells Figure 13 runs per scene: baseline, no-repack VTQ,
-/// then each repack threshold (grouping enabled throughout).
-pub fn fig13_policies(thresholds: &[usize]) -> Vec<TraversalPolicy> {
-    let mut policies = vec![TraversalPolicy::Baseline, TraversalPolicy::Vtq(repack_params(0))];
-    policies.extend(thresholds.iter().map(|&t| TraversalPolicy::Vtq(repack_params(t))));
-    policies
-}
-
-/// Assembles a Figure 13 row from [`fig13_policies`]-ordered reports.
-pub fn fig13_from_reports(scene: SceneId, thresholds: &[usize], reports: &[SimReport]) -> Fig13Row {
-    Fig13Row {
-        scene,
-        baseline: (reports[0].stats.cycles, reports[0].stats.simt_efficiency()),
-        no_repack: (reports[1].stats.cycles, reports[1].stats.simt_efficiency()),
-        repack: thresholds
-            .iter()
-            .zip(&reports[2..])
-            .map(|(&t, r)| (t, r.stats.cycles, r.stats.simt_efficiency()))
-            .collect(),
-    }
-}
-
-/// Sweeps the §4.5 repack thresholds.
-pub fn fig13(p: &Prepared, thresholds: &[usize]) -> Fig13Row {
-    fig13_from_reports(p.id, thresholds, &run_policies(p, &fig13_policies(thresholds)))
-}
-
-/// Figure 13 across `scenes`, submitted through the sweep engine.
-pub fn fig13_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-    thresholds: &[usize],
-) -> Vec<CellResult<Fig13Row>> {
-    engine.run_grid(scenes, cfg, &fig13_policies(thresholds), |scene, reports| {
-        fig13_from_reports(scene, thresholds, reports)
-    })
-}
-
-/// Figures 14 & 15: per-mode cycle and intersection-test breakdowns of the
-/// full VTQ configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModeBreakdownRow {
-    /// Scene.
-    pub scene: SceneId,
-    /// Fraction of RT-unit busy cycles per mode (initial, treelet, ray).
-    pub cycle_fractions: [f64; 3],
-    /// Fraction of intersection tests per mode.
-    pub isect_fractions: [f64; 3],
-}
-
-/// The policy cells Figures 14/15 run per scene: the full VTQ design.
-pub fn fig14_15_policies() -> Vec<TraversalPolicy> {
-    vec![TraversalPolicy::Vtq(VtqParams::default())]
-}
-
-/// Assembles a Figures 14/15 row from [`fig14_15_policies`]-ordered
-/// reports.
-pub fn fig14_15_from_reports(scene: SceneId, reports: &[SimReport]) -> ModeBreakdownRow {
-    let r = &reports[0];
-    let cycles: Vec<u64> = TraversalMode::ALL.iter().map(|m| r.stats.cycles_in(*m)).collect();
-    let isect: Vec<u64> = TraversalMode::ALL.iter().map(|m| r.stats.isect_in(*m)).collect();
-    let ct: u64 = cycles.iter().sum::<u64>().max(1);
-    let it: u64 = isect.iter().sum::<u64>().max(1);
-    ModeBreakdownRow {
-        scene,
-        cycle_fractions: [
-            cycles[0] as f64 / ct as f64,
-            cycles[1] as f64 / ct as f64,
-            cycles[2] as f64 / ct as f64,
-        ],
-        isect_fractions: [
-            isect[0] as f64 / it as f64,
-            isect[1] as f64 / it as f64,
-            isect[2] as f64 / it as f64,
-        ],
-    }
-}
-
-/// Extracts Figures 14/15 from one VTQ run.
-pub fn fig14_15(p: &Prepared) -> ModeBreakdownRow {
-    fig14_15_from_reports(p.id, &run_policies(p, &fig14_15_policies()))
-}
-
-/// Figures 14/15 across `scenes`, submitted through the sweep engine.
-pub fn fig14_15_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-) -> Vec<CellResult<ModeBreakdownRow>> {
-    engine.run_grid(scenes, cfg, &fig14_15_policies(), fig14_15_from_reports)
-}
-
-/// Figure 16: ray virtualization overhead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig16Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// VTQ cycles with CTA state save/restore charged.
-    pub charged_cycles: u64,
-    /// VTQ cycles with free (idealized) virtualization.
-    pub free_cycles: u64,
-}
-
-impl Fig16Row {
-    /// Relative slowdown caused by virtualization state movement
-    /// (paper: ~10% on average).
-    pub fn overhead(&self) -> f64 {
-        self.charged_cycles as f64 / self.free_cycles as f64 - 1.0
-    }
-}
-
-/// The policy cells Figure 16 runs per scene: VTQ charged, then free.
-pub fn fig16_policies() -> Vec<TraversalPolicy> {
-    vec![
-        TraversalPolicy::Vtq(VtqParams::default()),
-        TraversalPolicy::Vtq(free_virtualization_params()),
-    ]
-}
-
-/// Assembles a Figure 16 row from [`fig16_policies`]-ordered reports.
-pub fn fig16_from_reports(scene: SceneId, reports: &[SimReport]) -> Fig16Row {
-    Fig16Row {
-        scene,
-        charged_cycles: reports[0].stats.cycles,
-        free_cycles: reports[1].stats.cycles,
-    }
-}
-
-/// Runs VTQ with and without charging virtualization state movement.
-pub fn fig16(p: &Prepared) -> Fig16Row {
-    fig16_from_reports(p.id, &run_policies(p, &fig16_policies()))
-}
-
-/// Figure 16 across `scenes`, submitted through the sweep engine.
-pub fn fig16_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-) -> Vec<CellResult<Fig16Row>> {
-    engine.run_grid(scenes, cfg, &fig16_policies(), fig16_from_reports)
-}
-
-/// Figure 17: energy of baseline vs treelet queues ± virtualization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig17Row {
-    /// Scene.
-    pub scene: SceneId,
-    /// Baseline energy (pJ).
-    pub baseline_pj: f64,
-    /// Full VTQ energy (pJ).
-    pub vtq_pj: f64,
-    /// VTQ energy with free virtualization (pJ).
-    pub vtq_free_pj: f64,
-    /// Fraction of VTQ energy attributable to virtualization.
-    pub virtualization_fraction: f64,
-}
-
-/// The policy cells Figure 17 runs per scene: baseline, VTQ, free VTQ.
-pub fn fig17_policies() -> Vec<TraversalPolicy> {
-    vec![
-        TraversalPolicy::Baseline,
-        TraversalPolicy::Vtq(VtqParams::default()),
-        TraversalPolicy::Vtq(free_virtualization_params()),
-    ]
-}
-
-/// Assembles a Figure 17 row from [`fig17_policies`]-ordered reports.
-pub fn fig17_from_reports(scene: SceneId, reports: &[SimReport]) -> Fig17Row {
-    Fig17Row {
-        scene,
-        baseline_pj: reports[0].energy.total_pj(),
-        vtq_pj: reports[1].energy.total_pj(),
-        vtq_free_pj: reports[2].energy.total_pj(),
-        virtualization_fraction: reports[1].energy.virtualization_fraction(),
-    }
-}
-
-/// Runs the energy comparison.
-pub fn fig17(p: &Prepared) -> Fig17Row {
-    fig17_from_reports(p.id, &run_policies(p, &fig17_policies()))
-}
-
-/// Figure 17 across `scenes`, submitted through the sweep engine.
-pub fn fig17_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-) -> Vec<CellResult<Fig17Row>> {
-    engine.run_grid(scenes, cfg, &fig17_policies(), fig17_from_reports)
-}
-
-/// The same experiment with the BVH rebuilt under quantized
-/// ([`rtbvh::QBvh4Node`]) interior nodes: a distinct prepared-scene cache
-/// key, so quantized cells coexist with wide cells in one sweep.
-pub fn quantized_config(cfg: &ExperimentConfig) -> ExperimentConfig {
-    let mut q = *cfg;
-    q.bvh.node_format = NodeFormat::Quantized;
-    q
-}
-
-/// Policy-experiment figure: ray-path prediction and quantized nodes
-/// against the shared baseline, per scene.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyFigRow {
-    /// Scene.
-    pub scene: SceneId,
-    /// Baseline cycles (wide nodes, no prediction).
-    pub baseline_cycles: u64,
-    /// Cycles under [`TraversalPolicy::Predict`] with default parameters.
-    pub predict_cycles: u64,
-    /// Baseline cycles with the BVH rebuilt under quantized nodes.
-    pub qnode_cycles: u64,
-    /// Prediction-table hit rate of the predict run.
-    pub predict_hit_rate: f64,
-    /// BVH lines fetched from DRAM under wide nodes.
-    pub wide_bvh_dram_lines: u64,
-    /// BVH lines fetched from DRAM under quantized nodes.
-    pub qnode_bvh_dram_lines: u64,
-}
-
-impl PolicyFigRow {
-    /// Prediction speedup over the baseline (< 1 = the lookup latency
-    /// cost exceeded the traversal saved).
-    pub fn predict_speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.predict_cycles as f64
-    }
-
-    /// Quantized-node speedup over the wide baseline.
-    pub fn qnode_speedup(&self) -> f64 {
-        self.baseline_cycles as f64 / self.qnode_cycles as f64
-    }
-
-    /// Quantized-over-wide BVH DRAM traffic ratio (< 1 = the smaller
-    /// nodes cut memory traffic).
-    pub fn qnode_traffic_ratio(&self) -> f64 {
-        self.qnode_bvh_dram_lines as f64 / self.wide_bvh_dram_lines.max(1) as f64
-    }
-}
-
-/// Assembles a policy-figure row from the three per-scene reports, in
-/// [`figpolicies_sweep`] cell order (baseline, predict, qnode).
-pub fn figpolicies_from_reports(scene: SceneId, reports: &[SimReport]) -> PolicyFigRow {
-    PolicyFigRow {
-        scene,
-        baseline_cycles: reports[0].stats.cycles,
-        predict_cycles: reports[1].stats.cycles,
-        qnode_cycles: reports[2].stats.cycles,
-        predict_hit_rate: reports[1].stats.predict_hit_rate(),
-        wide_bvh_dram_lines: reports[0].mem.kind(AccessKind::Bvh).dram,
-        qnode_bvh_dram_lines: reports[2].mem.kind(AccessKind::Bvh).dram,
-    }
-}
-
-/// The policy-experiment figure across `scenes`: per scene, the wide
-/// baseline, wide + ray-path prediction, and the quantized-node baseline
-/// (a per-cell [`quantized_config`] override — the only figure whose
-/// cells differ in *BVH build*, not just traversal policy).
-pub fn figpolicies_sweep(
-    engine: &SweepEngine,
-    scenes: &[SceneId],
-    cfg: &ExperimentConfig,
-) -> Vec<CellResult<PolicyFigRow>> {
-    use crate::sweep::{Cell, RunMatrix};
-    let qcfg = quantized_config(cfg);
-    let mut matrix = RunMatrix::new();
-    for &scene in scenes {
-        matrix.add(scene, cfg, TraversalPolicy::Baseline);
-        matrix.add(scene, cfg, TraversalPolicy::Predict(PredictParams::default()));
-        matrix.push(Cell {
-            scene,
-            config: qcfg,
-            policy: TraversalPolicy::Baseline,
-            label: format!("{}/qnode", scene.name()),
-        });
-    }
-    let mut results = engine.run(&matrix).into_iter();
+    const PRESETS: [&str; 2] = ["baseline", "vtq-stationary"];
+    let run = run_presets(engine, &PRESETS, scenes, cfg);
     scenes
         .iter()
-        .map(|&scene| {
-            let mut reports = Vec::with_capacity(3);
-            let mut failure = None;
-            for _ in 0..3 {
-                match results.next().expect("three cells per scene") {
-                    Ok(report) => reports.push(report),
-                    Err(e) => failure = failure.or(Some(e)),
-                }
-            }
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(figpolicies_from_reports(scene, &reports)),
-            }
+        .map(|&scene| match run.reports(scene, &PRESETS) {
+            Ok(reports) => Ok(Fig11Data {
+                scene,
+                baseline: reports[0].mem.bvh_l1_windows.clone(),
+                treelet_stationary: reports[1].mem.bvh_l1_windows.clone(),
+            }),
+            Err(e) => Err(e.clone()),
         })
         .collect()
 }
@@ -898,68 +1058,82 @@ pub fn table2_sweep(
 mod tests {
     use super::*;
 
-    fn quick(id: SceneId) -> Prepared {
+    fn quick_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick();
         cfg.resolution = 48;
-        Prepared::build(id, &cfg)
+        cfg
+    }
+
+    fn quick(id: SceneId) -> Prepared {
+        Prepared::build(id, &quick_cfg())
+    }
+
+    /// Runs the figure `name` on REF and returns its row, read by column
+    /// key.
+    fn ref_row(name: &'static str) -> impl Fn(&str) -> f64 {
+        let figure = figure(name).expect("declared");
+        let figures = std::slice::from_ref(figure);
+        let run = run_figures(&SweepEngine::new(1), figures, &[SceneId::Ref], &quick_cfg());
+        let table = run.table(figure);
+        assert_eq!(table.rows.len(), 1, "{name}: {:?}", run.failures().collect::<Vec<_>>());
+        move |key| table.value(SceneId::Ref, key).unwrap_or_else(|| panic!("{name}: no {key}"))
     }
 
     #[test]
     fn fig01_reports_rates_in_range() {
-        let p = quick(SceneId::Ref);
-        let row = fig01(&p);
-        assert!(row.l1_bvh_miss_rate > 0.0 && row.l1_bvh_miss_rate <= 1.0);
-        assert!(row.simt_efficiency > 0.0 && row.simt_efficiency <= 1.0);
+        let row = ref_row("fig01");
+        assert!(row("l1_bvh_miss") > 0.0 && row("l1_bvh_miss") <= 1.0);
+        assert!(row("simt_eff") > 0.0 && row("simt_eff") <= 1.0);
     }
 
     #[test]
     fn fig10_speedups_are_positive() {
-        let p = quick(SceneId::Ref);
-        let row = fig10(&p);
-        assert!(row.vtq_speedup() > 0.0);
-        assert!(row.prefetch_speedup() > 0.0);
-        assert!(row.vtq_over_prefetch() > 0.0);
+        let row = ref_row("fig10");
+        assert!(row("vtq_speedup") > 0.0);
+        assert!(row("prefetch_speedup") > 0.0);
+        assert!(row("vtq/pref") > 0.0);
+        assert_eq!(row("vtq_speedup"), row("base_cyc") / row("vtq_cyc"));
     }
 
     #[test]
     fn fig11_produces_two_series() {
-        let p = quick(SceneId::Ref);
-        let d = fig11(&p);
+        let rows = fig11_sweep(&SweepEngine::new(1), &[SceneId::Ref], &quick_cfg());
+        let d = rows[0].as_ref().expect("both cells run");
         assert!(!d.baseline.is_empty());
         assert!(!d.treelet_stationary.is_empty());
     }
 
     #[test]
     fn fig12_naive_is_slower_than_grouped() {
-        let p = quick(SceneId::Ref);
-        let row = fig12(&p, &[16]);
+        let row = ref_row("fig12");
         assert!(
-            row.naive_cycles > row.grouped[0].1,
-            "naive {} should exceed grouped {}",
-            row.naive_cycles,
-            row.grouped[0].1
+            row("naive_speedup") < row("grouped_32_speedup"),
+            "naive {} should be slower than grouped {}",
+            row("naive_speedup"),
+            row("grouped_32_speedup")
         );
     }
 
     #[test]
     fn fig13_reports_sweep() {
-        let p = quick(SceneId::Ref);
-        let row = fig13(&p, &[8, 22]);
-        assert_eq!(row.repack.len(), 2);
-        for (_, cycles, simt) in &row.repack {
-            assert!(*cycles > 0);
-            assert!(*simt > 0.0 && *simt <= 1.0);
+        let row = ref_row("fig13");
+        for t in [8, 16, 22, 24] {
+            assert!(row(&format!("speedup_repack_{t}")) > 0.0);
+            let simt = row(&format!("simt_repack_{t}"));
+            assert!(simt > 0.0 && simt <= 1.0);
         }
+        // The printed SIMT columns repeat two of the pinned ones.
+        assert_eq!(row("simt_nore"), row("simt_norepack"));
+        assert_eq!(row("simt_t22"), row("simt_repack_22"));
     }
 
     #[test]
     fn mode_fractions_sum_to_one() {
-        let p = quick(SceneId::Ref);
-        let row = fig14_15(&p);
-        let c: f64 = row.cycle_fractions.iter().sum();
-        let i: f64 = row.isect_fractions.iter().sum();
-        assert!((c - 1.0).abs() < 1e-9);
-        assert!((i - 1.0).abs() < 1e-9);
+        for name in ["fig14", "fig15"] {
+            let row = ref_row(name);
+            let sum = row("initial_fraction") + row("treelet_fraction") + row("ray_fraction");
+            assert!((sum - 1.0).abs() < 1e-9, "{name}: {sum}");
+        }
     }
 
     #[test]
@@ -971,24 +1145,115 @@ mod tests {
         // overhead is also much larger than at full scale, because
         // traversal is cheap while restore latency is fixed — so this only
         // pins that the comparison runs and stays within a loose band.
-        let p = quick(SceneId::Ref);
-        let row = fig16(&p);
-        assert!(row.charged_cycles > 0 && row.free_cycles > 0);
+        let row = ref_row("fig16");
+        assert!(row("charged_cyc") > 0.0 && row("free_cyc") > 0.0);
         assert!(
-            row.overhead() > -0.5 && row.overhead() < 2.0,
+            row("overhead") > -0.5 && row("overhead") < 2.0,
             "overhead {:.3} out of range",
-            row.overhead()
+            row("overhead")
         );
     }
 
     #[test]
     fn fig17_reports_positive_energy() {
-        let p = quick(SceneId::Ref);
-        let row = fig17(&p);
-        assert!(row.baseline_pj > 0.0);
-        assert!(row.vtq_pj > 0.0);
-        assert!(row.vtq_free_pj <= row.vtq_pj);
-        assert!((0.0..1.0).contains(&row.virtualization_fraction));
+        let row = ref_row("fig17");
+        assert!(row("vtq_energy") > 0.0);
+        assert!(row("novirt_energy") > 0.0);
+        assert!(row("novirt_energy") <= row("vtq_energy"));
+        assert!((0.0..1.0).contains(&row("virt_frac")));
+    }
+
+    #[test]
+    fn figpolicies_rows_are_consistent() {
+        let row = ref_row("figpolicies");
+        assert!(row("predict_speedup") > 0.0);
+        assert!(row("qnode_speedup") > 0.0);
+        assert!((0.0..=1.0).contains(&row("predict_hit_rate")));
+        assert_eq!(row("pred_hit"), row("predict_hit_rate"));
+        assert!(row("base_cyc") > 0.0 && row("pred_cyc") > 0.0 && row("qnode_cyc") > 0.0);
+        // Quantized interior nodes are smaller than wide ones, so the BVH
+        // working set shrinks; traffic must not balloon.
+        assert!(
+            row("qnode_traffic_ratio") > 0.0 && row("qnode_traffic_ratio") < 1.5,
+            "quantized traffic ratio {:.2} out of band",
+            row("qnode_traffic_ratio")
+        );
+    }
+
+    /// The union of several figures' cells runs each preset once; that is
+    /// only the same simulation set if no two labels name one policy.
+    #[test]
+    fn preset_labels_are_unique_and_policies_distinct() {
+        let presets = presets();
+        for (i, a) in presets.iter().enumerate() {
+            for b in &presets[i + 1..] {
+                assert_ne!(a.label, b.label);
+                assert!(
+                    a.node_format != b.node_format || a.policy != b.policy,
+                    "{} and {} are the same simulation",
+                    a.label,
+                    b.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn figures_name_only_listed_presets_and_key_their_columns_uniquely() {
+        let presets = presets();
+        for (i, f) in FIGURES.iter().enumerate() {
+            assert!(FIGURES[i + 1..].iter().all(|g| g.name != f.name), "{} twice", f.name);
+            for label in f.presets {
+                assert!(presets.iter().any(|p| p.label == *label), "{}: {label}", f.name);
+            }
+            for (j, c) in f.columns.iter().enumerate() {
+                assert!(!c.key.is_empty(), "{}: column {j} has no key", f.name);
+                assert!(f.columns[j + 1..].iter().all(|d| d.key != c.key), "{}: {}", f.name, c.key);
+                assert!(
+                    !c.header.is_empty() || c.tolerance.is_some(),
+                    "{}: {} is dead",
+                    f.name,
+                    c.key
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn summaries_cover_defined_cells_only() {
+        let mut table = FigureTable {
+            figure: figure("fig01").expect("declared"),
+            rows: vec![
+                (SceneId::Ref, vec![Some(0.5), None]),
+                (SceneId::Bunny, vec![Some(0.25), None]),
+                (SceneId::Lands, vec![None, None]),
+            ],
+        };
+        assert_eq!(table.header(), ["scene", "l1_bvh_miss", "simt_eff"]);
+        assert_eq!(table.body()[2], ["LANDS", "n/a", "n/a"]);
+        assert_eq!(table.summary(0), Some(0.375));
+        assert_eq!(table.summary_row().expect("rows"), ["MEAN", "0.375", "n/a"]);
+        // No surviving row: a header-only table, no summary of nothing.
+        table.rows.clear();
+        assert_eq!(table.summary_row(), None);
+        assert_eq!(Summary::Geomean.of(&[Some(1.0), None, Some(4.0)]), Some(2.0));
+        assert_eq!(Summary::Geomean.of(&[None]), None);
+    }
+
+    #[test]
+    fn summary_row_is_labelled_by_its_rules() {
+        let label = |name: &str| {
+            let figure = figure(name).expect("declared");
+            let row = vec![Some(1.0); figure.columns.len()];
+            let table = FigureTable { figure, rows: vec![(SceneId::Ref, row)] };
+            table.summary_row().expect("summarised")[0].clone()
+        };
+        // All geometric means; a mix; all arithmetic means; and a figure
+        // whose only arithmetic mean is not printed.
+        assert_eq!(label("fig10"), "GEOMEAN");
+        assert_eq!(label("fig13"), "MEAN");
+        assert_eq!(label("fig16"), "MEAN");
+        assert_eq!(label("figpolicies"), "GEOMEAN");
     }
 
     #[test]
@@ -1024,27 +1289,6 @@ mod tests {
         let metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).expect("metrics 2");
         assert_eq!(metrics.lines().count(), 2);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn figpolicies_rows_are_consistent() {
-        let engine = SweepEngine::new(2);
-        let mut cfg = ExperimentConfig::quick();
-        cfg.resolution = 32;
-        let rows = figpolicies_sweep(&engine, &[SceneId::Ref], &cfg);
-        let row = rows[0].as_ref().expect("sweep runs");
-        assert!(row.predict_speedup() > 0.0);
-        assert!(row.qnode_speedup() > 0.0);
-        assert!((0.0..=1.0).contains(&row.predict_hit_rate));
-        assert!(row.wide_bvh_dram_lines > 0, "BVH never touched DRAM");
-        assert!(row.qnode_bvh_dram_lines > 0);
-        // Quantized interior nodes are smaller than wide ones, so the BVH
-        // working set shrinks; traffic must not balloon.
-        assert!(
-            row.qnode_traffic_ratio() < 1.5,
-            "quantized traffic ratio {:.2} out of band",
-            row.qnode_traffic_ratio()
-        );
     }
 
     #[test]

@@ -20,8 +20,11 @@
 //!   query workloads,
 //! * [`reorder`] — the §7.2.1 ray-reordering comparison (first-hit Morton
 //!   sorting à la Moon et al.),
-//! * [`experiment`] — one runner per paper table/figure, returning typed
-//!   rows that the `vtq-bench` CLI prints,
+//! * [`experiment`] — the labelled preset list and the one table that
+//!   declares every scene × policy figure (presets, columns, summary rules,
+//!   golden tolerances), the driver that runs any set of them as one
+//!   deduplicated sweep, and the runners of the tables and figures that
+//!   are not of that shape; the `vtq-bench` CLI prints what they return,
 //! * [`conformance`] — the differential conformance harness: a timing-free
 //!   functional oracle, cross-policy hit equivalence, and golden-figure
 //!   regression against checked-in snapshots,

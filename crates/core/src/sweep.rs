@@ -678,39 +678,6 @@ impl SweepEngine {
         )
     }
 
-    /// Runs a scene-major grid — `policies.len()` cells per scene under
-    /// one configuration — and assembles one row per scene from its
-    /// reports (in `policies` order). A scene with any failed cell yields
-    /// that cell's error instead of a row.
-    pub fn run_grid<R>(
-        &self,
-        scenes: &[SceneId],
-        config: &ExperimentConfig,
-        policies: &[TraversalPolicy],
-        assemble: impl Fn(SceneId, &[SimReport]) -> R,
-    ) -> Vec<CellResult<R>> {
-        let mut matrix = RunMatrix::new();
-        matrix.cross(scenes, config, policies);
-        let mut results = self.run(&matrix).into_iter();
-        scenes
-            .iter()
-            .map(|&scene| {
-                let mut reports = Vec::with_capacity(policies.len());
-                let mut failure = None;
-                for _ in policies {
-                    match results.next().expect("grid result count") {
-                        Ok(report) => reports.push(report),
-                        Err(e) => failure = failure.or(Some(e)),
-                    }
-                }
-                match failure {
-                    Some(e) => Err(e),
-                    None => Ok(assemble(scene, &reports)),
-                }
-            })
-            .collect()
-    }
-
     /// The pool: per-worker deques plus stealing. Task `i`'s outcome lands
     /// at index `i` whatever the interleaving; panics become [`CellError`]s.
     /// Each task arrives as `(key_base, label, closure)`; the full journal

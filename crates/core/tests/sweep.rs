@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use vtq::experiment::{self, export_run, quantized_config, ExperimentConfig};
+use vtq::experiment::{self, export_run, quantized_config, ExperimentConfig, FIGURES};
 use vtq::prelude::*;
 
 fn cfg() -> ExperimentConfig {
@@ -97,16 +97,22 @@ fn sweep_is_bit_identical_across_job_counts() {
     let _ = fs::remove_dir_all(&dir4);
 }
 
+/// A one-worker engine runs every cell inline on the caller's thread —
+/// that is the serial path — so its tables are what a pool must reproduce.
 #[test]
 fn typed_sweeps_match_serial_figures() {
-    let engine = SweepEngine::new(4);
     let cfg = cfg();
-    let rows = experiment::fig10_sweep(&engine, &SCENES, &cfg);
-    assert_eq!(rows.len(), SCENES.len());
-    for (id, row) in SCENES.iter().zip(rows) {
-        let row = row.expect("cell ok");
-        let serial = experiment::fig10(&Prepared::build(*id, &cfg));
-        assert_eq!(row, serial, "parallel and serial fig10 disagree for {id}");
+    let tables = |jobs: usize| {
+        let run = experiment::run_figures(&SweepEngine::new(jobs), &FIGURES, &SCENES, &cfg);
+        assert_eq!(run.failures().count(), 0);
+        FIGURES.iter().map(|f| run.table(f)).collect::<Vec<_>>()
+    };
+    for (pooled, serial) in tables(4).iter().zip(&tables(1)) {
+        let name = serial.figure.name;
+        assert_eq!(serial.rows.len(), SCENES.len(), "{name}");
+        assert_eq!(pooled.rows, serial.rows, "parallel and serial {name} disagree");
+        assert_eq!(pooled.body(), serial.body(), "{name}");
+        assert_eq!(pooled.summary_row(), serial.summary_row(), "{name}");
     }
 }
 
@@ -115,18 +121,31 @@ fn prepared_cache_builds_each_scene_once() {
     let engine = SweepEngine::new(4);
     let cfg = cfg();
 
-    // Two figures' worth of cells per scene: fig10 (3 policies) then
-    // fig16 (2 policies) — five cells per scene, one build per scene.
-    let r10 = experiment::fig10_sweep(&engine, &SCENES, &cfg);
-    let r16 = experiment::fig16_sweep(&engine, &SCENES, &cfg);
-    assert!(r10.iter().all(|r| r.is_ok()));
-    assert!(r16.iter().all(|r| r.is_ok()));
+    // Two figures' worth of cells per scene, in two waves: fig10 (3
+    // presets) then fig16 (2 presets) — five cells per scene, one build
+    // per scene.
+    for name in ["fig10", "fig16"] {
+        let figure = experiment::figure(name).expect("declared");
+        let run = experiment::run_figures(&engine, std::slice::from_ref(figure), &SCENES, &cfg);
+        assert_eq!(run.cells().len(), SCENES.len() * figure.presets.len());
+        assert_eq!(run.table(figure).rows.len(), SCENES.len(), "{name}");
+    }
     assert_eq!(
         engine.cache().builds(),
         SCENES.len(),
         "every policy cell must reuse the one prepared build per scene"
     );
     assert_eq!(engine.cache().len(), SCENES.len());
+
+    // Asked for together, the two figures share their `vtq` cell: the
+    // union holds four distinct presets per scene, not five cells.
+    let both = [experiment::figure("fig10"), experiment::figure("fig16")].map(|f| f.unwrap());
+    let labels: Vec<&str> = both.iter().flat_map(|f| f.presets.iter().copied()).collect();
+    assert_eq!(labels.len(), 5);
+    assert_eq!(
+        experiment::run_presets(&engine, &labels, &SCENES, &cfg).cells().len(),
+        SCENES.len() * 4
+    );
 }
 
 #[test]
