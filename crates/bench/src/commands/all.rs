@@ -20,7 +20,7 @@ use crate::{pct_or_na, report_cell_errors, table_markdown, HarnessOpts};
 const FIG5_BATCHES: [usize; 6] = [32, 128, 512, 1024, 2048, 4096];
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let run = run_figures(engine, &FIGURES, &opts.scenes, &opts.config);
+    let run = run_figures(engine, &FIGURES, opts.given_scenes(), &opts.config);
     let mut failed = report_cell_errors(run.cells());
 
     // Second wave: scene statistics + the analytical model.
@@ -34,7 +34,7 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     // metrics.jsonl line order never depends on worker scheduling.
     for scene in run.scenes() {
         for (preset, name) in [("baseline", "base"), ("prefetch", "prefetch"), ("vtq", "vtq")] {
-            if let Some(report) = run.report(*scene, preset) {
+            if let Some(report) = run.report(scene, preset) {
                 opts.persist(&format!("{}/{name}", scene.name()), report);
             }
         }

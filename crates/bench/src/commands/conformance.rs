@@ -74,7 +74,7 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
 
     // Phase 2: golden-figure regression.
     let dir = Path::new(GOLDEN_DIR);
-    let goldens = current_goldens(engine, &opts.scenes, &opts.config);
+    let goldens = current_goldens(engine, opts.given_scenes(), &opts.config);
     if opts.update_golden {
         match write_golden(dir, &goldens) {
             Ok(()) => {
@@ -125,6 +125,17 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
                          ({golden:#018x} vs {current:#018x}), skipped",
                         g.figure
                     );
+                    // The committed snapshots are taken under `--quick`:
+                    // there a mismatch means a config field changed and
+                    // the goldens no longer bind anything.
+                    if opts.config == ExperimentConfig::quick() {
+                        failed = true;
+                        eprintln!(
+                            "[conformance] golden {}: not taken under this build's --quick \
+                             config; re-run with --update-golden",
+                            g.figure
+                        );
+                    }
                 }
                 GoldenOutcome::Corrupt(forensics) => {
                     // A baseline whose checksum frames fail is damaged

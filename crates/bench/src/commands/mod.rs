@@ -7,26 +7,21 @@
 //! [`vtq::sweep::SweepEngine`], so scenes are prepared once and cells run
 //! in parallel under `--jobs N` with deterministic output.
 
-use vtq::experiment::{self, run_figures};
+use vtq::experiment::{self, run_figures, Figure, FIGURES};
 use vtq::prelude::SweepEngine;
 
 use crate::HarnessOpts;
 
-mod ablations;
 mod all;
 mod area;
 mod chaos;
-mod compression;
 mod conformance;
 mod faults;
 mod fig05;
 mod fig11;
-mod nee;
 mod perf;
-mod reorder;
 mod repro;
 mod scaling;
-mod sensitivity;
 mod serve;
 mod submit;
 mod table1;
@@ -117,18 +112,22 @@ pub const ALL: &[Command] = &[
     Command {
         name: "ablations",
         about: "treelet size, warp buffer, mechanism on/off ablations",
-        run: ablations::run,
+        run: |o, e| run_figure("ablations", o, e),
     },
     Command {
         name: "reorder",
         about: "§7.2.1 ray sorting vs dynamic treelet grouping",
-        run: reorder::run,
+        run: |o, e| run_figure("reorder", o, e),
     },
-    Command { name: "nee", about: "anyhit shadow-ray (NEE) workloads", run: nee::run },
+    Command {
+        name: "nee",
+        about: "anyhit shadow-ray (NEE) workloads",
+        run: |o, e| run_figure("nee", o, e),
+    },
     Command {
         name: "compression",
-        about: "§7.3 CWBVH layout composed with VTQ",
-        run: compression::run,
+        about: "§7.3 quantized nodes composed with VTQ",
+        run: |o, e| run_figure("compression", o, e),
     },
     Command {
         name: "faults",
@@ -159,7 +158,7 @@ pub const ALL: &[Command] = &[
     Command {
         name: "sensitivity",
         about: "§6.4 SPP / bounce-count sensitivity",
-        run: sensitivity::run,
+        run: |o, e| run_figure("sensitivity", o, e),
     },
     Command {
         name: "serve",
@@ -173,15 +172,27 @@ pub const ALL: &[Command] = &[
     },
 ];
 
-/// The scene × policy figures (`fig01`, `fig10`, `fig12` … `fig17`,
-/// `figpolicies`): runs the [`vtq::experiment::FIGURES`] entry named
-/// `name` over `--scenes` and prints its table. A scene with a failed
-/// cell is dropped from the table, named on stderr, and fails the run.
+/// The scene × preset tables (`fig01`, `fig10`, `fig12` … `fig17`,
+/// `figpolicies`, `nee`, `reorder`, `sensitivity`, `compression`,
+/// `ablations`): runs the [`FIGURES`] entry named `name` — or, for a
+/// family, its `name-*` entries as titled sections — over `--scenes`
+/// (default: each figure's own) and prints the tables. A scene with a
+/// failed cell is dropped from its tables, named on stderr, and fails the
+/// run.
 fn run_figure(name: &str, opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let figure = experiment::figure(name).expect("figure subcommands are FIGURES entries");
-    let run = run_figures(engine, std::slice::from_ref(figure), &opts.scenes, &opts.config);
+    let figures: Vec<&Figure> = match experiment::figure(name) {
+        Some(figure) => vec![figure],
+        None => FIGURES.iter().filter(|f| f.name.starts_with(&format!("{name}-"))).collect(),
+    };
+    assert!(!figures.is_empty(), "figure subcommands are FIGURES entries");
+    let run = run_figures(engine, figures.iter().copied(), opts.given_scenes(), &opts.config);
     let failed = crate::report_cell_errors(run.cells());
-    print!("{}", crate::table_text(&run.table(figure), crate::csv()));
+    for figure in &figures {
+        if figures.len() > 1 {
+            println!("\n-- {} --", figure.title);
+        }
+        print!("{}", crate::table_text(&run.table(figure), crate::csv()));
+    }
     if failed {
         crate::EXIT_VIOLATION
     } else {

@@ -70,3 +70,40 @@ fn fig11_runs_every_scene_it_is_given() {
     assert_eq!(stdout.lines().filter(|l| l.starts_with("# ")).count(), 1);
     assert!(stdout.starts_with("# LANDS "), "{stdout}");
 }
+
+#[test]
+fn an_extension_experiment_whose_cells_fail_prints_its_header_and_exits_one() {
+    let (code, stdout, stderr) =
+        run(&["nee", "--quick", "--scenes", "ref", "--max-cycles", "1000"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    let lines: Vec<&str> = stdout.lines().collect();
+    assert_eq!(lines.len(), 2, "a header and its dashes, no row, no summary: {stdout}");
+    assert!(lines[0].contains("nee_gain"), "{stdout}");
+    assert!(stderr.contains("[sweep] cell 0 (REF/baseline) panicked"), "{stderr}");
+}
+
+#[test]
+fn ablations_with_failing_cells_report_and_exit_one() {
+    let (code, stdout, stderr) =
+        run(&["ablations", "--quick", "--scenes", "ref", "--max-cycles", "1000"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stderr.contains("thread 'main'"), "{stderr}");
+    assert!(stderr.contains("[sweep] cell 0 (REF/baseline) panicked"), "{stderr}");
+    // Every section keeps its title and header; none has a row.
+    assert_eq!(stdout.lines().filter(|l| l.starts_with("-- Ablation")).count(), 7, "{stdout}");
+    assert!(!stdout.contains("REF"), "{stdout}");
+}
+
+#[test]
+fn an_extension_experiment_runs_its_own_scenes_unless_given_some() {
+    let scenes = |stdout: &str| -> Vec<String> {
+        let rows = stdout.lines().skip(2).filter_map(|l| l.split_whitespace().next());
+        rows.filter(|scene| *scene != "GEOMEAN").map(str::to_string).collect()
+    };
+    let (code, stdout, stderr) = run(&["nee", "--quick"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(scenes(&stdout), ["BATH", "LANDS"], "{stdout}");
+    let (code, stdout, stderr) = run(&["nee", "--quick", "--scenes", "ref"]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert_eq!(scenes(&stdout), ["REF"], "{stdout}");
+}

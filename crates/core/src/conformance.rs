@@ -33,12 +33,13 @@
 //! nonzero on any divergence or out-of-band golden value.
 
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gpusim::{HitCapture, PathTask, TraceCall, Workload, TRACE_T_MIN};
-use rtbvh::{Bvh, PrimHit};
+use gpusim::{HitCapture, PathTask, TraceCall, TraversalPolicy, Workload, TRACE_T_MIN};
+use rtbvh::{Bvh, NodeFormat, PrimHit};
 use rtscene::lumibench::SceneId;
 use rtscene::Triangle;
 
@@ -46,7 +47,7 @@ use crate::experiment::{
     presets, run_figures, ExperimentConfig, FigureTable, Summary, Tolerance, FIGURES,
 };
 use crate::jsonl::{check_line, frame_line, parse_line, Record};
-use crate::sweep::{config_fingerprint, RunMatrix, SweepEngine};
+use crate::sweep::{config_fingerprint, Cell, RunMatrix, SweepEngine};
 use crate::workload::PARALLEL_MIN_TASKS;
 
 // ---------------------------------------------------------------------------
@@ -250,7 +251,8 @@ pub fn compare_hits(
 
 /// The conformance matrix is the preset list: whatever a figure may
 /// simulate is checked. Every preset is compared against the *wide-node*
-/// oracle — policies may only change traversal order, and quantized nodes
+/// oracle of its own workload ([`oracle_config`]) — policies and GPU
+/// parameters may only change traversal order, and quantized nodes
 /// only conservatively inflate interior bounds (a superset of leaves
 /// visited; triangle tests are exact and ties break identically), so
 /// closest-hit `(prim, t)` answers must stay bit-equal either way.
@@ -321,35 +323,60 @@ impl ConformanceReport {
     }
 }
 
-/// Runs the full differential matrix: one oracle pass per scene, then
-/// every scene × policy simulation with hit capture, compared call by
-/// call. All cells ride `engine`'s work-stealing pool; results come back
-/// in deterministic matrix order regardless of `--jobs`.
+/// The configuration whose prepared scene answers for `cell`'s oracle:
+/// the cell's own workload (resolution, bounces, samples, shadow rays,
+/// thread order) traced over the wide-node BVH. GPU parameters shape no
+/// workload, so they are `base`'s and cells that differ only there share
+/// one oracle.
+fn oracle_config(cell: &Cell, base: &ExperimentConfig) -> ExperimentConfig {
+    let mut cfg = cell.config;
+    cfg.gpu = base.gpu;
+    cfg.bvh.node_format = NodeFormat::Wide;
+    cfg
+}
+
+/// Runs the full differential matrix: one oracle pass per scene and
+/// distinct workload, then every scene × preset simulation with hit
+/// capture, compared call by call. All cells ride `engine`'s
+/// work-stealing pool; results come back in deterministic matrix order
+/// regardless of `--jobs`.
 pub fn run_differential(
     engine: &SweepEngine,
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> ConformanceReport {
-    // Phase 1: the timing-free oracle, once per scene (parallel).
+    let presets = presets();
+    let matrix = differential_matrix(scenes, cfg);
+    let oracle_key = |cell: &Cell| (cell.scene, config_fingerprint(&oracle_config(cell, cfg)));
+
+    // Phase 1: the timing-free oracle, once per scene and workload
+    // (parallel).
+    let mut keys = Vec::new();
+    let mut oracle_matrix = RunMatrix::new();
+    for cell in matrix.cells() {
+        let key = oracle_key(cell);
+        if !keys.contains(&key) {
+            keys.push(key);
+            oracle_matrix.push(Cell {
+                scene: cell.scene,
+                config: oracle_config(cell, cfg),
+                policy: TraversalPolicy::Baseline,
+                label: format!("{}/oracle", cell.scene.name()),
+            });
+        }
+    }
     let oracle_results =
-        engine.run_scenes(scenes, cfg, |p| oracle_run(&p.bvh, p.scene.triangles(), &p.workload));
-    let oracles: Vec<(SceneId, Result<OracleRun, String>)> = scenes
-        .iter()
-        .copied()
+        engine.run_map(&oracle_matrix, |_, p| oracle_run(&p.bvh, p.scene.triangles(), &p.workload));
+    let oracles: HashMap<(SceneId, u64), Result<OracleRun, String>> = keys
+        .into_iter()
         .zip(oracle_results.into_iter().map(|r| r.map_err(|e| e.to_string())))
         .collect();
 
     // Phase 2: scene × policy simulations with hit capture, compared
-    // against the scene's oracle inside the worker.
-    let presets = presets();
-    let matrix = differential_matrix(scenes, cfg);
+    // against the cell's oracle inside the worker.
     let oracles_ref = &oracles;
     let verdicts = engine.run_map(&matrix, |cell, prepared| {
-        let (_, oracle) = oracles_ref
-            .iter()
-            .find(|(s, _)| *s == cell.scene)
-            .expect("oracle computed for every swept scene");
-        let oracle = match oracle {
+        let oracle = match &oracles_ref[&oracle_key(cell)] {
             Ok(o) => o,
             Err(e) => return CellVerdict::Error(format!("oracle failed: {e}")),
         };
@@ -477,11 +504,13 @@ impl GoldenFigure {
 }
 
 /// Computes the current snapshot of every figure that pins a column, from
-/// one sweep over the union of their cells. A scene with a failed cell is
-/// dropped from the figures that need it, with a stderr notice.
+/// one sweep over the union of their cells — on `scenes` when given,
+/// otherwise each figure on its own [`crate::experiment::Figure::scenes`].
+/// A scene with a failed cell is dropped from the figures that need it,
+/// with a stderr notice.
 pub fn current_goldens(
     engine: &SweepEngine,
-    scenes: &[SceneId],
+    scenes: Option<&[SceneId]>,
     cfg: &ExperimentConfig,
 ) -> Vec<GoldenFigure> {
     let run = run_figures(engine, &FIGURES, scenes, cfg);
@@ -840,28 +869,52 @@ mod tests {
     #[test]
     fn preset_matrix_covers_the_new_policies() {
         let presets = presets();
-        assert_eq!(presets.len(), 14);
         let labels: Vec<&str> = presets.iter().map(|p| p.label).collect();
-        for label in ["predict", "qnode", "vtq-norepack"] {
+        // The paper's presets keep their places; the extension
+        // experiments' follow.
+        assert_eq!(labels[..3], ["baseline", "prefetch", "vtq"]);
+        assert_eq!(labels[11..14], ["vtq-free-virt", "predict", "qnode"]);
+        for label in ["vtq-norepack", "qnode+vtq", "nee+vtq", "shuffled+baseline", "table1+vtq"] {
             assert!(labels.contains(&label), "{label}");
         }
         // The matrix is the preset list: one cell per preset, in list
-        // order, under the preset's label, policy and build. qnode is the
-        // only preset that changes the BVH build, and its config override
-        // must survive into the cell configuration.
+        // order, under the preset's label, policy and configuration. The
+        // quantized presets are the only ones that change the node format,
+        // and every delta must survive into the cell configuration.
         let base = tiny_cfg();
         let matrix = differential_matrix(&[SceneId::Bunny, SceneId::Ref], &base);
         assert_eq!(matrix.len(), 2 * presets.len());
         for (cell, preset) in matrix.cells()[presets.len()..].iter().zip(&presets) {
             assert_eq!(cell.label, format!("REF/{}", preset.label));
             assert_eq!(cell.policy, preset.policy, "preset {}", preset.label);
+            assert_eq!(cell.config, preset.config(&base), "preset {}", preset.label);
+            assert_eq!(cell.config != base, preset.delta.is_some(), "preset {}", preset.label);
             let expect = match preset.label {
-                "qnode" => NodeFormat::Quantized,
+                "qnode" | "qnode+vtq" => NodeFormat::Quantized,
                 _ => NodeFormat::Wide,
             };
-            assert_eq!(preset.node_format, expect, "preset {}", preset.label);
             assert_eq!(cell.config.bvh.node_format, expect, "preset {}", preset.label);
         }
+    }
+
+    /// A cell's oracle is its own workload over wide nodes, shared by the
+    /// cells whose presets change neither.
+    #[test]
+    fn oracles_follow_the_workload_not_the_gpu_or_the_node_format() {
+        let base = tiny_cfg();
+        let presets = presets();
+        let oracle = |label: &str| {
+            let preset = presets.iter().find(|p| p.label == label).expect("listed");
+            oracle_config(&preset.cell(SceneId::Ref, &base, label), &base)
+        };
+        for same in ["vtq", "qnode", "qnode+vtq", "wbuf-4", "issue-1", "shader-2", "predict"] {
+            assert_eq!(oracle(same), base, "{same}");
+        }
+        assert!(oracle("nee+vtq").shadow_rays);
+        assert_eq!(oracle("spp-4").spp, 4);
+        assert_eq!(oracle("bounces-5").max_bounces, 5);
+        assert_ne!(oracle("shuffled+vtq").ray_order, base.ray_order);
+        assert_eq!(oracle("table1+vtq"), oracle("budget-8k+vtq"));
     }
 
     #[test]
@@ -915,7 +968,8 @@ mod tests {
         let mut files: Vec<_> =
             fs::read_dir(&dir).expect("golden/ exists").map(|e| e.unwrap().path()).collect();
         files.sort();
-        assert_eq!(files.len(), 9, "expected the nine figure snapshots, found {files:?}");
+        let pinned = FIGURES.iter().filter(|f| f.columns.iter().any(|c| c.tolerance.is_some()));
+        assert_eq!(files.len(), pinned.count(), "one snapshot per pinned figure: {files:?}");
         let data_lines = |text: &str| -> Vec<String> {
             text.lines()
                 .map(|l| check_line(l).expect("intact frame"))
@@ -970,6 +1024,26 @@ mod tests {
         }
         let files = fs::read_dir(&dir).expect("golden/ exists").count();
         assert_eq!(files, pinned, "a snapshot no figure declares");
+    }
+
+    /// The snapshots bind only the configuration whose fingerprint they
+    /// carry, and the fingerprint moves with every field of the config
+    /// tree: a committed snapshot that is not `--quick`'s checks nothing.
+    #[test]
+    fn committed_goldens_carry_the_quick_fingerprint() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../golden");
+        let quick = config_fingerprint(&ExperimentConfig::quick());
+        for entry in fs::read_dir(&dir).expect("golden/ exists") {
+            let path = entry.unwrap().path();
+            let golden = parse_golden_jsonl(&fs::read_to_string(&path).unwrap()).expect("parses");
+            assert_eq!(
+                golden.fingerprint,
+                quick,
+                "{}: taken under another configuration; re-run `vtq-bench conformance --quick \
+                 --update-golden` from the repository root",
+                path.display()
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The paper's tables and figures as runnable experiments.
 //!
 //! [`Prepared`] bundles everything one scene needs (scene, BVH, workload,
-//! reference image). [`presets`] lists every labelled policy configuration
-//! the evaluation simulates; [`FIGURES`] declares each scene × policy
-//! figure once — its presets and its columns — and [`run_figures`] runs any
-//! set of them as one deduplicated sweep. The `vtq-bench` CLI prints the
+//! reference image). [`presets`] lists every labelled variant the
+//! evaluation simulates — a policy plus what it changes about the
+//! configuration; [`FIGURES`] declares each scene × preset table once, the
+//! paper's figures and the extension experiments alike — its default
+//! scenes, its presets and its columns — and [`run_figures`] runs any set
+//! of them as one deduplicated sweep. The `vtq-bench` CLI prints the
 //! resulting [`FigureTable`]s in the paper's format; EXPERIMENTS.md records
 //! the paper-vs-measured comparison. Figure 5 (analytical model), Figure 11
-//! (time series) and Table 2 are not scene × policy tables and have their
+//! (time series) and Table 2 are not scene × preset tables and have their
 //! own runners below.
 
 use std::fs;
@@ -18,13 +20,14 @@ use gpumem::{AccessKind, WindowPoint};
 use gpusim::export::{metrics_json, series_csv, stall_csv};
 use gpusim::{
     GpuConfig, HitCapture, PredictParams, SimError, SimReport, SimStats, Simulator, TraceSink,
-    TraversalMode, TraversalPolicy, VtqParams, Workload,
+    TraversalMode, TraversalPolicy, VtqParams, VtqParamsBuilder, Workload,
 };
 use rtbvh::{Bvh, BvhConfig, NodeFormat};
 use rtscene::lumibench::{self, SceneId};
 use rtscene::Scene;
 
 use crate::analytical;
+use crate::reorder::RayOrder;
 use crate::sweep::{Cell, CellError, CellResult, RunMatrix, SweepEngine};
 use crate::workload::{Image, PathTracer};
 
@@ -45,6 +48,12 @@ pub struct ExperimentConfig {
     /// diffuse hit. Off in the paper's §5.1 workload; on for the NEE
     /// experiment.
     pub shadow_rays: bool,
+    /// Samples (threads) per pixel (paper: 1; the §6.4 sensitivity study
+    /// raises it).
+    pub spp: u32,
+    /// The order the threads launch in (paper: pixel order; the §7.2.1
+    /// reordering study sorts or shuffles them).
+    pub ray_order: RayOrder,
 }
 
 impl Default for ExperimentConfig {
@@ -59,14 +68,16 @@ impl Default for ExperimentConfig {
             gpu: GpuConfig::scale_model(),
             bvh: BvhConfig { treelet_bytes: 2048, ..Default::default() },
             shadow_rays: false,
+            spp: 1,
+            ray_order: RayOrder::Pixel,
         }
     }
 }
 
 impl ExperimentConfig {
     /// The unscaled Table 1 configuration (16 KB L1 / 128 KB L2 / 8 KB
-    /// treelets): useful for sensitivity studies against the scale-model
-    /// default.
+    /// treelets); the `table1+*` [`presets`] run under its memory
+    /// hierarchy and treelet budget.
     pub fn table1() -> ExperimentConfig {
         ExperimentConfig {
             gpu: GpuConfig::default(),
@@ -88,6 +99,8 @@ impl ExperimentConfig {
             gpu: GpuConfig::default(),
             bvh: BvhConfig { treelet_bytes: 2048, ..Default::default() },
             shadow_rays: false,
+            spp: 1,
+            ray_order: RayOrder::Pixel,
         };
         cfg.gpu.mem.num_sms = 4;
         cfg
@@ -104,7 +117,8 @@ pub struct Prepared {
     pub scene: Scene,
     /// Its BVH.
     pub bvh: Bvh,
-    /// The path-tracing workload (one task per pixel).
+    /// The path-tracing workload (one task per pixel sample, in
+    /// [`ExperimentConfig::ray_order`]).
     pub workload: Workload,
     /// The CPU-rendered reference image.
     pub image: Image,
@@ -121,7 +135,7 @@ impl Prepared {
             lumibench::build_scaled(id, cfg.detail_divisor)
         };
         let bvh = Bvh::build(scene.triangles(), &cfg.bvh);
-        let mut tracer = PathTracer::new(cfg.resolution, cfg.max_bounces);
+        let mut tracer = PathTracer::new(cfg.resolution, cfg.max_bounces).with_spp(cfg.spp);
         if cfg.shadow_rays {
             tracer = tracer.with_shadow_rays();
         }
@@ -129,6 +143,7 @@ impl Prepared {
             let _trace = prof::span("pathtrace");
             tracer.run(&scene, &bvh)
         };
+        let workload = cfg.ray_order.apply(workload, &scene, &bvh);
         Prepared { id, scene, bvh, workload, image, gpu: cfg.gpu }
     }
 
@@ -290,30 +305,29 @@ pub fn quantized_config(cfg: &ExperimentConfig) -> ExperimentConfig {
 }
 
 /// One labelled simulation preset: the traversal policy a cell runs
-/// under, plus the BVH node format its scene is built with.
+/// under, plus what it changes about the configuration the cell's scene
+/// is built and simulated with.
 #[derive(Debug, Clone, Copy)]
 pub struct Preset {
-    /// Stable label (`baseline`, `vtq-repack-8`, `predict`, `qnode`, ...):
+    /// Stable label (`baseline`, `vtq-repack-8`, `qnode`, `nee+vtq`, ...):
     /// what [`Figure::presets`] and the conformance matrix name it by.
     pub label: &'static str,
     /// Traversal architecture.
     pub policy: TraversalPolicy,
-    /// BVH interior-node format the scene is built under.
-    pub node_format: NodeFormat,
+    /// The preset's change to the base configuration — another BVH build,
+    /// workload or GPU parameter — if it makes one.
+    pub delta: Option<fn(&mut ExperimentConfig)>,
 }
 
 impl Preset {
-    fn wide(label: &'static str, policy: TraversalPolicy) -> Preset {
-        Preset { label, policy, node_format: NodeFormat::Wide }
-    }
-
     /// The cell configuration this preset runs under: `base` with the
-    /// preset's node format applied.
+    /// preset's delta applied.
     pub fn config(&self, base: &ExperimentConfig) -> ExperimentConfig {
-        match self.node_format {
-            NodeFormat::Wide => *base,
-            NodeFormat::Quantized => quantized_config(base),
+        let mut cfg = *base;
+        if let Some(delta) = self.delta {
+            delta(&mut cfg);
         }
+        cfg
     }
 
     /// The sweep cell that runs this preset on `scene`, labelled
@@ -324,22 +338,42 @@ impl Preset {
     }
 }
 
-/// Every preset the figures simulate and the conformance matrix checks —
+/// Every preset the figures simulate and the conformance matrix checks:
 /// the paper's three headline architectures, the grouping / repacking /
 /// virtualization variants its figures sweep (thresholds included: a
-/// threshold a figure plots is a preset here), ray-path prediction, and
-/// the quantized-node build. No two presets of one node format share a
-/// policy, so naming a preset names a distinct simulation.
+/// threshold a figure plots is a preset here), ray-path prediction, the
+/// quantized-node build, and the variants of the extension experiments —
+/// NEE shadow rays, sorted and shuffled threads, the §6.4 workload
+/// points, the ablation knobs, and the unscaled Table 1 configuration.
+/// No two presets are the same simulation (policy and configuration),
+/// so naming a preset names a distinct cell; a knob's default point is
+/// therefore the preset that already runs it, not a new one.
 ///
 /// `vtq-norepack` is also Figure 12's `thr=128` point (128 is the default
-/// queue threshold) and `vtq` Figure 13's `t=22` (the default repack
-/// threshold).
+/// queue threshold) and the mechanism ablation's "no repacking", `vtq`
+/// Figure 13's `t=22` (the default repack threshold), `vtq-naive` the
+/// ablation's "no grouping".
 pub fn presets() -> Vec<Preset> {
-    let vtq = |label, params| Preset::wide(label, TraversalPolicy::Vtq(params));
+    use TraversalPolicy::Baseline;
+    type Delta = fn(&mut ExperimentConfig);
+    let plain = |label, policy| Preset { label, policy, delta: None };
+    let vtq = |label, params| plain(label, TraversalPolicy::Vtq(params));
+    let ablated = |label, params: VtqParamsBuilder| vtq(label, params.build().expect(label));
+    let with = |label, policy, delta: Delta| Preset { label, policy, delta: Some(delta) };
+    let full = TraversalPolicy::Vtq(VtqParams::default());
+    let quantized: Delta = |cfg| *cfg = quantized_config(cfg);
+    let nee: Delta = |cfg| cfg.shadow_rays = true;
+    let sorted: Delta = |cfg| cfg.ray_order = RayOrder::FirstHitSorted;
+    let shuffled: Delta = |cfg| cfg.ray_order = RayOrder::Shuffled;
+    let table1: Delta = |cfg| {
+        let table1 = ExperimentConfig::table1();
+        cfg.gpu.mem = table1.gpu.mem;
+        cfg.bvh.treelet_bytes = table1.bvh.treelet_bytes;
+    };
     vec![
-        Preset::wide("baseline", TraversalPolicy::Baseline),
-        Preset::wide("prefetch", TraversalPolicy::TreeletPrefetch),
-        vtq("vtq", VtqParams::default()),
+        plain("baseline", Baseline),
+        plain("prefetch", TraversalPolicy::TreeletPrefetch),
+        plain("vtq", full),
         vtq("vtq-norepack", repack_params(0)),
         vtq("vtq-naive", naive_params()),
         vtq("vtq-grouped-32", grouped_params(32)),
@@ -349,67 +383,122 @@ pub fn presets() -> Vec<Preset> {
         vtq("vtq-repack-24", repack_params(24)),
         vtq("vtq-stationary", always_stationary_params()),
         vtq("vtq-free-virt", free_virtualization_params()),
-        Preset::wide("predict", TraversalPolicy::Predict(PredictParams::default())),
-        Preset {
-            label: "qnode",
-            policy: TraversalPolicy::Baseline,
-            node_format: NodeFormat::Quantized,
-        },
+        plain("predict", TraversalPolicy::Predict(PredictParams::default())),
+        with("qnode", Baseline, quantized),
+        // The extension experiments: workload and build variants.
+        with("qnode+vtq", full, quantized),
+        with("nee+baseline", Baseline, nee),
+        with("nee+vtq", full, nee),
+        with("sorted+baseline", Baseline, sorted),
+        with("sorted+vtq", full, sorted),
+        with("shuffled+baseline", Baseline, shuffled),
+        with("shuffled+vtq", full, shuffled),
+        with("spp-2", full, |cfg| cfg.spp = 2),
+        with("spp-4", full, |cfg| cfg.spp = 4),
+        with("bounces-1", full, |cfg| cfg.max_bounces = 1),
+        with("bounces-5", full, |cfg| cfg.max_bounces = 5),
+        // The ablation knobs, default points excepted.
+        with("budget-1k+baseline", Baseline, |cfg| cfg.bvh.treelet_bytes = 1024),
+        with("budget-1k+vtq", full, |cfg| cfg.bvh.treelet_bytes = 1024),
+        with("budget-4k+baseline", Baseline, |cfg| cfg.bvh.treelet_bytes = 4096),
+        with("budget-4k+vtq", full, |cfg| cfg.bvh.treelet_bytes = 4096),
+        with("budget-8k+baseline", Baseline, |cfg| cfg.bvh.treelet_bytes = 8192),
+        with("budget-8k+vtq", full, |cfg| cfg.bvh.treelet_bytes = 8192),
+        with("wbuf-2", Baseline, |cfg| cfg.gpu.warp_buffer_slots = 2),
+        with("wbuf-4", Baseline, |cfg| cfg.gpu.warp_buffer_slots = 4),
+        with("wbuf-8", Baseline, |cfg| cfg.gpu.warp_buffer_slots = 8),
+        with("issue-4", Baseline, |cfg| cfg.gpu.rt_mem_issue_per_cycle = 4),
+        with("issue-2", Baseline, |cfg| cfg.gpu.rt_mem_issue_per_cycle = 2),
+        with("issue-1", Baseline, |cfg| cfg.gpu.rt_mem_issue_per_cycle = 1),
+        with("shader-8", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 8),
+        with("shader-4", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 4),
+        with("shader-2", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 2),
+        ablated("vtq-nopreload", VtqParams::builder().preload(false)),
+        ablated("vtq-diverge-0", VtqParams::builder().divergence_treelets(0)),
+        ablated("vtq-diverge-1", VtqParams::builder().divergence_treelets(1)),
+        ablated("vtq-diverge-4", VtqParams::builder().divergence_treelets(4)),
+        ablated("vtq-diverge-8", VtqParams::builder().divergence_treelets(8)),
+        ablated("vtq-maxrays-1k", VtqParams::builder().max_virtual_rays(1024)),
+        ablated("vtq-maxrays-2k", VtqParams::builder().max_virtual_rays(2048)),
+        ablated("vtq-maxrays-8k", VtqParams::builder().max_virtual_rays(8192)),
+        // Figure 16 on the unscaled Table 1 memory hierarchy.
+        with("table1+baseline", Baseline, table1),
+        with("table1+vtq", full, table1),
+        with("table1+vtq-free-virt", TraversalPolicy::Vtq(free_virtualization_params()), table1),
     ]
 }
 
-/// The reports of one `scenes × presets` wave.
+/// The reports of one wave of `(scene, preset)` cells.
 #[derive(Debug)]
 pub struct PresetRun {
-    scenes: Vec<SceneId>,
-    /// The presets simulated, in cell order within a scene.
-    labels: Vec<&'static str>,
-    /// Scene-major, `labels.len()` cells per scene.
+    /// The scenes every table of this wave has a row for; `None` when
+    /// each figure ran on its own [`Figure::scenes`].
+    rows: Option<Vec<SceneId>>,
+    /// What each cell simulated: scene-major, presets in [`presets`]
+    /// order within a scene.
+    keys: Vec<(SceneId, &'static str)>,
     cells: Vec<CellResult<SimReport>>,
 }
 
-/// Simulates every scene under every preset `labels` names (each once,
-/// however often it is named, in [`presets`] order) as a single
-/// [`RunMatrix`] wave — wide and quantized cells side by side.
+/// Simulates every `(scene, preset label)` pair of `wanted` — each once,
+/// however often it is named; scenes in order of first mention, presets
+/// in [`presets`] order — as a single [`RunMatrix`] wave, whatever the
+/// presets change about build or workload.
 ///
 /// # Panics
 ///
 /// Panics on a label [`presets`] does not list.
+fn run_pairs(
+    engine: &SweepEngine,
+    wanted: &[(SceneId, &str)],
+    rows: Option<&[SceneId]>,
+    cfg: &ExperimentConfig,
+) -> PresetRun {
+    let presets = presets();
+    if let Some((_, unknown)) = wanted.iter().find(|(_, l)| !presets.iter().any(|p| p.label == *l))
+    {
+        panic!("no preset is labelled `{unknown}`");
+    }
+    let mut scenes: Vec<SceneId> = Vec::new();
+    for (scene, _) in wanted {
+        if !scenes.contains(scene) {
+            scenes.push(*scene);
+        }
+    }
+    let mut matrix = RunMatrix::new();
+    let mut keys = Vec::new();
+    for scene in scenes {
+        for preset in presets.iter().filter(|p| wanted.contains(&(scene, p.label))) {
+            // Journal labels are the policy's (`REF/vtq` for every VTQ
+            // variant; the key's fingerprint tells them apart), except
+            // where the preset changes the configuration.
+            let label = if preset.delta.is_some() { preset.label } else { preset.policy.label() };
+            matrix.push(preset.cell(scene, cfg, label));
+            keys.push((scene, preset.label));
+        }
+    }
+    PresetRun { rows: rows.map(<[SceneId]>::to_vec), keys, cells: engine.run(&matrix) }
+}
+
+/// Simulates every scene under every preset `labels` names; see
+/// [`run_pairs`].
 pub fn run_presets(
     engine: &SweepEngine,
     labels: &[&str],
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> PresetRun {
-    let presets = presets();
-    if let Some(unknown) = labels.iter().find(|l| !presets.iter().any(|p| p.label == **l)) {
-        panic!("no preset is labelled `{unknown}`");
-    }
-    let chosen: Vec<&Preset> = presets.iter().filter(|p| labels.contains(&p.label)).collect();
-    let mut matrix = RunMatrix::new();
-    for &scene in scenes {
-        for preset in &chosen {
-            // Journal labels are the policy's (`REF/vtq` for every VTQ
-            // variant; the key's fingerprint tells them apart), except
-            // where the preset changes the build.
-            let label = match preset.node_format {
-                NodeFormat::Wide => preset.policy.label(),
-                NodeFormat::Quantized => preset.label,
-            };
-            matrix.push(preset.cell(scene, cfg, label));
-        }
-    }
-    PresetRun {
-        scenes: scenes.to_vec(),
-        labels: chosen.iter().map(|p| p.label).collect(),
-        cells: engine.run(&matrix),
-    }
+    let wanted: Vec<(SceneId, &str)> =
+        scenes.iter().flat_map(|&scene| labels.iter().map(move |&label| (scene, label))).collect();
+    run_pairs(engine, &wanted, Some(scenes), cfg)
 }
 
 impl PresetRun {
-    /// The scenes swept, in row order.
-    pub fn scenes(&self) -> &[SceneId] {
-        &self.scenes
+    /// The scenes swept, in cell order.
+    pub fn scenes(&self) -> Vec<SceneId> {
+        let mut scenes: Vec<SceneId> = self.keys.iter().map(|(scene, _)| *scene).collect();
+        scenes.dedup();
+        scenes
     }
 
     /// `scene`'s reports under the presets `labels`, in that order — or
@@ -417,13 +506,11 @@ impl PresetRun {
     ///
     /// # Panics
     ///
-    /// Panics on a scene or a preset this wave did not simulate.
+    /// Panics on a `(scene, preset)` pair this wave did not simulate.
     pub fn reports(&self, scene: SceneId, labels: &[&str]) -> Result<Vec<&SimReport>, &CellError> {
-        let scene = self.scenes.iter().position(|s| *s == scene).expect("a scene of this wave");
         let cell = |label: &&str| {
-            let preset =
-                self.labels.iter().position(|l| l == label).expect("a preset of this wave");
-            self.cells[scene * self.labels.len() + preset].as_ref()
+            let at = self.keys.iter().position(|key| *key == (scene, *label));
+            self.cells[at.expect("a cell of this wave")].as_ref()
         };
         labels.iter().map(cell).collect()
     }
@@ -444,10 +531,11 @@ impl PresetRun {
         self.cells.iter().filter_map(|cell| cell.as_ref().err())
     }
 
-    /// `figure`'s table over this wave: one row per scene whose every
-    /// cell the figure needs produced a report.
+    /// `figure`'s table over this wave: one row per scene the figure ran
+    /// on whose every cell it needs produced a report.
     pub fn table(&self, figure: &'static Figure) -> FigureTable {
-        let rows = self.scenes.iter().filter_map(|&scene| {
+        let scenes = self.rows.as_deref().unwrap_or(figure.scenes);
+        let rows = scenes.iter().filter_map(|&scene| {
             let reports = self.reports(scene, figure.presets).ok()?;
             Some((scene, figure.columns.iter().map(|c| (c.value)(&reports)).collect()))
         });
@@ -456,14 +544,16 @@ impl PresetRun {
 }
 
 // ---------------------------------------------------------------------------
-// The scene × policy figures, declared once
+// The scene × preset tables, declared once
 //
-// A figure is data: the presets it simulates per scene and a list of
-// columns, each a function of those reports with a format, a summary rule
-// and (when its value is pinned by a golden snapshot) a tolerance.
-// `vtq-bench figNN`, the sections of `vtq-bench all` and the
+// A figure is data: the scenes it runs on by default, the presets it
+// simulates per scene and a list of columns, each a function of those
+// reports with a format, a summary rule and (when its value is pinned by
+// a golden snapshot) a tolerance.
+// `vtq-bench <figure>`, the sections of `vtq-bench all` and the
 // `golden/<name>.json` snapshots are all renderings of [`FIGURES`]; adding
-// a figure is adding an entry.
+// a figure or an extension experiment is adding an entry (and a preset
+// per new variant).
 // ---------------------------------------------------------------------------
 
 /// How a column's values print.
@@ -623,13 +713,17 @@ impl Column {
     }
 }
 
-/// One scene × policy table of the evaluation.
+/// One scene × preset table of the evaluation.
 #[derive(Debug)]
 pub struct Figure {
-    /// Subcommand name and snapshot file stem (`fig10`).
+    /// Subcommand name and snapshot file stem (`fig10`); `ablations-budget`
+    /// is a section of the `ablations` subcommand.
     pub name: &'static str,
     /// Section title in the `vtq-bench all` report.
     pub title: &'static str,
+    /// The scenes it runs on when none are asked for: all fourteen for
+    /// the paper's figures, a few for an extension experiment.
+    pub scenes: &'static [SceneId],
     /// The [`presets`] labels simulated per scene; columns index their
     /// reports in this order.
     pub presets: &'static [&'static str],
@@ -669,6 +763,17 @@ fn mode_share(
     Some(count(&r.stats, TraversalMode::ALL[mode]) as f64 / total.max(1) as f64)
 }
 
+/// The share of intersection tests outside ray-stationary mode.
+fn coherent_share(r: &SimReport) -> Option<f64> {
+    Some(1.0 - mode_share(r, SimStats::isect_in, 2)?)
+}
+
+/// How much slower the run charged for CTA state movement finished than
+/// the one with free virtualization.
+fn virtualization_overhead(charged: &SimReport, free: &SimReport) -> Option<f64> {
+    Some(speedup(charged, free)? - 1.0)
+}
+
 fn energy_vs(base: &SimReport, other: &SimReport) -> Option<f64> {
     Some(other.energy.total_pj() / base.energy.total_pj())
 }
@@ -679,13 +784,15 @@ fn bvh_dram_lines(r: &SimReport) -> u64 {
 
 use Format::{Int, Percent1, Ratio3, Times2, Times3};
 
-/// Every scene × policy figure, in report order.
-pub static FIGURES: [Figure; 9] = [
+/// Every scene × preset table, in report order: the paper's figures, then
+/// the extension experiments.
+pub static FIGURES: [Figure; 21] = [
     // Baseline RT-unit bottlenecks. Paper: mean miss rate 58% (up to
     // 70%), low SIMT efficiency (~0.37).
     Figure {
         name: "fig01",
         title: "Figure 1 — baseline L1 BVH miss rate & SIMT efficiency",
+        scenes: &SceneId::ALL,
         presets: &["baseline"],
         columns: &[
             Column::new("l1_bvh_miss", Ratio3, |r| {
@@ -702,6 +809,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig10",
         title: "Figure 10 — overall speedup",
+        scenes: &SceneId::ALL,
         presets: &["baseline", "prefetch", "vtq"],
         columns: &[
             Column::new("base_cyc", Int, |r| cycles(r[0])),
@@ -723,6 +831,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig12",
         title: "Figure 12 — grouping underpopulated queues (speedup vs baseline)",
+        scenes: &SceneId::ALL,
         presets: &["baseline", "vtq-naive", "vtq-grouped-32", "vtq-grouped-64", "vtq-norepack"],
         columns: &[
             Column::new("naive", Times3, |r| speedup(r[0], r[1])).geomean().rel("naive_speedup"),
@@ -745,6 +854,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig13",
         title: "Figure 13 — warp repacking (speedup vs baseline / SIMT efficiency)",
+        scenes: &SceneId::ALL,
         presets: &[
             "baseline",
             "vtq-norepack",
@@ -776,6 +886,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig14",
         title: "Figure 14 — cycles by traversal mode",
+        scenes: &SceneId::ALL,
         presets: &["vtq"],
         columns: &[
             Column::new("initial", Ratio3, |r| mode_share(r[0], SimStats::cycles_in, 0))
@@ -795,6 +906,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig15",
         title: "Figure 15 — intersection tests by traversal mode",
+        scenes: &SceneId::ALL,
         presets: &["vtq"],
         columns: &[
             Column::new("initial", Ratio3, |r| mode_share(r[0], SimStats::isect_in, 0))
@@ -813,15 +925,14 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig16",
         title: "Figure 16 — ray virtualization overhead",
+        scenes: &SceneId::ALL,
         presets: &["vtq", "vtq-free-virt"],
         columns: &[
             Column::new("charged_cyc", Int, |r| cycles(r[0])),
             Column::new("free_cyc", Int, |r| cycles(r[1])),
-            Column::new("overhead", Percent1, |r| {
-                Some(r[0].stats.cycles as f64 / r[1].stats.cycles as f64 - 1.0)
-            })
-            .mean()
-            .abs("overhead"),
+            Column::new("overhead", Percent1, |r| virtualization_overhead(r[0], r[1]))
+                .mean()
+                .abs("overhead"),
         ],
     },
     // Energy with and without virtualization charges. Paper: ~60% energy
@@ -830,6 +941,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "fig17",
         title: "Figure 17 — energy (normalized to baseline)",
+        scenes: &SceneId::ALL,
         presets: &["baseline", "vtq", "vtq-free-virt"],
         columns: &[
             Column::new("vtq/base", Ratio3, |r| energy_vs(r[0], r[1])).mean().rel("vtq_energy"),
@@ -848,6 +960,7 @@ pub static FIGURES: [Figure; 9] = [
     Figure {
         name: "figpolicies",
         title: "Policy experiments — ray-path prediction & quantized nodes",
+        scenes: &SceneId::ALL,
         presets: &["baseline", "predict", "qnode"],
         columns: &[
             Column::new("base_cyc", Int, |r| cycles(r[0])),
@@ -870,18 +983,231 @@ pub static FIGURES: [Figure; 9] = [
             .rel("qnode_traffic_ratio"),
         ],
     },
+    // Real integrations trace an anyhit shadow ray from every diffuse hit
+    // (§2.1.2); the paper's workload (§5.1) is plain path tracing. Does
+    // VTQ's win carry over to the shadow-ray-heavy kernel?
+    Figure {
+        name: "nee",
+        title: "NEE — VTQ gain on the plain and the shadow-ray workload",
+        scenes: &[SceneId::Bath, SceneId::Lands],
+        presets: &["baseline", "vtq", "nee+baseline", "nee+vtq"],
+        columns: &[
+            Column::new("rays", Int, |r| Some(r[0].stats.rays_completed as f64)),
+            Column::new("nee_rays", Int, |r| Some(r[2].stats.rays_completed as f64)),
+            Column::new("vtq_gain", Times2, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("nee_gain", Times2, |r| speedup(r[2], r[3])).geomean().rel("nee_gain"),
+        ],
+    },
+    // §7.2.1: treelet queues group rays dynamically, "essentially
+    // achieving a similar goal" to sorting them "but without the high
+    // overhead". First-hit Morton sorting is the static alternative, a
+    // shuffle the stress test; the cost columns are each side's cycles
+    // relative to its own pixel-order run.
+    Figure {
+        name: "reorder",
+        title: "Ray reordering (§7.2.1) — VTQ gain per thread order, cycles vs pixel order",
+        scenes: &[SceneId::Lands, SceneId::Park],
+        presets: &[
+            "baseline",
+            "vtq",
+            "sorted+baseline",
+            "sorted+vtq",
+            "shuffled+baseline",
+            "shuffled+vtq",
+        ],
+        columns: &[
+            Column::new("pixel", Times2, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("sorted", Times2, |r| speedup(r[2], r[3])).geomean().rel("sorted_gain"),
+            Column::new("shuffled", Times2, |r| speedup(r[4], r[5])).geomean().rel("shuffled_gain"),
+            Column::new("base_sorted", Times2, |r| speedup(r[2], r[0])).geomean(),
+            Column::new("vtq_sorted", Times2, |r| speedup(r[3], r[1])).geomean(),
+            Column::new("base_shuf", Times2, |r| speedup(r[4], r[0])).geomean(),
+            Column::new("vtq_shuf", Times2, |r| speedup(r[5], r[1])).geomean(),
+        ],
+    },
+    // §6.4 predicts the share of intersection tests the treelet machinery
+    // captures rises with samples per pixel (more coherent batches) and
+    // falls with bounces (more divergent rays): the treelet-stationary
+    // share, then the coherent (initial + treelet-stationary) share, at
+    // the default point and with one axis moved.
+    Figure {
+        name: "sensitivity",
+        title: "Workload sensitivity (§6.4) — intersection-test shares under VTQ",
+        scenes: &[SceneId::Lands],
+        presets: &["vtq", "spp-2", "spp-4", "bounces-1", "bounces-5"],
+        columns: &[
+            Column::new("treelet", Ratio3, |r| mode_share(r[0], SimStats::isect_in, 1)),
+            Column::new("trl_spp=2", Ratio3, |r| mode_share(r[1], SimStats::isect_in, 1)),
+            Column::new("trl_spp=4", Ratio3, |r| mode_share(r[2], SimStats::isect_in, 1)),
+            Column::new("trl_b=1", Ratio3, |r| mode_share(r[3], SimStats::isect_in, 1)),
+            Column::new("trl_b=5", Ratio3, |r| mode_share(r[4], SimStats::isect_in, 1)),
+            Column::new("coherent", Ratio3, |r| coherent_share(r[0])),
+            Column::new("coh_spp=2", Ratio3, |r| coherent_share(r[1])).abs("coherent_spp_2"),
+            Column::new("coh_spp=4", Ratio3, |r| coherent_share(r[2])).abs("coherent_spp_4"),
+            Column::new("coh_b=1", Ratio3, |r| coherent_share(r[3])).abs("coherent_bounces_1"),
+            Column::new("coh_b=5", Ratio3, |r| coherent_share(r[4])).abs("coherent_bounces_5"),
+        ],
+    },
+    // §7.3: BVH compression "can be used in conjunction with our
+    // proposal". Quantized nodes (after Grauer et al.) under both
+    // policies, against the wide-node baseline; `vs_vtq` is what the
+    // smaller, conservatively widened nodes add to wide-node VTQ.
+    Figure {
+        name: "compression",
+        title: "BVH compression (§7.3) — quantized nodes with VTQ (speedup vs wide baseline)",
+        scenes: &[SceneId::Lands, SceneId::Car],
+        presets: &["baseline", "vtq", "qnode", "qnode+vtq"],
+        columns: &[
+            Column::new("vtq", Times2, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("qnode", Times2, |r| speedup(r[0], r[2])).geomean(),
+            Column::new("qnode+vtq", Times2, |r| speedup(r[0], r[3]))
+                .geomean()
+                .rel("qnode_vtq_speedup"),
+            Column::new("vtq_on_qnode", Times2, |r| speedup(r[2], r[3])).geomean(),
+            Column::new("vs_vtq", Times2, |r| speedup(r[1], r[3])).geomean(),
+        ],
+    },
+    // The ablations of the design choices DESIGN.md calls out, one
+    // section per knob; the knob's default point is the preset that
+    // already runs it.
+    Figure {
+        name: "ablations-budget",
+        title: "Ablation — treelet byte budget (VTQ speedup vs the same-budget baseline)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &[
+            "budget-1k+baseline",
+            "budget-1k+vtq",
+            "baseline",
+            "vtq",
+            "budget-4k+baseline",
+            "budget-4k+vtq",
+            "budget-8k+baseline",
+            "budget-8k+vtq",
+        ],
+        columns: &[
+            Column::new("1KB", Times3, |r| speedup(r[0], r[1])).geomean().rel("budget_1k"),
+            Column::new("2KB", Times3, |r| speedup(r[2], r[3])).geomean(),
+            Column::new("4KB", Times3, |r| speedup(r[4], r[5])).geomean().rel("budget_4k"),
+            Column::new("8KB", Times3, |r| speedup(r[6], r[7])).geomean().rel("budget_8k"),
+        ],
+    },
+    Figure {
+        name: "ablations-wbuf",
+        title: "Ablation — RT-unit warp buffer slots (baseline policy, speedup vs 1 slot)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &["baseline", "wbuf-2", "wbuf-4", "wbuf-8"],
+        columns: &[
+            Column::new("slots=2", Times3, |r| speedup(r[0], r[1])).geomean().rel("wbuf_2"),
+            Column::new("slots=4", Times3, |r| speedup(r[0], r[2])).geomean().rel("wbuf_4"),
+            Column::new("slots=8", Times3, |r| speedup(r[0], r[3])).geomean().rel("wbuf_8"),
+        ],
+    },
+    Figure {
+        name: "ablations-issue",
+        title: "Ablation — RT-unit memory-scheduler issue rate (baseline policy, vs unlimited)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &["baseline", "issue-4", "issue-2", "issue-1"],
+        columns: &[
+            Column::new("4/cyc", Times3, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("2/cyc", Times3, |r| speedup(r[0], r[2])).geomean(),
+            Column::new("1/cyc", Times3, |r| speedup(r[0], r[3])).geomean().rel("issue_1"),
+        ],
+    },
+    Figure {
+        name: "ablations-shader",
+        title: "Ablation — CUDA-core shader slots per SM (baseline policy, vs unlimited)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &["baseline", "shader-8", "shader-4", "shader-2"],
+        columns: &[
+            Column::new("8/SM", Times3, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("4/SM", Times3, |r| speedup(r[0], r[2])).geomean(),
+            Column::new("2/SM", Times3, |r| speedup(r[0], r[3])).geomean().rel("shader_2"),
+        ],
+    },
+    Figure {
+        name: "ablations-mechanism",
+        title:
+            "Ablation — VTQ mechanisms off one at a time (speedup vs baseline / SIMT efficiency)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &["baseline", "vtq", "vtq-nopreload", "vtq-norepack", "vtq-naive"],
+        columns: &[
+            Column::new("full", Times3, |r| speedup(r[0], r[1])).geomean(),
+            Column::new("no-preload", Times3, |r| speedup(r[0], r[2])).geomean().rel("nopreload"),
+            Column::new("no-repack", Times3, |r| speedup(r[0], r[3])).geomean(),
+            Column::new("no-group", Times3, |r| speedup(r[0], r[4])).geomean(),
+            Column::new("simt_full", Ratio3, |r| simt(r[1])).mean(),
+            Column::new("simt_nopre", Ratio3, |r| simt(r[2])).mean(),
+            Column::new("simt_norep", Ratio3, |r| simt(r[3])).mean(),
+            Column::new("simt_nogrp", Ratio3, |r| simt(r[4])).mean(),
+        ],
+    },
+    Figure {
+        name: "ablations-diverge",
+        title: "Ablation — divergence threshold in distinct treelets (speedup vs baseline)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &[
+            "baseline",
+            "vtq-diverge-0",
+            "vtq-diverge-1",
+            "vtq",
+            "vtq-diverge-4",
+            "vtq-diverge-8",
+        ],
+        columns: &[
+            Column::new("d=0", Times3, |r| speedup(r[0], r[1])).geomean().rel("diverge_0"),
+            Column::new("d=1", Times3, |r| speedup(r[0], r[2])).geomean().rel("diverge_1"),
+            Column::new("d=2", Times3, |r| speedup(r[0], r[3])).geomean(),
+            Column::new("d=4", Times3, |r| speedup(r[0], r[4])).geomean().rel("diverge_4"),
+            Column::new("d=8", Times3, |r| speedup(r[0], r[5])).geomean().rel("diverge_8"),
+        ],
+    },
+    Figure {
+        name: "ablations-maxrays",
+        title: "Ablation — virtual-ray cap per SM (speedup vs baseline)",
+        scenes: &[SceneId::Lands, SceneId::Frst],
+        presets: &["baseline", "vtq-maxrays-1k", "vtq-maxrays-2k", "vtq", "vtq-maxrays-8k"],
+        columns: &[
+            Column::new("1K", Times3, |r| speedup(r[0], r[1])).geomean().rel("maxrays_1k"),
+            Column::new("2K", Times3, |r| speedup(r[0], r[2])).geomean(),
+            Column::new("4K", Times3, |r| speedup(r[0], r[3])).geomean(),
+            Column::new("8K", Times3, |r| speedup(r[0], r[4])).geomean().rel("maxrays_8k"),
+        ],
+    },
+    // Figure 16 again, on the unscaled Table 1 memory hierarchy (16 KB
+    // L1, 128 KB L2, 8 KB treelets) the scale model shrinks: the
+    // overhead EXPERIMENTS.md quotes in Figure 16's defence.
+    Figure {
+        name: "fig16-table1",
+        title: "Figure 16 on the unscaled Table 1 configuration",
+        scenes: &[SceneId::Spnza, SceneId::Lands, SceneId::Robot],
+        presets: &["table1+baseline", "table1+vtq", "table1+vtq-free-virt"],
+        columns: &[
+            Column::new("charged_cyc", Int, |r| cycles(r[1])),
+            Column::new("free_cyc", Int, |r| cycles(r[2])),
+            Column::new("overhead", Percent1, |r| virtualization_overhead(r[1], r[2]))
+                .mean()
+                .abs("overhead"),
+            Column::new("vtq_speedup", Times2, |r| speedup(r[0], r[1])).geomean(),
+        ],
+    },
 ];
 
 /// Simulates the union of the cells `figures` need — every preset once
-/// per scene, however many figures read it — as one wave.
-pub fn run_figures(
+/// per scene, however many figures read it — as one wave: on `scenes`
+/// when given, otherwise each figure on its own [`Figure::scenes`].
+pub fn run_figures<'f>(
     engine: &SweepEngine,
-    figures: &[Figure],
-    scenes: &[SceneId],
+    figures: impl IntoIterator<Item = &'f Figure>,
+    scenes: Option<&[SceneId]>,
     cfg: &ExperimentConfig,
 ) -> PresetRun {
-    let labels: Vec<&str> = figures.iter().flat_map(|f| f.presets.iter().copied()).collect();
-    run_presets(engine, &labels, scenes, cfg)
+    let mut wanted = Vec::new();
+    for figure in figures {
+        for &scene in scenes.unwrap_or(figure.scenes) {
+            wanted.extend(figure.presets.iter().map(|&label| (scene, label)));
+        }
+    }
+    run_pairs(engine, &wanted, scenes, cfg)
 }
 
 /// One figure's values over a sweep; see [`PresetRun::table`].
@@ -1057,6 +1383,8 @@ pub fn table2_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reorder;
+    use crate::sweep::cell_key_fingerprint;
 
     fn quick_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick();
@@ -1073,7 +1401,7 @@ mod tests {
     fn ref_row(name: &'static str) -> impl Fn(&str) -> f64 {
         let figure = figure(name).expect("declared");
         let figures = std::slice::from_ref(figure);
-        let run = run_figures(&SweepEngine::new(1), figures, &[SceneId::Ref], &quick_cfg());
+        let run = run_figures(&SweepEngine::new(1), figures, Some(&[SceneId::Ref]), &quick_cfg());
         let table = run.table(figure);
         assert_eq!(table.rows.len(), 1, "{name}: {:?}", run.failures().collect::<Vec<_>>());
         move |key| table.value(SceneId::Ref, key).unwrap_or_else(|| panic!("{name}: no {key}"))
@@ -1181,21 +1509,69 @@ mod tests {
     }
 
     /// The union of several figures' cells runs each preset once; that is
-    /// only the same simulation set if no two labels name one policy.
+    /// only the same simulation set if no two labels name one cell.
     #[test]
     fn preset_labels_are_unique_and_policies_distinct() {
         let presets = presets();
-        for (i, a) in presets.iter().enumerate() {
-            for b in &presets[i + 1..] {
-                assert_ne!(a.label, b.label);
-                assert!(
-                    a.node_format != b.node_format || a.policy != b.policy,
-                    "{} and {} are the same simulation",
-                    a.label,
-                    b.label
-                );
+        for base in [ExperimentConfig::default(), ExperimentConfig::quick()] {
+            let keys: Vec<u64> = (presets.iter())
+                .map(|p| cell_key_fingerprint(&p.cell(SceneId::Ref, &base, p.label)))
+                .collect();
+            for (i, a) in presets.iter().enumerate() {
+                for (j, b) in presets.iter().enumerate().skip(i + 1) {
+                    assert_ne!(a.label, b.label);
+                    assert_ne!(keys[i], keys[j], "{} and {} are one simulation", a.label, b.label);
+                }
             }
         }
+    }
+
+    /// On the full configuration the `table1+*` presets run exactly
+    /// [`ExperimentConfig::table1`]; on any other base they keep its
+    /// scene scale and workload.
+    #[test]
+    fn table1_presets_run_the_table1_configuration() {
+        let presets = presets();
+        let table1: Vec<&Preset> =
+            presets.iter().filter(|p| p.label.starts_with("table1+")).collect();
+        assert_eq!(table1.len(), 3);
+        let quick = quick_cfg();
+        for preset in table1 {
+            assert_eq!(preset.config(&ExperimentConfig::default()), ExperimentConfig::table1());
+            let scaled = preset.config(&quick);
+            assert_eq!(scaled.gpu.mem, ExperimentConfig::table1().gpu.mem);
+            assert_eq!((scaled.detail_divisor, scaled.resolution), (8, quick.resolution));
+        }
+    }
+
+    /// The two workload parameters of the configuration are the calls the
+    /// extension commands used to make by hand.
+    #[test]
+    fn prepared_build_applies_the_ray_order_and_the_sample_count() {
+        // Neither type compares; their renderings hold every bit.
+        let calls = |w: &Workload| format!("{w:?}");
+        let pixels = |image: &Image| format!("{image:?}");
+        let pixel = quick(SceneId::Bunny);
+        let build = |cfg| Prepared::build(SceneId::Bunny, &cfg);
+
+        let sorted = build(ExperimentConfig { ray_order: RayOrder::FirstHitSorted, ..quick_cfg() });
+        let by_hand = reorder::sort_by_first_hit(&pixel.workload, &pixel.scene, &pixel.bvh);
+        assert_eq!(calls(&sorted.workload), calls(&by_hand));
+        assert_ne!(calls(&sorted.workload), calls(&pixel.workload));
+        let shuffled = build(ExperimentConfig { ray_order: RayOrder::Shuffled, ..quick_cfg() });
+        assert_eq!(calls(&shuffled.workload), calls(&reorder::shuffle(&pixel.workload, 0x5EED)));
+        assert_ne!(calls(&shuffled.workload), calls(&pixel.workload));
+        assert_eq!(pixels(&sorted.image), pixels(&pixel.image));
+        assert_eq!(pixels(&shuffled.image), pixels(&pixel.image));
+
+        let spp4 = build(ExperimentConfig { spp: 4, ..quick_cfg() });
+        let cfg = quick_cfg();
+        let (workload, image) = PathTracer::new(cfg.resolution, cfg.max_bounces)
+            .with_spp(4)
+            .run(&pixel.scene, &pixel.bvh);
+        assert_eq!(spp4.workload.tasks.len(), 4 * pixel.workload.tasks.len());
+        assert_eq!(calls(&spp4.workload), calls(&workload));
+        assert_eq!(pixels(&spp4.image), pixels(&image));
     }
 
     #[test]

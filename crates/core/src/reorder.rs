@@ -70,6 +70,34 @@ pub fn shuffle(workload: &Workload, seed: u64) -> Workload {
     Workload { tasks }
 }
 
+/// The order a prepared scene's threads launch in
+/// ([`ExperimentConfig::ray_order`](crate::ExperimentConfig::ray_order)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RayOrder {
+    /// Row-major pixel order, as the path tracer emits them (the paper's
+    /// workload).
+    #[default]
+    Pixel,
+    /// [`sort_by_first_hit`].
+    FirstHitSorted,
+    /// [`shuffle`] under [`SHUFFLE_SEED`].
+    Shuffled,
+}
+
+/// The seed of [`RayOrder::Shuffled`].
+pub const SHUFFLE_SEED: u64 = 0x5EED;
+
+impl RayOrder {
+    /// `workload` with its threads in this order.
+    pub fn apply(self, workload: Workload, scene: &Scene, bvh: &Bvh) -> Workload {
+        match self {
+            RayOrder::Pixel => workload,
+            RayOrder::FirstHitSorted => sort_by_first_hit(&workload, scene, bvh),
+            RayOrder::Shuffled => shuffle(&workload, SHUFFLE_SEED),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -103,7 +103,7 @@ fn sweep_is_bit_identical_across_job_counts() {
 fn typed_sweeps_match_serial_figures() {
     let cfg = cfg();
     let tables = |jobs: usize| {
-        let run = experiment::run_figures(&SweepEngine::new(jobs), &FIGURES, &SCENES, &cfg);
+        let run = experiment::run_figures(&SweepEngine::new(jobs), &FIGURES, Some(&SCENES), &cfg);
         assert_eq!(run.failures().count(), 0);
         FIGURES.iter().map(|f| run.table(f)).collect::<Vec<_>>()
     };
@@ -126,7 +126,7 @@ fn prepared_cache_builds_each_scene_once() {
     // per scene.
     for name in ["fig10", "fig16"] {
         let figure = experiment::figure(name).expect("declared");
-        let run = experiment::run_figures(&engine, std::slice::from_ref(figure), &SCENES, &cfg);
+        let run = experiment::run_figures(&engine, [figure], Some(&SCENES), &cfg);
         assert_eq!(run.cells().len(), SCENES.len() * figure.presets.len());
         assert_eq!(run.table(figure).rows.len(), SCENES.len(), "{name}");
     }

@@ -2,11 +2,9 @@
 /// through the memory hierarchy.
 ///
 /// The default is the 4-wide layout of Benthin et al. used by Vulkan-Sim
-/// (128 B interior nodes, 48 B/triangle compressed leaves). The
-/// [`NodeLayout::compressed`] variant models the further-compressed wide
-/// nodes of Ylitie et al. (§7.3 of the paper: BVH compression "can be used
-/// in conjunction with our proposal for even larger performance
-/// improvements").
+/// (128 B interior nodes, 48 B/triangle compressed leaves); a
+/// [`NodeFormat::Quantized`] build prices its interior nodes at the
+/// quantized record's size through [`BvhConfig::effective_layout`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLayout {
     /// Bytes per interior node record.
@@ -27,18 +25,6 @@ impl NodeLayout {
             leaf_header_bytes: 16,
             leaf_tri_bytes: 48,
             leaf_align_bytes: 64,
-        }
-    }
-
-    /// A CWBVH-style compressed layout after Ylitie et al.: quantized
-    /// child boxes shrink interior nodes to 80 B and leaf triangles to
-    /// 32 B.
-    pub const fn compressed() -> NodeLayout {
-        NodeLayout {
-            inner_bytes: 80,
-            leaf_header_bytes: 16,
-            leaf_tri_bytes: 32,
-            leaf_align_bytes: 32,
         }
     }
 }
@@ -156,7 +142,14 @@ mod tests {
     #[test]
     fn compressed_layout_is_strictly_smaller() {
         let w = NodeLayout::wide();
-        let c = NodeLayout::compressed();
+        // A CWBVH-style layout after Ylitie et al.: 80 B interior nodes,
+        // 32 B leaf triangles.
+        let c = NodeLayout {
+            inner_bytes: 80,
+            leaf_header_bytes: 16,
+            leaf_tri_bytes: 32,
+            leaf_align_bytes: 32,
+        };
         assert!(c.inner_bytes < w.inner_bytes);
         assert!(c.leaf_tri_bytes < w.leaf_tri_bytes);
         assert!(c.leaf_align_bytes <= w.leaf_align_bytes);

@@ -240,9 +240,17 @@ mod tests {
     #[test]
     fn per_node_tables_pick_what_the_reference_picks() {
         use rtscene::lumibench::{build_scaled, SceneId};
+        // A second layout with smaller records (80 B interior nodes, 32 B
+        // leaf triangles) packs other nodes into the same budget.
+        let compressed = NodeLayout {
+            inner_bytes: 80,
+            leaf_header_bytes: 16,
+            leaf_tri_bytes: 32,
+            leaf_align_bytes: 32,
+        };
         for (id, layout) in [
             (SceneId::Crnvl, NodeLayout::wide()),
-            (SceneId::Lands, NodeLayout::compressed()),
+            (SceneId::Lands, compressed),
             (SceneId::Fox, NodeLayout::wide()),
         ] {
             let scene = build_scaled(id, 8);

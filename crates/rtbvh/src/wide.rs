@@ -374,8 +374,15 @@ mod tests {
         assert_eq!(leaf1.byte_size(&wide), 64); // 16 + 48 = 64
         let leaf4 = Bvh4Node::leaf(Aabb::EMPTY, 0, 4);
         assert_eq!(leaf4.byte_size(&wide), 256); // 16 + 192 = 208 -> 256
-                                                 // Compressed records are smaller across the board.
-        let comp = crate::NodeLayout::compressed();
+
+        // Compressed records (80 B interior nodes, 32 B leaf triangles)
+        // are smaller across the board.
+        let comp = crate::NodeLayout {
+            inner_bytes: 80,
+            leaf_header_bytes: 16,
+            leaf_tri_bytes: 32,
+            leaf_align_bytes: 32,
+        };
         assert_eq!(inner.byte_size(&comp), 80);
         assert!(leaf4.byte_size(&comp) < leaf4.byte_size(&wide));
     }
