@@ -10,9 +10,9 @@
 //! injected fault and asserts the recovery invariants end to end:
 //!
 //! * **canary** — a checksum-framed record with one payload bit flipped
-//!   must be rejected by [`vtq::jsonl::check_line`]. This is the
-//!   sabotage detector: a build whose frame verification is disabled
-//!   (`--sabotage` simulates one) fails the campaign immediately.
+//!   must be rejected by [`vtq::jsonl::check_line`]: a build whose frame
+//!   verification does not verify fails the campaign immediately (a unit
+//!   test below hands the canary such a verifier).
 //! * **journal-kill** — a journaled sweep killed at a seeded cell
 //!   boundary and resumed (repeatedly, until done) must execute every
 //!   cell exactly once and reproduce the uninterrupted run bit for bit.
@@ -26,9 +26,9 @@
 //! * **checkpoint-corrupt** — a flipped checkpoint must fail
 //!   [`gpusim::Checkpoint::from_jsonl`] with a typed error; recovery is
 //!   a fresh run whose stats equal the original run's.
-//! * **golden-corrupt / bench-corrupt** — damaged conformance snapshots
-//!   and perf baselines must surface as typed corruption (exit-2 paths
-//!   in their harnesses), then regenerate cleanly.
+//! * **golden-corrupt** — a damaged conformance snapshot must surface as
+//!   typed corruption (the harness's exit-2 path), then regenerate
+//!   cleanly.
 //! * **enospc** — the journal hits a simulated full disk mid-sweep; the
 //!   sweep survives with the loss counted, and a resume redoes only the
 //!   under-recorded cells, bit-identically.
@@ -51,22 +51,16 @@ use std::sync::{Arc, Mutex};
 
 use gpusim::{Checkpoint, RunOptions, Simulator};
 use vtq::diskfault::{arm, disarm, DiskFault, FaultPlan};
-use vtq::jsonl::{check_line, frame_line, Record};
+use vtq::jsonl::{check_line, frame_line, Record, CRC_SUFFIX_LEN};
 use vtq::prelude::*;
 use vtq_serve::{Client, ResultCache, Server, ServerConfig, SubmitSpec};
 
-use super::perf::{bench_file, parse_bench_file, BenchEntry};
 use crate::{header, row, HarnessOpts};
 
 /// Default seed count for the full campaign (the acceptance bar).
 const FULL_SEEDS: u64 = 20;
 /// Default seed count under `--quick` (CI smoke).
 const QUICK_SEEDS: u64 = 5;
-
-/// Byte length of the frame suffix `,"crc":"xxxxxxxx"}` — flips are
-/// aimed strictly before it so the payload, not the checksum text, is
-/// what gets damaged in the canary.
-const FRAME_SUFFIX_LEN: usize = 18;
 
 /// `(cycles, rays_completed, box_tests, tri_tests)` — the bit-identity
 /// signature the campaign compares across recoveries.
@@ -105,8 +99,7 @@ struct Outcome {
 }
 
 /// Shared fixtures, built once: the tiny run matrix, its clean-run
-/// baseline, a captured checkpoint, and synthetic golden/bench
-/// baselines.
+/// baseline, a captured checkpoint, and a synthetic golden snapshot.
 struct Ctx {
     cfg: ExperimentConfig,
     matrix: RunMatrix,
@@ -116,8 +109,6 @@ struct Ctx {
     ref_stats: CellStats,
     ckpt_text: String,
     golden: GoldenFigure,
-    bench_entries: Vec<BenchEntry>,
-    bench_text: String,
     scratch: PathBuf,
 }
 
@@ -184,26 +175,6 @@ fn build_ctx() -> Result<Ctx, String> {
             GoldenEntry { key: "agg/speedup".to_string(), value: 1.25, tol: 0.05, rel: true },
         ],
     };
-    let bench_entries = vec![
-        BenchEntry {
-            kind: "micro".to_string(),
-            name: "chaos/aabb".to_string(),
-            trials: 9,
-            iters: 64,
-            median_ns: 1234,
-            mad_ns: 5,
-        },
-        BenchEntry {
-            kind: "macro".to_string(),
-            name: "chaos/ref".to_string(),
-            trials: 5,
-            iters: 1,
-            median_ns: 987_654,
-            mad_ns: 321,
-        },
-    ];
-    let bench_text = bench_file(&bench_entries, config_fingerprint(&cfg), true);
-
     let scratch = std::env::temp_dir().join(format!("vtq-chaos-{}", std::process::id()));
     let _ = fs::remove_dir_all(&scratch);
     fs::create_dir_all(&scratch).map_err(|e| format!("cannot create scratch dir: {e}"))?;
@@ -217,8 +188,6 @@ fn build_ctx() -> Result<Ctx, String> {
         ref_stats: stats_of(&report),
         ckpt_text,
         golden,
-        bench_entries,
-        bench_text,
         scratch,
     })
 }
@@ -227,17 +196,23 @@ fn build_ctx() -> Result<Ctx, String> {
 // Scenarios
 // ---------------------------------------------------------------------------
 
-/// Frame a record, flip one seeded payload bit, and require the checksum
-/// layer to reject it. The one scenario that needs no injected I/O
-/// fault: it directly catches a build whose verification is disabled.
-fn canary(seed: u64, rng: &mut u64) -> Verdict {
+/// Frame a record, flip one seeded bit strictly before the checksum
+/// suffix (so the payload, not the checksum text, is damaged), and
+/// require `verify` — [`check_line`] in the campaign — to reject it. The
+/// one scenario that needs no injected I/O fault: it directly catches a
+/// verifier that does not verify.
+fn canary<E: std::fmt::Display>(
+    seed: u64,
+    rng: &mut u64,
+    verify: impl Fn(&str) -> Result<String, E>,
+) -> Verdict {
     let framed = Record::new("canary").num("seed", seed).num("nonce", next(rng)).framed();
     let mut bytes = framed.clone().into_bytes();
-    let payload_len = bytes.len() - FRAME_SUFFIX_LEN;
+    let payload_len = bytes.len() - CRC_SUFFIX_LEN;
     let pos = (next(rng) % payload_len as u64) as usize;
     bytes[pos] ^= 1 << (next(rng) % 7);
     let mutated = String::from_utf8(bytes).expect("low-bit flip keeps ASCII");
-    match check_line(&mutated) {
+    match verify(&mutated) {
         Err(e) => Ok(format!("payload flip at byte {pos} rejected: {e}")),
         Ok(_) => Err(format!(
             "flipped frame ACCEPTED (payload byte {pos}) — checksum verification is disabled"
@@ -496,32 +471,6 @@ fn golden_corrupt(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
     }
 }
 
-/// Seeded bit flip in a perf BENCH baseline: parsing must fail with a
-/// typed error (the harness's exit-2 path) or yield the identical
-/// entries; a regenerated baseline must round-trip.
-fn bench_corrupt(ctx: &Ctx, rng: &mut u64) -> Verdict {
-    let mut bytes = ctx.bench_text.clone().into_bytes();
-    let pos = flip_seeded(&mut bytes, rng);
-    let outcome = match String::from_utf8(bytes) {
-        Err(_) => Err("invalid UTF-8".to_string()),
-        Ok(mutated) => parse_bench_file(&mutated),
-    };
-    match outcome {
-        Ok(entries) if entries == ctx.bench_entries => {
-            Ok(format!("flip at byte {pos} left the payload intact; parsed"))
-        }
-        Ok(_) => Err(format!("flip at byte {pos}: corrupted baseline parsed as DIFFERENT data")),
-        Err(e) => {
-            let regenerated = parse_bench_file(&ctx.bench_text)
-                .map_err(|e| format!("regenerated baseline unreadable: {e}"))?;
-            if regenerated != ctx.bench_entries {
-                return Err("regenerated baseline did not round-trip".to_string());
-            }
-            Ok(format!("flip at byte {pos} rejected ({e}); regenerated cleanly"))
-        }
-    }
-}
-
 /// Simulated ENOSPC on a seeded journal write mid-sweep: the sweep must
 /// survive (loss counted via `note_drop`), and a resume must redo only
 /// the under-recorded cells, bit-identically.
@@ -737,11 +686,7 @@ fn chaos_jsonl(seeds: u64, outcomes: &[Outcome]) -> String {
 }
 
 fn campaign(opts: &HarnessOpts) -> u8 {
-    let seeds = opts.seeds.unwrap_or(if opts.config == ExperimentConfig::quick() {
-        QUICK_SEEDS
-    } else {
-        FULL_SEEDS
-    });
+    let seeds = opts.seeds.unwrap_or(if opts.quick { QUICK_SEEDS } else { FULL_SEEDS });
     eprintln!("[chaos] campaign over {seeds} seed(s), 10 scenarios each");
     let ctx = match build_ctx() {
         Ok(ctx) => ctx,
@@ -761,14 +706,13 @@ fn campaign(opts: &HarnessOpts) -> u8 {
         } else {
             Err("skipped: journal-kill failed".to_string())
         };
-        let run: [(&'static str, Verdict); 10] = [
-            ("canary", canary(seed, &mut rng)),
+        let run: [(&'static str, Verdict); 9] = [
+            ("canary", canary(seed, &mut rng, check_line)),
             ("journal-kill", kill),
             ("journal-corrupt", corrupt_journal),
             ("cache-corrupt", cache_corrupt(&ctx, seed, &mut rng)),
             ("checkpoint-corrupt", checkpoint_corrupt(&ctx, &mut rng)),
             ("golden-corrupt", golden_corrupt(&ctx, seed, &mut rng)),
-            ("bench-corrupt", bench_corrupt(&ctx, &mut rng)),
             ("enospc", enospc_mid_sweep(&ctx, seed, &mut rng)),
             ("rename-fail", rename_fail(&ctx, seed)),
             ("short-read", short_read(&ctx, seed)),
@@ -830,15 +774,27 @@ pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
     // The campaign builds its own single-threaded engines: seeded kill
     // points and the global diskfault shim both need deterministic,
     // serialized I/O.
-    if opts.sabotage {
-        eprintln!(
-            "[chaos] --sabotage: frame verification DISABLED for this run; \
-             the campaign must now fail"
-        );
-        vtq::jsonl::sabotage_accept_unverified_frames(true);
-    }
     let code = campaign(opts);
-    vtq::jsonl::sabotage_accept_unverified_frames(false);
     reset_cancel();
     code
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The canary's own must-go-red: it passes the real verifier and
+    /// names a verifier that strips the suffix without checking it.
+    #[test]
+    fn canary_catches_a_verifier_that_does_not_verify() {
+        let unverified =
+            |line: &str| Ok::<_, String>(format!("{}}}", &line[..line.len() - CRC_SUFFIX_LEN]));
+        for seed in 0..8 {
+            let (mut rng, mut same_rng) = (seed, seed);
+            let verdict = canary(seed, &mut rng, check_line);
+            assert!(verdict.is_ok(), "seed {seed}: {verdict:?}");
+            let violation = canary(seed, &mut same_rng, unverified).expect_err("must go red");
+            assert!(violation.contains("checksum verification is disabled"), "{violation}");
+        }
+    }
 }

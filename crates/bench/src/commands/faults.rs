@@ -69,8 +69,7 @@ fn persist(
 }
 
 pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
-    let quick = opts.config == ExperimentConfig::quick();
-    let cfg = if quick { CampaignConfig::quick() } else { CampaignConfig::full() };
+    let cfg = if opts.quick { CampaignConfig::quick() } else { CampaignConfig::full() };
     eprintln!(
         "[faults] {} cells on {} (seed {:#x}, {} retries, {} jobs)",
         cfg.cells,
@@ -152,7 +151,6 @@ fn write_repros(
             cfg.config.detail_divisor,
             &cfg.config.bvh,
             &gpu,
-            None,
             &workload,
             error_kind,
         );

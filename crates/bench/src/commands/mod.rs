@@ -19,7 +19,6 @@ mod conformance;
 mod faults;
 mod fig05;
 mod fig11;
-mod perf;
 mod repro;
 mod scaling;
 mod serve;
@@ -148,11 +147,6 @@ pub const ALL: &[Command] = &[
         name: "repro",
         about: "replay a shrunk failure reproducer (repro-*.jsonl)",
         run: repro::run,
-    },
-    Command {
-        name: "perf",
-        about: "pinned host-perf suite, BENCH_<n>.json + --compare gating",
-        run: perf::run,
     },
     Command { name: "scaling", about: "scale-model methodology validation", run: scaling::run },
     Command {

@@ -10,8 +10,7 @@
 //! until a protocol `shutdown` or SIGINT — both drain in-flight cells
 //! through the journal before exiting, so `--resume` always picks up
 //! cleanly. `--max-queue`, `--tenant-quota` and `--poison-threshold`
-//! tune the robustness guardrails; `--chaos` enables fault injection and
-//! must never be passed to a shared daemon.
+//! tune the robustness guardrails.
 
 use vtq::prelude::SweepEngine;
 use vtq_serve::{Server, ServerConfig};
@@ -26,7 +25,6 @@ pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
     let mut config = ServerConfig::new(dir.to_path_buf());
     config.resume = opts.resume.is_some();
     config.jobs = opts.jobs;
-    config.allow_chaos = opts.chaos;
     if let Some(addr) = &opts.addr {
         config.addr = addr.clone();
     }

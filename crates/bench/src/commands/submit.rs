@@ -131,15 +131,8 @@ fn verify_local(
 ) -> Result<(), String> {
     let cfg = spec_config(spec);
     let mut matrix = RunMatrix::new();
-    for &scene in &spec.scenes {
-        for &policy in &spec.policies {
-            matrix.push(Cell {
-                scene,
-                config: cfg,
-                policy,
-                label: format!("{}/{}", scene.name(), policy.label()),
-            });
-        }
+    for cell in spec.cells(&cfg) {
+        matrix.push(cell);
     }
     let engine = SweepEngine::new(opts.jobs);
     let results = engine.run_map(&matrix, |cell, prepared| {

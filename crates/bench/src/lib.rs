@@ -77,6 +77,9 @@ pub const EXIT_INTERRUPTED: u8 = 3;
 pub struct HarnessOpts {
     /// Experiment configuration (full paper config unless `--quick`).
     pub config: ExperimentConfig,
+    /// Whether `--quick` was passed. The campaigns size themselves by
+    /// this, not by comparing `config`, which other flags edit.
+    pub quick: bool,
     /// Scenes to run.
     pub scenes: Vec<SceneId>,
     /// Whether `--scenes` was passed, i.e. `scenes` is the user's choice
@@ -100,18 +103,6 @@ pub struct HarnessOpts {
     /// then includes the span/counter rollup, and with `--out` the
     /// snapshot is exported to `prof.jsonl`.
     pub prof: bool,
-    /// Measured trials per benchmark (`--trials`; `perf` subcommand).
-    pub trials: Option<usize>,
-    /// Warmup (discarded) trials per benchmark (`--warmup`; `perf`).
-    pub warmup: Option<usize>,
-    /// Diff the fresh `BENCH_<n>.json` against the previous baseline and
-    /// exit nonzero on regression (`--compare`; `perf`).
-    pub compare: bool,
-    /// Explicit baseline file for `--compare` (`--compare-to FILE`).
-    pub compare_to: Option<PathBuf>,
-    /// Relative tolerance band for `--compare` (`--tolerance`, e.g.
-    /// `0.3` = regress when >30% slower beyond noise; `perf`).
-    pub tolerance: f64,
     /// Positional (non-flag) arguments, e.g. the reproducer file for
     /// `vtq-bench repro <file>`.
     pub args: Vec<String>,
@@ -126,9 +117,6 @@ pub struct HarnessOpts {
     /// Panic strikes before a cell is quarantined (`--poison-threshold`;
     /// serve).
     pub poison_threshold: Option<u32>,
-    /// Honor chaos-injection submit fields (`--chaos`; serve). Off by
-    /// default so a production daemon can never be crashed by request.
-    pub chaos: bool,
     /// Tenant name for quota accounting (`--tenant`; submit).
     pub tenant: Option<String>,
     /// Comma-separated policy labels (`--policies`; submit; default
@@ -143,16 +131,13 @@ pub struct HarnessOpts {
     /// Seed count for the disk-fault campaign (`--seeds`; chaos;
     /// default: 20, or 5 under `--quick`).
     pub seeds: Option<u64>,
-    /// Disable frame verification for the run (`--sabotage`; chaos).
-    /// Exists to prove the campaign detects a build that skips checksum
-    /// checks: with it, the campaign must exit nonzero.
-    pub sabotage: bool,
 }
 
 impl Default for HarnessOpts {
     fn default() -> HarnessOpts {
         HarnessOpts {
             config: ExperimentConfig::default(),
+            quick: false,
             scenes: SceneId::ALL.to_vec(),
             scenes_given: false,
             out: None,
@@ -161,23 +146,16 @@ impl Default for HarnessOpts {
             resume: None,
             quiet: false,
             prof: false,
-            trials: None,
-            warmup: None,
-            compare: false,
-            compare_to: None,
-            tolerance: 0.3,
             args: Vec::new(),
             addr: None,
             max_queue: None,
             tenant_quota: None,
             poison_threshold: None,
-            chaos: false,
             tenant: None,
             policies: None,
             deadline_ms: None,
             verify_local: false,
             seeds: None,
-            sabotage: false,
         }
     }
 }
@@ -208,12 +186,6 @@ options (all subcommands):
                    exports it to prof.jsonl
   --update-golden  (conformance) rewrite golden/*.json snapshots from the
                    current run instead of validating against them
-  --trials N       (perf) measured trials per benchmark
-  --warmup N       (perf) discarded warmup trials per benchmark
-  --compare        (perf) diff the fresh BENCH_<n>.json against the
-                   previous baseline; exit 1 on regression
-  --compare-to F   (perf) explicit baseline file for --compare
-  --tolerance X    (perf) relative regression band, default 0.3
   --addr A:P       (serve) bind address; (submit) daemon address
                    (default: ephemeral port, discovered via DIR/serve.addr)
   --max-queue N    (serve) admission bound on queued jobs, default 16
@@ -221,16 +193,12 @@ options (all subcommands):
   --poison-threshold N
                    (serve) panic strikes before a cell is quarantined,
                    default 2
-  --chaos          (serve) honor chaos-injection submit fields (fault
-                   harness only; never enable in a shared daemon)
   --tenant NAME    (submit) tenant name for quota accounting
   --policies A,B   (submit) policy labels to sweep, default baseline,vtq
   --deadline-ms N  (submit) per-job wall-clock deadline
   --verify-local   (submit) re-run the matrix locally and fail on any
                    divergence from the daemon's results
-  --seeds N        (chaos) campaign seeds, default 20 (5 with --quick)
-  --sabotage       (chaos) disable frame verification to prove the
-                   campaign catches it; the run must then exit nonzero";
+  --seeds N        (chaos) campaign seeds, default 20 (5 with --quick)";
 
 impl HarnessOpts {
     /// Parses a flag list (everything after the subcommand name).
@@ -247,6 +215,7 @@ impl HarnessOpts {
             match args[i].as_str() {
                 "--quick" => {
                     opts.config = ExperimentConfig::quick();
+                    opts.quick = true;
                 }
                 "--scenes" => {
                     i += 1;
@@ -320,45 +289,6 @@ impl HarnessOpts {
                 "--prof" => {
                     opts.prof = true;
                 }
-                "--trials" => {
-                    i += 1;
-                    let trials: usize = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--trials needs an integer")?;
-                    if trials == 0 {
-                        return Err("--trials must be at least 1".to_string());
-                    }
-                    opts.trials = Some(trials);
-                }
-                "--warmup" => {
-                    i += 1;
-                    opts.warmup = Some(
-                        args.get(i)
-                            .and_then(|v| v.parse().ok())
-                            .ok_or("--warmup needs an integer")?,
-                    );
-                }
-                "--compare" => {
-                    opts.compare = true;
-                }
-                "--compare-to" => {
-                    i += 1;
-                    opts.compare_to =
-                        Some(PathBuf::from(args.get(i).ok_or("--compare-to needs a file")?));
-                    opts.compare = true;
-                }
-                "--tolerance" => {
-                    i += 1;
-                    let tol: f64 = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--tolerance needs a number")?;
-                    if !tol.is_finite() || tol < 0.0 {
-                        return Err("--tolerance must be a nonnegative number".to_string());
-                    }
-                    opts.tolerance = tol;
-                }
                 "--addr" => {
                     i += 1;
                     opts.addr = Some(args.get(i).ok_or("--addr needs host:port")?.clone());
@@ -386,9 +316,6 @@ impl HarnessOpts {
                             .and_then(|v| v.parse().ok())
                             .ok_or("--poison-threshold needs an integer")?,
                     );
-                }
-                "--chaos" => {
-                    opts.chaos = true;
                 }
                 "--tenant" => {
                     i += 1;
@@ -419,9 +346,6 @@ impl HarnessOpts {
                         return Err("--seeds must be at least 1".to_string());
                     }
                     opts.seeds = Some(seeds);
-                }
-                "--sabotage" => {
-                    opts.sabotage = true;
                 }
                 "--strict-invariants" => {
                     opts.config.gpu = opts
@@ -488,7 +412,7 @@ impl HarnessOpts {
             return engine;
         };
         // `--out DIR` always means "create DIR if missing": commands
-        // that write artifacts directly (perf baselines, fault repros)
+        // that write artifacts directly (fault and chaos outcomes, repros)
         // must not fail on a fresh directory even if the journal below
         // cannot be opened.
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -819,6 +743,15 @@ mod tests {
     }
 
     #[test]
+    fn parse_records_quick_as_a_flag() {
+        // Flags that edit the configuration leave `--quick` readable.
+        let opts = parse(&["--quick", "--strict-invariants", "--max-cycles", "100000000"]).unwrap();
+        assert!(opts.quick);
+        assert_ne!(opts.config, ExperimentConfig::quick());
+        assert!(!parse(&["--strict-invariants"]).unwrap().quick);
+    }
+
+    #[test]
     fn parse_max_cycles_flag() {
         let opts = parse(&["--max-cycles", "5000"]).unwrap();
         assert_eq!(opts.config.gpu.max_cycles, Some(5000));
@@ -874,7 +807,6 @@ mod tests {
             "compression",
             "nee",
             "reorder",
-            "perf",
             "scaling",
             "sensitivity",
             "faults",

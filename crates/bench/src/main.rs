@@ -23,12 +23,6 @@ use std::process::ExitCode;
 
 use vtq_bench::{commands, HarnessOpts, EXIT_INTERRUPTED, EXIT_USAGE, USAGE_OPTIONS};
 
-/// With `--features count-allocs`, the whole binary allocates through
-/// prof's counting wrapper so `perf` can report heap churn per suite.
-#[cfg(feature = "count-allocs")]
-#[global_allocator]
-static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
-
 fn usage() -> String {
     let mut s = String::from("usage: vtq-bench <command> [options]\n\ncommands:\n");
     for cmd in commands::ALL {

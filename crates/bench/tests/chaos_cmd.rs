@@ -1,9 +1,7 @@
 //! End-to-end test of the `chaos` subcommand against the real binary:
 //! a quick campaign must recover every injected fault and export a
-//! fully checksum-framed `chaos.jsonl`, and a `--sabotage` run (frame
-//! verification disabled) must be caught by the campaign's canary and
-//! exit nonzero. Subprocesses keep the campaign's process-global fault
-//! shims out of this test harness.
+//! fully checksum-framed `chaos.jsonl`. Subprocesses keep the campaign's
+//! process-global fault shims out of this test harness.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -41,26 +39,12 @@ fn quick_campaign_recovers_every_fault_and_exports_framed_outcomes() {
             summary = Some(payload);
         }
     }
-    // 2 seeds x 11 scenarios, plus the summary trailer.
-    assert_eq!(scenarios, 22, "campaign exported all scenario outcomes");
+    // 2 seeds x 10 scenarios, plus the summary trailer.
+    assert_eq!(scenarios, 20, "campaign exported all scenario outcomes");
     let summary = summary.expect("summary record present");
     assert!(summary.contains("\"violations\":0"), "summary must be clean: {summary}");
 
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn sabotaged_verification_is_caught_by_the_canary() {
-    let out = Command::new(BIN)
-        .args(["chaos", "--quick", "--seeds", "1", "--sabotage"])
-        .output()
-        .expect("run sabotaged chaos");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "sabotaged run must exit 1: {stderr}");
-    assert!(
-        stderr.contains("checksum verification is disabled"),
-        "the canary names the sabotage: {stderr}"
-    );
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use std::fs;
 
-use gpusim::{PathTask, Sabotage, Workload};
+use gpusim::{PathTask, Workload};
 use vtq::prelude::*;
 use vtq_bench::{commands, HarnessOpts, EXIT_OK, EXIT_USAGE};
 
@@ -25,8 +25,8 @@ fn repro_command_enforces_the_exit_code_contract() {
     let opts = HarnessOpts { args: vec![corrupt.display().to_string()], ..Default::default() };
     assert_eq!((cmd.run)(&opts, &engine), EXIT_USAGE);
 
-    // A faithful reproducer (queue-accounting sabotage under an
-    // every-cycle audit) replays to the recorded error kind: exit 0.
+    // A faithful reproducer (one ray under a watchdog budget shorter than
+    // a memory round trip) replays to the recorded error kind: exit 0.
     let scene = lumibench::build_scaled(SceneId::Ref, 16);
     let workload = Workload {
         tasks: vec![PathTask { rays: vec![scene.camera().primary_ray(0, 0, 8, 8, None).into()] }],
@@ -35,9 +35,8 @@ fn repro_command_enforces_the_exit_code_contract() {
         SceneId::Ref,
         16,
         &BvhConfig { treelet_bytes: 1024, ..Default::default() },
-        &GpuConfig { audit: AuditMode::Every(1), ..GpuConfig::default() },
-        Some(Sabotage { at_cycle: 0, queue_total_delta: 3 }),
-        "invariant",
+        &GpuConfig { max_cycles: Some(4), ..GpuConfig::default() },
+        "cycle-budget",
         workload,
     )
     .expect("representable cell");

@@ -823,34 +823,6 @@ mod tests {
     }
 
     #[test]
-    fn trusted_predictions_are_caught_by_the_oracle() {
-        // The sabotage hook: `trust_predictions` skips the real traversal
-        // whenever the table predicts, which is intentionally unsound.
-        // With very coarse quantization the table predicts constantly and
-        // wrongly — the differential harness must catch it, proving a
-        // bad prediction cannot slip through the oracle.
-        let cfg = tiny_cfg();
-        let p = Prepared::build(SceneId::Bunny, &cfg);
-        let oracle = oracle_run(&p.bvh, p.scene.triangles(), &p.workload);
-        let params = PredictParams {
-            origin_bits: 1,
-            dir_bits: 1,
-            trust_predictions: true,
-            ..Default::default()
-        };
-        let (report, capture) =
-            p.try_run_policy_with_hits(TraversalPolicy::Predict(params)).expect("runs");
-        assert!(
-            report.stats.predict_hits > 0,
-            "sabotage needs the table to actually predict ({} lookups)",
-            report.stats.predict_lookups
-        );
-        let d = compare_hits(SceneId::Bunny, "predict-trusted", &p.workload, &oracle, &capture)
-            .expect_err("trusted (unverified) predictions must diverge from the oracle");
-        assert_eq!(d.policy, "predict-trusted");
-    }
-
-    #[test]
     fn quantized_nodes_agree_with_wide_oracle() {
         let cfg = tiny_cfg();
         let wide = Prepared::build(SceneId::Bunny, &cfg);

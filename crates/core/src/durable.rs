@@ -27,8 +27,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use gpusim::{
-    AuditMode, GpuConfig, PathTask, RunOptions, Sabotage, SimError, SimReport, Simulator,
-    TraceCall, TraversalPolicy, VtqParams, Workload,
+    AuditMode, GpuConfig, PathTask, SimError, SimReport, Simulator, TraceCall, TraversalPolicy,
+    VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtmath::Ray;
@@ -517,9 +517,8 @@ pub fn shrink_workload(
 pub const REPRO_VERSION: u32 = 1;
 
 /// A self-contained, replayable reproducer for one simulation failure:
-/// scene provenance, the exact (representable) GPU configuration, an
-/// optional sabotage schedule, and the minimized ray stream with
-/// bit-exact `f32` payloads.
+/// scene provenance, the exact (representable) GPU configuration, and the
+/// minimized ray stream with bit-exact `f32` payloads.
 #[derive(Debug, Clone)]
 pub struct Repro {
     /// Scene the failing cell ran on.
@@ -531,8 +530,6 @@ pub struct Repro {
     pub treelet_bytes: u32,
     /// Exact GPU configuration of the failing run.
     pub gpu: GpuConfig,
-    /// Scheduled state corruption, for auditor-sabotage reproducers.
-    pub sabotage: Option<Sabotage>,
     /// [`SimError::kind`] the reproducer is expected to hit on replay.
     pub error_kind: String,
     /// The minimized ray stream.
@@ -583,7 +580,6 @@ impl Repro {
         detail_divisor: u32,
         bvh: &BvhConfig,
         gpu: &GpuConfig,
-        sabotage: Option<Sabotage>,
         error_kind: &str,
         workload: Workload,
     ) -> Result<Repro, String> {
@@ -602,7 +598,6 @@ impl Repro {
             detail_divisor,
             treelet_bytes: bvh.treelet_bytes,
             gpu: *gpu,
-            sabotage,
             error_kind: error_kind.to_string(),
             workload,
         })
@@ -662,7 +657,6 @@ impl Repro {
                     _ => None,
                 },
             )
-            .opt("sabotage", self.sabotage.map(|s| Pair(s.at_cycle, s.queue_total_delta)))
             .str("error_kind", &self.error_kind)
             .num("tasks", self.workload.tasks.len());
         let mut out = header.finish();
@@ -747,9 +741,6 @@ impl Repro {
             other => return Err(format!("unknown policy `{other}`")),
         };
 
-        let sabotage = header
-            .opt::<Pair<u64, isize>>("sabotage")?
-            .map(|Pair(at_cycle, queue_total_delta)| Sabotage { at_cycle, queue_total_delta });
         let error_kind = header.str("error_kind")?.into_owned();
         let task_count: usize = header.num("tasks")?;
 
@@ -791,27 +782,22 @@ impl Repro {
             detail_divisor,
             treelet_bytes,
             gpu,
-            sabotage,
             error_kind,
             workload: Workload { tasks },
         })
     }
 
     /// Rebuilds the scene and BVH from the recorded provenance and
-    /// re-runs the minimized workload (with the recorded sabotage, if
-    /// any). A faithful reproducer returns the journaled failure as
-    /// `Err`; `Ok` means the failure no longer reproduces.
+    /// re-runs the minimized workload. A faithful reproducer returns the
+    /// journaled failure as `Err`; `Ok` means the failure no longer
+    /// reproduces.
     pub fn replay(&self) -> Result<SimReport, SimError> {
         let scene = lumibench::build_scaled(self.scene, self.detail_divisor);
         let bvh = Bvh::build(
             scene.triangles(),
             &BvhConfig { treelet_bytes: self.treelet_bytes, ..Default::default() },
         );
-        let sim = Simulator::new(&bvh, scene.triangles(), self.gpu);
-        match self.sabotage {
-            Some(s) => sim.try_run_with(&self.workload, RunOptions::new().sabotage(s)),
-            None => sim.try_run(&self.workload),
-        }
+        Simulator::new(&bvh, scene.triangles(), self.gpu).try_run(&self.workload)
     }
 }
 
@@ -901,31 +887,17 @@ pub fn shrink_failure(
     detail_divisor: u32,
     bvh_cfg: &BvhConfig,
     gpu: &GpuConfig,
-    sabotage: Option<Sabotage>,
     workload: &Workload,
     expected_kind: &str,
 ) -> Result<ShrinkReport, String> {
     // Fail fast on unserializable cells before paying for scene builds.
-    Repro::for_cell(
-        scene,
-        detail_divisor,
-        bvh_cfg,
-        gpu,
-        sabotage,
-        expected_kind,
-        Workload::default(),
-    )?;
+    Repro::for_cell(scene, detail_divisor, bvh_cfg, gpu, expected_kind, Workload::default())?;
 
     let built = lumibench::build_scaled(scene, detail_divisor);
     let bvh = Bvh::build(built.triangles(), bvh_cfg);
     let sim = Simulator::new(&bvh, built.triangles(), *gpu);
-    let mut oracle = |w: &Workload| {
-        let run = match sabotage {
-            Some(s) => sim.try_run_with(w, RunOptions::new().sabotage(s)),
-            None => sim.try_run(w),
-        };
-        matches!(run, Err(ref e) if e.kind() == expected_kind)
-    };
+    let mut oracle =
+        |w: &Workload| matches!(sim.try_run(w), Err(ref e) if e.kind() == expected_kind);
     if !oracle(workload) {
         return Err(format!(
             "failure of kind `{expected_kind}` does not reproduce on the original workload; \
@@ -934,15 +906,8 @@ pub fn shrink_failure(
     }
 
     let outcome = shrink_workload(workload, &mut oracle);
-    let repro = Repro::for_cell(
-        scene,
-        detail_divisor,
-        bvh_cfg,
-        gpu,
-        sabotage,
-        expected_kind,
-        outcome.workload,
-    )?;
+    let repro =
+        Repro::for_cell(scene, detail_divisor, bvh_cfg, gpu, expected_kind, outcome.workload)?;
     Ok(ShrinkReport {
         original_rays: workload.total_rays(),
         shrunk_rays: repro.total_rays(),
@@ -1092,7 +1057,6 @@ mod tests {
             16,
             &BvhConfig { treelet_bytes: 1024, ..Default::default() },
             &gpu,
-            Some(Sabotage { at_cycle: 777, queue_total_delta: -4 }),
             "invariant",
             workload,
         )
@@ -1105,8 +1069,6 @@ mod tests {
         assert_eq!(back.treelet_bytes, repro.treelet_bytes);
         assert_eq!(back.gpu, repro.gpu, "gpu config must round-trip exactly");
         assert_eq!(back.error_kind, "invariant");
-        let s = back.sabotage.expect("sabotage survives");
-        assert_eq!((s.at_cycle, s.queue_total_delta), (777, -4));
         assert_eq!(back.workload.tasks.len(), 2);
         let orig = &repro.workload.tasks[0].rays[0];
         let got = &back.workload.tasks[0].rays[0];
@@ -1125,7 +1087,6 @@ mod tests {
             16,
             &BvhConfig::default(),
             &exotic,
-            None,
             "deadlock",
             Workload::default(),
         )
@@ -1138,7 +1099,6 @@ mod tests {
             16,
             &custom_bvh,
             &GpuConfig::default(),
-            None,
             "deadlock",
             Workload::default(),
         )
@@ -1150,7 +1110,6 @@ mod tests {
             16,
             &BvhConfig::default(),
             &GpuConfig::default(),
-            None,
             "deadlock",
             Workload { tasks: vec![one_ray_task(1)] },
         )

@@ -33,8 +33,7 @@
 //!   matrix-ordered results,
 //! * [`prof`] — host-side performance observability: a hierarchical
 //!   span profiler and counter registry (zero-cost when disabled) that
-//!   the sweep engine, simulator and BVH builder report into, feeding
-//!   the `vtq-bench perf` suite,
+//!   the sweep engine, simulator and BVH builder report into (`--prof`),
 //! * [`provenance`] — the shared artifact-provenance header (crate
 //!   version, config fingerprint, seed) stamped on every exported
 //!   artifact,

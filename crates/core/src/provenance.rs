@@ -1,8 +1,8 @@
 //! Shared artifact provenance: one helper, one header format.
 //!
-//! Every machine-readable artifact the workspace exports — `BENCH_<n>.json`
-//! perf baselines, `faults.jsonl` campaign outcomes, golden conformance
-//! snapshots, sweep journals — starts with the same flat-JSONL provenance
+//! Every machine-readable artifact the workspace exports — `faults.jsonl`
+//! and `chaos.jsonl` campaign outcomes, golden conformance snapshots,
+//! sweep journals, `prof.jsonl` — starts with the same flat-JSONL provenance
 //! record, so tooling can always answer "which build, which configuration,
 //! which seed produced this file?" without per-exporter special cases:
 //!

@@ -1,14 +1,14 @@
 //! Durability integration tests: a journaled sweep interrupted mid-run
 //! resumes without re-executing completed cells and merges into the
-//! clean-run baseline, and the delta-debugging shrinker reduces a seeded
-//! invariant-sabotage failure to a replayable minimal reproducer.
+//! clean-run baseline, and the delta-debugging shrinker reduces a
+//! cycle-budget failure to a replayable minimal reproducer.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use gpusim::{PathTask, Sabotage, Workload};
+use gpusim::{PathTask, Workload};
 use vtq::prelude::*;
 
 /// Serializes the tests that drive the process-global cooperative-cancel
@@ -101,9 +101,9 @@ fn interrupted_sweep_resumes_into_the_clean_baseline() {
 
 #[test]
 fn shrinker_reduces_a_sabotaged_failure_to_a_replayable_repro() {
-    // 64 one-ray camera tasks; the sabotage corrupts queue accounting at
-    // cycle 0 with the auditor checking every cycle, so ANY non-empty
-    // subset still fails — the shrinker should reach a single ray.
+    // 64 one-ray camera tasks under a watchdog budget shorter than one
+    // memory round trip, so ANY non-empty subset still fails — the
+    // shrinker should reach a single ray.
     let scene = lumibench::build_scaled(SceneId::Ref, 16);
     let workload = Workload {
         tasks: (0..64)
@@ -113,12 +113,10 @@ fn shrinker_reduces_a_sabotaged_failure_to_a_replayable_repro() {
             .collect(),
     };
     let bvh_cfg = BvhConfig { treelet_bytes: 1024, ..Default::default() };
-    let gpu = GpuConfig { audit: AuditMode::Every(1), ..GpuConfig::default() };
-    let sabotage = Sabotage { at_cycle: 0, queue_total_delta: 3 };
+    let gpu = GpuConfig { max_cycles: Some(4), ..GpuConfig::default() };
 
-    let report =
-        shrink_failure(SceneId::Ref, 16, &bvh_cfg, &gpu, Some(sabotage), &workload, "invariant")
-            .expect("sabotaged run shrinks");
+    let report = shrink_failure(SceneId::Ref, 16, &bvh_cfg, &gpu, &workload, "cycle-budget")
+        .expect("starved run shrinks");
     assert_eq!(report.original_rays, 64);
     assert!(
         report.shrunk_rays * 10 <= report.original_rays,
@@ -132,9 +130,9 @@ fn shrinker_reduces_a_sabotaged_failure_to_a_replayable_repro() {
     // journaled failure kind on replay.
     let parsed = Repro::from_jsonl(&report.repro.to_jsonl()).expect("round trip");
     assert_eq!(parsed.total_rays(), report.shrunk_rays);
-    assert_eq!(parsed.error_kind, "invariant");
+    assert_eq!(parsed.error_kind, "cycle-budget");
     let err = parsed.replay().expect_err("replay reproduces the failure");
-    assert_eq!(err.kind(), "invariant");
+    assert_eq!(err.kind(), "cycle-budget");
 }
 
 /// Property-style interleaving test: kill a journaled sweep at a

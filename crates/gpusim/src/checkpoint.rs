@@ -38,7 +38,10 @@ use crate::sim::Workload;
 use crate::GpuConfig;
 
 /// Format version written into every checkpoint header; bumped on any
-/// schema change so stale snapshots are rejected instead of misread.
+/// schema change a reader could misread, so stale snapshots are rejected
+/// instead. (Dropping a key that carried no state is not one: a reader
+/// ignores a key it does not know and refuses a record that lacks one
+/// it needs.)
 /// Version 2 added the ray-path prediction table (per-unit buckets +
 /// stats, per-ray `best_node`) and the predict counters in `ckpt_stats`.
 pub const CHECKPOINT_VERSION: u32 = 2;

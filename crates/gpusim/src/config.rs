@@ -211,24 +211,11 @@ pub struct PredictParams {
     /// Cycles a warp spends in the prediction-table lookup before it
     /// enters the RT unit's warp buffer.
     pub lookup_latency: u32,
-    /// Test hook: *trust* predictions instead of verifying them — a hit
-    /// ray traverses only the predicted leaf. This deliberately breaks
-    /// the closest-hit contract on mispredictions; the conformance oracle
-    /// must catch it (and the sabotage test proves it does). Never set
-    /// outside tests.
-    #[doc(hidden)]
-    pub trust_predictions: bool,
 }
 
 impl Default for PredictParams {
     fn default() -> PredictParams {
-        PredictParams {
-            table_entries: 256,
-            origin_bits: 6,
-            dir_bits: 5,
-            lookup_latency: 2,
-            trust_predictions: false,
-        }
+        PredictParams { table_entries: 256, origin_bits: 6, dir_bits: 5, lookup_latency: 2 }
     }
 }
 

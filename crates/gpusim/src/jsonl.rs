@@ -11,7 +11,6 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt::{self, Display, Write as _};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 // ---------------------------------------------------------------------------
 // Writing: escaping and the `Record` line builder
@@ -520,8 +519,9 @@ fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
 
 /// The marker introducing the checksum suffix of a framed line.
 const CRC_MARKER: &str = ",\"crc\":\"";
-/// Total suffix length: `,"crc":"` + 8 hex digits + `"}`.
-const CRC_SUFFIX_LEN: usize = CRC_MARKER.len() + 8 + 2;
+/// Byte length of the suffix [`frame_line`] appends: `,"crc":"` + 8 hex
+/// digits + `"}`. Everything before it is payload.
+pub const CRC_SUFFIX_LEN: usize = CRC_MARKER.len() + 8 + 2;
 
 /// A persisted line whose checksum field is present but wrong or
 /// malformed. Carries everything a forensic message needs; parsers
@@ -585,14 +585,6 @@ pub fn check_line(line: &str) -> Result<String, CorruptFrame> {
     let Some(marker_at) = line.rfind(CRC_MARKER) else {
         return Ok(line.to_string()); // legacy unframed line
     };
-    if accept_unverified() {
-        // Sabotage gate (tests only): strip a well-formed suffix without
-        // verifying, otherwise accept the line verbatim.
-        if marker_at + CRC_SUFFIX_LEN == line.len() {
-            return Ok(format!("{}}}", &line[..marker_at]));
-        }
-        return Ok(line.to_string());
-    }
     let excerpt: String = line.chars().take(48).collect();
     let stored = &line[marker_at + CRC_MARKER.len()..];
     // Reconstruct the original line without allocating: payload prefix
@@ -613,22 +605,6 @@ pub fn check_line(line: &str) -> Result<String, CorruptFrame> {
 /// True if `line` carries a checksum suffix (well-formed or not).
 pub fn is_framed(line: &str) -> bool {
     line.contains(CRC_MARKER)
-}
-
-static ACCEPT_UNVERIFIED: AtomicBool = AtomicBool::new(false);
-
-fn accept_unverified() -> bool {
-    ACCEPT_UNVERIFIED.load(Ordering::Relaxed)
-}
-
-/// Sabotage hook for the chaos campaign: when set, [`check_line`]
-/// accepts every frame without verifying its checksum. The campaign's
-/// per-seed canary (frame, flip a payload bit, expect `CorruptFrame`)
-/// exists to catch exactly this being left on. Process-global; tests
-/// touching it must restore `false`.
-#[doc(hidden)]
-pub fn sabotage_accept_unverified_frames(on: bool) {
-    ACCEPT_UNVERIFIED.store(on, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -686,20 +662,6 @@ mod tests {
                 assert!(check_line(torn).is_err(), "torn at -{cut}: {torn}");
             }
         }
-    }
-
-    #[test]
-    fn sabotage_gate_admits_corrupt_frames() {
-        let framed = frame_line("{\"k\":\"v\",\"n\":3}");
-        let mut bytes = framed.clone().into_bytes();
-        bytes[2] ^= 0x01; // flip a payload bit
-        let corrupt = String::from_utf8(bytes).unwrap();
-        assert!(check_line(&corrupt).is_err());
-        sabotage_accept_unverified_frames(true);
-        let admitted = check_line(&corrupt);
-        sabotage_accept_unverified_frames(false);
-        assert!(admitted.is_ok(), "sabotage gate must disable verification");
-        assert!(check_line(&corrupt).is_err(), "gate must be restorable");
     }
 
     #[test]

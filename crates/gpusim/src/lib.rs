@@ -77,7 +77,6 @@ pub use predict::{predict_key, PredictTable, PredictTableStats};
 pub use queues::TreeletQueues;
 pub use ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
 pub use sim::{
-    HitCapture, PathTask, RunOptions, Sabotage, SimReport, Simulator, TraceCall, Workload,
-    TRACE_T_MIN,
+    HitCapture, PathTask, RunOptions, SimReport, Simulator, TraceCall, Workload, TRACE_T_MIN,
 };
 pub use stats::{SimStats, TraversalMode};

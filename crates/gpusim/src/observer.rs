@@ -2,14 +2,13 @@
 //! and nothing the run's timing depends on — the [`SimStats`] counters
 //! with their per-unit stall attribution and time series, each unit's
 //! last-progress cycle (forensics), the trace-sink event counter, and the
-//! auditor's clock and scheduled sabotage.
+//! auditor's clock.
 //!
 //! (`observe` is the vocabulary — events, sinks, stall kinds, sample
 //! points; this module is the engine state built from it.)
 
-use crate::jsonl::{Fields, Pair, Record};
+use crate::jsonl::{Fields, Record};
 use crate::observe::{SamplePoint, StallBreakdown, StallKind};
-use crate::sim::Sabotage;
 use crate::{SimStats, TraversalMode};
 
 /// How one RT unit spent a quiescent interval `[now, until)`: the first
@@ -28,8 +27,6 @@ pub(crate) struct Observer {
     pub(crate) sink_events: u64,
     /// Cycle of the last invariant audit.
     pub(crate) last_audit: u64,
-    /// Scheduled state corruption (auditor tests only); taken when applied.
-    pub(crate) sabotage: Option<Sabotage>,
 }
 
 impl Observer {
@@ -108,7 +105,7 @@ impl Observer {
     // -- checkpoint records ---------------------------------------------------
 
     /// `ckpt_stats`, one `ckpt_stall` per SM, one `ckpt_series` per
-    /// window. (The observer's four scalars travel on the `ckpt_engine`
+    /// window. (The observer's three scalars travel on the `ckpt_engine`
     /// line, which version 2 interleaves with the scheduler's and
     /// [`CtaScheduler::engine_record`](crate::sched::CtaScheduler::engine_record)
     /// therefore writes; [`read_engine`](Self::read_engine) reads them.)
@@ -132,9 +129,6 @@ impl Observer {
     pub(crate) fn read_engine(&mut self, f: &Fields<'_>) -> Result<(), String> {
         self.last_audit = f.u64("last_audit")?;
         self.sink_events = f.u64("sink_events")?;
-        self.sabotage = f
-            .opt::<Pair<u64, i64>>("sabotage")?
-            .map(|Pair(at_cycle, delta)| Sabotage { at_cycle, queue_total_delta: delta as isize });
         self.last_progress = f.list("last_progress")?;
         Ok(())
     }

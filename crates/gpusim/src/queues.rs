@@ -115,9 +115,9 @@ impl TreeletQueues {
         self.queues.len().saturating_sub(count_table_entries)
     }
 
-    /// Test hook for the auditor: skews the cached ray counter without
-    /// touching the queues, so a sabotaged run trips the
-    /// `queue-accounting` invariant.
+    /// Skews the cached ray counter without touching the queues, so the
+    /// next audit trips the `queue-accounting` invariant.
+    #[cfg(test)]
     pub(crate) fn corrupt_total(&mut self, delta: isize) {
         self.total = self.total.saturating_add_signed(delta);
     }
@@ -126,8 +126,8 @@ impl TreeletQueues {
 
     /// One `ckpt_queue` line per queue, ascending by treelet, rays in FIFO
     /// order. The cached total travels on the unit's `ckpt_rt` line,
-    /// verbatim rather than recounted, so a checkpoint taken mid-sabotage
-    /// restores the exact (possibly skewed) counter.
+    /// verbatim rather than recounted, so a restored unit audits the
+    /// counter the captured one had.
     pub(crate) fn write_jsonl(&self, sm: usize, emit: &mut dyn FnMut(Record)) {
         for (treelet, rays) in &self.queues {
             let rays = rays.iter().map(|r| r.0);

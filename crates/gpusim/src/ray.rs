@@ -147,12 +147,11 @@ impl RayTraversal {
         self.current_stack.push(Pending { node, t_enter: self.t_min });
     }
 
-    /// Test hook for the conformance sabotage path: *trusts* the
+    /// What [`speculate`](Self::speculate) must never do: *trusts* the
     /// prediction by discarding all pending traversal work and visiting
-    /// only `node`. Deliberately unsound on mispredictions — the
-    /// differential oracle must flag the wrong hits this produces.
-    #[doc(hidden)]
-    pub fn speculate_trusted(&mut self, node: NodeId) {
+    /// only `node`, which is unsound on a misprediction.
+    #[cfg(test)]
+    fn speculate_trusted(&mut self, node: NodeId) {
         self.current_stack.clear();
         self.treelet_stack.clear();
         self.current_stack.push(Pending { node, t_enter: self.t_min });
@@ -556,9 +555,9 @@ mod tests {
 
     #[test]
     fn trusted_speculation_of_a_wrong_leaf_diverges() {
-        // The sabotage path: trusting a misprediction abandons the real
-        // traversal, so some ray must produce a different result — this is
-        // what the conformance oracle is proven against.
+        // Trusting a misprediction abandons the real traversal, so some
+        // ray must produce a different result: speculation is sound only
+        // because the pending work stays on the stack.
         let (tris, bvh) = setup();
         let scene = lumibench::build_scaled(SceneId::Bunny, 32);
         let wrong_leaf = bvh

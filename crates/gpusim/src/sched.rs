@@ -12,7 +12,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::checkpoint::{in_range, index_of};
-use crate::jsonl::{Fields, Pair, Record};
+use crate::jsonl::{Fields, Record};
 use crate::observer::Observer;
 use crate::sim::Workload;
 use crate::GpuConfig;
@@ -229,17 +229,15 @@ impl CtaScheduler {
     // -- checkpoint records ---------------------------------------------------
 
     /// The `ckpt_engine` line. Version 2 interleaves the scheduler's
-    /// scalars with the observer's four (`last_audit`, `sink_events`,
-    /// `sabotage`, `last_progress`) on this one line, so this writer takes
-    /// the observer; each component reads its own fields back.
+    /// scalars with the observer's three (`last_audit`, `sink_events`,
+    /// `last_progress`) on this one line, so this writer takes the
+    /// observer; each component reads its own fields back.
     pub(crate) fn engine_record(&self, obs: &Observer) -> Record {
-        let sabotage = obs.sabotage.map(|s| Pair(s.at_cycle, s.queue_total_delta));
         Record::new("ckpt_engine")
             .num("next_sm", self.next_sm)
             .num("last_audit", obs.last_audit)
             .num("jitter_state", self.jitter_state)
             .num("sink_events", obs.sink_events)
-            .opt("sabotage", sabotage)
             .list("pending", &self.pending)
             .pairs("timers", self.timers.sorted())
             .list("resume_ready", &self.resume_ready)

@@ -261,7 +261,6 @@ pub struct RunOptions<'r> {
     resume: Option<&'r Checkpoint>,
     audit: Option<crate::AuditMode>,
     prof: bool,
-    sabotage: Option<Sabotage>,
 }
 
 impl Default for RunOptions<'_> {
@@ -280,7 +279,6 @@ impl<'r> RunOptions<'r> {
             resume: None,
             audit: None,
             prof: true,
-            sabotage: None,
         }
     }
 
@@ -334,15 +332,6 @@ impl<'r> RunOptions<'r> {
     /// (enabled by default).
     pub fn prof(mut self, enabled: bool) -> RunOptions<'r> {
         self.prof = enabled;
-        self
-    }
-
-    /// Test hook: schedules a state corruption so the invariant auditor's
-    /// detection path can be exercised end to end. Not part of the public
-    /// API contract.
-    #[doc(hidden)]
-    pub fn sabotage(mut self, sabotage: Sabotage) -> RunOptions<'r> {
-        self.sabotage = Some(sabotage);
         self
     }
 }
@@ -491,7 +480,7 @@ impl<'a> Simulator<'a> {
         workload: &'s Workload,
         options: RunOptions<'s>,
     ) -> Result<SimReport, SimError> {
-        let RunOptions { sink, hits, checkpoint, resume, audit, prof: prof_on, sabotage } = options;
+        let RunOptions { sink, hits, checkpoint, resume, audit, prof: prof_on } = options;
         if workload.tasks.is_empty() {
             return Err(SimError::Workload("empty workload: no tasks to simulate".to_string()));
         }
@@ -507,12 +496,8 @@ impl<'a> Simulator<'a> {
             if let Some(mode) = audit {
                 engine.audit_every = mode.interval();
             }
-            match resume {
-                // The checkpoint carries the (possibly already applied)
-                // sabotage schedule; a caller-supplied one is ignored so
-                // the resumed run replays the original faithfully.
-                Some(snapshot) => engine.restore(snapshot)?,
-                None => engine.obs.sabotage = sabotage,
+            if let Some(snapshot) = resume {
+                engine.restore(snapshot)?;
             }
             engine
         };
@@ -547,19 +532,6 @@ impl<'a> Simulator<'a> {
         }
         Ok(report)
     }
-}
-
-/// A scheduled state corruption for auditor tests: at `at_cycle` the first
-/// SM's treelet-queue ray counter is skewed by `queue_total_delta` without
-/// touching the queues themselves, which a subsequent audit must catch as
-/// a `queue-accounting` violation.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Sabotage {
-    /// First cycle at (or after) which the corruption is applied.
-    pub at_cycle: u64,
-    /// Signed skew applied to SM 0's cached queue-ray counter.
-    pub queue_total_delta: isize,
 }
 
 // ---------------------------------------------------------------------------
@@ -708,7 +680,7 @@ impl<'a> Engine<'a> {
     /// Runs to completion. When `ckpt` is `Some((every, callback))` the
     /// engine hands a [`Checkpoint`] to the callback roughly every `every`
     /// cycles, captured at the quiescent point right after each clock
-    /// advance (sabotage applied, audit passed) and before the fixed-point
+    /// advance (audit passed) and before the fixed-point
     /// iteration at the new cycle — the exact state a resumed engine
     /// re-enters this loop with.
     ///
@@ -758,7 +730,6 @@ impl<'a> Engine<'a> {
                     self.observe_interval(t);
                     lap(Some(LoopPhase::Observe));
                     self.now = t;
-                    self.apply_sabotage();
                     if let Some(every) = self.audit_every {
                         if self.now - self.obs.last_audit >= every {
                             self.obs.last_audit = self.now;
@@ -885,13 +856,6 @@ impl<'a> Engine<'a> {
             resume_ready_ctas: self.sched.resume_ready.len(),
             mem_in_flight: self.mem.in_flight_requests(self.now),
             sms,
-        }
-    }
-
-    /// Applies a pending scheduled corruption (auditor tests only).
-    fn apply_sabotage(&mut self) {
-        if let Some(s) = self.obs.sabotage.take_if(|s| self.now >= s.at_cycle) {
-            self.rt[0].queues.corrupt_total(s.queue_total_delta);
         }
     }
 
@@ -1128,11 +1092,7 @@ impl<'a> Engine<'a> {
                             p.dir_bits,
                         );
                         if let Some(leaf) = self.rt[sm].predict.lookup(key) {
-                            if p.trust_predictions {
-                                traversal.speculate_trusted(leaf);
-                            } else {
-                                traversal.speculate(leaf);
-                            }
+                            traversal.speculate(leaf);
                         }
                     }
                 }
@@ -1779,4 +1739,39 @@ impl<'a> Engine<'a> {
 
 fn ray_addr(cfg: &GpuConfig, r: RayId) -> u64 {
     RAY_REGION + r.0 as u64 * cfg.ray_record_bytes as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use rtbvh::BvhConfig;
+    use rtscene::lumibench::{self, SceneId};
+
+    use super::*;
+
+    /// The auditor's must-go-red: a cached queue counter that disagrees
+    /// with the queues fails the run at the next audit.
+    #[test]
+    fn sabotaged_queue_counter_is_caught_by_the_auditor() {
+        let scene = lumibench::build_scaled(SceneId::Ref, 16);
+        let bvh =
+            Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+        let workload = Workload {
+            tasks: (0..16)
+                .map(|i| PathTask {
+                    rays: vec![scene.camera().primary_ray(i % 8, i / 8, 8, 8, None).into()],
+                })
+                .collect(),
+        };
+        let cfg = GpuConfig::default();
+        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        engine.audit_every = Some(1);
+        engine.rt[0].queues.corrupt_total(3);
+        match engine.run(None, None).expect_err("corrupted counter must trip the auditor") {
+            SimError::Invariant(v) => {
+                assert_eq!(v.site, "queue-accounting");
+                assert!(v.detail.contains("recount"), "got: {}", v.detail);
+            }
+            other => panic!("expected Invariant, got {other:?}"),
+        }
+    }
 }

@@ -157,16 +157,10 @@ impl SimStats {
         }
     }
 
-    /// Sentinel-style [`SimStats::treelet_isect_ratio_opt`]: `0.0` when no
-    /// tests ran. Only for display paths; never average across runs.
-    pub fn treelet_isect_ratio(&self) -> f64 {
-        self.treelet_isect_ratio_opt().unwrap_or(0.0)
-    }
-
     /// Fraction of issued prefetch lines that were used (Chou et al.
     /// report 43.5% *unused*). `None` when nothing was prefetched — which
-    /// is the normal state of the baseline and VTQ policies, so averaging
-    /// the sentinel form across policies silently dilutes the rate.
+    /// is the normal state of the baseline and VTQ policies, so an average
+    /// across policies must skip it, not count it as zero.
     pub fn prefetch_use_rate_opt(&self) -> Option<f64> {
         match self.prefetch_lines {
             0 => None,
@@ -174,26 +168,14 @@ impl SimStats {
         }
     }
 
-    /// Sentinel-style [`SimStats::prefetch_use_rate_opt`]: `0.0` when
-    /// nothing was prefetched. Only for display paths.
-    pub fn prefetch_use_rate(&self) -> f64 {
-        self.prefetch_use_rate_opt().unwrap_or(0.0)
-    }
-
     /// Prediction-table hit rate (Predict policy). `None` when no lookups
-    /// were made — the normal state of every other policy, so averaging
-    /// the sentinel form across policies silently dilutes the rate.
+    /// were made — the normal state of every other policy, so an average
+    /// across policies must skip it, not count it as zero.
     pub fn predict_hit_rate_opt(&self) -> Option<f64> {
         match self.predict_lookups {
             0 => None,
             lookups => Some(self.predict_hits as f64 / lookups as f64),
         }
-    }
-
-    /// Sentinel-style [`SimStats::predict_hit_rate_opt`]: `0.0` when no
-    /// lookups were made. Only for display paths.
-    pub fn predict_hit_rate(&self) -> f64 {
-        self.predict_hit_rate_opt().unwrap_or(0.0)
     }
 
     /// Accumulates `other` into `self`, treating the two as observations
@@ -427,16 +409,16 @@ mod tests {
         s.add_mode_isect(TraversalMode::RayStationary, 70);
         assert_eq!(s.cycles_in(TraversalMode::TreeletStationary), 100);
         assert_eq!(s.cycles_in(TraversalMode::Initial), 0);
-        assert!((s.treelet_isect_ratio() - 0.3).abs() < 1e-12);
+        assert!((s.treelet_isect_ratio_opt().unwrap() - 0.3).abs() < 1e-12);
     }
 
     #[test]
     fn prefetch_use_rate() {
         let mut s = SimStats::default();
-        assert_eq!(s.prefetch_use_rate(), 0.0);
+        assert_eq!(s.prefetch_use_rate_opt(), None);
         s.prefetch_lines = 200;
         s.prefetch_lines_used = 113;
-        assert!((s.prefetch_use_rate() - 0.565).abs() < 1e-12);
+        assert!((s.prefetch_use_rate_opt().unwrap() - 0.565).abs() < 1e-12);
     }
 
     #[test]
@@ -447,7 +429,7 @@ mod tests {
         s.predict_lookups = 400;
         s.predict_hits = 300;
         s.predict_inserts = 120;
-        assert!((s.predict_hit_rate() - 0.75).abs() < 1e-12);
+        assert!((s.predict_hit_rate_opt().unwrap() - 0.75).abs() < 1e-12);
         assert!(s.report().contains("prediction: 400 lookups, 75.0% hit"));
         let mut merged = SimStats::default();
         merged.merge(&s);

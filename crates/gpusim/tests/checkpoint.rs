@@ -276,18 +276,18 @@ fn mid_run_snapshots_carry_live_stack_entries() {
 }
 
 /// Format pin: the exact bytes `to_jsonl` writes for a fixed tiny run,
-/// held to the CRC32 and length the version-2 writer produced before the
-/// codec moved to `gpusim::jsonl`. The first checkpoint is pinned alone
-/// and every checkpoint of the run together, so between the three
-/// policies each record kind (`ckpt_queue`, `ckpt_hw`, `ckpt_pref`,
-/// `ckpt_pt`, ...) is covered. A deliberate format change bumps
-/// `CHECKPOINT_VERSION` and these constants with it.
+/// as CRC32 and length. The first checkpoint is pinned alone and every
+/// checkpoint of the run together, so between the three policies each
+/// record kind (`ckpt_queue`, `ckpt_hw`, `ckpt_pref`, `ckpt_pt`, ...) is
+/// covered. Any deliberate change to the bytes re-pins these constants;
+/// one that an older or newer reader could misread also bumps
+/// `CHECKPOINT_VERSION`.
 #[test]
 fn checkpoint_bytes_are_pinned() {
     const PINS: [(&str, u32, usize, u32, usize); 3] = [
-        ("vtq", 0x84c2_11c3, 45_415, 0x2bcd_1e89, 595_555),
-        ("prefetch", 0x4b03_1443, 45_184, 0xbefc_37f7, 683_346),
-        ("predict", 0xb14d_fc17, 45_189, 0x0af7_4cef, 794_220),
+        ("vtq", 0xfbe3_2f90, 45_400, 0x10ab_b334, 595_360),
+        ("prefetch", 0xe945_46e7, 45_169, 0xc1b2_7ed3, 683_121),
+        ("predict", 0x0e2d_7a75, 45_172, 0xd91c_2385, 793_931),
     ];
     assert_eq!(CHECKPOINT_VERSION, 2, "format version changed: re-pin the constants below");
     let (scene, bvh) = small_scene(SceneId::Bunny);

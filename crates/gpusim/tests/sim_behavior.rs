@@ -240,7 +240,7 @@ fn prefetch_policy_issues_and_uses_prefetches() {
             .unwrap();
     assert!(report.stats.prefetches_issued > 0);
     assert!(report.stats.prefetch_lines > 0);
-    let rate = report.stats.prefetch_use_rate();
+    let rate = report.stats.prefetch_use_rate_opt().expect("lines were prefetched");
     assert!(rate > 0.0 && rate <= 1.0, "use rate {rate}");
 }
 

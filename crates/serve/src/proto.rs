@@ -25,8 +25,7 @@ pub enum RejectReason {
     Overloaded,
     /// The tenant already has its quota of queued + running jobs.
     QuotaExceeded,
-    /// The frame was malformed, referenced an unknown scene/policy, or
-    /// used a chaos field without the server's `--chaos` opt-in.
+    /// The frame was malformed or referenced an unknown scene/policy.
     BadRequest,
     /// The client's expected config fingerprint does not match the
     /// server's (version/config skew between client and daemon).
@@ -111,14 +110,6 @@ pub struct SubmitSpec {
     pub expect_fingerprint: Option<u64>,
     /// Stream per-cell `event` frames before the terminal response.
     pub watch: bool,
-    /// Chaos injection: cells whose label is listed here panic
-    /// deterministically. Only honored by a server started with
-    /// `--chaos`; rejected otherwise.
-    pub chaos_panic: Vec<String>,
-    /// Chaos injection: every cell sleeps this long (cancellably) before
-    /// simulating, to hold the executor busy for deterministic tests of
-    /// admission, deadlines and cancellation. Gated like `chaos_panic`.
-    pub chaos_sleep: Option<Duration>,
 }
 
 impl Default for SubmitSpec {
@@ -133,8 +124,6 @@ impl Default for SubmitSpec {
             deadline: None,
             expect_fingerprint: None,
             watch: false,
-            chaos_panic: Vec::new(),
-            chaos_sleep: None,
         }
     }
 }
@@ -220,26 +209,18 @@ impl SubmitSpec {
         if let Some(fp) = self.expect_fingerprint {
             r = r.str("expect_fingerprint", format_args!("{fp:016x}"));
         }
-        if !self.chaos_panic.is_empty() {
-            r = r.str("chaos_panic", self.chaos_panic.join(","));
-        }
-        if let Some(sleep) = self.chaos_sleep {
-            r = r.num("chaos_sleep_ms", sleep.as_millis());
-        }
         r.finish()
     }
 
     /// Absent fields take their defaults; unknown ones are ignored.
     fn parse(f: &Fields<'_>) -> Result<SubmitSpec, String> {
-        let millis = |key: &str| f.u64(key).ok().map(Duration::from_millis);
         let mut spec = SubmitSpec {
             tenant: opt_str(f, "tenant").unwrap_or_else(|| "anon".to_string()),
             quick: f.bool("quick").unwrap_or(true),
             watch: f.bool("watch").unwrap_or(false),
             res: f.num("res").ok(),
             detail: f.num("detail").ok(),
-            deadline: millis("deadline_ms"),
-            chaos_sleep: millis("chaos_sleep_ms"),
+            deadline: f.u64("deadline_ms").ok().map(Duration::from_millis),
             ..SubmitSpec::default()
         };
         if let Ok(list) = f.str("scenes") {
@@ -256,9 +237,6 @@ impl SubmitSpec {
         }
         if f.get("expect_fingerprint").is_some() {
             spec.expect_fingerprint = Some(f.hex64("expect_fingerprint")?);
-        }
-        if let Ok(list) = f.str("chaos_panic") {
-            spec.chaos_panic = list.split(',').map(str::to_string).collect();
         }
         if spec.scenes.is_empty() || spec.policies.is_empty() {
             return Err("empty scene or policy list".to_string());
@@ -507,8 +485,6 @@ pub fn spec_fingerprint(spec: &SubmitSpec) -> u64 {
     fields.insert("quick", spec.quick.to_string());
     fields.insert("res", format!("{:?}", spec.res));
     fields.insert("detail", format!("{:?}", spec.detail));
-    fields.insert("chaos", spec.chaos_panic.join(","));
-    fields.insert("chaos_sleep", format!("{:?}", spec.chaos_sleep));
     let mut hash = Fnv1a::default();
     for (k, v) in fields {
         hash.write(k.as_bytes());
@@ -535,8 +511,6 @@ mod tests {
             deadline: Some(Duration::from_millis(1500)),
             expect_fingerprint: Some(0xdead_beef),
             watch: true,
-            chaos_panic: vec!["REF/vtq".to_string()],
-            chaos_sleep: Some(Duration::from_millis(250)),
         };
         let line = Request::Submit(spec.clone()).to_line();
         assert_eq!(Request::parse(&line).unwrap(), Request::Submit(spec));

@@ -38,8 +38,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vtq::prelude::{
-    cell_key_fingerprint, config_fingerprint, Cell, CellErrorKind, ExperimentConfig, PreparedCache,
-    SweepEngine, SweepJournal,
+    cell_key_fingerprint, config_fingerprint, CancelToken, Cell, CellErrorKind, ExperimentConfig,
+    PreparedCache, SweepEngine, SweepJournal,
 };
 use vtq::sweep::RunMatrix;
 
@@ -73,8 +73,12 @@ pub struct ServerConfig {
     pub tenant_quota: usize,
     /// Panics (strikes) before a cell is quarantined.
     pub poison_threshold: u32,
-    /// Honor `chaos_panic` submit fields (fault-harness runs only).
-    pub allow_chaos: bool,
+    /// Test seam: called in the executor at the start of every cell, with
+    /// the job's cancel token. The in-process tests of admission,
+    /// cancellation and quarantine set it to stall or panic; `None`
+    /// everywhere else, and nothing on the wire can set it.
+    #[doc(hidden)]
+    pub before_cell: Option<fn(&SubmitSpec, &Cell, &CancelToken)>,
     /// Resume the journal instead of truncating it (daemon restart).
     pub resume: bool,
     /// Socket read/write timeout: a client slower than this is
@@ -85,7 +89,7 @@ pub struct ServerConfig {
 impl ServerConfig {
     /// Defaults for a service rooted at `dir`: ephemeral port, queue of
     /// 16, tenant quota 4, quarantine after 2 strikes, 10 s client
-    /// timeout, chaos off.
+    /// timeout.
     pub fn new(dir: PathBuf) -> ServerConfig {
         ServerConfig {
             dir,
@@ -94,7 +98,7 @@ impl ServerConfig {
             max_queue: 16,
             tenant_quota: 4,
             poison_threshold: 2,
-            allow_chaos: false,
+            before_cell: None,
             resume: false,
             client_timeout: Duration::from_secs(10),
         }
@@ -111,6 +115,17 @@ pub fn spec_config(spec: &SubmitSpec) -> ExperimentConfig {
         cfg.detail_divisor = detail;
     }
     cfg
+}
+
+impl SubmitSpec {
+    /// The cells the submission names under `cfg`, scene-major, each
+    /// labelled `SCENE/policy`: what the daemon runs, caches and serves,
+    /// and what `--verify-local` re-runs.
+    pub fn cells(&self, cfg: &ExperimentConfig) -> Vec<Cell> {
+        let mut matrix = RunMatrix::new();
+        matrix.cross(&self.scenes, cfg, &self.policies);
+        matrix.cells().to_vec()
+    }
 }
 
 /// Shared daemon state.
@@ -331,17 +346,13 @@ fn run_job(state: &ServeState, job: &Job) {
     let mut quarantined: Vec<(String, u32, String)> = Vec::new();
     {
         let poison = state.poison.lock().unwrap();
-        for &scene in &job.spec.scenes {
-            for &policy in &job.spec.policies {
-                let label = format!("{}/{}", scene.name(), policy.label());
-                let cell = Cell { scene, config: cfg, policy, label: label.clone() };
-                let key = ResultCache::key(scene.name(), cell_key_fingerprint(&cell));
-                if poison.quarantined(&key) {
-                    let (strikes, detail) = poison.forensics(&key).unwrap();
-                    quarantined.push((label, strikes, detail.to_string()));
-                } else {
-                    matrix.push(cell);
-                }
+        for cell in job.spec.cells(&cfg) {
+            let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(&cell));
+            if poison.quarantined(&key) {
+                let (strikes, detail) = poison.forensics(&key).unwrap();
+                quarantined.push((cell.label, strikes, detail.to_string()));
+            } else {
+                matrix.push(cell);
             }
         }
     }
@@ -364,23 +375,11 @@ fn run_job(state: &ServeState, job: &Job) {
         .with_cancel(job.token.clone())
         .scoped(&format!("serve/{:016x}", job.spec_fingerprint));
 
-    let allow_chaos = state.config.allow_chaos;
     // `run_cells`, not `run_map`: the result cache is probed first, and
     // scene + BVH + path trace are built only for a cell that misses.
     let results = engine.run_cells(&matrix, |cell| {
-        if allow_chaos && job.spec.chaos_panic.contains(&cell.label) {
-            panic!("chaos: injected panic in {}", cell.label);
-        }
-        if allow_chaos {
-            // A cancellable stall: holds the executor busy so the fault
-            // harness can exercise admission, deadlines and cancellation
-            // deterministically.
-            if let Some(stall) = job.spec.chaos_sleep {
-                let until = std::time::Instant::now() + stall;
-                while std::time::Instant::now() < until && !job.token.is_cancelled() {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
+        if let Some(hook) = state.config.before_cell {
+            hook(&job.spec, cell, &job.token);
         }
         let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(cell));
         if let Some(record) = state.cache.load(&key, cfg_fp) {
@@ -580,13 +579,6 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
         };
         return reply(writer, &frame);
     }
-    if (!spec.chaos_panic.is_empty() || spec.chaos_sleep.is_some()) && !state.config.allow_chaos {
-        let frame = Frame::Rejected {
-            reason: RejectReason::BadRequest,
-            detail: "chaos injection requires a server started with --chaos".to_string(),
-        };
-        return reply(writer, &frame);
-    }
     let cfg = spec_config(&spec);
     let cfg_fp = config_fingerprint(&cfg);
     // Provenance gate: a client pinned to a fingerprint (its own local
@@ -737,17 +729,13 @@ fn handle_results(state: &ServeState, writer: &mut Wire, job_id: &str) -> bool {
     let cfg = spec_config(&job.spec);
     let cfg_fp = config_fingerprint(&cfg);
     let mut cells = 0usize;
-    for &scene in &job.spec.scenes {
-        for &policy in &job.spec.policies {
-            let label = format!("{}/{}", scene.name(), policy.label());
-            let cell = Cell { scene, config: cfg, policy, label };
-            let key = ResultCache::key(scene.name(), cell_key_fingerprint(&cell));
-            if let Some(record) = state.cache.load(&key, cfg_fp) {
-                if writer.append(Frame::CellResult(record).to_line()).is_err() {
-                    return false;
-                }
-                cells += 1;
+    for cell in job.spec.cells(&cfg) {
+        let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(&cell));
+        if let Some(record) = state.cache.load(&key, cfg_fp) {
+            if writer.append(Frame::CellResult(record).to_line()).is_err() {
+                return false;
             }
+            cells += 1;
         }
     }
     reply(writer, &Frame::ResultsEnd { cells })

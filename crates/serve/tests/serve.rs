@@ -10,6 +10,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
+use vtq::prelude::{CancelToken, Cell};
 use vtq_serve::proto::{parse_policy, parse_scene};
 use vtq_serve::server::spec_config;
 use vtq_serve::{Client, Frame, RejectReason, Request, Server, ServerConfig, SubmitSpec};
@@ -28,6 +29,26 @@ fn config(dir: PathBuf) -> ServerConfig {
     let mut config = ServerConfig::new(dir);
     config.jobs = 2;
     config
+}
+
+/// `before_cell` hook: a job of a tenant named `stall…` cannot finish on
+/// its own — its cells wait (for up to a minute) to be cancelled — so it
+/// holds the executor deterministically busy while shutdown stays fast.
+fn stall_until_cancelled(spec: &SubmitSpec, _cell: &Cell, token: &CancelToken) {
+    if !spec.tenant.starts_with("stall") {
+        return;
+    }
+    let until = Instant::now() + Duration::from_secs(60);
+    while Instant::now() < until && !token.is_cancelled() {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// `before_cell` hook: the `REF/vtq` cell panics every time it runs.
+fn panic_in_ref_vtq(_spec: &SubmitSpec, cell: &Cell, _token: &CancelToken) {
+    if cell.label == "REF/vtq" {
+        panic!("injected panic in {}", cell.label);
+    }
 }
 
 #[test]
@@ -93,19 +114,17 @@ fn overload_and_quota_reject_with_typed_responses() {
     let mut cfg = config(dir.clone());
     cfg.max_queue = 2;
     cfg.tenant_quota = 2;
-    cfg.allow_chaos = true;
+    cfg.before_cell = Some(stall_until_cancelled);
     let handle = Server::spawn(cfg).expect("spawn");
 
-    // A chaos-stalled job holds the executor deterministically busy (the
-    // stall is cancellable, so shutdown stays fast) while we fill the
-    // queue behind it.
-    let mut slow = tiny_spec();
-    slow.chaos_sleep = Some(Duration::from_secs(60));
+    // A stalled job holds the executor busy while we fill the queue
+    // behind it.
+    let slow = tiny_spec();
 
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut tenants = Vec::new();
     // Fill: one running (dequeued immediately) + two queued = queue full.
-    for tenant in ["a", "b", "c"] {
+    for tenant in ["stall-a", "stall-b", "stall-c"] {
         let mut spec = slow.clone();
         spec.tenant = tenant.to_string();
         match client.request(&Request::Submit(spec)).expect("submit") {
@@ -115,7 +134,7 @@ fn overload_and_quota_reject_with_typed_responses() {
     }
     // Queue is now at capacity: a fourth submission is overloaded.
     let mut spec = slow.clone();
-    spec.tenant = "d".to_string();
+    spec.tenant = "stall-d".to_string();
     match client.request(&Request::Submit(spec)).expect("submit") {
         Frame::Rejected { reason: RejectReason::Overloaded, detail } => {
             assert!(detail.contains('2'), "detail should carry the bound: {detail}")
@@ -123,14 +142,14 @@ fn overload_and_quota_reject_with_typed_responses() {
         other => panic!("expected overloaded, got {other:?}"),
     }
     // Tenant quota: cancel one queued job to make queue room, then grow
-    // tenant "a" to its quota of 2 active jobs; the third is rejected
+    // tenant "stall-a" to its quota of 2 active jobs; the third is rejected
     // even though the queue has room.
     assert!(matches!(
         client.request(&Request::Cancel { job: tenants[2].clone() }).expect("cancel"),
         Frame::Status { .. }
     ));
-    let mut second_a = slow.clone();
-    second_a.tenant = "a".to_string();
+    let mut second_a = slow;
+    second_a.tenant = "stall-a".to_string();
     match client.request(&Request::Submit(second_a.clone())).expect("submit") {
         Frame::Accepted { .. } => {}
         other => panic!("expected accept (quota 2, one active), got {other:?}"),
@@ -143,17 +162,7 @@ fn overload_and_quota_reject_with_typed_responses() {
         Frame::Rejected { reason: RejectReason::QuotaExceeded, .. } => {}
         other => panic!("expected quota rejection, got {other:?}"),
     }
-    // Without `--chaos` the injection fields are refused outright.
     handle.shutdown().expect("shutdown");
-    let no_chaos = Server::spawn(config(test_dir("admission-nochaos"))).expect("spawn");
-    let mut client = Client::connect(no_chaos.addr()).expect("connect");
-    match client.request(&Request::Submit(slow)).expect("submit") {
-        Frame::Rejected { reason: RejectReason::BadRequest, detail } => {
-            assert!(detail.contains("chaos"), "detail names the gate: {detail}")
-        }
-        other => panic!("expected chaos-gate rejection, got {other:?}"),
-    }
-    no_chaos.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -161,7 +170,7 @@ fn overload_and_quota_reject_with_typed_responses() {
 fn deadline_expires_and_cancel_stops_jobs() {
     let dir = test_dir("deadline");
     let mut cfg = config(dir.clone());
-    cfg.allow_chaos = true;
+    cfg.before_cell = Some(stall_until_cancelled);
     let handle = Server::spawn(cfg).expect("spawn");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
@@ -174,10 +183,10 @@ fn deadline_expires_and_cancel_stops_jobs() {
     let Frame::Status { state, .. } = &terminal else { panic!("got {terminal:?}") };
     assert_eq!(state, "expired", "deadline must expire the job: {terminal:?}");
 
-    // Explicit cancellation: a chaos-stalled job cannot finish on its
-    // own, so it must settle `cancelled` — deterministically.
+    // Explicit cancellation: a stalled job cannot finish on its own, so
+    // it must settle `cancelled` — deterministically.
     let mut spec = tiny_spec();
-    spec.chaos_sleep = Some(Duration::from_secs(60));
+    spec.tenant = "stalled".to_string();
     let job = match client.request(&Request::Submit(spec)).expect("submit") {
         Frame::Accepted { job, .. } => job,
         other => panic!("expected accept, got {other:?}"),
@@ -240,16 +249,15 @@ fn fingerprint_mismatch_is_rejected_and_match_accepted() {
 fn poisoned_cell_is_quarantined_with_forensics() {
     let dir = test_dir("poison");
     let mut cfg = config(dir.clone());
-    cfg.allow_chaos = true;
+    cfg.before_cell = Some(panic_in_ref_vtq);
     cfg.poison_threshold = 2;
     let handle = Server::spawn(cfg).expect("spawn");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     let mut spec = tiny_spec();
     spec.policies = vec![parse_policy("baseline").unwrap(), parse_policy("vtq").unwrap()];
-    spec.chaos_panic = vec!["REF/vtq".to_string()];
 
-    // Strikes 1 and 2: the chaos cell panics, the healthy cell finishes.
+    // Strikes 1 and 2: `REF/vtq` panics, the healthy cell finishes.
     for strike in 1..=2 {
         let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("submit");
         let Frame::Status { state, failed_cells, .. } = &terminal else { unreachable!() };
@@ -282,7 +290,7 @@ fn poisoned_cell_is_quarantined_with_forensics() {
 
     // The quarantine survives a daemon restart (poison.jsonl replay).
     let mut cfg = config(dir.clone());
-    cfg.allow_chaos = true;
+    cfg.before_cell = Some(panic_in_ref_vtq);
     cfg.poison_threshold = 2;
     cfg.resume = true;
     let handle = Server::spawn(cfg).expect("respawn");
