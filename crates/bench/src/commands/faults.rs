@@ -139,13 +139,7 @@ fn write_repros(
     for outcome in report.violations() {
         let CellStatus::Failed { error_kind, .. } = &outcome.status else { continue };
         let cell = cells[outcome.index];
-        let (gpu, workload) = match cell_inputs(cfg, cell, outcome.retries, &prepared.workload) {
-            Ok(inputs) => inputs,
-            Err(e) => {
-                eprintln!("[faults] {}: cannot rebuild cell inputs: {e}", outcome.label);
-                continue;
-            }
-        };
+        let (gpu, workload) = cell_inputs(cfg, cell, outcome.retries, &prepared.workload);
         let shrunk = shrink_failure(
             cfg.scene,
             cfg.config.detail_divisor,

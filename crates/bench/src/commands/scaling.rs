@@ -36,7 +36,7 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
                     cfg.bvh.treelet_bytes = l1 / 2;
                     let p = cache.get(id, &cfg);
                     let base = p.run_policy(TraversalPolicy::Baseline);
-                    let vtq = p.run_vtq(VtqParams::default());
+                    let vtq = p.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
                     (
                         id,
                         div,

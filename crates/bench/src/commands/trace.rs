@@ -28,7 +28,10 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     let ring_capacity = 1 << 20;
     let runs = ok_rows(engine.run_scenes(&opts.scenes, &opts.config, |p| {
         let mut sink = RingSink::new(ring_capacity);
-        let report = p.run_policy_traced(TraversalPolicy::Vtq(VtqParams::default()), &mut sink);
+        let report = p
+            .simulator(TraversalPolicy::Vtq(VtqParams::default()))
+            .try_run_traced(&p.workload, &mut sink)
+            .unwrap_or_else(|e| panic!("{e}"));
         (p.id, report, sink.to_jsonl(), sink.len(), sink.dropped())
     }));
 

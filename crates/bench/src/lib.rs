@@ -206,8 +206,9 @@ impl HarnessOpts {
     /// # Errors
     ///
     /// Returns a description of the first unknown flag, unknown scene
-    /// name, or malformed value; callers print it with [`USAGE_OPTIONS`]
-    /// and exit nonzero.
+    /// name or malformed value, or of what [`ExperimentConfig::validate`]
+    /// rejects about the configuration the flags add up to; callers print
+    /// it with [`USAGE_OPTIONS`] and exit nonzero.
     pub fn parse(args: &[String]) -> Result<HarnessOpts, String> {
         let mut opts = HarnessOpts::default();
         let mut i = 0;
@@ -260,19 +261,11 @@ impl HarnessOpts {
                 }
                 "--max-cycles" => {
                     i += 1;
-                    let cycles: u64 = args
-                        .get(i)
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--max-cycles needs an integer")?;
-                    // Route through the validating builder so a zero
-                    // budget is rejected here, not mid-simulation.
-                    opts.config.gpu = opts
-                        .config
-                        .gpu
-                        .into_builder()
-                        .max_cycles(cycles)
-                        .build()
-                        .map_err(|e| e.to_string())?;
+                    opts.config.gpu.max_cycles = Some(
+                        args.get(i)
+                            .and_then(|v| v.parse().ok())
+                            .ok_or("--max-cycles needs an integer")?,
+                    );
                 }
                 "--resume" => {
                     i += 1;
@@ -348,13 +341,7 @@ impl HarnessOpts {
                     opts.seeds = Some(seeds);
                 }
                 "--strict-invariants" => {
-                    opts.config.gpu = opts
-                        .config
-                        .gpu
-                        .into_builder()
-                        .audit(AuditMode::Every(DEFAULT_AUDIT_INTERVAL))
-                        .build()
-                        .map_err(|e| e.to_string())?;
+                    opts.config.gpu.audit = AuditMode::Every(DEFAULT_AUDIT_INTERVAL);
                 }
                 other if other.starts_with('-') => {
                     return Err(format!("unknown flag {other}"));
@@ -369,20 +356,10 @@ impl HarnessOpts {
         if opts.out.is_none() {
             opts.out = opts.resume.clone();
         }
+        // The flags only assign fields; what they add up to is checked
+        // once, here (`--res 0`, `--max-cycles 0`).
+        opts.config.validate().map_err(|e| e.to_string())?;
         Ok(opts)
-    }
-
-    /// Parses `std::env::args` (no subcommand expected — used by tests
-    /// and as a library entry point; the CLI parses the post-subcommand
-    /// tail via [`HarnessOpts::parse`]).
-    ///
-    /// Exits with code 2 and the usage text on a parse error.
-    pub fn from_args() -> HarnessOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        HarnessOpts::parse(&args).unwrap_or_else(|e| {
-            eprintln!("error: {e}\n{USAGE_OPTIONS}");
-            std::process::exit(2);
-        })
     }
 
     /// The scenes a command with its own default subset runs: the
@@ -692,6 +669,10 @@ mod tests {
         let opts = parse(&["repro.jsonl", "--quick", "second"]).unwrap();
         assert_eq!(opts.args, vec!["repro.jsonl".to_string(), "second".to_string()]);
         assert_eq!(opts.config.detail_divisor, ExperimentConfig::quick().detail_divisor);
+        // A zero-pixel image is refused at parse, like `--jobs 0`.
+        let err = parse(&["--quick", "--res", "0"]).unwrap_err();
+        assert!(err.contains("resolution"), "got: {err}");
+        assert!(parse(&["--res", "x"]).unwrap_err().contains("integer"));
     }
 
     #[test]
@@ -740,6 +721,10 @@ mod tests {
         let opts = parse(&["--quick", "--res", "32"]).unwrap();
         assert_eq!(opts.config.resolution, 32);
         assert_eq!(opts.config.detail_divisor, ExperimentConfig::quick().detail_divisor);
+        // A zero-pixel image is refused at parse, like `--jobs 0`.
+        let err = parse(&["--quick", "--res", "0"]).unwrap_err();
+        assert!(err.contains("resolution"), "got: {err}");
+        assert!(parse(&["--res", "x"]).unwrap_err().contains("integer"));
     }
 
     #[test]
@@ -755,8 +740,7 @@ mod tests {
     fn parse_max_cycles_flag() {
         let opts = parse(&["--max-cycles", "5000"]).unwrap();
         assert_eq!(opts.config.gpu.max_cycles, Some(5000));
-        // Zero is rejected by the validating builder, not deferred to the
-        // simulator.
+        // Zero is rejected here, not deferred to the simulator.
         let err = parse(&["--max-cycles", "0"]).unwrap_err();
         assert!(err.contains("max_cycles"), "got: {err}");
         assert!(parse(&["--max-cycles", "x"]).unwrap_err().contains("integer"));

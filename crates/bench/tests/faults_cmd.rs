@@ -1,6 +1,7 @@
 //! End-to-end tests against the real binary of the fault campaign — the
-//! integrity net's cheapest run, so tier-1 drives it — and of the
-//! switches the product no longer has.
+//! integrity net's cheapest run, so tier-1 drives it — and of what the CLI
+//! refuses as a usage error: the switches the product no longer has, a
+//! configuration no cell could run.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -38,14 +39,17 @@ fn quick_campaign_is_clean_and_every_exported_line_is_framed() {
 }
 
 #[test]
-fn retired_commands_and_switches_are_usage_errors() {
+fn retired_switches_and_unrunnable_configurations_are_usage_errors() {
     for args in [
         &["perf"][..],
         &["chaos", "--quick", "--sabotage"],
         &["serve", "--chaos"],
         &["fig10", "--quick", "--trials", "3"],
+        // Refused at parse, before any cell can panic on it.
+        &["fig10", "--quick", "--scenes", "ref", "--res", "0"],
     ] {
         let (code, stderr) = run(args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }

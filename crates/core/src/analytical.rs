@@ -35,11 +35,6 @@ impl RayTrace {
     pub fn nodes(&self) -> usize {
         self.treelets.len()
     }
-
-    /// The distinct treelets this ray touches.
-    pub fn unique_treelets(&self) -> BTreeSet<TreeletId> {
-        self.treelets.iter().copied().collect()
-    }
 }
 
 /// Records the per-ray node-access traces of a workload (every trace call

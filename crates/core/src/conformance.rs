@@ -381,7 +381,7 @@ pub fn run_differential(
             Err(e) => return CellVerdict::Error(format!("oracle failed: {e}")),
         };
         let policy_label = cell.label.split('/').nth(1).unwrap_or("?").to_string();
-        match prepared.try_run_policy_with_hits(cell.policy) {
+        match prepared.simulator(cell.policy).try_run_with_hits(&prepared.workload) {
             Ok((_, capture)) => {
                 match compare_hits(cell.scene, &policy_label, &prepared.workload, oracle, &capture)
                 {
@@ -754,6 +754,10 @@ mod tests {
         cfg
     }
 
+    fn run_with_hits(p: &Prepared, policy: TraversalPolicy) -> (gpusim::SimReport, HitCapture) {
+        p.simulator(policy).try_run_with_hits(&p.workload).expect("runs")
+    }
+
     #[test]
     fn oracle_matches_simulator_on_bunny() {
         let cfg = tiny_cfg();
@@ -764,7 +768,7 @@ mod tests {
             ("baseline", TraversalPolicy::Baseline),
             ("vtq", TraversalPolicy::Vtq(VtqParams::default())),
         ] {
-            let (_, capture) = p.try_run_policy_with_hits(policy).expect("runs");
+            let (_, capture) = run_with_hits(&p, policy);
             let eq = compare_hits(SceneId::Bunny, label, &p.workload, &oracle, &capture)
                 .unwrap_or_else(|d| panic!("{d}"));
             assert_eq!(eq.calls_checked, p.workload.total_rays());
@@ -799,7 +803,7 @@ mod tests {
             .filter(|a| matches!(a, OracleAnswer::Occluded(_)))
             .count();
         assert!(anyhit > 0, "NEE workload must contain occlusion queries");
-        let (_, capture) = p.try_run_policy_with_hits(TraversalPolicy::Baseline).expect("runs");
+        let (_, capture) = run_with_hits(&p, TraversalPolicy::Baseline);
         let eq = compare_hits(SceneId::Bunny, "baseline", &p.workload, &oracle, &capture)
             .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(eq.anyhit_calls, anyhit);
@@ -814,8 +818,7 @@ mod tests {
         // predict-miss path must fall back to full traversal and stay
         // bit-equal to the oracle.
         let params = PredictParams { table_entries: 1, ..Default::default() };
-        let (report, capture) =
-            p.try_run_policy_with_hits(TraversalPolicy::Predict(params)).expect("runs");
+        let (report, capture) = run_with_hits(&p, TraversalPolicy::Predict(params));
         assert!(report.stats.predict_lookups > 0, "prediction never consulted");
         let eq = compare_hits(SceneId::Bunny, "predict-miss", &p.workload, &oracle, &capture)
             .unwrap_or_else(|d| panic!("{d}"));
@@ -831,7 +834,7 @@ mod tests {
         // extra interior visits are allowed, missed leaves are not, so
         // closest hits match the wide oracle bit for bit.
         let q = Prepared::build(SceneId::Bunny, &quantized_config(&cfg));
-        let (_, capture) = q.try_run_policy_with_hits(TraversalPolicy::Baseline).expect("runs");
+        let (_, capture) = run_with_hits(&q, TraversalPolicy::Baseline);
         let eq = compare_hits(SceneId::Bunny, "qnode", &q.workload, &oracle, &capture)
             .unwrap_or_else(|d| panic!("{d}"));
         assert_eq!(eq.calls_checked, wide.workload.total_rays());
@@ -902,7 +905,7 @@ mod tests {
             .flatten()
             .find(|a| matches!(a, OracleAnswer::Closest(Some(_))));
         *sabotaged.expect("bunny rays must hit something") = OracleAnswer::Closest(None);
-        let (_, capture) = p.try_run_policy_with_hits(TraversalPolicy::Baseline).expect("runs");
+        let (_, capture) = run_with_hits(&p, TraversalPolicy::Baseline);
         let d = compare_hits(SceneId::Bunny, "sabotaged", &p.workload, &oracle, &capture)
             .expect_err("must diverge");
         let dump = d.to_string();

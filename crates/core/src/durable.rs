@@ -740,6 +740,10 @@ impl Repro {
             }
             other => return Err(format!("unknown policy `{other}`")),
         };
+        // A reproducer is outside input: one whose machine could not run
+        // at all (`num_sms` 0, a zero cycle budget) is malformed, not a
+        // failure to replay.
+        gpu.validate().map_err(|e| e.to_string())?;
 
         let error_kind = header.str("error_kind")?.into_owned();
         let task_count: usize = header.num("tasks")?;
@@ -1029,6 +1033,7 @@ mod tests {
     fn repro_round_trips_bit_exactly() {
         let mut gpu = GpuConfig::scale_model().with_policy(TraversalPolicy::Vtq(VtqParams {
             max_virtual_rays: 48,
+            queue_threshold: 32,
             ..Default::default()
         }));
         gpu.mem.num_sms = 2;

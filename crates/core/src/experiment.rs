@@ -19,8 +19,8 @@ use std::path::Path;
 use gpumem::{AccessKind, WindowPoint};
 use gpusim::export::{metrics_json, series_csv, stall_csv};
 use gpusim::{
-    GpuConfig, HitCapture, PredictParams, SimError, SimReport, SimStats, Simulator, TraceSink,
-    TraversalMode, TraversalPolicy, VtqParams, VtqParamsBuilder, Workload,
+    ConfigError, GpuConfig, PredictParams, SimReport, SimStats, Simulator, TraversalMode,
+    TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig, NodeFormat};
 use rtscene::lumibench::{self, SceneId};
@@ -29,7 +29,7 @@ use rtscene::Scene;
 use crate::analytical;
 use crate::reorder::RayOrder;
 use crate::sweep::{Cell, CellError, CellResult, RunMatrix, SweepEngine};
-use crate::workload::{Image, PathTracer};
+use crate::workload::{Image, PathTracer, MAX_SPP};
 
 /// Shared experiment parameters (defaults = the paper's §5 methodology).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,6 +105,25 @@ impl ExperimentConfig {
         cfg.gpu.mem.num_sms = 4;
         cfg
     }
+
+    /// Checks what [`Prepared::build`] and the simulator assume: an image
+    /// of at least one pixel, a sample count the path tracer accepts, and
+    /// a consistent [`GpuConfig`] ([`GpuConfig::validate`]). Called where
+    /// a configuration arrives from outside the program — CLI flags, a
+    /// daemon submission, a reproducer file — so bad input is refused
+    /// there instead of panicking a cell.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.resolution == 0 {
+            return Err(ConfigError::new("resolution must be at least 1 pixel per side"));
+        }
+        if !(1..=MAX_SPP).contains(&self.spp) {
+            return Err(ConfigError::new(format!(
+                "spp ({}) must be between 1 and {MAX_SPP}",
+                self.spp
+            )));
+        }
+        self.gpu.validate()
+    }
 }
 
 /// A scene prepared for simulation: geometry, BVH, workload and the
@@ -147,50 +166,20 @@ impl Prepared {
         Prepared { id, scene, bvh, workload, image, gpu: cfg.gpu }
     }
 
+    /// A simulator over this scene and workload's BVH under `policy`,
+    /// for callers that want more than [`Prepared::run_policy`]'s report:
+    /// typed errors, the hit capture, a trace sink.
+    pub fn simulator(&self, policy: TraversalPolicy) -> Simulator<'_> {
+        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
+    }
+
     /// Simulates the workload under `policy`.
     ///
     /// # Panics
     ///
     /// Panics on any [`gpusim::SimError`].
     pub fn run_policy(&self, policy: TraversalPolicy) -> SimReport {
-        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run(&self.workload)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Simulates under the VTQ policy with explicit parameters.
-    pub fn run_vtq(&self, params: VtqParams) -> SimReport {
-        self.run_policy(TraversalPolicy::Vtq(params))
-    }
-
-    /// Fallible [`Prepared::run_policy`] plus the explicit functional
-    /// [`HitCapture`], for the differential conformance harness.
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`gpusim::Simulator::try_run`].
-    pub fn try_run_policy_with_hits(
-        &self,
-        policy: TraversalPolicy,
-    ) -> Result<(SimReport, HitCapture), SimError> {
-        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run_with_hits(&self.workload)
-    }
-
-    /// Like [`Prepared::run_policy`], but streams trace events into
-    /// `sink` (see [`gpusim::TraceSink`]). Timing is unaffected.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any [`gpusim::SimError`].
-    pub fn run_policy_traced(
-        &self,
-        policy: TraversalPolicy,
-        sink: &mut dyn TraceSink,
-    ) -> SimReport {
-        Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
-            .try_run_traced(&self.workload, sink)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.simulator(policy).try_run(&self.workload).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -255,44 +244,36 @@ pub fn export_run(dir: &Path, label: &str, report: &SimReport) -> std::io::Resul
 /// diverge instantly, dispatch any queue, never drain into ray-stationary
 /// warps.
 pub fn always_stationary_params() -> VtqParams {
-    VtqParams::builder()
-        .divergence_treelets(0)
-        .queue_threshold(1)
-        .group_underpopulated(false)
-        .repack_threshold(0)
-        .build()
-        .expect("always-stationary preset")
+    VtqParams {
+        divergence_treelets: 0,
+        queue_threshold: 1,
+        group_underpopulated: false,
+        repack_threshold: 0,
+        ..Default::default()
+    }
 }
 
 /// The paper's *naive* treelet queues (Figure 12 strawman): no grouping,
 /// no repacking.
 pub fn naive_params() -> VtqParams {
-    VtqParams::builder()
-        .group_underpopulated(false)
-        .repack_threshold(0)
-        .build()
-        .expect("naive preset")
+    VtqParams { group_underpopulated: false, repack_threshold: 0, ..Default::default() }
 }
 
 /// Grouping enabled at `queue_threshold`, repacking disabled (Figure 12's
 /// sweep points).
 pub fn grouped_params(queue_threshold: usize) -> VtqParams {
-    VtqParams::builder()
-        .queue_threshold(queue_threshold)
-        .repack_threshold(0)
-        .build()
-        .expect("grouped preset")
+    VtqParams { queue_threshold, repack_threshold: 0, ..Default::default() }
 }
 
 /// Full VTQ at an explicit `repack_threshold` (Figure 13's sweep points;
 /// `0` disables repacking).
 pub fn repack_params(repack_threshold: usize) -> VtqParams {
-    VtqParams::builder().repack_threshold(repack_threshold).build().expect("repack preset")
+    VtqParams { repack_threshold, ..Default::default() }
 }
 
 /// Full VTQ with idealized ("free") virtualization (Figures 16/17).
 pub fn free_virtualization_params() -> VtqParams {
-    VtqParams::builder().charge_virtualization(false).build().expect("free-virtualization preset")
+    VtqParams { charge_virtualization: false, ..Default::default() }
 }
 
 /// The same experiment with the BVH rebuilt under quantized
@@ -358,7 +339,11 @@ pub fn presets() -> Vec<Preset> {
     type Delta = fn(&mut ExperimentConfig);
     let plain = |label, policy| Preset { label, policy, delta: None };
     let vtq = |label, params| plain(label, TraversalPolicy::Vtq(params));
-    let ablated = |label, params: VtqParamsBuilder| vtq(label, params.build().expect(label));
+    let diverge = |label, divergence_treelets| {
+        vtq(label, VtqParams { divergence_treelets, ..Default::default() })
+    };
+    let maxrays =
+        |label, max_virtual_rays| vtq(label, VtqParams { max_virtual_rays, ..Default::default() });
     let with = |label, policy, delta: Delta| Preset { label, policy, delta: Some(delta) };
     let full = TraversalPolicy::Vtq(VtqParams::default());
     let quantized: Delta = |cfg| *cfg = quantized_config(cfg);
@@ -413,14 +398,14 @@ pub fn presets() -> Vec<Preset> {
         with("shader-8", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 8),
         with("shader-4", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 4),
         with("shader-2", Baseline, |cfg| cfg.gpu.shader_slots_per_sm = 2),
-        ablated("vtq-nopreload", VtqParams::builder().preload(false)),
-        ablated("vtq-diverge-0", VtqParams::builder().divergence_treelets(0)),
-        ablated("vtq-diverge-1", VtqParams::builder().divergence_treelets(1)),
-        ablated("vtq-diverge-4", VtqParams::builder().divergence_treelets(4)),
-        ablated("vtq-diverge-8", VtqParams::builder().divergence_treelets(8)),
-        ablated("vtq-maxrays-1k", VtqParams::builder().max_virtual_rays(1024)),
-        ablated("vtq-maxrays-2k", VtqParams::builder().max_virtual_rays(2048)),
-        ablated("vtq-maxrays-8k", VtqParams::builder().max_virtual_rays(8192)),
+        vtq("vtq-nopreload", VtqParams { preload: false, ..Default::default() }),
+        diverge("vtq-diverge-0", 0),
+        diverge("vtq-diverge-1", 1),
+        diverge("vtq-diverge-4", 4),
+        diverge("vtq-diverge-8", 8),
+        maxrays("vtq-maxrays-1k", 1024),
+        maxrays("vtq-maxrays-2k", 2048),
+        maxrays("vtq-maxrays-8k", 8192),
         // Figure 16 on the unscaled Table 1 memory hierarchy.
         with("table1+baseline", Baseline, table1),
         with("table1+vtq", full, table1),
@@ -1526,6 +1511,32 @@ mod tests {
         }
     }
 
+    /// Presets are plain field edits; what each adds up to on every base —
+    /// its policy's parameters against the machine's — must be a
+    /// configuration the simulator accepts.
+    #[test]
+    fn every_preset_validates_on_every_base_configuration() {
+        let bases =
+            [ExperimentConfig::default(), ExperimentConfig::quick(), ExperimentConfig::table1()];
+        for base in bases {
+            assert_eq!(base.validate(), Ok(()));
+            for preset in presets() {
+                let mut cfg = preset.config(&base);
+                cfg.gpu.policy = preset.policy;
+                assert_eq!(cfg.validate(), Ok(()), "{}", preset.label);
+            }
+        }
+        let unrunnable = |edit: fn(&mut ExperimentConfig)| {
+            let mut cfg = ExperimentConfig::quick();
+            edit(&mut cfg);
+            cfg.validate().unwrap_err().to_string()
+        };
+        assert!(unrunnable(|cfg| cfg.resolution = 0).contains("resolution"));
+        assert!(unrunnable(|cfg| cfg.spp = 0).contains("spp"));
+        assert!(unrunnable(|cfg| cfg.spp = MAX_SPP + 1).contains("spp"));
+        assert!(unrunnable(|cfg| cfg.gpu.mem.num_sms = 0).contains("num_sms"));
+    }
+
     /// On the full configuration the `table1+*` presets run exactly
     /// [`ExperimentConfig::table1`]; on any other base they keep its
     /// scene scale and workload.
@@ -1636,7 +1647,7 @@ mod tests {
     fn aggregate_stats_merges_scene_runs() {
         let p = quick(SceneId::Ref);
         let a = p.run_policy(TraversalPolicy::Baseline);
-        let b = p.run_vtq(VtqParams::default());
+        let b = p.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
         let agg = aggregate_stats([&a, &b]);
         assert_eq!(agg.rays_completed, a.stats.rays_completed + b.stats.rays_completed);
         assert_eq!(agg.cycles, a.stats.cycles.max(b.stats.cycles));
@@ -1648,7 +1659,7 @@ mod tests {
     #[test]
     fn export_run_writes_all_artifacts() {
         let p = quick(SceneId::Ref);
-        let report = p.run_vtq(VtqParams::default());
+        let report = p.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
         let dir = std::env::temp_dir().join(format!("vtq_export_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         export_run(&dir, "ref/vtq", &report).expect("export");

@@ -279,8 +279,8 @@ pub fn cell_inputs(
     cell: FaultCell,
     attempt: u32,
     base_workload: &Workload,
-) -> Result<(gpusim::GpuConfig, Workload), SimError> {
-    let gpu = cell_gpu(cfg, cell, attempt)?;
+) -> (gpusim::GpuConfig, Workload) {
+    let gpu = cell_gpu(cfg, cell, attempt);
     let workload = match cell.kind {
         FaultKind::TruncatedWorkload => Workload {
             tasks: base_workload.tasks[..base_workload.tasks.len().div_ceil(3)].to_vec(),
@@ -288,18 +288,13 @@ pub fn cell_inputs(
         FaultKind::DegenerateWorkload => Workload { tasks: Vec::new() },
         _ => base_workload.clone(),
     };
-    Ok((gpu, workload))
+    (gpu, workload)
 }
 
-/// Builds the perturbed GPU configuration for one cell attempt. The
-/// result goes through the validating builder, so a perturbation that
-/// produces an inconsistent configuration surfaces as
-/// [`SimError::Config`] rather than undefined simulator behaviour.
-fn cell_gpu(
-    cfg: &CampaignConfig,
-    cell: FaultCell,
-    attempt: u32,
-) -> Result<gpusim::GpuConfig, SimError> {
+/// Builds the perturbed GPU configuration for one cell attempt. A
+/// perturbation that produces an inconsistent configuration surfaces as
+/// [`SimError::Config`] from the run, like any other.
+fn cell_gpu(cfg: &CampaignConfig, cell: FaultCell, attempt: u32) -> gpusim::GpuConfig {
     let mut gpu = cfg.config.gpu;
     let mut vtq = VtqParams { queue_threshold: 32, ..VtqParams::default() };
     match cell.kind {
@@ -329,14 +324,12 @@ fn cell_gpu(
         FaultKind::TinyCycleBudget => {} // expressed via cell_budget
     }
     // Retries double the budget; saturate rather than overflow.
-    let budget = cell_budget(cfg, cell.kind, attempt);
-    let gpu = gpu
-        .with_policy(TraversalPolicy::Vtq(vtq))
-        .into_builder()
-        .max_cycles(budget)
-        .audit(AuditMode::Every(DEFAULT_AUDIT_INTERVAL))
-        .build()?;
-    Ok(gpu)
+    gpusim::GpuConfig {
+        policy: TraversalPolicy::Vtq(vtq),
+        max_cycles: Some(cell_budget(cfg, cell.kind, attempt)),
+        audit: AuditMode::Every(DEFAULT_AUDIT_INTERVAL),
+        ..gpu
+    }
 }
 
 /// Runs the campaign on `engine`: one prepared scene (via the engine's
@@ -352,7 +345,7 @@ pub fn run_campaign(cfg: &CampaignConfig, engine: &SweepEngine) -> CampaignRepor
             let prepared = Arc::clone(&prepared);
             let cfg = *cfg;
             let run = move |attempt: u32| -> Result<(u64, u64), SimError> {
-                let (gpu, workload) = cell_inputs(&cfg, cell, attempt, &prepared.workload)?;
+                let (gpu, workload) = cell_inputs(&cfg, cell, attempt, &prepared.workload);
                 let report = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu)
                     .try_run(&workload)?;
                 Ok((report.stats.cycles, report.stats.rays_completed))
@@ -457,13 +450,13 @@ mod tests {
         let base =
             Workload { tasks: (0..9).map(|_| gpusim::PathTask { rays: Vec::new() }).collect() };
         let truncated = FaultCell { index: 0, kind: FaultKind::TruncatedWorkload, seed: 1 };
-        let (_, w) = cell_inputs(&cfg, truncated, 0, &base).expect("valid config");
+        let (_, w) = cell_inputs(&cfg, truncated, 0, &base);
         assert_eq!(w.tasks.len(), 3, "truncation keeps a third of the tasks");
         let degenerate = FaultCell { index: 1, kind: FaultKind::DegenerateWorkload, seed: 2 };
-        let (_, w) = cell_inputs(&cfg, degenerate, 0, &base).expect("valid config");
+        let (_, w) = cell_inputs(&cfg, degenerate, 0, &base);
         assert!(w.tasks.is_empty());
         let tiny = FaultCell { index: 2, kind: FaultKind::TinyCycleBudget, seed: 3 };
-        let (gpu, _) = cell_inputs(&cfg, tiny, 1, &base).expect("valid config");
+        let (gpu, _) = cell_inputs(&cfg, tiny, 1, &base);
         assert_eq!(gpu.max_cycles, Some(4_000), "attempt 1 doubles the 2k budget");
     }
 

@@ -116,17 +116,17 @@ pub mod prelude {
     };
     pub use crate::provenance::{provenance_line, PROVENANCE_RECORD};
     pub use crate::sweep::{
-        cell_key_fingerprint, config_fingerprint, default_jobs, retry_delay, Cell, CellError,
-        CellErrorKind, CellResult, PreparedCache, Retried, RunMatrix, SweepEngine,
+        cell_key_fingerprint, config_fingerprint, default_jobs, Cell, CellError, CellErrorKind,
+        CellResult, PreparedCache, Retried, RunMatrix, SweepEngine,
     };
     pub use crate::workload::{Image, PathTracer};
     pub use ::prof;
     pub use gpumem::{AccessKind, MemFaults};
     pub use gpusim::{
-        AuditMode, ConfigError, CountingSink, ForensicsSnapshot, GpuConfig, GpuConfigBuilder,
-        InvariantViolation, PredictParams, RingSink, SimError, SimReport, SimStats, Simulator,
-        SmSnapshot, StallBreakdown, StallKind, TraceEvent, TraceSink, TraversalMode,
-        TraversalPolicy, VtqParams, VtqParamsBuilder, Workload, DEFAULT_AUDIT_INTERVAL,
+        AuditMode, ConfigError, CountingSink, ForensicsSnapshot, GpuConfig, InvariantViolation,
+        PredictParams, RingSink, SimError, SimReport, SimStats, Simulator, SmSnapshot,
+        StallBreakdown, StallKind, TraceEvent, TraceSink, TraversalMode, TraversalPolicy,
+        VtqParams, Workload, DEFAULT_AUDIT_INTERVAL,
     };
     pub use rtbvh::{Bvh, BvhConfig, NodeFormat};
     pub use rtscene::lumibench::{self, SceneId};

@@ -49,7 +49,6 @@ use std::hash::Hasher as _;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 
 use gpusim::{SimReport, TraversalPolicy};
 use rtscene::lumibench::SceneId;
@@ -360,38 +359,6 @@ fn journal_write(
     }
 }
 
-/// The deterministic retry delay for `key`'s attempt number `attempt`
-/// (0 = the delay before the first *retry*), under exponential backoff
-/// with seeded "equal jitter": the exponential envelope is
-/// `base * 2^attempt` (capped at 20 doublings) and the delay lands in
-/// `[envelope/2, envelope]`, with the jitter fraction derived from an
-/// FNV-1a hash of the cell key mixed with the attempt index.
-///
-/// Determinism per key is the point: a cell always waits the same
-/// sequence of delays (pinnable in tests, reproducible in forensics),
-/// while *different* cells that fail simultaneously — a fault storm, a
-/// briefly-unavailable resource — spread across the envelope instead of
-/// retrying in lockstep.
-pub fn retry_delay(key: &str, attempt: u32, base: Duration) -> Duration {
-    if base.is_zero() {
-        return Duration::ZERO;
-    }
-    let envelope = base.saturating_mul(1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX));
-    let half = envelope / 2;
-    // splitmix64 over the key hash ⊕ attempt: well-mixed, dependency-free.
-    let mut hash = Fnv1a::default();
-    hash.write(key.as_bytes());
-    let mut z = (hash.finish() ^ u64::from(attempt))
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z ^= z >> 30;
-    z = z.wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 27;
-    // Jitter fraction in [0, 1) from the top 53 bits.
-    let fraction = (z >> 11) as f64 / (1u64 << 53) as f64;
-    half + Duration::from_nanos((half.as_nanos() as f64 * fraction) as u64)
-}
-
 fn payload_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -426,10 +393,6 @@ pub struct SweepEngine {
     /// alongside the process-global flag, so one job can be cancelled or
     /// deadline-expired without draining the whole process.
     cancel: Option<CancelToken>,
-    /// Base delay of the seeded-jitter retry backoff in
-    /// [`run_tasks_retrying`](Self::run_tasks_retrying); zero (the
-    /// default) retries immediately.
-    retry_base: Duration,
     /// Key namespace (typically the CLI subcommand) so identical labels
     /// from different commands never collide in one journal.
     scope: String,
@@ -460,7 +423,6 @@ impl SweepEngine {
             cache,
             journal: None,
             cancel: None,
-            retry_base: Duration::ZERO,
             scope: "sweep".to_string(),
             wave: Arc::new(AtomicUsize::new(0)),
         }
@@ -486,22 +448,6 @@ impl SweepEngine {
     /// journal is attached).
     pub fn with_cancel(mut self, token: CancelToken) -> SweepEngine {
         self.cancel = Some(token);
-        self
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
-    /// Sets the base delay of the retry backoff in
-    /// [`run_tasks_retrying`](Self::run_tasks_retrying): retry `n` of a
-    /// task then sleeps [`retry_delay`]`(key, n, base)` first —
-    /// exponential envelope, seeded per-key jitter — so simultaneous
-    /// failures don't re-arrive in lockstep. The default base of zero
-    /// keeps retries immediate.
-    pub fn with_retry_backoff(mut self, base: Duration) -> SweepEngine {
-        self.retry_base = base;
         self
     }
 
@@ -628,30 +574,17 @@ impl SweepEngine {
         let retry_if = &retry_if;
         let journal = self.journal.clone();
         let scope = self.scope.clone();
-        let retry_base = self.retry_base;
-        let cancel = self.cancel.clone();
         self.run_tasks(
             tasks
                 .into_iter()
                 .map(|(label, f)| {
                     let journal = journal.clone();
-                    let cancel = cancel.clone();
                     let retry_key = format!("{scope}/retry/{label}");
                     let attempt = move || {
                         let mut retries = 0;
                         loop {
                             match f(retries) {
-                                Err(e) if retries < max_retries && retry_if(&e) => {
-                                    // Seeded-jitter backoff: deterministic
-                                    // per key, desynchronized across keys.
-                                    // A cancelled job doesn't sleep.
-                                    let delay = retry_delay(&retry_key, retries, retry_base);
-                                    let cancelled = cancel.as_ref().map(CancelToken::is_cancelled);
-                                    if !delay.is_zero() && cancelled != Some(true) {
-                                        std::thread::sleep(delay);
-                                    }
-                                    retries += 1;
-                                }
+                                Err(e) if retries < max_retries && retry_if(&e) => retries += 1,
                                 result => {
                                     // Make escalated cells visible in the
                                     // journal (informational record; never
@@ -802,6 +735,8 @@ impl SweepEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]
@@ -891,37 +826,6 @@ mod tests {
         let retried = out[0].as_ref().unwrap();
         assert_eq!(retried.retries, 0);
         assert_eq!(retried.result, Err("fail 0".to_string()));
-    }
-
-    #[test]
-    fn retry_delay_sequence_is_pinned_and_jittered() {
-        let base = Duration::from_millis(10);
-        // Determinism: the same key yields the same sequence, always
-        // inside the equal-jitter band [envelope/2, envelope].
-        let delays: Vec<Duration> =
-            (0..4).map(|a| retry_delay("faults/retry/cell-7", a, base)).collect();
-        assert_eq!(
-            delays,
-            (0..4).map(|a| retry_delay("faults/retry/cell-7", a, base)).collect::<Vec<_>>()
-        );
-        for (attempt, d) in delays.iter().enumerate() {
-            let envelope = base * 2u32.pow(attempt as u32);
-            assert!(
-                *d >= envelope / 2 && *d <= envelope,
-                "attempt {attempt}: {d:?} outside [{:?}, {envelope:?}]",
-                envelope / 2
-            );
-        }
-        // The exponential envelope actually grows.
-        assert!(delays[3] > delays[0], "backoff must escalate: {delays:?}");
-        // Desynchronization: distinct keys land on distinct delays.
-        let other = retry_delay("faults/retry/cell-8", 0, base);
-        assert_ne!(delays[0], other, "keys must not retry in lockstep");
-        // Zero base = immediate retries (the default engine behaviour).
-        assert_eq!(retry_delay("any", 3, Duration::ZERO), Duration::ZERO);
-        // The envelope shift saturates instead of overflowing.
-        let huge = retry_delay("any", u32::MAX, Duration::from_nanos(1));
-        assert!(huge <= Duration::from_nanos(1) * (1 << 20));
     }
 
     #[test]

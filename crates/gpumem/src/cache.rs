@@ -264,11 +264,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets the counters (contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     /// Exports every line in set-major, way-minor order (checkpointing).
     pub fn export_lines(&self) -> Vec<LineState> {
         self.lines

@@ -2,14 +2,15 @@ use std::fmt;
 
 use gpumem::MemConfig;
 
-/// An inconsistent configuration rejected at construction time by
-/// [`GpuConfigBuilder::build`] / [`VtqParamsBuilder::build`], instead of
-/// surfacing as a hang or a bogus result mid-simulation.
+/// An inconsistent configuration rejected by [`GpuConfig::validate`] —
+/// which every run calls before the engine exists — instead of surfacing
+/// as a hang or a bogus result mid-simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError(String);
 
 impl ConfigError {
-    fn new(msg: impl Into<String>) -> ConfigError {
+    /// A rejection with `msg` as its reason.
+    pub fn new(msg: impl Into<String>) -> ConfigError {
         ConfigError(msg.into())
     }
 }
@@ -76,14 +77,8 @@ impl Default for VtqParams {
 }
 
 impl VtqParams {
-    /// A validating builder starting from the paper's defaults.
-    pub fn builder() -> VtqParamsBuilder {
-        VtqParamsBuilder { params: VtqParams::default() }
-    }
-
-    /// Checks internal consistency; [`VtqParamsBuilder::build`] calls this,
-    /// and [`GpuConfigBuilder::build`] re-checks it (plus cross-field
-    /// rules) for hand-rolled parameter structs.
+    /// Checks internal consistency; [`GpuConfig::validate`] calls this and
+    /// adds the cross-field rules.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.max_virtual_rays == 0 {
             return Err(ConfigError::new("max_virtual_rays must be at least 1"));
@@ -107,83 +102,6 @@ impl VtqParams {
             return Err(ConfigError::new("queue_table_entries must be at least 1"));
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`VtqParams`]; see [`VtqParams::builder`].
-///
-/// Every setter mirrors the field of the same name; [`VtqParamsBuilder::build`]
-/// rejects inconsistent combinations via [`VtqParams::validate`].
-#[derive(Debug, Clone)]
-pub struct VtqParamsBuilder {
-    params: VtqParams,
-}
-
-impl VtqParamsBuilder {
-    /// Sets the per-SM virtualized-ray capacity.
-    pub fn max_virtual_rays(mut self, rays: usize) -> Self {
-        self.params.max_virtual_rays = rays;
-        self
-    }
-
-    /// Sets the initial-phase divergence trigger (§3.2 ①).
-    pub fn divergence_treelets(mut self, treelets: usize) -> Self {
-        self.params.divergence_treelets = treelets;
-        self
-    }
-
-    /// Sets the treelet-stationary dispatch threshold (§4.4).
-    pub fn queue_threshold(mut self, rays: usize) -> Self {
-        self.params.queue_threshold = rays;
-        self
-    }
-
-    /// Sets the warp-repacking trigger (§4.5); `0` disables repacking.
-    pub fn repack_threshold(mut self, lanes: usize) -> Self {
-        self.params.repack_threshold = lanes;
-        self
-    }
-
-    /// Enables/disables treelet preloading (§4.3).
-    pub fn preload(mut self, on: bool) -> Self {
-        self.params.preload = on;
-        self
-    }
-
-    /// Enables/disables grouping underpopulated queues (§4.4).
-    pub fn group_underpopulated(mut self, on: bool) -> Self {
-        self.params.group_underpopulated = on;
-        self
-    }
-
-    /// Enables/disables charging CTA state save/restore (§4.1).
-    pub fn charge_virtualization(mut self, on: bool) -> Self {
-        self.params.charge_virtualization = on;
-        self
-    }
-
-    /// Sets the treelet count-table capacity (§6.5).
-    pub fn count_table_entries(mut self, entries: usize) -> Self {
-        self.params.count_table_entries = entries;
-        self
-    }
-
-    /// Sets the treelet queue-table capacity (§6.5).
-    pub fn queue_table_entries(mut self, entries: usize) -> Self {
-        self.params.queue_table_entries = entries;
-        self
-    }
-
-    /// Validates and returns the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for settings that could never simulate
-    /// meaningfully (zero capacities, a queue threshold no queue can
-    /// reach).
-    pub fn build(self) -> Result<VtqParams, ConfigError> {
-        self.params.validate()?;
-        Ok(self.params)
     }
 }
 
@@ -220,14 +138,7 @@ impl Default for PredictParams {
 }
 
 impl PredictParams {
-    /// A validating builder starting from the defaults.
-    pub fn builder() -> PredictParamsBuilder {
-        PredictParamsBuilder { params: PredictParams::default() }
-    }
-
-    /// Checks internal consistency; [`PredictParamsBuilder::build`] calls
-    /// this, and [`GpuConfigBuilder::build`] re-checks it for hand-rolled
-    /// parameter structs.
+    /// Checks internal consistency; [`GpuConfig::validate`] calls this.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.table_entries == 0 {
             return Err(ConfigError::new("table_entries must be at least 1"));
@@ -245,49 +156,6 @@ impl PredictParams {
             )));
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`PredictParams`]; see [`PredictParams::builder`].
-#[derive(Debug, Clone)]
-pub struct PredictParamsBuilder {
-    params: PredictParams,
-}
-
-impl PredictParamsBuilder {
-    /// Sets the prediction-table capacity.
-    pub fn table_entries(mut self, entries: usize) -> Self {
-        self.params.table_entries = entries;
-        self
-    }
-
-    /// Sets the origin quantization bits per axis.
-    pub fn origin_bits(mut self, bits: u32) -> Self {
-        self.params.origin_bits = bits;
-        self
-    }
-
-    /// Sets the direction quantization bits per axis.
-    pub fn dir_bits(mut self, bits: u32) -> Self {
-        self.params.dir_bits = bits;
-        self
-    }
-
-    /// Sets the lookup latency in cycles.
-    pub fn lookup_latency(mut self, cycles: u32) -> Self {
-        self.params.lookup_latency = cycles;
-        self
-    }
-
-    /// Validates and returns the parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] for degenerate settings (zero capacity or
-    /// quantization bits, keys wider than 60 bits).
-    pub fn build(self) -> Result<PredictParams, ConfigError> {
-        self.params.validate()?;
-        Ok(self.params)
     }
 }
 
@@ -467,18 +335,6 @@ impl Default for GpuConfig {
 }
 
 impl GpuConfig {
-    /// A validating builder starting from the Table 1 defaults.
-    pub fn builder() -> GpuConfigBuilder {
-        GpuConfigBuilder { cfg: GpuConfig::default() }
-    }
-
-    /// A validating builder starting from *this* configuration — the path
-    /// for amending an existing config (e.g. CLI flag overrides) without
-    /// bypassing [`GpuConfig::validate`].
-    pub fn into_builder(self) -> GpuConfigBuilder {
-        GpuConfigBuilder { cfg: self }
-    }
-
     /// The scale-model configuration used by the experiment harness: cache
     /// capacities scaled down (L1 16 KB → 4 KB, L2 128 KB → 32 KB) to keep
     /// the BVH-size : cache-size ratio in the paper's regime, since our
@@ -487,10 +343,10 @@ impl GpuConfig {
     /// Treelets should then be built at 2 KB — half the scaled L1, the
     /// same rule as §5. Everything else matches Table 1.
     pub fn scale_model() -> GpuConfig {
-        GpuConfig::builder()
-            .scale_model()
-            .build()
-            .expect("the scale-model preset is internally consistent")
+        let mut cfg = GpuConfig::default();
+        cfg.mem.l1.size_bytes = 4 * 1024;
+        cfg.mem.l2.size_bytes = 32 * 1024;
+        cfg
     }
 
     /// Convenience: same config with a different policy.
@@ -515,7 +371,13 @@ impl GpuConfig {
         reg_bytes + self.simt_stack_bytes_per_warp * self.warps_per_cta() as u32
     }
 
-    /// Checks internal consistency; [`GpuConfigBuilder::build`] calls this.
+    /// Checks internal consistency. A configuration is plain data — set
+    /// its fields — and this is the one gate:
+    /// [`Simulator::try_run_with`](crate::Simulator::try_run_with) calls it
+    /// before the engine exists, so every run is checked, and the
+    /// boundaries where a configuration arrives from outside the program
+    /// (CLI flags, daemon submissions, reproducer files) call it to reject
+    /// bad input in their own vocabulary.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.cta_size == 0 {
             return Err(ConfigError::new("cta_size of 0 means zero warps per CTA"));
@@ -560,132 +422,6 @@ impl GpuConfig {
     }
 }
 
-/// Validating builder for [`GpuConfig`]; see [`GpuConfig::builder`].
-///
-/// Starts from the Table 1 defaults; setters mirror the fields (plus
-/// memory-hierarchy shorthands); [`GpuConfigBuilder::build`] rejects
-/// inconsistent settings — zero warps per CTA, zero SMs, a VTQ repack
-/// threshold wider than the warp — at construction instead of
-/// mid-simulation.
-#[derive(Debug, Clone)]
-pub struct GpuConfigBuilder {
-    cfg: GpuConfig,
-}
-
-impl GpuConfigBuilder {
-    /// Applies the scale-model preset (L1 4 KB, L2 32 KB) — the builder
-    /// form of [`GpuConfig::scale_model`].
-    pub fn scale_model(mut self) -> Self {
-        self.cfg.mem.l1.size_bytes = 4 * 1024;
-        self.cfg.mem.l2.size_bytes = 32 * 1024;
-        self
-    }
-
-    /// Replaces the whole memory hierarchy configuration.
-    pub fn mem(mut self, mem: MemConfig) -> Self {
-        self.cfg.mem = mem;
-        self
-    }
-
-    /// Sets the SM count (carried by the memory config).
-    pub fn num_sms(mut self, sms: usize) -> Self {
-        self.cfg.mem.num_sms = sms;
-        self
-    }
-
-    /// Sets the L1 data-cache capacity in bytes.
-    pub fn l1_bytes(mut self, bytes: u32) -> Self {
-        self.cfg.mem.l1.size_bytes = bytes;
-        self
-    }
-
-    /// Sets the L2 unified-cache capacity in bytes.
-    pub fn l2_bytes(mut self, bytes: u32) -> Self {
-        self.cfg.mem.l2.size_bytes = bytes;
-        self
-    }
-
-    /// Sets threads per CTA.
-    pub fn cta_size(mut self, threads: usize) -> Self {
-        self.cfg.cta_size = threads;
-        self
-    }
-
-    /// Sets the maximum resident CTAs per SM.
-    pub fn max_ctas_per_sm(mut self, ctas: usize) -> Self {
-        self.cfg.max_ctas_per_sm = ctas;
-        self
-    }
-
-    /// Sets the warp width.
-    pub fn warp_size(mut self, lanes: usize) -> Self {
-        self.cfg.warp_size = lanes;
-        self
-    }
-
-    /// Sets the RT-unit warp buffer capacity.
-    pub fn warp_buffer_slots(mut self, slots: usize) -> Self {
-        self.cfg.warp_buffer_slots = slots;
-        self
-    }
-
-    /// Sets the traversal policy under test.
-    pub fn policy(mut self, policy: TraversalPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
-    /// Sets the time-series sampling window (`0` disables sampling).
-    pub fn sample_window_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.sample_window_cycles = cycles;
-        self
-    }
-
-    /// Sets the RT-unit memory-scheduler issue rate (`0` = unlimited).
-    pub fn rt_mem_issue_per_cycle(mut self, lines: u32) -> Self {
-        self.cfg.rt_mem_issue_per_cycle = lines;
-        self
-    }
-
-    /// Sets the CUDA-core contention slots (`0` disables contention).
-    pub fn shader_slots_per_sm(mut self, slots: u32) -> Self {
-        self.cfg.shader_slots_per_sm = slots;
-        self
-    }
-
-    /// Arms the watchdog: abort with a typed cycle-budget error once the
-    /// clock would pass `cycles`. Rejected at [`GpuConfigBuilder::build`]
-    /// when `cycles == 0`.
-    pub fn max_cycles(mut self, cycles: u64) -> Self {
-        self.cfg.max_cycles = Some(cycles);
-        self
-    }
-
-    /// Sets when the invariant auditor runs.
-    pub fn audit(mut self, mode: AuditMode) -> Self {
-        self.cfg.audit = mode;
-        self
-    }
-
-    /// Sets the CTA scheduling jitter (`0` disables it) and its seed.
-    pub fn sched_jitter(mut self, cycles: u32, seed: u64) -> Self {
-        self.cfg.sched_jitter_cycles = cycles;
-        self.cfg.sched_jitter_seed = seed;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] describing the first inconsistent
-    /// setting (see [`GpuConfig::validate`]).
-    pub fn build(self) -> Result<GpuConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -726,64 +462,69 @@ mod tests {
         assert_eq!(TraversalPolicy::Predict(PredictParams::default()).label(), "predict");
     }
 
-    #[test]
-    fn predict_builder_rejects_degenerate_keys() {
-        assert_eq!(PredictParams::builder().build().unwrap(), PredictParams::default());
-        assert!(PredictParams::builder().table_entries(0).build().is_err());
-        assert!(PredictParams::builder().origin_bits(0).build().is_err());
-        assert!(PredictParams::builder().dir_bits(0).build().is_err());
-        let err = PredictParams::builder().origin_bits(12).dir_bits(10).build().unwrap_err();
-        assert!(err.to_string().contains("60-bit key budget"), "got: {err}");
-        // The GPU builder re-validates hand-rolled params.
-        let bogus = PredictParams { table_entries: 0, ..Default::default() };
-        assert!(GpuConfig::builder().policy(TraversalPolicy::Predict(bogus)).build().is_err());
-        let fine = PredictParams::default();
-        assert!(GpuConfig::builder().policy(TraversalPolicy::Predict(fine)).build().is_ok());
+    fn vtq(params: VtqParams) -> GpuConfig {
+        GpuConfig::default().with_policy(TraversalPolicy::Vtq(params))
+    }
+
+    fn predict(params: PredictParams) -> GpuConfig {
+        GpuConfig::default().with_policy(TraversalPolicy::Predict(params))
     }
 
     #[test]
-    fn builders_accept_the_presets() {
-        assert_eq!(GpuConfig::builder().build().unwrap(), GpuConfig::default());
-        assert_eq!(GpuConfig::builder().scale_model().build().unwrap(), GpuConfig::scale_model());
-        assert_eq!(VtqParams::builder().build().unwrap(), VtqParams::default());
-        let grouped = VtqParams::builder().queue_threshold(64).repack_threshold(0).build().unwrap();
-        assert_eq!(
-            grouped,
-            VtqParams { queue_threshold: 64, repack_threshold: 0, ..Default::default() }
-        );
+    fn predict_builder_rejects_degenerate_keys() {
+        assert_eq!(PredictParams::default().validate(), Ok(()));
+        assert!(PredictParams { table_entries: 0, ..Default::default() }.validate().is_err());
+        assert!(PredictParams { origin_bits: 0, ..Default::default() }.validate().is_err());
+        assert!(PredictParams { dir_bits: 0, ..Default::default() }.validate().is_err());
+        let wide = PredictParams { origin_bits: 12, dir_bits: 10, ..Default::default() };
+        let err = wide.validate().unwrap_err();
+        assert!(err.to_string().contains("60-bit key budget"), "got: {err}");
+        // The GPU configuration checks the parameters of its policy.
+        assert!(predict(PredictParams { table_entries: 0, ..Default::default() })
+            .validate()
+            .is_err());
+        assert_eq!(predict(PredictParams::default()).validate(), Ok(()));
     }
 
     #[test]
     fn gpu_builder_rejects_zero_warps_per_cta() {
-        let err = GpuConfig::builder().cta_size(0).build().unwrap_err();
+        assert_eq!(GpuConfig::default().validate(), Ok(()));
+        assert_eq!(GpuConfig::scale_model().validate(), Ok(()));
+        let err = GpuConfig { cta_size: 0, ..Default::default() }.validate().unwrap_err();
         assert!(err.to_string().contains("zero warps per CTA"), "got: {err}");
-        assert!(GpuConfig::builder().warp_size(0).build().is_err());
-        assert!(GpuConfig::builder().max_ctas_per_sm(0).build().is_err());
-        assert!(GpuConfig::builder().warp_buffer_slots(0).build().is_err());
-        assert!(GpuConfig::builder().num_sms(0).build().is_err());
-        assert!(GpuConfig::builder().l1_bytes(0).build().is_err());
+        assert!(GpuConfig { warp_size: 0, ..Default::default() }.validate().is_err());
+        assert!(GpuConfig { max_ctas_per_sm: 0, ..Default::default() }.validate().is_err());
+        assert!(GpuConfig { warp_buffer_slots: 0, ..Default::default() }.validate().is_err());
+        let mut cfg = GpuConfig::default();
+        cfg.mem.num_sms = 0;
+        assert!(cfg.validate().is_err());
+        let mut cfg = GpuConfig::default();
+        cfg.mem.l1.size_bytes = 0;
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
     fn vtq_builder_rejects_unreachable_thresholds() {
-        let err =
-            VtqParams::builder().max_virtual_rays(64).queue_threshold(128).build().unwrap_err();
+        assert_eq!(VtqParams::default().validate(), Ok(()));
+        let small = VtqParams { max_virtual_rays: 64, queue_threshold: 128, ..Default::default() };
+        let err = small.validate().unwrap_err();
         assert!(err.to_string().contains("exceeds the virtual-ray capacity"), "got: {err}");
-        assert!(VtqParams::builder().queue_threshold(0).build().is_err());
-        assert!(VtqParams::builder().max_virtual_rays(0).build().is_err());
-        assert!(VtqParams::builder().count_table_entries(0).build().is_err());
-        assert!(VtqParams::builder().queue_table_entries(0).build().is_err());
+        assert!(VtqParams { queue_threshold: 0, ..Default::default() }.validate().is_err());
+        assert!(VtqParams { max_virtual_rays: 0, ..Default::default() }.validate().is_err());
+        assert!(VtqParams { count_table_entries: 0, ..Default::default() }.validate().is_err());
+        assert!(VtqParams { queue_table_entries: 0, ..Default::default() }.validate().is_err());
     }
 
     #[test]
     fn watchdog_and_audit_settings_validate() {
-        let cfg = GpuConfig::builder().max_cycles(1_000).build().unwrap();
-        assert_eq!(cfg.max_cycles, Some(1_000));
-        let err = GpuConfig::builder().max_cycles(0).build().unwrap_err();
+        let budget = |cycles| GpuConfig { max_cycles: Some(cycles), ..Default::default() };
+        assert_eq!(budget(1_000).validate(), Ok(()));
+        let err = budget(0).validate().unwrap_err();
         assert!(err.to_string().contains("max_cycles"), "got: {err}");
-        let err = GpuConfig::builder().audit(AuditMode::Every(0)).build().unwrap_err();
+        let audit = |mode| GpuConfig { audit: mode, ..Default::default() };
+        let err = audit(AuditMode::Every(0)).validate().unwrap_err();
         assert!(err.to_string().contains("audit interval"), "got: {err}");
-        assert!(GpuConfig::builder().audit(AuditMode::Every(1)).build().is_ok());
+        assert_eq!(audit(AuditMode::Every(1)).validate(), Ok(()));
     }
 
     #[test]
@@ -798,26 +539,12 @@ mod tests {
     }
 
     #[test]
-    fn into_builder_round_trips_and_revalidates() {
-        let cfg = GpuConfig::builder().num_sms(4).build().unwrap();
-        let amended = cfg.into_builder().max_cycles(500).build().unwrap();
-        assert_eq!(amended.num_sms(), 4);
-        assert_eq!(amended.max_cycles, Some(500));
-        assert!(cfg.into_builder().max_cycles(0).build().is_err());
-    }
-
-    #[test]
     fn gpu_builder_cross_validates_vtq_params() {
         // A repack threshold wider than the warp would re-trigger forever.
-        let params = VtqParams::builder().repack_threshold(22).build().unwrap();
-        let err = GpuConfig::builder()
-            .warp_size(16)
-            .policy(TraversalPolicy::Vtq(params))
-            .build()
-            .unwrap_err();
+        let narrow = GpuConfig { warp_size: 16, ..vtq(VtqParams::default()) };
+        let err = narrow.validate().unwrap_err();
         assert!(err.to_string().contains("warp width"), "got: {err}");
-        // Hand-rolled (non-builder) VtqParams are re-validated too.
-        let bogus = VtqParams { queue_threshold: 0, ..Default::default() };
-        assert!(GpuConfig::builder().policy(TraversalPolicy::Vtq(bogus)).build().is_err());
+        assert!(vtq(VtqParams { queue_threshold: 0, ..Default::default() }).validate().is_err());
+        assert_eq!(vtq(VtqParams::default()).validate(), Ok(()));
     }
 }

@@ -64,8 +64,8 @@ mod stats;
 
 pub use checkpoint::{config_tag, Checkpoint, CHECKPOINT_VERSION};
 pub use config::{
-    AuditMode, ConfigError, GpuConfig, GpuConfigBuilder, PredictParams, PredictParamsBuilder,
-    TraversalPolicy, VtqParams, VtqParamsBuilder, DEFAULT_AUDIT_INTERVAL,
+    AuditMode, ConfigError, GpuConfig, PredictParams, TraversalPolicy, VtqParams,
+    DEFAULT_AUDIT_INTERVAL,
 };
 pub use energy::{EnergyBreakdown, EnergyModel};
 pub use error::{ForensicsSnapshot, InvariantViolation, SimError, SmSnapshot};

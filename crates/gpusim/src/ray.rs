@@ -311,11 +311,6 @@ impl RayTraversal {
         cost
     }
 
-    /// Depth of the pending-treelet stack (diagnostics).
-    pub fn treelet_stack_len(&self) -> usize {
-        self.treelet_stack.len()
-    }
-
     // -- checkpoint record ----------------------------------------------------
 
     /// This ray's share of its `ckpt_ray` line. Every `f32` travels as raw

@@ -209,11 +209,6 @@ impl HitCapture {
         self.records.iter().map(|t| t.len()).sum()
     }
 
-    /// Total calls that reported a hit.
-    pub fn total_hits(&self) -> usize {
-        self.records.iter().flatten().filter(|h| h.is_some()).count()
-    }
-
     /// Iterates `(task, call, record)` in workload order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, Option<PrimHit>)> + '_ {
         self.records
@@ -223,16 +218,15 @@ impl HitCapture {
     }
 }
 
-/// Per-run options for [`Simulator::try_run_with`]: the builder-style
-/// replacement for the old positional-`Option` signature.
+/// Per-run options for [`Simulator::try_run_with`]: what one run observes
+/// (a trace sink, periodic checkpoints) and where it starts (a checkpoint
+/// to resume).
 ///
-/// Every option is off by default except profiling spans (`prof`), which
-/// match the historical always-on behaviour. Options borrow from the
-/// caller for the duration of one run; chain the builder methods to
-/// enable what the run needs:
+/// Every option is off by default. Options borrow from the caller for the
+/// duration of one run; chain the methods to enable what the run needs:
 ///
 /// ```
-/// use gpusim::{CountingSink, GpuConfig, HitCapture, PathTask, RunOptions, Simulator, Workload};
+/// use gpusim::{Checkpoint, CountingSink, GpuConfig, PathTask, RunOptions, Simulator, Workload};
 /// use rtbvh::{Bvh, BvhConfig};
 /// use rtscene::lumibench::{self, SceneId};
 ///
@@ -247,39 +241,25 @@ impl HitCapture {
 /// };
 /// let sim = Simulator::new(&bvh, scene.triangles(), GpuConfig::default());
 /// let mut sink = CountingSink::default();
-/// let mut hits: Option<HitCapture> = None;
+/// let mut snapshots: Vec<Checkpoint> = Vec::new();
+/// let mut keep = |snapshot| snapshots.push(snapshot);
 /// let report = sim
-///     .try_run_with(&workload, RunOptions::new().trace(&mut sink).capture_hits(&mut hits))
+///     .try_run_with(&workload, RunOptions::new().trace(&mut sink).checkpoint(64, &mut keep))
 ///     .unwrap();
 /// assert!(report.stats.cycles > 0);
-/// assert!(hits.is_some());
+/// assert!(!snapshots.is_empty());
 /// ```
+#[derive(Default)]
 pub struct RunOptions<'r> {
     sink: Option<&'r mut dyn TraceSink>,
-    hits: Option<&'r mut Option<HitCapture>>,
     checkpoint: Option<(u64, &'r mut dyn FnMut(Checkpoint))>,
     resume: Option<&'r Checkpoint>,
-    audit: Option<crate::AuditMode>,
-    prof: bool,
-}
-
-impl Default for RunOptions<'_> {
-    fn default() -> Self {
-        RunOptions::new()
-    }
 }
 
 impl<'r> RunOptions<'r> {
-    /// Options with everything off except profiling spans.
+    /// Options with everything off.
     pub fn new() -> RunOptions<'r> {
-        RunOptions {
-            sink: None,
-            hits: None,
-            checkpoint: None,
-            resume: None,
-            audit: None,
-            prof: true,
-        }
+        RunOptions::default()
     }
 
     /// Streams structured [`TraceEvent`]s into `sink` as the kernel
@@ -287,13 +267,6 @@ impl<'r> RunOptions<'r> {
     /// cycle-identical to an untraced one.
     pub fn trace(mut self, sink: &'r mut dyn TraceSink) -> RunOptions<'r> {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Fills `slot` with the run's [`HitCapture`] — the functional-results
-    /// hook of the differential conformance harness.
-    pub fn capture_hits(mut self, slot: &'r mut Option<HitCapture>) -> RunOptions<'r> {
-        self.hits = Some(slot);
         self
     }
 
@@ -318,20 +291,6 @@ impl<'r> RunOptions<'r> {
     /// [`SimError::Checkpoint`].
     pub fn resume(mut self, snapshot: &'r Checkpoint) -> RunOptions<'r> {
         self.resume = Some(snapshot);
-        self
-    }
-
-    /// Overrides the invariant-audit cadence configured by
-    /// [`GpuConfig::audit`](crate::GpuConfig) for this run only.
-    pub fn audit(mut self, mode: crate::AuditMode) -> RunOptions<'r> {
-        self.audit = Some(mode);
-        self
-    }
-
-    /// Enables or disables `prof` span instrumentation for this run
-    /// (enabled by default).
-    pub fn prof(mut self, enabled: bool) -> RunOptions<'r> {
-        self.prof = enabled;
         self
     }
 }
@@ -363,19 +322,12 @@ pub struct Simulator<'a> {
     bvh: &'a Bvh,
     triangles: &'a [Triangle],
     config: GpuConfig,
-    energy: EnergyModel,
 }
 
 impl<'a> Simulator<'a> {
     /// Creates a simulator over a scene and its BVH.
     pub fn new(bvh: &'a Bvh, triangles: &'a [Triangle], config: GpuConfig) -> Simulator<'a> {
-        Simulator { bvh, triangles, config, energy: EnergyModel::default() }
-    }
-
-    /// Overrides the energy model.
-    pub fn with_energy_model(mut self, energy: EnergyModel) -> Simulator<'a> {
-        self.energy = energy;
-        self
+        Simulator { bvh, triangles, config }
     }
 
     /// The configuration under simulation.
@@ -401,10 +353,10 @@ impl<'a> Simulator<'a> {
     /// [`SimError::Deadlock`] / [`SimError::CycleBudget`] for watchdog
     /// trips, and [`SimError::Invariant`] when the auditor (see
     /// [`AuditMode`](crate::AuditMode)) catches a conservation-law
-    /// violation. Configuration validity is the builder's job —
-    /// [`GpuConfigBuilder::build`](crate::GpuConfigBuilder) rejections
-    /// convert into [`SimError::Config`] via `From`; a hand-assembled
-    /// [`GpuConfig`] is trusted as-is, matching the legacy contract.
+    /// violation, and [`SimError::Config`] for a configuration
+    /// [`GpuConfig::validate`] rejects: every run is checked in
+    /// [`Simulator::try_run_with`], before the engine exists, whoever
+    /// assembled the configuration.
     pub fn try_run(&self, workload: &Workload) -> Result<SimReport, SimError> {
         self.try_run_with(workload, RunOptions::new())
     }
@@ -422,9 +374,9 @@ impl<'a> Simulator<'a> {
         &self,
         workload: &Workload,
     ) -> Result<(SimReport, HitCapture), SimError> {
-        let mut capture = None;
-        let report = self.try_run_with(workload, RunOptions::new().capture_hits(&mut capture))?;
-        Ok((report, capture.expect("a completed run always fills the requested capture")))
+        let report = self.try_run(workload)?;
+        let capture = HitCapture::from_report(&report);
+        Ok((report, capture))
     }
 
     /// [`Simulator::try_run`] with structured-event tracing: streams
@@ -467,8 +419,9 @@ impl<'a> Simulator<'a> {
     }
 
     /// [`Simulator::try_run`] with explicit per-run [`RunOptions`]: trace
-    /// sink, hit capture, checkpointing, resume, audit override and prof
-    /// gating, all independently combinable in one run.
+    /// sink, checkpointing and resume, independently combinable in one
+    /// run. The one place a configuration enters the engine, so the one
+    /// place it is validated.
     ///
     /// # Errors
     ///
@@ -480,7 +433,8 @@ impl<'a> Simulator<'a> {
         workload: &'s Workload,
         options: RunOptions<'s>,
     ) -> Result<SimReport, SimError> {
-        let RunOptions { sink, hits, checkpoint, resume, audit, prof: prof_on } = options;
+        let RunOptions { sink, checkpoint, resume } = options;
+        self.config.validate()?;
         if workload.tasks.is_empty() {
             return Err(SimError::Workload("empty workload: no tasks to simulate".to_string()));
         }
@@ -488,14 +442,11 @@ impl<'a> Simulator<'a> {
         // assembly) and counters are bumped once per run. Inside the
         // cycle loop a profiled run reads the clock once per phase into
         // plain integers (`PhaseClock`); an unprofiled one reads none.
-        let prof_on = prof_on && prof::enabled();
+        let prof_on = prof::enabled();
         let _run = prof_on.then(|| prof::span("sim/run"));
         let mut engine = {
             let _setup = prof_on.then(|| prof::span("setup"));
             let mut engine = Engine::new(self.bvh, self.triangles, &self.config, workload, sink);
-            if let Some(mode) = audit {
-                engine.audit_every = mode.interval();
-            }
             if let Some(snapshot) = resume {
                 engine.restore(snapshot)?;
             }
@@ -520,17 +471,13 @@ impl<'a> Simulator<'a> {
                 prof::add(counter, lines);
             }
         }
-        let energy = self.energy.evaluate(&engine.obs.stats, engine.mem.stats());
-        let report = SimReport {
+        let energy = EnergyModel::default().evaluate(&engine.obs.stats, engine.mem.stats());
+        Ok(SimReport {
             stats: engine.obs.stats,
             mem: engine.mem.stats().clone(),
             energy,
             hits: engine.rays.hits,
-        };
-        if let Some(slot) = hits {
-            *slot = Some(HitCapture::from_report(&report));
-        }
-        Ok(report)
+        })
     }
 }
 
@@ -652,8 +599,8 @@ impl<'a> Engine<'a> {
             _ => None,
         };
         let num_sms = cfg.num_sms();
-        let queue_table_entries = vtq.map_or(1, |v| v.queue_table_entries as u32).max(1);
-        let predict_entries = predict.map_or(1, |p| p.table_entries as u32).max(1);
+        let queue_table_entries = vtq.map_or(1, |v| v.queue_table_entries as u32);
+        let predict_entries = predict.map_or(1, |p| p.table_entries as u32);
         Engine {
             bvh,
             triangles,

@@ -44,71 +44,116 @@ impl fmt::Display for TraversalMode {
     }
 }
 
-/// Counters accumulated by the simulator during one kernel.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimStats {
+/// Declares [`SimStats`]' counters once — name, type, and how two runs'
+/// values merge (`sum`, saturating; `sum_each`, the same per traversal
+/// mode; `max`, for capacity peaks) — and generates from that one table
+/// the struct fields, [`SimStats::merge`]'s counter half and the
+/// `ckpt_stats` checkpoint codec, all in table order.
+macro_rules! sim_counters {
+    (@merge sum $mine:expr, $theirs:expr) => { $mine = $mine.saturating_add($theirs) };
+    (@merge max $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@merge sum_each $mine:expr, $theirs:expr) => {
+        for (mine, theirs) in $mine.iter_mut().zip($theirs) {
+            *mine = mine.saturating_add(theirs);
+        }
+    };
+    (@put sum_each $record:expr, $key:expr, $value:expr) => { $record.list($key, $value) };
+    (@put $rule:ident $record:expr, $key:expr, $value:expr) => { $record.num($key, $value) };
+    (@get sum_each $fields:expr, $key:expr) => { $fields.array($key) };
+    (@get $rule:ident $fields:expr, $key:expr) => { $fields.num($key) };
+    ($($(#[$doc:meta])* $name:ident: $ty:ty, $rule:ident;)*) => {
+        /// Counters accumulated by the simulator during one kernel.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct SimStats {
+            $($(#[$doc])* pub $name: $ty,)*
+            /// Per-RT-unit stall attribution (one entry per SM). Invariant: each
+            /// entry's [`StallBreakdown::total`] equals [`SimStats::cycles`].
+            pub stall: Vec<StallBreakdown>,
+            /// Time series of fixed-width sampling windows
+            /// ([`crate::GpuConfig::sample_window_cycles`]); empty when sampling
+            /// is disabled.
+            pub series: Vec<SamplePoint>,
+        }
+
+        impl SimStats {
+            fn merge_counters(&mut self, other: &SimStats) {
+                $(sim_counters!(@merge $rule self.$name, other.$name);)*
+            }
+
+            /// The scalar counters as the fields of a `ckpt_stats` checkpoint
+            /// line (the per-unit stalls and the series have records of their
+            /// own, written by the observer).
+            pub(crate) fn counter_fields(&self, r: Record) -> Record {
+                $(let r = sim_counters!(@put $rule r, stringify!($name), self.$name);)*
+                r
+            }
+
+            /// Inverse of [`counter_fields`](Self::counter_fields); leaves
+            /// `stall` and `series` alone.
+            pub(crate) fn read_counters(&mut self, f: &Fields<'_>) -> Result<(), String> {
+                $(self.$name = sim_counters!(@get $rule f, stringify!($name))?;)*
+                Ok(())
+            }
+        }
+    };
+}
+
+sim_counters! {
     /// Total kernel cycles (launch to completion of all CTAs).
-    pub cycles: u64,
+    cycles: u64, max;
     /// Sum of active lanes over all RT-unit warp steps.
-    pub active_lane_steps: u64,
+    active_lane_steps: u64, sum;
     /// Sum of warp-width lane slots over all RT-unit warp steps
     /// (`warp_size` per step). SIMT efficiency = active / total.
-    pub total_lane_steps: u64,
+    total_lane_steps: u64, sum;
     /// RT-unit busy cycles attributed to each traversal mode.
-    pub mode_cycles: [u64; 3],
+    mode_cycles: [u64; 3], sum_each;
     /// Intersection tests (box + triangle) attributed to each mode.
-    pub mode_isect_tests: [u64; 3],
+    mode_isect_tests: [u64; 3], sum_each;
     /// Box (child AABB) tests performed.
-    pub box_tests: u64,
+    box_tests: u64, sum;
     /// Ray–triangle tests performed.
-    pub tri_tests: u64,
+    tri_tests: u64, sum;
     /// Warps issued to the RT unit (incoming trace calls).
-    pub warps_issued: u64,
+    warps_issued: u64, sum;
     /// Warp repack events (§4.5).
-    pub repack_events: u64,
+    repack_events: u64, sum;
     /// Rays inserted into warps by repacking.
-    pub repacked_rays: u64,
+    repacked_rays: u64, sum;
     /// Treelet-queue dispatches (a queue becoming the current treelet).
-    pub treelet_dispatches: u64,
+    treelet_dispatches: u64, sum;
     /// CTA suspensions (ray virtualization).
-    pub cta_suspends: u64,
+    cta_suspends: u64, sum;
     /// CTA resumes.
-    pub cta_resumes: u64,
+    cta_resumes: u64, sum;
     /// Bytes of CTA state saved + restored.
-    pub cta_state_bytes: u64,
+    cta_state_bytes: u64, sum;
     /// Peak rays simultaneously resident in any single RT unit.
-    pub peak_rays_in_flight: usize,
+    peak_rays_in_flight: usize, max;
     /// Treelet prefetches issued (TreeletPrefetch policy).
-    pub prefetches_issued: u64,
+    prefetches_issued: u64, sum;
     /// Prefetched lines that were later demanded (usefulness, §2.3).
-    pub prefetch_lines: u64,
+    prefetch_lines: u64, sum;
     /// Prefetched lines never demanded before eviction tracking ended.
-    pub prefetch_lines_used: u64,
+    prefetch_lines_used: u64, sum;
     /// Rays that completed traversal.
-    pub rays_completed: u64,
+    rays_completed: u64, sum;
     /// Longest probe chain observed in any RT unit's hardware treelet
     /// queue table (§4.2 reports a maximum of two).
-    pub queue_table_max_chain: u32,
+    queue_table_max_chain: u32, max;
     /// Peak live entries in any RT unit's queue table (§6.5 sizes it at
     /// 128 entries).
-    pub queue_table_peak_entries: u32,
+    queue_table_peak_entries: u32, max;
     /// Queue-table inserts that spilled to memory.
-    pub queue_table_overflows: u64,
+    queue_table_overflows: u64, sum;
     /// Ray-path prediction-table lookups (Predict policy).
-    pub predict_lookups: u64,
+    predict_lookups: u64, sum;
     /// Lookups that returned a predicted leaf.
-    pub predict_hits: u64,
+    predict_hits: u64, sum;
     /// Prediction-table training inserts.
-    pub predict_inserts: u64,
+    predict_inserts: u64, sum;
     /// Prediction entries evicted under capacity pressure.
-    pub predict_evictions: u64,
-    /// Per-RT-unit stall attribution (one entry per SM). Invariant: each
-    /// entry's [`StallBreakdown::total`] equals [`SimStats::cycles`].
-    pub stall: Vec<StallBreakdown>,
-    /// Time series of fixed-width sampling windows
-    /// ([`crate::GpuConfig::sample_window_cycles`]); empty when sampling
-    /// is disabled.
-    pub series: Vec<SamplePoint>,
+    predict_evictions: u64, sum;
 }
 
 impl SimStats {
@@ -184,37 +229,7 @@ impl SimStats {
     /// per-unit stalls merge index-wise and series windows merge by
     /// `start_cycle`.
     pub fn merge(&mut self, other: &SimStats) {
-        self.cycles = self.cycles.max(other.cycles);
-        self.peak_rays_in_flight = self.peak_rays_in_flight.max(other.peak_rays_in_flight);
-        self.queue_table_max_chain = self.queue_table_max_chain.max(other.queue_table_max_chain);
-        self.queue_table_peak_entries =
-            self.queue_table_peak_entries.max(other.queue_table_peak_entries);
-
-        let add = |a: &mut u64, b: u64| *a = a.saturating_add(b);
-        add(&mut self.active_lane_steps, other.active_lane_steps);
-        add(&mut self.total_lane_steps, other.total_lane_steps);
-        add(&mut self.box_tests, other.box_tests);
-        add(&mut self.tri_tests, other.tri_tests);
-        add(&mut self.warps_issued, other.warps_issued);
-        add(&mut self.repack_events, other.repack_events);
-        add(&mut self.repacked_rays, other.repacked_rays);
-        add(&mut self.treelet_dispatches, other.treelet_dispatches);
-        add(&mut self.cta_suspends, other.cta_suspends);
-        add(&mut self.cta_resumes, other.cta_resumes);
-        add(&mut self.cta_state_bytes, other.cta_state_bytes);
-        add(&mut self.prefetches_issued, other.prefetches_issued);
-        add(&mut self.prefetch_lines, other.prefetch_lines);
-        add(&mut self.prefetch_lines_used, other.prefetch_lines_used);
-        add(&mut self.rays_completed, other.rays_completed);
-        add(&mut self.queue_table_overflows, other.queue_table_overflows);
-        add(&mut self.predict_lookups, other.predict_lookups);
-        add(&mut self.predict_hits, other.predict_hits);
-        add(&mut self.predict_inserts, other.predict_inserts);
-        add(&mut self.predict_evictions, other.predict_evictions);
-        for i in 0..3 {
-            add(&mut self.mode_cycles[i], other.mode_cycles[i]);
-            add(&mut self.mode_isect_tests[i], other.mode_isect_tests[i]);
-        }
+        self.merge_counters(other);
 
         if self.stall.len() < other.stall.len() {
             self.stall.resize(other.stall.len(), StallBreakdown::default());
@@ -232,70 +247,6 @@ impl SimStats {
                 }
             }
         }
-    }
-
-    /// The scalar counters as the fields of a `ckpt_stats` checkpoint
-    /// line (the per-unit stalls and the series have records of their
-    /// own, written by the observer).
-    pub(crate) fn counter_fields(&self, r: Record) -> Record {
-        r.num("cycles", self.cycles)
-            .num("active_lane_steps", self.active_lane_steps)
-            .num("total_lane_steps", self.total_lane_steps)
-            .list("mode_cycles", self.mode_cycles)
-            .list("mode_isect_tests", self.mode_isect_tests)
-            .num("box_tests", self.box_tests)
-            .num("tri_tests", self.tri_tests)
-            .num("warps_issued", self.warps_issued)
-            .num("repack_events", self.repack_events)
-            .num("repacked_rays", self.repacked_rays)
-            .num("treelet_dispatches", self.treelet_dispatches)
-            .num("cta_suspends", self.cta_suspends)
-            .num("cta_resumes", self.cta_resumes)
-            .num("cta_state_bytes", self.cta_state_bytes)
-            .num("peak_rays_in_flight", self.peak_rays_in_flight)
-            .num("prefetches_issued", self.prefetches_issued)
-            .num("prefetch_lines", self.prefetch_lines)
-            .num("prefetch_lines_used", self.prefetch_lines_used)
-            .num("rays_completed", self.rays_completed)
-            .num("queue_table_max_chain", self.queue_table_max_chain)
-            .num("queue_table_peak_entries", self.queue_table_peak_entries)
-            .num("queue_table_overflows", self.queue_table_overflows)
-            .num("predict_lookups", self.predict_lookups)
-            .num("predict_hits", self.predict_hits)
-            .num("predict_inserts", self.predict_inserts)
-            .num("predict_evictions", self.predict_evictions)
-    }
-
-    /// Inverse of [`counter_fields`](Self::counter_fields); leaves
-    /// `stall` and `series` alone.
-    pub(crate) fn read_counters(&mut self, f: &Fields<'_>) -> Result<(), String> {
-        self.cycles = f.u64("cycles")?;
-        self.active_lane_steps = f.u64("active_lane_steps")?;
-        self.total_lane_steps = f.u64("total_lane_steps")?;
-        self.mode_cycles = f.array("mode_cycles")?;
-        self.mode_isect_tests = f.array("mode_isect_tests")?;
-        self.box_tests = f.u64("box_tests")?;
-        self.tri_tests = f.u64("tri_tests")?;
-        self.warps_issued = f.u64("warps_issued")?;
-        self.repack_events = f.u64("repack_events")?;
-        self.repacked_rays = f.u64("repacked_rays")?;
-        self.treelet_dispatches = f.u64("treelet_dispatches")?;
-        self.cta_suspends = f.u64("cta_suspends")?;
-        self.cta_resumes = f.u64("cta_resumes")?;
-        self.cta_state_bytes = f.u64("cta_state_bytes")?;
-        self.peak_rays_in_flight = f.num("peak_rays_in_flight")?;
-        self.prefetches_issued = f.u64("prefetches_issued")?;
-        self.prefetch_lines = f.u64("prefetch_lines")?;
-        self.prefetch_lines_used = f.u64("prefetch_lines_used")?;
-        self.rays_completed = f.u64("rays_completed")?;
-        self.queue_table_max_chain = f.num("queue_table_max_chain")?;
-        self.queue_table_peak_entries = f.num("queue_table_peak_entries")?;
-        self.queue_table_overflows = f.u64("queue_table_overflows")?;
-        self.predict_lookups = f.u64("predict_lookups")?;
-        self.predict_hits = f.u64("predict_hits")?;
-        self.predict_inserts = f.u64("predict_inserts")?;
-        self.predict_evictions = f.u64("predict_evictions")?;
-        Ok(())
     }
 
     /// Multi-line human-readable summary of the run.

@@ -148,6 +148,26 @@ fn empty_workload_is_a_typed_rejection() {
 }
 
 #[test]
+fn a_hand_assembled_inconsistent_config_is_a_typed_rejection() {
+    let (scene, bvh) = small_scene();
+    let workload = small_workload(&scene, 64);
+    let mut no_sms = GpuConfig::default();
+    no_sms.mem.num_sms = 0;
+    let no_lanes = GpuConfig { warp_size: 0, ..GpuConfig::default() };
+    let no_dispatch = GpuConfig::default()
+        .with_policy(TraversalPolicy::Vtq(VtqParams { queue_threshold: 0, ..Default::default() }));
+    for (cfg, what) in
+        [(no_sms, "num_sms"), (no_lanes, "warp_size"), (no_dispatch, "queue_threshold")]
+    {
+        let err = Simulator::new(&bvh, scene.triangles(), cfg)
+            .try_run(&workload)
+            .expect_err("an inconsistent configuration never reaches the cycle loop");
+        assert!(matches!(err, SimError::Config(_)), "{what}: got {err:?}");
+        assert!(err.to_string().contains(what), "{what}: got {err}");
+    }
+}
+
+#[test]
 fn scheduling_jitter_preserves_completion_and_hits() {
     let (scene, bvh) = small_scene();
     let workload = small_workload(&scene, 32);

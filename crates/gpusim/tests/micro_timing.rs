@@ -143,7 +143,13 @@ fn warp_and_cta_size_variants_are_functionally_identical() {
         cfg.cta_size = cta;
         for policy in [
             TraversalPolicy::Baseline,
-            TraversalPolicy::Vtq(gpusim::VtqParams { queue_threshold: 8, ..Default::default() }),
+            // A repack threshold wider than the warp is a rejected
+            // configuration.
+            TraversalPolicy::Vtq(gpusim::VtqParams {
+                queue_threshold: 8,
+                repack_threshold: warp.min(22),
+                ..Default::default()
+            }),
         ] {
             let r = Simulator::new(&bvh, scene.triangles(), cfg.with_policy(policy))
                 .try_run(&workload)

@@ -2,7 +2,7 @@
 //! switch is process-wide, so this lives apart from `observability.rs`
 //! (whose tests need it off) and does everything inside one `#[test]`.
 
-use gpusim::{GpuConfig, PathTask, RunOptions, Simulator, TraversalPolicy, VtqParams, Workload};
+use gpusim::{GpuConfig, PathTask, Simulator, TraversalPolicy, VtqParams, Workload};
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
 
@@ -27,17 +27,14 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     prof::reset();
     prof::enable();
     let profiled = sim.try_run(&workload).unwrap();
-    // A run that opts out records nothing, profiler on or not.
-    let opted_out = sim.try_run_with(&workload, RunOptions::new().prof(false)).unwrap();
     prof::disable();
     let snap = prof::snapshot();
     assert_eq!(profiled.stats, plain.stats, "timing the loop must not change it");
-    assert_eq!(opted_out.stats, plain.stats);
 
     let span = |path: &str| {
         snap.spans.iter().find(|s| s.path == path).unwrap_or_else(|| panic!("no `{path}` row"))
     };
-    assert_eq!(span("sim/run").count, 1, "only the profiled run recorded");
+    assert_eq!(span("sim/run").count, 1, "only the run under the profiler recorded");
     let cycles = span("sim/run/cycles");
     let phases = ["sched", "rt_units", "next_event", "observe"]
         .map(|name| span(&format!("sim/run/cycles/{name}")));

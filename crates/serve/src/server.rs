@@ -580,6 +580,13 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
         return reply(writer, &frame);
     }
     let cfg = spec_config(&spec);
+    // A submission is outside input: a configuration no cell could run
+    // (`res: 0`) is the client's error, refused before admission — not
+    // two panicked attempts and a quarantine entry.
+    if let Err(e) = cfg.validate() {
+        let frame = Frame::Rejected { reason: RejectReason::BadRequest, detail: e.to_string() };
+        return reply(writer, &frame);
+    }
     let cfg_fp = config_fingerprint(&cfg);
     // Provenance gate: a client pinned to a fingerprint (its own local
     // config) refuses to run against a skewed daemon — and vice versa.

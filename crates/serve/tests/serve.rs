@@ -224,6 +224,22 @@ fn fingerprint_mismatch_is_rejected_and_match_accepted() {
     let handle = Server::spawn(config(dir.clone())).expect("spawn");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
+    // A configuration no cell could run is the client's error: refused
+    // with a typed reject, nothing queued, nothing quarantined.
+    let unrunnable = SubmitSpec { res: Some(0), ..tiny_spec() };
+    match client.request(&Request::Submit(unrunnable)).expect("submit") {
+        Frame::Rejected { reason: RejectReason::BadRequest, detail } => {
+            assert!(detail.contains("resolution"), "detail names the field: {detail}")
+        }
+        other => panic!("expected bad_request, got {other:?}"),
+    }
+    match client.request(&Request::Status { job: None }).expect("summary") {
+        Frame::Summary { queued, running, finished, poisoned } => {
+            assert_eq!((queued, running, finished, poisoned), (0, 0, 0, 0))
+        }
+        other => panic!("expected summary, got {other:?}"),
+    }
+
     let mut spec = tiny_spec();
     spec.expect_fingerprint = Some(0xbad);
     match client.request(&Request::Submit(spec)).expect("submit") {
@@ -242,6 +258,8 @@ fn fingerprint_mismatch_is_rejected_and_match_accepted() {
         other => panic!("expected accept, got {other:?}"),
     }
     handle.shutdown().expect("shutdown");
+    let poison = std::fs::read_to_string(dir.join("poison.jsonl")).unwrap_or_default();
+    assert!(poison.is_empty(), "a bad request strikes no cell: {poison}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

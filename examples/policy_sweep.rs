@@ -24,7 +24,7 @@ fn main() {
     println!("{:<44} {:>10} {:>8} {:>8}", "configuration", "cycles", "speedup", "simt");
 
     let show = |label: &str, params: VtqParams| {
-        let r = p.run_vtq(params);
+        let r = p.run_policy(TraversalPolicy::Vtq(params));
         println!(
             "{:<44} {:>10} {:>7.2}x {:>8.3}",
             label,
@@ -34,24 +34,30 @@ fn main() {
         );
     };
 
-    // Each variant goes through the validating builder, so an
-    // inconsistent sweep point fails loudly instead of simulating junk.
-    let params = |b: VtqParamsBuilder| b.build().expect("valid sweep point");
+    // A sweep point is a struct literal; the simulator validates every
+    // configuration it is handed, so an inconsistent point fails loudly
+    // (`run_policy` panics with the reason) instead of simulating junk.
     show("full VTQ (defaults)", VtqParams::default());
-    show("no repacking", params(VtqParams::builder().repack_threshold(0)));
-    show("no preloading", params(VtqParams::builder().preload(false)));
+    show("no repacking", VtqParams { repack_threshold: 0, ..Default::default() });
+    show("no preloading", VtqParams { preload: false, ..Default::default() });
     show(
         "naive queues (no grouping, no repack)",
-        params(VtqParams::builder().group_underpopulated(false).repack_threshold(0)),
+        VtqParams { group_underpopulated: false, repack_threshold: 0, ..Default::default() },
     );
     show(
         "free virtualization (idealized)",
-        params(VtqParams::builder().charge_virtualization(false)),
+        VtqParams { charge_virtualization: false, ..Default::default() },
     );
-    for q in [32, 64, 128, 256] {
-        show(&format!("queue threshold {q}"), params(VtqParams::builder().queue_threshold(q)));
+    for queue_threshold in [32, 64, 128, 256] {
+        show(
+            &format!("queue threshold {queue_threshold}"),
+            VtqParams { queue_threshold, ..Default::default() },
+        );
     }
-    for t in [8, 16, 22, 24, 28] {
-        show(&format!("repack threshold {t}"), params(VtqParams::builder().repack_threshold(t)));
+    for repack_threshold in [8, 16, 22, 24, 28] {
+        show(
+            &format!("repack threshold {repack_threshold}"),
+            VtqParams { repack_threshold, ..Default::default() },
+        );
     }
 }

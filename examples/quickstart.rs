@@ -35,7 +35,7 @@ fn main() {
     );
 
     let base = prepared.run_policy(TraversalPolicy::Baseline);
-    let vtq = prepared.run_vtq(VtqParams::default());
+    let vtq = prepared.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
 
     println!("\n              {:>12} {:>12}", "baseline", "vtq");
     println!("cycles        {:>12} {:>12}", base.stats.cycles, vtq.stats.cycles);
@@ -63,7 +63,10 @@ fn main() {
     // structured summary. `vtq-bench --bin trace` exports the same data
     // as JSONL/CSV artifacts.
     let mut sink = RingSink::new(4096);
-    let traced = prepared.run_policy_traced(TraversalPolicy::Vtq(VtqParams::default()), &mut sink);
+    let traced = prepared
+        .simulator(TraversalPolicy::Vtq(VtqParams::default()))
+        .try_run_traced(&prepared.workload, &mut sink)
+        .expect("the traced run completes like the untraced one");
     assert_eq!(traced.stats.cycles, vtq.stats.cycles, "tracing must not change timing");
     println!("\n--- vtq run summary ---");
     println!("{}", traced.stats.report());

@@ -27,12 +27,12 @@ fn all_policies_agree_on_hit_results() {
     let reports = [
         p.run_policy(TraversalPolicy::Baseline),
         p.run_policy(TraversalPolicy::TreeletPrefetch),
-        p.run_vtq(VtqParams::default()),
-        p.run_vtq(VtqParams {
+        p.run_policy(TraversalPolicy::Vtq(VtqParams::default())),
+        p.run_policy(TraversalPolicy::Vtq(VtqParams {
             group_underpopulated: false,
             repack_threshold: 0,
             ..Default::default()
-        }),
+        })),
     ];
     for pair in reports.windows(2) {
         assert_eq!(pair[0].hits, pair[1].hits, "policies must be functionally identical");
@@ -50,7 +50,7 @@ fn vtq_beats_baseline_on_a_large_incoherent_scene() {
     cfg.gpu.mem.l2.size_bytes = 32 * 1024;
     let p = Prepared::build(SceneId::Lands, &cfg);
     let base = p.run_policy(TraversalPolicy::Baseline);
-    let vtq = p.run_vtq(VtqParams::default());
+    let vtq = p.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
     let speedup = base.stats.cycles as f64 / vtq.stats.cycles as f64;
     assert!(speedup > 1.1, "expected a clear VTQ win, got {speedup:.3}x");
     assert!(
@@ -67,12 +67,13 @@ fn grouping_beats_naive_queues() {
     cfg.resolution = 96;
     cfg.detail_divisor = 4;
     let p = Prepared::build(SceneId::Frst, &cfg);
-    let naive = p.run_vtq(VtqParams {
+    let naive = p.run_policy(TraversalPolicy::Vtq(VtqParams {
         group_underpopulated: false,
         repack_threshold: 0,
         ..Default::default()
-    });
-    let grouped = p.run_vtq(VtqParams { repack_threshold: 0, ..Default::default() });
+    }));
+    let grouped =
+        p.run_policy(TraversalPolicy::Vtq(VtqParams { repack_threshold: 0, ..Default::default() }));
     assert!(
         naive.stats.cycles > grouped.stats.cycles,
         "naive {} must be slower than grouped {}",
@@ -120,7 +121,7 @@ fn energy_savings_track_cycle_savings() {
     cfg.gpu.mem.l2.size_bytes = 32 * 1024;
     let p = Prepared::build(SceneId::Lands, &cfg);
     let base = p.run_policy(TraversalPolicy::Baseline);
-    let vtq = p.run_vtq(VtqParams::default());
+    let vtq = p.run_policy(TraversalPolicy::Vtq(VtqParams::default()));
     // VTQ finishes in fewer cycles; with the static-dominated energy model
     // (paper: savings are "primarily from the reduced cycles"), energy
     // must drop too.
