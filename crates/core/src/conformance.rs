@@ -38,7 +38,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gpusim::{HitCapture, PathTask, TraceCall, TraversalPolicy, Workload, TRACE_T_MIN};
+use gpusim::{HitCapture, PathTask, Simulator, TraceCall, TraversalPolicy, Workload, TRACE_T_MIN};
 use rtbvh::{Bvh, NodeFormat, PrimHit};
 use rtscene::lumibench::SceneId;
 use rtscene::Triangle;
@@ -373,7 +373,10 @@ pub fn run_differential(
         .collect();
 
     // Phase 2: scene × policy simulations with hit capture, compared
-    // against the cell's oracle inside the worker.
+    // against the cell's oracle inside the worker. The simulator walks the
+    // BVH under each policy itself, without the prepared tape: the matrix
+    // checks the simulator's own traversal, while the figures (and the
+    // goldens bound to them) replay the tape.
     let oracles_ref = &oracles;
     let verdicts = engine.run_map(&matrix, |cell, prepared| {
         let oracle = match &oracles_ref[&oracle_key(cell)] {
@@ -381,7 +384,9 @@ pub fn run_differential(
             Err(e) => return CellVerdict::Error(format!("oracle failed: {e}")),
         };
         let policy_label = cell.label.split('/').nth(1).unwrap_or("?").to_string();
-        match prepared.simulator(cell.policy).try_run_with_hits(&prepared.workload) {
+        let gpu = cell.config.gpu.with_policy(cell.policy);
+        let sim = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu);
+        match sim.try_run_with_hits(&prepared.workload) {
             Ok((_, capture)) => {
                 match compare_hits(cell.scene, &policy_label, &prepared.workload, oracle, &capture)
                 {

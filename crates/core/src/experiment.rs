@@ -1,9 +1,9 @@
 //! The paper's tables and figures as runnable experiments.
 //!
 //! [`Prepared`] bundles everything one scene needs (scene, BVH, workload,
-//! reference image). [`presets`] lists every labelled variant the
-//! evaluation simulates — a policy plus what it changes about the
-//! configuration; [`FIGURES`] declares each scene × preset table once, the
+//! reference image, and the workload's node-visit tape). [`presets`] lists
+//! every labelled variant the evaluation simulates — a policy plus what it
+//! changes about the configuration; [`FIGURES`] declares each scene × preset table once, the
 //! paper's figures and the extension experiments alike — its default
 //! scenes, its presets and its columns — and [`run_figures`] runs any set
 //! of them as one deduplicated sweep. The `vtq-bench` CLI prints the
@@ -19,7 +19,7 @@ use std::path::Path;
 use gpumem::{AccessKind, WindowPoint};
 use gpusim::export::{metrics_json, series_csv, stall_csv};
 use gpusim::{
-    ConfigError, GpuConfig, PredictParams, SimReport, SimStats, Simulator, TraversalMode,
+    ConfigError, GpuConfig, PredictParams, SimReport, SimStats, Simulator, Tape, TraversalMode,
     TraversalPolicy, VtqParams, Workload,
 };
 use rtbvh::{Bvh, BvhConfig, NodeFormat};
@@ -126,8 +126,8 @@ impl ExperimentConfig {
     }
 }
 
-/// A scene prepared for simulation: geometry, BVH, workload and the
-/// functional render.
+/// A scene prepared for simulation: geometry, BVH, workload, the
+/// functional render and the workload's tape.
 #[derive(Debug)]
 pub struct Prepared {
     /// Which LumiBench-like scene this is.
@@ -141,6 +141,9 @@ pub struct Prepared {
     pub workload: Workload,
     /// The CPU-rendered reference image.
     pub image: Image,
+    /// Every trace call's node-visit sequence on `bvh`, which every
+    /// simulation of `workload` replays instead of walking the BVH again.
+    pub tape: Tape,
     gpu: GpuConfig,
 }
 
@@ -163,14 +166,20 @@ impl Prepared {
             tracer.run(&scene, &bvh)
         };
         let workload = cfg.ray_order.apply(workload, &scene, &bvh);
-        Prepared { id, scene, bvh, workload, image, gpu: cfg.gpu }
+        let tape = {
+            let _tape = prof::span("tape");
+            Tape::record(&bvh, scene.triangles(), &workload)
+        };
+        Prepared { id, scene, bvh, workload, image, tape, gpu: cfg.gpu }
     }
 
     /// A simulator over this scene and workload's BVH under `policy`,
-    /// for callers that want more than [`Prepared::run_policy`]'s report:
-    /// typed errors, the hit capture, a trace sink.
+    /// replaying [`Prepared::tape`], for callers that want more than
+    /// [`Prepared::run_policy`]'s report: typed errors, the hit capture, a
+    /// trace sink.
     pub fn simulator(&self, policy: TraversalPolicy) -> Simulator<'_> {
         Simulator::new(&self.bvh, self.scene.triangles(), self.gpu.with_policy(policy))
+            .with_tape(&self.tape)
     }
 
     /// Simulates the workload under `policy`.

@@ -118,7 +118,9 @@ pub enum SimError {
     Invariant(InvariantViolation),
     /// The workload was rejected before simulation started.
     Workload(String),
-    /// The configuration failed [`GpuConfig::validate`](crate::GpuConfig).
+    /// The configuration failed [`GpuConfig::validate`](crate::GpuConfig),
+    /// or the run's [`Tape`](crate::Tape) was recorded for another
+    /// workload or BVH.
     Config(ConfigError),
     /// A checkpoint could not be restored: version/geometry validation
     /// failed or the snapshot is internally inconsistent with the target

@@ -21,6 +21,10 @@
 //! * **Statistics & energy** — SIMT efficiency, per-mode cycle and
 //!   intersection-test attribution, virtualization overheads and an
 //!   AccelWattch-style energy model ([`SimStats`], [`energy`]).
+//! * **Functional / timing split** — a [`Tape`] records each trace call's
+//!   node-visit sequence once per BVH and workload; a simulator given one
+//!   ([`Simulator::with_tape`]) replays it under every policy instead of
+//!   walking the BVH again ([`tape`]).
 //!
 //! # Example
 //!
@@ -61,6 +65,7 @@ mod rt_unit;
 mod sched;
 mod sim;
 mod stats;
+pub mod tape;
 
 pub use checkpoint::{config_tag, Checkpoint, CHECKPOINT_VERSION};
 pub use config::{
@@ -80,3 +85,4 @@ pub use sim::{
     HitCapture, PathTask, RunOptions, SimReport, Simulator, TraceCall, Workload, TRACE_T_MIN,
 };
 pub use stats::{SimStats, TraversalMode};
+pub use tape::{Cursor, Tape};

@@ -90,7 +90,15 @@ impl TreeletQueues {
         let mut out = Vec::new();
         let mut keys: Vec<(usize, TreeletId)> =
             self.queues.iter().map(|(t, q)| (q.len(), *t)).collect();
-        keys.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+        let order =
+            |a: &(usize, TreeletId), b: &(usize, TreeletId)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
+        // Every queue holds at least one ray, so only the first `n` queues
+        // in this order can contribute: select them, then sort just those.
+        if n < keys.len() {
+            keys.select_nth_unstable_by(n, order);
+            keys.truncate(n);
+        }
+        keys.sort_unstable_by(order);
         for (_, t) in keys {
             if out.len() >= n {
                 break;

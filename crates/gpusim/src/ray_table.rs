@@ -2,17 +2,22 @@
 //! state and which CTA / task / bounce / SM it belongs to — and the hit
 //! records finished rays leave behind. A ray's id is its index here.
 //!
+//! A ray either walks the BVH ([`RayTraversal`]) or, in a run with a
+//! [`Tape`], replays its call's recorded walk ([`Cursor`]); the table
+//! answers the engine's traversal questions for both alike. Runs that
+//! checkpoint never replay, so a checkpointed table holds only walks.
+//!
 //! (The pool of reclaimed stack arenas that fresh rays draw from is
 //! engine scratch, not state: a restored engine simply re-warms it.)
 
-use std::ops::{Index, IndexMut};
-
-use rtbvh::{Bvh, PrimHit};
+use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
+use rtscene::Triangle;
 
 use crate::checkpoint::index_of;
 use crate::jsonl::{Fields, Opt, Pair, Record};
-use crate::ray::{RayId, RayTraversal};
+use crate::ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
 use crate::sim::Workload;
+use crate::tape::{Cursor, Tape};
 
 /// Where a ray came from, and so where its completion is reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,27 +28,27 @@ pub(crate) struct RayMeta {
     pub(crate) sm: usize,
 }
 
+/// One ray's traversal: walked through the BVH, or replayed from the run's
+/// tape.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Walk {
+    Live(RayTraversal),
+    Replay(Cursor),
+}
+
+/// The tape a replayed ray reads; only a run with one issues them.
+fn replayed(tape: Option<&Tape>) -> &Tape {
+    tape.expect("only a run with a tape replays rays")
+}
+
 /// The ray table's state; see the [module docs](self). The live struct
 /// is the checkpointed struct.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct RayTable {
-    rays: Vec<RayTraversal>,
+    rays: Vec<Walk>,
     meta: Vec<RayMeta>,
     /// Closest hit per task per trace call, filled as rays complete.
     pub(crate) hits: Vec<Vec<Option<PrimHit>>>,
-}
-
-impl Index<RayId> for RayTable {
-    type Output = RayTraversal;
-    fn index(&self, id: RayId) -> &RayTraversal {
-        &self.rays[id.index()]
-    }
-}
-
-impl IndexMut<RayId> for RayTable {
-    fn index_mut(&mut self, id: RayId) -> &mut RayTraversal {
-        &mut self.rays[id.index()]
-    }
 }
 
 impl RayTable {
@@ -64,16 +69,81 @@ impl RayTable {
         self.rays.len()
     }
 
-    pub(crate) fn push(&mut self, ray: RayTraversal, meta: RayMeta) {
+    pub(crate) fn push(&mut self, ray: Walk, meta: RayMeta) {
         self.rays.push(ray);
         self.meta.push(meta);
     }
 
-    /// Records a finished ray's best hit and returns where it came from.
-    pub(crate) fn complete(&mut self, id: RayId) -> RayMeta {
+    // -- traversal ------------------------------------------------------------
+
+    /// [`RayTraversal::next_node`] / [`Cursor::next_node`].
+    pub(crate) fn next_node(
+        &mut self,
+        id: RayId,
+        bvh: &Bvh,
+        tape: Option<&Tape>,
+        restrict_to: Option<TreeletId>,
+    ) -> NextNode {
+        match &mut self.rays[id.index()] {
+            Walk::Live(ray) => ray.next_node(bvh, restrict_to),
+            Walk::Replay(cursor) => cursor.next_node(replayed(tape), restrict_to),
+        }
+    }
+
+    /// [`RayTraversal::pending_treelet`] / [`Cursor::pending_treelet`].
+    pub(crate) fn pending_treelet(
+        &mut self,
+        id: RayId,
+        bvh: &Bvh,
+        tape: Option<&Tape>,
+    ) -> Option<TreeletId> {
+        match &mut self.rays[id.index()] {
+            Walk::Live(ray) => ray.pending_treelet(bvh),
+            Walk::Replay(cursor) => cursor.pending_treelet(replayed(tape)),
+        }
+    }
+
+    /// [`RayTraversal::enter_treelet`]; nothing for a replayed ray, whose
+    /// tape already holds the walk the entry continues.
+    pub(crate) fn enter_treelet(&mut self, id: RayId, bvh: &Bvh, treelet: TreeletId) {
+        if let Walk::Live(ray) = &mut self.rays[id.index()] {
+            ray.enter_treelet(bvh, treelet);
+        }
+    }
+
+    /// [`RayTraversal::visit`] / [`Cursor::visit`].
+    pub(crate) fn visit(
+        &mut self,
+        id: RayId,
+        bvh: &Bvh,
+        triangles: &[Triangle],
+        tape: Option<&Tape>,
+        node: NodeId,
+    ) -> VisitCost {
+        match &mut self.rays[id.index()] {
+            Walk::Live(ray) => ray.visit(bvh, triangles, node),
+            Walk::Replay(cursor) => cursor.visit(replayed(tape), node),
+        }
+    }
+
+    /// Records a finished ray's best hit. Returns where the ray came from,
+    /// the leaf its hit came from, and a walked ray's stack storage for the
+    /// pool.
+    pub(crate) fn complete(
+        &mut self,
+        id: RayId,
+        tape: Option<&Tape>,
+    ) -> (RayMeta, Option<NodeId>, Option<StackArena>) {
         let meta = self.meta[id.index()];
-        self.hits[meta.task][meta.bounce] = self.rays[id.index()].best;
-        meta
+        let (best, best_node, arena) = match &mut self.rays[id.index()] {
+            Walk::Live(ray) => (ray.best, ray.best_node, Some(ray.reclaim())),
+            Walk::Replay(cursor) => {
+                let (best, best_node) = cursor.end(replayed(tape));
+                (best, best_node, None)
+            }
+        };
+        self.hits[meta.task][meta.bounce] = best;
+        (meta, best_node, arena)
     }
 
     // -- checkpoint records ---------------------------------------------------
@@ -82,6 +152,9 @@ impl RayTable {
     /// per task (hits as `t bits:prim` or `-`).
     pub(crate) fn write_jsonl(&self, emit: &mut dyn FnMut(Record)) {
         for (ray, m) in self.rays.iter().zip(&self.meta) {
+            let Walk::Live(ray) = ray else {
+                unreachable!("a run that checkpoints replays no tape")
+            };
             emit(
                 ray.fields(Record::new("ckpt_ray"))
                     .num("cta", m.cta)
@@ -104,7 +177,7 @@ impl RayTable {
             bounce: f.num("bounce")?,
             sm: index_of(f, "sm", num_sms)?,
         };
-        self.push(RayTraversal::read(f)?, meta);
+        self.push(Walk::Live(RayTraversal::read(f)?), meta);
         Ok(())
     }
 
@@ -148,7 +221,9 @@ impl RayTable {
             if m.cta >= ctas || m.bounce >= calls {
                 return Err(format!("ray {i} references an out-of-range cta, task or bounce"));
             }
-            ray.validate(bvh).map_err(|e| format!("ray {i}: {e}"))?;
+            if let Walk::Live(ray) = ray {
+                ray.validate(bvh).map_err(|e| format!("ray {i}: {e}"))?;
+            }
         }
         Ok(())
     }

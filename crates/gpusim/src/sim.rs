@@ -33,9 +33,10 @@ use crate::observe::{TraceEvent, TraceSink};
 use crate::observer::{Observer, StallClass};
 use crate::predict::predict_key;
 use crate::ray::{NextNode, RayId, RayTraversal, StackArena};
-use crate::ray_table::{RayMeta, RayTable};
+use crate::ray_table::{RayMeta, RayTable, Walk};
 use crate::rt_unit::{RtUnit, Warp};
 use crate::sched::{CtaScheduler, Phase};
+use crate::tape::Tape;
 use crate::{GpuConfig, PredictParams, SimStats, TraversalMode, TraversalPolicy, VtqParams};
 
 /// Byte address regions (disjoint so cache tags never alias across kinds).
@@ -322,12 +323,31 @@ pub struct Simulator<'a> {
     bvh: &'a Bvh,
     triangles: &'a [Triangle],
     config: GpuConfig,
+    tape: Option<&'a Tape>,
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator over a scene and its BVH.
+    /// Creates a simulator over a scene and its BVH. Every ray walks the
+    /// BVH; see [`Simulator::with_tape`] for replaying recorded walks.
     pub fn new(bvh: &'a Bvh, triangles: &'a [Triangle], config: GpuConfig) -> Simulator<'a> {
-        Simulator { bvh, triangles, config }
+        Simulator { bvh, triangles, config, tape: None }
+    }
+
+    /// Replays `tape` — the walks [`Tape::record`] recorded for the
+    /// workload this simulator will run, on this BVH — instead of walking
+    /// the BVH again: each issued ray reads its call's node visits, test
+    /// counts and hit off the tape. Every count, cycle and hit is the one
+    /// the walk would produce. Rays the ray-path predictor speculates for
+    /// still walk (speculation changes their visit order), and so does
+    /// every ray of a run that checkpoints or resumes, whose checkpoints
+    /// carry live traversal stacks.
+    ///
+    /// A run whose workload makes different calls per task, or whose BVH
+    /// has a different node count, than the tape was recorded for fails
+    /// with [`SimError::Config`] before the engine exists.
+    pub fn with_tape(mut self, tape: &'a Tape) -> Simulator<'a> {
+        self.tape = Some(tape);
+        self
     }
 
     /// The configuration under simulation.
@@ -438,6 +458,12 @@ impl<'a> Simulator<'a> {
         if workload.tasks.is_empty() {
             return Err(SimError::Workload("empty workload: no tasks to simulate".to_string()));
         }
+        if let Some(tape) = self.tape {
+            tape.check(self.bvh, workload)?;
+        }
+        // A checkpoint records every in-flight ray's stacks, so a run that
+        // writes or resumes one walks the BVH.
+        let tape = self.tape.filter(|_| checkpoint.is_none() && resume.is_none());
         // Profiling spans wrap whole phases (setup, cycle loop, report
         // assembly) and counters are bumped once per run. Inside the
         // cycle loop a profiled run reads the clock once per phase into
@@ -447,6 +473,7 @@ impl<'a> Simulator<'a> {
         let mut engine = {
             let _setup = prof_on.then(|| prof::span("setup"));
             let mut engine = Engine::new(self.bvh, self.triangles, &self.config, workload, sink);
+            engine.tape = tape;
             if let Some(snapshot) = resume {
                 engine.restore(snapshot)?;
             }
@@ -502,6 +529,8 @@ pub(crate) struct Engine<'a> {
     queue_table_entries: u32,
     predict_entries: u32,
     workload: &'a Workload,
+    /// The recorded walks rays replay; `None` walks every ray.
+    tape: Option<&'a Tape>,
     mem: MemorySystem,
     now: u64,
     sched: CtaScheduler,
@@ -514,6 +543,8 @@ pub(crate) struct Engine<'a> {
     /// Invariant-audit interval resolved from the config's `AuditMode`
     /// (`None` = auditing off for this build flavour).
     audit_every: Option<u64>,
+    /// Host time per loop phase; only a profiled run has one.
+    clock: Option<PhaseClock>,
     scratch: Scratch,
 }
 
@@ -541,12 +572,19 @@ struct Scratch {
 enum LoopPhase {
     /// `schedule` + `process_cta_phases`.
     Sched,
+    /// Stepping the RT units, less `Traverse` and `Mem`.
     RtUnits,
+    /// `step_warp`'s lane `next_node` + `visit` calls, or the tape reads
+    /// that replace them.
+    Traverse,
+    /// `step_warp`'s node fetches through `MemorySystem::access`.
+    Mem,
     NextEvent,
     Observe,
 }
 
-const LOOP_PHASE_NAMES: [&str; 4] = ["sched", "rt_units", "next_event", "observe"];
+const LOOP_PHASE_NAMES: [&str; 6] =
+    ["sched", "rt_units", "traverse", "mem", "next_event", "observe"];
 
 /// Host time the cycle loop spends in each [`LoopPhase`]: one clock read
 /// per phase, each lap charged to the phase that just ended, summed in
@@ -566,10 +604,16 @@ impl PhaseClock {
     /// Ends a lap; `None` discards it (audits and checkpoints are not
     /// the loop's own work).
     fn lap(&mut self, phase: Option<LoopPhase>) {
+        self.charge(phase, 1);
+    }
+
+    /// Charges the time since the last mark to `phase` and counts `laps`
+    /// of it.
+    fn charge(&mut self, phase: Option<LoopPhase>, laps: u64) {
         let now = Instant::now();
         if let Some(phase) = phase {
-            let (laps, ns) = &mut self.laps[phase as usize];
-            *laps += 1;
+            let (count, ns) = &mut self.laps[phase as usize];
+            *count += laps;
             *ns += now.duration_since(self.mark).as_nanos() as u64;
         }
         self.mark = now;
@@ -610,6 +654,7 @@ impl<'a> Engine<'a> {
             queue_table_entries,
             predict_entries,
             workload,
+            tape: None,
             mem: MemorySystem::new(&cfg.mem),
             now: 0,
             sched: CtaScheduler::new(cfg, workload),
@@ -620,6 +665,7 @@ impl<'a> Engine<'a> {
             obs: Observer::new(num_sms),
             sink,
             audit_every: cfg.audit.interval(),
+            clock: None,
             scratch: Scratch::default(),
         }
     }
@@ -636,24 +682,20 @@ impl<'a> Engine<'a> {
     fn run(
         &mut self,
         mut ckpt: Option<(u64, &mut dyn FnMut(Checkpoint))>,
-        mut clock: Option<PhaseClock>,
+        clock: Option<PhaseClock>,
     ) -> Result<(), SimError> {
         let mut next_ckpt_at =
             ckpt.as_ref().map_or(u64::MAX, |(every, _)| self.now.saturating_add(*every));
-        let mut lap = |phase: Option<LoopPhase>| {
-            if let Some(clock) = &mut clock {
-                clock.lap(phase);
-            }
-        };
+        self.clock = clock;
         loop {
             // Iterate to a fixed point at the current cycle.
             loop {
                 let mut progress = false;
                 progress |= self.schedule();
                 progress |= self.process_cta_phases();
-                lap(Some(LoopPhase::Sched));
+                self.lap(Some(LoopPhase::Sched));
                 progress |= self.step_rt_units();
-                lap(Some(LoopPhase::RtUnits));
+                self.lap(Some(LoopPhase::RtUnits));
                 if !progress {
                     break;
                 }
@@ -662,7 +704,7 @@ impl<'a> Engine<'a> {
                 break;
             }
             let next = self.next_event();
-            lap(Some(LoopPhase::NextEvent));
+            self.lap(Some(LoopPhase::NextEvent));
             match next {
                 Some(t) if t > self.now => {
                     // Watchdog: refuse to jump past the cycle budget.
@@ -675,19 +717,19 @@ impl<'a> Engine<'a> {
                         }
                     }
                     self.observe_interval(t);
-                    lap(Some(LoopPhase::Observe));
+                    self.lap(Some(LoopPhase::Observe));
                     self.now = t;
                     if let Some(every) = self.audit_every {
                         if self.now - self.obs.last_audit >= every {
                             self.obs.last_audit = self.now;
                             self.audit_invariants()?;
-                            lap(None);
+                            self.lap(None);
                         }
                     }
                     if self.now >= next_ckpt_at {
                         if let Some((every, on_checkpoint)) = ckpt.as_mut() {
                             on_checkpoint(self.capture());
-                            lap(None);
+                            self.lap(None);
                             let every = (*every).max(1);
                             while next_ckpt_at <= self.now {
                                 next_ckpt_at = next_ckpt_at.saturating_add(every);
@@ -718,10 +760,29 @@ impl<'a> Engine<'a> {
         if self.audit_every.is_some() {
             self.audit_invariants()?;
         }
-        if let Some(clock) = &clock {
+        if let Some(clock) = &self.clock {
             clock.report();
         }
         Ok(())
+    }
+
+    /// Ends a lap of a profiled run's [`PhaseClock`]; an unprofiled run
+    /// reads no clock.
+    #[inline]
+    fn lap(&mut self, phase: Option<LoopPhase>) {
+        if let Some(clock) = &mut self.clock {
+            clock.lap(phase);
+        }
+    }
+
+    /// Charges the time since the last lap to `phase` without ending one
+    /// of its laps: the `rt_units` time before a `traverse` or `mem`
+    /// section of `step_warp`.
+    #[inline]
+    fn split(&mut self, phase: LoopPhase) {
+        if let Some(clock) = &mut self.clock {
+            clock.charge(Some(phase), 0);
+        }
     }
 
     // -- checkpointing -------------------------------------------------------
@@ -1012,38 +1073,10 @@ impl<'a> Engine<'a> {
         let mut new_rays = std::mem::take(&mut self.scratch.new_rays);
         new_rays.clear();
         for t in first..first + count {
-            if let Some(call) = self.workload.tasks[t].rays.get(bounce) {
+            if bounce < self.workload.tasks[t].rays.len() {
                 let rid = RayId(self.rays.len() as u32);
-                // Recycle a reclaimed stack arena (allocation-free once the
-                // pool has warmed up).
-                let arena = self
-                    .scratch
-                    .arena_pool
-                    .pop()
-                    .unwrap_or_else(|| StackArena::with_capacity(16, 8));
-                let mut traversal =
-                    RayTraversal::new_in(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max, arena);
-                if call.anyhit {
-                    traversal.set_anyhit();
-                }
-                // Ray-path prediction: consult the per-unit table before
-                // traversal starts. Rays that miss the scene bounds skip the
-                // lookup (the RT unit rejects them before table access), so
-                // hit-rate stats only count rays that actually traverse.
-                if let Some(p) = self.predict {
-                    if !traversal.is_done() {
-                        let key = predict_key(
-                            &self.bvh.root_bounds(),
-                            &call.ray,
-                            p.origin_bits,
-                            p.dir_bits,
-                        );
-                        if let Some(leaf) = self.rt[sm].predict.lookup(key) {
-                            traversal.speculate(leaf);
-                        }
-                    }
-                }
-                self.rays.push(traversal, RayMeta { cta: id, task: t, bounce, sm });
+                let walk = self.start_walk(rid, t, bounce, sm);
+                self.rays.push(walk, RayMeta { cta: id, task: t, bounce, sm });
                 new_rays.push(rid);
             }
         }
@@ -1121,6 +1154,42 @@ impl<'a> Engine<'a> {
         self.scratch.new_rays = new_rays;
     }
 
+    /// The traversal of task `task`'s call `bounce`, issued as ray `rid` on
+    /// `sm`: a cursor into the tape when the run has one, unless the
+    /// prediction table speculates for the ray — a speculated leaf is
+    /// visited ahead of the root, which changes the walk, so those rays
+    /// walk the BVH.
+    fn start_walk(&mut self, rid: RayId, task: usize, bounce: usize, sm: usize) -> Walk {
+        let call = &self.workload.tasks[task].rays[bounce];
+        // Ray-path prediction: consult the per-unit table before traversal
+        // starts. Rays that miss the scene bounds skip the lookup (the RT
+        // unit rejects them before table access), so hit-rate stats only
+        // count rays that actually traverse.
+        let root = self.bvh.root_bounds();
+        let predicted = match self.predict {
+            Some(p) if root.intersect(&call.ray, TRACE_T_MIN, call.t_max).is_some() => {
+                let key = predict_key(&root, &call.ray, p.origin_bits, p.dir_bits);
+                self.rt[sm].predict.lookup(key)
+            }
+            _ => None,
+        };
+        if let (Some(tape), None) = (self.tape, predicted) {
+            return Walk::Replay(tape.cursor(task, bounce));
+        }
+        // Recycle a reclaimed stack arena (allocation-free once the pool
+        // has warmed up).
+        let arena =
+            self.scratch.arena_pool.pop().unwrap_or_else(|| StackArena::with_capacity(16, 8));
+        let mut ray = RayTraversal::new_in(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max, arena);
+        if call.anyhit {
+            ray.set_anyhit();
+        }
+        if let Some(leaf) = predicted {
+            ray.speculate(leaf);
+        }
+        Walk::Live(ray)
+    }
+
     /// Enqueues a ray for a treelet, mirroring the hardware queue table.
     fn enqueue(&mut self, sm: usize, t: TreeletId, rid: RayId) {
         self.rt[sm].queues.push(t, rid);
@@ -1139,21 +1208,23 @@ impl<'a> Engine<'a> {
 
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let RayMeta { cta: cta_id, task, bounce, sm } = self.rays.complete(rid);
+        let (RayMeta { cta: cta_id, task, bounce, sm }, best_node, arena) =
+            self.rays.complete(rid, self.tape);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
         // quantizing to the same cell.
         if let Some(p) = self.predict {
-            if let Some(leaf) = self.rays[rid].best_node {
+            if let Some(leaf) = best_node {
                 let call = &self.workload.tasks[task].rays[bounce];
                 let key =
                     predict_key(&self.bvh.root_bounds(), &call.ray, p.origin_bits, p.dir_bits);
                 self.rt[sm].predict.train(key, leaf, self.predict_entries);
             }
         }
-        // Recycle the finished ray's stack storage for future rays.
-        let arena = self.rays[rid].reclaim();
-        self.scratch.arena_pool.push(arena);
+        // Recycle a walked ray's stack storage for future rays.
+        if let Some(arena) = arena {
+            self.scratch.arena_pool.push(arena);
+        }
         self.obs.stats.rays_completed += 1;
         self.rt[sm].rays_in_flight -= 1;
         let cta = &mut self.sched.ctas[cta_id];
@@ -1275,7 +1346,7 @@ impl<'a> Engine<'a> {
             let mut lanes = Vec::with_capacity(grabbed.len());
             for (t, r) in grabbed {
                 self.dequeue_hw(sm, t, 1);
-                self.rays[r].enter_treelet(self.bvh, t);
+                self.rays.enter_treelet(r, self.bvh, t);
                 ready = ready.max(self.fetch_ray_record(sm, r));
                 lanes.push(Some(r));
             }
@@ -1313,7 +1384,7 @@ impl<'a> Engine<'a> {
         self.charge_queue_overflow(sm, vtq, rays.len());
         let mut ready = self.now;
         for r in &rays {
-            self.rays[*r].enter_treelet(self.bvh, t);
+            self.rays.enter_treelet(*r, self.bvh, t);
             ready = ready.max(self.fetch_ray_record(sm, *r));
         }
         let (now, n_rays) = (self.now, rays.len());
@@ -1333,7 +1404,7 @@ impl<'a> Engine<'a> {
                 let mut treelets = std::mem::take(&mut self.scratch.treelets);
                 treelets.clear();
                 for lane in warp.lanes.iter().flatten() {
-                    if let Some(t) = self.rays[*lane].pending_treelet(self.bvh) {
+                    if let Some(t) = self.rays.pending_treelet(*lane, self.bvh, self.tape) {
                         if !treelets.contains(&t) {
                             treelets.push(t);
                         }
@@ -1352,7 +1423,7 @@ impl<'a> Engine<'a> {
                         rays: n_rays,
                     });
                     for lane in lanes {
-                        match self.rays[lane].pending_treelet(self.bvh) {
+                        match self.rays.pending_treelet(lane, self.bvh, self.tape) {
                             Some(t) => self.enqueue(sm, t, lane),
                             None => self.complete_ray(lane, self.now),
                         }
@@ -1388,7 +1459,7 @@ impl<'a> Engine<'a> {
                         for lane in warp.lanes.iter_mut() {
                             if lane.is_none() {
                                 if let Some((t, r)) = it.next() {
-                                    self.rays[r].enter_treelet(self.bvh, t);
+                                    self.rays.enter_treelet(r, self.bvh, t);
                                     fetch_done = fetch_done.max(self.fetch_ray_record(sm, r));
                                     *lane = Some(r);
                                 }
@@ -1411,9 +1482,10 @@ impl<'a> Engine<'a> {
         visits.clear();
         let mut exits = std::mem::take(&mut self.scratch.exits);
         exits.clear();
+        self.split(LoopPhase::RtUnits);
         for (i, lane) in warp.lanes.iter_mut().enumerate() {
             let Some(rid) = *lane else { continue };
-            match self.rays[rid].next_node(self.bvh, warp.restrict) {
+            match self.rays.next_node(rid, self.bvh, self.tape, warp.restrict) {
                 NextNode::Visit(n) => visits.push((i, rid, n)),
                 NextNode::ExitTreelet(t) => {
                     exits.push((t, rid));
@@ -1425,6 +1497,7 @@ impl<'a> Engine<'a> {
                 }
             }
         }
+        self.lap(Some(LoopPhase::Traverse));
 
         for &(t, rid) in &exits {
             self.enqueue(sm, t, rid);
@@ -1459,6 +1532,7 @@ impl<'a> Engine<'a> {
 
         // Memory: fetch every distinct node record; warp advances when the
         // slowest lane's data arrives (lockstep).
+        self.split(LoopPhase::RtUnits);
         let mut completion = self.now;
         let mut fetched = std::mem::take(&mut self.scratch.fetched);
         fetched.clear();
@@ -1485,15 +1559,17 @@ impl<'a> Engine<'a> {
                 issue_at,
             ));
         }
+        self.lap(Some(LoopPhase::Mem));
 
         // Intersection (fixed-function) and stack updates.
         let mut tests = 0u64;
         for &(_, rid, n) in &visits {
-            let cost = self.rays[rid].visit(self.bvh, self.triangles, n);
+            let cost = self.rays.visit(rid, self.bvh, self.triangles, self.tape, n);
             self.obs.stats.box_tests += cost.box_tests as u64;
             self.obs.stats.tri_tests += cost.tri_tests as u64;
             tests += (cost.box_tests + cost.tri_tests) as u64;
         }
+        self.lap(Some(LoopPhase::Traverse));
         self.obs.stats.add_mode_isect(warp.mode, tests);
         self.scratch.visits = visits;
 
@@ -1624,7 +1700,7 @@ impl<'a> Engine<'a> {
         // Vote: most common pending treelet.
         let mut votes: Vec<(TreeletId, usize)> = Vec::new();
         for r in lanes {
-            if let Some(t) = self.rays[r].pending_treelet(self.bvh) {
+            if let Some(t) = self.rays.pending_treelet(r, self.bvh, self.tape) {
                 match votes.iter_mut().find(|(vt, _)| *vt == t) {
                     Some((_, n)) => *n += 1,
                     None => votes.push((t, 1)),

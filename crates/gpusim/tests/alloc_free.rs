@@ -8,7 +8,7 @@
 //! harness reporting its result) would allocate into a measured region.
 #![cfg(feature = "count-allocs")]
 
-use gpusim::{NextNode, RayId, RayTraversal, StackArena};
+use gpusim::{NextNode, PathTask, RayId, RayTraversal, StackArena, Tape, Workload};
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
 
@@ -18,6 +18,7 @@ static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
     traversal_with_a_pooled_arena();
+    replay_from_a_tape();
     warm_queue_table_push_pop();
     warm_memory_system_access();
 }
@@ -67,6 +68,52 @@ fn traversal_with_a_pooled_arena() {
         "steady-state traversal must not touch the heap ({} allocations)",
         after - before
     );
+}
+
+/// A replayed ray answers the engine's traversal questions off a [`Tape`]
+/// through a `Cursor`, as treelet-stationary warps ask them: restricted to
+/// one treelet until the walk leaves it, then to the next. Those reads
+/// replace `next_node` + `visit` on every lane step, so they must never
+/// touch the heap.
+fn replay_from_a_tape() {
+    let scene = lumibench::build_scaled(SceneId::Bunny, 32);
+    let bvh =
+        Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+    let primary = |i: u32| scene.camera().primary_ray(i % 8 * 6, i / 8 * 6, 48, 48, None);
+    let workload =
+        Workload { tasks: (0..64).map(|i| PathTask { rays: vec![primary(i).into()] }).collect() };
+    let tape = Tape::record(&bvh, scene.triangles(), &workload);
+
+    let replay_all = || -> (u32, u32, u32) {
+        let (mut tests, mut exits, mut hits) = (0, 0, 0);
+        for task in 0..workload.tasks.len() {
+            let mut cursor = tape.cursor(task, 0);
+            let mut restrict = cursor.pending_treelet(&tape);
+            loop {
+                match cursor.next_node(&tape, restrict) {
+                    NextNode::Visit(n) => {
+                        let cost = cursor.visit(&tape, n);
+                        tests += cost.box_tests + cost.tri_tests;
+                    }
+                    NextNode::ExitTreelet(t) => {
+                        exits += 1;
+                        restrict = Some(t);
+                    }
+                    NextNode::Done => break,
+                }
+            }
+            hits += u32::from(cursor.end(&tape).0.is_some());
+        }
+        (tests, exits, hits)
+    };
+
+    let warm = replay_all();
+    let before = prof::CountingAlloc::allocations();
+    let steady = replay_all();
+    let after = prof::CountingAlloc::allocations();
+    assert!(steady.0 > 0 && steady.1 > 0 && steady.2 > 0, "rays must test, cross treelets, hit");
+    assert_eq!(warm, steady, "both passes replay identically");
+    assert_eq!(after - before, 0, "replaying a tape must not touch the heap");
 }
 
 /// Every VTQ enqueue and dequeue is mirrored into the queue table, so its

@@ -36,9 +36,9 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     };
     assert_eq!(span("sim/run").count, 1, "only the run under the profiler recorded");
     let cycles = span("sim/run/cycles");
-    let phases = ["sched", "rt_units", "next_event", "observe"]
+    let phases = ["sched", "rt_units", "traverse", "mem", "next_event", "observe"]
         .map(|name| span(&format!("sim/run/cycles/{name}")));
-    let [sched, rt_units, next_event, observe] = phases;
+    let [sched, rt_units, traverse, mem, next_event, observe] = phases;
     // One `sched` and one `rt_units` lap per fixed-point iteration, one
     // `next_event` per quiescent point, one `observe` per clock advance
     // (the last quiescent point ends the run instead).
@@ -46,6 +46,10 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     assert!(sched.count > next_event.count);
     assert_eq!(next_event.count, observe.count);
     assert!(observe.count > 0 && observe.count <= plain.stats.cycles);
+    // `traverse` and `mem` are carved out of the RT units' time: a lap per
+    // lane gather, per node fetch and per intersection pass of a warp step.
+    assert!(traverse.count > mem.count && mem.count > 0);
+    assert!(traverse.total_ns > 0 && mem.total_ns > 0);
     // The laps tile the loop: together they are the loop, less the
     // bookkeeping between them.
     let lapped: u64 = phases.iter().map(|s| s.total_ns).sum();

@@ -191,4 +191,48 @@ proptest! {
         prop_assert!(table.live_entries() as u64 >= min_entries);
         prop_assert!(table.live_entries() as u64 <= total_rays);
     }
+
+    /// `TreeletQueues::pop_any` sorts only the queues it can draw from;
+    /// under any interleaving of pushes and pops it must take exactly the
+    /// rays, in exactly the order, that sorting every queue by (length
+    /// descending, treelet ascending) and draining them in turn takes.
+    #[test]
+    fn pop_any_takes_what_a_full_sort_would(
+        ops in prop::collection::vec((0u32..4, 0u32..40, 0usize..40), 1..120),
+    ) {
+        use std::collections::{BTreeMap, VecDeque};
+
+        use gpusim::queues::TreeletQueues;
+        use gpusim::RayId;
+        use rtbvh::TreeletId;
+
+        let mut queues = TreeletQueues::new();
+        let mut model: BTreeMap<u32, VecDeque<u32>> = BTreeMap::new();
+        let mut next_ray = 0u32;
+        for (op, treelet, n) in ops {
+            if op > 0 {
+                // Push `op` rays, so queue lengths spread and tie.
+                for _ in 0..op {
+                    queues.push(TreeletId(treelet), RayId(next_ray));
+                    model.entry(treelet).or_default().push_back(next_ray);
+                    next_ray += 1;
+                }
+                continue;
+            }
+            let mut keys: Vec<(usize, u32)> = model.iter().map(|(t, q)| (q.len(), *t)).collect();
+            keys.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+            let mut want = Vec::new();
+            for (_, t) in keys {
+                let queue = model.get_mut(&t).expect("keys come from the model");
+                while want.len() < n {
+                    let Some(ray) = queue.pop_front() else { break };
+                    want.push((TreeletId(t), RayId(ray)));
+                }
+            }
+            model.retain(|_, q| !q.is_empty());
+            prop_assert_eq!(queues.pop_any(n), want);
+            prop_assert_eq!(queues.queue_count(), model.len());
+            prop_assert_eq!(queues.total_rays(), model.values().map(VecDeque::len).sum::<usize>());
+        }
+    }
 }
