@@ -91,8 +91,8 @@ pub fn run(opts: &HarnessOpts, engine: &SweepEngine) -> u8 {
     }
 
     eprintln!(
-        "done. ({} scenes prepared, {} cells simulated)",
-        engine.cache().builds(),
+        "done. (prepared {}; {} cells simulated)",
+        engine.cache().misses(),
         run.cells().len()
     );
     if failed {

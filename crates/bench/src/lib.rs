@@ -427,21 +427,6 @@ impl HarnessOpts {
             }
         }
     }
-
-    /// Prepares one scene under this configuration (prints progress to
-    /// stderr so stdout stays a clean table).
-    pub fn prepare(&self, id: SceneId) -> Prepared {
-        if !vtq::sweep::quiet() {
-            eprintln!(
-                "[prepare] {id} (detail 1/{}, {}x{} @ {} bounces)",
-                self.config.detail_divisor,
-                self.config.resolution,
-                self.config.resolution,
-                self.config.max_bounces
-            );
-        }
-        Prepared::build(id, &self.config)
-    }
 }
 
 /// Reports a cell that produced no payload on stderr; `true` when that

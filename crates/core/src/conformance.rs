@@ -8,7 +8,7 @@
 //!
 //! 1. **Functional oracle** ([`oracle_run`]) — a timing-free executor of
 //!    the exact same [`Workload`]/`PathTask` stream the simulator replays,
-//!    using only [`rtbvh::Bvh::intersect`] / [`rtbvh::Bvh::occluded`] with
+//!    using only [`rtbvh::WideTree::intersect`] / [`rtbvh::WideTree::occluded`] with
 //!    the simulator's [`gpusim::TRACE_T_MIN`] epsilon.
 //! 2. **Differential runner** ([`run_differential`]) — for every scene ×
 //!    every preset (baseline, prefetch, VTQ and its grouping / repacking /

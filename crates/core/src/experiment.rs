@@ -15,6 +15,7 @@
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::Arc;
 
 use gpumem::{AccessKind, WindowPoint};
 use gpusim::export::{metrics_json, series_csv, stall_csv};
@@ -28,8 +29,8 @@ use rtscene::Scene;
 
 use crate::analytical;
 use crate::reorder::RayOrder;
-use crate::sweep::{Cell, CellError, CellResult, RunMatrix, SweepEngine};
-use crate::workload::{Image, PathTracer, MAX_SPP};
+use crate::sweep::{Cell, CellError, CellResult, PreparedCache, RunMatrix, SweepEngine};
+use crate::workload::{Image, MAX_SPP};
 
 /// Shared experiment parameters (defaults = the paper's §5 methodology).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -128,49 +129,37 @@ impl ExperimentConfig {
 
 /// A scene prepared for simulation: geometry, BVH, workload, the
 /// functional render and the workload's tape.
+///
+/// Each part is the shared product of one preparation stage (see
+/// [`PreparedCache`]), so cells whose configurations differ only in what
+/// a later stage reads hold the same scene, tree and workload.
 #[derive(Debug)]
 pub struct Prepared {
     /// Which LumiBench-like scene this is.
     pub id: SceneId,
     /// The scene.
-    pub scene: Scene,
-    /// Its BVH.
-    pub bvh: Bvh,
+    pub scene: Arc<Scene>,
+    /// Its BVH: the scene's wide tree laid out under the cell's node
+    /// format and treelet budget.
+    pub bvh: Arc<Bvh>,
     /// The path-tracing workload (one task per pixel sample, in
-    /// [`ExperimentConfig::ray_order`]).
-    pub workload: Workload,
+    /// [`ExperimentConfig::ray_order`]), traced on the wide tree `bvh`
+    /// was laid out from.
+    pub workload: Arc<Workload>,
     /// The CPU-rendered reference image.
-    pub image: Image,
+    pub image: Arc<Image>,
     /// Every trace call's node-visit sequence on `bvh`, which every
     /// simulation of `workload` replays instead of walking the BVH again.
-    pub tape: Tape,
-    gpu: GpuConfig,
+    pub tape: Arc<Tape>,
+    /// The machine the cell simulates; the policy is set per run.
+    pub(crate) gpu: GpuConfig,
 }
 
 impl Prepared {
-    /// Builds scene, BVH and workload for `id` under `cfg`.
+    /// Builds scene, BVH, workload and tape for `id` under `cfg`: every
+    /// stage of a fresh [`PreparedCache`] once.
     pub fn build(id: SceneId, cfg: &ExperimentConfig) -> Prepared {
-        let _prepare = prof::span("prepare");
-        prof::add(prof::Counter::PreparedBuilds, 1);
-        let scene = {
-            let _scene = prof::span("scene");
-            lumibench::build_scaled(id, cfg.detail_divisor)
-        };
-        let bvh = Bvh::build(scene.triangles(), &cfg.bvh);
-        let mut tracer = PathTracer::new(cfg.resolution, cfg.max_bounces).with_spp(cfg.spp);
-        if cfg.shadow_rays {
-            tracer = tracer.with_shadow_rays();
-        }
-        let (workload, image) = {
-            let _trace = prof::span("pathtrace");
-            tracer.run(&scene, &bvh)
-        };
-        let workload = cfg.ray_order.apply(workload, &scene, &bvh);
-        let tape = {
-            let _tape = prof::span("tape");
-            Tape::record(&bvh, scene.triangles(), &workload)
-        };
-        Prepared { id, scene, bvh, workload, image, tape, gpu: cfg.gpu }
+        PreparedCache::new().prepare(id, cfg)
     }
 
     /// A simulator over this scene and workload's BVH under `policy`,
@@ -285,9 +274,10 @@ pub fn free_virtualization_params() -> VtqParams {
     VtqParams { charge_virtualization: false, ..Default::default() }
 }
 
-/// The same experiment with the BVH rebuilt under quantized
-/// ([`rtbvh::QBvh4Node`]) interior nodes: a distinct prepared-scene cache
-/// key, so quantized cells coexist with wide cells in one sweep.
+/// The same experiment with the BVH laid out in quantized
+/// ([`rtbvh::QBvh4Node`]) interior nodes: another layout of the wide
+/// cells' tree, over their scene and workload, so quantized cells coexist
+/// with wide cells in one sweep.
 pub fn quantized_config(cfg: &ExperimentConfig) -> ExperimentConfig {
     let mut q = *cfg;
     q.bvh.node_format = NodeFormat::Quantized;
@@ -1379,6 +1369,7 @@ mod tests {
     use super::*;
     use crate::reorder;
     use crate::sweep::cell_key_fingerprint;
+    use crate::workload::PathTracer;
 
     fn quick_cfg() -> ExperimentConfig {
         let mut cfg = ExperimentConfig::quick();

@@ -29,8 +29,8 @@
 //!   functional oracle, cross-policy hit equivalence, and golden-figure
 //!   regression against checked-in snapshots,
 //! * [`sweep`] — the parallel sweep engine: declarative run matrices on a
-//!   work-stealing pool with prepared-scene caching and deterministic,
-//!   matrix-ordered results,
+//!   work-stealing pool with a staged prepared-scene cache and
+//!   deterministic, matrix-ordered results,
 //! * [`prof`] — host-side performance observability: a hierarchical
 //!   span profiler and counter registry (zero-cost when disabled) that
 //!   the sweep engine, simulator and BVH builder report into (`--prof`),
@@ -117,7 +117,7 @@ pub mod prelude {
     pub use crate::provenance::{provenance_line, PROVENANCE_RECORD};
     pub use crate::sweep::{
         cell_key_fingerprint, config_fingerprint, default_jobs, Cell, CellError, CellErrorKind,
-        CellResult, PreparedCache, Retried, RunMatrix, SweepEngine,
+        CellResult, PreparedCache, Retried, RunMatrix, StageCounts, SweepEngine,
     };
     pub use crate::workload::{Image, PathTracer};
     pub use ::prof;
@@ -128,7 +128,7 @@ pub mod prelude {
         StallBreakdown, StallKind, TraceEvent, TraceSink, TraversalMode, TraversalPolicy,
         VtqParams, Workload, DEFAULT_AUDIT_INTERVAL,
     };
-    pub use rtbvh::{Bvh, BvhConfig, NodeFormat};
+    pub use rtbvh::{Bvh, BvhConfig, NodeFormat, WideTree};
     pub use rtscene::lumibench::{self, SceneId};
     pub use rtscene::Scene;
 }

@@ -9,7 +9,7 @@
 //! *shuffle* that destroys coherence, for stress testing.
 
 use gpusim::Workload;
-use rtbvh::Bvh;
+use rtbvh::WideTree;
 use rtmath::{morton, XorShiftRng};
 use rtscene::Scene;
 
@@ -31,7 +31,7 @@ use rtscene::Scene;
 /// let sorted = reorder::sort_by_first_hit(&workload, &scene, &bvh);
 /// assert_eq!(sorted.tasks.len(), workload.tasks.len());
 /// ```
-pub fn sort_by_first_hit(workload: &Workload, scene: &Scene, bvh: &Bvh) -> Workload {
+pub fn sort_by_first_hit(workload: &Workload, scene: &Scene, bvh: &WideTree) -> Workload {
     let bounds = scene.stats().bounds;
     let tris = scene.triangles();
     let mut keyed: Vec<(u64, usize)> = workload
@@ -89,7 +89,7 @@ pub const SHUFFLE_SEED: u64 = 0x5EED;
 
 impl RayOrder {
     /// `workload` with its threads in this order.
-    pub fn apply(self, workload: Workload, scene: &Scene, bvh: &Bvh) -> Workload {
+    pub fn apply(self, workload: Workload, scene: &Scene, bvh: &WideTree) -> Workload {
         match self {
             RayOrder::Pixel => workload,
             RayOrder::FirstHitSorted => sort_by_first_hit(&workload, scene, bvh),
@@ -102,7 +102,7 @@ impl RayOrder {
 mod tests {
     use super::*;
     use crate::workload::PathTracer;
-    use rtbvh::BvhConfig;
+    use rtbvh::{Bvh, BvhConfig};
     use rtscene::lumibench::{self, SceneId};
 
     fn setup() -> (Scene, Bvh, Workload) {

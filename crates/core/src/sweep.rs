@@ -8,9 +8,10 @@
 //!
 //! * [`RunMatrix`] declares the cells (scene × [`TraversalPolicy`] ×
 //!   config overrides) of one experiment,
-//! * [`PreparedCache`] memoizes [`Prepared::build`] per
-//!   `(SceneId, config fingerprint)` so each scene is built **once per
-//!   process** no matter how many figures touch it,
+//! * [`PreparedCache`] memoizes the five stages of a [`Prepared`] scene
+//!   (scene, tree, workload, layout, tape), each keyed on only the
+//!   configuration fields it reads, so each is built **once per
+//!   process** no matter how many figures and presets touch it,
 //! * [`SweepEngine`] executes the matrix on a hand-rolled work-stealing
 //!   pool over [`std::thread::scope`] (no dependencies), sized by
 //!   [`std::thread::available_parallelism`] unless overridden.
@@ -50,12 +51,15 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use gpusim::{SimReport, TraversalPolicy};
-use rtscene::lumibench::SceneId;
+use gpusim::{SimReport, Tape, TraversalPolicy, Workload};
+use rtbvh::{Builder, Bvh, WideTree};
+use rtscene::lumibench::{self, SceneId};
+use rtscene::Scene;
 
 use crate::durable::{cancel_requested, CancelToken, CellDisposition, SweepJournal};
 use crate::experiment::{ExperimentConfig, Prepared};
 use crate::jsonl::Fnv1a;
+use crate::workload::{Image, PathTracer};
 
 /// Global progress-line switch set by `vtq-bench --quiet`: suppresses
 /// the stderr `[prepare]`-style chatter (useful under CI and when
@@ -72,10 +76,6 @@ pub fn quiet() -> bool {
     QUIET.load(Ordering::Relaxed)
 }
 
-/// A cached build slot: one lazily-initialized prepared scene that
-/// concurrent requesters block on instead of duplicating.
-type PreparedSlot = Arc<OnceLock<Arc<Prepared>>>;
-
 /// A boxed pool task (label shown in errors lives alongside it).
 type Task<'t, T> = Box<dyn FnOnce() -> T + Send + 't>;
 
@@ -83,20 +83,24 @@ type Task<'t, T> = Box<dyn FnOnce() -> T + Send + 't>;
 // Config fingerprinting & the prepared-scene cache
 // ---------------------------------------------------------------------------
 
-/// Fingerprints everything about an [`ExperimentConfig`] that affects
-/// [`Prepared::build`]: scene detail, resolution, bounces, BVH and GPU
-/// parameters. The traversal *policy* is deliberately normalized out —
-/// [`Prepared::run_policy`] overrides it per run, so cells that differ
-/// only in policy share one prepared scene.
+/// FNV-1a over the derived `Debug` rendering of `fields`: every field of
+/// the config tree is plain data whose `Debug` form holds every bit.
+fn fingerprint(fields: impl fmt::Debug) -> u64 {
+    let mut hash = Fnv1a::default();
+    hash.write(format!("{fields:?}").as_bytes());
+    hash.finish()
+}
+
+/// Fingerprints everything about an [`ExperimentConfig`] except the
+/// traversal *policy*: scene detail, resolution, bounces, BVH and GPU
+/// parameters. The policy is normalized out because
+/// [`Prepared::run_policy`] sets it per run. Journal keys and the
+/// `vtq-serve` result cache address cells by it; the [`PreparedCache`]
+/// keys each stage on only the fields that stage reads.
 pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
     let mut canonical = *cfg;
     canonical.gpu.policy = TraversalPolicy::Baseline;
-    // FNV-1a over the derived Debug rendering: every field of the config
-    // tree is plain data with a faithful Debug impl, and the fingerprint
-    // only has to be stable within one process.
-    let mut hash = Fnv1a::default();
-    hash.write(format!("{canonical:?}").as_bytes());
-    hash.finish()
+    fingerprint(canonical)
 }
 
 /// Fingerprints one [`Cell`] for journal keys: the config fingerprint
@@ -111,16 +115,98 @@ pub fn cell_key_fingerprint(cell: &Cell) -> u64 {
     hash.finish()
 }
 
-/// Memoizes [`Prepared::build`] per `(SceneId, config fingerprint)`.
+/// One memoized preparation stage: a build-once slot per key, and how
+/// many keys were built.
+#[derive(Debug)]
+struct Stage<V> {
+    slots: Mutex<HashMap<u64, Arc<OnceLock<V>>>>,
+    misses: AtomicUsize,
+}
+
+impl<V> Default for Stage<V> {
+    fn default() -> Stage<V> {
+        Stage { slots: Mutex::default(), misses: AtomicUsize::new(0) }
+    }
+}
+
+impl<V: Clone> Stage<V> {
+    /// The product for `key`, from `build` (profiled as `prepare/<name>`)
+    /// on first use. Concurrent requests for one key block on one build
+    /// instead of duplicating it; different keys build in parallel.
+    fn get(&self, key: u64, name: &str, build: impl FnOnce() -> V) -> V {
+        let slot = {
+            let mut slots = self.slots.lock().expect("prepared cache poisoned");
+            Arc::clone(slots.entry(key).or_default())
+        };
+        let build = || {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            prof::add(prof::Counter::PreparedBuilds, 1);
+            let _prepare = prof::span("prepare");
+            let _stage = prof::span(name);
+            build()
+        };
+        // A worker that blocks here on another worker's build is not
+        // using its core, so the build may fork onto it (`prof::par`).
+        prof::par::waiting(|| slot.get_or_init(|| prof::par::working(build))).clone()
+    }
+
+    fn misses(&self) -> usize {
+        self.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// How many products each preparation stage of a [`PreparedCache`] built:
+/// its misses (a hit builds nothing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StageCounts {
+    /// Scenes generated.
+    pub scenes: usize,
+    /// Wide trees built (binned SAH, then the 4-wide collapse).
+    pub trees: usize,
+    /// Workloads path-traced and put in ray order, with their images.
+    pub workloads: usize,
+    /// Layouts of a tree: node format, treelet partition, byte addresses.
+    pub layouts: usize,
+    /// Tapes recorded, one per layout × workload.
+    pub tapes: usize,
+}
+
+impl fmt::Display for StageCounts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let StageCounts { scenes, trees, workloads, layouts, tapes } = self;
+        write!(
+            f,
+            "{scenes} scenes, {trees} wide trees, {workloads} workloads, {layouts} layouts, \
+             {tapes} tapes"
+        )
+    }
+}
+
+/// Memoizes the five stages of a [`Prepared`] scene, each keyed on only
+/// the configuration fields it reads, folded with the keys of the stages
+/// it builds on:
 ///
-/// Concurrent requests for the same key block on one build (via
-/// [`OnceLock`]) instead of duplicating it; requests for different keys
-/// build in parallel. The cache holds [`Arc`]s, so entries stay alive for
-/// the whole process and later figures get them for free.
+/// 1. **scene** — `lumibench::build_scaled`;
+/// 2. **tree** — the binned-SAH BVH2 collapsed into a [`WideTree`];
+/// 3. **workload** — the path trace on that tree, in the cell's ray
+///    order, and its image;
+/// 4. **layout** — [`Bvh::lay_out`] of the tree under the cell's node
+///    format and treelet budget;
+/// 5. **tape** — [`Tape::record`] of the workload on the layout.
+///
+/// So a quantized or treelet-budget cell adds a layout and a tape to the
+/// scene, tree and workload the default cells built, and a cell that
+/// changes only GPU parameters builds nothing. The workload is traced on
+/// the tree, never on a layout, so which cell asks first cannot change
+/// it. Entries stay alive for the whole process, and later figures get
+/// them for free.
 #[derive(Debug, Default)]
 pub struct PreparedCache {
-    slots: Mutex<HashMap<(SceneId, u64), PreparedSlot>>,
-    builds: AtomicUsize,
+    scenes: Stage<Arc<Scene>>,
+    trees: Stage<Arc<WideTree>>,
+    workloads: Stage<(Arc<Workload>, Arc<Image>)>,
+    layouts: Stage<Arc<Bvh>>,
+    tapes: Stage<Arc<Tape>>,
 }
 
 impl PreparedCache {
@@ -129,43 +215,70 @@ impl PreparedCache {
         PreparedCache::default()
     }
 
-    /// Returns the prepared scene for `(id, cfg)`, building it on first
-    /// use. Prints a `[prepare]` progress line to stderr on an actual
-    /// build (never on a cache hit).
+    /// Returns the prepared scene for `(id, cfg)`, building the stages it
+    /// lacks. A workload it path-traces prints a `[prepare]` progress
+    /// line to stderr.
     pub fn get(&self, id: SceneId, cfg: &ExperimentConfig) -> Arc<Prepared> {
-        let key = (id, config_fingerprint(cfg));
-        let slot = {
-            let mut slots = self.slots.lock().expect("prepared cache poisoned");
-            Arc::clone(slots.entry(key).or_default())
-        };
-        // A worker that blocks here on another worker's build is not
-        // using its core, so the build may fork onto it (`prof::par`).
-        let build = || {
-            self.builds.fetch_add(1, Ordering::Relaxed);
+        Arc::new(self.prepare(id, cfg))
+    }
+
+    pub(crate) fn prepare(&self, id: SceneId, cfg: &ExperimentConfig) -> Prepared {
+        let b = &cfg.bvh;
+        let scene_key = fingerprint((id, cfg.detail_divisor));
+        let scene = self
+            .scenes
+            .get(scene_key, "scene", || Arc::new(lumibench::build_scaled(id, cfg.detail_divisor)));
+        let tree_key = fingerprint((
+            scene_key,
+            b.sah_bins,
+            b.max_leaf_prims,
+            b.max_leaf_prims_hard,
+            b.traversal_cost,
+        ));
+        let tree = self.trees.get(tree_key, "tree", || {
+            Arc::new(WideTree::build(scene.triangles(), b, Builder::BinnedSah))
+        });
+        // No layout field: every layout of a tree traces the same calls
+        // (`tests/prepare_stages.rs`).
+        let workload_key = fingerprint((
+            tree_key,
+            cfg.resolution,
+            cfg.max_bounces,
+            cfg.spp,
+            cfg.shadow_rays,
+            cfg.ray_order,
+        ));
+        let (workload, image) = self.workloads.get(workload_key, "workload", || {
             if !quiet() {
                 eprintln!(
                     "[prepare] {id} (detail 1/{}, {}x{} @ {} bounces)",
                     cfg.detail_divisor, cfg.resolution, cfg.resolution, cfg.max_bounces
                 );
             }
-            Arc::new(Prepared::build(id, cfg))
-        };
-        Arc::clone(prof::par::waiting(|| slot.get_or_init(|| prof::par::working(build))))
+            let mut tracer = PathTracer::new(cfg.resolution, cfg.max_bounces).with_spp(cfg.spp);
+            if cfg.shadow_rays {
+                tracer = tracer.with_shadow_rays();
+            }
+            let (workload, image) = tracer.run(&scene, &tree);
+            (Arc::new(cfg.ray_order.apply(workload, &scene, &tree)), Arc::new(image))
+        });
+        let layout_key = fingerprint((tree_key, b.node_format, b.treelet_bytes, b.layout));
+        let bvh = self.layouts.get(layout_key, "layout", || Arc::new(Bvh::lay_out(tree, b)));
+        let tape = self.tapes.get(fingerprint((layout_key, workload_key)), "tape", || {
+            Arc::new(Tape::record(&bvh, scene.triangles(), &workload))
+        });
+        Prepared { id, scene, bvh, workload, image, tape, gpu: cfg.gpu }
     }
 
-    /// How many scenes were actually built (cache misses).
-    pub fn builds(&self) -> usize {
-        self.builds.load(Ordering::Relaxed)
-    }
-
-    /// How many distinct `(scene, config)` keys the cache has seen.
-    pub fn len(&self) -> usize {
-        self.slots.lock().expect("prepared cache poisoned").len()
-    }
-
-    /// Whether the cache is untouched.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// How many products each stage built (its cache misses).
+    pub fn misses(&self) -> StageCounts {
+        StageCounts {
+            scenes: self.scenes.misses(),
+            trees: self.trees.misses(),
+            workloads: self.workloads.misses(),
+            layouts: self.layouts.misses(),
+            tapes: self.tapes.misses(),
+        }
     }
 }
 

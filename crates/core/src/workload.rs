@@ -11,7 +11,7 @@
 use std::ops::Range;
 
 use gpusim::{PathTask, TraceCall, Workload};
-use rtbvh::Bvh;
+use rtbvh::WideTree;
 use rtmath::{Vec3, XorShiftRng};
 use rtscene::{HitRecord, Scene};
 
@@ -152,14 +152,20 @@ impl PathTracer {
     /// Large images are traced on [`prof::par::threads`] threads by bands
     /// of rows. Every sample seeds its own RNG from `(seed, pixel,
     /// sample)` and bands are concatenated in row order, so the result
-    /// does not depend on the thread count.
-    pub fn run(&self, scene: &Scene, bvh: &Bvh) -> (Workload, Image) {
+    /// does not depend on the thread count. Traversal reads only the
+    /// tree; a [`rtbvh::Bvh`] dereferences to its own.
+    pub fn run(&self, scene: &Scene, bvh: &WideTree) -> (Workload, Image) {
         let tasks = (self.resolution * self.resolution * self.spp) as usize;
         self.run_on(prof::par::threads_for(tasks, PARALLEL_MIN_TASKS), scene, bvh)
     }
 
     /// [`PathTracer::run`] on exactly `threads` threads.
-    pub(crate) fn run_on(&self, threads: usize, scene: &Scene, bvh: &Bvh) -> (Workload, Image) {
+    pub(crate) fn run_on(
+        &self,
+        threads: usize,
+        scene: &Scene,
+        bvh: &WideTree,
+    ) -> (Workload, Image) {
         let res = self.resolution;
         // Emissive triangles, for next-event estimation.
         let lights: Vec<u32> = if self.shadow_rays {
@@ -193,7 +199,7 @@ impl PathTracer {
     fn trace_rows(
         &self,
         scene: &Scene,
-        bvh: &Bvh,
+        bvh: &WideTree,
         lights: &[u32],
         rows: Range<u32>,
     ) -> (Vec<PathTask>, Vec<Vec3>) {
@@ -286,7 +292,7 @@ impl PathTracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtbvh::BvhConfig;
+    use rtbvh::{Bvh, BvhConfig};
     use rtscene::lumibench::{self, SceneId};
 
     fn setup() -> (Scene, Bvh) {

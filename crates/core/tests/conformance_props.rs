@@ -88,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The simulator's occlusion (anyhit) answer must equal the oracle's
-    /// `Bvh::occluded` for every shadow ray, under every policy — the
+    /// `WideTree::occluded` for every shadow ray, under every policy — the
     /// terminating occluder may differ with visit order, but hit-vs-miss
     /// may not.
     #[test]

@@ -58,7 +58,9 @@ fn interrupted_sweep_resumes_into_the_clean_baseline() {
         .into_iter()
         .map(|r| r.expect("clean run completes"))
         .collect();
-    assert_eq!(baseline_engine.cache().builds(), 3);
+    let scenes_prepared =
+        |n| StageCounts { scenes: n, trees: n, workloads: n, layouts: n, tapes: n };
+    assert_eq!(baseline_engine.cache().misses(), scenes_prepared(3));
 
     // Interrupted run: cancel lands after the first cell settles, so the
     // remaining cells are journaled `interrupted` instead of executing.
@@ -69,7 +71,11 @@ fn interrupted_sweep_resumes_into_the_clean_baseline() {
     for cell in &partial[1..] {
         assert_eq!(cell.as_ref().err().map(|e| e.kind), Some(CellErrorKind::Interrupted));
     }
-    assert_eq!(engine.cache().builds(), 1, "only the completed cell prepared its scene");
+    assert_eq!(
+        engine.cache().misses(),
+        scenes_prepared(1),
+        "only the completed cell prepared its scene"
+    );
     reset_cancel();
 
     // Resume: the journaled-done cell is skipped (its scene is never even
@@ -80,7 +86,11 @@ fn interrupted_sweep_resumes_into_the_clean_baseline() {
     let engine = SweepEngine::new(1).with_journal(journal).scoped("durability");
     let resumed = run_cells(&engine, &scenes, &cfg, None);
     assert_eq!(resumed[0].as_ref().err().map(|e| e.kind), Some(CellErrorKind::Skipped));
-    assert_eq!(engine.cache().builds(), 2, "the skipped cell must not rebuild its scene");
+    assert_eq!(
+        engine.cache().misses(),
+        scenes_prepared(2),
+        "the skipped cell must not rebuild its scene"
+    );
     let merged: Vec<(u64, u64)> = std::iter::once(partial[0].clone())
         .chain(resumed[1..].iter().cloned())
         .map(|r| r.expect("merged cells are all settled"))
@@ -94,7 +104,7 @@ fn interrupted_sweep_resumes_into_the_clean_baseline() {
     for cell in run_cells(&engine, &scenes, &cfg, None) {
         assert_eq!(cell.err().map(|e| e.kind), Some(CellErrorKind::Skipped));
     }
-    assert_eq!(engine.cache().builds(), 0);
+    assert_eq!(engine.cache().misses(), StageCounts::default());
 
     fs::remove_dir_all(&dir).ok();
 }

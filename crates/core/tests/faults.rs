@@ -58,8 +58,10 @@ fn quick_campaign_is_clean_end_to_end() {
         }
     }
 
-    // The prepared scene was built exactly once: all 25 cells share it.
-    assert_eq!(engine.cache().builds(), 1);
+    // The prepared scene was built exactly once, every stage of it: all
+    // 25 cells share it.
+    let once = StageCounts { scenes: 1, trees: 1, workloads: 1, layouts: 1, tapes: 1 };
+    assert_eq!(engine.cache().misses(), once);
 
     // Determinism: the same campaign again yields identical outcomes.
     let again = run_campaign(&cfg, &engine);

@@ -6,7 +6,7 @@
 
 use gpusim::{
     NextNode, PathTask, PredictParams, SimError, SimReport, Simulator, Tape, TraceCall,
-    TraversalPolicy,
+    TraversalPolicy, Workload,
 };
 use rtmath::{Ray, Vec3};
 use rtscene::lumibench::SceneId;
@@ -89,7 +89,7 @@ fn a_tape_for_another_workload_or_bvh_is_refused_and_a_miss_replays_as_done() {
     // `Done`, with the walk's miss.
     let away = Ray::new(Vec3::new(1e6, 1e6, 1e6), Vec3::new(1.0, 0.0, 0.0));
     assert!(bunny.bvh.root_bounds().intersect(&away, 1e-3, f32::INFINITY).is_none());
-    let mut workload = bunny.workload.clone();
+    let mut workload = Workload::clone(&bunny.workload);
     workload.tasks.push(PathTask { rays: vec![TraceCall::closest(away)] });
     let tape = Tape::record(&bunny.bvh, bunny.scene.triangles(), &workload);
     let last = workload.tasks.len() - 1;

@@ -14,7 +14,7 @@
 //!   into the global registry whenever its stack unwinds to empty.
 //! * **Named counters** — [`add`] bumps one of a fixed set of
 //!   [`Counter`]s (rays traced, simulated cycles, cells completed, bytes
-//!   exported, `Prepared::build` calls, …). [`ProfSnapshot`] derives
+//!   exported, preparation stages built, …). [`ProfSnapshot`] derives
 //!   rates (rays/sec, cycles/sec, cells/sec) from the time profiling has
 //!   been enabled.
 //! * **Zero cost when disabled** — the same contract as the simulator's
@@ -81,9 +81,13 @@ pub enum Counter {
     CellsCompleted,
     /// Bytes of machine-readable artifacts written by the exporters.
     BytesExported,
-    /// `Prepared::build` calls — cache misses that rebuilt scene + BVH.
+    /// Preparation stages built: prepared-scene cache misses, summed over
+    /// the five stages (scene, tree, workload, layout, tape). The
+    /// `prepare/<stage>` spans count them stage by stage.
     PreparedBuilds,
-    /// BVH constructions (SAH build + collapse + treelet partition).
+    /// Wide trees built (binned SAH or LBVH, then the 4-wide collapse).
+    /// Laying a tree out — node format, treelets, addresses — is not a
+    /// build.
     BvhBuilds,
     /// Rays replayed through the timing-free conformance oracle.
     OracleRays,

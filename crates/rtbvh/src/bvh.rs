@@ -1,5 +1,7 @@
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
 
 use rtmath::{Aabb, Ray};
 use rtscene::Triangle;
@@ -9,7 +11,8 @@ use crate::treelet::{self, TreeletPartition};
 use crate::wide::{self, aabb4_intersect, Bvh4Node, WIDE_WIDTH};
 use crate::{build2, lbvh, BvhConfig, NodeAddr, NodeFormat, NodeId, TreeletId};
 
-/// Which construction algorithm [`Bvh::build_with`] uses.
+/// Which construction algorithm [`WideTree::build`] (and so
+/// [`Bvh::build_with`]) uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Builder {
     /// Binned surface-area-heuristic sweep (the default; what the paper's
@@ -110,57 +113,53 @@ impl fmt::Display for ValidateError {
 
 impl Error for ValidateError {}
 
-/// A built 4-wide BVH with treelet partition and byte-addressed layout.
+/// The tree half of a [`Bvh`]: a BVH2 collapsed into 4-wide nodes, before
+/// any memory layout. Traversal reads nothing more, so a path tracer
+/// traces on it directly; [`Bvh::lay_out`] adds the node format, the
+/// treelet partition and the byte addresses. The layouts of one scene
+/// (node formats, treelet budgets) are layouts of one tree.
 ///
-/// See the [crate docs](crate) for the construction pipeline. All accessors
-/// are cheap; the structure is immutable after [`Bvh::build`].
+/// A [`Bvh`] dereferences to its tree: under [`NodeFormat::Wide`] the
+/// tree it was laid out from, under [`NodeFormat::Quantized`] the same
+/// topology over the conservative decodes of its quantized records.
 ///
 /// # Example
 ///
 /// ```
-/// use rtbvh::{Bvh, BvhConfig};
-/// use rtmath::{Ray, Vec3};
+/// use rtbvh::{Builder, Bvh, BvhConfig, NodeFormat, WideTree};
 /// use rtscene::lumibench::{self, SceneId};
 ///
 /// let scene = lumibench::build_scaled(SceneId::Bunny, 64);
-/// let bvh = Bvh::build(scene.triangles(), &BvhConfig::default());
+/// let tree = WideTree::build(scene.triangles(), &BvhConfig::default(), Builder::BinnedSah);
 /// let ray = scene.camera().primary_ray(32, 32, 64, 64, None);
-/// let hit = bvh.intersect(scene.triangles(), &ray, 1e-3, f32::INFINITY);
+/// let hit = tree.intersect(scene.triangles(), &ray, 1e-3, f32::INFINITY);
 /// assert!(hit.is_some()); // the statue fills the view center
+///
+/// // Two layouts of the one tree.
+/// let tree = std::sync::Arc::new(tree);
+/// let wide = Bvh::lay_out(tree.clone(), &BvhConfig::default());
+/// let quantized = BvhConfig { node_format: NodeFormat::Quantized, ..Default::default() };
+/// let quantized = Bvh::lay_out(tree.clone(), &quantized);
+/// assert!(std::ptr::eq(wide.nodes(), tree.nodes()));
+/// assert!(quantized.total_bytes() < wide.total_bytes());
 /// ```
 #[derive(Debug, Clone)]
-pub struct Bvh {
+pub struct WideTree {
     nodes: Vec<Bvh4Node>,
-    /// Quantized records under [`NodeFormat::Quantized`] (empty otherwise);
-    /// `nodes` then holds their conservative decodes.
-    qnodes: Vec<QBvh4Node>,
     prim_indices: Vec<u32>,
-    addrs: Vec<NodeAddr>,
-    partition: TreeletPartition,
-    treelet_extents: Vec<(u64, u64)>,
     root: NodeId,
     root_bounds: Aabb,
-    config: BvhConfig,
-    total_bytes: u64,
 }
 
-impl Bvh {
-    /// Builds the BVH over `triangles`.
+impl WideTree {
+    /// Builds the tree over `triangles` with `builder`. Reads the SAH and
+    /// leaf fields of `config` — `sah_bins`, `max_leaf_prims`,
+    /// `max_leaf_prims_hard`, `traversal_cost` — and no other.
     ///
     /// # Panics
     ///
     /// Panics if `triangles` is empty.
-    pub fn build(triangles: &[Triangle], config: &BvhConfig) -> Bvh {
-        Bvh::build_with(triangles, config, Builder::BinnedSah)
-    }
-
-    /// Builds the BVH with an explicit construction algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `triangles` is empty.
-    pub fn build_with(triangles: &[Triangle], config: &BvhConfig, builder: Builder) -> Bvh {
-        let _build = prof::span("bvh/build");
+    pub fn build(triangles: &[Triangle], config: &BvhConfig, builder: Builder) -> WideTree {
         prof::add(prof::Counter::BvhBuilds, 1);
         let b2 = {
             let _sah = prof::span("binary");
@@ -173,55 +172,12 @@ impl Bvh {
             let _collapse = prof::span("collapse");
             wide::collapse(&b2)
         };
-        // Under the quantized format, encode the arena and make the
-        // *conservative decodes* the traversal nodes: every consumer
-        // (oracle, simulator, occlusion, refit) then sees bit-identical
-        // superset bounds, so the conformance contract holds by
-        // construction while the byte layout shrinks to the quantized
-        // record size.
-        let (nodes, qnodes) = match config.node_format {
-            NodeFormat::Wide => (nodes, Vec::new()),
-            NodeFormat::Quantized => {
-                let _quant = prof::span("quantize");
-                let qnodes = qnode::quantize(&nodes, root);
-                let decoded = qnodes.iter().map(QBvh4Node::decode).collect();
-                (decoded, qnodes)
-            }
-        };
-        let layout = config.effective_layout();
-        let partition = {
-            let _treelets = prof::span("treelets");
-            treelet::partition(&nodes, root, config.treelet_bytes, &layout)
-        };
+        WideTree::new(nodes, b2.prim_indices, root)
+    }
 
-        // Byte layout: treelet by treelet so each treelet is a contiguous
-        // range ("treelets can be packed together in memory", §6.5).
-        let mut addrs = vec![NodeAddr { offset: 0, size: 0 }; nodes.len()];
-        let mut treelet_extents = Vec::with_capacity(partition.len());
-        let mut offset = 0u64;
-        for t in partition.treelets() {
-            let start = offset;
-            for n in &t.nodes {
-                let size = nodes[n.index()].byte_size(&layout);
-                addrs[n.index()] = NodeAddr { offset, size };
-                offset += size as u64;
-            }
-            treelet_extents.push((start, offset));
-        }
-
+    fn new(nodes: Vec<Bvh4Node>, prim_indices: Vec<u32>, root: NodeId) -> WideTree {
         let root_bounds = nodes[root.index()].bounds();
-        Bvh {
-            nodes,
-            qnodes,
-            prim_indices: b2.prim_indices,
-            addrs,
-            partition,
-            treelet_extents,
-            root,
-            root_bounds,
-            config: *config,
-            total_bytes: offset,
-        }
+        WideTree { nodes, prim_indices, root, root_bounds }
     }
 
     /// Root node id.
@@ -244,7 +200,7 @@ impl Bvh {
         &self.nodes[id.index()]
     }
 
-    /// All nodes (index = `NodeId.0`). Under
+    /// All nodes (index = `NodeId.0`). In a BVH laid out under
     /// [`NodeFormat::Quantized`] these are the conservative decodes of
     /// [`Bvh::qnodes`].
     #[inline]
@@ -252,193 +208,10 @@ impl Bvh {
         &self.nodes
     }
 
-    /// The quantized node records; empty unless the BVH was built with
-    /// [`NodeFormat::Quantized`].
-    #[inline]
-    pub fn qnodes(&self) -> &[QBvh4Node] {
-        &self.qnodes
-    }
-
-    /// Byte placement of a node.
-    #[inline]
-    pub fn addr(&self, id: NodeId) -> NodeAddr {
-        self.addrs[id.index()]
-    }
-
-    /// Treelet containing a node.
-    #[inline]
-    pub fn treelet_of(&self, id: NodeId) -> TreeletId {
-        self.partition.treelet_of(id)
-    }
-
-    /// The treelet partition.
-    #[inline]
-    pub fn partition(&self) -> &TreeletPartition {
-        &self.partition
-    }
-
-    /// Byte range `[start, end)` of a treelet in the flat memory image.
-    #[inline]
-    pub fn treelet_extent(&self, id: TreeletId) -> (u64, u64) {
-        self.treelet_extents[id.index()]
-    }
-
     /// The primitive indices of a leaf range.
     #[inline]
     pub fn leaf_prims(&self, first: u32, count: u32) -> &[u32] {
         &self.prim_indices[first as usize..(first + count) as usize]
-    }
-
-    /// Total byte size of the BVH memory image.
-    #[inline]
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Build configuration this BVH was constructed with.
-    #[inline]
-    pub fn config(&self) -> &BvhConfig {
-        &self.config
-    }
-
-    /// Computes structural statistics.
-    pub fn stats(&self) -> BvhStats {
-        let leaf_count = self.nodes.iter().filter(|n| n.is_leaf()).count();
-        let mut max_depth = 0;
-        let mut stack = vec![(self.root, 1usize)];
-        while let Some((id, d)) = stack.pop() {
-            max_depth = max_depth.max(d);
-            for c in self.node(id).children() {
-                stack.push((c, d + 1));
-            }
-        }
-        let tl = self.partition.treelets();
-        BvhStats {
-            node_count: self.nodes.len(),
-            leaf_count,
-            max_depth,
-            total_bytes: self.total_bytes,
-            treelet_count: tl.len(),
-            mean_treelet_bytes: tl.iter().map(|t| t.bytes as f32).sum::<f32>()
-                / tl.len().max(1) as f32,
-        }
-    }
-
-    /// Refits all node bounds to updated triangle positions, keeping the
-    /// topology, treelet partition and byte layout unchanged — the standard
-    /// per-frame update for animated geometry (and how a game engine would
-    /// keep VTQ's treelet tables valid across frames without a rebuild).
-    ///
-    /// Quality degrades as geometry deforms away from the built topology;
-    /// rebuild when `sah_cost` drifts.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use rtbvh::{Bvh, BvhConfig};
-    /// use rtmath::Vec3;
-    /// use rtscene::lumibench::{self, SceneId};
-    ///
-    /// let scene = lumibench::build_scaled(SceneId::Bunny, 64);
-    /// let mut tris = scene.triangles().to_vec();
-    /// let mut bvh = Bvh::build(&tris, &BvhConfig::default());
-    /// // Move everything up by one unit and refit.
-    /// for t in &mut tris {
-    ///     let up = Vec3::new(0.0, 1.0, 0.0);
-    ///     *t = rtscene::Triangle::new(t.v0 + up, t.v1 + up, t.v2 + up, t.material);
-    /// }
-    /// bvh.refit(&tris);
-    /// assert!(bvh.validate(&tris).is_ok());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics if `triangles` has a different length than the build input.
-    pub fn refit(&mut self, triangles: &[Triangle]) {
-        assert_eq!(
-            triangles.len(),
-            self.prim_indices.len(),
-            "refit requires the same primitive count as the build"
-        );
-        // Children have larger arena indices than parents is NOT guaranteed
-        // by the collapse order, so refit by explicit post-order traversal.
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack = vec![(self.root, false)];
-        while let Some((id, expanded)) = stack.pop() {
-            if expanded {
-                order.push(id);
-                continue;
-            }
-            stack.push((id, true));
-            for c in self.node(id).children() {
-                stack.push((c, false));
-            }
-        }
-        for id in order {
-            let node = self.nodes[id.index()];
-            if node.is_leaf() {
-                let mut b = Aabb::EMPTY;
-                let range = node.first as usize..(node.first + node.count) as usize;
-                for &p in &self.prim_indices[range] {
-                    b = b.union(&triangles[p as usize].bounds());
-                }
-                self.nodes[id.index()].set_lane_bounds(0, b);
-            } else {
-                // Children were already refit (post-order): refresh each
-                // occupied lane's slab from its child's derived bounds.
-                let mut fresh = [Aabb::EMPTY; WIDE_WIDTH];
-                for (lane, slot) in fresh.iter_mut().enumerate() {
-                    if let Some(c) = node.lane_child(lane) {
-                        *slot = self.node(c).bounds();
-                    }
-                }
-                for (lane, b) in fresh.iter().enumerate() {
-                    if node.lane_child(lane).is_some() {
-                        self.nodes[id.index()].set_lane_bounds(lane, *b);
-                    }
-                }
-            }
-        }
-        // Re-quantize so the stored records track the moved geometry and
-        // the arena stays their conservative decode (topology, layout and
-        // treelets are untouched — only bounds changed).
-        if self.config.node_format == NodeFormat::Quantized {
-            self.qnodes = qnode::quantize(&self.nodes, self.root);
-            for (n, q) in self.nodes.iter_mut().zip(&self.qnodes) {
-                *n = q.decode();
-            }
-        }
-        self.root_bounds = self.nodes[self.root.index()].bounds();
-    }
-
-    /// Surface-area-heuristic cost of the tree: expected traversal work
-    /// for a random ray, Σ over nodes of (node area / root area) weighted
-    /// by the node's work (child box tests for interiors, triangle tests
-    /// for leaves). A standard build-quality metric — lower is better.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use rtbvh::{Builder, Bvh, BvhConfig};
-    /// use rtscene::lumibench::{self, SceneId};
-    ///
-    /// let scene = lumibench::build_scaled(SceneId::Crnvl, 32);
-    /// let sah = Bvh::build(scene.triangles(), &BvhConfig::default());
-    /// let lbvh = Bvh::build_with(scene.triangles(), &BvhConfig::default(), Builder::Lbvh);
-    /// assert!(sah.sah_cost() <= lbvh.sah_cost()); // SAH optimizes this metric
-    /// ```
-    pub fn sah_cost(&self) -> f64 {
-        let root_area = self.node(self.root).bounds().surface_area() as f64;
-        if root_area <= 0.0 {
-            return 0.0;
-        }
-        let mut cost = 0.0;
-        for n in &self.nodes {
-            let weight = n.bounds().surface_area() as f64 / root_area;
-            let work = if n.is_leaf() { n.count as f64 } else { n.child_count() as f64 };
-            cost += weight * work;
-        }
-        cost
     }
 
     /// Closest-hit traversal (CPU reference implementation).
@@ -456,7 +229,7 @@ impl Bvh {
         self.traverse(triangles, ray, t_min, t_max, |_| {})
     }
 
-    /// Like [`Bvh::intersect`], additionally invoking `visit` for every node
+    /// Like [`WideTree::intersect`], additionally invoking `visit` for every node
     /// whose record is fetched. Used to record per-ray node-access traces
     /// for the paper's §2.4 analytical model.
     pub fn traverse(
@@ -553,7 +326,318 @@ impl Bvh {
         }
         false
     }
+}
 
+/// A built 4-wide BVH with treelet partition and byte-addressed layout:
+/// a [`WideTree`] (which it dereferences to, for traversal) laid out in
+/// memory.
+///
+/// See the [crate docs](crate) for the construction pipeline. All accessors
+/// are cheap; the structure is immutable after [`Bvh::build`].
+///
+/// # Example
+///
+/// ```
+/// use rtbvh::{Bvh, BvhConfig};
+/// use rtmath::{Ray, Vec3};
+/// use rtscene::lumibench::{self, SceneId};
+///
+/// let scene = lumibench::build_scaled(SceneId::Bunny, 64);
+/// let bvh = Bvh::build(scene.triangles(), &BvhConfig::default());
+/// let ray = scene.camera().primary_ray(32, 32, 64, 64, None);
+/// let hit = bvh.intersect(scene.triangles(), &ray, 1e-3, f32::INFINITY);
+/// assert!(hit.is_some()); // the statue fills the view center
+/// ```
+#[derive(Debug, Clone)]
+pub struct Bvh {
+    /// The traversal nodes: the tree laid out under [`NodeFormat::Wide`],
+    /// the conservative decodes of `qnodes` under
+    /// [`NodeFormat::Quantized`].
+    tree: Arc<WideTree>,
+    /// Quantized records under [`NodeFormat::Quantized`] (empty otherwise).
+    qnodes: Vec<QBvh4Node>,
+    addrs: Vec<NodeAddr>,
+    partition: TreeletPartition,
+    treelet_extents: Vec<(u64, u64)>,
+    config: BvhConfig,
+    total_bytes: u64,
+}
+
+impl Deref for Bvh {
+    type Target = WideTree;
+
+    #[inline]
+    fn deref(&self) -> &WideTree {
+        &self.tree
+    }
+}
+
+impl Bvh {
+    /// Builds the BVH over `triangles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `triangles` is empty.
+    pub fn build(triangles: &[Triangle], config: &BvhConfig) -> Bvh {
+        Bvh::build_with(triangles, config, Builder::BinnedSah)
+    }
+
+    /// Builds the BVH with an explicit construction algorithm: the
+    /// [`WideTree`], then [`Bvh::lay_out`] over it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `triangles` is empty.
+    pub fn build_with(triangles: &[Triangle], config: &BvhConfig, builder: Builder) -> Bvh {
+        let _build = prof::span("bvh/build");
+        Bvh::lay_out(WideTree::build(triangles, config, builder), config)
+    }
+
+    /// Lays `tree` out in memory: the node format, the treelet partition
+    /// and every node's byte address. Reads `node_format`,
+    /// `treelet_bytes` and `layout` of `config`; the other fields are the
+    /// ones `tree` was built with. Under [`NodeFormat::Wide`] the BVH
+    /// shares the tree's nodes, so laying one tree out under several
+    /// treelet budgets copies no node.
+    pub fn lay_out(tree: impl Into<Arc<WideTree>>, config: &BvhConfig) -> Bvh {
+        let tree = tree.into();
+        // Under the quantized format, encode the arena and make the
+        // *conservative decodes* the traversal nodes: every consumer
+        // (oracle, simulator, occlusion, refit) then sees bit-identical
+        // superset bounds, so the conformance contract holds by
+        // construction while the byte layout shrinks to the quantized
+        // record size.
+        let (tree, qnodes) = match config.node_format {
+            NodeFormat::Wide => (tree, Vec::new()),
+            NodeFormat::Quantized => {
+                let _quant = prof::span("quantize");
+                let qnodes = qnode::quantize(&tree.nodes, tree.root);
+                let decoded = qnodes.iter().map(QBvh4Node::decode).collect();
+                let root = tree.root;
+                // The primitive order is the tree's: moved out of a tree
+                // nobody else holds, copied out of a shared one.
+                let prim_indices = Arc::try_unwrap(tree)
+                    .map_or_else(|shared| shared.prim_indices.clone(), |own| own.prim_indices);
+                (Arc::new(WideTree::new(decoded, prim_indices, root)), qnodes)
+            }
+        };
+        let nodes = &tree.nodes;
+        let layout = config.effective_layout();
+        let partition = {
+            let _treelets = prof::span("treelets");
+            treelet::partition(nodes, tree.root, config.treelet_bytes, &layout)
+        };
+
+        // Byte layout: treelet by treelet so each treelet is a contiguous
+        // range ("treelets can be packed together in memory", §6.5).
+        let mut addrs = vec![NodeAddr { offset: 0, size: 0 }; nodes.len()];
+        let mut treelet_extents = Vec::with_capacity(partition.len());
+        let mut offset = 0u64;
+        for t in partition.treelets() {
+            let start = offset;
+            for n in &t.nodes {
+                let size = nodes[n.index()].byte_size(&layout);
+                addrs[n.index()] = NodeAddr { offset, size };
+                offset += size as u64;
+            }
+            treelet_extents.push((start, offset));
+        }
+
+        Bvh {
+            tree,
+            qnodes,
+            addrs,
+            partition,
+            treelet_extents,
+            config: *config,
+            total_bytes: offset,
+        }
+    }
+
+    /// The quantized node records; empty unless the BVH was built with
+    /// [`NodeFormat::Quantized`].
+    #[inline]
+    pub fn qnodes(&self) -> &[QBvh4Node] {
+        &self.qnodes
+    }
+
+    /// Byte placement of a node.
+    #[inline]
+    pub fn addr(&self, id: NodeId) -> NodeAddr {
+        self.addrs[id.index()]
+    }
+
+    /// Treelet containing a node.
+    #[inline]
+    pub fn treelet_of(&self, id: NodeId) -> TreeletId {
+        self.partition.treelet_of(id)
+    }
+
+    /// The treelet partition.
+    #[inline]
+    pub fn partition(&self) -> &TreeletPartition {
+        &self.partition
+    }
+
+    /// Byte range `[start, end)` of a treelet in the flat memory image.
+    #[inline]
+    pub fn treelet_extent(&self, id: TreeletId) -> (u64, u64) {
+        self.treelet_extents[id.index()]
+    }
+
+    /// Total byte size of the BVH memory image.
+    #[inline]
+    pub fn total_bytes(&self) -> u64 {
+        self.total_bytes
+    }
+
+    /// Build configuration this BVH was constructed with.
+    #[inline]
+    pub fn config(&self) -> &BvhConfig {
+        &self.config
+    }
+
+    /// Computes structural statistics.
+    pub fn stats(&self) -> BvhStats {
+        let leaf_count = self.nodes.iter().filter(|n| n.is_leaf()).count();
+        let mut max_depth = 0;
+        let mut stack = vec![(self.root, 1usize)];
+        while let Some((id, d)) = stack.pop() {
+            max_depth = max_depth.max(d);
+            for c in self.node(id).children() {
+                stack.push((c, d + 1));
+            }
+        }
+        let tl = self.partition.treelets();
+        BvhStats {
+            node_count: self.nodes.len(),
+            leaf_count,
+            max_depth,
+            total_bytes: self.total_bytes,
+            treelet_count: tl.len(),
+            mean_treelet_bytes: tl.iter().map(|t| t.bytes as f32).sum::<f32>()
+                / tl.len().max(1) as f32,
+        }
+    }
+
+    /// Refits all node bounds to updated triangle positions, keeping the
+    /// topology, treelet partition and byte layout unchanged — the standard
+    /// per-frame update for animated geometry (and how a game engine would
+    /// keep VTQ's treelet tables valid across frames without a rebuild).
+    ///
+    /// Quality degrades as geometry deforms away from the built topology;
+    /// rebuild when `sah_cost` drifts.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rtbvh::{Bvh, BvhConfig};
+    /// use rtmath::Vec3;
+    /// use rtscene::lumibench::{self, SceneId};
+    ///
+    /// let scene = lumibench::build_scaled(SceneId::Bunny, 64);
+    /// let mut tris = scene.triangles().to_vec();
+    /// let mut bvh = Bvh::build(&tris, &BvhConfig::default());
+    /// // Move everything up by one unit and refit.
+    /// for t in &mut tris {
+    ///     let up = Vec3::new(0.0, 1.0, 0.0);
+    ///     *t = rtscene::Triangle::new(t.v0 + up, t.v1 + up, t.v2 + up, t.material);
+    /// }
+    /// bvh.refit(&tris);
+    /// assert!(bvh.validate(&tris).is_ok());
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `triangles` has a different length than the build input.
+    pub fn refit(&mut self, triangles: &[Triangle]) {
+        assert_eq!(
+            triangles.len(),
+            self.prim_indices.len(),
+            "refit requires the same primitive count as the build"
+        );
+        // Children have larger arena indices than parents is NOT guaranteed
+        // by the collapse order, so refit by explicit post-order traversal.
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack = vec![(self.root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if expanded {
+                order.push(id);
+                continue;
+            }
+            stack.push((id, true));
+            for c in self.node(id).children() {
+                stack.push((c, false));
+            }
+        }
+        // A tree other BVHs share (other layouts of it) is copied first.
+        let tree = Arc::make_mut(&mut self.tree);
+        for id in order {
+            let node = tree.nodes[id.index()];
+            if node.is_leaf() {
+                let mut b = Aabb::EMPTY;
+                let range = node.first as usize..(node.first + node.count) as usize;
+                for &p in &tree.prim_indices[range] {
+                    b = b.union(&triangles[p as usize].bounds());
+                }
+                tree.nodes[id.index()].set_lane_bounds(0, b);
+            } else {
+                // Children were already refit (post-order): refresh each
+                // occupied lane's slab from its child's derived bounds.
+                let mut fresh = [Aabb::EMPTY; WIDE_WIDTH];
+                for (lane, slot) in fresh.iter_mut().enumerate() {
+                    if let Some(c) = node.lane_child(lane) {
+                        *slot = tree.node(c).bounds();
+                    }
+                }
+                for (lane, b) in fresh.iter().enumerate() {
+                    if node.lane_child(lane).is_some() {
+                        tree.nodes[id.index()].set_lane_bounds(lane, *b);
+                    }
+                }
+            }
+        }
+        // Re-quantize so the stored records track the moved geometry and
+        // the arena stays their conservative decode (topology, layout and
+        // treelets are untouched — only bounds changed).
+        if self.config.node_format == NodeFormat::Quantized {
+            self.qnodes = qnode::quantize(&tree.nodes, tree.root);
+            for (n, q) in tree.nodes.iter_mut().zip(&self.qnodes) {
+                *n = q.decode();
+            }
+        }
+        tree.root_bounds = tree.nodes[tree.root.index()].bounds();
+    }
+
+    /// Surface-area-heuristic cost of the tree: expected traversal work
+    /// for a random ray, Σ over nodes of (node area / root area) weighted
+    /// by the node's work (child box tests for interiors, triangle tests
+    /// for leaves). A standard build-quality metric — lower is better.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use rtbvh::{Builder, Bvh, BvhConfig};
+    /// use rtscene::lumibench::{self, SceneId};
+    ///
+    /// let scene = lumibench::build_scaled(SceneId::Crnvl, 32);
+    /// let sah = Bvh::build(scene.triangles(), &BvhConfig::default());
+    /// let lbvh = Bvh::build_with(scene.triangles(), &BvhConfig::default(), Builder::Lbvh);
+    /// assert!(sah.sah_cost() <= lbvh.sah_cost()); // SAH optimizes this metric
+    /// ```
+    pub fn sah_cost(&self) -> f64 {
+        let root_area = self.node(self.root).bounds().surface_area() as f64;
+        if root_area <= 0.0 {
+            return 0.0;
+        }
+        let mut cost = 0.0;
+        for n in &self.nodes {
+            let weight = n.bounds().surface_area() as f64 / root_area;
+            let work = if n.is_leaf() { n.count as f64 } else { n.child_count() as f64 };
+            cost += weight * work;
+        }
+        cost
+    }
     /// Checks all structural invariants; see [`ValidateError`].
     ///
     /// # Errors

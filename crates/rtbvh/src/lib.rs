@@ -9,13 +9,18 @@
 //!    Benthin et al.; our flat `#[repr(C)]` SoA nodes store the four child
 //!    boxes inline as `[min_x[4], min_y[4], …]` planes (tested four lanes
 //!    at a time by [`aabb4_intersect`]) and leaves store their triangles
-//!    inline, matching that layout's memory behaviour,
+//!    inline, matching that layout's memory behaviour — the
+//!    [`WideTree`], all a traversal reads,
 //! 3. **treelet partitioning** ([`treelet`]) — greedy surface-area-ordered
 //!    growth under a byte budget (default: half the L1, per §5 of the
 //!    paper),
 //! 4. a **byte-addressed flat layout** in which nodes of the same treelet
 //!    are contiguous ("treelets can be packed together in memory", §6.5),
 //!    so the simulator can model every cache line a traversal touches.
+//!
+//! Steps 1–2 are [`WideTree::build`] and steps 3–4 (with the optional
+//! quantized node format) [`Bvh::lay_out`] over its output; [`Bvh::build`]
+//! is the two in a row. One tree can be laid out several ways.
 //!
 //! # Example
 //!
@@ -41,7 +46,7 @@ mod qnode;
 pub mod treelet;
 mod wide;
 
-pub use bvh::{brute_force_intersect, Builder, Bvh, BvhStats, PrimHit, ValidateError};
+pub use bvh::{brute_force_intersect, Builder, Bvh, BvhStats, PrimHit, ValidateError, WideTree};
 pub use config::{BvhConfig, NodeFormat, NodeLayout};
 pub use layout::{NodeAddr, NodeId};
 pub use qnode::{quantize, QBvh4Node};

@@ -176,7 +176,7 @@ impl Bvh4Node {
 /// `t_min`), evaluated across the node's SoA component arrays in one
 /// pass; empty lanes report `None`. Both the simulator's node-visit path
 /// ([`gpusim`]'s `RayTraversal::visit`) and the conformance oracle
-/// ([`Bvh::traverse`](crate::Bvh::traverse)) call this kernel, so the
+/// ([`WideTree::traverse`](crate::WideTree::traverse)) call this kernel, so the
 /// bit-equal (prim, t) contract between them holds by construction.
 #[inline]
 pub fn aabb4_intersect(

@@ -199,8 +199,8 @@ impl ServerHandle {
     }
 
     /// The daemon's prepared-scene cache; its
-    /// [`builds`](PreparedCache::builds) count says how many scenes this
-    /// daemon life actually had to construct.
+    /// [`misses`](PreparedCache::misses) say what this daemon life
+    /// actually had to construct, stage by stage.
     pub fn prepared(&self) -> &PreparedCache {
         &self.state.prepared
     }

@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use vtq::prelude::{CancelToken, Cell};
+use vtq::prelude::{CancelToken, Cell, StageCounts};
 use vtq_serve::proto::{parse_policy, parse_scene};
 use vtq_serve::server::spec_config;
 use vtq_serve::{Client, Frame, RejectReason, Request, Server, ServerConfig, SubmitSpec};
@@ -435,7 +435,10 @@ fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
     assert_eq!(state, "done");
     let first = client.fetch_results(job).expect("results");
     assert_eq!(first.len(), total);
-    assert_eq!(handle.prepared().builds(), spec.scenes.len(), "cold fill prepares each scene");
+    // One configuration per scene: each stage builds once per scene.
+    let n = spec.scenes.len();
+    let each = StageCounts { scenes: n, trees: n, workloads: n, layouts: n, tapes: n };
+    assert_eq!(handle.prepared().misses(), each, "cold fill prepares each scene once");
     handle.shutdown().expect("shutdown");
 
     // A new daemon life with a *fresh* journal (no `resume`): nothing says
@@ -459,7 +462,8 @@ fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
     assert_eq!(*cached_cells, subset.scenes.len() * subset.policies.len());
     assert_eq!(cached_cells, total_cells);
 
-    assert_eq!(handle.prepared().builds(), 0, "a fully cached job must not build any scene");
+    let nothing = StageCounts::default();
+    assert_eq!(handle.prepared().misses(), nothing, "a fully cached job must not prepare anything");
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
