@@ -14,7 +14,7 @@
 //!    every preset (baseline, prefetch, VTQ and its grouping / repacking /
 //!    virtualization variants, ray-path prediction, and the
 //!    quantized-node BVH build), extracts the per-ray
-//!    [`PrimHit`] records via [`gpusim::Simulator::try_run_with_hits`] and
+//!    [`PrimHit`] records of a run that walks the BVH ([`walk`]) and
 //!    asserts **bit-equal** `(prim, t)` agreement with the oracle for
 //!    closest-hit queries (hit-vs-miss agreement for anyhit queries,
 //!    whose terminating occluder is order-dependent by design). The first
@@ -38,13 +38,16 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gpusim::{HitCapture, PathTask, Simulator, TraceCall, TraversalPolicy, Workload, TRACE_T_MIN};
+use gpusim::{
+    HitCapture, PathTask, SimError, SimReport, Simulator, TraceCall, TraversalPolicy, Workload,
+    TRACE_T_MIN,
+};
 use rtbvh::{Bvh, NodeFormat, PrimHit};
 use rtscene::lumibench::SceneId;
 use rtscene::Triangle;
 
 use crate::experiment::{
-    presets, run_figures, ExperimentConfig, FigureTable, Summary, Tolerance, FIGURES,
+    presets, run_figures, ExperimentConfig, FigureTable, Prepared, Summary, Tolerance, FIGURES,
 };
 use crate::jsonl::{check_line, frame_line, parse_line, Record};
 use crate::sweep::{config_fingerprint, Cell, RunMatrix, SweepEngine};
@@ -258,13 +261,16 @@ pub fn compare_hits(
 /// closest-hit `(prim, t)` answers must stay bit-equal either way.
 pub use crate::experiment::{presets as conformance_presets, Preset as ConformancePreset};
 
-/// The differential matrix: every scene under every preset, scene-major,
-/// cells labelled `<scene>/<preset label>`.
-fn differential_matrix(scenes: &[SceneId], cfg: &ExperimentConfig) -> RunMatrix {
-    let presets = presets();
+/// The differential matrix: every scene under every one of `presets`,
+/// scene-major, cells labelled `<scene>/<preset label>`.
+fn differential_matrix(
+    scenes: &[SceneId],
+    presets: &[ConformancePreset],
+    cfg: &ExperimentConfig,
+) -> RunMatrix {
     let mut matrix = RunMatrix::new();
     for &scene in scenes {
-        for preset in &presets {
+        for preset in presets {
             matrix.push(preset.cell(scene, cfg, preset.label));
         }
     }
@@ -323,6 +329,23 @@ impl ConformanceReport {
     }
 }
 
+/// Runs `workload` with every ray walking the BVH live, under `sim`'s
+/// policy.
+///
+/// Any other run replays a [`gpusim::Tape`] — the simulator's own, when
+/// none is attached — so its hits are the tape's and a bug in the
+/// treelet-restricted walk would not show in them. A run that
+/// checkpoints walks (a checkpoint carries live stacks), and one whose
+/// interval no run reaches takes no checkpoint: it is a plain walk,
+/// cycle for cycle.
+///
+/// # Errors
+///
+/// Those of [`Simulator::try_run`].
+pub fn walk(sim: &Simulator, workload: &Workload) -> Result<SimReport, SimError> {
+    sim.try_run_checkpointed(workload, u64::MAX, &mut |_| {})
+}
+
 /// The configuration whose prepared scene answers for `cell`'s oracle:
 /// the cell's own workload (resolution, bounces, samples, shadow rays,
 /// thread order) traced over the wide-node BVH. GPU parameters shape no
@@ -340,13 +363,51 @@ fn oracle_config(cell: &Cell, base: &ExperimentConfig) -> ExperimentConfig {
 /// capture, compared call by call. All cells ride `engine`'s
 /// work-stealing pool; results come back in deterministic matrix order
 /// regardless of `--jobs`.
+///
+/// The simulator walks the BVH under each policy itself ([`walk`]): the
+/// matrix checks the simulator's own treelet-restricted traversal, while
+/// the figures (and the goldens bound to them) replay the tape, which
+/// [`check_tapes`] checks.
 pub fn run_differential(
     engine: &SweepEngine,
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> ConformanceReport {
-    let presets = presets();
-    let matrix = differential_matrix(scenes, cfg);
+    differential(engine, scenes, &presets(), cfg, |cell, prepared| {
+        let gpu = cell.config.gpu.with_policy(cell.policy);
+        let sim = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu);
+        walk(&sim, &prepared.workload).map(|report| HitCapture::from_report(&report))
+    })
+}
+
+/// The differential check of the tapes themselves: for every scene and
+/// each preset labelled in `labels`, the hits recorded in the cell's
+/// prepared tape — which every run that replays it reports — against
+/// the oracle, deduplicated as in [`run_differential`]. No simulation
+/// runs, so this is the cheap half of the matrix.
+pub fn check_tapes(
+    engine: &SweepEngine,
+    scenes: &[SceneId],
+    labels: &[&str],
+    cfg: &ExperimentConfig,
+) -> ConformanceReport {
+    let presets: Vec<_> = presets().into_iter().filter(|p| labels.contains(&p.label)).collect();
+    differential(engine, scenes, &presets, cfg, |_, prepared| {
+        Ok(HitCapture::from_tape(&prepared.tape))
+    })
+}
+
+/// Every scene × one of `presets`, each cell's [`HitCapture`] from
+/// `capture` compared against the oracle of its workload (one oracle pass
+/// per scene and distinct workload).
+fn differential(
+    engine: &SweepEngine,
+    scenes: &[SceneId],
+    presets: &[ConformancePreset],
+    cfg: &ExperimentConfig,
+    capture: impl Fn(&Cell, &Prepared) -> Result<HitCapture, SimError> + Sync,
+) -> ConformanceReport {
+    let matrix = differential_matrix(scenes, presets, cfg);
     let oracle_key = |cell: &Cell| (cell.scene, config_fingerprint(&oracle_config(cell, cfg)));
 
     // Phase 1: the timing-free oracle, once per scene and workload
@@ -372,11 +433,8 @@ pub fn run_differential(
         .zip(oracle_results.into_iter().map(|r| r.map_err(|e| e.to_string())))
         .collect();
 
-    // Phase 2: scene × policy simulations with hit capture, compared
-    // against the cell's oracle inside the worker. The simulator walks the
-    // BVH under each policy itself, without the prepared tape: the matrix
-    // checks the simulator's own traversal, while the figures (and the
-    // goldens bound to them) replay the tape.
+    // Phase 2: each cell's capture, compared against the cell's oracle
+    // inside the worker.
     let oracles_ref = &oracles;
     let verdicts = engine.run_map(&matrix, |cell, prepared| {
         let oracle = match &oracles_ref[&oracle_key(cell)] {
@@ -384,10 +442,8 @@ pub fn run_differential(
             Err(e) => return CellVerdict::Error(format!("oracle failed: {e}")),
         };
         let policy_label = cell.label.split('/').nth(1).unwrap_or("?").to_string();
-        let gpu = cell.config.gpu.with_policy(cell.policy);
-        let sim = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu);
-        match sim.try_run_with_hits(&prepared.workload) {
-            Ok((_, capture)) => {
+        match capture(cell, prepared) {
+            Ok(capture) => {
                 match compare_hits(cell.scene, &policy_label, &prepared.workload, oracle, &capture)
                 {
                     Ok(eq) => CellVerdict::Agree(eq),
@@ -401,7 +457,7 @@ pub fn run_differential(
     let mut cells = Vec::with_capacity(matrix.len());
     let mut it = verdicts.into_iter();
     for &scene in scenes {
-        for preset in &presets {
+        for preset in presets {
             let verdict = match it.next().expect("one verdict per cell") {
                 Ok(v) => v,
                 Err(e) => CellVerdict::Error(e.to_string()),
@@ -748,7 +804,7 @@ pub fn check_golden(dir: &Path, current: &GoldenFigure) -> GoldenOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{quantized_config, Prepared};
+    use crate::experiment::quantized_config;
     use gpusim::{PredictParams, TraversalPolicy, VtqParams};
     use rtbvh::NodeFormat;
 
@@ -862,7 +918,7 @@ mod tests {
         // quantized presets are the only ones that change the node format,
         // and every delta must survive into the cell configuration.
         let base = tiny_cfg();
-        let matrix = differential_matrix(&[SceneId::Bunny, SceneId::Ref], &base);
+        let matrix = differential_matrix(&[SceneId::Bunny, SceneId::Ref], &presets, &base);
         assert_eq!(matrix.len(), 2 * presets.len());
         for (cell, preset) in matrix.cells()[presets.len()..].iter().zip(&presets) {
             assert_eq!(cell.label, format!("REF/{}", preset.label));

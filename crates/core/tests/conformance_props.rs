@@ -4,13 +4,14 @@
 //! than closest-hit traversal.
 
 use gpusim::{
-    GpuConfig, NextNode, PathTask, RayId, RayTraversal, Simulator, TraceCall, TraversalPolicy,
-    VtqParams, Workload, TRACE_T_MIN,
+    GpuConfig, HitCapture, NextNode, PathTask, RayId, RayTraversal, Simulator, TraceCall,
+    TraversalPolicy, VtqParams, Workload, TRACE_T_MIN,
 };
 use proptest::prelude::*;
 use rtbvh::{Bvh, BvhConfig, PrimHit};
 use rtmath::{Ray, Vec3, XorShiftRng};
 use rtscene::{MaterialId, Triangle};
+use vtq::conformance::walk;
 
 /// Deterministic random soup from a seed (same recipe as the rtbvh
 /// property suite): clustered triangles of varying sizes.
@@ -109,8 +110,10 @@ proptest! {
             TraversalPolicy::TreeletPrefetch,
             TraversalPolicy::Vtq(VtqParams::default()),
         ] {
+            // Walked, so each policy's restricted traversal answers.
             let sim = Simulator::new(&bvh, &tris, cfg.with_policy(policy));
-            let (_, capture) = sim.try_run_with_hits(&workload).expect("simulation runs");
+            let report = walk(&sim, &workload).expect("simulation runs");
+            let capture = HitCapture::from_report(&report);
             for (task, &(ray, t_max)) in rays.iter().enumerate() {
                 let oracle = bvh.occluded(&tris, &ray, TRACE_T_MIN, t_max);
                 let got = capture.get(task, 0).expect("one call per task").is_some();

@@ -2,7 +2,11 @@
 //! under every preset, a run that reads `Prepared::tape` reports the
 //! statistics, memory traffic and hits of a run that walks the BVH —
 //! including ray-path prediction, whose speculated rays walk while the
-//! rest of the same run replays.
+//! rest of the same run replays. And since every run's hits are a tape's,
+//! the tapes of all quick scenes are held to the oracle.
+//!
+//! A plain `Simulator::new(..).try_run` records a tape and replays it
+//! too, so the walks here go through `conformance::walk`.
 
 use gpusim::{
     NextNode, PathTask, PredictParams, SimError, SimReport, Simulator, Tape, TraceCall,
@@ -10,6 +14,7 @@ use gpusim::{
 };
 use rtmath::{Ray, Vec3};
 use rtscene::lumibench::SceneId;
+use vtq::conformance::{check_tapes, walk};
 use vtq::experiment::presets;
 use vtq::sweep::RunMatrix;
 use vtq::{ExperimentConfig, Prepared, SweepEngine};
@@ -26,15 +31,27 @@ fn replaying_the_prepared_tape_equals_walking_the_bvh_under_every_preset() {
     let results = SweepEngine::new(2).run_map(&matrix, |cell, p| {
         let replay = p.simulator(cell.policy).try_run(&p.workload).expect("the replay runs");
         let gpu = cell.config.gpu.with_policy(cell.policy);
-        let live = Simulator::new(&p.bvh, p.scene.triangles(), gpu)
-            .try_run(&p.workload)
-            .expect("the walk runs");
+        let sim = Simulator::new(&p.bvh, p.scene.triangles(), gpu);
+        let live = walk(&sim, &p.workload).expect("the walk runs");
         same_run(&replay, &live)
     });
     for (cell, same) in matrix.cells().iter().zip(results) {
         let same = same.unwrap_or_else(|e| panic!("{}: {e}", cell.label));
         assert!(same, "{}: replay and walk disagree", cell.label);
     }
+}
+
+/// The tapes of all 14 quick scenes, on the wide and the quantized layout,
+/// hold the wide-node oracle's hits bit for bit.
+#[test]
+fn every_quick_scenes_tapes_hold_the_oracles_hits() {
+    let cfg = ExperimentConfig::quick();
+    let report = check_tapes(&SweepEngine::new(2), &SceneId::ALL, &["baseline", "qnode"], &cfg);
+    assert_eq!(report.cells.len(), 2 * SceneId::ALL.len());
+    if let Some(cell) = report.failures().next() {
+        panic!("{} {}: {:?}", cell.scene.name(), cell.policy, cell.verdict);
+    }
+    assert!(report.calls_checked() > 0);
 }
 
 /// `Debug`-equal statistics and memory counters, and equal hits.
@@ -55,9 +72,8 @@ fn speculated_rays_walk_beside_replayed_ones() {
         PredictParams { table_entries: 4096, origin_bits: 2, dir_bits: 2, ..Default::default() };
     let policy = TraversalPolicy::Predict(params);
     let replay = p.simulator(policy).try_run(&p.workload).expect("the replay runs");
-    let live = Simulator::new(&p.bvh, p.scene.triangles(), cfg.gpu.with_policy(policy))
-        .try_run(&p.workload)
-        .expect("the walk runs");
+    let sim = Simulator::new(&p.bvh, p.scene.triangles(), cfg.gpu.with_policy(policy));
+    let live = walk(&sim, &p.workload).expect("the walk runs");
     let (hits, lookups) = (replay.stats.predict_hits, replay.stats.predict_lookups);
     assert!(hits > 0 && hits < lookups, "{hits} of {lookups} lookups hit");
     assert!(same_run(&replay, &live), "replay and walk disagree");
@@ -94,9 +110,9 @@ fn a_tape_for_another_workload_or_bvh_is_refused_and_a_miss_replays_as_done() {
     let tape = Tape::record(&bunny.bvh, bunny.scene.triangles(), &workload);
     let last = workload.tasks.len() - 1;
     assert_eq!(tape.cursor(last, 0).next_node(&tape, None), NextNode::Done);
-    let walk = Simulator::new(&bunny.bvh, bunny.scene.triangles(), gpu);
-    let live = walk.try_run(&workload).expect("the walk runs");
-    let replay = walk.with_tape(&tape).try_run(&workload).expect("the replay runs");
+    let sim = Simulator::new(&bunny.bvh, bunny.scene.triangles(), gpu);
+    let live = walk(&sim, &workload).expect("the walk runs");
+    let replay = sim.with_tape(&tape).try_run(&workload).expect("the replay runs");
     assert_eq!(replay.hits[last], vec![None]);
     assert_eq!(replay.hits, live.hits);
     assert_eq!(replay.stats, live.stats);

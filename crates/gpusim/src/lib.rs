@@ -22,9 +22,10 @@
 //!   intersection-test attribution, virtualization overheads and an
 //!   AccelWattch-style energy model ([`SimStats`], [`energy`]).
 //! * **Functional / timing split** — a [`Tape`] records each trace call's
-//!   node-visit sequence once per BVH and workload; a simulator given one
-//!   ([`Simulator::with_tape`]) replays it under every policy instead of
-//!   walking the BVH again ([`tape`]).
+//!   node-visit sequence once per BVH and workload, and the cycle loop
+//!   replays it under every policy instead of walking the BVH: a run
+//!   records its own before it cycles, or replays the one it was given
+//!   ([`Simulator::with_tape`], [`tape`]).
 //!
 //! # Example
 //!

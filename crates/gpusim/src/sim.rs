@@ -194,6 +194,12 @@ impl HitCapture {
         HitCapture { records: report.hits.clone() }
     }
 
+    /// The capture of every run that replays `tape` in full: each call's
+    /// recorded hit.
+    pub fn from_tape(tape: &Tape) -> HitCapture {
+        HitCapture { records: tape.hits() }
+    }
+
     /// The hit record of one trace call, or `None` when `task`/`call` is
     /// out of range (a call the workload never made).
     pub fn get(&self, task: usize, call: usize) -> Option<Option<PrimHit>> {
@@ -327,20 +333,24 @@ pub struct Simulator<'a> {
 }
 
 impl<'a> Simulator<'a> {
-    /// Creates a simulator over a scene and its BVH. Every ray walks the
-    /// BVH; see [`Simulator::with_tape`] for replaying recorded walks.
+    /// Creates a simulator over a scene and its BVH. Each run records the
+    /// [`Tape`] of its workload before it cycles and replays it, as a run
+    /// [`with_tape`](Simulator::with_tape) does; a run that checkpoints
+    /// or resumes, and any run over a BVH no tape can encode (a leaf of
+    /// 256 or more triangles, or more than 2²³ treelets), walks the BVH
+    /// instead.
     pub fn new(bvh: &'a Bvh, triangles: &'a [Triangle], config: GpuConfig) -> Simulator<'a> {
         Simulator { bvh, triangles, config, tape: None }
     }
 
     /// Replays `tape` — the walks [`Tape::record`] recorded for the
-    /// workload this simulator will run, on this BVH — instead of walking
-    /// the BVH again: each issued ray reads its call's node visits, test
-    /// counts and hit off the tape. Every count, cycle and hit is the one
-    /// the walk would produce. Rays the ray-path predictor speculates for
-    /// still walk (speculation changes their visit order), and so does
-    /// every ray of a run that checkpoints or resumes, whose checkpoints
-    /// carry live traversal stacks.
+    /// workload this simulator will run, on this BVH — instead of
+    /// recording it again in every run: each issued ray reads its call's
+    /// node visits, test counts and hit off the tape. Every count, cycle
+    /// and hit is the one the walk would produce. Rays the ray-path
+    /// predictor speculates for still walk (speculation changes their
+    /// visit order), and so does every ray of a run that checkpoints or
+    /// resumes, whose checkpoints carry live traversal stacks.
     ///
     /// A run whose workload makes different calls per task, or whose BVH
     /// has a different node count, than the tape was recorded for fails
@@ -461,17 +471,33 @@ impl<'a> Simulator<'a> {
         if let Some(tape) = self.tape {
             tape.check(self.bvh, workload)?;
         }
-        // A checkpoint records every in-flight ray's stacks, so a run that
-        // writes or resumes one walks the BVH.
-        let tape = self.tape.filter(|_| checkpoint.is_none() && resume.is_none());
-        // Profiling spans wrap whole phases (setup, cycle loop, report
-        // assembly) and counters are bumped once per run. Inside the
-        // cycle loop a profiled run reads the clock once per phase into
-        // plain integers (`PhaseClock`); an unprofiled one reads none.
+        // Profiling spans wrap whole phases (tape recording, setup, cycle
+        // loop, report assembly) and counters are bumped once per run.
+        // Inside the cycle loop a profiled run reads the clock once per
+        // phase into plain integers (`PhaseClock`); an unprofiled one
+        // reads none.
         let prof_on = prof::enabled();
         let _run = prof_on.then(|| prof::span("sim/run"));
+        // A checkpoint records every in-flight ray's stacks, so a run that
+        // writes or resumes one walks the BVH. Any other run replays: the
+        // attached tape, or one recorded here when the BVH fits a tape.
+        let recorded: Option<Tape>;
+        let tape = match self.tape {
+            _ if checkpoint.is_some() || resume.is_some() => None,
+            Some(tape) => Some(tape),
+            None => {
+                recorded = Tape::encodes(self.bvh).then(|| {
+                    let _tape = prof_on.then(|| prof::span("tape"));
+                    Tape::record(self.bvh, self.triangles, workload)
+                });
+                recorded.as_ref()
+            }
+        };
         let mut engine = {
             let _setup = prof_on.then(|| prof::span("setup"));
+            // The engine borrows everything for as long as the tape,
+            // which may be `recorded`: shorten the sink's borrow to match.
+            let sink = sink.map(|s| -> &mut dyn TraceSink { s });
             let mut engine = Engine::new(self.bvh, self.triangles, &self.config, workload, sink);
             engine.tape = tape;
             if let Some(snapshot) = resume {

@@ -12,12 +12,14 @@
 //! treelet and the box / triangle tests the visit performed, plus the
 //! call's final hit and the leaf it came from.
 //!
-//! A simulator given a tape ([`Simulator::with_tape`]) issues each ray as
-//! a [`Cursor`] into its call's steps and reads instead of intersecting.
+//! A simulator run issues each ray as a [`Cursor`] into its call's steps
+//! and reads instead of intersecting: on the tape it was given
+//! ([`Simulator::with_tape`]), or else on one it records before cycling.
 //! Rays whose visit order really does change — those the ray-path
-//! predictor speculates for, which visit a predicted leaf first — and every
-//! run that checkpoints or resumes (a checkpoint carries live stacks) still
-//! walk the BVH.
+//! predictor speculates for, which visit a predicted leaf first — every
+//! run that checkpoints or resumes (a checkpoint carries live stacks), and
+//! every tape-less run over a BVH no tape can encode (a leaf of 256 or
+//! more triangles, or more than 2²³ treelets) still walk the BVH.
 //!
 //! [`Simulator::with_tape`]: crate::Simulator::with_tape
 
@@ -98,11 +100,13 @@ type CallEnd = (Option<PrimHit>, Option<NodeId>);
 ///         .collect(),
 /// };
 /// let tape = Tape::record(&bvh, scene.triangles(), &workload);
-/// let live = Simulator::new(&bvh, scene.triangles(), GpuConfig::default());
-/// let replay = Simulator::new(&bvh, scene.triangles(), GpuConfig::default()).with_tape(&tape);
-/// let (a, b) = (live.try_run(&workload).unwrap(), replay.try_run(&workload).unwrap());
-/// assert_eq!(a.stats, b.stats);
-/// assert_eq!(a.hits, b.hits);
+/// let sim = Simulator::new(&bvh, scene.triangles(), GpuConfig::default());
+/// // A checkpointing run walks the BVH; one that never reaches its first
+/// // checkpoint is a plain walk.
+/// let walk = sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).unwrap();
+/// let replay = sim.with_tape(&tape).try_run(&workload).unwrap();
+/// assert_eq!(walk.stats, replay.stats);
+/// assert_eq!(walk.hits, replay.hits);
 /// ```
 #[derive(PartialEq)]
 pub struct Tape {
@@ -133,15 +137,17 @@ impl Tape {
         Tape::record_on(threads, bvh, triangles, workload)
     }
 
+    /// Whether every visit of a walk over `bvh` fits a tape step: at most
+    /// 2²³ treelets, and no leaf of 256 or more triangles.
+    pub(crate) fn encodes(bvh: &Bvh) -> bool {
+        bvh.partition().len() <= MAX_TREELETS && bvh.nodes().iter().all(|n| n.count < LEAF_BIT)
+    }
+
     /// [`Tape::record`] on exactly `threads` threads.
     fn record_on(threads: usize, bvh: &Bvh, triangles: &[Triangle], workload: &Workload) -> Tape {
         /// Tasks per unit of work handed to a thread.
         const RANGE_TASKS: usize = 2048;
-        assert!(
-            bvh.partition().len() <= MAX_TREELETS,
-            "{} treelets do not fit a tape step",
-            bvh.partition().len()
-        );
+        assert!(Tape::encodes(bvh), "the BVH does not fit a tape step");
         let ranges: Vec<&[PathTask]> = workload.tasks.chunks(RANGE_TASKS).collect();
         let parts = prof::par::map(threads, ranges, |tasks| record_range(bvh, triangles, tasks));
 
@@ -178,6 +184,12 @@ impl Tape {
         let index = self.tasks[task] as usize + call;
         assert!(index < self.tasks[task + 1] as usize, "task {task} made no call {call}");
         Cursor { next: self.calls[index], end: self.calls[index + 1], call: index as u32 }
+    }
+
+    /// Every call's recorded hit, `[task][call]`.
+    pub(crate) fn hits(&self) -> Vec<Vec<Option<PrimHit>>> {
+        let calls = |w: &[u32]| &self.ends[w[0] as usize..w[1] as usize];
+        self.tasks.windows(2).map(|w| calls(w).iter().map(|(hit, _)| *hit).collect()).collect()
     }
 
     /// Rejects a tape recorded for another workload shape or BVH: the
@@ -303,9 +315,11 @@ mod tests {
     use rtbvh::BvhConfig;
     use rtmath::{Ray, Vec3};
     use rtscene::lumibench::{self, SceneId};
+    use rtscene::MaterialId;
 
     use super::*;
     use crate::sim::TraceCall;
+    use crate::{GpuConfig, Simulator};
 
     fn setup() -> (rtscene::Scene, Bvh, Workload) {
         let scene = lumibench::build_scaled(SceneId::Bunny, 32);
@@ -415,6 +429,28 @@ mod tests {
         assert_ne!(other.nodes().len(), bvh.nodes().len());
         let err = tape.check(&other, &workload).unwrap_err().to_string();
         assert!(err.contains("nodes"), "{err}");
+    }
+
+    /// 300 coincident triangles make one leaf whose visit no tape step
+    /// holds, so a tape-less run walks — to the statistics of a run that
+    /// walks because it checkpoints — instead of panicking in `record`.
+    #[test]
+    fn a_run_over_a_bvh_no_tape_encodes_walks() {
+        let (a, b, c) =
+            (Vec3::new(-1.0, -1.0, 0.0), Vec3::new(1.0, -1.0, 0.0), Vec3::new(0.0, 1.0, 0.0));
+        let triangles = vec![Triangle::new(a, b, c, MaterialId::new(0)); 300];
+        let bvh =
+            Bvh::build(&triangles, &BvhConfig { max_leaf_prims_hard: 300, ..Default::default() });
+        assert!(!Tape::encodes(&bvh));
+        let ray = Ray::new(Vec3::new(0.0, 0.0, -2.0), Vec3::new(0.0, 0.0, 1.0));
+        let calls = vec![ray.into(), TraceCall::anyhit(ray, 10.0)];
+        let workload = Workload { tasks: vec![PathTask { rays: calls }; 64] };
+        let sim = Simulator::new(&bvh, &triangles, GpuConfig::default());
+        let run = sim.try_run(&workload).expect("a tape-less run walks");
+        let walk = sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).expect("walks");
+        assert_eq!(run.stats, walk.stats);
+        assert_eq!(run.hits, walk.hits);
+        assert_eq!(run.hits[0][0].map(|h| h.prim), Some(0), "ties break to the lowest prim");
     }
 
     #[test]

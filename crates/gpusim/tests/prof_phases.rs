@@ -2,7 +2,7 @@
 //! switch is process-wide, so this lives apart from `observability.rs`
 //! (whose tests need it off) and does everything inside one `#[test]`.
 
-use gpusim::{GpuConfig, PathTask, Simulator, TraversalPolicy, VtqParams, Workload};
+use gpusim::{GpuConfig, PathTask, Simulator, Tape, TraversalPolicy, VtqParams, Workload};
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
 
@@ -35,6 +35,8 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
         snap.spans.iter().find(|s| s.path == path).unwrap_or_else(|| panic!("no `{path}` row"))
     };
     assert_eq!(span("sim/run").count, 1, "only the run under the profiler recorded");
+    // A run with no tape records its own before it cycles.
+    assert_eq!(span("sim/run/tape").count, 1);
     let cycles = span("sim/run/cycles");
     let phases = ["sched", "rt_units", "traverse", "mem", "next_event", "observe"]
         .map(|name| span(&format!("sim/run/cycles/{name}")));
@@ -65,4 +67,18 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     .map(|c| snap.counter(c));
     assert_eq!(by_policy.iter().sum::<u64>(), plain.mem.total_lines());
     assert!(by_policy[0] > 0 && by_policy[2] > 0, "BVH and ray-reserve traffic: {by_policy:?}");
+
+    // An attached tape is replayed as it is, and a checkpointing run walks:
+    // neither records.
+    let tape = Tape::record(&bvh, scene.triangles(), &workload);
+    prof::reset();
+    prof::enable();
+    let taped = Simulator::new(&bvh, scene.triangles(), cfg).with_tape(&tape);
+    taped.try_run(&workload).unwrap();
+    sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).unwrap();
+    prof::disable();
+    let snap = prof::snapshot();
+    let runs = snap.spans.iter().find(|s| s.path == "sim/run").map(|s| s.count);
+    assert_eq!(runs, Some(2));
+    assert!(snap.spans.iter().all(|s| s.path != "sim/run/tape"), "{:?}", snap.spans);
 }

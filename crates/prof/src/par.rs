@@ -177,10 +177,18 @@ pub fn map<I: Send, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
+    use std::sync::{Barrier, MutexGuard};
+
+    /// Held by every test that forks: `map`'s helpers count in
+    /// [`WORKING`], which the limit test reads.
+    fn forking() -> MutexGuard<'static, ()> {
+        static FORKING: Mutex<()> = Mutex::new(());
+        FORKING.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn results_come_back_in_input_order_for_any_thread_count() {
+        let _forking = forking();
         let inputs: Vec<u64> = (0..100).collect();
         let want: Vec<u64> = inputs.iter().map(|i| i * i).collect();
         for threads in [0, 1, 2, 3, 8, 200] {
@@ -191,6 +199,7 @@ mod tests {
 
     #[test]
     fn inputs_move_to_the_worker_and_may_be_mutable_borrows() {
+        let _forking = forking();
         let mut data = vec![1u32; 64];
         let halves: Vec<&mut [u32]> = data.chunks_mut(16).collect();
         let sums = map(3, halves, |half| {
@@ -203,6 +212,7 @@ mod tests {
 
     #[test]
     fn helpers_really_run_concurrently() {
+        let _forking = forking();
         // Three inputs that each wait for the other two: finishes only if
         // three threads are inside `work` at once.
         let barrier = Barrier::new(3);
@@ -215,6 +225,7 @@ mod tests {
 
     #[test]
     fn a_panic_on_any_thread_reaches_the_caller_with_its_message() {
+        let _forking = forking();
         for threads in [1, 2, 4] {
             let caught = std::panic::catch_unwind(|| {
                 map(threads, (0..32).collect(), |i: u32| {
@@ -230,8 +241,9 @@ mod tests {
 
     #[test]
     fn limit_and_busy_workers_bound_threads_and_never_reach_zero() {
-        // The only test that touches the process-wide limit and the
+        // The only test that touches the process-wide limit and reads the
         // count of working threads.
+        let _forking = forking();
         let unbounded = threads();
         assert!((1..=MAX_THREADS).contains(&unbounded));
         assert_eq!((threads_for(9, 10), threads_for(10, 10)), (1, unbounded));
