@@ -1,8 +1,8 @@
 //! Indexed min-heaps over fixed item sets: the victim selector behind the
-//! wide LRU sets and the per-SM MSHR pools.
+//! wide LRU sets.
 
-/// Children per heap node. LRU touches and MSHR retirements almost always
-/// *raise* a key, so the work is in sifting down; four children per level
+/// Children per heap node. LRU touches and fills almost always *raise* a
+/// key, so the work is in sifting down; four children per level
 /// halve the depth of a binary heap and sit in one host cache line.
 const ARITY: usize = 4;
 
@@ -195,7 +195,7 @@ mod tests {
             let mut keys = vec![vec![0u64; width]; 2];
             for (n, (item, key, reload)) in ops.into_iter().enumerate() {
                 let (seg, item) = (n % 2, item % width);
-                // Retire the scan's pick, as `MemorySystem::dram` does, or
+                // Replace the scan's pick, as a miss evicts the victim, or
                 // touch an arbitrary item, as an LRU hit does.
                 let item = if reload { first_minimum(&keys[seg]).1 } else { item };
                 keys[seg][item] = key * 100 + (n as u64 % 3);

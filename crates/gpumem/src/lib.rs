@@ -26,6 +26,7 @@
 
 mod cache;
 mod heap;
+mod mshr;
 mod stats;
 mod system;
 

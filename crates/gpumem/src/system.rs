@@ -1,5 +1,5 @@
 use crate::cache::{Assoc, Cache, CacheConfig, CacheStats, LineState};
-use crate::heap::MinHeaps;
+use crate::mshr::MshrPools;
 use crate::stats::{AccessKind, KindStats, MemStats, WindowPoint};
 
 /// How an access flows through the hierarchy.
@@ -188,12 +188,9 @@ pub struct MemorySystem {
     ray_reserve: Cache,
     /// Cycle at which the DRAM service queue frees up.
     dram_free_at: f64,
-    /// Per-SM MSHR pools: each entry is the cycle at which that MSHR's
-    /// outstanding fill returns.
-    mshrs: Vec<Vec<u64>>,
-    /// Earliest-free MSHR of each pool: one heap per SM keyed by
-    /// `mshrs[sm][slot]`, derived from `mshrs` and never checkpointed.
-    mshr_order: MinHeaps,
+    /// Per-SM MSHR pools: the cycle at which each MSHR's outstanding fill
+    /// returns, kept in `(free_at, slot)` order.
+    mshrs: MshrPools,
     /// Lines served under each [`CachePolicy`] by this instance (a host
     /// profiling count: not part of [`MemStats`], not checkpointed).
     policy_lines: [u64; CachePolicy::ALL.len()],
@@ -205,7 +202,6 @@ pub struct MemorySystem {
 impl MemorySystem {
     /// Creates the hierarchy with cold caches.
     pub fn new(config: &MemConfig) -> MemorySystem {
-        let mshrs_per_sm = config.mshrs_per_sm.max(1);
         MemorySystem {
             config: *config,
             line_shift: config.l1.line_bytes.trailing_zeros(),
@@ -215,8 +211,7 @@ impl MemorySystem {
             l2: Cache::new(&config.l2),
             ray_reserve: Cache::new(&config.ray_reserve),
             dram_free_at: 0.0,
-            mshrs: vec![vec![0u64; mshrs_per_sm]; config.num_sms],
-            mshr_order: MinHeaps::new(config.num_sms, mshrs_per_sm),
+            mshrs: MshrPools::new(config.num_sms, config.mshrs_per_sm.max(1)),
             policy_lines: [0; CachePolicy::ALL.len()],
             stats: MemStats::default(),
             fault_rng: config
@@ -343,8 +338,7 @@ impl MemorySystem {
         self.stats.kind_mut(kind).dram += 1;
         // Allocate the earliest-free MSHR (the lowest slot among equals);
         // if all are occupied the request stalls until one retires.
-        let (free_at, slot) = self.mshr_order.min(sm);
-        let issue = ready.max(free_at);
+        let issue = ready.max(self.mshrs.earliest_free(sm));
         let start = self.dram_free_at.max(issue as f64);
         self.dram_free_at = start + self.dram_service;
         let mut completion = start as u64 + self.config.dram_latency as u64;
@@ -355,8 +349,7 @@ impl MemorySystem {
         {
             completion += self.config.faults.spike_extra_cycles as u64;
         }
-        self.mshrs[sm][slot] = completion;
-        self.mshr_order.update(sm, slot, completion);
+        self.mshrs.reissue_earliest(sm, completion);
         completion
     }
 
@@ -392,7 +385,7 @@ impl MemorySystem {
     /// (MSHRs whose fill has not yet returned) — reported in the deadlock
     /// forensics snapshot.
     pub fn in_flight_requests(&self, now: u64) -> usize {
-        self.mshrs.iter().flatten().filter(|&&free_at| free_at > now).count()
+        self.mshrs.in_flight(now)
     }
 
     /// Every cache with its name in messages: the L1s, the L2, the reserve.
@@ -412,7 +405,7 @@ impl MemorySystem {
     ///   `l1_hits <= l1_lookups <= lines`;
     /// * per cache: `hits <= accesses`, and the derived lookup state (tag
     ///   table, LRU heaps) agrees with the line array;
-    /// * each MSHR heap agrees with its pool's retirement cycles.
+    /// * each MSHR pool holds every slot once, in `(free_at, slot)` order.
     ///
     /// The caller (the simulator's invariant auditor) wraps the message in
     /// a typed error with the cycle and site attached.
@@ -443,7 +436,7 @@ impl MemorySystem {
             }
             cache.audit().map_err(|e| format!("{name}: {e}"))?;
         }
-        self.mshr_order.audit(|sm, slot| self.mshrs[sm][slot]).map_err(|e| format!("mshr {e}"))
+        self.mshrs.audit().map_err(|e| format!("mshr {e}"))
     }
 
     /// Captures the complete mutable state of the hierarchy. Pair with
@@ -454,7 +447,7 @@ impl MemorySystem {
             l2: CacheSnapshot::capture(&self.l2),
             ray_reserve: CacheSnapshot::capture(&self.ray_reserve),
             dram_free_at_bits: self.dram_free_at.to_bits(),
-            mshrs: self.mshrs.clone(),
+            mshrs: (0..self.mshrs.len()).map(|sm| self.mshrs.by_slot(sm)).collect(),
             per_kind: self.stats.export_kinds(),
             windows: self.stats.bvh_l1_windows.clone(),
             fault_rng: self.fault_rng,
@@ -477,7 +470,7 @@ impl MemorySystem {
             ));
         }
         if snap.mshrs.len() != self.mshrs.len()
-            || snap.mshrs.iter().zip(&self.mshrs).any(|(a, b)| a.len() != b.len())
+            || snap.mshrs.iter().any(|pool| pool.len() != self.mshrs.width())
         {
             return Err("snapshot MSHR pool shape mismatch".to_string());
         }
@@ -491,9 +484,8 @@ impl MemorySystem {
             s.restore_into(cache);
         }
         self.dram_free_at = f64::from_bits(snap.dram_free_at_bits);
-        self.mshrs.clone_from(&snap.mshrs);
-        for (sm, pool) in self.mshrs.iter().enumerate() {
-            self.mshr_order.load(sm, pool.iter().copied());
+        for (sm, pool) in snap.mshrs.iter().enumerate() {
+            self.mshrs.load(sm, pool);
         }
         self.stats = MemStats::from_parts(snap.per_kind, snap.windows.clone());
         self.fault_rng = snap.fault_rng;
@@ -807,16 +799,11 @@ mod tests {
         let err = broken.audit().unwrap_err();
         assert!(err.starts_with("ray-reserve: tag table"), "{err}");
 
-        // An MSHR's heap key no longer matches its retirement cycle.
-        let mut broken = m.clone();
-        broken.mshr_order.corrupt_key(1, 3, 0);
-        let err = broken.audit().unwrap_err();
-        assert!(err.starts_with("mshr heap 1: item 3"), "{err}");
-
-        // The pool moved without the heap hearing of it.
+        // An MSHR pool is out of `(free_at, slot)` order.
         let mut broken = m;
-        broken.mshrs[0][0] += 1;
-        assert!(broken.audit().unwrap_err().starts_with("mshr heap 0: item 0"));
+        broken.mshrs.corrupt_order(1);
+        let err = broken.audit().unwrap_err();
+        assert!(err.starts_with("mshr pool 1: entry 1"), "{err}");
     }
 
     #[test]
@@ -840,6 +827,8 @@ mod tests {
 
 #[cfg(test)]
 mod mshr_tests {
+    use proptest::prelude::*;
+
     use super::*;
     use crate::Assoc;
 
@@ -906,5 +895,96 @@ mod mshr_tests {
         }
         // All eight overlap fully (bandwidth is ample).
         assert_eq!(worst, 250);
+    }
+
+    /// The DRAM path with the pools as first written: retirement cycles in
+    /// slot order, the earliest-free MSHR found by a first-minimum scan.
+    struct ScanDram {
+        latency: u64,
+        service: f64,
+        faults: MemFaults,
+        free_at: f64,
+        pools: Vec<Vec<u64>>,
+        rng: u64,
+    }
+
+    impl ScanDram {
+        /// The reference for a fresh `m`.
+        fn beside(m: &MemorySystem) -> ScanDram {
+            ScanDram {
+                latency: m.config.dram_latency as u64,
+                service: m.dram_service,
+                faults: m.config.faults,
+                free_at: m.dram_free_at,
+                pools: m.snapshot().mshrs,
+                rng: m.fault_rng,
+            }
+        }
+
+        fn dram(&mut self, sm: usize, ready: u64) -> u64 {
+            let pool = &mut self.pools[sm];
+            let mut slot = 0;
+            for (i, &free_at) in pool.iter().enumerate() {
+                if free_at < pool[slot] {
+                    slot = i;
+                }
+            }
+            let start = self.free_at.max(ready.max(pool[slot]) as f64);
+            self.free_at = start + self.service;
+            let mut done = start as u64 + self.latency;
+            if self.faults.spike_per_mille > 0 {
+                self.rng ^= self.rng << 13;
+                self.rng ^= self.rng >> 7;
+                self.rng ^= self.rng << 17;
+                if self.rng % 1000 < self.faults.spike_per_mille as u64 {
+                    done += self.faults.spike_extra_cycles as u64;
+                }
+            }
+            pool[slot] = done;
+            done
+        }
+    }
+
+    proptest! {
+        /// Every DRAM line takes the MSHR the scan picks and completes when
+        /// the scan's does — under ready times that tie and run backwards,
+        /// same-cycle service starts, latency spikes that reorder
+        /// completions, and a snapshot → restore midway.
+        #[test]
+        fn ordered_pools_match_the_first_minimum_scan(
+            width in 1usize..10,
+            lines_per_cycle in 0usize..3,
+            divisor in 0u32..4,
+            spike in (0u32..2, 0u32..700, 0u32..500),
+            seed in 0u64..1000,
+            ops in prop::collection::vec((0usize..2, 0u64..400), 1..300),
+            restore_at in 0usize..300,
+        ) {
+            let mut cfg = one_mshr_config();
+            cfg.mshrs_per_sm = width;
+            // 4 lines a cycle: up to four services start in one cycle.
+            cfg.dram_lines_per_cycle = [4.0, 1.0, 0.3][lines_per_cycle];
+            cfg.faults = MemFaults {
+                spike_per_mille: spike.0 * spike.1,
+                spike_extra_cycles: spike.2,
+                bandwidth_divisor: divisor,
+                seed,
+            };
+            let mut m = MemorySystem::new(&cfg);
+            let mut scan = ScanDram::beside(&m);
+            for (n, (sm, jitter)) in ops.into_iter().enumerate() {
+                if n == restore_at {
+                    let snap = m.snapshot();
+                    m = MemorySystem::new(&cfg);
+                    m.restore(&snap).unwrap();
+                }
+                let ready = n as u64 * 3 + jitter;
+                let addr = n as u64 * 128;
+                let done = m.access(sm, addr, 128, AccessKind::CtaState, CachePolicy::DramOnly, ready);
+                prop_assert_eq!(done, scan.dram(sm, ready), "line {}", n);
+                prop_assert_eq!(&m.snapshot().mshrs, &scan.pools, "line {}", n);
+            }
+            prop_assert_eq!(m.audit(), Ok(()));
+        }
     }
 }

@@ -27,6 +27,14 @@ impl std::error::Error for ConfigError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VtqParams {
     /// Maximum virtualized rays in flight per SM (paper §5: 4096).
+    ///
+    /// A cap below [`GpuConfig::cta_size`] is legal, and
+    /// [`GpuConfig::validate`] admits it on purpose: launch admission
+    /// reserves a whole CTA's rays under the cap, so no CTA ever launches
+    /// and the run ends in [`SimError::Deadlock`](crate::SimError::Deadlock)
+    /// with a forensics snapshot — a typed error at cycle 0, not a hang.
+    /// That is the engineered deadlock the integrity tests drive the
+    /// watchdog with.
     pub max_virtual_rays: usize,
     /// Initial-phase divergence trigger: a warp is terminated into the
     /// treelet queues when its active lanes' next nodes span more than this

@@ -16,7 +16,8 @@ pub struct InvariantViolation {
     /// Cycle at which the audit ran.
     pub cycle: u64,
     /// Which invariant failed (`ray-conservation`, `queue-accounting`,
-    /// `cta-slots`, `warp-width`, `stall-sum`, `mem-accounting`).
+    /// `cta-slots`, `cta-retired`, `warp-width`, `stall-sum`,
+    /// `mem-accounting`).
     pub site: String,
     /// Human-readable mismatch description with the observed values.
     pub detail: String,

@@ -133,6 +133,9 @@ pub(crate) struct CtaScheduler {
     /// virtualized-ray cap holds across the raygen/shade latency between
     /// admission and the actual trace issue.
     pub(crate) reserved_rays: Vec<usize>,
+    /// CTAs in [`Phase::Done`]; the run ends when all are. Derived: never
+    /// checkpointed, recounted as `ckpt_cta` lines are read.
+    retired: usize,
     /// Round-robin cursor of the slot search.
     next_sm: usize,
     /// xorshift state for the scheduling-jitter draw (never zero).
@@ -166,6 +169,7 @@ impl CtaScheduler {
             free_slots: vec![cfg.max_ctas_per_sm; num_sms],
             shader_active: vec![0; num_sms],
             reserved_rays: vec![0; num_sms],
+            retired: 0,
             next_sm: 0,
             jitter_state: cfg
                 .sched_jitter_seed
@@ -176,7 +180,21 @@ impl CtaScheduler {
     }
 
     pub(crate) fn all_done(&self) -> bool {
-        self.ctas.iter().all(|c| c.phase == Phase::Done)
+        self.retired == self.ctas.len()
+    }
+
+    /// CTAs not yet in [`Phase::Done`].
+    pub(crate) fn unfinished(&self) -> usize {
+        self.ctas.len() - self.retired
+    }
+
+    /// CTA `id` has finished its last bounce: it is done and its slot is
+    /// free.
+    pub(crate) fn retire(&mut self, id: usize) {
+        let cta = &mut self.ctas[id];
+        cta.phase = Phase::Done;
+        self.free_slots[cta.sm] += 1;
+        self.retired += 1;
     }
 
     /// Returns slots whose deferred release is due at `now`.
@@ -287,6 +305,7 @@ impl CtaScheduler {
             return Err(format!("ckpt_cta records out of order: got id {id}, expected {expected}"));
         }
         let phase = Phase::ALL[index_of(f, "phase", Phase::ALL.len())?];
+        self.retired += usize::from(phase == Phase::Done);
         self.ctas.push(Cta {
             first_task: f.num("first_task")?,
             task_count: f.num("task_count")?,
@@ -341,12 +360,27 @@ impl CtaScheduler {
         Ok(())
     }
 
-    /// Slot accounting can never exceed the hardware capacity.
-    pub(crate) fn audit(&self, sm: usize, capacity: usize) -> Result<(), (&'static str, String)> {
-        if self.free_slots[sm] > capacity {
-            let detail = format!("{} free slots > capacity {capacity}", self.free_slots[sm]);
-            return Err(("cta-slots", detail));
+    /// Slot accounting can never exceed the hardware capacity
+    /// (`cta-slots`), and the retired count is the number of CTAs in
+    /// [`Phase::Done`] (`cta-retired`).
+    pub(crate) fn audit(&self, capacity: usize) -> Result<(), (&'static str, String)> {
+        if let Some((sm, free)) = self.free_slots.iter().enumerate().find(|(_, &f)| f > capacity) {
+            return Err(("cta-slots", format!("sm {sm}: {free} free slots > capacity {capacity}")));
+        }
+        let done = self.ctas.iter().filter(|c| c.phase == Phase::Done).count();
+        if done != self.retired {
+            return Err((
+                "cta-retired",
+                format!("retired count {} != {done} CTAs done", self.retired),
+            ));
         }
         Ok(())
+    }
+
+    /// Skews the retired count without retiring a CTA, so the next audit
+    /// trips the `cta-retired` invariant.
+    #[cfg(test)]
+    pub(crate) fn corrupt_retired(&mut self, delta: isize) {
+        self.retired = self.retired.saturating_add_signed(delta);
     }
 }

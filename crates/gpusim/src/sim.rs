@@ -885,7 +885,7 @@ impl<'a> Engine<'a> {
             rays_created: self.rays.len() as u64,
             rays_completed: self.obs.stats.rays_completed,
             ctas_total: self.sched.ctas.len(),
-            ctas_unfinished: self.sched.ctas.iter().filter(|c| c.phase != Phase::Done).count(),
+            ctas_unfinished: self.sched.unfinished(),
             pending_ctas: self.sched.pending.len(),
             resume_ready_ctas: self.sched.resume_ready.len(),
             mem_in_flight: self.mem.in_flight_requests(self.now),
@@ -895,8 +895,8 @@ impl<'a> Engine<'a> {
 
     /// Re-derives the engine's conservation laws from first principles and
     /// reports the first violated one: ray conservation across the ray
-    /// table and the units, then each SM's unit, scheduler and observer
-    /// laws, then the memory hierarchy's. See
+    /// table and the units, then each SM's unit and observer laws, then
+    /// the scheduler's, then the memory hierarchy's. See
     /// [`AuditMode`](crate::AuditMode) for when this runs.
     fn audit_invariants(&self) -> Result<(), InvariantViolation> {
         let fail = |(site, detail): (&str, String)| InvariantViolation {
@@ -909,9 +909,9 @@ impl<'a> Engine<'a> {
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
-            self.sched.audit(sm, self.cfg.max_ctas_per_sm).map_err(on_sm)?;
             self.obs.audit(sm, self.now).map_err(on_sm)?;
         }
+        self.sched.audit(self.cfg.max_ctas_per_sm).map_err(fail)?;
         self.mem.audit().map_err(|detail| fail(("mem-accounting", detail)))
     }
 
@@ -1109,8 +1109,7 @@ impl<'a> Engine<'a> {
         if new_rays.is_empty() {
             self.scratch.new_rays = new_rays;
             // Path ended for every thread: CTA retires, slot freed.
-            self.sched.ctas[id].phase = Phase::Done;
-            self.sched.free_slots[sm] += 1;
+            self.sched.retire(id);
             let now = self.now;
             self.emit(|| TraceEvent::CtaRetire { cycle: now, cta: id, sm });
             return;
@@ -1819,6 +1818,31 @@ mod tests {
             SimError::Invariant(v) => {
                 assert_eq!(v.site, "queue-accounting");
                 assert!(v.detail.contains("recount"), "got: {}", v.detail);
+            }
+            other => panic!("expected Invariant, got {other:?}"),
+        }
+    }
+
+    /// The retired-CTA count's must-go-red: a count that disagrees with
+    /// the CTAs' phases fails the run at the next audit, before the count
+    /// can end the run early.
+    #[test]
+    fn skewed_retired_count_is_caught_by_the_auditor() {
+        let scene = lumibench::build_scaled(SceneId::Ref, 16);
+        let bvh =
+            Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+        let primary = |i: u32| scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
+        let workload =
+            Workload { tasks: (0..256u32).map(|i| PathTask { rays: vec![primary(i)] }).collect() };
+        let cfg = GpuConfig::default();
+        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        assert!(engine.sched.ctas.len() > 1);
+        engine.audit_every = Some(1);
+        engine.sched.corrupt_retired(1);
+        match engine.run(None, None).expect_err("a skewed count must trip the auditor") {
+            SimError::Invariant(v) => {
+                assert_eq!(v.site, "cta-retired");
+                assert!(v.detail.contains("retired count 1 != 0"), "got: {}", v.detail);
             }
             other => panic!("expected Invariant, got {other:?}"),
         }

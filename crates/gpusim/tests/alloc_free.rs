@@ -8,6 +8,7 @@
 //! harness reporting its result) would allocate into a measured region.
 #![cfg(feature = "count-allocs")]
 
+use gpumem::{AccessKind, CachePolicy, MemConfig, MemFaults, MemorySystem};
 use gpusim::{NextNode, PathTask, RayId, RayTraversal, StackArena, Tape, Workload};
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -20,7 +21,15 @@ fn steady_state_hot_paths_do_not_allocate() {
     traversal_with_a_pooled_arena();
     replay_from_a_tape();
     warm_queue_table_push_pop();
-    warm_memory_system_access();
+    warm_memory_system_access(MemFaults::default());
+    // One fill in five returns late, so later completions step back over
+    // it when they re-enter their MSHR pool.
+    warm_memory_system_access(MemFaults {
+        spike_per_mille: 200,
+        spike_extra_cycles: 2000,
+        bandwidth_divisor: 2,
+        seed: 7,
+    });
 }
 
 /// The same ray set through [`RayTraversal`] twice with a pooled
@@ -159,13 +168,11 @@ fn warm_queue_table_push_pop() {
 
 /// Every simulated byte goes through `MemorySystem::access`, so a warmed
 /// hierarchy must serve all four policies without touching the heap:
-/// the caches' lookup state and the MSHR heaps are sized at construction,
-/// whatever is evicted, and a miss-rate window is only pushed the first
-/// time a cycle lands in it.
-fn warm_memory_system_access() {
-    use gpumem::{AccessKind, CachePolicy, MemConfig, MemorySystem};
-
-    let cfg = MemConfig { num_sms: 2, ..MemConfig::default() };
+/// the caches' lookup state and the MSHR pools are sized at construction,
+/// whatever is evicted or however late a fill returns, and a miss-rate
+/// window is only pushed the first time a cycle lands in it.
+fn warm_memory_system_access(faults: MemFaults) {
+    let cfg = MemConfig { num_sms: 2, faults, ..MemConfig::default() };
     let mut mem = MemorySystem::new(&cfg);
     let line = cfg.l1.line_bytes as u64;
     // Three times the reserve (and the L2) in distinct lines, cycled: no
@@ -206,5 +213,5 @@ fn warm_memory_system_access() {
         assert!(dram >= lines - capacity, "{policy:?}: only {dram} of {lines} lines reached DRAM");
     }
     assert_eq!(mem.stats().bvh_l1_windows.len(), warm.bvh_l1_windows.len());
-    assert_eq!(after - before, 0, "a warm memory system must not touch the heap");
+    assert_eq!(after - before, 0, "a warm memory system must not touch the heap ({faults:?})");
 }

@@ -275,6 +275,50 @@ fn mid_run_snapshots_carry_live_stack_entries() {
     assert_eq!(resumed.hits, plain.hits);
 }
 
+#[test]
+fn snapshots_taken_after_some_ctas_retired_resume_identically() {
+    // The run ends on a count of retired CTAs that no checkpoint record
+    // carries; a reader recounts it from the `ckpt_cta` phases. Four CTAs
+    // of one, two, three and one bounces retire at different times, so
+    // some snapshots hold a mix of finished and running CTAs.
+    let (scene, bvh) = small_scene(SceneId::Bunny);
+    let workload = Workload {
+        tasks: (0..256u32)
+            .map(|i| {
+                let ray = scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
+                PathTask { rays: vec![ray; 1 + (i as usize / 64) % 3] }
+            })
+            .collect(),
+    };
+    let done_ctas = |text: &str| {
+        text.lines()
+            .filter(|l| l.contains("\"record\":\"ckpt_cta\""))
+            .fold((0, 0), |(d, n), l| (d + usize::from(l.contains("\"phase\":6,")), n + 1))
+    };
+    for policy in [TraversalPolicy::Baseline, TraversalPolicy::Vtq(VtqParams::default())] {
+        let sim = Simulator::new(&bvh, scene.triangles(), config(policy));
+        let plain = sim.try_run(&workload).expect("plain run");
+        let mut ckpts = Vec::new();
+        sim.try_run_checkpointed(&workload, 512, &mut |c| ckpts.push(c)).expect("checkpointed run");
+        let mixed: Vec<(&Checkpoint, String)> = ckpts
+            .iter()
+            .map(|c| (c, c.to_jsonl()))
+            .filter(
+                |(_, text)| matches!(done_ctas(text), (done, total) if done > 0 && done < total),
+            )
+            .collect();
+        let label = policy.label();
+        assert!(!mixed.is_empty(), "{label}: no snapshot between the first and last retirement");
+        for (ckpt, text) in [mixed.first().unwrap(), mixed.last().unwrap()] {
+            let back = Checkpoint::from_jsonl(text).expect("round-trip parses");
+            assert_eq!(&back, *ckpt, "{label}: cycle {}", ckpt.cycle());
+            let resumed = resume(&sim, &workload, &back).expect("resume");
+            assert_eq!(resumed.stats, plain.stats, "{label}: cycle {}", ckpt.cycle());
+            assert_eq!(resumed.hits, plain.hits);
+        }
+    }
+}
+
 /// Format pin: the exact bytes `to_jsonl` writes for a fixed tiny run,
 /// as CRC32 and length. The first checkpoint is pinned alone and every
 /// checkpoint of the run together, so between the three policies each
