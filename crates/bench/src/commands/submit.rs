@@ -129,18 +129,13 @@ fn verify_local(
     spec: &SubmitSpec,
     remote: &[CellRecord],
 ) -> Result<(), String> {
-    let cfg = spec_config(spec);
-    let mut matrix = RunMatrix::new();
-    for cell in spec.cells(&cfg) {
-        matrix.push(cell);
-    }
     let engine = SweepEngine::new(opts.jobs);
-    let results = engine.run_map(&matrix, |cell, prepared| {
-        let report = prepared.run_policy(cell.policy);
+    let results = engine.run_cells(&spec.plan().matrix, |cell, fingerprint| {
+        let report = engine.cache().get(cell.scene, &cell.config).run_policy(cell.policy);
         CellRecord {
             scene: cell.scene.name().to_string(),
             label: cell.label.clone(),
-            fingerprint: cell_key_fingerprint(cell),
+            fingerprint,
             cycles: report.stats.cycles,
             rays: report.stats.rays_completed,
             box_tests: report.stats.box_tests,

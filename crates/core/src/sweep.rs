@@ -107,11 +107,18 @@ pub fn config_fingerprint(cfg: &ExperimentConfig) -> u64 {
 /// plus the exact policy (parameters included), so ablation cells sharing
 /// a label ("REF/vtq" at nine different [`gpusim::VtqParams`]) journal as
 /// distinct cells. Public because the `vtq-serve` result cache addresses
-/// its entries by `scene + this fingerprint`.
+/// its entries by `scene + this fingerprint`. A [`RunMatrix`] computes it
+/// once per cell, as the cell is added ([`RunMatrix::keys`]).
 pub fn cell_key_fingerprint(cell: &Cell) -> u64 {
+    cell_key(config_fingerprint(&cell.config), &cell.policy)
+}
+
+/// [`cell_key_fingerprint`] of a cell whose config fingerprints to
+/// `config_fp`: cells sharing a configuration hash it once.
+pub fn cell_key(config_fp: u64, policy: &TraversalPolicy) -> u64 {
     let mut hash = Fnv1a::default();
-    hash.write(&config_fingerprint(&cell.config).to_le_bytes());
-    hash.write(format!("{:?}", cell.policy).as_bytes());
+    hash.write(&config_fp.to_le_bytes());
+    hash.write(format!("{policy:?}").as_bytes());
     hash.finish()
 }
 
@@ -303,9 +310,18 @@ pub struct Cell {
 
 /// A declarative matrix of simulation cells. Cell indices are stable:
 /// the engine returns results in exactly this order.
+///
+/// Each cell's [`cell_key_fingerprint`] is computed when the cell is
+/// added and kept beside it, so the journal, the `vtq-serve` result
+/// cache and everything else that addresses a cell read [`keys`]
+/// instead of re-hashing its configuration.
+///
+/// [`keys`]: RunMatrix::keys
 #[derive(Debug, Clone, Default)]
 pub struct RunMatrix {
     cells: Vec<Cell>,
+    /// `keys[i]` is `cell_key_fingerprint(&cells[i])`.
+    keys: Vec<u64>,
 }
 
 impl RunMatrix {
@@ -316,7 +332,13 @@ impl RunMatrix {
 
     /// Appends a cell; returns its stable index.
     pub fn push(&mut self, cell: Cell) -> usize {
+        let key = cell_key_fingerprint(&cell);
+        self.push_keyed(cell, key)
+    }
+
+    fn push_keyed(&mut self, cell: Cell, key: u64) -> usize {
         self.cells.push(cell);
+        self.keys.push(key);
         self.cells.len() - 1
     }
 
@@ -328,29 +350,61 @@ impl RunMatrix {
         config: &ExperimentConfig,
         policy: TraversalPolicy,
     ) -> usize {
+        self.add_keyed(scene, config, policy, cell_key(config_fingerprint(config), &policy))
+    }
+
+    fn add_keyed(
+        &mut self,
+        scene: SceneId,
+        config: &ExperimentConfig,
+        policy: TraversalPolicy,
+        key: u64,
+    ) -> usize {
         let label = format!("{}/{}", scene.name(), policy.label());
-        self.push(Cell { scene, config: *config, policy, label })
+        self.push_keyed(Cell { scene, config: *config, policy, label }, key)
     }
 
     /// Appends the full cross product `scenes × policies` under one
     /// configuration (scene-major order, matching row-major result
-    /// grouping).
+    /// grouping). Returns the configuration's [`config_fingerprint`],
+    /// which it computes once for all the cells.
     pub fn cross(
         &mut self,
         scenes: &[SceneId],
         config: &ExperimentConfig,
         policies: &[TraversalPolicy],
-    ) {
+    ) -> u64 {
+        let config_fp = config_fingerprint(config);
+        let keys: Vec<u64> = policies.iter().map(|policy| cell_key(config_fp, policy)).collect();
         for &scene in scenes {
-            for &policy in policies {
-                self.add(scene, config, policy);
+            for (&policy, &key) in policies.iter().zip(&keys) {
+                self.add_keyed(scene, config, policy, key);
             }
         }
+        config_fp
+    }
+
+    /// Keeps only the cells for which `keep(cell, key)` holds, in their
+    /// order; the kept cells are renumbered from 0.
+    pub fn retain(&mut self, mut keep: impl FnMut(&Cell, u64) -> bool) {
+        let (mut cells, mut keys) = (Vec::new(), Vec::new());
+        for (cell, key) in self.cells.drain(..).zip(self.keys.drain(..)) {
+            if keep(&cell, key) {
+                cells.push(cell);
+                keys.push(key);
+            }
+        }
+        (self.cells, self.keys) = (cells, keys);
     }
 
     /// The cells, in index order.
     pub fn cells(&self) -> &[Cell] {
         &self.cells
+    }
+
+    /// Each cell's [`cell_key_fingerprint`], in index order.
+    pub fn keys(&self) -> &[u64] {
+        &self.keys
     }
 
     /// Number of cells.
@@ -600,26 +654,28 @@ impl SweepEngine {
         T: Send,
         F: Fn(&Cell, &Prepared) -> T + Sync,
     {
-        self.run_cells(matrix, |cell| f(cell, &self.cache.get(cell.scene, &cell.config)))
+        self.run_cells(matrix, |cell, _| f(cell, &self.cache.get(cell.scene, &cell.config)))
     }
 
     /// [`run_map`](Self::run_map) without the up-front [`Prepared`]: same
-    /// pool, journal keys and result order, but `f` sees only the cell.
-    /// For callers that can often settle a cell without its scene (the
+    /// pool, journal keys and result order, but `f` sees only the cell
+    /// and its [`cell_key_fingerprint`] (from [`RunMatrix::keys`]). For
+    /// callers that can often settle a cell without its scene (the
     /// `vtq-serve` result cache) and fetch from [`cache`](Self::cache)
     /// themselves when they cannot.
     pub fn run_cells<T, F>(&self, matrix: &RunMatrix, f: F) -> Vec<CellResult<T>>
     where
         T: Send,
-        F: Fn(&Cell) -> T + Sync,
+        F: Fn(&Cell, u64) -> T + Sync,
     {
         let f = &f;
         let tasks: Vec<(String, String, Task<'_, T>)> = matrix
             .cells()
             .iter()
-            .map(|cell| {
-                let key_base = format!("{}#{:016x}", cell.label, cell_key_fingerprint(cell));
-                let task = Box::new(move || f(cell)) as Task<'_, T>;
+            .zip(matrix.keys())
+            .map(|(cell, &key)| {
+                let key_base = format!("{}#{key:016x}", cell.label);
+                let task = Box::new(move || f(cell, key)) as Task<'_, T>;
                 (key_base, cell.label.clone(), task)
             })
             .collect();

@@ -149,6 +149,67 @@ fn prepared_cache_builds_each_scene_once() {
     );
 }
 
+/// However a cell enters a matrix, the key kept beside it is its
+/// `cell_key_fingerprint`: journal keys and result-cache entries are
+/// read from `keys()`, never recomputed.
+#[test]
+fn matrix_keys_are_cell_key_fingerprints() {
+    let base = cfg();
+    let qcfg = quantized_config(&base);
+    let grouped = VtqParams { max_virtual_rays: 7, ..VtqParams::default() };
+    let policies = [
+        TraversalPolicy::Baseline,
+        TraversalPolicy::Vtq(VtqParams::default()),
+        TraversalPolicy::Vtq(grouped),
+        TraversalPolicy::Predict(PredictParams::default()),
+    ];
+    let mut matrix = RunMatrix::new();
+    assert_eq!(matrix.cross(&SCENES, &base, &policies), config_fingerprint(&base));
+    matrix.add(SceneId::Ref, &qcfg, TraversalPolicy::Vtq(grouped));
+    matrix.push(Cell {
+        scene: SceneId::Bunny,
+        config: qcfg,
+        policy: TraversalPolicy::Baseline,
+        label: "BUNNY/qnode".to_string(),
+    });
+    let fingerprints =
+        |m: &RunMatrix| m.cells().iter().map(cell_key_fingerprint).collect::<Vec<u64>>();
+    assert_eq!(matrix.len(), SCENES.len() * policies.len() + 2);
+    assert_eq!(matrix.keys().to_vec(), fingerprints(&matrix));
+    // A key is the config and the policy, not the scene (which prefixes
+    // the cache key, as the label does the journal key): one per policy
+    // of the cross, plus the two quantized cells.
+    let mut distinct = matrix.keys().to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    assert_eq!(distinct.len(), policies.len() + 2);
+
+    // `retain` keeps each survivor's key, in order.
+    let mut odd = matrix.clone();
+    let mut index = 0;
+    odd.retain(|_, _| {
+        index += 1;
+        index % 2 == 0
+    });
+    assert_eq!(odd.keys().to_vec(), fingerprints(&odd));
+    let expected: Vec<u64> = matrix.keys().iter().copied().skip(1).step_by(2).collect();
+    assert_eq!(odd.keys(), expected);
+}
+
+/// One key as a literal: the `vtq-serve` result cache and every sweep
+/// journal on disk are addressed by these values, so a change that moves
+/// them (hashing the policy first, say) must fail here, not orphan them.
+#[test]
+fn a_quick_cell_key_is_pinned() {
+    let cell = Cell {
+        scene: SceneId::Ref,
+        config: ExperimentConfig::quick(),
+        policy: TraversalPolicy::Baseline,
+        label: "REF/baseline".to_string(),
+    };
+    assert_eq!(cell_key_fingerprint(&cell), 0xd280_7e9d_23c2_2522);
+}
+
 #[test]
 fn panicking_cell_is_isolated() {
     let engine = SweepEngine::new(4);

@@ -17,9 +17,11 @@ use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use vtq::jsonl::{parse_line, Record};
 use vtq::prelude::CancelToken;
+use vtq::sweep::RunMatrix;
 
 use crate::proto::SubmitSpec;
 
@@ -56,6 +58,21 @@ impl JobState {
     }
 }
 
+/// What a job runs, derived from its [`SubmitSpec`] once (see
+/// [`SubmitSpec::plan`]) and read by everything that addresses its
+/// cells: the quarantine partition, the executor, the settle loop and
+/// `results`.
+#[derive(Debug, Clone, Default)]
+pub struct Plan {
+    /// [`vtq::sweep::config_fingerprint`] of the spec's configuration:
+    /// the provenance stamp of every result-cache entry the job reads or
+    /// writes.
+    pub config_fingerprint: u64,
+    /// The cells, scene-major, each labelled `SCENE/policy` and keyed by
+    /// its [`vtq::sweep::cell_key_fingerprint`].
+    pub matrix: RunMatrix,
+}
+
 /// One admitted job.
 #[derive(Debug, Clone)]
 pub struct Job {
@@ -66,14 +83,15 @@ pub struct Job {
     /// Content fingerprint of the spec (journal scope + resubmission
     /// identity; see [`crate::proto::spec_fingerprint`]).
     pub spec_fingerprint: u64,
+    /// The cells the spec names (all of them, quarantined ones
+    /// included), shared by every clone of the job.
+    pub plan: Arc<Plan>,
     /// Current state.
     pub state: JobState,
     /// Cancellation/deadline token shared with the executor's engine.
     pub token: CancelToken,
     /// Cells settled so far.
     pub done_cells: usize,
-    /// Total cells in the matrix.
-    pub total_cells: usize,
     /// Cells served from the result cache.
     pub cached_cells: usize,
     /// Cells that panicked (including quarantined skips).
@@ -107,7 +125,7 @@ impl Registry {
         &mut self,
         spec: SubmitSpec,
         spec_fingerprint: u64,
-        total_cells: usize,
+        plan: Arc<Plan>,
         max_queue: usize,
         tenant_quota: usize,
     ) -> Result<Job, AdmitError> {
@@ -132,10 +150,10 @@ impl Registry {
             id: format!("j{}", self.next_seq),
             spec,
             spec_fingerprint,
+            plan,
             state: JobState::Queued,
             token,
             done_cells: 0,
-            total_cells,
             cached_cells: 0,
             failed_cells: 0,
         };
@@ -309,17 +327,23 @@ mod tests {
     #[test]
     fn admission_enforces_queue_bound_and_quota() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("alice"), 1, 2, 2, 2).unwrap();
-        let b = reg.admit(spec("alice"), 1, 2, 2, 2).unwrap();
+        let a = reg.admit(spec("alice"), 1, Arc::default(), 2, 2).unwrap();
+        let b = reg.admit(spec("alice"), 1, Arc::default(), 2, 2).unwrap();
         assert_ne!(a.id, b.id);
         // Queue full (bound 2).
-        assert!(matches!(reg.admit(spec("bob"), 1, 2, 2, 2), Err(AdmitError::QueueFull)));
+        assert!(matches!(
+            reg.admit(spec("bob"), 1, Arc::default(), 2, 2),
+            Err(AdmitError::QueueFull)
+        ));
         // Drain one; alice is now at her quota of 2 active (1 running,
         // 1 queued), bob is fine.
         let running = reg.take_next().unwrap();
         assert_eq!(running.id, a.id);
-        assert!(matches!(reg.admit(spec("alice"), 1, 2, 8, 2), Err(AdmitError::QuotaExceeded)));
-        assert!(reg.admit(spec("bob"), 1, 2, 8, 2).is_ok());
+        assert!(matches!(
+            reg.admit(spec("alice"), 1, Arc::default(), 8, 2),
+            Err(AdmitError::QuotaExceeded)
+        ));
+        assert!(reg.admit(spec("bob"), 1, Arc::default(), 8, 2).is_ok());
         let (queued, run, finished) = reg.counts();
         assert_eq!((queued, run, finished), (2, 1, 0));
     }
@@ -327,8 +351,8 @@ mod tests {
     #[test]
     fn cancel_queued_job_never_runs() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("t"), 1, 1, 8, 8).unwrap();
-        let b = reg.admit(spec("t"), 1, 1, 8, 8).unwrap();
+        let a = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
+        let b = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
         assert!(reg.cancel(&a.id));
         assert!(!reg.cancel(&a.id), "terminal jobs cannot be re-cancelled");
         assert!(!reg.cancel("j999"), "unknown id");
@@ -341,7 +365,7 @@ mod tests {
     #[test]
     fn cancel_running_job_flips_its_token() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("t"), 1, 1, 8, 8).unwrap();
+        let a = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
         let running = reg.take_next().unwrap();
         assert!(!running.token.is_cancelled());
         assert!(reg.cancel(&a.id));

@@ -46,6 +46,6 @@ pub mod wire;
 
 pub use cache::ResultCache;
 pub use client::{discover_addr, Client};
-pub use jobs::{Job, JobState, PoisonList, Registry};
+pub use jobs::{Job, JobState, Plan, PoisonList, Registry};
 pub use proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
 pub use server::{spec_config, Server, ServerConfig, ServerHandle};

@@ -38,13 +38,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vtq::prelude::{
-    cell_key_fingerprint, config_fingerprint, CancelToken, Cell, CellErrorKind, ExperimentConfig,
-    PreparedCache, SweepEngine, SweepJournal,
+    CancelToken, Cell, CellErrorKind, ExperimentConfig, PreparedCache, SweepEngine, SweepJournal,
 };
 use vtq::sweep::RunMatrix;
 
 use crate::cache::ResultCache;
-use crate::jobs::{AdmitError, Job, JobState, PoisonList, Registry};
+use crate::jobs::{AdmitError, Job, JobState, Plan, PoisonList, Registry};
 use crate::proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
 use crate::wire::{self, FrameWriter};
 
@@ -118,13 +117,14 @@ pub fn spec_config(spec: &SubmitSpec) -> ExperimentConfig {
 }
 
 impl SubmitSpec {
-    /// The cells the submission names under `cfg`, scene-major, each
-    /// labelled `SCENE/policy`: what the daemon runs, caches and serves,
-    /// and what `--verify-local` re-runs.
-    pub fn cells(&self, cfg: &ExperimentConfig) -> Vec<Cell> {
+    /// The cells the submission names under [`spec_config`], scene-major,
+    /// each labelled `SCENE/policy` and keyed, with the configuration's
+    /// fingerprint: what the daemon runs, caches and serves, and what
+    /// `--verify-local` re-runs. The configuration is fingerprinted once.
+    pub fn plan(&self) -> Plan {
         let mut matrix = RunMatrix::new();
-        matrix.cross(&self.scenes, cfg, &self.policies);
-        matrix.cells().to_vec()
+        let config_fingerprint = matrix.cross(&self.scenes, &spec_config(self), &self.policies);
+        Plan { config_fingerprint, matrix }
     }
 }
 
@@ -171,7 +171,7 @@ impl ServeState {
             job: job.id.clone(),
             state: job.state.label().to_string(),
             done_cells: job.done_cells,
-            total_cells: job.total_cells,
+            total_cells: job.plan.matrix.len(),
             cached_cells: job.cached_cells,
             failed_cells: job.failed_cells,
         }
@@ -337,24 +337,23 @@ fn executor_loop(state: &ServeState) {
 }
 
 fn run_job(state: &ServeState, job: &Job) {
-    let cfg = spec_config(&job.spec);
-    let cfg_fp = config_fingerprint(&cfg);
+    let cfg_fp = job.plan.config_fingerprint;
 
     // Partition quarantined cells out *before* the engine sees the
     // matrix: a quarantined cell must neither execute nor be journaled.
-    let mut matrix = RunMatrix::new();
+    let mut matrix = job.plan.matrix.clone();
     let mut quarantined: Vec<(String, u32, String)> = Vec::new();
     {
         let poison = state.poison.lock().unwrap();
-        for cell in job.spec.cells(&cfg) {
-            let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(&cell));
-            if poison.quarantined(&key) {
-                let (strikes, detail) = poison.forensics(&key).unwrap();
-                quarantined.push((cell.label, strikes, detail.to_string()));
-            } else {
-                matrix.push(cell);
+        matrix.retain(|cell, fp| {
+            let key = ResultCache::key(cell.scene.name(), fp);
+            if !poison.quarantined(&key) {
+                return true;
             }
-        }
+            let (strikes, detail) = poison.forensics(&key).unwrap();
+            quarantined.push((cell.label.clone(), strikes, detail.to_string()));
+            false
+        });
     }
     for (label, strikes, detail) in &quarantined {
         eprintln!("[serve] {}: `{label}` quarantined after {strikes} strike(s): {detail}", job.id);
@@ -377,11 +376,11 @@ fn run_job(state: &ServeState, job: &Job) {
 
     // `run_cells`, not `run_map`: the result cache is probed first, and
     // scene + BVH + path trace are built only for a cell that misses.
-    let results = engine.run_cells(&matrix, |cell| {
+    let results = engine.run_cells(&matrix, |cell, fp| {
         if let Some(hook) = state.config.before_cell {
             hook(&job.spec, cell, &job.token);
         }
-        let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(cell));
+        let key = ResultCache::key(cell.scene.name(), fp);
         if let Some(record) = state.cache.load(&key, cfg_fp) {
             note_cell(state, job, "cached", &record);
             return record;
@@ -389,15 +388,15 @@ fn run_job(state: &ServeState, job: &Job) {
         // The cache write happens INSIDE the cell, before the engine
         // journals `done`: `journaled done ⇒ result on disk` must hold
         // across a kill at any instant.
-        let record = simulate_and_store(state, cell, &key, cfg_fp);
+        let record = simulate_and_store(state, cell, fp, cfg_fp);
         note_cell(state, job, "done", &record);
         record
     });
 
     // Settle the stragglers the closure never saw: panics (strike the
     // poison list), interruptions, and journal-skips.
-    for (cell, result) in matrix.cells().iter().zip(&results) {
-        let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(cell));
+    for ((cell, &fp), result) in matrix.cells().iter().zip(matrix.keys()).zip(&results) {
+        let key = ResultCache::key(cell.scene.name(), fp);
         match result {
             Ok(_) => {}
             Err(e) if e.kind == CellErrorKind::Panic => {
@@ -430,7 +429,7 @@ fn run_job(state: &ServeState, job: &Job) {
                              recomputing",
                             job.id, cell.label
                         );
-                        let record = simulate_and_store(state, cell, &key, cfg_fp);
+                        let record = simulate_and_store(state, cell, fp, cfg_fp);
                         note_cell(state, job, "recomputed", &record);
                     }
                 }
@@ -457,20 +456,21 @@ fn run_job(state: &ServeState, job: &Job) {
     state.watchers.lock().unwrap().remove(&job.id);
 }
 
-/// Simulates one cell on its (memoized) prepared scene and writes the
-/// record to the result cache under `key`.
-fn simulate_and_store(state: &ServeState, cell: &Cell, key: &str, cfg_fp: u64) -> CellRecord {
+/// Simulates one cell (whose key fingerprint is `fp`) on its (memoized)
+/// prepared scene and writes the record to the result cache.
+fn simulate_and_store(state: &ServeState, cell: &Cell, fp: u64, cfg_fp: u64) -> CellRecord {
+    let key = ResultCache::key(cell.scene.name(), fp);
     let report = state.prepared.get(cell.scene, &cell.config).run_policy(cell.policy);
     let record = CellRecord {
         scene: cell.scene.name().to_string(),
         label: cell.label.clone(),
-        fingerprint: cell_key_fingerprint(cell),
+        fingerprint: fp,
         cycles: report.stats.cycles,
         rays: report.stats.rays_completed,
         box_tests: report.stats.box_tests,
         tri_tests: report.stats.tri_tests,
     };
-    if let Err(e) = state.cache.store(key, cfg_fp, &record) {
+    if let Err(e) = state.cache.store(&key, cfg_fp, &record) {
         eprintln!("[serve] cannot cache `{key}`: {e}");
     }
     record
@@ -579,15 +579,15 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
         };
         return reply(writer, &frame);
     }
-    let cfg = spec_config(&spec);
     // A submission is outside input: a configuration no cell could run
     // (`res: 0`) is the client's error, refused before admission — not
     // two panicked attempts and a quarantine entry.
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = spec_config(&spec).validate() {
         let frame = Frame::Rejected { reason: RejectReason::BadRequest, detail: e.to_string() };
         return reply(writer, &frame);
     }
-    let cfg_fp = config_fingerprint(&cfg);
+    let plan = Arc::new(spec.plan());
+    let cfg_fp = plan.config_fingerprint;
     // Provenance gate: a client pinned to a fingerprint (its own local
     // config) refuses to run against a skewed daemon — and vice versa.
     if let Some(expected) = spec.expect_fingerprint {
@@ -599,7 +599,7 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
             return reply(writer, &frame);
         }
     }
-    let total_cells = spec.scenes.len() * spec.policies.len();
+    let total_cells = plan.matrix.len();
     let fingerprint = spec_fingerprint(&spec);
     let watch = spec.watch;
     let admitted = {
@@ -607,7 +607,7 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
         let admitted = registry.admit(
             spec,
             fingerprint,
-            total_cells,
+            plan,
             state.config.max_queue,
             state.config.tenant_quota,
         );
@@ -733,12 +733,11 @@ fn handle_results(state: &ServeState, writer: &mut Wire, job_id: &str) -> bool {
         };
         return reply(writer, &frame);
     };
-    let cfg = spec_config(&job.spec);
-    let cfg_fp = config_fingerprint(&cfg);
+    let Plan { config_fingerprint, matrix } = &*job.plan;
     let mut cells = 0usize;
-    for cell in job.spec.cells(&cfg) {
-        let key = ResultCache::key(cell.scene.name(), cell_key_fingerprint(&cell));
-        if let Some(record) = state.cache.load(&key, cfg_fp) {
+    for (cell, &fp) in matrix.cells().iter().zip(matrix.keys()) {
+        let key = ResultCache::key(cell.scene.name(), fp);
+        if let Some(record) = state.cache.load(&key, *config_fingerprint) {
             if writer.append(Frame::CellResult(record).to_line()).is_err() {
                 return false;
             }

@@ -10,10 +10,12 @@
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use vtq::prelude::{CancelToken, Cell, StageCounts};
+use vtq::prelude::{config_fingerprint, CancelToken, Cell, StageCounts};
 use vtq_serve::proto::{parse_policy, parse_scene};
 use vtq_serve::server::spec_config;
-use vtq_serve::{Client, Frame, RejectReason, Request, Server, ServerConfig, SubmitSpec};
+use vtq_serve::{
+    Client, Frame, RejectReason, Request, ResultCache, Server, ServerConfig, SubmitSpec,
+};
 
 fn test_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("vtq-serve-{tag}-{}", std::process::id()));
@@ -261,6 +263,18 @@ fn fingerprint_mismatch_is_rejected_and_match_accepted() {
     let poison = std::fs::read_to_string(dir.join("poison.jsonl")).unwrap_or_default();
     assert!(poison.is_empty(), "a bad request strikes no cell: {poison}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job's plan is what the daemon addresses its cache by. One quick
+/// cell's cache key, as a literal: a fingerprint change that would
+/// orphan every filled cache and journal fails here first.
+#[test]
+fn a_quick_cell_cache_key_is_pinned() {
+    let plan = SubmitSpec::default().plan();
+    assert_eq!(plan.config_fingerprint, config_fingerprint(&spec_config(&SubmitSpec::default())));
+    let cell = &plan.matrix.cells()[0];
+    assert_eq!((plan.matrix.len(), cell.label.as_str()), (1, "REF/baseline"));
+    assert_eq!(ResultCache::key(cell.scene.name(), plan.matrix.keys()[0]), "REF-d2807e9d23c22522");
 }
 
 #[test]
