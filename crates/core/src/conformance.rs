@@ -14,7 +14,8 @@
 //!    every preset (baseline, prefetch, VTQ and its grouping / repacking /
 //!    virtualization variants, ray-path prediction, and the
 //!    quantized-node BVH build), extracts the per-ray
-//!    [`PrimHit`] records of a run that walks the BVH ([`walk`]) and
+//!    [`PrimHit`] records of the run a figure makes of that cell — it
+//!    replays the prepared scene's tape — and
 //!    asserts **bit-equal** `(prim, t)` agreement with the oracle for
 //!    closest-hit queries (hit-vs-miss agreement for anyhit queries,
 //!    whose terminating occluder is order-dependent by design). The first
@@ -38,10 +39,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use gpusim::{
-    HitCapture, PathTask, SimError, SimReport, Simulator, TraceCall, TraversalPolicy, Workload,
-    TRACE_T_MIN,
-};
+use gpusim::{HitCapture, PathTask, SimError, TraceCall, TraversalPolicy, Workload, TRACE_T_MIN};
 use rtbvh::{Bvh, NodeFormat, PrimHit};
 use rtscene::lumibench::SceneId;
 use rtscene::Triangle;
@@ -329,23 +327,6 @@ impl ConformanceReport {
     }
 }
 
-/// Runs `workload` with every ray walking the BVH live, under `sim`'s
-/// policy.
-///
-/// Any other run replays a [`gpusim::Tape`] — the simulator's own, when
-/// none is attached — so its hits are the tape's and a bug in the
-/// treelet-restricted walk would not show in them. A run that
-/// checkpoints walks (a checkpoint carries live stacks), and one whose
-/// interval no run reaches takes no checkpoint: it is a plain walk,
-/// cycle for cycle.
-///
-/// # Errors
-///
-/// Those of [`Simulator::try_run`].
-pub fn walk(sim: &Simulator, workload: &Workload) -> Result<SimReport, SimError> {
-    sim.try_run_checkpointed(workload, u64::MAX, &mut |_| {})
-}
-
 /// The configuration whose prepared scene answers for `cell`'s oracle:
 /// the cell's own workload (resolution, bounces, samples, shadow rays,
 /// thread order) traced over the wide-node BVH. GPU parameters shape no
@@ -364,19 +345,18 @@ fn oracle_config(cell: &Cell, base: &ExperimentConfig) -> ExperimentConfig {
 /// work-stealing pool; results come back in deterministic matrix order
 /// regardless of `--jobs`.
 ///
-/// The simulator walks the BVH under each policy itself ([`walk`]): the
-/// matrix checks the simulator's own treelet-restricted traversal, while
-/// the figures (and the goldens bound to them) replay the tape, which
-/// [`check_tapes`] checks.
+/// Each cell runs the way the figures run it
+/// ([`Prepared::simulator`]`(policy).try_run`): the matrix checks the
+/// engine path that produces every figure and golden, including the
+/// walks of the rays the ray-path predictor speculates for.
 pub fn run_differential(
     engine: &SweepEngine,
     scenes: &[SceneId],
     cfg: &ExperimentConfig,
 ) -> ConformanceReport {
     differential(engine, scenes, &presets(), cfg, |cell, prepared| {
-        let gpu = cell.config.gpu.with_policy(cell.policy);
-        let sim = Simulator::new(&prepared.bvh, prepared.scene.triangles(), gpu);
-        walk(&sim, &prepared.workload).map(|report| HitCapture::from_report(&report))
+        let report = prepared.simulator(cell.policy).try_run(&prepared.workload)?;
+        Ok(HitCapture::from_report(&report))
     })
 }
 

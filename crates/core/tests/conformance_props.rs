@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use rtbvh::{Bvh, BvhConfig, PrimHit};
 use rtmath::{Ray, Vec3, XorShiftRng};
 use rtscene::{MaterialId, Triangle};
-use vtq::conformance::walk;
 
 /// Deterministic random soup from a seed (same recipe as the rtbvh
 /// property suite): clustered triangles of varying sizes.
@@ -110,9 +109,8 @@ proptest! {
             TraversalPolicy::TreeletPrefetch,
             TraversalPolicy::Vtq(VtqParams::default()),
         ] {
-            // Walked, so each policy's restricted traversal answers.
             let sim = Simulator::new(&bvh, &tris, cfg.with_policy(policy));
-            let report = walk(&sim, &workload).expect("simulation runs");
+            let report = sim.try_run(&workload).expect("simulation runs");
             let capture = HitCapture::from_report(&report);
             for (task, &(ray, t_max)) in rays.iter().enumerate() {
                 let oracle = bvh.occluded(&tris, &ray, TRACE_T_MIN, t_max);

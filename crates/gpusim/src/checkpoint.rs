@@ -2,12 +2,13 @@
 //!
 //! A [`Checkpoint`] is the engine's architectural state at a quiescent
 //! point of the event-driven clock, held as clones of the engine's own
-//! components — the CTA scheduler ([`sched`](crate::sched)), the ray
-//! table ([`ray_table`](crate::ray_table)), one RT unit per SM
-//! ([`rt_unit`](crate::rt_unit)) and the observer
+//! components — the CTA scheduler ([`sched`](crate::sched)), one RT unit
+//! per SM ([`rt_unit`](crate::rt_unit)) and the observer
 //! ([`observer`](crate::observer)) — plus the memory hierarchy's
-//! [`MemSnapshot`]. There is no second declaration of any of it: the live
-//! struct is the checkpointed struct, and each component writes, reads,
+//! [`MemSnapshot`] and each ray's position in its call
+//! ([`ray_table`](crate::ray_table)), from which a restore re-issues the
+//! ray. There is no second declaration of a component: the live struct
+//! is the checkpointed struct, and each component writes, reads,
 //! validates and audits its own records next to its definition. Resuming
 //! with [`RunOptions::resume`](crate::RunOptions::resume) produces a final
 //! [`SimStats`](crate::SimStats) bit-identical to the uninterrupted run.
@@ -27,11 +28,12 @@
 use std::hash::Hasher as _;
 
 use gpumem::{CacheSnapshot, CacheStats, KindStats, LineState, MemSnapshot, WindowPoint};
+use rtbvh::Bvh;
 
 use crate::export::ParseError;
 use crate::jsonl::{check_line, parse_line, Fields, Fnv1a, Pair, Record};
 use crate::observer::Observer;
-use crate::ray_table::RayTable;
+use crate::ray_table::RayPositions;
 use crate::rt_unit::RtUnit;
 use crate::sched::CtaScheduler;
 use crate::sim::Workload;
@@ -44,7 +46,10 @@ use crate::GpuConfig;
 /// it needs.)
 /// Version 2 added the ray-path prediction table (per-unit buckets +
 /// stats, per-ray `best_node`) and the predict counters in `ckpt_stats`.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Version 3 records each ray as its position (`steps`, `lead`) instead
+/// of its stacks, the BVH's node count in the header, and the observer's
+/// scalars on a `ckpt_observer` line of their own.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Fingerprint of a [`GpuConfig`] (FNV-1a over its debug form), stored in
 /// the checkpoint header so a resume against a different configuration is
@@ -78,7 +83,7 @@ pub(crate) fn index_of(f: &Fields<'_>, key: &str, len: usize) -> Result<usize, S
 
 /// Record kinds a checkpoint holds exactly one of; a repeat would silently
 /// overwrite the first.
-const ONCE: [&str; 3] = ["ckpt_engine", "ckpt_stats", "ckpt_mem"];
+const ONCE: [&str; 4] = ["ckpt_engine", "ckpt_observer", "ckpt_stats", "ckpt_mem"];
 
 /// A complete simulator checkpoint; see the [module docs](self).
 ///
@@ -92,10 +97,12 @@ pub struct Checkpoint {
     pub(crate) num_sms: usize,
     pub(crate) tasks: usize,
     pub(crate) total_rays: usize,
+    /// Node count of the BVH the rays' steps walk.
+    pub(crate) nodes: usize,
     pub(crate) config_tag: u64,
     pub(crate) now: u64,
     pub(crate) sched: CtaScheduler,
-    pub(crate) rays: RayTable,
+    pub(crate) rays: RayPositions,
     pub(crate) rt: Vec<RtUnit>,
     pub(crate) obs: Observer,
     pub(crate) mem: MemSnapshot,
@@ -118,10 +125,15 @@ impl Checkpoint {
     }
 
     /// Checks the header against the simulator about to restore it: same
-    /// configuration, machine size and workload shape. (The version needs
-    /// no check here: capture writes the current one and
-    /// [`from_jsonl`](Self::from_jsonl) accepts no other.)
-    pub(crate) fn check_header(&self, cfg: &GpuConfig, workload: &Workload) -> Result<(), String> {
+    /// configuration, machine size, workload shape and BVH node count.
+    /// (The version needs no check here: capture writes the current one
+    /// and [`from_jsonl`](Self::from_jsonl) accepts no other.)
+    pub(crate) fn check_header(
+        &self,
+        cfg: &GpuConfig,
+        workload: &Workload,
+        bvh: &Bvh,
+    ) -> Result<(), String> {
         if self.config_tag != config_tag(cfg) {
             return Err(format!(
                 "config fingerprint {:#x} does not match the simulator's {:#x}",
@@ -146,6 +158,13 @@ impl Checkpoint {
                 workload.total_rays()
             ));
         }
+        if self.nodes != bvh.nodes().len() {
+            return Err(format!(
+                "checkpoint was taken over a BVH of {} nodes, the simulator's has {}",
+                self.nodes,
+                bvh.nodes().len()
+            ));
+        }
         Ok(())
     }
 
@@ -164,9 +183,10 @@ impl Checkpoint {
                 .num("num_sms", self.num_sms)
                 .num("tasks", self.tasks)
                 .num("total_rays", self.total_rays)
+                .num("nodes", self.nodes)
                 .num("config_tag", self.config_tag),
         );
-        emit(self.sched.engine_record(&self.obs));
+        emit(self.sched.engine_record());
         self.obs.write_jsonl(emit);
         self.sched.write_ctas(emit);
         self.rays.write_jsonl(emit);
@@ -238,10 +258,11 @@ impl Checkpoint {
             num_sms,
             tasks,
             total_rays: f.num("total_rays")?,
+            nodes: f.num("nodes")?,
             config_tag: f.u64("config_tag")?,
             now: f.u64("cycle")?,
             sched: CtaScheduler::default(),
-            rays: RayTable::empty(tasks),
+            rays: RayPositions::empty(tasks),
             rt: vec![RtUnit::default(); num_sms],
             obs: Observer::default(),
             mem: MemSnapshot {
@@ -271,11 +292,10 @@ impl Checkpoint {
             }
         }
         match kind {
-            "ckpt_engine" => {
-                self.sched.read_engine(&f)?;
-                self.obs.read_engine(&f)?;
+            "ckpt_engine" => self.sched.read_engine(&f)?,
+            "ckpt_observer" | "ckpt_stats" | "ckpt_stall" | "ckpt_series" => {
+                self.obs.read_record(kind, &f)?
             }
-            "ckpt_stats" | "ckpt_stall" | "ckpt_series" => self.obs.read_record(kind, &f)?,
             "ckpt_cta" => self.sched.read_cta(&f, self.num_sms)?,
             "ckpt_ray" => self.rays.read_ray(&f, self.num_sms)?,
             "ckpt_hits" => self.rays.read_hits(&f)?,

@@ -104,12 +104,16 @@ impl Observer {
 
     // -- checkpoint records ---------------------------------------------------
 
-    /// `ckpt_stats`, one `ckpt_stall` per SM, one `ckpt_series` per
-    /// window. (The observer's three scalars travel on the `ckpt_engine`
-    /// line, which version 2 interleaves with the scheduler's and
-    /// [`CtaScheduler::engine_record`](crate::sched::CtaScheduler::engine_record)
-    /// therefore writes; [`read_engine`](Self::read_engine) reads them.)
+    /// `ckpt_observer` (the auditor's clock, the sink's event count and
+    /// the per-SM last-progress cycles), `ckpt_stats`, one `ckpt_stall`
+    /// per SM, one `ckpt_series` per window.
     pub(crate) fn write_jsonl(&self, emit: &mut dyn FnMut(Record)) {
+        emit(
+            Record::new("ckpt_observer")
+                .num("last_audit", self.last_audit)
+                .num("sink_events", self.sink_events)
+                .list("last_progress", &self.last_progress),
+        );
         emit(self.stats.counter_fields(Record::new("ckpt_stats")));
         for (sm, b) in self.stats.stall.iter().enumerate() {
             emit(stall_fields(Record::new("ckpt_stall").num("sm", sm), b));
@@ -125,17 +129,15 @@ impl Observer {
         }
     }
 
-    /// The observer's fields of the `ckpt_engine` line.
-    pub(crate) fn read_engine(&mut self, f: &Fields<'_>) -> Result<(), String> {
-        self.last_audit = f.u64("last_audit")?;
-        self.sink_events = f.u64("sink_events")?;
-        self.last_progress = f.list("last_progress")?;
-        Ok(())
-    }
-
-    /// Applies one `ckpt_stats` / `ckpt_stall` / `ckpt_series` line.
+    /// Applies one `ckpt_observer` / `ckpt_stats` / `ckpt_stall` /
+    /// `ckpt_series` line.
     pub(crate) fn read_record(&mut self, kind: &str, f: &Fields<'_>) -> Result<(), String> {
         match kind {
+            "ckpt_observer" => {
+                self.last_audit = f.u64("last_audit")?;
+                self.sink_events = f.u64("sink_events")?;
+                self.last_progress = f.list("last_progress")?;
+            }
             "ckpt_stats" => self.stats.read_counters(f)?,
             "ckpt_stall" => {
                 let (sm, expected): (usize, usize) = (f.num("sm")?, self.stats.stall.len());
@@ -168,6 +170,13 @@ impl Observer {
             }
         }
         Ok(())
+    }
+
+    /// Skews the active-lane step count without a visit, so the next
+    /// audit trips the `visit-conservation` invariant.
+    #[cfg(test)]
+    pub(crate) fn corrupt_lane_steps(&mut self, delta: u64) {
+        self.stats.active_lane_steps += delta;
     }
 
     /// Stall attribution is exhaustive: every elapsed cycle lands in

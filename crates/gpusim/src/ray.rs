@@ -11,9 +11,6 @@ use rtbvh::{aabb4_intersect, Bvh, NodeId, PrimHit, TreeletId, WIDE_WIDTH};
 use rtmath::Ray;
 use rtscene::Triangle;
 
-use crate::checkpoint::in_range;
-use crate::jsonl::{Fields, Pair, Record};
-
 /// Identifier of a ray within one simulated kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RayId(pub u32);
@@ -310,81 +307,6 @@ impl RayTraversal {
         }
         cost
     }
-
-    // -- checkpoint record ----------------------------------------------------
-
-    /// This ray's share of its `ckpt_ray` line. Every `f32` travels as raw
-    /// bits, so a restore is bit-exact; stacks are `node:t_enter` tokens,
-    /// bottom of stack first.
-    pub(crate) fn fields(&self, r: Record) -> Record {
-        fn stack(s: &[Pending]) -> impl Iterator<Item = (u32, u32)> + '_ {
-            s.iter().map(|e| (e.node.0, e.t_enter.to_bits()))
-        }
-        r.num("id", self.id.0)
-            .list("origin", vec3_bits(self.ray.origin))
-            .list("dir", vec3_bits(self.ray.dir))
-            .list("inv_dir", vec3_bits(self.ray.inv_dir))
-            .num("treelet", self.current_treelet.0)
-            .pairs("cur_stack", stack(&self.current_stack))
-            .pairs("tre_stack", stack(&self.treelet_stack))
-            .opt("best", self.best.map(|h| Pair(h.t.to_bits(), h.prim)))
-            .opt("best_node", self.best_node.map(|n| n.0))
-            .num("t_min", self.t_min.to_bits())
-            .num("t_max", self.t_max.to_bits())
-            .num("limit", self.limit.to_bits())
-            .num("anyhit", u8::from(self.anyhit))
-            .num("nodes", self.nodes_visited)
-    }
-
-    /// Inverse of [`fields`](Self::fields).
-    pub(crate) fn read(f: &Fields<'_>) -> Result<RayTraversal, String> {
-        let stack = |key: &str| -> Result<Vec<Pending>, String> {
-            let entries = f.pairs::<u32, u32>(key)?;
-            Ok(entries
-                .into_iter()
-                .map(|(node, t)| Pending { node: NodeId(node), t_enter: f32::from_bits(t) })
-                .collect())
-        };
-        let bits = |key: &str| f.num::<u32>(key).map(f32::from_bits);
-        Ok(RayTraversal {
-            id: RayId(f.num("id")?),
-            ray: Ray {
-                origin: vec3_from_bits(f.array("origin")?),
-                dir: vec3_from_bits(f.array("dir")?),
-                inv_dir: vec3_from_bits(f.array("inv_dir")?),
-            },
-            current_treelet: TreeletId(f.num("treelet")?),
-            current_stack: stack("cur_stack")?,
-            treelet_stack: stack("tre_stack")?,
-            best: f
-                .opt::<Pair<u32, u32>>("best")?
-                .map(|Pair(t, prim)| PrimHit { t: f32::from_bits(t), prim }),
-            best_node: f.opt("best_node")?.map(NodeId),
-            t_min: bits("t_min")?,
-            t_max: bits("t_max")?,
-            limit: bits("limit")?,
-            anyhit: f.bool("anyhit")?,
-            nodes_visited: f.num("nodes")?,
-        })
-    }
-
-    /// Checks the ids traversal will index the BVH with: every pending
-    /// node and the best-hit leaf against the node count, the current
-    /// treelet against the partition size.
-    pub(crate) fn validate(&self, bvh: &Bvh) -> Result<(), String> {
-        let pending = self.current_stack.iter().chain(&self.treelet_stack).map(|e| e.node);
-        let nodes = pending.chain(self.best_node).map(|n| n.0 as usize);
-        in_range("node id", nodes, bvh.nodes().len())?;
-        in_range("treelet id", [self.current_treelet.0 as usize], bvh.partition().len())
-    }
-}
-
-fn vec3_bits(v: rtmath::Vec3) -> [u32; 3] {
-    [v.x.to_bits(), v.y.to_bits(), v.z.to_bits()]
-}
-
-fn vec3_from_bits(bits: [u32; 3]) -> rtmath::Vec3 {
-    rtmath::Vec3::new(f32::from_bits(bits[0]), f32::from_bits(bits[1]), f32::from_bits(bits[2]))
 }
 
 #[cfg(test)]

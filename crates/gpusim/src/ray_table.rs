@@ -2,10 +2,19 @@
 //! state and which CTA / task / bounce / SM it belongs to — and the hit
 //! records finished rays leave behind. A ray's id is its index here.
 //!
-//! A ray either walks the BVH ([`RayTraversal`]) or, in a run with a
-//! [`Tape`], replays its call's recorded walk ([`Cursor`]); the table
-//! answers the engine's traversal questions for both alike. Runs that
-//! checkpoint never replay, so a checkpointed table holds only walks.
+//! A ray either replays its call's recorded walk from the run's [`Tape`]
+//! ([`Cursor`]) or walks the BVH ([`RayTraversal`]): it walks only when
+//! the ray-path predictor had it visit a predicted leaf first, or when
+//! the run has no tape because its BVH does not fit one. The table
+//! answers the engine's traversal questions for both alike.
+//!
+//! A checkpoint does not clone the table: it records each ray's
+//! *position* ([`RayPositions`]) — the call it traces, the steps it has
+//! taken and the leaf it was speculated for — and a restore issues the
+//! call again and advances it that far. Both kinds of ray step through
+//! their call in the order the unrestricted walk does, however a policy
+//! pauses them (see the [`tape`](crate::tape) module docs), so the
+//! position is the whole state.
 //!
 //! (The pool of reclaimed stack arenas that fresh rays draw from is
 //! engine scratch, not state: a restored engine simply re-warms it.)
@@ -13,27 +22,63 @@
 use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
 use rtscene::Triangle;
 
-use crate::checkpoint::index_of;
+use crate::checkpoint::{in_range, index_of};
 use crate::jsonl::{Fields, Opt, Pair, Record};
 use crate::ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
 use crate::sim::Workload;
 use crate::tape::{Cursor, Tape};
 
-/// Where a ray came from, and so where its completion is reported.
+/// Where a ray came from, and so where its completion is reported; plus
+/// the leaf the prediction table had it visit first, if any.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct RayMeta {
     pub(crate) cta: usize,
     pub(crate) task: usize,
     pub(crate) bounce: usize,
     pub(crate) sm: usize,
+    pub(crate) lead: Option<NodeId>,
 }
 
 /// One ray's traversal: walked through the BVH, or replayed from the run's
 /// tape.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) enum Walk {
     Live(RayTraversal),
     Replay(Cursor),
+}
+
+impl Walk {
+    /// The node visits the ray has made: a cursor's offset into its call,
+    /// a walk's visit count.
+    fn steps(&self, tape: Option<&Tape>) -> u32 {
+        match self {
+            Walk::Live(ray) => ray.nodes_visited,
+            Walk::Replay(cursor) => cursor.steps(replayed(tape)),
+        }
+    }
+
+    /// Takes `steps` steps of a freshly issued ray at once — unrestricted,
+    /// as the walk a tape records — to reach a checkpointed position.
+    /// `Err` if the call ends first.
+    pub(crate) fn advance(
+        &mut self,
+        steps: u32,
+        bvh: &Bvh,
+        triangles: &[Triangle],
+    ) -> Result<(), String> {
+        match self {
+            Walk::Replay(cursor) => cursor.advance(steps),
+            Walk::Live(ray) => {
+                for step in 0..steps {
+                    let NextNode::Visit(node) = ray.next_node(bvh, None) else {
+                        return Err(format!("the walk ends after {step} of {steps} steps"));
+                    };
+                    ray.visit(bvh, triangles, node);
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 /// The tape a replayed ray reads; only a run with one issues them.
@@ -41,9 +86,8 @@ fn replayed(tape: Option<&Tape>) -> &Tape {
     tape.expect("only a run with a tape replays rays")
 }
 
-/// The ray table's state; see the [module docs](self). The live struct
-/// is the checkpointed struct.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// The ray table's state; see the [module docs](self).
+#[derive(Debug, Default)]
 pub(crate) struct RayTable {
     rays: Vec<Walk>,
     meta: Vec<RayMeta>,
@@ -55,13 +99,12 @@ impl RayTable {
     /// No rays yet, and a `None` hit record for every call `workload` makes.
     pub(crate) fn new(workload: &Workload) -> RayTable {
         let hits = workload.tasks.iter().map(|t| vec![None; t.rays.len()]).collect();
-        RayTable { hits, ..RayTable::default() }
+        RayTable::with_hits(hits)
     }
 
-    /// No rays and `tasks` hit lists of no calls, for a checkpoint's
-    /// `ckpt_ray` / `ckpt_hits` lines to fill.
-    pub(crate) fn empty(tasks: usize) -> RayTable {
-        RayTable { hits: vec![Vec::new(); tasks], ..RayTable::default() }
+    /// No rays yet, and the given hit records.
+    pub(crate) fn with_hits(hits: Vec<Vec<Option<PrimHit>>>) -> RayTable {
+        RayTable { hits, ..RayTable::default() }
     }
 
     /// Rays created so far; also the id the next one gets.
@@ -146,21 +189,74 @@ impl RayTable {
         (meta, best_node, arena)
     }
 
-    // -- checkpoint records ---------------------------------------------------
+    /// Every ray's position, for a checkpoint.
+    pub(crate) fn positions(&self, tape: Option<&Tape>) -> RayPositions {
+        let steps = self.rays.iter().map(|ray| ray.steps(tape));
+        RayPositions {
+            rays: self.meta.iter().copied().zip(steps).collect(),
+            hits: self.hits.clone(),
+        }
+    }
+
+    /// Ray conservation: every ray ever created is either completed or in
+    /// flight on exactly one SM (the engine supplies both counts). Visit
+    /// conservation: the rays' steps add up to the `lane_steps` the
+    /// engine counted, one per visit.
+    pub(crate) fn audit(
+        &self,
+        completed: u64,
+        in_flight: usize,
+        lane_steps: u64,
+        tape: Option<&Tape>,
+    ) -> Result<(), (&'static str, String)> {
+        if self.len() as u64 != completed + in_flight as u64 {
+            let detail = format!(
+                "{} rays created != {completed} completed + {in_flight} in flight",
+                self.len()
+            );
+            return Err(("ray-conservation", detail));
+        }
+        let steps: u64 = self.rays.iter().map(|ray| u64::from(ray.steps(tape))).sum();
+        if steps != lane_steps {
+            let detail = format!("rays took {steps} steps != {lane_steps} active lane steps");
+            return Err(("visit-conservation", detail));
+        }
+        Ok(())
+    }
+}
+
+/// A checkpoint's ray table: each ray's [`RayMeta`] and the steps it has
+/// taken, in id order, and the hit records. See the [module docs](self).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RayPositions {
+    pub(crate) rays: Vec<(RayMeta, u32)>,
+    pub(crate) hits: Vec<Vec<Option<PrimHit>>>,
+}
+
+impl RayPositions {
+    /// No rays and `tasks` hit lists of no calls, for a checkpoint's
+    /// `ckpt_ray` / `ckpt_hits` lines to fill.
+    pub(crate) fn empty(tasks: usize) -> RayPositions {
+        RayPositions { rays: Vec::new(), hits: vec![Vec::new(); tasks] }
+    }
+
+    /// Rays created so far.
+    pub(crate) fn len(&self) -> usize {
+        self.rays.len()
+    }
 
     /// One `ckpt_ray` line per ray in id order, then one `ckpt_hits` line
     /// per task (hits as `t bits:prim` or `-`).
     pub(crate) fn write_jsonl(&self, emit: &mut dyn FnMut(Record)) {
-        for (ray, m) in self.rays.iter().zip(&self.meta) {
-            let Walk::Live(ray) = ray else {
-                unreachable!("a run that checkpoints replays no tape")
-            };
+        for (m, steps) in &self.rays {
             emit(
-                ray.fields(Record::new("ckpt_ray"))
+                Record::new("ckpt_ray")
                     .num("cta", m.cta)
                     .num("task", m.task)
                     .num("bounce", m.bounce)
-                    .num("sm", m.sm),
+                    .num("sm", m.sm)
+                    .num("steps", *steps)
+                    .opt("lead", m.lead.map(|n| n.0)),
             );
         }
         for (task, calls) in self.hits.iter().enumerate() {
@@ -176,8 +272,9 @@ impl RayTable {
             task: f.num("task")?,
             bounce: f.num("bounce")?,
             sm: index_of(f, "sm", num_sms)?,
+            lead: f.opt("lead")?.map(NodeId),
         };
-        self.push(Walk::Live(RayTraversal::read(f)?), meta);
+        self.rays.push((meta, f.num("steps")?));
         Ok(())
     }
 
@@ -197,7 +294,8 @@ impl RayTable {
     /// records have the workload's shape, every ray names a CTA and a
     /// trace call that exist (its completion writes `hits[task][bounce]`
     /// and wakes `cta`; its `sm` was checked against the header's SM
-    /// count when read), and its traversal state indexes inside `bvh`.
+    /// count when read), and a speculated ray's lead is a leaf of `bvh`.
+    /// (Its steps are checked when the restore re-issues the call.)
     pub(crate) fn validate(
         &self,
         workload: &Workload,
@@ -216,31 +314,18 @@ impl RayTable {
                 ));
             }
         }
-        for (i, (ray, m)) in self.rays.iter().zip(&self.meta).enumerate() {
+        for (i, (m, _)) in self.rays.iter().enumerate() {
             let calls = workload.tasks.get(m.task).map_or(0, |t| t.rays.len());
             if m.cta >= ctas || m.bounce >= calls {
                 return Err(format!("ray {i} references an out-of-range cta, task or bounce"));
             }
-            if let Walk::Live(ray) = ray {
-                ray.validate(bvh).map_err(|e| format!("ray {i}: {e}"))?;
+            if let Some(lead) = m.lead {
+                in_range("lead", [lead.index()], bvh.nodes().len())
+                    .map_err(|e| format!("ray {i}: {e}"))?;
+                if !bvh.node(lead).is_leaf() {
+                    return Err(format!("ray {i}: lead {} is not a leaf", lead.0));
+                }
             }
-        }
-        Ok(())
-    }
-
-    /// Ray conservation: every ray ever created is either completed or in
-    /// flight on exactly one SM (the engine supplies both counts).
-    pub(crate) fn audit(
-        &self,
-        completed: u64,
-        in_flight: usize,
-    ) -> Result<(), (&'static str, String)> {
-        if self.len() as u64 != completed + in_flight as u64 {
-            let detail = format!(
-                "{} rays created != {completed} completed + {in_flight} in flight",
-                self.len()
-            );
-            return Err(("ray-conservation", detail));
         }
         Ok(())
     }

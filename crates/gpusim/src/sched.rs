@@ -13,7 +13,6 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use crate::checkpoint::{in_range, index_of};
 use crate::jsonl::{Fields, Record};
-use crate::observer::Observer;
 use crate::sim::Workload;
 use crate::GpuConfig;
 
@@ -246,16 +245,11 @@ impl CtaScheduler {
 
     // -- checkpoint records ---------------------------------------------------
 
-    /// The `ckpt_engine` line. Version 2 interleaves the scheduler's
-    /// scalars with the observer's three (`last_audit`, `sink_events`,
-    /// `last_progress`) on this one line, so this writer takes the
-    /// observer; each component reads its own fields back.
-    pub(crate) fn engine_record(&self, obs: &Observer) -> Record {
+    /// The `ckpt_engine` line: the scheduler's scalars and queues.
+    pub(crate) fn engine_record(&self) -> Record {
         Record::new("ckpt_engine")
             .num("next_sm", self.next_sm)
-            .num("last_audit", obs.last_audit)
             .num("jitter_state", self.jitter_state)
-            .num("sink_events", obs.sink_events)
             .list("pending", &self.pending)
             .pairs("timers", self.timers.sorted())
             .list("resume_ready", &self.resume_ready)
@@ -263,7 +257,6 @@ impl CtaScheduler {
             .list("reserved_rays", &self.reserved_rays)
             .pairs("slot_release", self.slot_release.sorted())
             .list("free_slots", &self.free_slots)
-            .list("last_progress", &obs.last_progress)
     }
 
     /// One `ckpt_cta` line per CTA, in id order.
@@ -284,7 +277,7 @@ impl CtaScheduler {
         }
     }
 
-    /// The scheduler's fields of the `ckpt_engine` line.
+    /// Applies the `ckpt_engine` line.
     pub(crate) fn read_engine(&mut self, f: &Fields<'_>) -> Result<(), String> {
         self.next_sm = f.num("next_sm")?;
         self.jitter_state = f.u64("jitter_state")?;

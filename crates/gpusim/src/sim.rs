@@ -16,8 +16,10 @@
 //! checkpoint records, restore validation and invariant audit beside it:
 //! [`sched`](crate::sched) (CTA scheduler), [`rt_unit`](crate::rt_unit)
 //! (one RT unit per SM), [`ray_table`](crate::ray_table) and
-//! [`observer`](crate::observer); the engine's `capture` clones them into
-//! a [`Checkpoint`] and `restore` validates and replaces them.
+//! [`observer`](crate::observer); the engine's `capture` clones them —
+//! the ray table as each ray's position in its call — into a
+//! [`Checkpoint`], and `restore` validates and replaces them, issuing
+//! every ray again.
 
 use std::time::Instant;
 
@@ -294,8 +296,8 @@ impl<'r> RunOptions<'r> {
     /// starting from cycle 0, and runs the remainder of the kernel; the
     /// final [`SimStats`] is bit-identical to the run the checkpoint was
     /// taken from. A snapshot whose version, config fingerprint, workload
-    /// shape or machine geometry does not match fails the run with
-    /// [`SimError::Checkpoint`].
+    /// shape, machine geometry or BVH node count does not match fails the
+    /// run with [`SimError::Checkpoint`].
     pub fn resume(mut self, snapshot: &'r Checkpoint) -> RunOptions<'r> {
         self.resume = Some(snapshot);
         self
@@ -335,10 +337,9 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Creates a simulator over a scene and its BVH. Each run records the
     /// [`Tape`] of its workload before it cycles and replays it, as a run
-    /// [`with_tape`](Simulator::with_tape) does; a run that checkpoints
-    /// or resumes, and any run over a BVH no tape can encode (a leaf of
-    /// 256 or more triangles, or more than 2²³ treelets), walks the BVH
-    /// instead.
+    /// [`with_tape`](Simulator::with_tape) does; a run over a BVH no tape
+    /// can encode (a leaf of 256 or more triangles, or more than 2²³
+    /// treelets) walks the BVH instead.
     pub fn new(bvh: &'a Bvh, triangles: &'a [Triangle], config: GpuConfig) -> Simulator<'a> {
         Simulator { bvh, triangles, config, tape: None }
     }
@@ -349,8 +350,7 @@ impl<'a> Simulator<'a> {
     /// node visits, test counts and hit off the tape. Every count, cycle
     /// and hit is the one the walk would produce. Rays the ray-path
     /// predictor speculates for still walk (speculation changes their
-    /// visit order), and so does every ray of a run that checkpoints or
-    /// resumes, whose checkpoints carry live traversal stacks.
+    /// visit order).
     ///
     /// A run whose workload makes different calls per task, or whose BVH
     /// has a different node count, than the tape was recorded for fails
@@ -433,8 +433,10 @@ impl<'a> Simulator<'a> {
     /// resume it with [`RunOptions::resume`] — the resumed run's final
     /// [`SimStats`] is bit-identical to the uninterrupted run's.
     ///
-    /// Checkpointing is pure observation: the checkpointed run itself is
-    /// cycle-identical to a plain [`Simulator::try_run`].
+    /// Checkpointing is pure observation: the checkpointed run replays
+    /// the tape as a plain [`Simulator::try_run`] does and is
+    /// cycle-identical to it. A checkpoint records each ray as its
+    /// position in its trace call, not its traversal stacks.
     ///
     /// # Errors
     ///
@@ -478,12 +480,10 @@ impl<'a> Simulator<'a> {
         // reads none.
         let prof_on = prof::enabled();
         let _run = prof_on.then(|| prof::span("sim/run"));
-        // A checkpoint records every in-flight ray's stacks, so a run that
-        // writes or resumes one walks the BVH. Any other run replays: the
-        // attached tape, or one recorded here when the BVH fits a tape.
+        // Every run replays: the attached tape, or one recorded here when
+        // the BVH fits a tape.
         let recorded: Option<Tape>;
         let tape = match self.tape {
-            _ if checkpoint.is_some() || resume.is_some() => None,
             Some(tape) => Some(tape),
             None => {
                 recorded = Tape::encodes(self.bvh).then(|| {
@@ -823,10 +823,11 @@ impl<'a> Engine<'a> {
             num_sms: self.rt.len(),
             tasks: self.workload.tasks.len(),
             total_rays: self.workload.total_rays(),
+            nodes: self.bvh.nodes().len(),
             config_tag: config_tag(self.cfg),
             now: self.now,
             sched: self.sched.clone(),
-            rays: self.rays.clone(),
+            rays: self.rays.positions(self.tape),
             rt: self.rt.clone(),
             obs: self.obs.clone(),
             mem: self.mem.snapshot(),
@@ -837,10 +838,11 @@ impl<'a> Engine<'a> {
     /// config as the checkpointed run) to the captured state: the header
     /// is checked, each component validates its saved state against this
     /// engine's fresh one (geometry, and every id the cycle loop will
-    /// index with), and only then is anything replaced.
+    /// index with), every ray is issued again and advanced to its
+    /// recorded position, and only then is anything replaced.
     fn restore(&mut self, ckpt: &Checkpoint) -> Result<(), SimError> {
         let check = |r: Result<(), String>| r.map_err(SimError::Checkpoint);
-        check(ckpt.check_header(self.cfg, self.workload))?;
+        check(ckpt.check_header(self.cfg, self.workload, self.bvh))?;
         check(ckpt.sched.validate(&self.sched))?;
         check(ckpt.rays.validate(self.workload, self.sched.ctas.len(), self.bvh))?;
         let (treelets, nodes) = (self.bvh.partition().len(), self.bvh.nodes().len());
@@ -849,10 +851,18 @@ impl<'a> Engine<'a> {
             check(r.map_err(|e| format!("sm {sm}: {e}")))?;
         }
         check(ckpt.obs.validate(self.rt.len()))?;
+        let mut rays = RayTable::with_hits(ckpt.rays.hits.clone());
+        for (i, &(meta, steps)) in ckpt.rays.rays.iter().enumerate() {
+            let rid = RayId(i as u32);
+            let mut walk = self.issue(rid, meta.task, meta.bounce, meta.lead);
+            let advanced = walk.advance(steps, self.bvh, self.triangles);
+            check(advanced.map_err(|e| format!("ray {i}: {e}")))?;
+            rays.push(walk, meta);
+        }
         check(self.mem.restore(&ckpt.mem))?;
         self.now = ckpt.now;
         self.sched = ckpt.sched.clone();
-        self.rays = ckpt.rays.clone();
+        self.rays = rays;
         self.rt = ckpt.rt.clone();
         self.obs = ckpt.obs.clone();
         Ok(())
@@ -905,7 +915,9 @@ impl<'a> Engine<'a> {
             detail,
         };
         let in_flight: usize = self.rt.iter().map(|r| r.rays_in_flight).sum();
-        self.rays.audit(self.obs.stats.rays_completed, in_flight).map_err(fail)?;
+        let stats = &self.obs.stats;
+        let lane_steps = stats.active_lane_steps;
+        self.rays.audit(stats.rays_completed, in_flight, lane_steps, self.tape).map_err(fail)?;
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
@@ -1101,8 +1113,9 @@ impl<'a> Engine<'a> {
         for t in first..first + count {
             if bounce < self.workload.tasks[t].rays.len() {
                 let rid = RayId(self.rays.len() as u32);
-                let walk = self.start_walk(rid, t, bounce, sm);
-                self.rays.push(walk, RayMeta { cta: id, task: t, bounce, sm });
+                let lead = self.predict_lead(t, bounce, sm);
+                let walk = self.issue(rid, t, bounce, lead);
+                self.rays.push(walk, RayMeta { cta: id, task: t, bounce, sm, lead });
                 new_rays.push(rid);
             }
         }
@@ -1179,28 +1192,29 @@ impl<'a> Engine<'a> {
         self.scratch.new_rays = new_rays;
     }
 
-    /// The traversal of task `task`'s call `bounce`, issued as ray `rid` on
-    /// `sm`: a cursor into the tape when the run has one, unless the
-    /// prediction table speculates for the ray — a speculated leaf is
-    /// visited ahead of the root, which changes the walk, so those rays
-    /// walk the BVH.
-    fn start_walk(&mut self, rid: RayId, task: usize, bounce: usize, sm: usize) -> Walk {
+    /// The leaf `sm`'s prediction table has task `task`'s call `bounce`
+    /// visit first, if any (ray-path prediction). Rays that miss the scene
+    /// bounds skip the lookup (the RT unit rejects them before table
+    /// access), so hit-rate stats only count rays that actually traverse.
+    fn predict_lead(&mut self, task: usize, bounce: usize, sm: usize) -> Option<NodeId> {
+        let p = self.predict?;
         let call = &self.workload.tasks[task].rays[bounce];
-        // Ray-path prediction: consult the per-unit table before traversal
-        // starts. Rays that miss the scene bounds skip the lookup (the RT
-        // unit rejects them before table access), so hit-rate stats only
-        // count rays that actually traverse.
         let root = self.bvh.root_bounds();
-        let predicted = match self.predict {
-            Some(p) if root.intersect(&call.ray, TRACE_T_MIN, call.t_max).is_some() => {
-                let key = predict_key(&root, &call.ray, p.origin_bits, p.dir_bits);
-                self.rt[sm].predict.lookup(key)
-            }
-            _ => None,
-        };
-        if let (Some(tape), None) = (self.tape, predicted) {
+        root.intersect(&call.ray, TRACE_T_MIN, call.t_max)?;
+        let key = predict_key(&root, &call.ray, p.origin_bits, p.dir_bits);
+        self.rt[sm].predict.lookup(key)
+    }
+
+    /// The traversal of task `task`'s call `bounce`, issued as ray `rid`
+    /// with `lead` visited first: a cursor into the tape when the run has
+    /// one and nothing is speculated — a speculated leaf is visited ahead
+    /// of the root, which changes the walk, so those rays walk the BVH.
+    /// Both a fresh ray and a restored one start here.
+    fn issue(&mut self, rid: RayId, task: usize, bounce: usize, lead: Option<NodeId>) -> Walk {
+        if let (Some(tape), None) = (self.tape, lead) {
             return Walk::Replay(tape.cursor(task, bounce));
         }
+        let call = &self.workload.tasks[task].rays[bounce];
         // Recycle a reclaimed stack arena (allocation-free once the pool
         // has warmed up).
         let arena =
@@ -1209,7 +1223,7 @@ impl<'a> Engine<'a> {
         if call.anyhit {
             ray.set_anyhit();
         }
-        if let Some(leaf) = predicted {
+        if let Some(leaf) = lead {
             ray.speculate(leaf);
         }
         Walk::Live(ray)
@@ -1233,7 +1247,7 @@ impl<'a> Engine<'a> {
 
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let (RayMeta { cta: cta_id, task, bounce, sm }, best_node, arena) =
+        let (RayMeta { cta: cta_id, task, bounce, sm, .. }, best_node, arena) =
             self.rays.complete(rid, self.tape);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
@@ -1843,6 +1857,36 @@ mod tests {
             SimError::Invariant(v) => {
                 assert_eq!(v.site, "cta-retired");
                 assert!(v.detail.contains("retired count 1 != 0"), "got: {}", v.detail);
+            }
+            other => panic!("expected Invariant, got {other:?}"),
+        }
+    }
+
+    /// Visit conservation's must-go-red: an active-lane step count that
+    /// disagrees with the steps the rays took fails the run at the next
+    /// audit.
+    #[test]
+    fn skewed_lane_step_count_is_caught_by_the_auditor() {
+        let scene = lumibench::build_scaled(SceneId::Ref, 16);
+        let bvh =
+            Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+        let workload = Workload {
+            tasks: (0..16)
+                .map(|i| PathTask {
+                    rays: vec![scene.camera().primary_ray(i % 8, i / 8, 8, 8, None).into()],
+                })
+                .collect(),
+        };
+        let tape = Tape::record(&bvh, scene.triangles(), &workload);
+        let cfg = GpuConfig::default();
+        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        engine.tape = Some(&tape);
+        engine.audit_every = Some(1);
+        engine.obs.corrupt_lane_steps(1);
+        match engine.run(None, None).expect_err("a skewed count must trip the auditor") {
+            SimError::Invariant(v) => {
+                assert_eq!(v.site, "visit-conservation");
+                assert!(v.detail.contains("active lane steps"), "got: {}", v.detail);
             }
             other => panic!("expected Invariant, got {other:?}"),
         }

@@ -16,10 +16,13 @@
 //! and reads instead of intersecting: on the tape it was given
 //! ([`Simulator::with_tape`]), or else on one it records before cycling.
 //! Rays whose visit order really does change — those the ray-path
-//! predictor speculates for, which visit a predicted leaf first — every
-//! run that checkpoints or resumes (a checkpoint carries live stacks), and
-//! every tape-less run over a BVH no tape can encode (a leaf of 256 or
+//! predictor speculates for, which visit a predicted leaf first — and
+//! every ray of a run over a BVH no tape can encode (a leaf of 256 or
 //! more triangles, or more than 2²³ treelets) still walk the BVH.
+//!
+//! The same fact makes a ray's position in its call — the steps it has
+//! taken ([`Cursor::steps`]) — all a checkpoint needs to record of it: a
+//! restore issues the call again and advances it that far.
 //!
 //! [`Simulator::with_tape`]: crate::Simulator::with_tape
 
@@ -86,7 +89,7 @@ type CallEnd = (Option<PrimHit>, Option<NodeId>);
 /// # Example
 ///
 /// ```
-/// use gpusim::{GpuConfig, PathTask, Simulator, Tape, Workload};
+/// use gpusim::{GpuConfig, PathTask, Simulator, Tape, Workload, TRACE_T_MIN};
 /// use rtbvh::{Bvh, BvhConfig};
 /// use rtscene::lumibench::{self, SceneId};
 ///
@@ -101,12 +104,14 @@ type CallEnd = (Option<PrimHit>, Option<NodeId>);
 /// };
 /// let tape = Tape::record(&bvh, scene.triangles(), &workload);
 /// let sim = Simulator::new(&bvh, scene.triangles(), GpuConfig::default());
-/// // A checkpointing run walks the BVH; one that never reaches its first
-/// // checkpoint is a plain walk.
-/// let walk = sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).unwrap();
+/// // A run without a tape records its own; one given the tape replays it.
+/// let recorded = sim.try_run(&workload).unwrap();
 /// let replay = sim.with_tape(&tape).try_run(&workload).unwrap();
-/// assert_eq!(walk.stats, replay.stats);
-/// assert_eq!(walk.hits, replay.hits);
+/// assert_eq!(recorded.stats, replay.stats);
+/// // Each call's hit is the one the walk found.
+/// let call = workload.tasks[27].rays[0];
+/// let hit = bvh.intersect(scene.triangles(), &call.ray, TRACE_T_MIN, call.t_max);
+/// assert_eq!(replay.hits[27][0], hit);
 /// ```
 #[derive(PartialEq)]
 pub struct Tape {
@@ -305,6 +310,24 @@ impl Cursor {
         tape.ends[self.call as usize]
     }
 
+    /// The steps taken so far: the cursor's offset into its call's range
+    /// of the tape.
+    pub fn steps(&self, tape: &Tape) -> u32 {
+        self.next - tape.calls[self.call as usize]
+    }
+
+    /// Takes `steps` steps at once, as a restored ray does to reach the
+    /// position its checkpoint recorded. `Err` if the call ends sooner.
+    pub(crate) fn advance(&mut self, steps: u32) -> Result<(), String> {
+        match self.next.checked_add(steps) {
+            Some(next) if next <= self.end => {
+                self.next = next;
+                Ok(())
+            }
+            _ => Err(format!("{steps} more steps run past the end of call {}", self.call)),
+        }
+    }
+
     fn peek(&self, tape: &Tape) -> Option<Step> {
         (self.next < self.end).then(|| tape.steps[self.next as usize])
     }
@@ -319,7 +342,7 @@ mod tests {
 
     use super::*;
     use crate::sim::TraceCall;
-    use crate::{GpuConfig, Simulator};
+    use crate::{Checkpoint, GpuConfig, RunOptions, Simulator, TraversalPolicy, VtqParams};
 
     fn setup() -> (rtscene::Scene, Bvh, Workload) {
         let scene = lumibench::build_scaled(SceneId::Bunny, 32);
@@ -432,25 +455,60 @@ mod tests {
     }
 
     /// 300 coincident triangles make one leaf whose visit no tape step
-    /// holds, so a tape-less run walks — to the statistics of a run that
-    /// walks because it checkpoints — instead of panicking in `record`.
+    /// holds, so a run over a BVH with that leaf walks every ray instead
+    /// of panicking in `record` — here under VTQ, whose queues pause walks
+    /// at treelet boundaries (the BUNNY around the leaf is cut into 1 KB
+    /// treelets). A checkpoint that holds a paused ray restores it by
+    /// re-walking its steps unrestricted, and resumes to the run's end.
     #[test]
-    fn a_run_over_a_bvh_no_tape_encodes_walks() {
+    fn a_vtq_run_over_a_bvh_no_tape_encodes_walks_and_resumes() {
+        let (scene, _, _) = setup();
         let (a, b, c) =
             (Vec3::new(-1.0, -1.0, 0.0), Vec3::new(1.0, -1.0, 0.0), Vec3::new(0.0, 1.0, 0.0));
-        let triangles = vec![Triangle::new(a, b, c, MaterialId::new(0)); 300];
-        let bvh =
-            Bvh::build(&triangles, &BvhConfig { max_leaf_prims_hard: 300, ..Default::default() });
+        let mut triangles = scene.triangles().to_vec();
+        let first = triangles.len() as u32;
+        triangles.extend(vec![Triangle::new(a, b, c, MaterialId::new(0)); 300]);
+        let bvh = Bvh::build(
+            &triangles,
+            &BvhConfig { treelet_bytes: 1024, max_leaf_prims_hard: 300, ..Default::default() },
+        );
         assert!(!Tape::encodes(&bvh));
-        let ray = Ray::new(Vec3::new(0.0, 0.0, -2.0), Vec3::new(0.0, 0.0, 1.0));
-        let calls = vec![ray.into(), TraceCall::anyhit(ray, 10.0)];
-        let workload = Workload { tasks: vec![PathTask { rays: calls }; 64] };
-        let sim = Simulator::new(&bvh, &triangles, GpuConfig::default());
-        let run = sim.try_run(&workload).expect("a tape-less run walks");
-        let walk = sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).expect("walks");
-        assert_eq!(run.stats, walk.stats);
-        assert_eq!(run.hits, walk.hits);
-        assert_eq!(run.hits[0][0].map(|h| h.prim), Some(0), "ties break to the lowest prim");
+        let at = Ray::new(Vec3::new(0.0, 0.0, -2.0), Vec3::new(0.0, 0.0, 1.0));
+        let tasks = (0..128)
+            .map(|i| {
+                let ray = scene.camera().primary_ray(i % 16 * 3, i / 16 * 6, 48, 48, None);
+                PathTask { rays: vec![ray.into(), at.into(), TraceCall::anyhit(ray, 50.0)] }
+            })
+            .collect();
+        let workload = Workload { tasks };
+        let mut cfg = GpuConfig::default().with_policy(TraversalPolicy::Vtq(VtqParams::default()));
+        cfg.mem.num_sms = 2;
+        let sim = Simulator::new(&bvh, &triangles, cfg);
+        let plain = sim.try_run(&workload).expect("a tape-less run walks");
+        for (task, calls) in workload.tasks.iter().enumerate() {
+            for (call, c) in calls.rays.iter().enumerate().filter(|(_, c)| !c.anyhit) {
+                let want = bvh.intersect(&triangles, &c.ray, TRACE_T_MIN, c.t_max);
+                assert_eq!(plain.hits[task][call], want, "task {task} call {call}");
+            }
+        }
+        assert_eq!(plain.hits[0][1].map(|h| h.prim), Some(first), "ties break to the lowest prim");
+
+        let mut ckpts = Vec::new();
+        sim.try_run_checkpointed(&workload, 32, &mut |c| ckpts.push(c)).expect("checkpointed");
+        // A ray waiting in a treelet queue after some steps was paused at
+        // a treelet boundary.
+        let paused = |c: &Checkpoint| {
+            let mut queued = c.rt.iter().flat_map(|unit| unit.queues.clone().pop_any(usize::MAX));
+            queued.any(|(_, id)| c.rays.rays[id.index()].1 > 0)
+        };
+        let ckpt = ckpts.iter().find(|c| paused(c)).expect("a snapshot holds a paused walk");
+        let back = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("round-trip parses");
+        assert_eq!(&back, ckpt);
+        let resumed =
+            sim.try_run_with(&workload, RunOptions::new().resume(&back)).expect("resumes");
+        assert_eq!(format!("{:?}", resumed.stats), format!("{:?}", plain.stats));
+        assert_eq!(format!("{:?}", resumed.mem), format!("{:?}", plain.mem));
+        assert_eq!(resumed.hits, plain.hits);
     }
 
     #[test]

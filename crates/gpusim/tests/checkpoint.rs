@@ -4,10 +4,13 @@
 //! survive a JSONL round-trip losslessly, and every mismatch or corruption
 //! path returns a typed error instead of panicking.
 
-use gpusim::jsonl::{check_line, crc32, frame_line};
+use std::collections::HashSet;
+
+use gpusim::jsonl::{check_line, crc32, frame_line, parse_line, Opt};
 use gpusim::{
-    config_tag, AuditMode, Checkpoint, GpuConfig, PathTask, PredictParams, RunOptions, SimError,
-    SimReport, SimStats, Simulator, TraversalPolicy, VtqParams, Workload, CHECKPOINT_VERSION,
+    config_tag, AuditMode, Checkpoint, GpuConfig, NextNode, PathTask, PredictParams, RunOptions,
+    SimError, SimReport, SimStats, Simulator, Tape, TraversalPolicy, VtqParams, Workload,
+    CHECKPOINT_VERSION,
 };
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
@@ -37,11 +40,37 @@ fn resume(
     sim.try_run_with(workload, RunOptions::new().resume(ckpt))
 }
 
-fn policies() -> [TraversalPolicy; 3] {
+/// `ckpt` survives the JSONL round trip and resumes to `plain`'s
+/// `Debug`-equal statistics and memory counters, and equal hits.
+fn assert_resumes(
+    sim: &Simulator<'_>,
+    workload: &Workload,
+    ckpt: &Checkpoint,
+    plain: &SimReport,
+    label: &str,
+) {
+    let at = format!("{label}: resume from cycle {}", ckpt.cycle());
+    let back = Checkpoint::from_jsonl(&ckpt.to_jsonl()).unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert_eq!(&back, ckpt, "{at}: the JSONL round-trip lost state");
+    let resumed = resume(sim, workload, &back).unwrap_or_else(|e| panic!("{at}: {e}"));
+    assert_eq!(format!("{:?}", resumed.stats), format!("{:?}", plain.stats), "{at}: stats");
+    assert_eq!(format!("{:?}", resumed.mem), format!("{:?}", plain.mem), "{at}: memory");
+    assert_eq!(resumed.hits, plain.hits, "{at}: hits");
+}
+
+fn policies() -> [TraversalPolicy; 4] {
     [
         TraversalPolicy::Baseline,
         TraversalPolicy::TreeletPrefetch,
         TraversalPolicy::Vtq(VtqParams { max_virtual_rays: 256, ..Default::default() }),
+        // A coarse key and a large table, so neighbouring rays share
+        // predictions and some rays walk from a speculated leaf.
+        TraversalPolicy::Predict(PredictParams {
+            origin_bits: 2,
+            dir_bits: 2,
+            table_entries: 4096,
+            ..Default::default()
+        }),
     ]
 }
 
@@ -84,15 +113,7 @@ fn run_all_ways(
     // Resume from the first (most remaining work) and last (least) snapshot;
     // both must converge to the same final state as the uninterrupted run.
     for ckpt in [ckpts.first().unwrap(), ckpts.last().unwrap()] {
-        let resumed = resume(&sim, workload, ckpt)
-            .unwrap_or_else(|e| panic!("{label}: resume from cycle {}: {e}", ckpt.cycle()));
-        assert_eq!(
-            resumed.stats,
-            plain.stats,
-            "{label}: resume from cycle {} diverged",
-            ckpt.cycle()
-        );
-        assert_eq!(resumed.hits, plain.hits, "{label}: resumed hits diverged");
+        assert_resumes(&sim, workload, ckpt, &plain, label);
     }
     (plain.stats, ckpts)
 }
@@ -125,8 +146,7 @@ fn every_checkpoint_of_one_run_resumes_identically() {
         assert!(pair[0].cycle() < pair[1].cycle());
     }
     for ckpt in &ckpts {
-        let resumed = resume(&sim, &workload, ckpt).expect("resume");
-        assert_eq!(resumed.stats, plain.stats, "resume from cycle {} diverged", ckpt.cycle());
+        assert_resumes(&sim, &workload, ckpt, &plain, "REF/vtq");
     }
 }
 
@@ -140,15 +160,10 @@ fn checkpoint_round_trips_through_jsonl() {
 
     let mut ckpts = Vec::new();
     sim.try_run_checkpointed(&workload, 64, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    // Lossless and behaviorally identical: each parsed snapshot equals
+    // the captured one and resumes to the same end.
     for ckpt in &ckpts {
-        let text = ckpt.to_jsonl();
-        let back = Checkpoint::from_jsonl(&text)
-            .unwrap_or_else(|e| panic!("round-trip of cycle-{} snapshot: {e}", ckpt.cycle()));
-        // Lossless: the parsed snapshot is structurally identical...
-        assert_eq!(&back, ckpt, "JSONL round-trip lost state at cycle {}", ckpt.cycle());
-        // ...and behaviorally identical: resuming it reaches the same end.
-        let resumed = resume(&sim, &workload, &back).expect("resume parsed snapshot");
-        assert_eq!(resumed.stats, plain.stats);
+        assert_resumes(&sim, &workload, ckpt, &plain, "BUNNY/vtq");
     }
 }
 
@@ -179,6 +194,15 @@ fn resume_rejects_mismatched_config_and_workload() {
     let wide_sim = Simulator::new(&bvh, scene.triangles(), wide);
     let err = resume(&wide_sim, &workload, ckpt).expect_err("geometry mismatch");
     assert_eq!(err.kind(), "checkpoint");
+
+    // Same config and workload over another BVH of the scene, whose walks
+    // the rays' steps do not index.
+    let other = Bvh::build(scene.triangles(), &BvhConfig { max_leaf_prims: 8, ..*bvh.config() });
+    assert_ne!(other.nodes().len(), bvh.nodes().len());
+    let other_sim = Simulator::new(&other, scene.triangles(), cfg);
+    let err = resume(&other_sim, &workload, ckpt).expect_err("BVH mismatch must be rejected");
+    assert_eq!(err.kind(), "checkpoint");
+    assert!(err.to_string().contains("nodes"), "got: {err}");
 }
 
 #[test]
@@ -231,48 +255,111 @@ fn corrupt_checkpoint_dumps_return_typed_errors() {
     let err = Checkpoint::from_jsonl(&garbled).expect_err("garbage line must fail");
     assert_eq!(err.line, 3, "got: {err}");
 
-    // Version skew is rejected up front.
-    let skewed = text.replacen(&format!("\"version\":{CHECKPOINT_VERSION}"), "\"version\":999", 1);
-    let err = Checkpoint::from_jsonl(&skewed).expect_err("future version must fail");
-    assert!(err.reason.contains("version"), "got: {err}");
+    // Version skew is rejected up front: a future version, and version 2,
+    // whose rays carry stacks instead of positions.
+    for version in [999, 2] {
+        let (at, header) = payload_of(&text, "checkpoint").unwrap();
+        let header = set_field(&header, "version", &version.to_string());
+        let err = Checkpoint::from_jsonl(&with_line(&text, at, &[header]))
+            .expect_err("another version must fail");
+        assert!(err.reason.contains(&format!("unsupported checkpoint version {version}")), "{err}");
+    }
+}
+
+/// Every `ckpt_ray` line of `text` as `(task, bounce, steps, lead)`, in
+/// ray id order.
+fn rays_of(text: &str) -> Vec<(usize, usize, u32, Option<u32>)> {
+    let field = |l: &str| {
+        let payload = check_line(l).expect("intact frame");
+        let f = parse_line(&payload).expect("a record");
+        (f.num("task"), f.num("bounce"), f.num("steps"), f.opt("lead"))
+    };
+    let rays = text.lines().filter(|l| l.contains("\"record\":\"ckpt_ray\"")).map(field);
+    rays.map(|(t, b, s, l)| (t.unwrap(), b.unwrap(), s.unwrap(), l.unwrap())).collect()
+}
+
+/// The ids of the rays `text` holds in an RT unit: in a warp, on the way
+/// to one, or queued.
+fn resident(text: &str) -> HashSet<u32> {
+    let mut ids = HashSet::new();
+    for line in text.lines() {
+        let payload = check_line(line).expect("intact frame");
+        let f = parse_line(&payload).expect("a record");
+        match f.str("record").expect("a kind").as_ref() {
+            "ckpt_slot" => {
+                ids.extend(f.list::<Opt<u32>>("lanes").unwrap().into_iter().flat_map(|l| l.0))
+            }
+            "ckpt_inc" | "ckpt_queue" => ids.extend(f.list::<u32>("rays").unwrap()),
+            _ => {}
+        }
+    }
+    ids
+}
+
+/// The steps of `call` of workload task `task`: its length on `tape`.
+fn call_len(tape: &Tape, task: usize, call: usize) -> u32 {
+    let mut cursor = tape.cursor(task, call);
+    while let NextNode::Visit(node) = cursor.next_node(tape, None) {
+        cursor.visit(tape, node);
+    }
+    cursor.steps(tape)
 }
 
 #[test]
-fn mid_run_snapshots_carry_live_stack_entries() {
-    // The flat-BVH4 refactor rebuilt the traversal stacks on pooled
-    // arenas serialized as `StackEntry` pair tokens; this pins that the
-    // new layout is genuinely exercised — some snapshot must capture an
-    // in-flight ray with pending `node:t_bits` stack entries — and that
-    // exactly such a snapshot survives the JSONL round-trip and resumes
-    // bit-identically.
+fn a_snapshot_that_catches_a_ray_mid_call_resumes_identically() {
+    // A ray's position is the steps it has taken in its call: some
+    // snapshot must hold a ray part-way through (neither issued-only nor
+    // finished), and exactly such a snapshot round-trips and resumes.
     let (scene, bvh) = small_scene(SceneId::Bunny);
     let workload = small_workload(&scene, 32);
+    let tape = Tape::record(&bvh, scene.triangles(), &workload);
     let cfg = config(TraversalPolicy::Vtq(VtqParams::default()));
     let sim = Simulator::new(&bvh, scene.triangles(), cfg);
     let plain = sim.try_run(&workload).expect("plain run");
 
     let mut ckpts = Vec::new();
     sim.try_run_checkpointed(&workload, 32, &mut |c| ckpts.push(c)).expect("checkpointed run");
-
-    let has_live_stack = |text: &str| {
-        text.lines().any(|l| {
-            l.contains("\"record\":\"ckpt_ray\"")
-                && !l.contains("\"cur_stack\":\"\"")
-                && l.contains(':')
-        })
+    let mid_call = |c: &&Checkpoint| {
+        let rays = rays_of(&c.to_jsonl());
+        rays.iter().any(|&(task, call, steps, _)| 0 < steps && steps < call_len(&tape, task, call))
     };
-    let live = ckpts
-        .iter()
-        .map(|c| (c, c.to_jsonl()))
-        .find(|(_, text)| has_live_stack(text))
-        .expect("some snapshot must catch a ray mid-traversal with pending stack entries");
+    let ckpt = ckpts.iter().find(mid_call).expect("some snapshot catches a ray mid-call");
+    assert_resumes(&sim, &workload, ckpt, &plain, "BUNNY/vtq");
+}
 
-    let (ckpt, text) = live;
-    let back = Checkpoint::from_jsonl(&text).expect("round-trip parses");
-    assert_eq!(&back, ckpt, "live-stack snapshot lost state in the JSONL round-trip");
-    let resumed = resume(&sim, &workload, &back).expect("resume live-stack snapshot");
-    assert_eq!(resumed.stats, plain.stats, "resume from live-stack snapshot diverged");
-    assert_eq!(resumed.hits, plain.hits);
+#[test]
+fn a_speculated_ray_in_flight_resumes_identically() {
+    // Each task traces its primary ray two or three times, so a repeat
+    // finds the leaf its first trace trained and walks from it; a
+    // snapshot records that lead beside the steps the ray has walked.
+    let (scene, bvh) = small_scene(SceneId::Bunny);
+    let workload = Workload {
+        tasks: (0..256u32)
+            .map(|i| {
+                let ray = scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
+                PathTask { rays: vec![ray; 2 + (i as usize / 64) % 2] }
+            })
+            .collect(),
+    };
+    let policy = policies()[3];
+    let sim = Simulator::new(&bvh, scene.triangles(), config(policy));
+    let plain = sim.try_run(&workload).expect("plain run");
+    assert!(plain.stats.predict_hits > 0, "the coarse key must predict");
+
+    let mut ckpts = Vec::new();
+    sim.try_run_checkpointed(&workload, 64, &mut |c| ckpts.push(c)).expect("checkpointed run");
+    let speculated_in_flight = |c: &&Checkpoint| {
+        let text = c.to_jsonl();
+        let resident = resident(&text);
+        let rays = rays_of(&text).into_iter().enumerate();
+        let mut in_flight = rays.filter(|(id, _)| resident.contains(&(*id as u32)));
+        in_flight.any(|(_, (_, _, steps, lead))| lead.is_some() && steps > 0)
+    };
+    let speculated: Vec<&Checkpoint> = ckpts.iter().filter(speculated_in_flight).collect();
+    assert!(!speculated.is_empty(), "no snapshot holds a speculated ray in flight");
+    for ckpt in [speculated[0], speculated[speculated.len() - 1]] {
+        assert_resumes(&sim, &workload, ckpt, &plain, "BUNNY/predict");
+    }
 }
 
 #[test]
@@ -309,12 +396,8 @@ fn snapshots_taken_after_some_ctas_retired_resume_identically() {
             .collect();
         let label = policy.label();
         assert!(!mixed.is_empty(), "{label}: no snapshot between the first and last retirement");
-        for (ckpt, text) in [mixed.first().unwrap(), mixed.last().unwrap()] {
-            let back = Checkpoint::from_jsonl(text).expect("round-trip parses");
-            assert_eq!(&back, *ckpt, "{label}: cycle {}", ckpt.cycle());
-            let resumed = resume(&sim, &workload, &back).expect("resume");
-            assert_eq!(resumed.stats, plain.stats, "{label}: cycle {}", ckpt.cycle());
-            assert_eq!(resumed.hits, plain.hits);
+        for (ckpt, _) in [mixed.first().unwrap(), mixed.last().unwrap()] {
+            assert_resumes(&sim, &workload, ckpt, &plain, label);
         }
     }
 }
@@ -329,11 +412,11 @@ fn snapshots_taken_after_some_ctas_retired_resume_identically() {
 #[test]
 fn checkpoint_bytes_are_pinned() {
     const PINS: [(&str, u32, usize, u32, usize); 3] = [
-        ("vtq", 0xfbe3_2f90, 45_400, 0x10ab_b334, 595_360),
-        ("prefetch", 0xe945_46e7, 45_169, 0xc1b2_7ed3, 683_121),
-        ("predict", 0x0e2d_7a75, 45_172, 0xd91c_2385, 793_931),
+        ("vtq", 0x1122_f560, 28_409, 0xa077_40f1, 375_139),
+        ("prefetch", 0x0bcd_6ce2, 28_178, 0x7351_7860, 431_050),
+        ("predict", 0x9ac6_3293, 28_181, 0xeccf_b563, 507_741),
     ];
-    assert_eq!(CHECKPOINT_VERSION, 2, "format version changed: re-pin the constants below");
+    assert_eq!(CHECKPOINT_VERSION, 3, "format version changed: re-pin the constants below");
     let (scene, bvh) = small_scene(SceneId::Bunny);
     let workload = small_workload(&scene, 64);
     let policies = [
@@ -409,6 +492,11 @@ fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
         .iter()
         .find(|t| kinds.iter().all(|k| payload_of(t, k).is_some()))
         .expect("some snapshot has queued rays and a resident warp");
+    // Node ids as a `lead` field holds them: the root, and some leaf.
+    let root = format!("\"{}\"", bvh.root().0);
+    assert!(!bvh.node(bvh.root()).is_leaf());
+    let leaf = bvh.nodes().iter().position(|n| n.is_leaf()).expect("a leaf");
+    let leaf = format!("\"{leaf}\"");
 
     // Typed rejection at either stage; a panic fails the test by itself.
     let assert_rejected = |label: &str, mutated: String| match Checkpoint::from_jsonl(&mutated) {
@@ -421,19 +509,18 @@ fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
 
     // The harness itself is sound: rewriting a field to a valid value and
     // re-framing still parses and resumes.
-    let (at, engine) = payload_of(text, "ckpt_engine").unwrap();
-    let same = with_line(text, at, &[set_field(&engine, "sink_events", "0")]);
+    let (at, observer) = payload_of(text, "ckpt_observer").unwrap();
+    let same = with_line(text, at, &[set_field(&observer, "sink_events", "0")]);
     let ckpt = Checkpoint::from_jsonl(&same).expect("re-framed checkpoint parses");
     resume(&sim, &workload, &ckpt).expect("re-framed checkpoint resumes");
 
     // One field of one line pointing outside what the cycle loop indexes.
     let out_of_range = [
-        ("ckpt_ray", "bounce", "7"),                   // hits[task][bounce]
-        ("ckpt_ray", "task", "4000000000"),            // hits[task]
-        ("ckpt_ray", "treelet", "4000000000"),         // bvh.treelet_extent
-        ("ckpt_ray", "cur_stack", "\"4000000000:0\""), // bvh.node
-        ("ckpt_ray", "tre_stack", "\"4000000000:0\""),
-        ("ckpt_ray", "best_node", "\"4000000000\""),
+        ("ckpt_ray", "bounce", "7"),            // hits[task][bounce]
+        ("ckpt_ray", "task", "4000000000"),     // hits[task]
+        ("ckpt_ray", "steps", "4000000000"),    // past the call's end
+        ("ckpt_ray", "lead", "\"4000000000\""), // bvh.node
+        ("ckpt_ray", "lead", &root),            // not a leaf
         ("ckpt_queue", "treelet", "4000000000"),
         ("ckpt_queue", "rays", "\"4000000000\""),
         ("ckpt_rt", "current_queue", "\"4000000000\""),
@@ -450,6 +537,11 @@ fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
             with_line(text, at, &[set_field(&payload, key, value)]),
         );
     }
+    // A speculated ray re-walks from its lead: one whose walk ends before
+    // its steps do is refused too.
+    let (at, ray) = payload_of(text, "ckpt_ray").unwrap();
+    let ray = set_field(&set_field(&ray, "lead", &leaf), "steps", "4000000000");
+    assert_rejected("ckpt_ray.steps past a speculated walk", with_line(text, at, &[ray]));
 
     // Cache contents no running cache reaches, which the lookup state
     // derived on restore cannot represent: one valid tag in two ways of a
@@ -488,7 +580,8 @@ fn crc_valid_checkpoints_with_bad_indices_or_repeats_are_rejected_not_run() {
     // A record that may appear once, appearing twice, would silently
     // overwrite the first (a second `ckpt_rt` also empties the buckets its
     // SM's `ckpt_hw` lines filled): the parser refuses all of them.
-    for kind in ["ckpt_engine", "ckpt_stats", "ckpt_mem", "ckpt_rt", "ckpt_hw", "ckpt_queue"] {
+    let once = ["ckpt_engine", "ckpt_observer", "ckpt_stats", "ckpt_mem"];
+    for kind in once.into_iter().chain(["ckpt_rt", "ckpt_hw", "ckpt_queue"]) {
         let (at, payload) = payload_of(text, kind).unwrap();
         let err = Checkpoint::from_jsonl(&with_line(text, at, &[payload.clone(), payload]))
             .expect_err(&format!("a repeated `{kind}` must not parse"));

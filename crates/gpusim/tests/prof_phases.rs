@@ -68,17 +68,19 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     assert_eq!(by_policy.iter().sum::<u64>(), plain.mem.total_lines());
     assert!(by_policy[0] > 0 && by_policy[2] > 0, "BVH and ray-reserve traffic: {by_policy:?}");
 
-    // An attached tape is replayed as it is, and a checkpointing run walks:
-    // neither records.
+    // An attached tape is replayed as it is, without recording; a
+    // checkpointing run without one records its own, as a plain run does.
     let tape = Tape::record(&bvh, scene.triangles(), &workload);
     prof::reset();
     prof::enable();
     let taped = Simulator::new(&bvh, scene.triangles(), cfg).with_tape(&tape);
     taped.try_run(&workload).unwrap();
+    let runs = prof::snapshot().spans.iter().find(|s| s.path == "sim/run").map(|s| s.count);
+    assert_eq!(runs, Some(1));
+    assert!(prof::snapshot().spans.iter().all(|s| s.path != "sim/run/tape"));
     sim.try_run_checkpointed(&workload, u64::MAX, &mut |_| {}).unwrap();
     prof::disable();
     let snap = prof::snapshot();
-    let runs = snap.spans.iter().find(|s| s.path == "sim/run").map(|s| s.count);
-    assert_eq!(runs, Some(2));
-    assert!(snap.spans.iter().all(|s| s.path != "sim/run/tape"), "{:?}", snap.spans);
+    let span = |path: &str| snap.spans.iter().find(|s| s.path == path).map(|s| s.count);
+    assert_eq!((span("sim/run"), span("sim/run/tape")), (Some(2), Some(1)), "{:?}", snap.spans);
 }
