@@ -4,6 +4,12 @@
 //! last-progress cycle (forensics), the trace-sink event counter, and the
 //! auditor's clock.
 //!
+//! Stall attribution is lazy: each unit's class holds from the cycle it
+//! is booked up to until the engine marks the unit (its state changed),
+//! and only marked units are booked at a clock advance. Every unit is
+//! settled before anything reads the buckets (see DESIGN.md "Stall
+//! attribution").
+//!
 //! (`observe` is the vocabulary — events, sinks, stall kinds, sample
 //! points; this module is the engine state built from it.)
 
@@ -11,12 +17,24 @@ use crate::jsonl::{Fields, Record};
 use crate::observe::{SamplePoint, StallBreakdown, StallKind};
 use crate::{SimStats, TraversalMode};
 
-/// How one RT unit spent a quiescent interval `[now, until)`: the first
-/// kind until the split cycle, the second from there to `until`.
+/// How one RT unit spends the cycles from its last booking until its
+/// state next changes: the first kind before the absolute split cycle,
+/// the second from there on. Booking `[a, b)` splits at
+/// `split.clamp(a, b)`, so adjacent pieces book what their union does.
 pub(crate) type StallClass = (StallKind, u64, StallKind);
 
-/// The observer's state; see the [module docs](self). The live struct is
-/// the checkpointed struct.
+/// One unit's lazy attribution state: booked up to `since`, classified
+/// as `class` from there, and whether its state changed since.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Booking {
+    since: u64,
+    class: StallClass,
+    marked: bool,
+}
+
+/// The observer's state; see the [module docs](self). The checkpointed
+/// struct is the live one less the lazy attribution state
+/// ([`Observer::checkpointed`]), which is derived.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct Observer {
     pub(crate) stats: SimStats,
@@ -27,53 +45,148 @@ pub(crate) struct Observer {
     pub(crate) sink_events: u64,
     /// Cycle of the last invariant audit.
     pub(crate) last_audit: u64,
+    /// Per-SM lazy attribution state (derived, never checkpointed).
+    bookings: Vec<Booking>,
+    /// The marked SMs, each once.
+    marked: Vec<usize>,
 }
 
 impl Observer {
     pub(crate) fn new(num_sms: usize) -> Observer {
-        Observer {
+        let mut obs = Observer {
             stats: SimStats {
                 stall: vec![StallBreakdown::default(); num_sms],
                 ..SimStats::default()
             },
             last_progress: vec![0; num_sms],
             ..Observer::default()
+        };
+        obs.restart_booking(0);
+        obs
+    }
+
+    /// The checkpointed part of the state: everything but the lazy
+    /// attribution, which must be [settled](Self::settle) first.
+    pub(crate) fn checkpointed(&self) -> Observer {
+        Observer {
+            stats: self.stats.clone(),
+            last_progress: self.last_progress.clone(),
+            sink_events: self.sink_events,
+            last_audit: self.last_audit,
+            ..Observer::default()
         }
     }
 
-    /// Attributes the quiescent interval `[now, until)` to the per-unit
-    /// stall buckets (`classes[sm]`) and, when sampling is on (`window`
-    /// cycles per point, 0 = off), to the time series. `rays` in flight
-    /// and `occupied` CTA slots are constant over the interval, so each
-    /// window chunk contributes its cycle integral.
-    pub(crate) fn attribute(
+    /// Starts lazy attribution at `now` with every unit marked, so the
+    /// next clock advance classifies them all (a fresh or restored run).
+    pub(crate) fn restart_booking(&mut self, now: u64) {
+        let idle = (StallKind::Idle, u64::MAX, StallKind::Idle);
+        let n = self.stats.stall.len();
+        self.bookings = vec![Booking { since: now, class: idle, marked: true }; n];
+        self.marked = (0..n).collect();
+    }
+
+    /// Records that unit `sm`'s state — what [`RtUnit::stall_class`]
+    /// reads — changed at the current cycle.
+    ///
+    /// [`RtUnit::stall_class`]: crate::rt_unit::RtUnit::stall_class
+    #[inline]
+    pub(crate) fn mark(&mut self, sm: usize) {
+        let booking = &mut self.bookings[sm];
+        if !booking.marked {
+            booking.marked = true;
+            self.marked.push(sm);
+        }
+    }
+
+    /// Records an RT-unit action on `sm` at `now` (a warp installed or
+    /// stepped) and marks the unit.
+    #[inline]
+    pub(crate) fn progress(&mut self, sm: usize, now: u64) {
+        self.last_progress[sm] = now;
+        self.mark(sm);
+    }
+
+    /// Books each marked unit up to `now` under its old class and gives
+    /// it `classify(sm)`, the class its state gives now (`window` cycles
+    /// per sample point, 0 = off). Called at each clock advance, when the
+    /// engine is at a fixed point.
+    pub(crate) fn book_marked(
         &mut self,
-        (now, until): (u64, u64),
+        now: u64,
         window: u64,
-        classes: &[StallClass],
+        classify: impl Fn(usize) -> StallClass,
+    ) {
+        let mut marked = std::mem::take(&mut self.marked);
+        for &sm in &marked {
+            self.book(sm, now, window);
+            self.bookings[sm] = Booking { since: now, class: classify(sm), marked: false };
+        }
+        marked.clear();
+        self.marked = marked;
+    }
+
+    /// Books every unit up to `now`, so the buckets and windows hold every
+    /// elapsed cycle. Classes and marks stay.
+    pub(crate) fn settle(&mut self, now: u64, window: u64) {
+        for sm in 0..self.bookings.len() {
+            self.book(sm, now, window);
+        }
+    }
+
+    /// Books unit `sm`'s `[since, now)` to its stall buckets and, when
+    /// sampling is on, to each window's.
+    fn book(&mut self, sm: usize, now: u64, window: u64) {
+        let Booking { since, class: (first, split, second), .. } = self.bookings[sm];
+        if since >= now {
+            return;
+        }
+        self.bookings[sm].since = now;
+        let stall = &mut self.stats.stall[sm];
+        let m = split.clamp(since, now);
+        stall.add(first, m - since);
+        stall.add(second, now - m);
+        self.each_window((since, now), window, |point, a, b| {
+            let m = split.clamp(a, b);
+            point.stall.add(first, m - a);
+            point.stall.add(second, b - m);
+        });
+    }
+
+    /// Adds the machine-wide integrals of the quiescent interval
+    /// `[now, until)` to the time series: `rays` in flight and `occupied`
+    /// CTA slots are constant over the interval, so each window chunk
+    /// contributes its cycle integral.
+    pub(crate) fn sample_occupancy(
+        &mut self,
+        interval: (u64, u64),
+        window: u64,
         rays: u64,
         occupied: u64,
     ) {
-        for (stall, &(first, split, second)) in self.stats.stall.iter_mut().zip(classes) {
-            stall.add(first, split - now);
-            stall.add(second, until - split);
-        }
-        if window == 0 {
-            return;
-        }
-        let mut a = now;
-        while a < until {
-            let idx = (a / window) as usize;
-            let b = until.min((idx as u64 + 1) * window);
-            let point = self.window_mut(idx, window);
+        self.each_window(interval, window, |point, a, b| {
             point.covered_cycles += b - a;
             point.ray_cycles += rays * (b - a);
             point.occupied_slot_cycles += occupied * (b - a);
-            for &(first, split, second) in classes {
-                let m = split.clamp(a, b);
-                point.stall.add(first, m - a);
-                point.stall.add(second, b - m);
-            }
+        });
+    }
+
+    /// Calls `f` with each sample window (`window` cycles per point, 0 =
+    /// sampling off) that `[from, to)` overlaps and the overlap `[a, b)`.
+    fn each_window(
+        &mut self,
+        (from, to): (u64, u64),
+        window: u64,
+        mut f: impl FnMut(&mut SamplePoint, u64, u64),
+    ) {
+        if window == 0 {
+            return;
+        }
+        let mut a = from;
+        while a < to {
+            let idx = (a / window) as usize;
+            let b = to.min((idx as u64 + 1) * window);
+            f(self.window_mut(idx, window), a, b);
             a = b;
         }
     }
@@ -179,12 +292,25 @@ impl Observer {
         self.stats.active_lane_steps += delta;
     }
 
-    /// Stall attribution is exhaustive: every elapsed cycle lands in
-    /// exactly one bucket, so unit `sm`'s buckets sum to the clock.
-    pub(crate) fn audit(&self, sm: usize, now: u64) -> Result<(), (&'static str, String)> {
+    /// Unit `sm`'s attribution laws, on a settled observer. `stall-sum`:
+    /// every elapsed cycle lands in exactly one bucket, so the buckets sum
+    /// to the clock. `stall-class`: an unmarked unit's class is still the
+    /// one its state gives (`fresh`) — a state change without a mark
+    /// would book the wrong class.
+    pub(crate) fn audit(
+        &self,
+        sm: usize,
+        now: u64,
+        fresh: StallClass,
+    ) -> Result<(), (&'static str, String)> {
         let attributed = self.stats.stall[sm].total();
         if attributed != now {
             return Err(("stall-sum", format!("{attributed} attributed cycles != clock {now}")));
+        }
+        let Booking { class, marked, .. } = self.bookings[sm];
+        if !marked && class != fresh {
+            let detail = format!("unmarked unit classed {class:?}, its state gives {fresh:?}");
+            return Err(("stall-class", detail));
         }
         Ok(())
     }

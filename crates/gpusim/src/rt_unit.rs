@@ -76,24 +76,27 @@ impl RtUnit {
         }
     }
 
-    /// Classifies the quiescent interval `[now, until)` from the unit's
-    /// state: with resident warps, cycles before the earliest outstanding
-    /// memory completion are waiting-on-memory and the rest are busy (the
+    /// The unit's stall class from now until its state next changes:
+    /// with resident warps, cycles before the earliest outstanding memory
+    /// completion are waiting-on-memory and the rest are busy (the
     /// intersection pipeline of the warp whose data arrived is executing
-    /// through `until`, since every resident `ready_at >= until`); with no
-    /// resident warp the whole interval is warp-buffer-empty (local rays
-    /// queued or arriving), queue-drained (`shader_active`: shader phases
-    /// still running on this SM), or idle.
-    pub(crate) fn stall_class(&self, now: u64, until: u64, shader_active: bool) -> StallClass {
+    /// until the next change, since the unit wakes at the first
+    /// `ready_at`); with no resident warp every cycle is warp-buffer-empty
+    /// (local rays queued or arriving), queue-drained (`shader_active`:
+    /// shader phases still running on this SM), or idle. The split cycle
+    /// is absolute, so the class holds over any stretch of unchanged state.
+    pub(crate) fn stall_class(&self, shader_active: bool) -> StallClass {
         if let Some(mem_done) = self.slots.iter().flatten().map(|w| w.mem_ready_at).min() {
-            (StallKind::WaitingMemory, mem_done.clamp(now, until), StallKind::Busy)
-        } else if !self.incoming.is_empty() || !self.queues.is_empty() {
-            (StallKind::WarpBufferEmpty, until, StallKind::WarpBufferEmpty)
-        } else if shader_active {
-            (StallKind::QueueDrained, until, StallKind::QueueDrained)
-        } else {
-            (StallKind::Idle, until, StallKind::Idle)
+            return (StallKind::WaitingMemory, mem_done, StallKind::Busy);
         }
+        let kind = if !self.incoming.is_empty() || !self.queues.is_empty() {
+            StallKind::WarpBufferEmpty
+        } else if shader_active {
+            StallKind::QueueDrained
+        } else {
+            StallKind::Idle
+        };
+        (kind, u64::MAX, kind)
     }
 
     /// The cycles this unit next has something to do at: each resident

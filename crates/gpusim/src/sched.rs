@@ -376,4 +376,11 @@ impl CtaScheduler {
     pub(crate) fn corrupt_retired(&mut self, delta: isize) {
         self.retired = self.retired.saturating_add_signed(delta);
     }
+
+    /// Starts a shader phase on `sm` without the engine marking the SM's
+    /// RT unit, so the next audit trips the `stall-class` invariant.
+    #[cfg(test)]
+    pub(crate) fn corrupt_shader_active(&mut self, sm: usize) {
+        self.shader_active[sm] += 1;
+    }
 }

@@ -32,7 +32,7 @@ use crate::checkpoint::{config_tag, Checkpoint, CHECKPOINT_VERSION};
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::error::{ForensicsSnapshot, InvariantViolation, SimError, SmSnapshot};
 use crate::observe::{TraceEvent, TraceSink};
-use crate::observer::{Observer, StallClass};
+use crate::observer::Observer;
 use crate::predict::predict_key;
 use crate::ray::{NextNode, RayId, RayTraversal, StackArena};
 use crate::ray_table::{RayMeta, RayTable, Walk};
@@ -588,8 +588,6 @@ struct Scratch {
     fetched: Vec<NodeId>,
     /// `issue_trace`'s ray ids.
     new_rays: Vec<RayId>,
-    /// `observe_interval`'s per-unit classification.
-    classes: Vec<StallClass>,
 }
 
 /// A phase of the cycle loop, as a profiled run reports it
@@ -768,6 +766,7 @@ impl<'a> Engine<'a> {
                 _ => return Err(SimError::Deadlock { snapshot: self.snapshot() }),
             }
         }
+        self.settle();
         let stats = &mut self.obs.stats;
         stats.cycles = self.now;
         for rt in &self.rt {
@@ -817,7 +816,8 @@ impl<'a> Engine<'a> {
     /// called at a clock-advance quiescent point (see [`Engine::run`]);
     /// [`Engine::restore`] + re-entering `run` then replays the remainder
     /// bit-identically.
-    fn capture(&self) -> Checkpoint {
+    fn capture(&mut self) -> Checkpoint {
+        self.settle();
         Checkpoint {
             version: CHECKPOINT_VERSION,
             num_sms: self.rt.len(),
@@ -829,7 +829,7 @@ impl<'a> Engine<'a> {
             sched: self.sched.clone(),
             rays: self.rays.positions(self.tape),
             rt: self.rt.clone(),
-            obs: self.obs.clone(),
+            obs: self.obs.checkpointed(),
             mem: self.mem.snapshot(),
         }
     }
@@ -865,6 +865,7 @@ impl<'a> Engine<'a> {
         self.rays = rays;
         self.rt = ckpt.rt.clone();
         self.obs = ckpt.obs.clone();
+        self.obs.restart_booking(self.now);
         Ok(())
     }
 
@@ -905,10 +906,11 @@ impl<'a> Engine<'a> {
 
     /// Re-derives the engine's conservation laws from first principles and
     /// reports the first violated one: ray conservation across the ray
-    /// table and the units, then each SM's unit and observer laws, then
-    /// the scheduler's, then the memory hierarchy's. See
-    /// [`AuditMode`](crate::AuditMode) for when this runs.
-    fn audit_invariants(&self) -> Result<(), InvariantViolation> {
+    /// table and the units, then each SM's unit and observer laws (on a
+    /// settled observer), then the scheduler's, then the memory
+    /// hierarchy's. See [`AuditMode`](crate::AuditMode) for when this runs.
+    fn audit_invariants(&mut self) -> Result<(), InvariantViolation> {
+        self.settle();
         let fail = |(site, detail): (&str, String)| InvariantViolation {
             cycle: self.now,
             site: site.to_string(),
@@ -921,7 +923,8 @@ impl<'a> Engine<'a> {
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
-            self.obs.audit(sm, self.now).map_err(on_sm)?;
+            let fresh = unit.stall_class(self.sched.shader_active[sm] > 0);
+            self.obs.audit(sm, self.now, fresh).map_err(on_sm)?;
         }
         self.sched.audit(self.cfg.max_ctas_per_sm).map_err(fail)?;
         self.mem.audit().map_err(|detail| fail(("mem-accounting", detail)))
@@ -929,32 +932,34 @@ impl<'a> Engine<'a> {
 
     // -- observation --------------------------------------------------------
 
-    /// Attributes the quiescent interval `[self.now, until)` — the engine
-    /// is at a fixed point, so no architectural state changes until the
-    /// clock jumps — to stall buckets and time-series windows: each unit
-    /// classifies the interval from its own state
-    /// ([`RtUnit::stall_class`]), the observer books it. Every cycle lands
-    /// in exactly one bucket, so each unit's buckets sum to
-    /// [`SimStats::cycles`].
+    /// Observes the clock advancing from `self.now` to `until`. The engine
+    /// is at a fixed point, so no architectural state changes in
+    /// `[self.now, until)`. Only the units marked since the last advance
+    /// are booked ([`Observer::book_marked`]): each books the cycles since
+    /// its last booking under its old class and takes the class its state
+    /// gives now ([`RtUnit::stall_class`]). An unmarked unit's class still
+    /// holds, so its cycles wait for its next mark or [`Engine::settle`].
+    /// The time series' machine-wide integrals are booked per advance.
     fn observe_interval(&mut self, until: u64) {
-        if until <= self.now {
+        let window = self.cfg.sample_window_cycles;
+        let (rt, active) = (&self.rt, &self.sched.shader_active);
+        self.obs.book_marked(self.now, window, |sm| rt[sm].stall_class(active[sm] > 0));
+        if window == 0 {
             return;
         }
-        let mut classes = std::mem::take(&mut self.scratch.classes);
-        classes.clear();
-        let units = self.rt.iter().zip(&self.sched.shader_active);
-        classes.extend(units.map(|(unit, active)| unit.stall_class(self.now, until, *active > 0)));
-        let window = self.cfg.sample_window_cycles;
-        // Only the time series needs the machine-wide occupancy.
-        let (mut rays, mut occupied) = (0u64, 0u64);
-        if window != 0 {
-            rays = self.rt.iter().map(|r| r.rays_in_flight as u64).sum();
-            let total_slots = (self.rt.len() * self.cfg.max_ctas_per_sm) as u64;
-            let free: u64 = self.sched.free_slots.iter().map(|f| *f as u64).sum();
-            occupied = total_slots.saturating_sub(free);
-        }
-        self.obs.attribute((self.now, until), window, &classes, rays, occupied);
-        self.scratch.classes = classes;
+        // Rays in flight on all units, by the `ray-conservation` law.
+        let rays = self.rays.len() as u64 - self.obs.stats.rays_completed;
+        let total_slots = (self.rt.len() * self.cfg.max_ctas_per_sm) as u64;
+        let free: u64 = self.sched.free_slots.iter().map(|f| *f as u64).sum();
+        let occupied = total_slots.saturating_sub(free);
+        self.obs.sample_occupancy((self.now, until), window, rays, occupied);
+    }
+
+    /// Books every unit up to the clock: called before anything reads the
+    /// stall buckets or windows (an audit, a checkpoint capture, the end
+    /// of the run). Booking is additive, so settling early moves nothing.
+    fn settle(&mut self) {
+        self.obs.settle(self.now, self.cfg.sample_window_cycles);
     }
 
     /// Records an event when a sink is attached, bumping the observer's
@@ -990,13 +995,13 @@ impl<'a> Engine<'a> {
         // CTAs, while resuming drains pressure (the resumed CTA finishes
         // its bounce and retires or re-suspends). Gating resumes here
         // starves the pipeline.
-        let mut i = 0;
-        while i < self.sched.resume_ready.len() {
+        // Every CTA is admitted anywhere and nothing here frees a slot, so
+        // the first miss ends the loop: no SM has a free slot.
+        while !self.sched.resume_ready.is_empty() {
             let Some(sm) = self.sched.find_slot(|_, _| true) else {
-                i += 1;
-                continue;
+                break;
             };
-            let id = self.sched.resume_ready.swap_remove(i);
+            let id = self.sched.resume_ready.swap_remove(0);
             self.sched.ctas[id].resume_queued = false;
             self.sched.free_slots[sm] -= 1;
             let charge = self.vtq.is_none_or(|v| v.charge_virtualization);
@@ -1005,6 +1010,7 @@ impl<'a> Engine<'a> {
             let now = self.now;
             self.emit(|| TraceEvent::CtaResume { cycle: now, cta: id, sm });
             self.sched.shader_active[sm] += 1;
+            self.obs.mark(sm);
             let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
             self.enter_phase(id, sm, Phase::Shade, restore_done + shade);
             progress = true;
@@ -1019,6 +1025,7 @@ impl<'a> Engine<'a> {
             self.emit(|| TraceEvent::CtaLaunch { cycle: now, cta: id, sm });
             self.sched.free_slots[sm] -= 1;
             self.sched.shader_active[sm] += 1;
+            self.obs.mark(sm);
             let raygen = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.raygen_cycles);
             self.enter_phase(id, sm, Phase::Raygen, self.now + raygen);
             progress = true;
@@ -1080,6 +1087,7 @@ impl<'a> Engine<'a> {
                     }
                     let active = &mut self.sched.shader_active[cta.sm];
                     *active = active.saturating_sub(1);
+                    self.obs.mark(cta.sm);
                     self.issue_trace(id);
                     progress = true;
                 }
@@ -1157,6 +1165,7 @@ impl<'a> Engine<'a> {
             Some(p) => self.now + p.lookup_latency as u64,
             None => self.now,
         };
+        self.obs.mark(sm);
         for chunk in new_rays.chunks(self.cfg.warp_size) {
             self.rt[sm].incoming.push_back((arrive, chunk.to_vec()));
             self.obs.stats.warps_issued += 1;
@@ -1274,6 +1283,7 @@ impl<'a> Engine<'a> {
                     // Baseline: shade in place.
                     let sm = cta.sm;
                     self.sched.shader_active[sm] += 1;
+                    self.obs.mark(sm);
                     let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
                     self.enter_phase(cta_id, sm, Phase::Shade, at + shade);
                 }
@@ -1297,13 +1307,13 @@ impl<'a> Engine<'a> {
                         if !self.acquire_work(sm, slot) {
                             break;
                         }
-                        self.obs.last_progress[sm] = self.now;
+                        self.obs.progress(sm, self.now);
                     }
                     if self.rt[sm].slots[slot].as_ref().is_some_and(|w| w.ready_at > self.now) {
                         break;
                     }
                     self.step_warp(sm, slot);
-                    self.obs.last_progress[sm] = self.now;
+                    self.obs.progress(sm, self.now);
                     progress = true;
                 }
             }
@@ -1857,6 +1867,41 @@ mod tests {
             SimError::Invariant(v) => {
                 assert_eq!(v.site, "cta-retired");
                 assert!(v.detail.contains("retired count 1 != 0"), "got: {}", v.detail);
+            }
+            other => panic!("expected Invariant, got {other:?}"),
+        }
+    }
+
+    /// The `stall-class` law's must-go-red: a change to what an RT unit's
+    /// stall class reads, made without marking the unit, fails the run at
+    /// the next audit instead of booking the old class.
+    #[test]
+    fn unmarked_unit_change_is_caught_by_the_auditor() {
+        let scene = lumibench::build_scaled(SceneId::Ref, 16);
+        let bvh =
+            Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+        let workload = Workload {
+            tasks: (0..16)
+                .map(|i| PathTask {
+                    rays: vec![scene.camera().primary_ray(i % 8, i / 8, 8, 8, None).into()],
+                })
+                .collect(),
+        };
+        let cfg = GpuConfig::default();
+        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        engine.audit_every = Some(1);
+        // Classify every unit at cycle 0 (all idle), then start a shader
+        // phase on the last SM, which the workload's one CTA never uses.
+        let (rt, active) = (&engine.rt, &engine.sched.shader_active);
+        engine.obs.book_marked(0, 0, |sm| rt[sm].stall_class(active[sm] > 0));
+        let last = engine.rt.len() - 1;
+        assert_eq!(engine.sched.ctas.len(), 1);
+        engine.sched.corrupt_shader_active(last);
+        match engine.run(None, None).expect_err("an unmarked change must trip the auditor") {
+            SimError::Invariant(v) => {
+                assert_eq!(v.site, "stall-class");
+                assert!(v.detail.starts_with(&format!("sm {last}: ")), "got: {}", v.detail);
+                assert!(v.detail.contains("QueueDrained"), "got: {}", v.detail);
             }
             other => panic!("expected Invariant, got {other:?}"),
         }

@@ -1,11 +1,16 @@
 //! Property-based tests of the simulator's conservation and ordering
 //! invariants: every issued ray completes exactly once, queues conserve
 //! rays, and traversal produces reference-identical hits regardless of the
-//! (randomized) VTQ parameters.
+//! (randomized) VTQ parameters, and lazy stall attribution keeps its law
+//! at every clock advance.
 
 use proptest::prelude::*;
 
-use gpusim::{GpuConfig, PathTask, Simulator, TraversalPolicy, VtqParams, Workload};
+use gpumem::MemFaults;
+use gpusim::{
+    AuditMode, GpuConfig, PathTask, PredictParams, RunOptions, Simulator, TraversalPolicy,
+    VtqParams, Workload,
+};
 use rtbvh::{Bvh, BvhConfig};
 use rtmath::{Ray, Vec3, XorShiftRng};
 use rtscene::lumibench::{self, SceneId};
@@ -140,6 +145,67 @@ proptest! {
                 prop_assert!(report.stats.series.is_empty());
             }
         }
+    }
+
+    /// Lazy stall attribution books what eager attribution would: the
+    /// `stall-class` law, audited at every clock advance, says every unit
+    /// whose state changed was marked, so each unmarked unit's cached
+    /// class is the one an eager pass would have taken. Every policy,
+    /// sampled or not, 1-5 SMs, scheduling jitter and DRAM latency
+    /// spikes; the plain run and a resume from its midpoint both pass the
+    /// audits, partition every unit's time, and agree bit for bit.
+    #[test]
+    fn lazy_stall_attribution_holds_at_every_advance(
+        seed in any::<u64>(),
+        policy in 0usize..5,
+        sampled in any::<bool>(),
+        window in 1u64..50_001,
+        sms in 1usize..6,
+        jitter in 0u32..17,
+        spikes in 0u32..200,
+    ) {
+        let (scene, bvh) = scene_and_bvh();
+        let workload = random_workload(seed, 160, 2);
+        let policy = [
+            TraversalPolicy::Baseline,
+            TraversalPolicy::TreeletPrefetch,
+            TraversalPolicy::Vtq(VtqParams { max_virtual_rays: 256, ..Default::default() }),
+            TraversalPolicy::Vtq(vtq_params(1, 0, 2, false, false)),
+            TraversalPolicy::Predict(PredictParams {
+                origin_bits: 2,
+                dir_bits: 2,
+                table_entries: 4096,
+                ..Default::default()
+            }),
+        ][policy];
+        let mut cfg = GpuConfig::default().with_policy(policy);
+        cfg.audit = AuditMode::Every(1);
+        cfg.mem.num_sms = sms;
+        cfg.sample_window_cycles = if sampled { window } else { 0 };
+        cfg.sched_jitter_cycles = jitter;
+        cfg.sched_jitter_seed = seed;
+        cfg.mem.faults = MemFaults {
+            spike_per_mille: spikes,
+            spike_extra_cycles: 300,
+            seed,
+            ..Default::default()
+        };
+        let sim = Simulator::new(&bvh, scene.triangles(), cfg);
+        let plain = sim.try_run(&workload).unwrap();
+        let cycles = plain.stats.cycles;
+        for (sm, unit) in plain.stats.stall.iter().enumerate() {
+            prop_assert_eq!(unit.total(), cycles, "sm {}", sm);
+        }
+        let covered: u64 = plain.stats.series.iter().map(|w| w.covered_cycles).sum();
+        prop_assert_eq!(covered, if sampled { cycles } else { 0 });
+
+        let mut ckpts = Vec::new();
+        let checkpointed =
+            sim.try_run_checkpointed(&workload, cycles / 2, &mut |c| ckpts.push(c)).unwrap();
+        prop_assert_eq!(&checkpointed.stats, &plain.stats);
+        let ckpt = ckpts.first().expect("the run crosses its midpoint");
+        let resumed = sim.try_run_with(&workload, RunOptions::new().resume(ckpt)).unwrap();
+        prop_assert_eq!(format!("{:?}", resumed.stats), format!("{:?}", plain.stats));
     }
 
     #[test]
