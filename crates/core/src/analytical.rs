@@ -13,15 +13,14 @@
 //! because all rays in a batch reuse a fetched treelet at no latency cost.
 //! More concurrent rays ⇒ fewer unique-treelet fetches per traversed node
 //! ⇒ more speedup. This module reproduces that estimate from real per-ray
-//! traces recorded with the same two-stack traversal order the simulator
-//! uses.
+//! traces: the node visits of the workload's [`Tape`], the unrestricted
+//! walk every simulation replays.
 
 use std::collections::BTreeSet;
 
-use gpusim::ray::{NextNode, RayId, RayTraversal};
-use gpusim::Workload;
+use gpusim::ray::NextNode;
+use gpusim::{Tape, Workload};
 use rtbvh::{Bvh, TreeletId};
-use rtscene::Triangle;
 
 /// Node-access trace of one ray.
 #[derive(Debug, Clone, Default)]
@@ -37,21 +36,17 @@ impl RayTrace {
     }
 }
 
-/// Records the per-ray node-access traces of a workload (every trace call
-/// of every task), using the treelet traversal order.
-pub fn record_traces(bvh: &Bvh, triangles: &[Triangle], workload: &Workload) -> Vec<RayTrace> {
+/// The per-ray node-access traces of a workload (every trace call of every
+/// task), read off `tape`, the workload's tape on `bvh`.
+pub fn record_traces(bvh: &Bvh, tape: &Tape, workload: &Workload) -> Vec<RayTrace> {
     let mut traces = Vec::with_capacity(workload.total_rays());
-    for task in &workload.tasks {
-        for call in &task.rays {
-            let mut r =
-                RayTraversal::new(RayId(traces.len() as u32), call.ray, bvh, 1e-3, call.t_max);
-            if call.anyhit {
-                r.set_anyhit();
-            }
+    for (task, t) in workload.tasks.iter().enumerate() {
+        for call in 0..t.rays.len() {
+            let mut cursor = tape.cursor(task, call);
             let mut trace = RayTrace::default();
-            while let NextNode::Visit(n) = r.next_node(bvh, None) {
+            while let NextNode::Visit(n) = cursor.next_node(tape, None) {
                 trace.treelets.push(bvh.treelet_of(n));
-                r.visit(bvh, triangles, n);
+                cursor.visit(tape, n);
             }
             traces.push(trace);
         }
@@ -109,18 +104,18 @@ mod tests {
     use rtbvh::BvhConfig;
     use rtscene::lumibench::{self, SceneId};
 
-    fn setup() -> (Vec<Triangle>, Bvh, Workload) {
+    fn setup() -> (Tape, Bvh, Workload) {
         let scene = lumibench::build_scaled(SceneId::Bunny, 16);
-        let tris = scene.triangles().to_vec();
-        let bvh = Bvh::build(&tris, &BvhConfig { treelet_bytes: 2048, ..Default::default() });
+        let tris = scene.triangles();
+        let bvh = Bvh::build(tris, &BvhConfig { treelet_bytes: 2048, ..Default::default() });
         let (w, _) = PathTracer::new(24, 2).run(&scene, &bvh);
-        (tris, bvh, w)
+        (Tape::record(&bvh, tris, &w), bvh, w)
     }
 
     #[test]
     fn traces_record_visits() {
-        let (tris, bvh, w) = setup();
-        let traces = record_traces(&bvh, &tris, &w);
+        let (tape, bvh, w) = setup();
+        let traces = record_traces(&bvh, &tape, &w);
         assert_eq!(traces.len(), w.total_rays());
         let total: usize = traces.iter().map(|t| t.nodes()).sum();
         assert!(total > traces.len(), "rays visit multiple nodes on average");
@@ -128,8 +123,8 @@ mod tests {
 
     #[test]
     fn speedup_grows_with_concurrency() {
-        let (tris, bvh, w) = setup();
-        let traces = record_traces(&bvh, &tris, &w);
+        let (tape, bvh, w) = setup();
+        let traces = record_traces(&bvh, &tape, &w);
         let rows = analytical_speedups(&bvh, &traces, &[1, 32, 256, 4096]);
         assert_eq!(rows.len(), 4);
         // Monotonically non-decreasing in batch size: bigger batches can
@@ -148,8 +143,8 @@ mod tests {
 
     #[test]
     fn single_ray_batches_penalize_treelet_fetches() {
-        let (tris, bvh, w) = setup();
-        let traces = record_traces(&bvh, &tris, &w);
+        let (tape, bvh, w) = setup();
+        let traces = record_traces(&bvh, &tape, &w);
         let rows = analytical_speedups(&bvh, &traces, &[1]);
         // A single ray rarely uses a whole treelet: the model must show a
         // slowdown (speedup < 1) at batch size 1.

@@ -1273,7 +1273,7 @@ pub struct Fig5Row {
 
 /// Evaluates the §2.4 analytical model on this scene's traces.
 pub fn fig05(p: &Prepared, batch_sizes: &[usize]) -> Fig5Row {
-    let traces = analytical::record_traces(&p.bvh, p.scene.triangles(), &p.workload);
+    let traces = analytical::record_traces(&p.bvh, &p.tape, &p.workload);
     Fig5Row { scene: p.id, speedups: analytical::analytical_speedups(&p.bvh, &traces, batch_sizes) }
 }
 

@@ -188,6 +188,13 @@ impl HwTableState {
         self.stats
     }
 
+    /// Ray ids resident under `treelet_addr`, over all its entries.
+    #[cfg(test)]
+    pub(crate) fn rays_of(&self, treelet_addr: u64) -> u32 {
+        let entries = self.buckets.iter().flatten().filter(|e| e.tag == treelet_addr);
+        entries.map(|e| e.rays).sum()
+    }
+
     // -- checkpoint records ---------------------------------------------------
 
     /// This table's share of its unit's `ckpt_rt` line.

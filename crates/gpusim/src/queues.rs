@@ -64,21 +64,11 @@ impl TreeletQueues {
             .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 
-    /// Pops up to `n` rays from the queue of `treelet`.
-    pub fn pop_from(&mut self, treelet: TreeletId, n: usize) -> Vec<RayId> {
+    /// Pops up to `n` rays from the queue of `treelet`, each with the
+    /// treelet.
+    pub fn pop_from(&mut self, treelet: TreeletId, n: usize) -> Vec<(TreeletId, RayId)> {
         let mut out = Vec::new();
-        if let Some(q) = self.queues.get_mut(&treelet) {
-            while out.len() < n {
-                match q.pop_front() {
-                    Some(r) => out.push(r),
-                    None => break,
-                }
-            }
-            if q.is_empty() {
-                self.queues.remove(&treelet);
-            }
-        }
-        self.total -= out.len();
+        self.take(treelet, n, &mut out);
         out
     }
 
@@ -103,19 +93,27 @@ impl TreeletQueues {
             if out.len() >= n {
                 break;
             }
-            let take = n - out.len();
-            for r in self.pop_from(t, take) {
-                out.push((t, r));
-            }
+            self.take(t, n - out.len(), &mut out);
         }
         out
     }
 
-    /// Rays beyond the hardware queue-table capacity (`entries × 32`);
-    /// these live spilled in memory and each push/pop beyond capacity
-    /// costs queue-meta traffic.
-    pub fn overflow_rays(&self, queue_table_entries: usize) -> usize {
-        self.total.saturating_sub(queue_table_entries * 32)
+    /// Moves up to `n` rays from the queue of `treelet` to `out`.
+    fn take(&mut self, treelet: TreeletId, n: usize, out: &mut Vec<(TreeletId, RayId)>) {
+        let Some(q) = self.queues.get_mut(&treelet) else { return };
+        let taken = n.min(q.len());
+        out.extend(q.drain(..taken).map(|r| (treelet, r)));
+        if q.is_empty() {
+            self.queues.remove(&treelet);
+        }
+        self.total -= taken;
+    }
+
+    /// Rays beyond a queue table holding `table_rays` ray ids (entries ×
+    /// rays per entry); these live spilled in memory and each push/pop
+    /// beyond capacity costs queue-meta traffic.
+    pub fn overflow_rays(&self, table_rays: usize) -> usize {
+        self.total.saturating_sub(table_rays)
     }
 
     /// Queues beyond the count-table capacity.
@@ -202,7 +200,7 @@ mod tests {
         q.push(t(5), r(3));
         assert_eq!(q.total_rays(), 3);
         assert_eq!(q.queue_count(), 2);
-        assert_eq!(q.pop_from(t(3), 10), vec![r(1), r(2)]);
+        assert_eq!(q.pop_from(t(3), 10), vec![(t(3), r(1)), (t(3), r(2))]);
         assert_eq!(q.total_rays(), 1);
         assert_eq!(q.queue_count(), 1); // empty queue removed
     }
@@ -239,8 +237,8 @@ mod tests {
         for i in 0..70 {
             q.push(t(i), r(i));
         }
-        assert_eq!(q.overflow_rays(2), 70 - 64);
-        assert_eq!(q.overflow_rays(3), 0);
+        assert_eq!(q.overflow_rays(2 * 32), 70 - 64);
+        assert_eq!(q.overflow_rays(3 * 32), 0);
         assert_eq!(q.overflow_queues(60), 10);
         assert_eq!(q.overflow_queues(100), 0);
     }

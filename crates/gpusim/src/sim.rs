@@ -549,11 +549,6 @@ pub(crate) struct Engine<'a> {
     cfg: &'a GpuConfig,
     vtq: Option<VtqParams>,
     predict: Option<PredictParams>,
-    /// Entry capacities of each unit's queue table and prediction table
-    /// (1-entry stubs outside their policy). Configuration, not state:
-    /// the tables' checkpointed state does not carry them.
-    queue_table_entries: u32,
-    predict_entries: u32,
     workload: &'a Workload,
     /// The recorded walks rays replay; `None` walks every ray.
     tape: Option<&'a Tape>,
@@ -666,27 +661,20 @@ impl<'a> Engine<'a> {
             TraversalPolicy::Predict(p) => Some(p),
             _ => None,
         };
-        let num_sms = cfg.num_sms();
-        let queue_table_entries = vtq.map_or(1, |v| v.queue_table_entries as u32);
-        let predict_entries = predict.map_or(1, |p| p.table_entries as u32);
         Engine {
             bvh,
             triangles,
             cfg,
             vtq,
             predict,
-            queue_table_entries,
-            predict_entries,
             workload,
             tape: None,
             mem: MemorySystem::new(&cfg.mem),
             now: 0,
             sched: CtaScheduler::new(cfg, workload),
             rays: RayTable::new(workload),
-            rt: (0..num_sms)
-                .map(|_| RtUnit::new(cfg.warp_buffer_slots, queue_table_entries, predict_entries))
-                .collect(),
-            obs: Observer::new(num_sms),
+            rt: vec![RtUnit::new(cfg); cfg.num_sms()],
+            obs: Observer::new(cfg.num_sms()),
             sink,
             audit_every: cfg.audit.interval(),
             clock: None,
@@ -770,15 +758,7 @@ impl<'a> Engine<'a> {
         let stats = &mut self.obs.stats;
         stats.cycles = self.now;
         for rt in &self.rt {
-            let qt = rt.hw_table.stats();
-            stats.queue_table_max_chain = stats.queue_table_max_chain.max(qt.max_chain);
-            stats.queue_table_peak_entries = stats.queue_table_peak_entries.max(qt.peak_entries);
-            stats.queue_table_overflows += qt.overflows;
-            let ps = rt.predict.stats();
-            stats.predict_lookups += ps.lookups;
-            stats.predict_hits += ps.hits;
-            stats.predict_inserts += ps.inserts;
-            stats.predict_evictions += ps.evictions;
+            rt.add_table_stats(stats);
         }
         // Closing audit: the finished state must satisfy the conservation
         // laws too (all rays accounted for, stall buckets sum to the clock).
@@ -844,7 +824,7 @@ impl<'a> Engine<'a> {
         let check = |r: Result<(), String>| r.map_err(SimError::Checkpoint);
         check(ckpt.check_header(self.cfg, self.workload, self.bvh))?;
         check(ckpt.sched.validate(&self.sched))?;
-        check(ckpt.rays.validate(self.workload, self.sched.ctas.len(), self.bvh))?;
+        check(ckpt.rays.validate(self.workload, self.sched.cta_count(), self.bvh))?;
         let (treelets, nodes) = (self.bvh.partition().len(), self.bvh.nodes().len());
         for (sm, (saved, fresh)) in ckpt.rt.iter().zip(&self.rt).enumerate() {
             let r = saved.validate(fresh, ckpt.rays.len(), treelets, nodes);
@@ -873,35 +853,20 @@ impl<'a> Engine<'a> {
 
     /// Captures the structured machine state for a watchdog forensics dump.
     fn snapshot(&self) -> ForensicsSnapshot {
-        let sms = self
-            .rt
-            .iter()
-            .enumerate()
-            .map(|(sm, unit)| SmSnapshot {
-                sm,
-                free_cta_slots: self.sched.free_slots[sm],
-                resident_warps: unit.slots.iter().filter(|s| s.is_some()).count(),
-                warp_buffer_slots: unit.slots.len(),
-                incoming_warps: unit.incoming.len(),
-                queued_rays: unit.queues.total_rays(),
-                treelet_queues: unit.queues.queue_count(),
-                rays_in_flight: unit.rays_in_flight,
-                shader_active: self.sched.shader_active[sm],
-                reserved_rays: self.sched.reserved_rays[sm],
-                last_progress_cycle: self.obs.last_progress[sm],
-            })
-            .collect();
-        ForensicsSnapshot {
+        let sms = self.rt.iter().enumerate().map(|(sm, unit)| SmSnapshot {
+            last_progress_cycle: self.obs.last_progress[sm],
+            ..unit.forensics(sm)
+        });
+        let mut snapshot = ForensicsSnapshot {
             cycle: self.now,
             rays_created: self.rays.len() as u64,
             rays_completed: self.obs.stats.rays_completed,
-            ctas_total: self.sched.ctas.len(),
-            ctas_unfinished: self.sched.unfinished(),
-            pending_ctas: self.sched.pending.len(),
-            resume_ready_ctas: self.sched.resume_ready.len(),
             mem_in_flight: self.mem.in_flight_requests(self.now),
-            sms,
-        }
+            sms: sms.collect(),
+            ..ForensicsSnapshot::default()
+        };
+        self.sched.forensics(&mut snapshot);
+        snapshot
     }
 
     /// Re-derives the engine's conservation laws from first principles and
@@ -916,14 +881,14 @@ impl<'a> Engine<'a> {
             site: site.to_string(),
             detail,
         };
-        let in_flight: usize = self.rt.iter().map(|r| r.rays_in_flight).sum();
+        let in_flight: usize = self.rt.iter().map(RtUnit::rays_in_flight).sum();
         let stats = &self.obs.stats;
         let lane_steps = stats.active_lane_steps;
         self.rays.audit(stats.rays_completed, in_flight, lane_steps, self.tape).map_err(fail)?;
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
-            let fresh = unit.stall_class(self.sched.shader_active[sm] > 0);
+            let fresh = unit.stall_class(self.sched.shading(sm));
             self.obs.audit(sm, self.now, fresh).map_err(on_sm)?;
         }
         self.sched.audit(self.cfg.max_ctas_per_sm).map_err(fail)?;
@@ -942,16 +907,14 @@ impl<'a> Engine<'a> {
     /// The time series' machine-wide integrals are booked per advance.
     fn observe_interval(&mut self, until: u64) {
         let window = self.cfg.sample_window_cycles;
-        let (rt, active) = (&self.rt, &self.sched.shader_active);
-        self.obs.book_marked(self.now, window, |sm| rt[sm].stall_class(active[sm] > 0));
+        let (rt, sched) = (&self.rt, &self.sched);
+        self.obs.book_marked(self.now, window, |sm| rt[sm].stall_class(sched.shading(sm)));
         if window == 0 {
             return;
         }
         // Rays in flight on all units, by the `ray-conservation` law.
         let rays = self.rays.len() as u64 - self.obs.stats.rays_completed;
-        let total_slots = (self.rt.len() * self.cfg.max_ctas_per_sm) as u64;
-        let free: u64 = self.sched.free_slots.iter().map(|f| *f as u64).sum();
-        let occupied = total_slots.saturating_sub(free);
+        let occupied = self.sched.occupied_slots(self.cfg.max_ctas_per_sm);
         self.obs.sample_occupancy((self.now, until), window, rays, occupied);
     }
 
@@ -966,20 +929,10 @@ impl<'a> Engine<'a> {
     /// recorded-event counter. The closure defers event construction so
     /// untraced runs pay nothing at the call sites.
     #[inline]
-    fn emit(&mut self, make: impl FnOnce() -> TraceEvent) {
+    fn emit(&mut self, make: impl FnOnce(u64) -> TraceEvent) {
         if let Some(sink) = self.sink.as_deref_mut() {
             self.obs.sink_events += 1;
-            sink.record(&make());
-        }
-    }
-
-    /// Emits a mode-transition event when `mode` differs from the last warp
-    /// installed on `sm`.
-    fn note_mode(&mut self, sm: usize, mode: TraversalMode) {
-        if self.rt[sm].last_mode != Some(mode) {
-            let (now, from) = (self.now, self.rt[sm].last_mode);
-            self.emit(|| TraceEvent::ModeTransition { cycle: now, sm, from, to: mode });
-            self.rt[sm].last_mode = Some(mode);
+            sink.record(&make(self.now));
         }
     }
 
@@ -994,40 +947,25 @@ impl<'a> Engine<'a> {
         // virtualized-ray cap: §4.1 applies the cap to launching new raygen
         // CTAs, while resuming drains pressure (the resumed CTA finishes
         // its bounce and retires or re-suspends). Gating resumes here
-        // starves the pipeline.
-        // Every CTA is admitted anywhere and nothing here frees a slot, so
-        // the first miss ends the loop: no SM has a free slot.
-        while !self.sched.resume_ready.is_empty() {
-            let Some(sm) = self.sched.find_slot(|_, _| true) else {
-                break;
-            };
-            let id = self.sched.resume_ready.swap_remove(0);
-            self.sched.ctas[id].resume_queued = false;
-            self.sched.free_slots[sm] -= 1;
+        // starves the pipeline. Every CTA is admitted anywhere and nothing
+        // here frees a slot, so the first miss ends the loop.
+        while let Some((id, sm)) = self.sched.resume() {
             let charge = self.vtq.is_none_or(|v| v.charge_virtualization);
             let restore_done = if charge { self.transfer_cta_state(sm, id) } else { self.now };
             self.obs.stats.cta_resumes += 1;
-            let now = self.now;
-            self.emit(|| TraceEvent::CtaResume { cycle: now, cta: id, sm });
-            self.sched.shader_active[sm] += 1;
-            self.obs.mark(sm);
-            let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
-            self.enter_phase(id, sm, Phase::Shade, restore_done + shade);
+            self.emit(|cycle| TraceEvent::CtaResume { cycle, cta: id, sm });
+            self.enter_shader(id, Phase::Shade, restore_done);
             progress = true;
         }
         // Fresh launches.
-        while let Some(&id) = self.sched.pending.front() {
-            let Some(sm) = self.find_launch_slot() else {
+        loop {
+            let cap = self.vtq.map(|v| (v.max_virtual_rays, self.cfg.cta_size));
+            let rt = &self.rt;
+            let Some((id, sm)) = self.sched.launch(cap, |sm| rt[sm].rays_in_flight()) else {
                 break;
             };
-            self.sched.pending.pop_front();
-            let now = self.now;
-            self.emit(|| TraceEvent::CtaLaunch { cycle: now, cta: id, sm });
-            self.sched.free_slots[sm] -= 1;
-            self.sched.shader_active[sm] += 1;
-            self.obs.mark(sm);
-            let raygen = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.raygen_cycles);
-            self.enter_phase(id, sm, Phase::Raygen, self.now + raygen);
+            self.emit(|cycle| TraceEvent::CtaLaunch { cycle, cta: id, sm });
+            self.enter_shader(id, Phase::Raygen, self.now);
             progress = true;
         }
         progress
@@ -1048,77 +986,35 @@ impl<'a> Engine<'a> {
         )
     }
 
-    /// Puts CTA `id` into a timed shader `phase` on `sm`, due at `ready_at`.
-    fn enter_phase(&mut self, id: usize, sm: usize, phase: Phase, ready_at: u64) {
-        let cta = &mut self.sched.ctas[id];
-        cta.sm = sm;
-        cta.phase = phase;
-        cta.ready_at = ready_at;
-        self.sched.timers.push(ready_at, id);
-    }
-
-    /// A free slot for a fresh launch: under ray virtualization the SM
-    /// must also have room under the virtualized-ray cap, and the
-    /// prospective CTA's rays are reserved on success.
-    fn find_launch_slot(&mut self) -> Option<usize> {
-        let Some(v) = self.vtq else { return self.sched.find_slot(|_, _| true) };
-        let (rt, cta_size) = (&self.rt, self.cfg.cta_size);
-        let sm = self.sched.find_slot(|sched, sm| {
-            rt[sm].rays_in_flight + sched.reserved_rays[sm] + cta_size <= v.max_virtual_rays
-        })?;
-        self.sched.reserved_rays[sm] += cta_size;
-        Some(sm)
+    /// CTA `id` starts a shader `phase` in its slot at `start`: the one
+    /// path into raygen or shading. One of the two places the scheduler
+    /// state an RT unit's stall class reads changes (`shading` rises);
+    /// `process_cta_phases` is the other.
+    fn enter_shader(&mut self, id: usize, phase: Phase, start: u64) {
+        let sm = self.sched.start_shader(self.cfg, id, phase, start);
+        self.obs.mark(sm);
     }
 
     /// Completes Raygen/Shade phases whose timers expired and queues
     /// CTAs whose traversal finished for resume.
     fn process_cta_phases(&mut self) -> bool {
         let mut progress = false;
-        while let Some((t, id)) = self.sched.timers.pop_due(self.now) {
-            let cta = &mut self.sched.ctas[id];
-            if cta.ready_at != t {
-                continue; // stale entry
-            }
-            match cta.phase {
-                Phase::Raygen | Phase::Shade => {
-                    // Shading ends a bounce; raygen precedes the first.
-                    if cta.phase == Phase::Shade {
-                        cta.bounce += 1;
-                    }
-                    let active = &mut self.sched.shader_active[cta.sm];
-                    *active = active.saturating_sub(1);
-                    self.obs.mark(cta.sm);
-                    self.issue_trace(id);
-                    progress = true;
-                }
-                Phase::ReadyToResume if !cta.resume_queued => {
-                    cta.resume_queued = true;
-                    self.sched.resume_ready.push(id);
-                    progress = true;
-                }
-                _ => {}
-            }
+        while let Some((cta, sm)) = self.sched.pop_due(self.now, &mut progress) {
+            self.obs.mark(sm);
+            self.issue_trace(cta);
+            progress = true;
         }
         progress
     }
 
     /// The CTA's warps call traceRayEXT for the current bounce.
     fn issue_trace(&mut self, id: usize) {
-        let (first, count, bounce, sm) = {
-            let c = &self.sched.ctas[id];
-            (c.first_task, c.task_count, c.bounce, c.sm)
-        };
-        // Release this CTA's launch-admission reservation (resumed CTAs
-        // never held one; saturating_sub makes the release idempotent
-        // across bounces).
-        if self.vtq.is_some() && bounce == 0 {
-            let reserved = &mut self.sched.reserved_rays[sm];
-            *reserved = reserved.saturating_sub(self.cfg.cta_size);
-        }
+        let reserved = if self.vtq.is_some() { self.cfg.cta_size } else { 0 };
+        let (tasks, bounce, sm) = self.sched.trace_issue(id, reserved);
         // Collect live threads (tasks that still have a ray this bounce).
         let mut new_rays = std::mem::take(&mut self.scratch.new_rays);
         new_rays.clear();
-        for t in first..first + count {
+        for t in tasks {
             if bounce < self.workload.tasks[t].rays.len() {
                 let rid = RayId(self.rays.len() as u32);
                 let lead = self.predict_lead(t, bounce, sm);
@@ -1131,28 +1027,18 @@ impl<'a> Engine<'a> {
             self.scratch.new_rays = new_rays;
             // Path ended for every thread: CTA retires, slot freed.
             self.sched.retire(id);
-            let now = self.now;
-            self.emit(|| TraceEvent::CtaRetire { cycle: now, cta: id, sm });
+            self.emit(|cycle| TraceEvent::CtaRetire { cycle, cta: id, sm });
             return;
         }
 
-        self.sched.ctas[id].outstanding = new_rays.len();
-        self.rt[sm].rays_in_flight += new_rays.len();
-        self.obs.stats.peak_rays_in_flight =
-            self.obs.stats.peak_rays_in_flight.max(self.rt[sm].rays_in_flight);
+        let in_flight = self.rt[sm].add_rays(new_rays.len());
+        self.obs.stats.peak_rays_in_flight = self.obs.stats.peak_rays_in_flight.max(in_flight);
 
         // With virtualization the ray records are written to the reserved
         // L2 region at issue (§4.2 ①).
         if self.vtq.is_some() {
             for r in &new_rays {
-                self.mem.access(
-                    sm,
-                    ray_addr(self.cfg, *r),
-                    self.cfg.ray_record_bytes,
-                    AccessKind::Ray,
-                    CachePolicy::RayReserve,
-                    self.now,
-                );
+                self.ray_record(sm, *r);
             }
         }
 
@@ -1167,15 +1053,13 @@ impl<'a> Engine<'a> {
         };
         self.obs.mark(sm);
         for chunk in new_rays.chunks(self.cfg.warp_size) {
-            self.rt[sm].incoming.push_back((arrive, chunk.to_vec()));
+            self.rt[sm].send(arrive, chunk);
             self.obs.stats.warps_issued += 1;
-            let (now, rays) = (self.now, chunk.len());
-            self.emit(|| TraceEvent::WarpIssue { cycle: now, sm, cta: id, rays });
+            self.emit(|cycle| TraceEvent::WarpIssue { cycle, sm, cta: id, rays: chunk.len() });
         }
 
-        let charge = self.vtq.is_some_and(|v| v.charge_virtualization);
         match self.vtq {
-            Some(_) => {
+            Some(v) => {
                 // Suspend: save CTA state and free the slot (§4.1). The
                 // stores themselves drain asynchronously (their DRAM
                 // traffic and bandwidth are charged), but the register
@@ -1183,20 +1067,15 @@ impl<'a> Engine<'a> {
                 // values have been read out into the store path — one
                 // 64-byte register-file read per cycle.
                 self.obs.stats.cta_suspends += 1;
-                let (now, rays) = (self.now, new_rays.len());
-                self.emit(|| TraceEvent::CtaSuspend { cycle: now, cta: id, sm, rays });
-                self.sched.ctas[id].phase = Phase::Suspended;
-                if charge {
+                let rays = new_rays.len();
+                self.emit(|cycle| TraceEvent::CtaSuspend { cycle, cta: id, sm, rays });
+                let slot_free_at = v.charge_virtualization.then(|| {
                     self.transfer_cta_state(sm, id);
-                    let readout = self.now + (self.cfg.cta_state_bytes() as u64).div_ceil(64);
-                    self.sched.slot_release.push(readout, sm);
-                } else {
-                    self.sched.free_slots[sm] += 1;
-                }
+                    self.now + (self.cfg.cta_state_bytes() as u64).div_ceil(64)
+                });
+                self.sched.suspend(id, rays, slot_free_at);
             }
-            None => {
-                self.sched.ctas[id].phase = Phase::WaitTraversal;
-            }
+            None => self.sched.wait(id, new_rays.len()),
         }
         self.scratch.new_rays = new_rays;
     }
@@ -1211,7 +1090,7 @@ impl<'a> Engine<'a> {
         let root = self.bvh.root_bounds();
         root.intersect(&call.ray, TRACE_T_MIN, call.t_max)?;
         let key = predict_key(&root, &call.ray, p.origin_bits, p.dir_bits);
-        self.rt[sm].predict.lookup(key)
+        self.rt[sm].predict_lookup(key)
     }
 
     /// The traversal of task `task`'s call `bounce`, issued as ray `rid`
@@ -1238,25 +1117,9 @@ impl<'a> Engine<'a> {
         Walk::Live(ray)
     }
 
-    /// Enqueues a ray for a treelet, mirroring the hardware queue table.
-    fn enqueue(&mut self, sm: usize, t: TreeletId, rid: RayId) {
-        self.rt[sm].queues.push(t, rid);
-        let (addr, _) = self.bvh.treelet_extent(t);
-        let (entries, lanes) = (self.queue_table_entries, self.cfg.warp_size as u32);
-        let _resident = self.rt[sm].hw_table.push(addr, entries, lanes);
-    }
-
-    /// Mirrors queue pops into the hardware queue table.
-    fn dequeue_hw(&mut self, sm: usize, t: TreeletId, n: usize) {
-        let (addr, _) = self.bvh.treelet_extent(t);
-        for _ in 0..n {
-            self.rt[sm].hw_table.pop(addr);
-        }
-    }
-
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let (RayMeta { cta: cta_id, task, bounce, sm, .. }, best_node, arena) =
+        let (RayMeta { cta, task, bounce, sm, .. }, best_node, arena) =
             self.rays.complete(rid, self.tape);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
@@ -1266,7 +1129,7 @@ impl<'a> Engine<'a> {
                 let call = &self.workload.tasks[task].rays[bounce];
                 let key =
                     predict_key(&self.bvh.root_bounds(), &call.ray, p.origin_bits, p.dir_bits);
-                self.rt[sm].predict.train(key, leaf, self.predict_entries);
+                self.rt[sm].predict_train(self.cfg, key, leaf);
             }
         }
         // Recycle a walked ray's stack storage for future rays.
@@ -1274,25 +1137,9 @@ impl<'a> Engine<'a> {
             self.scratch.arena_pool.push(arena);
         }
         self.obs.stats.rays_completed += 1;
-        self.rt[sm].rays_in_flight -= 1;
-        let cta = &mut self.sched.ctas[cta_id];
-        cta.outstanding -= 1;
-        if cta.outstanding == 0 {
-            match cta.phase {
-                Phase::WaitTraversal => {
-                    // Baseline: shade in place.
-                    let sm = cta.sm;
-                    self.sched.shader_active[sm] += 1;
-                    self.obs.mark(sm);
-                    let shade = self.sched.shader_phase_cycles(self.cfg, sm, self.cfg.shade_cycles);
-                    self.enter_phase(cta_id, sm, Phase::Shade, at + shade);
-                }
-                Phase::Suspended => {
-                    let sm = cta.sm;
-                    self.enter_phase(cta_id, sm, Phase::ReadyToResume, at);
-                }
-                other => panic!("rays completed while CTA in phase {other:?}"),
-            }
+        self.rt[sm].finish_ray();
+        if self.sched.complete_ray(cta, at) {
+            self.enter_shader(cta, Phase::Shade, at);
         }
     }
 
@@ -1301,15 +1148,15 @@ impl<'a> Engine<'a> {
     fn step_rt_units(&mut self) -> bool {
         let mut progress = false;
         for sm in 0..self.rt.len() {
-            for slot in 0..self.rt[sm].slots.len() {
+            for slot in 0..self.rt[sm].slot_count() {
                 loop {
-                    if self.rt[sm].slots[slot].is_none() {
+                    if self.rt[sm].ready_at(slot).is_none() {
                         if !self.acquire_work(sm, slot) {
                             break;
                         }
                         self.obs.progress(sm, self.now);
                     }
-                    if self.rt[sm].slots[slot].as_ref().is_some_and(|w| w.ready_at > self.now) {
+                    if self.rt[sm].ready_at(slot).is_some_and(|at| at > self.now) {
                         break;
                     }
                     self.step_warp(sm, slot);
@@ -1324,62 +1171,40 @@ impl<'a> Engine<'a> {
         progress
     }
 
-    /// Installs `warp` in the SM's warp-buffer slot.
+    /// Installs `warp` in the SM's warp-buffer slot, emitting a
+    /// mode-transition event when its mode differs from the last warp's.
     fn install(&mut self, sm: usize, slot: usize, warp: Warp) {
-        self.note_mode(sm, warp.mode);
-        self.rt[sm].slots[slot] = Some(warp);
+        let to = warp.mode;
+        if let Some(from) = self.rt[sm].install(slot, warp) {
+            self.emit(|cycle| TraceEvent::ModeTransition { cycle, sm, from, to });
+        }
     }
 
     /// Tries to fill one of the SM's warp-buffer slots; returns `true` if a
     /// warp was installed.
     fn acquire_work(&mut self, sm: usize, slot: usize) -> bool {
         // 1. Freshly issued warps (initial traversal phase).
-        if self.rt[sm].incoming.front().is_some_and(|(arrive, _)| *arrive <= self.now) {
-            let (_, rays) = self.rt[sm].incoming.pop_front().expect("checked non-empty");
+        if let Some(rays) = self.rt[sm].take_arrived(self.now) {
             let mode = if self.vtq.is_some() {
                 TraversalMode::Initial
             } else {
                 TraversalMode::RayStationary
             };
             let lanes = rays.into_iter().map(Some).collect();
-            let warp =
-                Warp { lanes, mode, restrict: None, ready_at: self.now, mem_ready_at: self.now };
-            self.install(sm, slot, warp);
+            self.install(sm, slot, Warp::new(lanes, mode, None, self.now));
             return true;
         }
         let Some(vtq) = self.vtq else { return false };
 
         // 2. Treelet-stationary dispatch: the current queue, or the largest
         //    queue above the threshold.
-        let target = match self.rt[sm].current_queue {
-            Some(t) if self.rt[sm].queues.len_of(t) > 0 => Some(t),
-            _ => {
-                self.rt[sm].current_queue = None;
-                let threshold = if vtq.group_underpopulated { vtq.queue_threshold } else { 1 };
-                match self.rt[sm].queues.largest() {
-                    Some((t, n)) if n >= threshold => Some(t),
-                    _ => None,
-                }
-            }
-        };
-        if let Some(t) = target {
-            let switching = self.rt[sm].current_queue != Some(t);
-            self.rt[sm].current_queue = Some(t);
-            let mut ready = self.now;
+        if let Some((t, switching)) = self.rt[sm].dispatch_target(&vtq) {
+            let mut loaded = self.now;
             if switching {
                 self.obs.stats.treelet_dispatches += 1;
-                ready = ready.max(self.load_treelet(sm, t));
+                loaded = self.load_treelet(sm, t);
             }
-            let (lanes, fetched) =
-                self.take_treelet_warp(sm, t, &vtq).expect("a dispatch target has queued rays");
-            ready = ready.max(fetched);
-            let warp = Warp {
-                lanes,
-                mode: TraversalMode::TreeletStationary,
-                restrict: Some(t),
-                ready_at: ready,
-                mem_ready_at: ready,
-            };
+            let warp = self.take_warp(sm, Some(t), loaded).expect("a dispatch target has rays");
             self.install(sm, slot, warp);
             self.maybe_preload(sm, &vtq);
             return true;
@@ -1388,62 +1213,66 @@ impl<'a> Engine<'a> {
         // 3. Underpopulated queues: group stray rays into ray-stationary
         //    warps (§4.4). Disabled in the naive configuration, where case 2
         //    already dispatched any non-empty queue.
-        if vtq.group_underpopulated && !self.rt[sm].queues.is_empty() {
-            let grabbed = self.rt[sm].queues.pop_any(self.cfg.warp_size);
-            self.charge_queue_overflow(sm, &vtq, grabbed.len());
-            let mut ready = self.now;
-            let mut lanes = Vec::with_capacity(grabbed.len());
-            for (t, r) in grabbed {
-                self.dequeue_hw(sm, t, 1);
-                self.rays.enter_treelet(r, self.bvh, t);
-                ready = ready.max(self.fetch_ray_record(sm, r));
-                lanes.push(Some(r));
+        if vtq.group_underpopulated {
+            if let Some(warp) = self.take_warp(sm, None, self.now) {
+                self.install(sm, slot, warp);
+                return true;
             }
-            let (now, n_rays) = (self.now, lanes.len());
-            self.emit(|| TraceEvent::GroupDispatch { cycle: now, sm, rays: n_rays });
-            let warp = Warp {
-                lanes,
-                mode: TraversalMode::RayStationary,
-                restrict: None,
-                ready_at: ready,
-                mem_ready_at: ready,
-            };
-            self.install(sm, slot, warp);
-            return true;
         }
         false
     }
 
-    /// Draws a treelet-stationary warp's lanes from the queue of `t`: pops
-    /// up to a warp of rays (mirrored into the hardware table, spill
-    /// traffic charged), activates each for the treelet and fetches its
-    /// record. Returns the lanes and the cycle the last record arrives, or
-    /// `None` when the queue is empty.
-    fn take_treelet_warp(
-        &mut self,
-        sm: usize,
-        t: TreeletId,
-        vtq: &VtqParams,
-    ) -> Option<(Vec<Option<RayId>>, u64)> {
-        let rays = self.rt[sm].queues.pop_from(t, self.cfg.warp_size);
+    /// Draws a warp from the queues: a treelet-stationary warp from the
+    /// queue of `from`, or with `None` a ray-stationary warp grouped from
+    /// the most populated queues (§4.4). The pops are charged spill
+    /// traffic, then each ray is activated and its record fetched; the
+    /// warp is ready when the last record arrives, and not before
+    /// `not_before` (a treelet load). `None` when there was nothing to pop.
+    fn take_warp(&mut self, sm: usize, from: Option<TreeletId>, not_before: u64) -> Option<Warp> {
+        let rays = self.rt[sm].pop(self.bvh, from, self.cfg.warp_size);
         if rays.is_empty() {
             return None;
         }
-        self.dequeue_hw(sm, t, rays.len());
-        self.charge_queue_overflow(sm, vtq, rays.len());
+        self.charge_queue_overflow(sm, rays.len());
+        let ready = self.activate(sm, &rays).max(not_before);
+        let n = rays.len();
+        let lanes = rays.into_iter().map(|(_, r)| Some(r)).collect();
+        Some(match from {
+            Some(treelet) => {
+                self.emit(|cycle| TraceEvent::TreeletDispatch { cycle, sm, treelet, rays: n });
+                Warp::new(lanes, TraversalMode::TreeletStationary, from, ready)
+            }
+            None => {
+                self.emit(|cycle| TraceEvent::GroupDispatch { cycle, sm, rays: n });
+                Warp::new(lanes, TraversalMode::RayStationary, None, ready)
+            }
+        })
+    }
+
+    /// Activates rays popped from the queues, each for the treelet it was
+    /// queued for, and fetches their records from the reserved L2 region
+    /// into the warp buffer; returns the cycle the last record arrives.
+    fn activate(&mut self, sm: usize, rays: &[(TreeletId, RayId)]) -> u64 {
         let mut ready = self.now;
-        for r in &rays {
-            self.rays.enter_treelet(*r, self.bvh, t);
-            ready = ready.max(self.fetch_ray_record(sm, *r));
+        for &(t, r) in rays {
+            self.rays.enter_treelet(r, self.bvh, t);
+            ready = ready.max(self.ray_record(sm, r));
         }
-        let (now, n_rays) = (self.now, rays.len());
-        self.emit(|| TraceEvent::TreeletDispatch { cycle: now, sm, treelet: t, rays: n_rays });
-        Some((rays.into_iter().map(Some).collect(), ready))
+        ready
+    }
+
+    /// Moves ray `r`'s record between the warp buffer and the reserved L2
+    /// region (the write at issue, the fetch at activation); returns the
+    /// completion cycle.
+    fn ray_record(&mut self, sm: usize, r: RayId) -> u64 {
+        let bytes = self.cfg.ray_record_bytes;
+        let addr = RAY_REGION + r.0 as u64 * bytes as u64;
+        self.mem.access(sm, addr, bytes, AccessKind::Ray, CachePolicy::RayReserve, self.now)
     }
 
     /// One lockstep step of the resident warp.
     fn step_warp(&mut self, sm: usize, slot: usize) {
-        let mut warp = self.rt[sm].slots[slot].take().expect("step_warp requires a resident warp");
+        let mut warp = self.rt[sm].take_warp(slot);
         let vtq = self.vtq;
 
         // Initial-phase divergence check (§3.2 ①): terminate the warp into
@@ -1464,60 +1293,46 @@ impl<'a> Engine<'a> {
                 self.scratch.treelets = treelets;
                 if diverged {
                     let lanes: Vec<RayId> = warp.lanes.iter().flatten().copied().collect();
-                    let (now, n_rays) = (self.now, lanes.len());
-                    self.emit(|| TraceEvent::DivergenceSplit {
-                        cycle: now,
+                    self.emit(|cycle| TraceEvent::DivergenceSplit {
+                        cycle,
                         sm,
                         treelets: n_treelets,
-                        rays: n_rays,
+                        rays: lanes.len(),
                     });
                     for lane in lanes {
                         match self.rays.pending_treelet(lane, self.bvh, self.tape) {
-                            Some(t) => self.enqueue(sm, t, lane),
+                            Some(t) => self.rt[sm].push(self.cfg, self.bvh, t, lane),
                             None => self.complete_ray(lane, self.now),
                         }
                     }
-                    self.charge_queue_overflow(sm, &v, warp.lanes.len());
+                    self.charge_queue_overflow(sm, warp.lanes.len());
                     return; // slot stays empty; acquire_work continues
                 }
             }
         }
 
-        // Warp repacking (§4.5): refill a drain-mode warp that has gone
-        // under-occupied with new rays from the queues.
+        // Warp repacking (§4.5): refill the vacant lanes of a drain-mode
+        // warp that has gone under-occupied with rays from the queues (a
+        // grouped warp may be narrower than `warp_size`). Repack pops are
+        // never charged spill traffic (DESIGN.md "Queue spill traffic").
         if warp.mode == TraversalMode::RayStationary {
             if let Some(v) = vtq {
                 let active = warp.lanes.iter().flatten().count();
-                if v.repack_threshold > 0
-                    && active > 0
-                    && active < v.repack_threshold
-                    && !self.rt[sm].queues.is_empty()
-                {
-                    let want = self.cfg.warp_size - active;
-                    let grabbed = self.rt[sm].queues.pop_any(want);
+                if v.repack_threshold > 0 && active > 0 && active < v.repack_threshold {
+                    let grabbed = self.rt[sm].pop(self.bvh, None, warp.lanes.len() - active);
                     if !grabbed.is_empty() {
                         self.obs.stats.repack_events += 1;
                         self.obs.stats.repacked_rays += grabbed.len() as u64;
-                        let (now, added) = (self.now, grabbed.len());
-                        self.emit(|| TraceEvent::Repack { cycle: now, sm, added });
-                        for (t, _) in &grabbed {
-                            self.dequeue_hw(sm, *t, 1);
-                        }
-                        let mut fetch_done = self.now;
-                        let mut it = grabbed.into_iter();
-                        for lane in warp.lanes.iter_mut() {
-                            if lane.is_none() {
-                                if let Some((t, r)) = it.next() {
-                                    self.rays.enter_treelet(r, self.bvh, t);
-                                    fetch_done = fetch_done.max(self.fetch_ray_record(sm, r));
-                                    *lane = Some(r);
-                                }
-                            }
+                        self.emit(|cycle| TraceEvent::Repack { cycle, sm, added: grabbed.len() });
+                        let fetch_done = self.activate(sm, &grabbed);
+                        let vacant = warp.lanes.iter_mut().filter(|lane| lane.is_none());
+                        for (lane, (_, r)) in vacant.zip(grabbed) {
+                            *lane = Some(r);
                         }
                         warp.ready_at = warp.ready_at.max(fetch_done);
                         if warp.ready_at > self.now {
                             warp.mem_ready_at = warp.ready_at;
-                            self.rt[sm].slots[slot] = Some(warp);
+                            self.rt[sm].put_warp(slot, warp);
                             return;
                         }
                     }
@@ -1548,8 +1363,10 @@ impl<'a> Engine<'a> {
         }
         self.lap(Some(LoopPhase::Traverse));
 
+        // Treelet-exit pushes are never charged spill traffic (DESIGN.md
+        // "Queue spill traffic").
         for &(t, rid) in &exits {
-            self.enqueue(sm, t, rid);
+            self.rt[sm].push(self.cfg, self.bvh, t, rid);
         }
         self.scratch.exits = exits;
 
@@ -1559,19 +1376,15 @@ impl<'a> Engine<'a> {
             // everything else retires the warp.
             if warp.mode == TraversalMode::TreeletStationary {
                 if let (Some(v), Some(t)) = (vtq, warp.restrict) {
-                    if let Some((lanes, ready)) = self.take_treelet_warp(sm, t, &v) {
-                        warp.lanes = lanes;
-                        warp.ready_at = ready;
-                        warp.mem_ready_at = ready;
-                        self.rt[sm].slots[slot] = Some(warp);
+                    if let Some(refill) = self.take_warp(sm, Some(t), self.now) {
+                        self.rt[sm].put_warp(slot, refill);
                         self.maybe_preload(sm, &v);
                         return;
                     }
-                    self.rt[sm].current_queue = None;
+                    self.rt[sm].end_dispatch();
                 }
             }
-            let (now, mode) = (self.now, warp.mode);
-            self.emit(|| TraceEvent::WarpRetire { cycle: now, sm, mode });
+            self.emit(|cycle| TraceEvent::WarpRetire { cycle, sm, mode: warp.mode });
             return; // warp retires
         }
 
@@ -1592,7 +1405,11 @@ impl<'a> Engine<'a> {
         }
         for (k, n) in fetched.iter().enumerate() {
             let addr = self.bvh.addr(*n);
-            self.track_prefetch_use(sm, addr.offset, addr.size);
+            if matches!(self.cfg.policy, TraversalPolicy::TreeletPrefetch) {
+                let line = self.cfg.mem.l1.line_bytes as u64;
+                self.obs.stats.prefetch_lines_used +=
+                    self.rt[sm].use_prefetched(addr.offset, addr.size, line);
+            }
             // Optional memory-scheduler serialization: the k-th distinct
             // fetch of this step issues k/rate cycles after the first.
             let issue_at = match self.cfg.rt_mem_issue_per_cycle {
@@ -1626,8 +1443,8 @@ impl<'a> Engine<'a> {
         // burst of misses serialized behind DRAM; surface it to the sink.
         let stall = completion.saturating_sub(self.now);
         if stall > self.cfg.mem.l1.latency as u64 {
-            let (now, mode, lines) = (self.now, warp.mode, fetched.len());
-            self.emit(|| TraceEvent::MissBurst { cycle: now, sm, mode, lines, stall });
+            let (mode, lines) = (warp.mode, fetched.len());
+            self.emit(|cycle| TraceEvent::MissBurst { cycle, sm, mode, lines, stall });
         }
         self.scratch.fetched = fetched;
 
@@ -1637,86 +1454,41 @@ impl<'a> Engine<'a> {
         self.obs.sample_mode_cycles(window, self.now, warp.mode, ready - self.now);
         warp.ready_at = ready;
         warp.mem_ready_at = completion;
-        self.rt[sm].slots[slot] = Some(warp);
+        self.rt[sm].put_warp(slot, warp);
     }
 
     // -- VTQ helpers ----------------------------------------------------------
 
-    /// Loads treelet `t`'s bytes into the SM's L1 (missing lines only) as a
-    /// controller bulk transfer; returns the completion cycle.
+    /// Loads treelet `t` for a dispatch on `sm` unless it was preloaded
+    /// (its bandwidth was charged then); returns the completion cycle.
     fn load_treelet(&mut self, sm: usize, t: TreeletId) -> u64 {
-        if self.rt[sm].preloaded == Some(t) {
-            self.rt[sm].preloaded = None;
-            // Already resident (bandwidth was charged at preload time).
+        if self.rt[sm].take_preloaded(t) {
             return self.now;
         }
-        // The controller streams the whole treelet into the L1 (§4.2 ⑤);
-        // lines already resident come back at cache latency, the rest pay
-        // DRAM latency and bandwidth.
-        let (start, end) = self.bvh.treelet_extent(t);
-        self.mem.access(
-            sm,
-            start,
-            (end - start).max(1) as u32,
-            AccessKind::Prefetch,
-            CachePolicy::L1AndL2,
-            self.now,
-        )
+        self.stream_treelet(sm, t)
     }
 
-    /// Preload the *next* treelet while the current queue drains (§4.3):
-    /// triggered once the current queue is in its final warp.
+    /// Preloads the *next* treelet while the current queue drains (§4.3).
     fn maybe_preload(&mut self, sm: usize, vtq: &VtqParams) {
-        if !vtq.preload {
-            return;
+        if let Some(t) = self.rt[sm].preload(self.cfg, vtq) {
+            self.stream_treelet(sm, t);
         }
-        let Some(current) = self.rt[sm].current_queue else {
-            return;
-        };
-        if self.rt[sm].queues.len_of(current) > self.cfg.warp_size {
-            return; // more than one warp left; too early
-        }
-        // Find the largest other queue worth preloading.
-        let candidate = self.rt[sm]
-            .queues
-            .largest()
-            .filter(|(t, n)| *t != current && *n >= vtq.queue_threshold)
-            .map(|(t, _)| t);
-        let Some(t) = candidate else { return };
-        if self.rt[sm].preloaded == Some(t) {
-            return;
-        }
-        let (start, end) = self.bvh.treelet_extent(t);
-        self.mem.access(
-            sm,
-            start,
-            (end - start) as u32,
-            AccessKind::Prefetch,
-            CachePolicy::L1AndL2,
-            self.now,
-        );
-        self.rt[sm].preloaded = Some(t);
     }
 
-    /// Fetches one ray record from the reserved L2 region into the warp
-    /// buffer; returns the completion cycle.
-    fn fetch_ray_record(&mut self, sm: usize, r: RayId) -> u64 {
-        self.mem.access(
-            sm,
-            ray_addr(self.cfg, r),
-            self.cfg.ray_record_bytes,
-            AccessKind::Ray,
-            CachePolicy::RayReserve,
-            self.now,
-        )
+    /// The controller streams treelet `t`'s bytes into the SM's L1 as one
+    /// bulk transfer (§4.2 ⑤): lines already resident come back at cache
+    /// latency, the rest pay DRAM latency and bandwidth. Returns the
+    /// completion cycle.
+    fn stream_treelet(&mut self, sm: usize, t: TreeletId) -> u64 {
+        let (start, end) = self.bvh.treelet_extent(t);
+        let bytes = (end - start).max(1) as u32;
+        self.mem.access(sm, start, bytes, AccessKind::Prefetch, CachePolicy::L1AndL2, self.now)
     }
 
     /// Charges queue-table / count-table spill traffic when the hardware
     /// capacities are exceeded (§4.2, §6.5).
-    fn charge_queue_overflow(&mut self, sm: usize, vtq: &VtqParams, ops: usize) {
-        let over_rays = self.rt[sm].queues.overflow_rays(vtq.queue_table_entries);
-        let over_queues = self.rt[sm].queues.overflow_queues(vtq.count_table_entries);
-        if over_rays > 0 || over_queues > 0 {
+    fn charge_queue_overflow(&mut self, sm: usize, ops: usize) {
+        if self.rt[sm].spills(self.cfg) {
             let lines = ops.max(1) as u32;
             self.mem.access(
                 sm,
@@ -1734,83 +1506,36 @@ impl<'a> Engine<'a> {
     /// Periodically prefetches the most popular pending treelet of the
     /// resident warp's rays.
     fn maybe_prefetch(&mut self, sm: usize) -> bool {
-        if self.now < self.rt[sm].last_prefetch_at + self.cfg.prefetch_interval as u64 {
-            return false;
-        }
-        let lanes: Vec<RayId> = self.rt[sm]
-            .slots
-            .iter()
-            .flatten()
-            .flat_map(|w| w.lanes.iter().flatten().copied())
-            .collect();
-        if lanes.is_empty() {
-            return false;
-        }
-        // Vote: most common pending treelet.
-        let mut votes: Vec<(TreeletId, usize)> = Vec::new();
-        for r in lanes {
-            if let Some(t) = self.rays.pending_treelet(r, self.bvh, self.tape) {
-                match votes.iter_mut().find(|(vt, _)| *vt == t) {
-                    Some((_, n)) => *n += 1,
-                    None => votes.push((t, 1)),
-                }
-            }
-        }
-        let Some((t, _)) = votes.into_iter().max_by_key(|(t, n)| (*n, std::cmp::Reverse(t.0)))
-        else {
+        let (rays, bvh, tape) = (&mut self.rays, self.bvh, self.tape);
+        let pending = |r| rays.pending_treelet(r, bvh, tape);
+        let interval = self.cfg.prefetch_interval as u64;
+        let Some(t) = self.rt[sm].prefetch_target(self.now, interval, pending) else {
             return false;
         };
-        self.rt[sm].last_prefetch_at = self.now;
         let (start, end) = self.bvh.treelet_extent(t);
         let line = self.cfg.mem.l1.line_bytes as u64;
+        let mut lines = Vec::new();
         let mut addr = start / line * line;
-        let mut issued = false;
         while addr < end {
             if self.mem.missing_l1_lines(sm, addr, 1) > 0 {
                 self.mem.access(sm, addr, 1, AccessKind::Prefetch, CachePolicy::L1AndL2, self.now);
-                self.rt[sm].prefetched.insert(addr, false);
-                self.obs.stats.prefetch_lines += 1;
-                issued = true;
+                lines.push(addr);
             }
             addr += line;
         }
-        if issued {
-            self.obs.stats.prefetches_issued += 1;
-        }
-        issued
-    }
-
-    /// Marks prefetched lines that are now demanded (usefulness stat).
-    fn track_prefetch_use(&mut self, sm: usize, addr: u64, size: u32) {
-        if !matches!(self.cfg.policy, TraversalPolicy::TreeletPrefetch) {
-            return;
-        }
-        let line = self.cfg.mem.l1.line_bytes as u64;
-        let first = addr / line * line;
-        let mut a = first;
-        while a < addr + size as u64 {
-            if let Some(used) = self.rt[sm].prefetched.get_mut(&a) {
-                if !*used {
-                    *used = true;
-                    self.obs.stats.prefetch_lines_used += 1;
-                }
-            }
-            a += line;
-        }
+        self.rt[sm].prefetched(&lines);
+        self.obs.stats.prefetch_lines += lines.len() as u64;
+        self.obs.stats.prefetches_issued += u64::from(!lines.is_empty());
+        !lines.is_empty()
     }
 
     // -- clock ----------------------------------------------------------------
 
     /// Earliest future event across CTAs and RT units.
     fn next_event(&self) -> Option<u64> {
-        let timers = [self.sched.timers.peek(), self.sched.slot_release.peek()];
         let units = self.rt.iter().flat_map(RtUnit::wake_cycles);
-        timers.into_iter().flatten().map(|(t, _)| t).chain(units).filter(|t| *t > self.now).min()
+        self.sched.wake_cycles().chain(units).filter(|t| *t > self.now).min()
     }
-}
-
-fn ray_addr(cfg: &GpuConfig, r: RayId) -> u64 {
-    RAY_REGION + r.0 as u64 * cfg.ray_record_bytes as u64
 }
 
 #[cfg(test)]
@@ -1837,7 +1562,7 @@ mod tests {
         let cfg = GpuConfig::default();
         let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
         engine.audit_every = Some(1);
-        engine.rt[0].queues.corrupt_total(3);
+        engine.rt[0].corrupt_queue_total(3);
         match engine.run(None, None).expect_err("corrupted counter must trip the auditor") {
             SimError::Invariant(v) => {
                 assert_eq!(v.site, "queue-accounting");
@@ -1860,7 +1585,7 @@ mod tests {
             Workload { tasks: (0..256u32).map(|i| PathTask { rays: vec![primary(i)] }).collect() };
         let cfg = GpuConfig::default();
         let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
-        assert!(engine.sched.ctas.len() > 1);
+        assert!(engine.sched.cta_count() > 1);
         engine.audit_every = Some(1);
         engine.sched.corrupt_retired(1);
         match engine.run(None, None).expect_err("a skewed count must trip the auditor") {
@@ -1892,10 +1617,10 @@ mod tests {
         engine.audit_every = Some(1);
         // Classify every unit at cycle 0 (all idle), then start a shader
         // phase on the last SM, which the workload's one CTA never uses.
-        let (rt, active) = (&engine.rt, &engine.sched.shader_active);
-        engine.obs.book_marked(0, 0, |sm| rt[sm].stall_class(active[sm] > 0));
+        let (rt, sched) = (&engine.rt, &engine.sched);
+        engine.obs.book_marked(0, 0, |sm| rt[sm].stall_class(sched.shading(sm)));
         let last = engine.rt.len() - 1;
-        assert_eq!(engine.sched.ctas.len(), 1);
+        assert_eq!(engine.sched.cta_count(), 1);
         engine.sched.corrupt_shader_active(last);
         match engine.run(None, None).expect_err("an unmarked change must trip the auditor") {
             SimError::Invariant(v) => {

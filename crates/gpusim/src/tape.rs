@@ -341,6 +341,7 @@ mod tests {
     use rtscene::MaterialId;
 
     use super::*;
+    use crate::rt_unit::RtUnit;
     use crate::sim::TraceCall;
     use crate::{Checkpoint, GpuConfig, RunOptions, Simulator, TraversalPolicy, VtqParams};
 
@@ -498,8 +499,8 @@ mod tests {
         // A ray waiting in a treelet queue after some steps was paused at
         // a treelet boundary.
         let paused = |c: &Checkpoint| {
-            let mut queued = c.rt.iter().flat_map(|unit| unit.queues.clone().pop_any(usize::MAX));
-            queued.any(|(_, id)| c.rays.rays[id.index()].1 > 0)
+            let mut queued = c.rt.iter().flat_map(RtUnit::queued_rays);
+            queued.any(|id| c.rays.rays[id.index()].1 > 0)
         };
         let ckpt = ckpts.iter().find(|c| paused(c)).expect("a snapshot holds a paused walk");
         let back = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("round-trip parses");

@@ -29,7 +29,7 @@ fn small_workload(scene: &rtscene::Scene, rays: u32) -> Workload {
     }
 }
 
-/// A VTQ virtual-ray cap smaller than the CTA size: `find_launch_slot` can
+/// A VTQ virtual-ray cap smaller than the CTA size: `CtaScheduler::launch` can
 /// never reserve rays for a full CTA, so no CTA launches and no event is
 /// ever scheduled — the canonical engineered deadlock.
 fn deadlocking_config() -> GpuConfig {

@@ -360,6 +360,29 @@ fn multi_slot_warp_buffer_is_correct_and_not_slower() {
     );
 }
 
+/// A §4.5 repack fills only the warp's vacant lanes. A grouped warp can be
+/// narrower than the machine's warps, and with two warp-buffer slots the
+/// other slot's rays reach the queues meanwhile, so popping a full warp's
+/// worth of rays would strand some in no lane and no queue, and the run
+/// would deadlock.
+#[test]
+fn vtq_repacking_with_two_warp_buffer_slots_loses_no_ray() {
+    let scene = lumibench::build_scaled(SceneId::Ref, 16);
+    let bvh =
+        Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+    let primary = |x: u32, y: u32| scene.camera().primary_ray(x % 16, y % 16, 16, 16, None).into();
+    let tasks =
+        (0..128).map(|i| PathTask { rays: vec![primary(i, i / 16), primary(i * 7, i * 3)] });
+    let workload = Workload { tasks: tasks.collect() };
+    let mut cfg = GpuConfig::default().with_policy(TraversalPolicy::Vtq(VtqParams::default()));
+    cfg.mem.num_sms = 1;
+    cfg.warp_buffer_slots = 2;
+    let report =
+        Simulator::new(&bvh, scene.triangles(), cfg).try_run(&workload).expect("completes");
+    assert_eq!(report.stats.rays_completed, workload.total_rays() as u64);
+    assert!(report.stats.repack_events > 0);
+}
+
 #[test]
 fn anyhit_trace_calls_agree_with_occlusion_reference() {
     let (scene, bvh) = setup(8);

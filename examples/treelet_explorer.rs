@@ -6,6 +6,7 @@
 //! cargo run --release --example treelet_explorer -- FRST
 //! ```
 
+use treelet_rt::gpusim::Tape;
 use treelet_rt::prelude::*;
 use vtq::analytical;
 use vtq::workload::PathTracer;
@@ -52,7 +53,8 @@ fn main() {
     // Analytical model at the default (paper) budget.
     let bvh = Bvh::build(scene.triangles(), &BvhConfig::default());
     let (workload, _) = PathTracer::new(96, 3).run(&scene, &bvh);
-    let traces = analytical::record_traces(&bvh, scene.triangles(), &workload);
+    let tape = Tape::record(&bvh, scene.triangles(), &workload);
+    let traces = analytical::record_traces(&bvh, &tape, &workload);
     println!("\nanalytical treelet speedup (Figure 5 model) on {} rays:", traces.len());
     for (c, s) in analytical::analytical_speedups(&bvh, &traces, &[32, 128, 512, 2048, 4096]) {
         println!("  {c:>5} concurrent rays -> {s:.2}x");
