@@ -402,6 +402,10 @@ impl GpuConfig {
         if self.mem.num_sms == 0 {
             return Err(ConfigError::new("num_sms must be at least 1"));
         }
+        // A ray records its SM in 16 bits.
+        if self.mem.num_sms > 1 << 16 {
+            return Err(ConfigError::new("num_sms must be at most 65536"));
+        }
         if self.mem.l1.size_bytes == 0 || self.mem.l2.size_bytes == 0 {
             return Err(ConfigError::new("cache sizes must be nonzero"));
         }
@@ -505,6 +509,10 @@ mod tests {
         assert!(GpuConfig { warp_buffer_slots: 0, ..Default::default() }.validate().is_err());
         let mut cfg = GpuConfig::default();
         cfg.mem.num_sms = 0;
+        assert!(cfg.validate().is_err());
+        cfg.mem.num_sms = 1 << 16;
+        assert_eq!(cfg.validate(), Ok(()));
+        cfg.mem.num_sms += 1;
         assert!(cfg.validate().is_err());
         let mut cfg = GpuConfig::default();
         cfg.mem.l1.size_bytes = 0;

@@ -81,7 +81,7 @@ pub use observe::{
 };
 pub use predict::{predict_key, PredictTable, PredictTableStats};
 pub use queues::TreeletQueues;
-pub use ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
+pub use ray::{NextNode, RayId, RayTraversal, VisitCost};
 pub use sim::{
     HitCapture, PathTask, RunOptions, SimReport, Simulator, TraceCall, Workload, TRACE_T_MIN,
 };

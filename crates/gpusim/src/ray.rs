@@ -30,26 +30,6 @@ struct Pending {
     t_enter: f32,
 }
 
-/// Reusable stack storage for one [`RayTraversal`].
-///
-/// The simulator owns a pool of these arenas; a ray entering the RT unit
-/// borrows one via [`RayTraversal::new_in`] and returns it through
-/// [`RayTraversal::reclaim`] on completion, so steady-state cycling never
-/// allocates — the `Vec` capacities warm up once and are reused for the
-/// rest of the run.
-#[derive(Debug, Clone, Default)]
-pub struct StackArena {
-    current: Vec<Pending>,
-    treelet: Vec<Pending>,
-}
-
-impl StackArena {
-    /// An arena with pre-reserved capacity for both stacks.
-    pub fn with_capacity(current: usize, treelet: usize) -> StackArena {
-        StackArena { current: Vec::with_capacity(current), treelet: Vec::with_capacity(treelet) }
-    }
-}
-
 /// What the RT unit should do next for a ray.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NextNode {
@@ -98,28 +78,39 @@ impl RayTraversal {
     /// Creates traversal state positioned at the BVH root. If the ray
     /// misses the root bounds entirely, the state starts out finished.
     pub fn new(id: RayId, ray: Ray, bvh: &Bvh, t_min: f32, t_max: f32) -> RayTraversal {
-        RayTraversal::new_in(id, ray, bvh, t_min, t_max, StackArena::default())
+        RayTraversal::with_stacks(id, ray, bvh, t_min, t_max, Vec::new(), Vec::new())
     }
 
-    /// Like [`RayTraversal::new`] but reusing the stack storage of a
-    /// pooled [`StackArena`] (the allocation-free steady-state path).
-    pub fn new_in(
+    /// Re-aims this traversal at a new ray, as [`RayTraversal::new`] would
+    /// create it, but keeping the stacks' storage: the simulator pools
+    /// finished walks and resets them for fresh rays, so steady-state
+    /// cycling never allocates — the stack capacities warm up once and
+    /// are reused for the rest of the run.
+    pub fn reset(&mut self, id: RayId, ray: Ray, bvh: &Bvh, t_min: f32, t_max: f32) {
+        let mut current = std::mem::take(&mut self.current_stack);
+        let mut treelet = std::mem::take(&mut self.treelet_stack);
+        current.clear();
+        treelet.clear();
+        *self = RayTraversal::with_stacks(id, ray, bvh, t_min, t_max, current, treelet);
+    }
+
+    /// [`RayTraversal::new`] on the given (empty) stacks.
+    fn with_stacks(
         id: RayId,
         ray: Ray,
         bvh: &Bvh,
         t_min: f32,
         t_max: f32,
-        mut arena: StackArena,
+        current_stack: Vec<Pending>,
+        treelet_stack: Vec<Pending>,
     ) -> RayTraversal {
         let root = bvh.root();
-        arena.current.clear();
-        arena.treelet.clear();
         let mut state = RayTraversal {
             id,
             ray,
             current_treelet: bvh.treelet_of(root),
-            current_stack: arena.current,
-            treelet_stack: arena.treelet,
+            current_stack,
+            treelet_stack,
             best: None,
             t_min,
             t_max,
@@ -152,15 +143,6 @@ impl RayTraversal {
         self.current_stack.clear();
         self.treelet_stack.clear();
         self.current_stack.push(Pending { node, t_enter: self.t_min });
-    }
-
-    /// Takes the stack storage back out of a finished traversal so the
-    /// simulator can pool it for the next ray.
-    pub fn reclaim(&mut self) -> StackArena {
-        StackArena {
-            current: std::mem::take(&mut self.current_stack),
-            treelet: std::mem::take(&mut self.treelet_stack),
-        }
     }
 
     /// Switches this ray to anyhit (occlusion) semantics: traversal stops

@@ -8,6 +8,12 @@
 //! the run has no tape because its BVH does not fit one. The table
 //! answers the engine's traversal questions for both alike.
 //!
+//! A ray is a dense row: a 16-byte [`Walk`] — a replayed ray's cursor
+//! inline, a walked ray's boxed traversal — and a 16-byte packed
+//! [`RayMeta`]. Hits go to one flat array in the tape's call numbering
+//! (calls numbered across the workload in task order) and are nested per
+//! task only when read out.
+//!
 //! A checkpoint does not clone the table: it records each ray's
 //! *position* ([`RayPositions`]) — the call it traces, the steps it has
 //! taken and the leaf it was speculated for — and a restore issues the
@@ -16,7 +22,7 @@
 //! pauses them (see the [`tape`](crate::tape) module docs), so the
 //! position is the whole state.
 //!
-//! (The pool of reclaimed stack arenas that fresh rays draw from is
+//! (The pool of finished walks that fresh walked rays are reset from is
 //! engine scratch, not state: a restored engine simply re-warms it.)
 
 use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
@@ -24,7 +30,7 @@ use rtscene::Triangle;
 
 use crate::checkpoint::{in_range, index_of};
 use crate::jsonl::{Fields, Opt, Pair, Record};
-use crate::ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
+use crate::ray::{NextNode, RayId, RayTraversal, VisitCost};
 use crate::sim::Workload;
 use crate::tape::{Cursor, Tape};
 
@@ -39,11 +45,61 @@ pub(crate) struct RayMeta {
     pub(crate) lead: Option<NodeId>,
 }
 
+/// A [`RayMeta`] as the table stores it, in 16 bytes. Every field fits:
+/// CTAs and tasks number below 2³² (ray ids are `u32`), a run's tasks
+/// make at most [`MAX_CALLS_PER_TASK`] calls and
+/// [`GpuConfig::validate`](crate::GpuConfig::validate) admits at most
+/// 2¹⁶ SMs.
+#[derive(Debug, Clone, Copy)]
+struct PackedMeta {
+    cta: u32,
+    task: u32,
+    /// [`NO_LEAD`] for a ray nothing was speculated for.
+    lead: u32,
+    bounce: u16,
+    sm: u16,
+}
+
+/// [`PackedMeta::lead`] of a ray without a lead.
+const NO_LEAD: u32 = u32::MAX;
+
+/// Most trace calls one task of a simulated workload may make: a ray's
+/// bounce is stored in 16 bits.
+pub(crate) const MAX_CALLS_PER_TASK: usize = 1 << 16;
+
+impl PackedMeta {
+    fn pack(m: RayMeta) -> PackedMeta {
+        let packed = PackedMeta {
+            cta: m.cta as u32,
+            task: m.task as u32,
+            lead: m.lead.map_or(NO_LEAD, |n| n.0),
+            bounce: m.bounce as u16,
+            sm: m.sm as u16,
+        };
+        debug_assert_eq!(packed.unpack(), m, "a ray's meta fits its packed row");
+        packed
+    }
+
+    fn unpack(self) -> RayMeta {
+        RayMeta {
+            cta: self.cta as usize,
+            task: self.task as usize,
+            bounce: self.bounce as usize,
+            sm: self.sm as usize,
+            lead: (self.lead != NO_LEAD).then_some(NodeId(self.lead)),
+        }
+    }
+}
+
 /// One ray's traversal: walked through the BVH, or replayed from the run's
-/// tape.
+/// tape, in 16 bytes.
 #[derive(Debug)]
 pub(crate) enum Walk {
-    Live(RayTraversal),
+    /// A walk in progress. The box returns to the engine's pool when the
+    /// walk ends.
+    Live(Box<RayTraversal>),
+    /// A walk that has ended, and the steps it took.
+    Walked(u32),
     Replay(Cursor),
 }
 
@@ -53,6 +109,7 @@ impl Walk {
     fn steps(&self, tape: Option<&Tape>) -> u32 {
         match self {
             Walk::Live(ray) => ray.nodes_visited,
+            Walk::Walked(steps) => *steps,
             Walk::Replay(cursor) => cursor.steps(replayed(tape)),
         }
     }
@@ -77,6 +134,7 @@ impl Walk {
                 }
                 Ok(())
             }
+            Walk::Walked(_) => unreachable!("a ray is issued as a live walk or a cursor"),
         }
     }
 }
@@ -89,32 +147,48 @@ fn replayed(tape: Option<&Tape>) -> &Tape {
 /// The ray table's state; see the [module docs](self).
 #[derive(Debug, Default)]
 pub(crate) struct RayTable {
-    rays: Vec<Walk>,
-    meta: Vec<RayMeta>,
-    /// Closest hit per task per trace call, filled as rays complete.
-    pub(crate) hits: Vec<Vec<Option<PrimHit>>>,
+    walks: Vec<Walk>,
+    meta: Vec<PackedMeta>,
+    /// Task `t` made calls `first_call[t]..first_call[t + 1]`.
+    first_call: Vec<u32>,
+    /// Closest hit per call, in call order, filled as rays complete.
+    hits: Vec<Option<PrimHit>>,
 }
 
 impl RayTable {
     /// No rays yet, and a `None` hit record for every call `workload` makes.
     pub(crate) fn new(workload: &Workload) -> RayTable {
-        let hits = workload.tasks.iter().map(|t| vec![None; t.rays.len()]).collect();
-        RayTable::with_hits(hits)
+        let mut first_call = Vec::with_capacity(workload.tasks.len() + 1);
+        first_call.push(0);
+        let mut calls = 0u32;
+        for task in &workload.tasks {
+            calls += task.rays.len() as u32;
+            first_call.push(calls);
+        }
+        RayTable { first_call, hits: vec![None; calls as usize], ..RayTable::default() }
     }
 
-    /// No rays yet, and the given hit records.
-    pub(crate) fn with_hits(hits: Vec<Vec<Option<PrimHit>>>) -> RayTable {
-        RayTable { hits, ..RayTable::default() }
+    /// Replaces the hit records with `hits[task][call]`, of the shape of
+    /// the workload the table was made for.
+    pub(crate) fn set_hits(&mut self, hits: &[Vec<Option<PrimHit>>]) {
+        self.hits.clear();
+        self.hits.extend(hits.iter().flatten());
+    }
+
+    /// The hit records, `[task][call]`.
+    pub(crate) fn hits(&self) -> Vec<Vec<Option<PrimHit>>> {
+        let calls = |w: &[u32]| self.hits[w[0] as usize..w[1] as usize].to_vec();
+        self.first_call.windows(2).map(calls).collect()
     }
 
     /// Rays created so far; also the id the next one gets.
     pub(crate) fn len(&self) -> usize {
-        self.rays.len()
+        self.walks.len()
     }
 
-    pub(crate) fn push(&mut self, ray: Walk, meta: RayMeta) {
-        self.rays.push(ray);
-        self.meta.push(meta);
+    pub(crate) fn push(&mut self, walk: Walk, meta: RayMeta) {
+        self.walks.push(walk);
+        self.meta.push(PackedMeta::pack(meta));
     }
 
     // -- traversal ------------------------------------------------------------
@@ -127,9 +201,10 @@ impl RayTable {
         tape: Option<&Tape>,
         restrict_to: Option<TreeletId>,
     ) -> NextNode {
-        match &mut self.rays[id.index()] {
-            Walk::Live(ray) => ray.next_node(bvh, restrict_to),
+        match &mut self.walks[id.index()] {
             Walk::Replay(cursor) => cursor.next_node(replayed(tape), restrict_to),
+            Walk::Live(ray) => ray.next_node(bvh, restrict_to),
+            Walk::Walked(_) => NextNode::Done,
         }
     }
 
@@ -140,16 +215,17 @@ impl RayTable {
         bvh: &Bvh,
         tape: Option<&Tape>,
     ) -> Option<TreeletId> {
-        match &mut self.rays[id.index()] {
-            Walk::Live(ray) => ray.pending_treelet(bvh),
+        match &mut self.walks[id.index()] {
             Walk::Replay(cursor) => cursor.pending_treelet(replayed(tape)),
+            Walk::Live(ray) => ray.pending_treelet(bvh),
+            Walk::Walked(_) => None,
         }
     }
 
     /// [`RayTraversal::enter_treelet`]; nothing for a replayed ray, whose
     /// tape already holds the walk the entry continues.
     pub(crate) fn enter_treelet(&mut self, id: RayId, bvh: &Bvh, treelet: TreeletId) {
-        if let Walk::Live(ray) = &mut self.rays[id.index()] {
+        if let Walk::Live(ray) = &mut self.walks[id.index()] {
             ray.enter_treelet(bvh, treelet);
         }
     }
@@ -163,38 +239,43 @@ impl RayTable {
         tape: Option<&Tape>,
         node: NodeId,
     ) -> VisitCost {
-        match &mut self.rays[id.index()] {
-            Walk::Live(ray) => ray.visit(bvh, triangles, node),
+        match &mut self.walks[id.index()] {
             Walk::Replay(cursor) => cursor.visit(replayed(tape), node),
+            Walk::Live(ray) => ray.visit(bvh, triangles, node),
+            Walk::Walked(_) => unreachable!("a finished walk has no step to visit"),
         }
     }
 
     /// Records a finished ray's best hit. Returns where the ray came from,
-    /// the leaf its hit came from, and a walked ray's stack storage for the
+    /// the leaf its hit came from, and a walked ray's traversal for the
     /// pool.
     pub(crate) fn complete(
         &mut self,
         id: RayId,
         tape: Option<&Tape>,
-    ) -> (RayMeta, Option<NodeId>, Option<StackArena>) {
-        let meta = self.meta[id.index()];
-        let (best, best_node, arena) = match &mut self.rays[id.index()] {
-            Walk::Live(ray) => (ray.best, ray.best_node, Some(ray.reclaim())),
-            Walk::Replay(cursor) => {
-                let (best, best_node) = cursor.end(replayed(tape));
-                (best, best_node, None)
+    ) -> (RayMeta, Option<NodeId>, Option<Box<RayTraversal>>) {
+        let meta = self.meta[id.index()].unpack();
+        let walk = &mut self.walks[id.index()];
+        let (call, (best, best_node), ray) = match walk {
+            Walk::Replay(cursor) => (cursor.call(), cursor.end(replayed(tape)), None),
+            Walk::Live(ray) => {
+                let steps = Walk::Walked(ray.nodes_visited);
+                let Walk::Live(ray) = std::mem::replace(walk, steps) else { unreachable!() };
+                let call = self.first_call[meta.task] as usize + meta.bounce;
+                (call, (ray.best, ray.best_node), Some(ray))
             }
+            Walk::Walked(_) => unreachable!("a ray completes once"),
         };
-        self.hits[meta.task][meta.bounce] = best;
-        (meta, best_node, arena)
+        self.hits[call] = best;
+        (meta, best_node, ray)
     }
 
     /// Every ray's position, for a checkpoint.
     pub(crate) fn positions(&self, tape: Option<&Tape>) -> RayPositions {
-        let steps = self.rays.iter().map(|ray| ray.steps(tape));
+        let steps = self.walks.iter().map(|walk| walk.steps(tape));
         RayPositions {
-            rays: self.meta.iter().copied().zip(steps).collect(),
-            hits: self.hits.clone(),
+            rays: self.meta.iter().map(|m| m.unpack()).zip(steps).collect(),
+            hits: self.hits(),
         }
     }
 
@@ -216,7 +297,7 @@ impl RayTable {
             );
             return Err(("ray-conservation", detail));
         }
-        let steps: u64 = self.rays.iter().map(|ray| u64::from(ray.steps(tape))).sum();
+        let steps: u64 = self.walks.iter().map(|walk| u64::from(walk.steps(tape))).sum();
         if steps != lane_steps {
             let detail = format!("rays took {steps} steps != {lane_steps} active lane steps");
             return Err(("visit-conservation", detail));
@@ -328,5 +409,22 @@ impl RayPositions {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An in-flight ray is a 32-byte row: its walk and its packed meta.
+    #[test]
+    fn a_ray_is_a_32_byte_row() {
+        assert_eq!(std::mem::size_of::<Walk>(), 16);
+        assert_eq!(std::mem::size_of::<PackedMeta>(), 16);
+        for lead in [None, Some(NodeId(0)), Some(NodeId(NO_LEAD - 1))] {
+            let meta =
+                RayMeta { cta: 7, task: u32::MAX as usize, bounce: 65_535, sm: 65_535, lead };
+            assert_eq!(PackedMeta::pack(meta).unpack(), meta);
+        }
     }
 }

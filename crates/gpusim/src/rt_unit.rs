@@ -146,6 +146,18 @@ impl RtUnit {
         warps.chain(self.incoming.front().map(|(arrive, _)| *arrive))
     }
 
+    /// Rays queued while a warp-buffer slot is empty: work for the current
+    /// cycle that no wake cycle announces. A visit that ends with none
+    /// leaves none until the unit steps again.
+    pub(crate) fn stranded_rays(&self) -> usize {
+        let vacant = self.slots.iter().any(Option::is_none);
+        if vacant {
+            self.queues.total_rays()
+        } else {
+            0
+        }
+    }
+
     // -- rays and warps -------------------------------------------------------
 
     pub(crate) fn rays_in_flight(&self) -> usize {
@@ -162,9 +174,12 @@ impl RtUnit {
         self.rays_in_flight -= 1;
     }
 
-    /// A warp of `rays` leaves the shader for this unit, arriving at `arrive`.
-    pub(crate) fn send(&mut self, arrive: u64, rays: &[RayId]) {
+    /// A warp of `rays` leaves the shader for this unit, arriving at
+    /// `arrive`. Returns whether it heads the incoming queue, which makes
+    /// its arrival one of the unit's [`wake_cycles`](RtUnit::wake_cycles).
+    pub(crate) fn send(&mut self, arrive: u64, rays: &[RayId]) -> bool {
         self.incoming.push_back((arrive, rays.to_vec()));
+        self.incoming.len() == 1
     }
 
     /// The head incoming warp's rays, once it has arrived by `now`.

@@ -129,6 +129,10 @@ pub(crate) struct CtaScheduler {
     /// register file) is only reusable once its state save has drained.
     slot_release: EventHeap,
     free_slots: Vec<usize>,
+    /// Sum of `free_slots`, so a full machine turns a slot search away at
+    /// once. Derived: never checkpointed, recounted as `ckpt_engine` is
+    /// read.
+    free_total: usize,
     /// Per-SM count of CTAs currently executing a shader phase (raygen or
     /// shading), for the optional CUDA-core contention model.
     shader_active: Vec<usize>,
@@ -162,6 +166,7 @@ impl CtaScheduler {
             pending: (0..ctas.len()).collect(),
             ctas,
             free_slots: vec![cfg.max_ctas_per_sm; num_sms],
+            free_total: cfg.max_ctas_per_sm * num_sms,
             shader_active: vec![0; num_sms],
             reserved_rays: vec![0; num_sms],
             jitter_state: cfg
@@ -185,10 +190,9 @@ impl CtaScheduler {
     /// CTA `id` has finished its last bounce: it is done and its slot is
     /// free.
     pub(crate) fn retire(&mut self, id: usize) {
-        let cta = &mut self.ctas[id];
-        cta.phase = Phase::Done;
-        self.free_slots[cta.sm] += 1;
+        self.ctas[id].phase = Phase::Done;
         self.retired += 1;
+        self.free_slot(self.ctas[id].sm);
     }
 
     pub(crate) fn cta_count(&self) -> usize {
@@ -204,8 +208,7 @@ impl CtaScheduler {
 
     /// CTA slots occupied machine-wide, of `per_sm` on each SM.
     pub(crate) fn occupied_slots(&self, per_sm: usize) -> u64 {
-        let free: u64 = self.free_slots.iter().map(|f| *f as u64).sum();
-        ((self.free_slots.len() * per_sm) as u64).saturating_sub(free)
+        (self.free_slots.len() * per_sm).saturating_sub(self.free_total) as u64
     }
 
     /// The cycles the scheduler next has something to do at: the earliest
@@ -232,7 +235,7 @@ impl CtaScheduler {
     pub(crate) fn release_slots(&mut self, now: u64) -> bool {
         let mut progress = false;
         while let Some((_, sm)) = self.slot_release.pop_due(now) {
-            self.free_slots[sm] += 1;
+            self.free_slot(sm);
             progress = true;
         }
         progress
@@ -275,10 +278,20 @@ impl CtaScheduler {
     fn place(&mut self, id: usize, sm: usize) {
         self.ctas[id].sm = sm;
         self.free_slots[sm] -= 1;
+        self.free_total -= 1;
+    }
+
+    /// A slot on `sm` is free again.
+    fn free_slot(&mut self, sm: usize) {
+        self.free_slots[sm] += 1;
+        self.free_total += 1;
     }
 
     /// The next SM (round robin) with a free slot that `admit(sm)` accepts.
     fn find_slot(&mut self, admit: impl Fn(&CtaScheduler, usize) -> bool) -> Option<usize> {
+        if self.free_total == 0 {
+            return None;
+        }
         let n = self.free_slots.len();
         let sm = (0..n)
             .map(|i| (self.next_sm + i) % n)
@@ -398,9 +411,10 @@ impl CtaScheduler {
         let cta = &mut self.ctas[id];
         cta.outstanding = rays;
         cta.phase = Phase::Suspended;
+        let sm = cta.sm;
         match slot_free_at {
-            Some(at) => self.slot_release.push(at, cta.sm),
-            None => self.free_slots[cta.sm] += 1,
+            Some(at) => self.slot_release.push(at, sm),
+            None => self.free_slot(sm),
         }
     }
 
@@ -466,6 +480,7 @@ impl CtaScheduler {
         self.reserved_rays = f.list("reserved_rays")?;
         self.slot_release = f.pairs("slot_release")?.into_iter().collect();
         self.free_slots = f.list("free_slots")?;
+        self.free_total = self.free_slots.iter().sum();
         Ok(())
     }
 
@@ -531,12 +546,17 @@ impl CtaScheduler {
         Ok(())
     }
 
-    /// Slot accounting can never exceed the hardware capacity
-    /// (`cta-slots`), and the retired count is the number of CTAs in
-    /// [`Phase::Done`] (`cta-retired`).
+    /// Slot accounting can never exceed the hardware capacity, and the
+    /// free-slot total is the free slots' sum (`cta-slots`); the retired
+    /// count is the number of CTAs in [`Phase::Done`] (`cta-retired`).
     pub(crate) fn audit(&self, capacity: usize) -> Result<(), (&'static str, String)> {
         if let Some((sm, free)) = self.free_slots.iter().enumerate().find(|(_, &f)| f > capacity) {
             return Err(("cta-slots", format!("sm {sm}: {free} free slots > capacity {capacity}")));
+        }
+        let free: usize = self.free_slots.iter().sum();
+        if free != self.free_total {
+            let detail = format!("free-slot total {} != {free} free slots", self.free_total);
+            return Err(("cta-slots", detail));
         }
         let done = self.ctas.iter().filter(|c| c.phase == Phase::Done).count();
         if done != self.retired {

@@ -34,8 +34,8 @@ use crate::error::{ForensicsSnapshot, InvariantViolation, SimError, SmSnapshot};
 use crate::observe::{TraceEvent, TraceSink};
 use crate::observer::Observer;
 use crate::predict::predict_key;
-use crate::ray::{NextNode, RayId, RayTraversal, StackArena};
-use crate::ray_table::{RayMeta, RayTable, Walk};
+use crate::ray::{NextNode, RayId, RayTraversal};
+use crate::ray_table::{RayMeta, RayTable, Walk, MAX_CALLS_PER_TASK};
 use crate::rt_unit::{RtUnit, Warp};
 use crate::sched::{CtaScheduler, Phase};
 use crate::tape::Tape;
@@ -470,6 +470,12 @@ impl<'a> Simulator<'a> {
         if workload.tasks.is_empty() {
             return Err(SimError::Workload("empty workload: no tasks to simulate".to_string()));
         }
+        if workload.max_bounces() > MAX_CALLS_PER_TASK {
+            return Err(SimError::Workload(format!(
+                "a task makes {} trace calls, more than the {MAX_CALLS_PER_TASK} a run holds",
+                workload.max_bounces()
+            )));
+        }
         if let Some(tape) = self.tape {
             tape.check(self.bvh, workload)?;
         }
@@ -513,6 +519,7 @@ impl<'a> Simulator<'a> {
         if prof_on {
             prof::add(prof::Counter::CyclesSimulated, engine.obs.stats.cycles);
             prof::add(prof::Counter::RaysTraced, engine.obs.stats.rays_completed);
+            prof::add(prof::Counter::UnitVisits, engine.unit_visits);
             // In `CachePolicy::ALL` order.
             let counters = [
                 prof::Counter::MemLinesL1AndL2,
@@ -529,7 +536,7 @@ impl<'a> Simulator<'a> {
             stats: engine.obs.stats,
             mem: engine.mem.stats().clone(),
             energy,
-            hits: engine.rays.hits,
+            hits: engine.rays.hits(),
         })
     }
 }
@@ -557,6 +564,14 @@ pub(crate) struct Engine<'a> {
     sched: CtaScheduler,
     rays: RayTable,
     rt: Vec<RtUnit>,
+    /// The wake agenda: per RT unit, the cycle it next has something to
+    /// do at (`None`: nothing until a warp is sent to it). A unit is
+    /// stepped only once its wake is due. Derived, never checkpointed:
+    /// [`Engine::new`] and [`Engine::restore`] start every unit due. See
+    /// DESIGN.md "Wake agenda".
+    wake: Vec<Option<u64>>,
+    /// RT-unit visits of `step_rt_units`, for the `unit_visits` counter.
+    unit_visits: u64,
     obs: Observer,
     /// Optional structured-event sink. Events are only constructed when a
     /// sink is attached; observation never feeds back into timing.
@@ -573,8 +588,11 @@ pub(crate) struct Engine<'a> {
 /// allocates. Never checkpointed: a restored engine simply re-warms them.
 #[derive(Default)]
 struct Scratch {
-    /// Stack arenas reclaimed from finished rays, reused for fresh ones.
-    arena_pool: Vec<StackArena>,
+    /// Walks of finished walked rays, reset for fresh ones. The boxes are
+    /// what a walked ray's 16-byte row points at, so the pool keeps them
+    /// boxed: a fresh walk reuses the allocation as well as its stacks.
+    #[allow(clippy::vec_box)]
+    walk_pool: Vec<Box<RayTraversal>>,
     /// `step_warp` buffers (taken with `mem::take` for the duration of
     /// one step, then put back).
     visits: Vec<(usize, RayId, NodeId)>,
@@ -674,6 +692,8 @@ impl<'a> Engine<'a> {
             sched: CtaScheduler::new(cfg, workload),
             rays: RayTable::new(workload),
             rt: vec![RtUnit::new(cfg); cfg.num_sms()],
+            wake: vec![Some(0); cfg.num_sms()],
+            unit_visits: 0,
             obs: Observer::new(cfg.num_sms()),
             sink,
             audit_every: cfg.audit.interval(),
@@ -831,7 +851,8 @@ impl<'a> Engine<'a> {
             check(r.map_err(|e| format!("sm {sm}: {e}")))?;
         }
         check(ckpt.obs.validate(self.rt.len()))?;
-        let mut rays = RayTable::with_hits(ckpt.rays.hits.clone());
+        let mut rays = RayTable::new(self.workload);
+        rays.set_hits(&ckpt.rays.hits);
         for (i, &(meta, steps)) in ckpt.rays.rays.iter().enumerate() {
             let rid = RayId(i as u32);
             let mut walk = self.issue(rid, meta.task, meta.bounce, meta.lead);
@@ -846,6 +867,7 @@ impl<'a> Engine<'a> {
         self.rt = ckpt.rt.clone();
         self.obs = ckpt.obs.clone();
         self.obs.restart_booking(self.now);
+        self.wake.fill(Some(self.now));
         Ok(())
     }
 
@@ -888,11 +910,42 @@ impl<'a> Engine<'a> {
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
+            self.audit_wake(sm).map_err(|detail| on_sm(("unit-wake", detail)))?;
             let fresh = unit.stall_class(self.sched.shading(sm));
             self.obs.audit(sm, self.now, fresh).map_err(on_sm)?;
         }
         self.sched.audit(self.cfg.max_ctas_per_sm).map_err(fail)?;
         self.mem.audit().map_err(|detail| fail(("mem-accounting", detail)))
+    }
+
+    /// The `unit-wake` law: the agenda never sleeps through work. No
+    /// unit's cached wake is later than the earliest of its
+    /// [`RtUnit::wake_cycles`] from now on, and no unit has rays queued
+    /// beside an empty warp-buffer slot (what a unit's own step leaves for
+    /// a slot it already passed, which is why a unit that stepped stays
+    /// due). An audit runs right after a clock advance, when a wake cycle
+    /// before now can only be an incoming warp that arrived while every
+    /// slot was busy: work for no cycle.
+    fn audit_wake(&self, sm: usize) -> Result<(), String> {
+        let unit = &self.rt[sm];
+        let due = unit.wake_cycles().filter(|at| *at >= self.now).min();
+        let cached = self.wake[sm];
+        if let Some(due) = due.filter(|due| cached.is_none_or(|at| at > *due)) {
+            return Err(format!("cached wake {cached:?} is later than the unit's work at {due}"));
+        }
+        match unit.stranded_rays() {
+            0 => Ok(()),
+            rays => Err(format!("{rays} rays queued beside an empty slot, cached wake {cached:?}")),
+        }
+    }
+
+    /// Sets unit `sm`'s cached wake one cycle past its earliest work from
+    /// now on, so the agenda would sleep through that work and the next
+    /// audit trips the `unit-wake` law.
+    #[cfg(test)]
+    fn oversleep(&mut self, sm: usize) {
+        let due = self.rt[sm].wake_cycles().filter(|at| *at >= self.now).min();
+        self.wake[sm] = due.map(|at| at + 1);
     }
 
     // -- observation --------------------------------------------------------
@@ -1053,7 +1106,11 @@ impl<'a> Engine<'a> {
         };
         self.obs.mark(sm);
         for chunk in new_rays.chunks(self.cfg.warp_size) {
-            self.rt[sm].send(arrive, chunk);
+            // A warp that heads the unit's incoming queue is its next
+            // arrival: the unit wakes for it.
+            if self.rt[sm].send(arrive, chunk) {
+                self.wake[sm] = Some(self.wake[sm].map_or(arrive, |at| at.min(arrive)));
+            }
             self.obs.stats.warps_issued += 1;
             self.emit(|cycle| TraceEvent::WarpIssue { cycle, sm, cta: id, rays: chunk.len() });
         }
@@ -1103,11 +1160,15 @@ impl<'a> Engine<'a> {
             return Walk::Replay(tape.cursor(task, bounce));
         }
         let call = &self.workload.tasks[task].rays[bounce];
-        // Recycle a reclaimed stack arena (allocation-free once the pool
-        // has warmed up).
-        let arena =
-            self.scratch.arena_pool.pop().unwrap_or_else(|| StackArena::with_capacity(16, 8));
-        let mut ray = RayTraversal::new_in(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max, arena);
+        // Reset a finished walk (allocation-free once the pool has warmed
+        // up).
+        let mut ray = match self.scratch.walk_pool.pop() {
+            Some(mut ray) => {
+                ray.reset(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max);
+                ray
+            }
+            None => Box::new(RayTraversal::new(rid, call.ray, self.bvh, TRACE_T_MIN, call.t_max)),
+        };
         if call.anyhit {
             ray.set_anyhit();
         }
@@ -1119,7 +1180,7 @@ impl<'a> Engine<'a> {
 
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let (RayMeta { cta, task, bounce, sm, .. }, best_node, arena) =
+        let (RayMeta { cta, task, bounce, sm, .. }, best_node, walk) =
             self.rays.complete(rid, self.tape);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
@@ -1132,9 +1193,9 @@ impl<'a> Engine<'a> {
                 self.rt[sm].predict_train(self.cfg, key, leaf);
             }
         }
-        // Recycle a walked ray's stack storage for future rays.
-        if let Some(arena) = arena {
-            self.scratch.arena_pool.push(arena);
+        // Recycle a walked ray's traversal for future rays.
+        if let Some(walk) = walk {
+            self.scratch.walk_pool.push(walk);
         }
         self.obs.stats.rays_completed += 1;
         self.rt[sm].finish_ray();
@@ -1145,30 +1206,55 @@ impl<'a> Engine<'a> {
 
     // -- RT units -----------------------------------------------------------
 
+    /// Visits the RT units whose wake is due — under TreeletPrefetch every
+    /// unit, whose prefetch clock is not an event — and steps their warps.
+    /// A unit that stepped stays due: its own steps may have queued work
+    /// for a slot it already passed. Any other visited unit sleeps until
+    /// the earliest of its [`RtUnit::wake_cycles`] after now.
     fn step_rt_units(&mut self) -> bool {
+        let prefetch = matches!(self.cfg.policy, TraversalPolicy::TreeletPrefetch);
         let mut progress = false;
         for sm in 0..self.rt.len() {
-            for slot in 0..self.rt[sm].slot_count() {
-                loop {
-                    if self.rt[sm].ready_at(slot).is_none() {
-                        if !self.acquire_work(sm, slot) {
-                            break;
-                        }
-                        self.obs.progress(sm, self.now);
-                    }
-                    if self.rt[sm].ready_at(slot).is_some_and(|at| at > self.now) {
-                        break;
-                    }
-                    self.step_warp(sm, slot);
-                    self.obs.progress(sm, self.now);
-                    progress = true;
-                }
+            if !prefetch && self.wake[sm].is_none_or(|at| at > self.now) {
+                continue;
             }
-            if matches!(self.cfg.policy, TraversalPolicy::TreeletPrefetch) {
+            self.unit_visits += 1;
+            let stepped = self.step_unit(sm);
+            self.wake[sm] = if stepped {
+                Some(self.now)
+            } else {
+                self.rt[sm].wake_cycles().filter(|at| *at > self.now).min()
+            };
+            progress |= stepped;
+            if prefetch {
                 progress |= self.maybe_prefetch(sm);
             }
         }
         progress
+    }
+
+    /// Fills and steps the SM's warp-buffer slots until every one is
+    /// empty with nothing to take, or waits; returns whether a warp
+    /// stepped.
+    fn step_unit(&mut self, sm: usize) -> bool {
+        let mut stepped = false;
+        for slot in 0..self.rt[sm].slot_count() {
+            loop {
+                if self.rt[sm].ready_at(slot).is_none() {
+                    if !self.acquire_work(sm, slot) {
+                        break;
+                    }
+                    self.obs.progress(sm, self.now);
+                }
+                if self.rt[sm].ready_at(slot).is_some_and(|at| at > self.now) {
+                    break;
+                }
+                self.step_warp(sm, slot);
+                self.obs.progress(sm, self.now);
+                stepped = true;
+            }
+        }
+        stepped
     }
 
     /// Installs `warp` in the SM's warp-buffer slot, emitting a
@@ -1531,9 +1617,10 @@ impl<'a> Engine<'a> {
 
     // -- clock ----------------------------------------------------------------
 
-    /// Earliest future event across CTAs and RT units.
+    /// Earliest future event across CTAs and RT units: the scheduler's
+    /// timers and the wake agenda.
     fn next_event(&self) -> Option<u64> {
-        let units = self.rt.iter().flat_map(RtUnit::wake_cycles);
+        let units = self.wake.iter().flatten().copied();
         self.sched.wake_cycles().chain(units).filter(|t| *t > self.now).min()
     }
 }
@@ -1630,6 +1717,40 @@ mod tests {
             }
             other => panic!("expected Invariant, got {other:?}"),
         }
+    }
+
+    /// The `unit-wake` law's must-go-red: a unit whose cached wake is later
+    /// than its next work fails the audit. The law holds where `run`
+    /// audits, right after a clock advance, so the test audits restored
+    /// checkpoints, which are taken there.
+    #[test]
+    fn an_oversleeping_unit_is_caught_by_the_auditor() {
+        let scene = lumibench::build_scaled(SceneId::Ref, 16);
+        let bvh =
+            Bvh::build(scene.triangles(), &BvhConfig { treelet_bytes: 1024, ..Default::default() });
+        let primary = |i: u32| scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
+        let workload =
+            Workload { tasks: (0..256u32).map(|i| PathTask { rays: vec![primary(i)] }).collect() };
+        let cfg = GpuConfig::default();
+        let sim = Simulator::new(&bvh, scene.triangles(), cfg);
+        let mut ckpts = Vec::new();
+        sim.try_run_checkpointed(&workload, 100, &mut |c| ckpts.push(c)).unwrap();
+        for ckpt in &ckpts {
+            let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+            engine.restore(ckpt).unwrap();
+            engine.audit_invariants().expect("a restored engine keeps every law");
+            let now = engine.now;
+            let busy =
+                (0..engine.rt.len()).find(|&sm| engine.rt[sm].wake_cycles().any(|at| at >= now));
+            let Some(sm) = busy else { continue };
+            engine.oversleep(sm);
+            let v =
+                engine.audit_invariants().expect_err("an oversleeping unit must trip the auditor");
+            assert_eq!(v.site, "unit-wake");
+            assert!(v.detail.starts_with(&format!("sm {sm}: cached wake")), "got: {}", v.detail);
+            return;
+        }
+        panic!("no snapshot has a unit with work ahead");
     }
 
     /// Visit conservation's must-go-red: an active-lane step count that

@@ -29,10 +29,11 @@
 use std::fmt;
 
 use rtbvh::{Bvh, NodeId, PrimHit, TreeletId};
+use rtmath::{Ray, Vec3};
 use rtscene::Triangle;
 
 use crate::config::ConfigError;
-use crate::ray::{NextNode, RayId, RayTraversal, StackArena, VisitCost};
+use crate::ray::{NextNode, RayId, RayTraversal, VisitCost};
 use crate::sim::{PathTask, Workload, TRACE_T_MIN};
 
 /// Fewest tasks at which [`Tape::record`] forks; below it (every quick
@@ -248,9 +249,11 @@ struct Part {
 
 fn record_range(bvh: &Bvh, triangles: &[Triangle], tasks: &[PathTask]) -> Part {
     let mut part = Part { steps: Vec::new(), call_ends: Vec::new(), ends: Vec::new() };
-    let mut arena = StackArena::default();
+    // One walk, reset for every call, so its stacks warm up once.
+    let nowhere = Ray::new(Vec3::ZERO, Vec3::new(0.0, 0.0, 1.0));
+    let mut ray = RayTraversal::new(RayId(0), nowhere, bvh, TRACE_T_MIN, TRACE_T_MIN);
     for call in tasks.iter().flat_map(|t| &t.rays) {
-        let mut ray = RayTraversal::new_in(RayId(0), call.ray, bvh, TRACE_T_MIN, call.t_max, arena);
+        ray.reset(RayId(0), call.ray, bvh, TRACE_T_MIN, call.t_max);
         if call.anyhit {
             ray.set_anyhit();
         }
@@ -260,7 +263,6 @@ fn record_range(bvh: &Bvh, triangles: &[Triangle], tasks: &[PathTask]) -> Part {
         }
         part.call_ends.push(part.steps.len());
         part.ends.push((ray.best, ray.best_node));
-        arena = ray.reclaim();
     }
     part
 }
@@ -310,6 +312,12 @@ impl Cursor {
         tape.ends[self.call as usize]
     }
 
+    /// The call's number across the workload, in task order: the index
+    /// of its range of the tape.
+    pub(crate) fn call(&self) -> usize {
+        self.call as usize
+    }
+
     /// The steps taken so far: the cursor's offset into its call's range
     /// of the tape.
     pub fn steps(&self, tape: &Tape) -> u32 {
@@ -336,7 +344,6 @@ impl Cursor {
 #[cfg(test)]
 mod tests {
     use rtbvh::BvhConfig;
-    use rtmath::{Ray, Vec3};
     use rtscene::lumibench::{self, SceneId};
     use rtscene::MaterialId;
 

@@ -9,7 +9,7 @@
 #![cfg(feature = "count-allocs")]
 
 use gpumem::{AccessKind, CachePolicy, MemConfig, MemFaults, MemorySystem};
-use gpusim::{NextNode, PathTask, RayId, RayTraversal, StackArena, Tape, Workload};
+use gpusim::{NextNode, PathTask, RayId, RayTraversal, Tape, Workload};
 use rtbvh::{Bvh, BvhConfig};
 use rtscene::lumibench::{self, SceneId};
 
@@ -18,7 +18,7 @@ static ALLOC: prof::CountingAlloc = prof::CountingAlloc;
 
 #[test]
 fn steady_state_hot_paths_do_not_allocate() {
-    traversal_with_a_pooled_arena();
+    traversal_with_recycled_walks();
     replay_from_a_tape();
     warm_queue_table_push_pop();
     warm_memory_system_access(MemFaults::default());
@@ -32,9 +32,14 @@ fn steady_state_hot_paths_do_not_allocate() {
     });
 }
 
-/// The same ray set through [`RayTraversal`] twice with a pooled
-/// [`StackArena`] — the contract the simulator's arena pool relies on.
-fn traversal_with_a_pooled_arena() {
+/// The same ray set walked twice through a pool of boxed
+/// [`RayTraversal`]s, as the simulator's walk pool runs: a fresh walk pops
+/// a finished one and [`RayTraversal::reset`]s it (boxing a new one only
+/// while the pool is cold), several walks are in flight at once, and a
+/// finished walk goes back to the pool with its stacks.
+fn traversal_with_recycled_walks() {
+    /// Walks in flight at once.
+    const IN_FLIGHT: usize = 8;
     let scene = lumibench::build_scaled(SceneId::Bunny, 32);
     let tris = scene.triangles().to_vec();
     // Small treelets so rays genuinely exercise both stacks.
@@ -42,31 +47,48 @@ fn traversal_with_a_pooled_arena() {
     let rays: Vec<_> =
         (0..64).map(|i| scene.camera().primary_ray(i % 8 * 6, i / 8 * 6, 48, 48, None)).collect();
 
-    // One pooled arena cycled through every ray, exactly as the
-    // simulator's pool does on ray completion.
-    let mut arena = StackArena::default();
-    let trace_all = |arena_in: StackArena| -> (StackArena, u32) {
-        let mut arena = arena_in;
+    let mut pool: Vec<Box<RayTraversal>> = Vec::with_capacity(IN_FLIGHT);
+    let mut in_flight: Vec<Box<RayTraversal>> = Vec::with_capacity(IN_FLIGHT);
+    let mut trace_all = |pool: &mut Vec<Box<RayTraversal>>| -> u32 {
         let mut visited = 0;
-        for (i, &ray) in rays.iter().enumerate() {
-            let mut r =
-                RayTraversal::new_in(RayId(i as u32), ray, &bvh, 1e-3, f32::INFINITY, arena);
-            while let NextNode::Visit(n) = r.next_node(&bvh, None) {
-                r.visit(&bvh, &tris, n);
+        for (batch, chunk) in rays.chunks(IN_FLIGHT).enumerate() {
+            for (i, &ray) in chunk.iter().enumerate() {
+                let id = RayId((batch * IN_FLIGHT + i) as u32);
+                let walk = match pool.pop() {
+                    Some(mut walk) => {
+                        walk.reset(id, ray, &bvh, 1e-3, f32::INFINITY);
+                        walk
+                    }
+                    None => Box::new(RayTraversal::new(id, ray, &bvh, 1e-3, f32::INFINITY)),
+                };
+                in_flight.push(walk);
             }
-            visited += r.nodes_visited;
-            arena = r.reclaim();
+            // Step the walks in lockstep, as a warp does.
+            let mut stepping = true;
+            while stepping {
+                stepping = false;
+                for walk in &mut in_flight {
+                    if let NextNode::Visit(n) = walk.next_node(&bvh, None) {
+                        walk.visit(&bvh, &tris, n);
+                        stepping = true;
+                    }
+                }
+            }
+            for walk in in_flight.drain(..) {
+                visited += walk.nodes_visited;
+                pool.push(walk);
+            }
         }
-        (arena, visited)
+        visited
     };
 
-    // Pass 1: warm the arena capacities (may allocate).
-    let (warm, visited_warm) = trace_all(arena);
-    arena = warm;
+    // Pass 1: box the walks and warm their stack capacities (allocates).
+    let visited_warm = trace_all(&mut pool);
+    assert_eq!(pool.len(), IN_FLIGHT, "every walk went back to the pool");
 
-    // Pass 2: identical work, warmed arena — zero allocations allowed.
+    // Pass 2: identical work from the warm pool — zero allocations allowed.
     let before = prof::CountingAlloc::allocations();
-    let (_arena, visited_steady) = trace_all(arena);
+    let visited_steady = trace_all(&mut pool);
     let after = prof::CountingAlloc::allocations();
 
     assert!(visited_steady > 0, "rays must do real traversal work");

@@ -145,6 +145,16 @@ fn empty_workload_is_a_typed_rejection() {
     assert_eq!(err.kind(), "workload");
     assert!(err.snapshot().is_none());
     assert!(err.to_string().contains("empty workload"));
+
+    // A ray records its bounce in 16 bits: a task of more calls is
+    // refused before anything is simulated.
+    let call = small_workload(&scene, 1).tasks[0].rays[0];
+    let long = Workload { tasks: vec![PathTask { rays: vec![call; (1 << 16) + 1] }] };
+    let err = Simulator::new(&bvh, scene.triangles(), GpuConfig::default())
+        .try_run(&long)
+        .expect_err("a task of 65537 calls is rejected");
+    assert_eq!(err.kind(), "workload");
+    assert!(err.to_string().contains("65537 trace calls"), "got: {err}");
 }
 
 #[test]

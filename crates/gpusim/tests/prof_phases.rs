@@ -57,6 +57,10 @@ fn a_profiled_run_reports_the_cycle_loops_phases_and_memory_lines() {
     let lapped: u64 = phases.iter().map(|s| s.total_ns).sum();
     assert!(lapped > 0 && lapped <= cycles.total_ns, "{lapped} of {}", cycles.total_ns);
     assert!(cycles.self_ns <= cycles.total_ns - lapped + 1_000);
+    // The wake agenda visits a unit only when it is due: at most each of
+    // the two units per fixed-point iteration.
+    let visits = snap.counter(prof::Counter::UnitVisits);
+    assert!(visits > 0 && visits <= 2 * rt_units.count, "{visits} visits");
 
     let by_policy = [
         prof::Counter::MemLinesL1AndL2,

@@ -1,8 +1,8 @@
 //! Property-based tests of the simulator's conservation and ordering
 //! invariants: every issued ray completes exactly once, queues conserve
 //! rays, and traversal produces reference-identical hits regardless of the
-//! (randomized) VTQ parameters, and lazy stall attribution keeps its law
-//! at every clock advance.
+//! (randomized) VTQ parameters, and lazy stall attribution and the wake
+//! agenda keep their laws at every clock advance.
 
 use proptest::prelude::*;
 
@@ -219,6 +219,75 @@ proptest! {
         prop_assert_eq!(a.stats.cycles, b.stats.cycles);
         prop_assert_eq!(a.mem.total_lines(), b.mem.total_lines());
         prop_assert_eq!(a.stats.repack_events, b.stats.repack_events);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The wake agenda never sleeps through work. Each case draws paths
+    /// that set, lower or recompute a unit's cached wake: a warp buffer of
+    /// 1-3 slots, Predict with a table lookup in flight (warps arrive in
+    /// the future), TreeletPrefetch (every unit visited on every
+    /// iteration), naive and grouped Vtq under a small virtual-ray cap,
+    /// scheduling jitter, and a resume from the run's midpoint (every unit
+    /// due again). A zero intersection latency lets two slots' warps step
+    /// in the same cycle, so one slot's step can queue rays for a slot
+    /// already passed (why a unit that stepped stays due). The `unit-wake`
+    /// law is audited at every clock advance; every run completes, and
+    /// the checkpointed and resumed runs equal the uninterrupted one.
+    #[test]
+    fn the_wake_agenda_holds_at_every_advance(
+        seed in any::<u64>(),
+        policy in 0usize..4,
+        slots in 1usize..4,
+        latency in 1u32..40,
+        cap in 1usize..5,
+        jitter in 0u32..17,
+        sms in 1usize..4,
+        zero_isect in any::<bool>(),
+    ) {
+        let (scene, bvh) = scene_and_bvh();
+        let workload = random_workload(seed, 160, 2);
+        let cta_size = GpuConfig::default().cta_size;
+        let vtq = |group| TraversalPolicy::Vtq(VtqParams {
+            max_virtual_rays: cap * cta_size,
+            ..vtq_params(16, 0, 2, group, group)
+        });
+        let policy = [
+            TraversalPolicy::Predict(PredictParams {
+                origin_bits: 2,
+                dir_bits: 2,
+                lookup_latency: latency,
+                ..Default::default()
+            }),
+            TraversalPolicy::TreeletPrefetch,
+            vtq(false),
+            vtq(true),
+        ][policy];
+        let mut cfg = GpuConfig::default().with_policy(policy);
+        cfg.audit = AuditMode::Every(1);
+        cfg.mem.num_sms = sms;
+        cfg.warp_buffer_slots = slots;
+        if zero_isect {
+            cfg.isect_latency = 0;
+        }
+        cfg.sched_jitter_cycles = jitter;
+        cfg.sched_jitter_seed = seed;
+        let sim = Simulator::new(&bvh, scene.triangles(), cfg);
+        let plain = sim.try_run(&workload).unwrap();
+        prop_assert_eq!(plain.stats.rays_completed as usize, workload.total_rays());
+
+        let mut ckpts = Vec::new();
+        let midpoint = plain.stats.cycles / 2;
+        let checkpointed =
+            sim.try_run_checkpointed(&workload, midpoint, &mut |c| ckpts.push(c)).unwrap();
+        prop_assert_eq!(&checkpointed.stats, &plain.stats);
+        let ckpt = ckpts.first().expect("the run crosses its midpoint");
+        let resumed = sim.try_run_with(&workload, RunOptions::new().resume(ckpt)).unwrap();
+        prop_assert_eq!(format!("{:?}", resumed.stats), format!("{:?}", plain.stats));
+        prop_assert_eq!(format!("{:?}", resumed.mem), format!("{:?}", plain.mem));
+        prop_assert_eq!(resumed.hits, plain.hits);
     }
 }
 

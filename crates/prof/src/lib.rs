@@ -75,6 +75,10 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 pub enum Counter {
     /// Rays completed by the cycle-level simulator.
     RaysTraced,
+    /// RT-unit visits of the simulator's cycle loop: a unit is visited
+    /// when its wake is due, so beside the `sim/run/cycles/next_event`
+    /// laps (one per clock advance) this is the visits per advance.
+    UnitVisits,
     /// Simulated GPU cycles advanced (the simulator's clock, not ours).
     CyclesSimulated,
     /// Sweep cells fully executed (prepare + simulate + export).
@@ -126,8 +130,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in report order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 22] = [
         Counter::RaysTraced,
+        Counter::UnitVisits,
         Counter::CyclesSimulated,
         Counter::CellsCompleted,
         Counter::BytesExported,
@@ -154,6 +159,7 @@ impl Counter {
     pub fn name(self) -> &'static str {
         match self {
             Counter::RaysTraced => "rays_traced",
+            Counter::UnitVisits => "unit_visits",
             Counter::CyclesSimulated => "cycles_simulated",
             Counter::CellsCompleted => "cells_completed",
             Counter::BytesExported => "bytes_exported",

@@ -110,6 +110,20 @@ fn submit_watch_results_shutdown_round_trip() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Polls `job`'s status until the executor has dequeued it and runs it.
+fn wait_until_running(client: &mut Client, job: &str) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        match client.request(&Request::Status { job: Some(job.to_string()) }).expect("status") {
+            Frame::Status { state, .. } if state == "running" => return,
+            Frame::Status { state, .. } => assert_eq!(state, "queued", "job {job} settled early"),
+            other => panic!("expected a status for {job}, got {other:?}"),
+        }
+        assert!(Instant::now() < deadline, "job {job} never started running");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn overload_and_quota_reject_with_typed_responses() {
     let dir = test_dir("admission");
@@ -125,13 +139,17 @@ fn overload_and_quota_reject_with_typed_responses() {
 
     let mut client = Client::connect(handle.addr()).expect("connect");
     let mut tenants = Vec::new();
-    // Fill: one running (dequeued immediately) + two queued = queue full.
+    // Fill: one running + two queued = queue full. The executor must have
+    // taken the first job off the queue before the other two arrive.
     for tenant in ["stall-a", "stall-b", "stall-c"] {
         let mut spec = slow.clone();
         spec.tenant = tenant.to_string();
         match client.request(&Request::Submit(spec)).expect("submit") {
             Frame::Accepted { job, .. } => tenants.push(job),
             other => panic!("expected accept for {tenant}, got {other:?}"),
+        }
+        if tenants.len() == 1 {
+            wait_until_running(&mut client, &tenants[0]);
         }
     }
     // Queue is now at capacity: a fourth submission is overloaded.
