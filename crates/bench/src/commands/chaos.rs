@@ -231,22 +231,24 @@ fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut u64, dir: &Path) -> Verdict {
     loop {
         lives += 1;
         if lives > total + 2 {
-            reset_cancel();
             return Err(format!("seed {seed}: too many lives — cells are being redone"));
         }
-        reset_cancel();
         let journal = if lives == 1 { SweepJournal::start(dir) } else { SweepJournal::resume(dir) };
         let journal = Arc::new(journal.map_err(|e| format!("journal: {e}"))?);
         let remaining = total - journal.completed_count();
         let kill = if remaining > 0 { (next(rng) % (remaining as u64 + 1)) as usize } else { 0 };
+        // The kill cancels this life's engine alone: the process-global
+        // flag is the SIGINT handler's.
+        let cancel = CancelToken::new();
         let engine = SweepEngine::with_cache(1, Arc::clone(&ctx.prepared))
             .with_journal(journal)
+            .with_cancel(cancel.clone())
             .scoped("chaos");
         let ran = AtomicUsize::new(0);
         let results = engine.run_map(&ctx.matrix, |cell, p| {
             *executions.lock().unwrap().entry(cell.label.clone()).or_insert(0) += 1;
             if ran.fetch_add(1, Ordering::SeqCst) + 1 == kill {
-                request_cancel();
+                cancel.cancel();
             }
             stats_of(&p.run_policy(cell.policy))
         });
@@ -259,7 +261,6 @@ fn journal_kill(ctx: &Ctx, seed: u64, rng: &mut u64, dir: &Path) -> Verdict {
             break;
         }
     }
-    reset_cancel();
 
     let executions = executions.into_inner().unwrap();
     if executions.len() != total {
@@ -296,7 +297,6 @@ fn journal_corrupt(ctx: &Ctx, rng: &mut u64, dir: &Path) -> Verdict {
     let pos = flip_seeded(&mut mutated, rng);
     fs::write(&path, &mutated).map_err(|e| format!("write corrupt journal: {e}"))?;
 
-    reset_cancel();
     let journal = Arc::new(SweepJournal::resume(dir).map_err(|e| format!("resume: {e}"))?);
     // A flip can land on a line that carries no completion (session
     // header, an `interrupted` record): truncation then cuts bytes while
@@ -478,7 +478,6 @@ fn enospc_mid_sweep(ctx: &Ctx, seed: u64, rng: &mut u64) -> Verdict {
     let total = ctx.matrix.cells().len();
     let dir = ctx.scratch.join(format!("enospc-{seed}"));
     let _ = fs::remove_dir_all(&dir);
-    reset_cancel();
     let journal = Arc::new(SweepJournal::start(&dir).map_err(|e| format!("journal: {e}"))?);
     let engine = SweepEngine::with_cache(1, Arc::clone(&ctx.prepared))
         .with_journal(Arc::clone(&journal))
@@ -774,9 +773,7 @@ pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
     // The campaign builds its own single-threaded engines: seeded kill
     // points and the global diskfault shim both need deterministic,
     // serialized I/O.
-    let code = campaign(opts);
-    reset_cancel();
-    code
+    campaign(opts)
 }
 
 #[cfg(test)]

@@ -466,6 +466,31 @@ pub fn pct_or_na(value: Option<f64>) -> String {
     }
 }
 
+/// The `prof.jsonl` lines of a `--prof --out` run: one `prof_span`
+/// record per span, then one `prof_counter` record per nonzero counter,
+/// its `per_sec` rate to three decimals or `null`.
+pub fn prof_records(
+    snap: &vtq::prof::ProfSnapshot,
+) -> impl Iterator<Item = vtq::jsonl::Record> + '_ {
+    use vtq::jsonl::Record;
+    let spans = snap.spans.iter().map(|s| {
+        Record::new("prof_span")
+            .str("path", &s.path)
+            .num("count", s.count)
+            .num("total_ns", s.total_ns)
+            .num("self_ns", s.self_ns)
+    });
+    let counters = snap.counters.iter().filter(|c| c.value > 0).map(|c| {
+        let record =
+            Record::new("prof_counter").str("name", c.counter.name()).num("value", c.value);
+        match snap.per_sec(c.counter) {
+            Some(rate) => record.num("per_sec", format!("{rate:.3}")),
+            None => record.null("per_sec"),
+        }
+    });
+    spans.chain(counters)
+}
+
 /// Whether `--csv` was given.
 fn csv() -> bool {
     CSV.load(Ordering::Relaxed)
@@ -536,11 +561,56 @@ pub fn table_markdown(table: &FigureTable) -> String {
 
 #[cfg(test)]
 mod tests {
+    use vtq::prof::{Counter, CounterReport, ProfSnapshot, SpanReport};
+
     use super::*;
 
     fn parse(args: &[&str]) -> Result<HarnessOpts, String> {
         let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
         HarnessOpts::parse(&owned)
+    }
+
+    fn prof_jsonl(snap: &ProfSnapshot) -> Vec<String> {
+        prof_records(snap).map(vtq::jsonl::Record::finish).collect()
+    }
+
+    /// `prof.jsonl`'s lines: flat records, escaped span paths, counters
+    /// with a value only, rates to three decimals or `null`.
+    #[test]
+    fn jsonl_is_flat_and_wellformed() {
+        let span =
+            |path: &str| SpanReport { path: path.into(), count: 2, total_ns: 30, self_ns: 10 };
+        let mut snap = ProfSnapshot {
+            spans: vec![span("export"), span(r#"a/"b"\c"#)],
+            counters: vec![
+                CounterReport { counter: Counter::BytesExported, value: 4096 },
+                CounterReport { counter: Counter::RaysTraced, value: 0 },
+            ],
+            elapsed_ns: 3_000_000_000,
+        };
+        assert_eq!(
+            prof_jsonl(&snap),
+            [
+                r#"{"record":"prof_span","path":"export","count":2,"total_ns":30,"self_ns":10}"#,
+                r#"{"record":"prof_span","path":"a/\"b\"\\c","count":2,"total_ns":30,"self_ns":10}"#,
+                r#"{"record":"prof_counter","name":"bytes_exported","value":4096,"per_sec":1365.333}"#,
+            ]
+        );
+        for line in prof_jsonl(&snap) {
+            let f = vtq::jsonl::parse_line(&line).expect("a flat line parses");
+            assert!(f.record().is_some_and(|r| r.starts_with("prof_")), "{line}");
+        }
+        let parsed = vtq::jsonl::parse_line(&prof_jsonl(&snap)[1])
+            .unwrap()
+            .str("path")
+            .unwrap()
+            .into_owned();
+        assert_eq!(parsed, r#"a/"b"\c"#);
+        snap.elapsed_ns = 0;
+        assert!(prof_jsonl(&snap)[2].ends_with(r#""value":4096,"per_sec":null}"#));
+        snap.spans.clear();
+        snap.counters.clear();
+        assert!(prof_jsonl(&snap).is_empty());
     }
 
     #[test]

@@ -106,8 +106,8 @@ fn main() -> ExitCode {
                 "{}\n",
                 vtq::jsonl::frame_line(&vtq::provenance::provenance_line(None, None))
             );
-            for line in snap.to_jsonl().lines() {
-                body.push_str(&vtq::jsonl::frame_line(line));
+            for record in vtq_bench::prof_records(&snap) {
+                body.push_str(&record.framed());
                 body.push('\n');
             }
             if let Err(e) = vtq::diskfault::write_file_durable(&path, body.as_bytes()) {

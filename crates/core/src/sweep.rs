@@ -920,6 +920,49 @@ mod tests {
     }
 
     #[test]
+    fn a_worker_blocked_on_anothers_build_lends_it_its_core() {
+        if std::thread::available_parallelism().map_or(1, usize::from) < 2 {
+            return; // one hardware thread: there is no core to lend
+        }
+        // Two pool workers on two cores (the limit stands in for the
+        // cores). The second asks for the key only once the first is
+        // inside its build, so it blocks in `get`; the build then sees both
+        // cores, and only because the waiter stopped counting as working.
+        // Other tests' workers may hold a core for a while: the build
+        // polls until they are gone, and a waiter that still counts keeps
+        // it at one core until the deadline.
+        let stage = Stage::<usize>::default();
+        let building = std::sync::Barrier::new(2);
+        prof::par::set_limit(2);
+        let cores = std::thread::scope(|s| {
+            let builder = s.spawn(|| {
+                prof::par::working(|| {
+                    stage.get(1, "build", || {
+                        building.wait();
+                        let deadline = std::time::Instant::now() + Duration::from_secs(120);
+                        while prof::par::threads() < 2 && std::time::Instant::now() < deadline {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                        prof::par::threads()
+                    })
+                })
+            });
+            let waiter = s.spawn(|| {
+                prof::par::working(|| {
+                    building.wait();
+                    stage.get(1, "build", || unreachable!("the key is being built"))
+                })
+            });
+            let cores = builder.join().unwrap();
+            assert_eq!(waiter.join().unwrap(), cores);
+            cores
+        });
+        prof::par::set_limit(usize::MAX);
+        assert_eq!(cores, 2, "the blocked worker's core went unused");
+        assert_eq!(stage.misses(), 1);
+    }
+
+    #[test]
     fn matrix_indices_are_stable() {
         let cfg = ExperimentConfig::quick();
         let mut m = RunMatrix::new();

@@ -2,11 +2,11 @@
 //! state and which CTA / task / bounce / SM it belongs to — and the hit
 //! records finished rays leave behind. A ray's id is its index here.
 //!
-//! A ray either replays its call's recorded walk from the run's [`Tape`]
-//! ([`Cursor`]) or walks the BVH ([`RayTraversal`]): it walks only when
-//! the ray-path predictor had it visit a predicted leaf first, or when
-//! the run has no tape because its BVH does not fit one. The table
-//! answers the engine's traversal questions for both alike.
+//! The table holds the run's [`Tape`], BVH and triangles. A ray replays
+//! its call's recorded walk from the tape ([`Cursor`]), unless the
+//! ray-path predictor had it visit a predicted leaf first: such a ray
+//! walks the BVH ([`RayTraversal`]). The table answers the engine's
+//! traversal questions for both alike.
 //!
 //! A ray is a dense row: a 16-byte [`Walk`] — a replayed ray's cursor
 //! inline, a walked ray's boxed traversal — and a 16-byte packed
@@ -106,11 +106,11 @@ pub(crate) enum Walk {
 impl Walk {
     /// The node visits the ray has made: a cursor's offset into its call,
     /// a walk's visit count.
-    fn steps(&self, tape: Option<&Tape>) -> u32 {
+    fn steps(&self, tape: &Tape) -> u32 {
         match self {
             Walk::Live(ray) => ray.nodes_visited,
             Walk::Walked(steps) => *steps,
-            Walk::Replay(cursor) => cursor.steps(replayed(tape)),
+            Walk::Replay(cursor) => cursor.steps(tape),
         }
     }
 
@@ -139,33 +139,26 @@ impl Walk {
     }
 }
 
-/// The tape a replayed ray reads; only a run with one issues them.
-fn replayed(tape: Option<&Tape>) -> &Tape {
-    tape.expect("only a run with a tape replays rays")
-}
-
-/// The ray table's state; see the [module docs](self).
-#[derive(Debug, Default)]
-pub(crate) struct RayTable {
+/// The ray table's state and the inputs it reads; see the
+/// [module docs](self).
+#[derive(Debug)]
+pub(crate) struct RayTable<'a> {
+    tape: &'a Tape,
+    bvh: &'a Bvh,
+    triangles: &'a [Triangle],
     walks: Vec<Walk>,
     meta: Vec<PackedMeta>,
-    /// Task `t` made calls `first_call[t]..first_call[t + 1]`.
-    first_call: Vec<u32>,
-    /// Closest hit per call, in call order, filled as rays complete.
+    /// Closest hit per call, in the tape's call order, filled as rays
+    /// complete.
     hits: Vec<Option<PrimHit>>,
 }
 
-impl RayTable {
-    /// No rays yet, and a `None` hit record for every call `workload` makes.
-    pub(crate) fn new(workload: &Workload) -> RayTable {
-        let mut first_call = Vec::with_capacity(workload.tasks.len() + 1);
-        first_call.push(0);
-        let mut calls = 0u32;
-        for task in &workload.tasks {
-            calls += task.rays.len() as u32;
-            first_call.push(calls);
-        }
-        RayTable { first_call, hits: vec![None; calls as usize], ..RayTable::default() }
+impl<'a> RayTable<'a> {
+    /// No rays yet, and a `None` hit record for every call the tape's
+    /// workload makes.
+    pub(crate) fn new(tape: &'a Tape, bvh: &'a Bvh, triangles: &'a [Triangle]) -> RayTable<'a> {
+        let hits = vec![None; tape.calls()];
+        RayTable { tape, bvh, triangles, walks: Vec::new(), meta: Vec::new(), hits }
     }
 
     /// Replaces the hit records with `hits[task][call]`, of the shape of
@@ -177,8 +170,7 @@ impl RayTable {
 
     /// The hit records, `[task][call]`.
     pub(crate) fn hits(&self) -> Vec<Vec<Option<PrimHit>>> {
-        let calls = |w: &[u32]| self.hits[w[0] as usize..w[1] as usize].to_vec();
-        self.first_call.windows(2).map(calls).collect()
+        self.tape.by_task(&self.hits)
     }
 
     /// Rays created so far; also the id the next one gets.
@@ -194,54 +186,28 @@ impl RayTable {
     // -- traversal ------------------------------------------------------------
 
     /// [`RayTraversal::next_node`] / [`Cursor::next_node`].
-    pub(crate) fn next_node(
-        &mut self,
-        id: RayId,
-        bvh: &Bvh,
-        tape: Option<&Tape>,
-        restrict_to: Option<TreeletId>,
-    ) -> NextNode {
+    pub(crate) fn next_node(&mut self, id: RayId, restrict_to: Option<TreeletId>) -> NextNode {
         match &mut self.walks[id.index()] {
-            Walk::Replay(cursor) => cursor.next_node(replayed(tape), restrict_to),
-            Walk::Live(ray) => ray.next_node(bvh, restrict_to),
+            Walk::Replay(cursor) => cursor.next_node(self.tape, restrict_to),
+            Walk::Live(ray) => ray.next_node(self.bvh, restrict_to),
             Walk::Walked(_) => NextNode::Done,
         }
     }
 
     /// [`RayTraversal::pending_treelet`] / [`Cursor::pending_treelet`].
-    pub(crate) fn pending_treelet(
-        &mut self,
-        id: RayId,
-        bvh: &Bvh,
-        tape: Option<&Tape>,
-    ) -> Option<TreeletId> {
+    pub(crate) fn pending_treelet(&mut self, id: RayId) -> Option<TreeletId> {
         match &mut self.walks[id.index()] {
-            Walk::Replay(cursor) => cursor.pending_treelet(replayed(tape)),
-            Walk::Live(ray) => ray.pending_treelet(bvh),
+            Walk::Replay(cursor) => cursor.pending_treelet(self.tape),
+            Walk::Live(ray) => ray.pending_treelet(self.bvh),
             Walk::Walked(_) => None,
         }
     }
 
-    /// [`RayTraversal::enter_treelet`]; nothing for a replayed ray, whose
-    /// tape already holds the walk the entry continues.
-    pub(crate) fn enter_treelet(&mut self, id: RayId, bvh: &Bvh, treelet: TreeletId) {
-        if let Walk::Live(ray) = &mut self.walks[id.index()] {
-            ray.enter_treelet(bvh, treelet);
-        }
-    }
-
     /// [`RayTraversal::visit`] / [`Cursor::visit`].
-    pub(crate) fn visit(
-        &mut self,
-        id: RayId,
-        bvh: &Bvh,
-        triangles: &[Triangle],
-        tape: Option<&Tape>,
-        node: NodeId,
-    ) -> VisitCost {
+    pub(crate) fn visit(&mut self, id: RayId, node: NodeId) -> VisitCost {
         match &mut self.walks[id.index()] {
-            Walk::Replay(cursor) => cursor.visit(replayed(tape), node),
-            Walk::Live(ray) => ray.visit(bvh, triangles, node),
+            Walk::Replay(cursor) => cursor.visit(self.tape, node),
+            Walk::Live(ray) => ray.visit(self.bvh, self.triangles, node),
             Walk::Walked(_) => unreachable!("a finished walk has no step to visit"),
         }
     }
@@ -252,16 +218,15 @@ impl RayTable {
     pub(crate) fn complete(
         &mut self,
         id: RayId,
-        tape: Option<&Tape>,
     ) -> (RayMeta, Option<NodeId>, Option<Box<RayTraversal>>) {
         let meta = self.meta[id.index()].unpack();
         let walk = &mut self.walks[id.index()];
         let (call, (best, best_node), ray) = match walk {
-            Walk::Replay(cursor) => (cursor.call(), cursor.end(replayed(tape)), None),
+            Walk::Replay(cursor) => (cursor.call(), cursor.end(self.tape), None),
             Walk::Live(ray) => {
                 let steps = Walk::Walked(ray.nodes_visited);
                 let Walk::Live(ray) = std::mem::replace(walk, steps) else { unreachable!() };
-                let call = self.first_call[meta.task] as usize + meta.bounce;
+                let call = self.tape.call(meta.task, meta.bounce);
                 (call, (ray.best, ray.best_node), Some(ray))
             }
             Walk::Walked(_) => unreachable!("a ray completes once"),
@@ -271,8 +236,8 @@ impl RayTable {
     }
 
     /// Every ray's position, for a checkpoint.
-    pub(crate) fn positions(&self, tape: Option<&Tape>) -> RayPositions {
-        let steps = self.walks.iter().map(|walk| walk.steps(tape));
+    pub(crate) fn positions(&self) -> RayPositions {
+        let steps = self.walks.iter().map(|walk| walk.steps(self.tape));
         RayPositions {
             rays: self.meta.iter().map(|m| m.unpack()).zip(steps).collect(),
             hits: self.hits(),
@@ -288,7 +253,6 @@ impl RayTable {
         completed: u64,
         in_flight: usize,
         lane_steps: u64,
-        tape: Option<&Tape>,
     ) -> Result<(), (&'static str, String)> {
         if self.len() as u64 != completed + in_flight as u64 {
             let detail = format!(
@@ -297,7 +261,7 @@ impl RayTable {
             );
             return Err(("ray-conservation", detail));
         }
-        let steps: u64 = self.walks.iter().map(|walk| u64::from(walk.steps(tape))).sum();
+        let steps: u64 = self.walks.iter().map(|walk| u64::from(walk.steps(self.tape))).sum();
         if steps != lane_steps {
             let detail = format!("rays took {steps} steps != {lane_steps} active lane steps");
             return Err(("visit-conservation", detail));

@@ -227,22 +227,19 @@ impl RtUnit {
 
     /// Pops up to `n` rays from the queue of `from`, or with `None` from
     /// the most populated queues first (§4.4 grouping, §4.5 repacking),
-    /// mirroring each pop into the queue table. Returns each ray with the
-    /// treelet it was queued for.
-    pub(crate) fn pop(
-        &mut self,
-        bvh: &Bvh,
-        from: Option<TreeletId>,
-        n: usize,
-    ) -> Vec<(TreeletId, RayId)> {
+    /// mirroring each pop into the queue table.
+    pub(crate) fn pop(&mut self, bvh: &Bvh, from: Option<TreeletId>, n: usize) -> Vec<RayId> {
         let rays = match from {
             Some(t) => self.queues.pop_from(t, n),
             None => self.queues.pop_any(n),
         };
-        for (t, _) in &rays {
-            self.hw_table.pop(bvh.treelet_extent(*t).0);
-        }
-        rays
+        let hw_table = &mut self.hw_table;
+        rays.into_iter()
+            .map(|(t, r)| {
+                hw_table.pop(bvh.treelet_extent(t).0);
+                r
+            })
+            .collect()
     }
 
     /// Whether the queues hold more than the hardware does — rays beyond
@@ -515,12 +512,6 @@ impl RtUnit {
         self.queues.corrupt_total(delta);
     }
 
-    /// Every queued ray.
-    #[cfg(test)]
-    pub(crate) fn queued_rays(&self) -> Vec<RayId> {
-        self.queues.clone().pop_any(usize::MAX).into_iter().map(|(_, r)| r).collect()
-    }
-
     /// The unit's own conservation laws: the cached treelet-queue ray
     /// counter matches the queues, and no warp is wider than the machine.
     pub(crate) fn audit(&self, warp_size: usize) -> Result<(), (&'static str, String)> {
@@ -597,7 +588,10 @@ mod tests {
                         unit.push(&cfg, &bvh, t, RayId(next_ray));
                         next_ray += 1;
                     },
-                    1 => prop_assert!(unit.pop(&bvh, Some(t), n).iter().all(|(q, _)| *q == t)),
+                    1 => {
+                        let queued = unit.queues.len_of(t);
+                        prop_assert_eq!(unit.pop(&bvh, Some(t), n).len(), n.min(queued));
+                    }
                     _ => prop_assert!(unit.pop(&bvh, None, n).len() <= n),
                 }
                 prop_assert_eq!(unit.hw_table.stats().overflows, 0);

@@ -337,9 +337,9 @@ pub struct Simulator<'a> {
 impl<'a> Simulator<'a> {
     /// Creates a simulator over a scene and its BVH. Each run records the
     /// [`Tape`] of its workload before it cycles and replays it, as a run
-    /// [`with_tape`](Simulator::with_tape) does; a run over a BVH no tape
+    /// [`with_tape`](Simulator::with_tape) does. A run over a BVH no tape
     /// can encode (a leaf of 256 or more triangles, or more than 2²³
-    /// treelets) walks the BVH instead.
+    /// treelets) fails with [`SimError::Config`] before the engine exists.
     pub fn new(bvh: &'a Bvh, triangles: &'a [Triangle], config: GpuConfig) -> Simulator<'a> {
         Simulator { bvh, triangles, config, tape: None }
     }
@@ -384,9 +384,9 @@ impl<'a> Simulator<'a> {
     /// trips, and [`SimError::Invariant`] when the auditor (see
     /// [`AuditMode`](crate::AuditMode)) catches a conservation-law
     /// violation, and [`SimError::Config`] for a configuration
-    /// [`GpuConfig::validate`] rejects: every run is checked in
-    /// [`Simulator::try_run_with`], before the engine exists, whoever
-    /// assembled the configuration.
+    /// [`GpuConfig::validate`] rejects or a BVH no tape can encode: every
+    /// run is checked in [`Simulator::try_run_with`], before the engine
+    /// exists, whoever assembled the configuration.
     pub fn try_run(&self, workload: &Workload) -> Result<SimReport, SimError> {
         self.try_run_with(workload, RunOptions::new())
     }
@@ -476,8 +476,9 @@ impl<'a> Simulator<'a> {
                 workload.max_bounces()
             )));
         }
-        if let Some(tape) = self.tape {
-            tape.check(self.bvh, workload)?;
+        match self.tape {
+            Some(tape) => tape.check(self.bvh, workload)?,
+            None => Tape::fits(self.bvh)?,
         }
         // Profiling spans wrap whole phases (tape recording, setup, cycle
         // loop, report assembly) and counters are bumped once per run.
@@ -486,17 +487,14 @@ impl<'a> Simulator<'a> {
         // reads none.
         let prof_on = prof::enabled();
         let _run = prof_on.then(|| prof::span("sim/run"));
-        // Every run replays: the attached tape, or one recorded here when
-        // the BVH fits a tape.
-        let recorded: Option<Tape>;
+        // Every run replays: the attached tape, or one recorded here.
+        let recorded: Tape;
         let tape = match self.tape {
-            Some(tape) => Some(tape),
+            Some(tape) => tape,
             None => {
-                recorded = Tape::encodes(self.bvh).then(|| {
-                    let _tape = prof_on.then(|| prof::span("tape"));
-                    Tape::record(self.bvh, self.triangles, workload)
-                });
-                recorded.as_ref()
+                let _tape = prof_on.then(|| prof::span("tape"));
+                recorded = Tape::record(self.bvh, self.triangles, workload);
+                &recorded
             }
         };
         let mut engine = {
@@ -504,8 +502,8 @@ impl<'a> Simulator<'a> {
             // The engine borrows everything for as long as the tape,
             // which may be `recorded`: shorten the sink's borrow to match.
             let sink = sink.map(|s| -> &mut dyn TraceSink { s });
-            let mut engine = Engine::new(self.bvh, self.triangles, &self.config, workload, sink);
-            engine.tape = tape;
+            let mut engine =
+                Engine::new(self.bvh, self.triangles, tape, &self.config, workload, sink);
             if let Some(snapshot) = resume {
                 engine.restore(snapshot)?;
             }
@@ -557,12 +555,12 @@ pub(crate) struct Engine<'a> {
     vtq: Option<VtqParams>,
     predict: Option<PredictParams>,
     workload: &'a Workload,
-    /// The recorded walks rays replay; `None` walks every ray.
-    tape: Option<&'a Tape>,
+    /// The recorded walks rays replay.
+    tape: &'a Tape,
     mem: MemorySystem,
     now: u64,
     sched: CtaScheduler,
-    rays: RayTable,
+    rays: RayTable<'a>,
     rt: Vec<RtUnit>,
     /// The wake agenda: per RT unit, the cycle it next has something to
     /// do at (`None`: nothing until a warp is sent to it). A unit is
@@ -667,6 +665,7 @@ impl<'a> Engine<'a> {
     fn new(
         bvh: &'a Bvh,
         triangles: &'a [Triangle],
+        tape: &'a Tape,
         cfg: &'a GpuConfig,
         workload: &'a Workload,
         sink: Option<&'a mut dyn TraceSink>,
@@ -686,11 +685,11 @@ impl<'a> Engine<'a> {
             vtq,
             predict,
             workload,
-            tape: None,
+            tape,
             mem: MemorySystem::new(&cfg.mem),
             now: 0,
             sched: CtaScheduler::new(cfg, workload),
-            rays: RayTable::new(workload),
+            rays: RayTable::new(tape, bvh, triangles),
             rt: vec![RtUnit::new(cfg); cfg.num_sms()],
             wake: vec![Some(0); cfg.num_sms()],
             unit_visits: 0,
@@ -827,7 +826,7 @@ impl<'a> Engine<'a> {
             config_tag: config_tag(self.cfg),
             now: self.now,
             sched: self.sched.clone(),
-            rays: self.rays.positions(self.tape),
+            rays: self.rays.positions(),
             rt: self.rt.clone(),
             obs: self.obs.checkpointed(),
             mem: self.mem.snapshot(),
@@ -851,7 +850,7 @@ impl<'a> Engine<'a> {
             check(r.map_err(|e| format!("sm {sm}: {e}")))?;
         }
         check(ckpt.obs.validate(self.rt.len()))?;
-        let mut rays = RayTable::new(self.workload);
+        let mut rays = RayTable::new(self.tape, self.bvh, self.triangles);
         rays.set_hits(&ckpt.rays.hits);
         for (i, &(meta, steps)) in ckpt.rays.rays.iter().enumerate() {
             let rid = RayId(i as u32);
@@ -906,7 +905,7 @@ impl<'a> Engine<'a> {
         let in_flight: usize = self.rt.iter().map(RtUnit::rays_in_flight).sum();
         let stats = &self.obs.stats;
         let lane_steps = stats.active_lane_steps;
-        self.rays.audit(stats.rays_completed, in_flight, lane_steps, self.tape).map_err(fail)?;
+        self.rays.audit(stats.rays_completed, in_flight, lane_steps).map_err(fail)?;
         for (sm, unit) in self.rt.iter().enumerate() {
             let on_sm = |(site, detail): (&str, String)| fail((site, format!("sm {sm}: {detail}")));
             unit.audit(self.cfg.warp_size).map_err(on_sm)?;
@@ -1151,14 +1150,14 @@ impl<'a> Engine<'a> {
     }
 
     /// The traversal of task `task`'s call `bounce`, issued as ray `rid`
-    /// with `lead` visited first: a cursor into the tape when the run has
-    /// one and nothing is speculated — a speculated leaf is visited ahead
-    /// of the root, which changes the walk, so those rays walk the BVH.
-    /// Both a fresh ray and a restored one start here.
+    /// with `lead` visited first: a cursor into the tape when nothing is
+    /// speculated — a speculated leaf is visited ahead of the root, which
+    /// changes the walk, so those rays walk the BVH. Both a fresh ray and
+    /// a restored one start here.
     fn issue(&mut self, rid: RayId, task: usize, bounce: usize, lead: Option<NodeId>) -> Walk {
-        if let (Some(tape), None) = (self.tape, lead) {
-            return Walk::Replay(tape.cursor(task, bounce));
-        }
+        let Some(leaf) = lead else {
+            return Walk::Replay(self.tape.cursor(task, bounce));
+        };
         let call = &self.workload.tasks[task].rays[bounce];
         // Reset a finished walk (allocation-free once the pool has warmed
         // up).
@@ -1172,16 +1171,13 @@ impl<'a> Engine<'a> {
         if call.anyhit {
             ray.set_anyhit();
         }
-        if let Some(leaf) = lead {
-            ray.speculate(leaf);
-        }
+        ray.speculate(leaf);
         Walk::Live(ray)
     }
 
     /// A ray finished traversal at cycle `at`.
     fn complete_ray(&mut self, rid: RayId, at: u64) {
-        let (RayMeta { cta, task, bounce, sm, .. }, best_node, walk) =
-            self.rays.complete(rid, self.tape);
+        let (RayMeta { cta, task, bounce, sm, .. }, best_node, walk) = self.rays.complete(rid);
         // Train the prediction table: the leaf whose triangle produced this
         // ray's accepted hit becomes the prediction for every future ray
         // quantizing to the same cell.
@@ -1322,7 +1318,7 @@ impl<'a> Engine<'a> {
         self.charge_queue_overflow(sm, rays.len());
         let ready = self.activate(sm, &rays).max(not_before);
         let n = rays.len();
-        let lanes = rays.into_iter().map(|(_, r)| Some(r)).collect();
+        let lanes = rays.into_iter().map(Some).collect();
         Some(match from {
             Some(treelet) => {
                 self.emit(|cycle| TraceEvent::TreeletDispatch { cycle, sm, treelet, rays: n });
@@ -1335,13 +1331,13 @@ impl<'a> Engine<'a> {
         })
     }
 
-    /// Activates rays popped from the queues, each for the treelet it was
-    /// queued for, and fetches their records from the reserved L2 region
-    /// into the warp buffer; returns the cycle the last record arrives.
-    fn activate(&mut self, sm: usize, rays: &[(TreeletId, RayId)]) -> u64 {
+    /// Fetches the records of rays popped from the queues from the
+    /// reserved L2 region into the warp buffer; returns the cycle the last
+    /// record arrives. (A replayed ray's tape already holds the treelet
+    /// entry its dispatch continues.)
+    fn activate(&mut self, sm: usize, rays: &[RayId]) -> u64 {
         let mut ready = self.now;
-        for &(t, r) in rays {
-            self.rays.enter_treelet(r, self.bvh, t);
+        for &r in rays {
             ready = ready.max(self.ray_record(sm, r));
         }
         ready
@@ -1368,7 +1364,7 @@ impl<'a> Engine<'a> {
                 let mut treelets = std::mem::take(&mut self.scratch.treelets);
                 treelets.clear();
                 for lane in warp.lanes.iter().flatten() {
-                    if let Some(t) = self.rays.pending_treelet(*lane, self.bvh, self.tape) {
+                    if let Some(t) = self.rays.pending_treelet(*lane) {
                         if !treelets.contains(&t) {
                             treelets.push(t);
                         }
@@ -1386,7 +1382,7 @@ impl<'a> Engine<'a> {
                         rays: lanes.len(),
                     });
                     for lane in lanes {
-                        match self.rays.pending_treelet(lane, self.bvh, self.tape) {
+                        match self.rays.pending_treelet(lane) {
                             Some(t) => self.rt[sm].push(self.cfg, self.bvh, t, lane),
                             None => self.complete_ray(lane, self.now),
                         }
@@ -1412,7 +1408,7 @@ impl<'a> Engine<'a> {
                         self.emit(|cycle| TraceEvent::Repack { cycle, sm, added: grabbed.len() });
                         let fetch_done = self.activate(sm, &grabbed);
                         let vacant = warp.lanes.iter_mut().filter(|lane| lane.is_none());
-                        for (lane, (_, r)) in vacant.zip(grabbed) {
+                        for (lane, r) in vacant.zip(grabbed) {
                             *lane = Some(r);
                         }
                         warp.ready_at = warp.ready_at.max(fetch_done);
@@ -1435,7 +1431,7 @@ impl<'a> Engine<'a> {
         self.split(LoopPhase::RtUnits);
         for (i, lane) in warp.lanes.iter_mut().enumerate() {
             let Some(rid) = *lane else { continue };
-            match self.rays.next_node(rid, self.bvh, self.tape, warp.restrict) {
+            match self.rays.next_node(rid, warp.restrict) {
                 NextNode::Visit(n) => visits.push((i, rid, n)),
                 NextNode::ExitTreelet(t) => {
                     exits.push((t, rid));
@@ -1516,7 +1512,7 @@ impl<'a> Engine<'a> {
         // Intersection (fixed-function) and stack updates.
         let mut tests = 0u64;
         for &(_, rid, n) in &visits {
-            let cost = self.rays.visit(rid, self.bvh, self.triangles, self.tape, n);
+            let cost = self.rays.visit(rid, n);
             self.obs.stats.box_tests += cost.box_tests as u64;
             self.obs.stats.tri_tests += cost.tri_tests as u64;
             tests += (cost.box_tests + cost.tri_tests) as u64;
@@ -1592,8 +1588,8 @@ impl<'a> Engine<'a> {
     /// Periodically prefetches the most popular pending treelet of the
     /// resident warp's rays.
     fn maybe_prefetch(&mut self, sm: usize) -> bool {
-        let (rays, bvh, tape) = (&mut self.rays, self.bvh, self.tape);
-        let pending = |r| rays.pending_treelet(r, bvh, tape);
+        let rays = &mut self.rays;
+        let pending = |r| rays.pending_treelet(r);
         let interval = self.cfg.prefetch_interval as u64;
         let Some(t) = self.rt[sm].prefetch_target(self.now, interval, pending) else {
             return false;
@@ -1646,8 +1642,9 @@ mod tests {
                 })
                 .collect(),
         };
+        let tape = Tape::record(&bvh, scene.triangles(), &workload);
         let cfg = GpuConfig::default();
-        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        let mut engine = Engine::new(&bvh, scene.triangles(), &tape, &cfg, &workload, None);
         engine.audit_every = Some(1);
         engine.rt[0].corrupt_queue_total(3);
         match engine.run(None, None).expect_err("corrupted counter must trip the auditor") {
@@ -1670,8 +1667,9 @@ mod tests {
         let primary = |i: u32| scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
         let workload =
             Workload { tasks: (0..256u32).map(|i| PathTask { rays: vec![primary(i)] }).collect() };
+        let tape = Tape::record(&bvh, scene.triangles(), &workload);
         let cfg = GpuConfig::default();
-        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        let mut engine = Engine::new(&bvh, scene.triangles(), &tape, &cfg, &workload, None);
         assert!(engine.sched.cta_count() > 1);
         engine.audit_every = Some(1);
         engine.sched.corrupt_retired(1);
@@ -1699,8 +1697,9 @@ mod tests {
                 })
                 .collect(),
         };
+        let tape = Tape::record(&bvh, scene.triangles(), &workload);
         let cfg = GpuConfig::default();
-        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+        let mut engine = Engine::new(&bvh, scene.triangles(), &tape, &cfg, &workload, None);
         engine.audit_every = Some(1);
         // Classify every unit at cycle 0 (all idle), then start a shader
         // phase on the last SM, which the workload's one CTA never uses.
@@ -1731,12 +1730,13 @@ mod tests {
         let primary = |i: u32| scene.camera().primary_ray(i % 16, i / 16, 16, 16, None).into();
         let workload =
             Workload { tasks: (0..256u32).map(|i| PathTask { rays: vec![primary(i)] }).collect() };
+        let tape = Tape::record(&bvh, scene.triangles(), &workload);
         let cfg = GpuConfig::default();
-        let sim = Simulator::new(&bvh, scene.triangles(), cfg);
+        let sim = Simulator::new(&bvh, scene.triangles(), cfg).with_tape(&tape);
         let mut ckpts = Vec::new();
         sim.try_run_checkpointed(&workload, 100, &mut |c| ckpts.push(c)).unwrap();
         for ckpt in &ckpts {
-            let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
+            let mut engine = Engine::new(&bvh, scene.triangles(), &tape, &cfg, &workload, None);
             engine.restore(ckpt).unwrap();
             engine.audit_invariants().expect("a restored engine keeps every law");
             let now = engine.now;
@@ -1770,8 +1770,7 @@ mod tests {
         };
         let tape = Tape::record(&bvh, scene.triangles(), &workload);
         let cfg = GpuConfig::default();
-        let mut engine = Engine::new(&bvh, scene.triangles(), &cfg, &workload, None);
-        engine.tape = Some(&tape);
+        let mut engine = Engine::new(&bvh, scene.triangles(), &tape, &cfg, &workload, None);
         engine.audit_every = Some(1);
         engine.obs.corrupt_lane_steps(1);
         match engine.run(None, None).expect_err("a skewed count must trip the auditor") {

@@ -15,16 +15,18 @@
 //! A simulator run issues each ray as a [`Cursor`] into its call's steps
 //! and reads instead of intersecting: on the tape it was given
 //! ([`Simulator::with_tape`]), or else on one it records before cycling.
-//! Rays whose visit order really does change — those the ray-path
-//! predictor speculates for, which visit a predicted leaf first — and
-//! every ray of a run over a BVH no tape can encode (a leaf of 256 or
-//! more triangles, or more than 2²³ treelets) still walk the BVH.
+//! Only rays whose visit order really does change — those the ray-path
+//! predictor speculates for, which visit a predicted leaf first — still
+//! walk the BVH. A run over a BVH no tape can encode (a leaf of 256 or
+//! more triangles, or more than 2²³ treelets) fails with
+//! [`SimError::Config`] before the engine exists.
 //!
 //! The same fact makes a ray's position in its call — the steps it has
 //! taken ([`Cursor::steps`]) — all a checkpoint needs to record of it: a
 //! restore issues the call again and advances it that far.
 //!
 //! [`Simulator::with_tape`]: crate::Simulator::with_tape
+//! [`SimError::Config`]: crate::SimError::Config
 
 use std::fmt;
 
@@ -143,17 +145,28 @@ impl Tape {
         Tape::record_on(threads, bvh, triangles, workload)
     }
 
-    /// Whether every visit of a walk over `bvh` fits a tape step: at most
-    /// 2²³ treelets, and no leaf of 256 or more triangles.
-    pub(crate) fn encodes(bvh: &Bvh) -> bool {
-        bvh.partition().len() <= MAX_TREELETS && bvh.nodes().iter().all(|n| n.count < LEAF_BIT)
+    /// Checks that every visit of a walk over `bvh` fits a tape step: at
+    /// most 2²³ treelets, and no leaf of 256 or more triangles.
+    pub(crate) fn fits(bvh: &Bvh) -> Result<(), ConfigError> {
+        let leaf = bvh.nodes().iter().map(|n| n.count).max().unwrap_or(0);
+        let treelets = bvh.partition().len();
+        if leaf < LEAF_BIT && treelets <= MAX_TREELETS {
+            return Ok(());
+        }
+        Err(ConfigError::new(format!(
+            "no tape step holds this BVH's visits: a leaf of {leaf} triangles (at most {}), \
+             {treelets} treelets (at most {MAX_TREELETS})",
+            LEAF_BIT - 1
+        )))
     }
 
     /// [`Tape::record`] on exactly `threads` threads.
     fn record_on(threads: usize, bvh: &Bvh, triangles: &[Triangle], workload: &Workload) -> Tape {
         /// Tasks per unit of work handed to a thread.
         const RANGE_TASKS: usize = 2048;
-        assert!(Tape::encodes(bvh), "the BVH does not fit a tape step");
+        if let Err(e) = Tape::fits(bvh) {
+            panic!("{e}");
+        }
         let ranges: Vec<&[PathTask]> = workload.tasks.chunks(RANGE_TASKS).collect();
         let parts = prof::par::map(threads, ranges, |tasks| record_range(bvh, triangles, tasks));
 
@@ -187,15 +200,34 @@ impl Tape {
     ///
     /// Panics if the workload the tape was recorded for has no such call.
     pub fn cursor(&self, task: usize, call: usize) -> Cursor {
+        let index = self.call(task, call);
+        Cursor { next: self.calls[index], end: self.calls[index + 1], call: index as u32 }
+    }
+
+    /// The number across the workload of task `task`'s call `call`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workload the tape was recorded for has no such call.
+    pub(crate) fn call(&self, task: usize, call: usize) -> usize {
         let index = self.tasks[task] as usize + call;
         assert!(index < self.tasks[task + 1] as usize, "task {task} made no call {call}");
-        Cursor { next: self.calls[index], end: self.calls[index + 1], call: index as u32 }
+        index
+    }
+
+    /// Calls the workload makes.
+    pub(crate) fn calls(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// One value per call, in call order, nested `[task][call]`.
+    pub(crate) fn by_task<T: Copy>(&self, per_call: &[T]) -> Vec<Vec<T>> {
+        self.tasks.windows(2).map(|w| per_call[w[0] as usize..w[1] as usize].to_vec()).collect()
     }
 
     /// Every call's recorded hit, `[task][call]`.
     pub(crate) fn hits(&self) -> Vec<Vec<Option<PrimHit>>> {
-        let calls = |w: &[u32]| &self.ends[w[0] as usize..w[1] as usize];
-        self.tasks.windows(2).map(|w| calls(w).iter().map(|(hit, _)| *hit).collect()).collect()
+        self.by_task(&self.ends.iter().map(|(hit, _)| *hit).collect::<Vec<_>>())
     }
 
     /// Rejects a tape recorded for another workload shape or BVH: the
@@ -348,9 +380,8 @@ mod tests {
     use rtscene::MaterialId;
 
     use super::*;
-    use crate::rt_unit::RtUnit;
     use crate::sim::TraceCall;
-    use crate::{Checkpoint, GpuConfig, RunOptions, Simulator, TraversalPolicy, VtqParams};
+    use crate::{GpuConfig, SimError, Simulator, TraversalPolicy, VtqParams};
 
     fn setup() -> (rtscene::Scene, Bvh, Workload) {
         let scene = lumibench::build_scaled(SceneId::Bunny, 32);
@@ -462,25 +493,16 @@ mod tests {
         assert!(err.contains("nodes"), "{err}");
     }
 
-    /// 300 coincident triangles make one leaf whose visit no tape step
-    /// holds, so a run over a BVH with that leaf walks every ray instead
-    /// of panicking in `record` — here under VTQ, whose queues pause walks
-    /// at treelet boundaries (the BUNNY around the leaf is cut into 1 KB
-    /// treelets). A checkpoint that holds a paused ray restores it by
-    /// re-walking its steps unrestricted, and resumes to the run's end.
+    /// 255 coincident triangles make the largest leaf a tape step holds:
+    /// a VTQ run over a BVH with that leaf (the BUNNY around it cut into
+    /// 1 KB treelets) replays its tape, and its closest hits are the
+    /// walk's. One triangle more and the simulator refuses the BVH before
+    /// the engine exists.
     #[test]
-    fn a_vtq_run_over_a_bvh_no_tape_encodes_walks_and_resumes() {
+    fn a_leaf_of_255_triangles_replays_and_one_of_256_is_refused() {
         let (scene, _, _) = setup();
         let (a, b, c) =
             (Vec3::new(-1.0, -1.0, 0.0), Vec3::new(1.0, -1.0, 0.0), Vec3::new(0.0, 1.0, 0.0));
-        let mut triangles = scene.triangles().to_vec();
-        let first = triangles.len() as u32;
-        triangles.extend(vec![Triangle::new(a, b, c, MaterialId::new(0)); 300]);
-        let bvh = Bvh::build(
-            &triangles,
-            &BvhConfig { treelet_bytes: 1024, max_leaf_prims_hard: 300, ..Default::default() },
-        );
-        assert!(!Tape::encodes(&bvh));
         let at = Ray::new(Vec3::new(0.0, 0.0, -2.0), Vec3::new(0.0, 0.0, 1.0));
         let tasks = (0..128)
             .map(|i| {
@@ -491,32 +513,36 @@ mod tests {
         let workload = Workload { tasks };
         let mut cfg = GpuConfig::default().with_policy(TraversalPolicy::Vtq(VtqParams::default()));
         cfg.mem.num_sms = 2;
-        let sim = Simulator::new(&bvh, &triangles, cfg);
-        let plain = sim.try_run(&workload).expect("a tape-less run walks");
-        for (task, calls) in workload.tasks.iter().enumerate() {
-            for (call, c) in calls.rays.iter().enumerate().filter(|(_, c)| !c.anyhit) {
-                let want = bvh.intersect(&triangles, &c.ray, TRACE_T_MIN, c.t_max);
-                assert_eq!(plain.hits[task][call], want, "task {task} call {call}");
+        for leaf in [255, 256] {
+            let mut triangles = scene.triangles().to_vec();
+            let first = triangles.len() as u32;
+            triangles.extend(vec![Triangle::new(a, b, c, MaterialId::new(0)); leaf]);
+            let bvh = Bvh::build(
+                &triangles,
+                &BvhConfig { treelet_bytes: 1024, max_leaf_prims_hard: leaf, ..Default::default() },
+            );
+            assert_eq!(bvh.nodes().iter().map(|n| n.count as usize).max(), Some(leaf));
+            let sim = Simulator::new(&bvh, &triangles, cfg);
+            if leaf == 256 {
+                let err = sim.try_run(&workload).expect_err("a leaf of 256 is refused");
+                assert!(
+                    matches!(&err, SimError::Config(e) if e.to_string().contains("256")),
+                    "{err}"
+                );
+                continue;
             }
+            let tape = Tape::record(&bvh, &triangles, &workload);
+            let report = sim.try_run(&workload).expect("a leaf of 255 replays");
+            assert_eq!(report.hits, tape.hits());
+            for (task, calls) in workload.tasks.iter().enumerate() {
+                for (call, c) in calls.rays.iter().enumerate().filter(|(_, c)| !c.anyhit) {
+                    let want = bvh.intersect(&triangles, &c.ray, TRACE_T_MIN, c.t_max);
+                    assert_eq!(report.hits[task][call], want, "task {task} call {call}");
+                }
+            }
+            let hit = report.hits[0][1].map(|h| h.prim);
+            assert_eq!(hit, Some(first), "ties break to the lowest prim");
         }
-        assert_eq!(plain.hits[0][1].map(|h| h.prim), Some(first), "ties break to the lowest prim");
-
-        let mut ckpts = Vec::new();
-        sim.try_run_checkpointed(&workload, 32, &mut |c| ckpts.push(c)).expect("checkpointed");
-        // A ray waiting in a treelet queue after some steps was paused at
-        // a treelet boundary.
-        let paused = |c: &Checkpoint| {
-            let mut queued = c.rt.iter().flat_map(RtUnit::queued_rays);
-            queued.any(|id| c.rays.rays[id.index()].1 > 0)
-        };
-        let ckpt = ckpts.iter().find(|c| paused(c)).expect("a snapshot holds a paused walk");
-        let back = Checkpoint::from_jsonl(&ckpt.to_jsonl()).expect("round-trip parses");
-        assert_eq!(&back, ckpt);
-        let resumed =
-            sim.try_run_with(&workload, RunOptions::new().resume(&back)).expect("resumes");
-        assert_eq!(format!("{:?}", resumed.stats), format!("{:?}", plain.stats));
-        assert_eq!(format!("{:?}", resumed.mem), format!("{:?}", plain.mem));
-        assert_eq!(resumed.hits, plain.hits);
     }
 
     #[test]

@@ -394,8 +394,8 @@ pub struct SpanReport {
 /// One counter's value in a [`ProfSnapshot`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterReport {
-    /// Stable snake_case counter name.
-    pub name: &'static str,
+    /// The counter ([`Counter::name`] is its stable snake_case name).
+    pub counter: Counter,
     /// Accumulated value.
     pub value: u64,
 }
@@ -421,7 +421,7 @@ impl ProfSnapshot {
 
     /// Value of one counter in this snapshot.
     pub fn counter(&self, counter: Counter) -> u64 {
-        self.counters.iter().find(|c| c.name == counter.name()).map_or(0, |c| c.value)
+        self.counters.iter().find(|c| c.counter == counter).map_or(0, |c| c.value)
     }
 
     /// Events per second for a counter, `None` when no time has elapsed.
@@ -430,34 +430,6 @@ impl ProfSnapshot {
             return None;
         }
         Some(self.counter(counter) as f64 * 1e9 / self.elapsed_ns as f64)
-    }
-
-    /// Flat JSONL following the workspace exporter conventions: one
-    /// `{"record":"prof_span",...}` line per span, one
-    /// `{"record":"prof_counter",...}` line per nonzero counter.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.spans {
-            out.push_str(&format!(
-                "{{\"record\":\"prof_span\",\"path\":\"{}\",\"count\":{},\"total_ns\":{},\
-                 \"self_ns\":{}}}\n",
-                escape(&s.path),
-                s.count,
-                s.total_ns,
-                s.self_ns
-            ));
-        }
-        for c in self.counters.iter().filter(|c| c.value > 0) {
-            let rate = match self.per_sec(counter_by_name(c.name)) {
-                Some(r) => format!("{r:.3}"),
-                None => "null".to_string(),
-            };
-            out.push_str(&format!(
-                "{{\"record\":\"prof_counter\",\"name\":\"{}\",\"value\":{},\"per_sec\":{rate}}}\n",
-                c.name, c.value
-            ));
-        }
-        out
     }
 
     /// Human-readable table for run summaries.
@@ -482,11 +454,11 @@ impl ProfSnapshot {
         if !live.is_empty() {
             out.push_str(&format!("{:<40} {:>14} {:>14}\n", "counter", "value", "per-sec"));
             for c in live {
-                let rate = match self.per_sec(counter_by_name(c.name)) {
+                let rate = match self.per_sec(c.counter) {
                     Some(r) => format!("{r:.1}"),
                     None => "n/a".to_string(),
                 };
-                out.push_str(&format!("{:<40} {:>14} {:>14}\n", c.name, c.value, rate));
+                out.push_str(&format!("{:<40} {:>14} {:>14}\n", c.counter.name(), c.value, rate));
             }
         }
         if out.is_empty() {
@@ -494,10 +466,6 @@ impl ProfSnapshot {
         }
         out
     }
-}
-
-fn counter_by_name(name: &str) -> Counter {
-    *Counter::ALL.iter().find(|c| c.name() == name).expect("counter names are closed-world")
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -510,21 +478,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Copies out everything recorded so far. The calling thread's pending
@@ -544,7 +497,7 @@ pub fn snapshot() -> ProfSnapshot {
         })
         .collect();
     let counters =
-        Counter::ALL.iter().map(|&c| CounterReport { name: c.name(), value: get(c) }).collect();
+        Counter::ALL.iter().map(|&c| CounterReport { counter: c, value: get(c) }).collect();
     let elapsed_ns = lock(epoch()).map_or(0, |e| e.elapsed().as_nanos() as u64);
     ProfSnapshot { spans, counters, elapsed_ns }
 }
@@ -643,7 +596,6 @@ mod tests {
         let snap = snapshot();
         assert!(snap.is_empty(), "disabled profiler recorded: {snap:?}");
         assert_eq!(snap.counter(Counter::RaysTraced), 0);
-        assert!(snap.to_jsonl().is_empty());
     }
 
     #[test]
@@ -731,7 +683,7 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_is_flat_and_wellformed() {
+    fn rates_come_from_the_enable_epoch() {
         let _gate = exclusive();
         reset();
         enable();
@@ -742,15 +694,8 @@ mod tests {
         }
         let snap = snapshot();
         disable();
-        let jsonl = snap.to_jsonl();
-        assert!(!jsonl.is_empty());
-        for line in jsonl.lines() {
-            assert!(line.starts_with("{\"record\":\"prof_"), "bad line: {line}");
-            assert!(line.ends_with('}'), "bad line: {line}");
-        }
-        assert!(jsonl.contains("\"path\":\"export\""));
-        assert!(jsonl.contains("\"name\":\"bytes_exported\",\"value\":4096"));
-        // Rates are derived from the enable epoch.
+        assert_eq!(snap.counter(Counter::BytesExported), 4096);
+        assert!(snap.spans.iter().any(|s| s.path == "export"));
         assert!(snap.per_sec(Counter::BytesExported).is_some());
         assert!(snap.summary().contains("bytes_exported"));
     }
