@@ -802,10 +802,16 @@ impl SweepEngine {
             slots.push(Mutex::new(Some(task)));
         }
         let journal = self.journal.as_deref();
+        // Cells the journal already holds settle as skipped without
+        // running, so the pool is sized by the rest: a wave the journal
+        // holds entirely runs inline and spawns no thread.
+        let journaled: Vec<bool> =
+            keys.iter().map(|key| journal.is_some_and(|j| j.completed(key))).collect();
+        let pending = journaled.iter().filter(|&&done| !done).count();
         let cancel = self.cancel.as_ref();
         let run_one = |index: usize| -> CellResult<T> {
             let key = keys[index].as_str();
-            if journal.map(|j| j.completed(key)).unwrap_or(false) {
+            if journaled[index] {
                 return Err(CellError::skipped(index, labels[index].clone()));
             }
             // Two cancellation sources compose here: the process-global
@@ -850,7 +856,7 @@ impl SweepEngine {
             }
         };
 
-        let workers = self.jobs.min(n).max(1);
+        let workers = self.jobs.min(pending).max(1);
         if workers == 1 {
             return (0..n).map(run_one).collect();
         }
@@ -1115,6 +1121,105 @@ mod tests {
         assert_eq!(a.label, b.label);
         assert_ne!(cell_key_fingerprint(&a), cell_key_fingerprint(&b));
         assert_eq!(cell_key_fingerprint(&a), cell_key_fingerprint(&a.clone()));
+    }
+
+    /// The pool is sized by the cells a wave still has to run. The same
+    /// matrix is swept with its journal holding none, some and all of its
+    /// cells, at one worker and at two: results, error kinds and indices
+    /// and the journal's records are the same at both, and a wave left
+    /// with one cell to run runs it on the calling thread.
+    #[test]
+    fn a_wave_is_sized_by_the_cells_its_journal_does_not_hold() {
+        use std::path::Path;
+        use std::thread::ThreadId;
+
+        use crate::durable::SweepJournal;
+
+        let mut matrix = RunMatrix::new();
+        let policies = [TraversalPolicy::Baseline, TraversalPolicy::TreeletPrefetch];
+        matrix.cross(
+            &[SceneId::Ref, SceneId::Bunny, SceneId::Fox],
+            &ExperimentConfig::quick(),
+            &policies,
+        );
+        let key = |i: usize| {
+            let cell = &matrix.cells()[i];
+            format!("waves/w0/{i}/{}#{:016x}", cell.label, matrix.keys()[i])
+        };
+        let journal_cells = |dir: &Path| -> Vec<(String, String)> {
+            let text = std::fs::read_to_string(dir.join(crate::durable::JOURNAL_FILE)).unwrap();
+            let mut cells: Vec<(String, String)> = text
+                .lines()
+                .map(|line| crate::jsonl::parse_line(line).unwrap())
+                .filter(|f| f.record() == Some("cell"))
+                .map(|f| {
+                    (f.str("key").unwrap().into_owned(), f.str("status").unwrap().into_owned())
+                })
+                .collect();
+            cells.sort();
+            cells
+        };
+        // One wave: `fail` names the label whose closure panics. Returns the
+        // results and the threads the closures ran on.
+        let wave = |journal: SweepJournal, jobs: usize, fail: &str| {
+            let ran: Mutex<Vec<ThreadId>> = Mutex::default();
+            let engine = SweepEngine::new(jobs).with_journal(Arc::new(journal)).scoped("waves");
+            let results = engine.run_cells(&matrix, |cell, key| {
+                ran.lock().unwrap().push(std::thread::current().id());
+                assert_ne!(cell.label, fail, "injected failure");
+                key
+            });
+            (results, ran.into_inner().unwrap())
+        };
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        for jobs in [1, 2] {
+            let dir =
+                std::env::temp_dir().join(format!("vtq-sweep-waves-{jobs}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+
+            // None journaled: every cell runs, one panics.
+            let (none, ran) = wave(SweepJournal::start(&dir).unwrap(), jobs, "BUNNY/prefetch");
+            assert_eq!(ran.len(), 6);
+            for (i, result) in none.iter().enumerate() {
+                match result {
+                    Ok(value) => assert_eq!((i, *value), (i, matrix.keys()[i])),
+                    Err(e) => assert_eq!((e.index, e.kind), (3, CellErrorKind::Panic)),
+                }
+            }
+            assert_eq!(none.iter().filter(|r| r.is_err()).count(), 1);
+            let mut expected: Vec<(String, String)> = (0..6)
+                .map(|i| (key(i), if i == 3 { "failed" } else { "done" }.to_string()))
+                .collect();
+            expected.sort();
+            assert_eq!(journal_cells(&dir), expected);
+
+            // Partly journaled: the failed cell alone runs, inline.
+            let (part, ran) = wave(SweepJournal::resume(&dir).unwrap(), jobs, "");
+            assert_eq!(ran, vec![caller], "one pending cell runs on the calling thread");
+            for (i, result) in part.iter().enumerate() {
+                match result {
+                    Ok(value) => assert_eq!((i, *value), (3, matrix.keys()[3])),
+                    Err(e) => assert_eq!((e.index, e.kind), (i, CellErrorKind::Skipped)),
+                }
+            }
+            expected.push((key(3), "done".to_string()));
+            expected.sort();
+            assert_eq!(journal_cells(&dir), expected);
+
+            // All journaled: nothing runs.
+            let (all, ran) = wave(SweepJournal::resume(&dir).unwrap(), jobs, "");
+            assert!(ran.is_empty());
+            for (i, result) in all.iter().enumerate() {
+                let e = result.as_ref().unwrap_err();
+                assert_eq!((e.index, e.kind), (i, CellErrorKind::Skipped));
+            }
+            assert_eq!(journal_cells(&dir), expected);
+
+            seen.push((none, part, all, journal_cells(&dir)));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        assert_eq!(seen[0], seen[1], "one worker and two settle the same");
     }
 
     #[test]

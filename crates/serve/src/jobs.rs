@@ -13,17 +13,18 @@
 //! panic message, never executed again, so one deterministic crasher
 //! cannot wedge the daemon in a retry loop across restarts.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use rtscene::lumibench::SceneId;
 use vtq::jsonl::{parse_line, Record};
 use vtq::prelude::CancelToken;
 use vtq::sweep::RunMatrix;
 
-use crate::proto::SubmitSpec;
+use crate::proto::{CellRecord, SubmitSpec};
 
 /// Terminal and non-terminal states of one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,16 +97,108 @@ pub struct Job {
     pub cached_cells: usize,
     /// Cells that panicked (including quarantined skips).
     pub failed_cells: usize,
+    /// What each cell the job settled measured, in plan order: `None`
+    /// for a cell not settled (yet), failed, quarantined or interrupted.
+    /// Empty until the first cell settles.
+    measured: Vec<Option<Measured>>,
 }
+
+/// A [`CellRecord`] less the scene, label and fingerprint that its plan
+/// cell already names.
+#[derive(Debug, Clone, Copy)]
+struct Measured {
+    cycles: u64,
+    rays: u64,
+    box_tests: u64,
+    tri_tests: u64,
+}
+
+impl Job {
+    /// Keeps `record` as the result of the plan cell of `scene` keyed
+    /// `key` (the first such cell not settled yet: a plan may name a cell
+    /// twice).
+    pub fn keep_result(&mut self, scene: SceneId, key: u64, record: &CellRecord) {
+        if self.measured.is_empty() {
+            self.measured = vec![None; self.plan.matrix.len()];
+        }
+        let Plan { matrix, .. } = &*self.plan;
+        let slot =
+            matrix.cells().iter().zip(matrix.keys()).zip(&mut self.measured).find(
+                |((cell, &k), measured)| cell.scene == scene && k == key && measured.is_none(),
+            );
+        if let Some((_, measured)) = slot {
+            *measured = Some(Measured {
+                cycles: record.cycles,
+                rays: record.rays,
+                box_tests: record.box_tests,
+                tri_tests: record.tri_tests,
+            });
+        }
+    }
+
+    /// The records of the cells the job has settled so far, in plan
+    /// order: what `results` answers.
+    pub fn results(&self) -> Vec<CellRecord> {
+        let Plan { matrix, .. } = &*self.plan;
+        matrix
+            .cells()
+            .iter()
+            .zip(matrix.keys())
+            .zip(&self.measured)
+            .filter_map(|((cell, &fingerprint), measured)| {
+                let m = (*measured)?;
+                Some(CellRecord {
+                    scene: cell.scene.name().to_string(),
+                    label: cell.label.clone(),
+                    fingerprint,
+                    cycles: m.cycles,
+                    rays: m.rays,
+                    box_tests: m.box_tests,
+                    tri_tests: m.tri_tests,
+                })
+            })
+            .collect()
+    }
+}
+
+/// How many finished jobs the registry remembers. Beyond it the job that
+/// finished longest ago is forgotten, and its id gets the `unknown job`
+/// reply every id gets after a restart, so a resident daemon's lookups
+/// and memory do not grow with uptime. Queued and running jobs are never
+/// forgotten. A job keeps its plan, about 20 KB of cells for the 14 × 3
+/// Fig 10 matrix, so 256 finished jobs cost a few MB.
+pub const FINISHED_JOBS_KEPT: usize = 256;
 
 /// The admission-controlled registry: bounded queue, per-tenant quotas,
 /// job lookup. All methods take `&mut self`; the server wraps it in its
 /// state mutex.
 #[derive(Debug, Default)]
 pub struct Registry {
-    jobs: Vec<Job>,
-    queue: Vec<usize>,
+    /// The jobs not forgotten, by sequence number (job `j<seq>`).
+    jobs: HashMap<usize, Job>,
+    /// Queued jobs, oldest first.
+    queue: VecDeque<usize>,
+    /// Queued and running jobs.
+    active: Vec<usize>,
+    /// Finished jobs not forgotten, in the order they finished.
+    finished: VecDeque<usize>,
+    /// Jobs finished since the registry was created, forgotten ones
+    /// included.
+    finished_total: usize,
     next_seq: usize,
+}
+
+/// The sequence number of id `j<seq>`; `None` for any id the registry
+/// never issues (`j`, `j01`, `j+1`, `x3`).
+fn seq(id: &str) -> Option<usize> {
+    let digits = id.strip_prefix('j')?;
+    let canonical =
+        digits.bytes().all(|b| b.is_ascii_digit()) && (digits == "0" || !digits.starts_with('0'));
+    if canonical {
+        digits.parse().ok()
+    } else {
+        None
+    }
 }
 
 /// Why admission refused a job.
@@ -133,12 +226,8 @@ impl Registry {
             prof::add(prof::Counter::JobsRejected, 1);
             return Err(AdmitError::QueueFull);
         }
-        let active = self
-            .jobs
-            .iter()
-            .filter(|j| !j.state.terminal() && j.spec.tenant == spec.tenant)
-            .count();
-        if active >= tenant_quota {
+        let active = self.active.iter().filter(|seq| self.jobs[seq].spec.tenant == spec.tenant);
+        if active.count() >= tenant_quota {
             prof::add(prof::Counter::JobsRejected, 1);
             return Err(AdmitError::QuotaExceeded);
         }
@@ -146,8 +235,9 @@ impl Registry {
             Some(deadline) => CancelToken::with_deadline(deadline),
             None => CancelToken::new(),
         };
+        let seq = self.next_seq;
         let job = Job {
-            id: format!("j{}", self.next_seq),
+            id: format!("j{seq}"),
             spec,
             spec_fingerprint,
             plan,
@@ -156,10 +246,12 @@ impl Registry {
             done_cells: 0,
             cached_cells: 0,
             failed_cells: 0,
+            measured: Vec::new(),
         };
         self.next_seq += 1;
-        self.queue.push(self.jobs.len());
-        self.jobs.push(job.clone());
+        self.queue.push_back(seq);
+        self.active.push(seq);
+        self.jobs.insert(seq, job.clone());
         prof::add(prof::Counter::JobsAccepted, 1);
         Ok(job)
     }
@@ -167,26 +259,20 @@ impl Registry {
     /// Pops the oldest queued job and marks it running. `None` when the
     /// queue is empty.
     pub fn take_next(&mut self) -> Option<Job> {
-        while !self.queue.is_empty() {
-            let index = self.queue.remove(0);
-            let job = &mut self.jobs[index];
-            // A job cancelled while queued never reaches the executor.
-            if job.state == JobState::Queued {
-                job.state = JobState::Running;
-                return Some(job.clone());
-            }
-        }
-        None
+        let seq = self.queue.pop_front()?;
+        let job = self.jobs.get_mut(&seq).expect("a queued job is never forgotten");
+        job.state = JobState::Running;
+        Some(job.clone())
     }
 
     /// Looks a job up by id.
     pub fn get(&self, id: &str) -> Option<&Job> {
-        self.jobs.iter().find(|j| j.id == id)
+        self.jobs.get(&seq(id)?)
     }
 
     /// Mutable lookup by id.
     pub fn get_mut(&mut self, id: &str) -> Option<&mut Job> {
-        self.jobs.iter_mut().find(|j| j.id == id)
+        self.jobs.get_mut(&seq(id)?)
     }
 
     /// Cancels a job: a queued one settles as `Cancelled` immediately; a
@@ -194,40 +280,61 @@ impl Registry {
     /// reaches the next cell boundary. Returns whether the id existed
     /// and was still cancellable.
     pub fn cancel(&mut self, id: &str) -> bool {
-        let Some(job) = self.get_mut(id) else { return false };
+        seq(id).is_some_and(|seq| self.cancel_seq(seq))
+    }
+
+    /// Cancels every queued and running job (daemon drain).
+    pub fn cancel_all(&mut self) {
+        for seq in self.active.clone() {
+            self.cancel_seq(seq);
+        }
+    }
+
+    fn cancel_seq(&mut self, seq: usize) -> bool {
+        let Some(job) = self.jobs.get(&seq) else { return false };
         if job.state.terminal() {
             return false;
         }
         job.token.cancel();
         if job.state == JobState::Queued {
-            job.state = JobState::Cancelled;
             // Free the queue slot immediately: admission control bounds
             // on `queue.len()`, and a cancelled ghost must not keep
             // rejecting live submissions.
-            let idx = self.jobs.iter().position(|j| j.id == id).unwrap();
-            self.queue.retain(|&queued| queued != idx);
+            self.queue.retain(|&queued| queued != seq);
+            self.settle(seq, JobState::Cancelled);
         }
         prof::add(prof::Counter::JobsCancelled, 1);
         true
     }
 
-    /// Counts by state for the service summary: `(queued, running,
-    /// finished)`.
-    pub fn counts(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for job in &self.jobs {
-            match job.state {
-                JobState::Queued => counts.0 += 1,
-                JobState::Running => counts.1 += 1,
-                _ => counts.2 += 1,
-            }
+    /// Moves job `id` to the terminal `state`; a job already terminal
+    /// keeps its own.
+    pub fn finish(&mut self, id: &str, state: JobState) {
+        if let Some(seq) = seq(id) {
+            self.settle(seq, state);
         }
-        counts
     }
 
-    /// All jobs (diagnostics/tests).
-    pub fn jobs(&self) -> &[Job] {
-        &self.jobs
+    fn settle(&mut self, seq: usize, state: JobState) {
+        debug_assert!(state.terminal());
+        let Some(job) = self.jobs.get_mut(&seq) else { return };
+        if job.state.terminal() {
+            return;
+        }
+        job.state = state;
+        self.active.retain(|&active| active != seq);
+        self.finished.push_back(seq);
+        self.finished_total += 1;
+        if self.finished.len() > FINISHED_JOBS_KEPT {
+            let oldest = self.finished.pop_front().expect("more than the bound");
+            self.jobs.remove(&oldest);
+        }
+    }
+
+    /// Counts by state for the service summary: `(queued, running,
+    /// finished)`, the last counting forgotten jobs too.
+    pub fn counts(&self) -> (usize, usize, usize) {
+        (self.queue.len(), self.active.len() - self.queue.len(), self.finished_total)
     }
 }
 
@@ -372,6 +479,134 @@ mod tests {
         // The clone the executor holds shares the token.
         assert!(running.token.is_cancelled());
         assert_eq!(reg.get(&a.id).unwrap().state, JobState::Running, "settles at cell boundary");
+    }
+
+    /// Admits a job of `tenant` and cancels it while it is queued.
+    fn cancelled(reg: &mut Registry, tenant: &str) -> String {
+        let job = reg.admit(spec(tenant), 1, Arc::default(), 8, 8).unwrap();
+        assert!(reg.cancel(&job.id));
+        job.id
+    }
+
+    #[test]
+    fn finished_jobs_beyond_the_bound_are_forgotten_oldest_first() {
+        let mut reg = Registry::default();
+        let running = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap().id;
+        assert_eq!(reg.take_next().unwrap().id, running);
+        let first = cancelled(&mut reg, "t");
+        for _ in 1..FINISHED_JOBS_KEPT {
+            cancelled(&mut reg, "t");
+        }
+        assert!(reg.get(&first).is_some(), "the bound itself is kept");
+        let queued = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap().id;
+        let second = cancelled(&mut reg, "t");
+        assert!(reg.get(&first).is_none(), "the oldest finished job is forgotten");
+        assert_eq!(reg.get(&second).unwrap().state, JobState::Cancelled);
+        for _ in 0..2 * FINISHED_JOBS_KEPT {
+            cancelled(&mut reg, "t");
+        }
+        // Queued and running jobs outlive any number of finished ones.
+        assert_eq!(reg.get(&running).unwrap().state, JobState::Running);
+        assert_eq!(reg.get(&queued).unwrap().state, JobState::Queued);
+        assert_eq!(reg.counts(), (1, 1, 3 * FINISHED_JOBS_KEPT + 1));
+        assert_eq!(reg.jobs.len(), FINISHED_JOBS_KEPT + 2);
+
+        // A job that finishes is the newest finished one, whatever its
+        // id: it is kept for the next `FINISHED_JOBS_KEPT - 1` finishes.
+        reg.finish(&running, JobState::Done);
+        assert_eq!(reg.take_next().unwrap().id, queued);
+        reg.finish(&queued, JobState::Expired);
+        reg.finish(&queued, JobState::Done);
+        assert_eq!(reg.get(&queued).unwrap().state, JobState::Expired, "terminal stays");
+        for _ in 2..FINISHED_JOBS_KEPT {
+            cancelled(&mut reg, "t");
+        }
+        assert_eq!(reg.get(&running).unwrap().state, JobState::Done);
+        cancelled(&mut reg, "t");
+        assert!(reg.get(&running).is_none());
+        assert!(reg.get(&queued).is_some());
+        assert!(!reg.cancel(&running), "a forgotten id cannot be cancelled");
+        assert_eq!(reg.counts(), (0, 0, 4 * FINISHED_JOBS_KEPT + 2));
+    }
+
+    #[test]
+    fn only_ids_the_registry_issued_are_found() {
+        let mut reg = Registry::default();
+        for _ in 0..12 {
+            reg.admit(spec("t"), 1, Arc::default(), 16, 16).unwrap();
+        }
+        assert_eq!(reg.get("j0").unwrap().id, "j0");
+        assert_eq!(reg.get("j11").unwrap().id, "j11");
+        for id in [
+            "j",
+            "j01",
+            "j01x",
+            "j1x",
+            "x3",
+            "j+1",
+            "j-1",
+            " j1",
+            "J1",
+            "",
+            "j12",
+            "j99999999999999999999999",
+        ] {
+            assert!(reg.get(id).is_none(), "`{id}`");
+            assert!(reg.get_mut(id).is_none(), "`{id}`");
+            assert!(!reg.cancel(id), "`{id}`");
+        }
+    }
+
+    #[test]
+    fn the_tenant_quota_counts_only_queued_and_running_jobs() {
+        let mut reg = Registry::default();
+        for _ in 0..3 * FINISHED_JOBS_KEPT {
+            cancelled(&mut reg, "alice");
+        }
+        let first = reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap();
+        reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap();
+        assert_eq!(
+            reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap_err(),
+            AdmitError::QuotaExceeded
+        );
+        assert!(reg.admit(spec("bob"), 1, Arc::default(), 8, 2).is_ok());
+        // Running still counts; finishing frees the slot.
+        assert_eq!(reg.take_next().unwrap().id, first.id);
+        assert_eq!(
+            reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap_err(),
+            AdmitError::QuotaExceeded
+        );
+        reg.finish(&first.id, JobState::Done);
+        assert!(reg.admit(spec("alice"), 1, Arc::default(), 8, 2).is_ok());
+    }
+
+    #[test]
+    fn results_are_the_settled_cells_in_plan_order() {
+        let mut spec = spec("t");
+        spec.scenes = vec![SceneId::Ref, SceneId::Bunny, SceneId::Ref];
+        let plan = Arc::new(spec.plan());
+        let keys = plan.matrix.keys().to_vec();
+        let mut reg = Registry::default();
+        let id = reg.admit(spec, 1, Arc::clone(&plan), 8, 8).unwrap().id;
+        let record = |i: usize| CellRecord {
+            scene: plan.matrix.cells()[i].scene.name().to_string(),
+            label: plan.matrix.cells()[i].label.clone(),
+            fingerprint: keys[i],
+            cycles: 100 + i as u64,
+            rays: 7,
+            box_tests: 8,
+            tri_tests: 9,
+        };
+        let job = reg.get_mut(&id).unwrap();
+        assert!(job.results().is_empty());
+        // Settled out of order. A cell's key names its configuration and
+        // policy, not its scene (BUNNY shares REF's); REF appears twice,
+        // and its second settle takes the second slot.
+        job.keep_result(SceneId::Bunny, keys[1], &record(1));
+        job.keep_result(SceneId::Ref, keys[0], &record(0));
+        assert_eq!(job.results(), vec![record(0), record(1)]);
+        job.keep_result(SceneId::Ref, keys[2], &record(0));
+        assert_eq!(job.results(), vec![record(0), record(1), record(0)]);
     }
 
     #[test]

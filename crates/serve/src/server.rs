@@ -274,19 +274,8 @@ impl Server {
         }
         // Drain: cancel every non-terminal job so the executor settles
         // the running one at its next cell boundary and skips the rest.
-        {
-            let mut registry = self.state.registry.lock().unwrap();
-            let ids: Vec<String> = registry
-                .jobs()
-                .iter()
-                .filter(|j| !j.state.terminal())
-                .map(|j| j.id.clone())
-                .collect();
-            for id in ids {
-                registry.cancel(&id);
-            }
-            self.state.work.notify_all();
-        }
+        self.state.registry.lock().unwrap().cancel_all();
+        self.state.work.notify_all();
         executor.join().expect("executor thread panicked");
         // An incomplete journal is the one thing a restarted daemon
         // cannot compensate for — say so at drain, loudly.
@@ -382,15 +371,14 @@ fn run_job(state: &ServeState, job: &Job) {
         }
         let key = ResultCache::key(cell.scene.name(), fp);
         if let Some(record) = state.cache.load(&key, cfg_fp) {
-            note_cell(state, job, "cached", &record);
-            return record;
+            note_cell(state, job, "cached", cell, fp, &record);
+            return;
         }
         // The cache write happens INSIDE the cell, before the engine
         // journals `done`: `journaled done ⇒ result on disk` must hold
         // across a kill at any instant.
         let record = simulate_and_store(state, cell, fp, cfg_fp);
-        note_cell(state, job, "done", &record);
-        record
+        note_cell(state, job, "done", cell, fp, &record);
     });
 
     // Settle the stragglers the closure never saw: panics (strike the
@@ -422,7 +410,7 @@ fn run_job(state: &ServeState, job: &Job) {
                 // is deterministic, so the replacement is bit-identical
                 // and the journal's `done` stays truthful.
                 match state.cache.load(&key, cfg_fp) {
-                    Some(record) => note_cell(state, job, "cached", &record),
+                    Some(record) => note_cell(state, job, "cached", cell, fp, &record),
                     None => {
                         eprintln!(
                             "[serve] {}: `{}` journaled done but result missing from cache; \
@@ -430,7 +418,7 @@ fn run_job(state: &ServeState, job: &Job) {
                             job.id, cell.label
                         );
                         let record = simulate_and_store(state, cell, fp, cfg_fp);
-                        note_cell(state, job, "recomputed", &record);
+                        note_cell(state, job, "recomputed", cell, fp, &record);
                     }
                 }
             }
@@ -446,11 +434,7 @@ fn run_job(state: &ServeState, job: &Job) {
     } else {
         JobState::Done
     };
-    if let Some(j) = state.registry.lock().unwrap().get_mut(&job.id) {
-        if !j.state.terminal() {
-            j.state = terminal;
-        }
-    }
+    state.registry.lock().unwrap().finish(&job.id, terminal);
     // Hang up the event channel: a watcher that already drained the last
     // event wakes now instead of at its next 50 ms poll.
     state.watchers.lock().unwrap().remove(&job.id);
@@ -483,12 +467,22 @@ fn bump(state: &ServeState, job_id: &str, f: impl FnOnce(&mut Job)) {
     }
 }
 
-fn note_cell(state: &ServeState, job: &Job, status: &str, record: &CellRecord) {
+/// Settles `cell` (keyed `fp`) of `job` with its record: counted, kept
+/// for `results`, and streamed to the watcher.
+fn note_cell(
+    state: &ServeState,
+    job: &Job,
+    status: &str,
+    cell: &Cell,
+    fp: u64,
+    record: &CellRecord,
+) {
     bump(state, &job.id, |j| {
         j.done_cells += 1;
         if status == "cached" {
             j.cached_cells += 1;
         }
+        j.keep_result(cell.scene, fp, record);
     });
     state.emit(&job.id, &record.label, status, record.cycles, record.rays);
 }
@@ -544,17 +538,19 @@ fn handle_client(state: &ServeState, stream: TcpStream) {
             Request::Submit(spec) => handle_submit(state, &mut writer, spec),
             Request::Status { job } => handle_status(state, &mut writer, job.as_deref()),
             Request::Cancel { job } => {
-                let cancelled = state.registry.lock().unwrap().cancel(&job);
-                state.work.notify_all();
-                let frame = if cancelled {
-                    let registry = state.registry.lock().unwrap();
-                    state.status_frame(registry.get(&job).expect("cancelled job exists"))
-                } else {
-                    Frame::Rejected {
-                        reason: RejectReason::BadRequest,
-                        detail: format!("no cancellable job `{job}`"),
+                let status = {
+                    let mut registry = state.registry.lock().unwrap();
+                    if registry.cancel(&job) {
+                        registry.get(&job).map(|j| state.status_frame(j))
+                    } else {
+                        None
                     }
                 };
+                state.work.notify_all();
+                let frame = status.unwrap_or_else(|| Frame::Rejected {
+                    reason: RejectReason::BadRequest,
+                    detail: format!("no cancellable job `{job}`"),
+                });
                 reply(&mut writer, &frame)
             }
             Request::Results { job } => handle_results(state, &mut writer, &job),
@@ -709,10 +705,7 @@ fn handle_status(state: &ServeState, writer: &mut Wire, job: Option<&str>) -> bo
             let registry = state.registry.lock().unwrap();
             match registry.get(id) {
                 Some(job) => state.status_frame(job),
-                None => Frame::Rejected {
-                    reason: RejectReason::BadRequest,
-                    detail: format!("unknown job `{id}`"),
-                },
+                None => unknown_job(id),
             }
         }
         None => {
@@ -724,24 +717,22 @@ fn handle_status(state: &ServeState, writer: &mut Wire, job: Option<&str>) -> bo
     reply(writer, &frame)
 }
 
+/// The reply to an id the registry does not hold: never issued, issued
+/// by an earlier daemon life, or forgotten (see
+/// [`crate::jobs::FINISHED_JOBS_KEPT`]).
+fn unknown_job(id: &str) -> Frame {
+    Frame::Rejected { reason: RejectReason::BadRequest, detail: format!("unknown job `{id}`") }
+}
+
+/// Answers `results` from the records the job itself settled, in plan
+/// order; a running job lists the cells it has settled so far.
 fn handle_results(state: &ServeState, writer: &mut Wire, job_id: &str) -> bool {
-    let job = state.registry.lock().unwrap().get(job_id).cloned();
-    let Some(job) = job else {
-        let frame = Frame::Rejected {
-            reason: RejectReason::BadRequest,
-            detail: format!("unknown job `{job_id}`"),
-        };
-        return reply(writer, &frame);
-    };
-    let Plan { config_fingerprint, matrix } = &*job.plan;
-    let mut cells = 0usize;
-    for (cell, &fp) in matrix.cells().iter().zip(matrix.keys()) {
-        let key = ResultCache::key(cell.scene.name(), fp);
-        if let Some(record) = state.cache.load(&key, *config_fingerprint) {
-            if writer.append(Frame::CellResult(record).to_line()).is_err() {
-                return false;
-            }
-            cells += 1;
+    let records = state.registry.lock().unwrap().get(job_id).map(Job::results);
+    let Some(records) = records else { return reply(writer, &unknown_job(job_id)) };
+    let cells = records.len();
+    for record in records {
+        if writer.append(Frame::CellResult(record).to_line()).is_err() {
+            return false;
         }
     }
     reply(writer, &Frame::ResultsEnd { cells })

@@ -11,6 +11,7 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use vtq::prelude::{config_fingerprint, CancelToken, Cell, StageCounts};
+use vtq_serve::jobs::FINISHED_JOBS_KEPT;
 use vtq_serve::proto::{parse_policy, parse_scene};
 use vtq_serve::server::spec_config;
 use vtq_serve::{
@@ -496,6 +497,112 @@ fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
 
     let nothing = StageCounts::default();
     assert_eq!(handle.prepared().misses(), nothing, "a fully cached job must not prepare anything");
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `results` answers from the records the job itself settled, in plan
+/// order: not from the result cache, which a later job may have lost or
+/// another job may have filled.
+#[test]
+fn results_are_the_records_the_job_settled() {
+    let dir = test_dir("results");
+    let mut cfg = config(dir.clone());
+    cfg.before_cell = Some(stall_until_cancelled);
+    let handle = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let spec = smoke_spec();
+    let labels: Vec<String> = spec.plan().matrix.cells().iter().map(|c| c.label.clone()).collect();
+
+    let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("submit");
+    let Frame::Status { job, state, .. } = &terminal else { unreachable!() };
+    assert_eq!(state, "done");
+    let settled = client.fetch_results(job).expect("results");
+    let got: Vec<&str> = settled.iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(got, labels, "every cell, in plan order");
+    // The job's records outlive the cache entries they came from.
+    let cache = dir.join(vtq_serve::cache::CACHE_DIR);
+    for entry in std::fs::read_dir(&cache).expect("cache dir").flatten() {
+        if entry.path().extension().is_some_and(|x| x == "jsonl") {
+            std::fs::remove_file(entry.path()).expect("remove entry");
+        }
+    }
+    assert_eq!(client.fetch_results(job).expect("results again"), settled);
+
+    // A job stalled before its first cell has settled nothing, though
+    // another job's run just cached a cell it names. (Its other cell
+    // keeps it off the journal: a job journaled done in full never
+    // enters a cell, so it could not stall.)
+    let terminal = client.submit_and_watch(tiny_spec(), |_| {}).expect("submit");
+    let Frame::Status { state, .. } = &terminal else { unreachable!() };
+    assert_eq!(state, "done");
+    let stalled = SubmitSpec {
+        tenant: "stall".to_string(),
+        policies: vec![parse_policy("baseline").unwrap(), parse_policy("vtq").unwrap()],
+        ..tiny_spec()
+    };
+    let job = match client.request(&Request::Submit(stalled)).expect("submit") {
+        Frame::Accepted { job, .. } => job,
+        other => panic!("expected accept, got {other:?}"),
+    };
+    wait_until_running(&mut client, &job);
+    assert_eq!(client.fetch_results(&job).expect("results of a running job"), vec![]);
+    handle.shutdown().expect("shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A daemon remembers a bounded number of finished jobs: the one that
+/// finished longest ago gets the reply an id of an earlier daemon life
+/// gets, while a running job is never forgotten.
+#[test]
+fn a_forgotten_job_is_an_unknown_job() {
+    let dir = test_dir("forget");
+    let mut cfg = config(dir.clone());
+    cfg.before_cell = Some(stall_until_cancelled);
+    let handle = Server::spawn(cfg).expect("spawn");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let submit = |client: &mut Client, tenant: &str| {
+        let spec = SubmitSpec { tenant: tenant.to_string(), ..tiny_spec() };
+        match client.request(&Request::Submit(spec)).expect("submit") {
+            Frame::Accepted { job, .. } => job,
+            other => panic!("expected accept, got {other:?}"),
+        }
+    };
+    let running = submit(&mut client, "stall");
+    wait_until_running(&mut client, &running);
+    // Jobs cancelled while queued behind it finish at once.
+    let mut finished = Vec::new();
+    for _ in 0..=FINISHED_JOBS_KEPT {
+        let job = submit(&mut client, "t");
+        match client.request(&Request::Cancel { job: job.clone() }).expect("cancel") {
+            Frame::Status { state, .. } => assert_eq!(state, "cancelled"),
+            other => panic!("expected status, got {other:?}"),
+        }
+        finished.push(job);
+    }
+    let unknown = |frame: Frame| match frame {
+        Frame::Rejected { reason: RejectReason::BadRequest, detail } => detail,
+        other => panic!("expected bad_request, got {other:?}"),
+    };
+    let oldest = &finished[0];
+    let status = client.request(&Request::Status { job: Some(oldest.clone()) }).expect("status");
+    assert_eq!(unknown(status), format!("unknown job `{oldest}`"));
+    let results = client.request(&Request::Results { job: oldest.clone() }).expect("results");
+    assert_eq!(unknown(results), format!("unknown job `{oldest}`"));
+    match client.request(&Request::Status { job: Some(finished[1].clone()) }).expect("status") {
+        Frame::Status { state, .. } => assert_eq!(state, "cancelled"),
+        other => panic!("expected status, got {other:?}"),
+    }
+    match client.request(&Request::Status { job: Some(running.clone()) }).expect("status") {
+        Frame::Status { state, .. } => assert_eq!(state, "running"),
+        other => panic!("expected status, got {other:?}"),
+    }
+    match client.request(&Request::Status { job: None }).expect("summary") {
+        Frame::Summary { queued, running, finished: count, .. } => {
+            assert_eq!((queued, running, count), (0, 1, finished.len()))
+        }
+        other => panic!("expected summary, got {other:?}"),
+    }
     handle.shutdown().expect("shutdown");
     let _ = std::fs::remove_dir_all(&dir);
 }
