@@ -1,16 +1,18 @@
 //! Runs the resident sweep daemon (`vtq-serve`).
 //!
 //! ```text
-//! vtq-bench serve --out target/daemon --quick          # fresh service dir
-//! vtq-bench serve --resume target/daemon               # recover after a crash
+//! vtq-bench serve --out target/daemon --quick          # start, or restart after a crash
 //! ```
 //!
 //! The daemon binds an ephemeral local port (override with `--addr`),
 //! writes it to `DIR/serve.addr` for clients to discover, and serves
 //! until a protocol `shutdown` or SIGINT — both drain in-flight cells
-//! through the journal before exiting, so `--resume` always picks up
-//! cleanly. `--max-queue`, `--tenant-quota` and `--poison-threshold`
-//! tune the robustness guardrails.
+//! before exiting. Its result cache in `DIR/cache/` is its one record of
+//! finished work, so a daemon started over the same `DIR` (after a
+//! drain or a `kill -9`) serves every cell an earlier one finished.
+//! `--resume DIR` is accepted as a synonym of `--out DIR`.
+//! `--max-queue`, `--tenant-quota` and `--poison-threshold` tune the
+//! robustness guardrails.
 
 use vtq::prelude::SweepEngine;
 use vtq_serve::{Server, ServerConfig};
@@ -19,11 +21,10 @@ use crate::{HarnessOpts, EXIT_OK, EXIT_USAGE};
 
 pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
     let Some(dir) = opts.out.as_deref() else {
-        eprintln!("usage: vtq-bench serve --out DIR (fresh) | --resume DIR (recover)");
+        eprintln!("usage: vtq-bench serve --out DIR");
         return EXIT_USAGE;
     };
     let mut config = ServerConfig::new(dir.to_path_buf());
-    config.resume = opts.resume.is_some();
     config.jobs = opts.jobs;
     if let Some(addr) = &opts.addr {
         config.addr = addr.clone();
@@ -57,7 +58,10 @@ pub fn run(opts: &HarnessOpts, _engine: &SweepEngine) -> u8 {
         return EXIT_USAGE;
     }
     if !opts.quiet {
-        eprintln!("[serve] drained and stopped; restart with --resume {}", dir.display());
+        eprintln!(
+            "[serve] drained and stopped; a daemon started over {} serves what this one cached",
+            dir.display()
+        );
     }
     EXIT_OK
 }

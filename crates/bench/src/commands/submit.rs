@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The service directory is a *positional* argument — not `--out`, which
-//! would truncate the live daemon's journal. A plain submit watches the
+//! names the daemon's own directory. A plain submit watches the
 //! job: per-cell progress streams to stderr, the final per-cell results
 //! print to stdout. The client pins the config fingerprint it computes
 //! locally onto the submission, so a version-skewed daemon rejects the

@@ -69,7 +69,8 @@ pub const EXIT_VIOLATION: u8 = 1;
 pub const EXIT_USAGE: u8 = 2;
 /// Exit code: a SIGINT arrived mid-sweep; in-flight cells drained and the
 /// journal was flushed, so `--resume DIR` continues where this run
-/// stopped.
+/// stopped. For `serve`, which keeps no journal: the daemon drained, and
+/// its result cache holds every cell it finished.
 pub const EXIT_INTERRUPTED: u8 = 3;
 
 /// Parsed command-line options shared by all subcommands.

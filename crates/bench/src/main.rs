@@ -36,9 +36,10 @@ fn usage() -> String {
 
 /// Installs a SIGINT handler that flips the library's cooperative cancel
 /// flag (an async-signal-safe atomic store) instead of killing the
-/// process, so a journaled sweep drains and flushes before exiting.
-/// Registered only when a journal exists — without one, default SIGINT
-/// death is the honest behaviour (there is nothing to resume).
+/// process, so a journaled sweep drains and flushes before exiting, and
+/// the daemon drains its running job. Registered only for those two —
+/// elsewhere default SIGINT death is the honest behaviour (there is
+/// nothing to resume).
 #[cfg(unix)]
 fn install_sigint_drain() {
     extern "C" {
@@ -79,11 +80,11 @@ fn main() -> ExitCode {
             return ExitCode::from(EXIT_USAGE);
         }
     };
-    // `submit` is a *client* of a daemon whose service directory the
-    // user names on the command line — opening (and truncating) a
-    // journal there would corrupt the live daemon's. It gets a bare
-    // engine; every other command journals under --out/--resume.
-    let engine = if cmd.name == "submit" {
+    // `submit` is a *client* of a daemon, and `serve` is the daemon,
+    // whose result cache is its one record of finished work: neither
+    // opens a journal in the service directory. They get a bare engine;
+    // every other command journals under --out/--resume.
+    let engine = if matches!(cmd.name, "submit" | "serve") {
         vtq::sweep::SweepEngine::new(opts.jobs).scoped(cmd.name)
     } else {
         opts.engine().scoped(cmd.name)
@@ -127,7 +128,10 @@ fn main() -> ExitCode {
         );
     }
     if vtq::durable::cancel_requested() {
-        if journal_drops > 0 {
+        if engine.journal().is_none() {
+            // Only `serve` drains without a journal.
+            eprintln!("[interrupted] daemon drained; its finished cells are in the result cache");
+        } else if journal_drops > 0 {
             eprintln!(
                 "[interrupted] sweep drained, but the journal is INCOMPLETE \
                  ({journal_drops} dropped write(s)) — --resume may redo cells"

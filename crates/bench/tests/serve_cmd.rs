@@ -1,6 +1,7 @@
 //! End-to-end test of the `serve`/`submit` subcommands against the real
 //! binary: a resident daemon serves two concurrent CLI clients, survives
-//! a SIGKILL mid-sweep, and — restarted with `--resume` — serves results
+//! a SIGKILL mid-sweep, and — restarted over its surviving result cache
+//! (`--resume DIR`, a synonym of `--out DIR`) — serves results
 //! bit-identical to a serial in-process run (`--verify-local` is the
 //! oracle: the submit client re-runs the whole matrix locally and fails
 //! on any divergence).
@@ -125,8 +126,8 @@ fn daemon_survives_sigkill_and_resumes_bit_identically() {
     daemon.kill().expect("SIGKILL daemon");
     daemon.wait().expect("reap daemon");
 
-    // Restart from the journal. The old address file is stale; drop it
-    // so the wait below observes the *new* daemon's address.
+    // Restart over the surviving cache. The old address file is stale;
+    // drop it so the wait below observes the *new* daemon's address.
     std::fs::remove_file(dir.join("serve.addr")).ok();
     let mut daemon = spawn_daemon(&dir, true);
     wait_for_addr(&dir);
@@ -134,7 +135,7 @@ fn daemon_survives_sigkill_and_resumes_bit_identically() {
     // Resubmit the identical matrix through the CLI. `--verify-local`
     // re-runs all 4 cells serially in-process and fails on any
     // divergence — this is the bit-identical-to-serial oracle, and it
-    // also proves the journal+cache lost nothing and duplicated nothing.
+    // also proves the cache lost nothing and duplicated nothing.
     let out = submit(
         &dir,
         &[
@@ -161,6 +162,7 @@ fn daemon_survives_sigkill_and_resumes_bit_identically() {
     assert!(out.status.success(), "shutdown failed: {}", String::from_utf8_lossy(&out.stderr));
     let status = daemon.wait().expect("daemon exits");
     assert_eq!(status.code(), Some(0), "clean drain exits 0");
+    assert!(!dir.join("journal.jsonl").exists(), "the daemon keeps no journal");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -815,10 +815,11 @@ impl SweepEngine {
                 return Err(CellError::skipped(index, labels[index].clone()));
             }
             // Two cancellation sources compose here: the process-global
-            // flag (SIGINT drain — only meaningful on journaled engines,
-            // since the CLI installs its handler only when a journal
-            // exists) and the engine's per-job token (explicit cancel or
-            // deadline expiry), which applies regardless of journaling.
+            // flag (a SIGINT drain), honoured by journaled engines only —
+            // the daemon, whose engines keep no journal, passes a drain on
+            // to its jobs by cancelling their tokens — and the engine's
+            // token (explicit cancel or deadline expiry), which applies
+            // regardless of journaling.
             let cancelled = (journal.is_some() && cancel_requested())
                 || cancel.map(CancelToken::is_cancelled).unwrap_or(false);
             if cancelled {

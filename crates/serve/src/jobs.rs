@@ -4,11 +4,12 @@
 //! States move `Queued → Running → {Done, Failed, Cancelled, Expired}`;
 //! a queued job can also go straight to `Cancelled`. Cancellation and
 //! deadlines ride the job's [`CancelToken`]: the executor's engine checks
-//! it at every cell boundary, so both stop at the next boundary with the
-//! journal left consistent (`interrupted` records for unstarted cells).
+//! it at every cell boundary, so both stop at the next boundary; cells
+//! not yet started settle `interrupted` and are neither run nor cached.
 //!
-//! The poison list is the service's forensic memory: a cell (by cache
-//! key) that panics accumulates strikes in `poison.jsonl`; at the
+//! The poison list is the service's forensic memory and, beside the
+//! result cache, its only durable state: a cell (by cache key) that
+//! panics accumulates checksum-framed strikes in `poison.jsonl`; at the
 //! configured threshold it is *quarantined* — reported with its last
 //! panic message, never executed again, so one deterministic crasher
 //! cannot wedge the daemon in a retry loop across restarts.
@@ -20,7 +21,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rtscene::lumibench::SceneId;
-use vtq::jsonl::{parse_line, Record};
+use vtq::jsonl::{check_line, parse_line, Record};
 use vtq::prelude::CancelToken;
 use vtq::sweep::RunMatrix;
 
@@ -81,9 +82,6 @@ pub struct Job {
     pub id: String,
     /// The submission.
     pub spec: SubmitSpec,
-    /// Content fingerprint of the spec (journal scope + resubmission
-    /// identity; see [`crate::proto::spec_fingerprint`]).
-    pub spec_fingerprint: u64,
     /// The cells the spec names (all of them, quarantined ones
     /// included), shared by every clone of the job.
     pub plan: Arc<Plan>,
@@ -217,7 +215,6 @@ impl Registry {
     pub fn admit(
         &mut self,
         spec: SubmitSpec,
-        spec_fingerprint: u64,
         plan: Arc<Plan>,
         max_queue: usize,
         tenant_quota: usize,
@@ -239,7 +236,6 @@ impl Registry {
         let job = Job {
             id: format!("j{seq}"),
             spec,
-            spec_fingerprint,
             plan,
             state: JobState::Queued,
             token,
@@ -355,15 +351,24 @@ pub struct PoisonList {
 impl PoisonList {
     /// Opens (replaying) `service_dir/poison.jsonl`. `threshold` strikes
     /// quarantine a cell; 0 is clamped to 1 (a threshold of "never run
-    /// anything" would be useless).
+    /// anything" would be useless). A line failing its checksum is
+    /// skipped with a warning: a flipped bit in its key would otherwise
+    /// strike another cell.
     pub fn open(service_dir: &Path, threshold: u32) -> io::Result<PoisonList> {
         let path = service_dir.join(POISON_FILE);
         let mut strikes: HashMap<String, (u32, String)> = HashMap::new();
         match std::fs::read_to_string(&path) {
             Ok(text) => {
-                for line in text.lines() {
+                for (n, line) in text.lines().enumerate() {
+                    let payload = match check_line(line) {
+                        Ok(payload) => payload,
+                        Err(e) => {
+                            eprintln!("[poison] {}:{}: skipped: {e}", path.display(), n + 1);
+                            continue;
+                        }
+                    };
                     // An unparseable line is the torn tail of a hard kill.
-                    let Ok(f) = parse_line(line) else { continue };
+                    let Ok(f) = parse_line(&payload) else { continue };
                     if f.record() != Some("poison") {
                         continue;
                     }
@@ -393,13 +398,14 @@ impl PoisonList {
             .str("key", key)
             .num("strikes", count)
             .str("detail", detail)
-            .finish();
+            .framed();
         line.push('\n');
+        // Strikes are rare (each is a panic), so each is synced.
         let write = OpenOptions::new()
             .create(true)
             .append(true)
             .open(&self.path)
-            .and_then(|mut f| f.write_all(line.as_bytes()));
+            .and_then(|mut f| f.write_all(line.as_bytes()).and_then(|()| f.sync_data()));
         if let Err(e) = write {
             eprintln!("[poison] cannot persist strike for `{key}`: {e}");
         }
@@ -434,23 +440,20 @@ mod tests {
     #[test]
     fn admission_enforces_queue_bound_and_quota() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("alice"), 1, Arc::default(), 2, 2).unwrap();
-        let b = reg.admit(spec("alice"), 1, Arc::default(), 2, 2).unwrap();
+        let a = reg.admit(spec("alice"), Arc::default(), 2, 2).unwrap();
+        let b = reg.admit(spec("alice"), Arc::default(), 2, 2).unwrap();
         assert_ne!(a.id, b.id);
         // Queue full (bound 2).
-        assert!(matches!(
-            reg.admit(spec("bob"), 1, Arc::default(), 2, 2),
-            Err(AdmitError::QueueFull)
-        ));
+        assert!(matches!(reg.admit(spec("bob"), Arc::default(), 2, 2), Err(AdmitError::QueueFull)));
         // Drain one; alice is now at her quota of 2 active (1 running,
         // 1 queued), bob is fine.
         let running = reg.take_next().unwrap();
         assert_eq!(running.id, a.id);
         assert!(matches!(
-            reg.admit(spec("alice"), 1, Arc::default(), 8, 2),
+            reg.admit(spec("alice"), Arc::default(), 8, 2),
             Err(AdmitError::QuotaExceeded)
         ));
-        assert!(reg.admit(spec("bob"), 1, Arc::default(), 8, 2).is_ok());
+        assert!(reg.admit(spec("bob"), Arc::default(), 8, 2).is_ok());
         let (queued, run, finished) = reg.counts();
         assert_eq!((queued, run, finished), (2, 1, 0));
     }
@@ -458,8 +461,8 @@ mod tests {
     #[test]
     fn cancel_queued_job_never_runs() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
-        let b = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
+        let a = reg.admit(spec("t"), Arc::default(), 8, 8).unwrap();
+        let b = reg.admit(spec("t"), Arc::default(), 8, 8).unwrap();
         assert!(reg.cancel(&a.id));
         assert!(!reg.cancel(&a.id), "terminal jobs cannot be re-cancelled");
         assert!(!reg.cancel("j999"), "unknown id");
@@ -472,7 +475,7 @@ mod tests {
     #[test]
     fn cancel_running_job_flips_its_token() {
         let mut reg = Registry::default();
-        let a = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap();
+        let a = reg.admit(spec("t"), Arc::default(), 8, 8).unwrap();
         let running = reg.take_next().unwrap();
         assert!(!running.token.is_cancelled());
         assert!(reg.cancel(&a.id));
@@ -483,7 +486,7 @@ mod tests {
 
     /// Admits a job of `tenant` and cancels it while it is queued.
     fn cancelled(reg: &mut Registry, tenant: &str) -> String {
-        let job = reg.admit(spec(tenant), 1, Arc::default(), 8, 8).unwrap();
+        let job = reg.admit(spec(tenant), Arc::default(), 8, 8).unwrap();
         assert!(reg.cancel(&job.id));
         job.id
     }
@@ -491,14 +494,14 @@ mod tests {
     #[test]
     fn finished_jobs_beyond_the_bound_are_forgotten_oldest_first() {
         let mut reg = Registry::default();
-        let running = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap().id;
+        let running = reg.admit(spec("t"), Arc::default(), 8, 8).unwrap().id;
         assert_eq!(reg.take_next().unwrap().id, running);
         let first = cancelled(&mut reg, "t");
         for _ in 1..FINISHED_JOBS_KEPT {
             cancelled(&mut reg, "t");
         }
         assert!(reg.get(&first).is_some(), "the bound itself is kept");
-        let queued = reg.admit(spec("t"), 1, Arc::default(), 8, 8).unwrap().id;
+        let queued = reg.admit(spec("t"), Arc::default(), 8, 8).unwrap().id;
         let second = cancelled(&mut reg, "t");
         assert!(reg.get(&first).is_none(), "the oldest finished job is forgotten");
         assert_eq!(reg.get(&second).unwrap().state, JobState::Cancelled);
@@ -533,7 +536,7 @@ mod tests {
     fn only_ids_the_registry_issued_are_found() {
         let mut reg = Registry::default();
         for _ in 0..12 {
-            reg.admit(spec("t"), 1, Arc::default(), 16, 16).unwrap();
+            reg.admit(spec("t"), Arc::default(), 16, 16).unwrap();
         }
         assert_eq!(reg.get("j0").unwrap().id, "j0");
         assert_eq!(reg.get("j11").unwrap().id, "j11");
@@ -563,21 +566,21 @@ mod tests {
         for _ in 0..3 * FINISHED_JOBS_KEPT {
             cancelled(&mut reg, "alice");
         }
-        let first = reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap();
-        reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap();
+        let first = reg.admit(spec("alice"), Arc::default(), 8, 2).unwrap();
+        reg.admit(spec("alice"), Arc::default(), 8, 2).unwrap();
         assert_eq!(
-            reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap_err(),
+            reg.admit(spec("alice"), Arc::default(), 8, 2).unwrap_err(),
             AdmitError::QuotaExceeded
         );
-        assert!(reg.admit(spec("bob"), 1, Arc::default(), 8, 2).is_ok());
+        assert!(reg.admit(spec("bob"), Arc::default(), 8, 2).is_ok());
         // Running still counts; finishing frees the slot.
         assert_eq!(reg.take_next().unwrap().id, first.id);
         assert_eq!(
-            reg.admit(spec("alice"), 1, Arc::default(), 8, 2).unwrap_err(),
+            reg.admit(spec("alice"), Arc::default(), 8, 2).unwrap_err(),
             AdmitError::QuotaExceeded
         );
         reg.finish(&first.id, JobState::Done);
-        assert!(reg.admit(spec("alice"), 1, Arc::default(), 8, 2).is_ok());
+        assert!(reg.admit(spec("alice"), Arc::default(), 8, 2).is_ok());
     }
 
     #[test]
@@ -587,7 +590,7 @@ mod tests {
         let plan = Arc::new(spec.plan());
         let keys = plan.matrix.keys().to_vec();
         let mut reg = Registry::default();
-        let id = reg.admit(spec, 1, Arc::clone(&plan), 8, 8).unwrap().id;
+        let id = reg.admit(spec, Arc::clone(&plan), 8, 8).unwrap().id;
         let record = |i: usize| CellRecord {
             scene: plan.matrix.cells()[i].scene.name().to_string(),
             label: plan.matrix.cells()[i].label.clone(),
@@ -629,6 +632,32 @@ mod tests {
         assert_eq!(count, 2);
         assert_eq!(detail, "panic: second");
         assert_eq!(poison.quarantined_count(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bit flipped inside a strike's key leaves a line that still
+    /// parses, naming another key; its checksum refuses it, so it strikes
+    /// neither key.
+    #[test]
+    fn a_flipped_strike_strikes_no_cell() {
+        let dir = std::env::temp_dir().join(format!("vtq-poison-flip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (key, flipped) = ("REF-00000000000000a1", "REF-00000000000000a3");
+
+        PoisonList::open(&dir, 1).unwrap().strike(key, "panic: once");
+        let path = dir.join(POISON_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let at = text.find(key).unwrap() + key.len() - 1;
+        let mut bytes = text.into_bytes();
+        bytes[at] ^= 0x02;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(parse_line(std::str::from_utf8(&bytes).unwrap().trim_end()).is_ok());
+
+        let poison = PoisonList::open(&dir, 1).unwrap();
+        assert!(poison.forensics(key).is_none());
+        assert!(poison.forensics(flipped).is_none());
+        assert_eq!(poison.quarantined_count(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

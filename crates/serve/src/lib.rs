@@ -13,15 +13,17 @@
 //!   instead of queueing unboundedly ([`server`]).
 //! * **Deadlines & cancellation** — each job carries a
 //!   [`vtq::durable::CancelToken`]; an expired or cancelled job stops at
-//!   the next cell boundary, journaling `interrupted` ([`jobs`]).
+//!   the next cell boundary; its unstarted cells settle `interrupted`
+//!   ([`jobs`]).
 //! * **Poison quarantine** — a cell that panics accumulates persistent
 //!   strikes; at the threshold it is quarantined and reported with its
 //!   last panic message, never retried forever ([`jobs::PoisonList`]).
-//! * **Crash recovery** — the sweep journal is opened in resume mode and
-//!   every finished cell lands in a content-addressed, provenance-stamped
-//!   result cache *before* it is journaled `done`, so a `kill -9` at any
-//!   instant loses at most the in-flight cell and a restarted daemon
-//!   serves completed cells from disk ([`cache`]).
+//! * **Crash recovery** — the content-addressed, provenance-stamped
+//!   result cache is the daemon's one record of finished work: every
+//!   finished cell is stored in it durably *before* it settles `done`, so
+//!   a `kill -9` at any instant loses at most the in-flight cells, and a
+//!   daemon restarted over the same dir serves completed cells from disk
+//!   ([`cache`]).
 //! * **Graceful degradation** — slow clients are disconnected by socket
 //!   timeouts; progress events ride bounded channels that drop (counted)
 //!   rather than block ([`server`], [`chaos`]).
@@ -47,5 +49,5 @@ pub mod wire;
 pub use cache::ResultCache;
 pub use client::{discover_addr, Client};
 pub use jobs::{Job, JobState, Plan, PoisonList, Registry};
-pub use proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
+pub use proto::{CellRecord, Frame, RejectReason, Request, SubmitSpec};
 pub use server::{spec_config, Server, ServerConfig, ServerHandle};

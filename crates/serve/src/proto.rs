@@ -1,9 +1,9 @@
 //! The wire protocol: line-delimited flat JSON over TCP.
 //!
 //! Every frame is one `\n`-terminated flat JSON object written and read
-//! with the workspace's [`vtq::jsonl`] codec — the same closed format the
-//! sweep journal and reproducers use, so a torn frame (a client killed
-//! mid-write) is detected exactly like a torn journal tail: the line
+//! with the workspace's [`vtq::jsonl`] codec — the same closed format
+//! every persisted artifact uses, so a torn frame (a client killed
+//! mid-write) is detected like any torn JSONL tail: the line
 //! does not parse and the server answers with a typed `bad_request`
 //! instead of crashing or hanging.
 //!
@@ -11,12 +11,11 @@
 //! streamed progress a `"event"` one. Unknown fields are ignored (both
 //! sides), so the format can grow without lockstep upgrades.
 
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 use gpusim::TraversalPolicy;
 use rtscene::lumibench::SceneId;
-use vtq::jsonl::{parse_line, Fields, Fnv1a, Record};
+use vtq::jsonl::{parse_line, Fields, Record};
 
 /// Reasons a submission is rejected, as stable wire strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,7 +102,7 @@ pub struct SubmitSpec {
     /// Optional detail-divisor override (tests use large divisors).
     pub detail: Option<u32>,
     /// Wall-clock deadline; an expired job stops at the next cell
-    /// boundary and journals `interrupted`.
+    /// boundary, and its unstarted cells settle `interrupted`.
     pub deadline: Option<Duration>,
     /// Client's expected config fingerprint; the server rejects on
     /// mismatch so a skewed client never burns daemon compute.
@@ -468,33 +467,6 @@ impl Frame {
     }
 }
 
-/// Deterministically fingerprints a submission's *content* (tenant and
-/// watch flag excluded): two clients asking for the same cells get the
-/// same fingerprint, which is what makes crash recovery work — a
-/// resubmitted job lands on the same journal scope and the same cache
-/// keys as its pre-crash incarnation.
-pub fn spec_fingerprint(spec: &SubmitSpec) -> u64 {
-    use std::hash::Hasher as _;
-    // Canonical rendering via BTreeMap so field order is fixed.
-    let mut fields = BTreeMap::new();
-    fields.insert("scenes", spec.scenes.iter().map(|s| s.name()).collect::<Vec<_>>().join(","));
-    fields.insert(
-        "policies",
-        spec.policies.iter().map(|p| format!("{p:?}")).collect::<Vec<_>>().join(","),
-    );
-    fields.insert("quick", spec.quick.to_string());
-    fields.insert("res", format!("{:?}", spec.res));
-    fields.insert("detail", format!("{:?}", spec.detail));
-    let mut hash = Fnv1a::default();
-    for (k, v) in fields {
-        hash.write(k.as_bytes());
-        hash.write(b"=");
-        hash.write(v.as_bytes());
-        hash.write(b";");
-    }
-    hash.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -575,21 +547,5 @@ mod tests {
         for frame in frames {
             assert_eq!(Frame::parse(&frame.to_line()).unwrap(), frame, "{}", frame.to_line());
         }
-    }
-
-    #[test]
-    fn spec_fingerprint_is_content_addressed() {
-        let a = SubmitSpec::default();
-        let mut b = a.clone();
-        b.tenant = "someone-else".to_string();
-        b.watch = true;
-        // Tenant and watch are presentation, not content.
-        assert_eq!(spec_fingerprint(&a), spec_fingerprint(&b));
-        let mut c = a.clone();
-        c.policies.push(parse_policy("vtq").unwrap());
-        assert_ne!(spec_fingerprint(&a), spec_fingerprint(&c));
-        let mut d = a.clone();
-        d.res = Some(32);
-        assert_ne!(spec_fingerprint(&a), spec_fingerprint(&d));
     }
 }

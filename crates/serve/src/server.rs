@@ -13,12 +13,12 @@
 //!
 //! # Durability
 //!
-//! The daemon's journal is opened in *resume* mode on restart, and every
-//! finished cell is written to the content-addressed [`ResultCache`]
-//! *inside* the cell (before the engine journals it `done`), so the
-//! invariant `journaled done ⇒ result on disk` holds across `kill -9` at
-//! any instant. A resubmitted job re-runs exactly the cells whose cache
-//! entries are missing: no lost cells, no duplicated work.
+//! The content-addressed [`ResultCache`] is the daemon's one record of
+//! finished work. Every finished cell is written to it durably *inside*
+//! the cell, before the cell settles `done`, so `cached ⇒ done` holds
+//! across `kill -9` at any instant. A restart is a daemon started over
+//! the same dir: a resubmitted job re-runs exactly the cells whose cache
+//! entries are missing, with no lost cells and no duplicated work.
 //!
 //! # Degradation
 //!
@@ -38,13 +38,13 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use vtq::prelude::{
-    CancelToken, Cell, CellErrorKind, ExperimentConfig, PreparedCache, SweepEngine, SweepJournal,
+    CancelToken, Cell, CellErrorKind, ExperimentConfig, PreparedCache, SweepEngine,
 };
 use vtq::sweep::RunMatrix;
 
 use crate::cache::ResultCache;
 use crate::jobs::{AdmitError, Job, JobState, Plan, PoisonList, Registry};
-use crate::proto::{spec_fingerprint, CellRecord, Frame, RejectReason, Request, SubmitSpec};
+use crate::proto::{CellRecord, Frame, RejectReason, Request, SubmitSpec};
 use crate::wire::{self, FrameWriter};
 
 /// File (inside the service dir) holding the bound address, so clients
@@ -58,8 +58,9 @@ const EVENT_BUFFER: usize = 64;
 /// Daemon configuration.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Service state directory: journal, result cache, poison list,
-    /// address file.
+    /// Service state directory: result cache, poison list, address file.
+    /// A daemon started over the dir of an earlier one serves what that
+    /// one cached.
     pub dir: PathBuf,
     /// Bind address (`127.0.0.1:0` = ephemeral port).
     pub addr: String,
@@ -78,8 +79,6 @@ pub struct ServerConfig {
     /// everywhere else, and nothing on the wire can set it.
     #[doc(hidden)]
     pub before_cell: Option<fn(&SubmitSpec, &Cell, &CancelToken)>,
-    /// Resume the journal instead of truncating it (daemon restart).
-    pub resume: bool,
     /// Socket read/write timeout: a client slower than this is
     /// disconnected instead of holding a handler thread hostage.
     pub client_timeout: Duration,
@@ -98,7 +97,6 @@ impl ServerConfig {
             tenant_quota: 4,
             poison_threshold: 2,
             before_cell: None,
-            resume: false,
             client_timeout: Duration::from_secs(10),
         }
     }
@@ -134,7 +132,6 @@ struct ServeState {
     registry: Mutex<Registry>,
     work: Condvar,
     poison: Mutex<PoisonList>,
-    journal: Arc<SweepJournal>,
     cache: ResultCache,
     prepared: Arc<PreparedCache>,
     watchers: Mutex<HashMap<String, SyncSender<Frame>>>,
@@ -213,16 +210,11 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Binds the daemon: opens the journal (`resume` mode appends instead
-    /// of truncating), the result cache and the poison list, binds the
-    /// listener, and writes the resolved address to `dir/serve.addr`.
+    /// Binds the daemon: opens the result cache and the poison list,
+    /// binds the listener, and writes the resolved address to
+    /// `dir/serve.addr`.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         std::fs::create_dir_all(&config.dir)?;
-        let journal = if config.resume {
-            SweepJournal::resume(&config.dir)?
-        } else {
-            SweepJournal::start(&config.dir)?
-        };
         let cache = ResultCache::open(&config.dir)?;
         let poison = PoisonList::open(&config.dir, config.poison_threshold)?;
         let listener = TcpListener::bind(&config.addr)?;
@@ -234,7 +226,6 @@ impl Server {
             registry: Mutex::new(Registry::default()),
             work: Condvar::new(),
             poison: Mutex::new(poison),
-            journal: Arc::new(journal),
             cache,
             prepared: Arc::new(PreparedCache::new()),
             watchers: Mutex::new(HashMap::new()),
@@ -277,15 +268,6 @@ impl Server {
         self.state.registry.lock().unwrap().cancel_all();
         self.state.work.notify_all();
         executor.join().expect("executor thread panicked");
-        // An incomplete journal is the one thing a restarted daemon
-        // cannot compensate for — say so at drain, loudly.
-        let drops = self.state.journal.drops();
-        if drops > 0 {
-            eprintln!(
-                "[serve] WARNING: {drops} journal write(s) were dropped; a restarted \
-                 daemon may re-run the affected cells (results stay cached)"
-            );
-        }
         Ok(())
     }
 
@@ -329,7 +311,7 @@ fn run_job(state: &ServeState, job: &Job) {
     let cfg_fp = job.plan.config_fingerprint;
 
     // Partition quarantined cells out *before* the engine sees the
-    // matrix: a quarantined cell must neither execute nor be journaled.
+    // matrix: a quarantined cell must not execute.
     let mut matrix = job.plan.matrix.clone();
     let mut quarantined: Vec<(String, u32, String)> = Vec::new();
     {
@@ -347,21 +329,17 @@ fn run_job(state: &ServeState, job: &Job) {
     for (label, strikes, detail) in &quarantined {
         eprintln!("[serve] {}: `{label}` quarantined after {strikes} strike(s): {detail}", job.id);
         state.emit(&job.id, label, "quarantined", 0, 0);
-        let mut registry = state.registry.lock().unwrap();
-        if let Some(j) = registry.get_mut(&job.id) {
+        bump(state, &job.id, |j| {
             j.failed_cells += 1;
             j.done_cells += 1;
-        }
+        });
     }
 
-    // A fresh engine per job: its wave counter starts at zero and its
-    // scope is the spec's content fingerprint, so an identical job —
-    // resubmitted after a crash, or from another tenant — produces
-    // byte-identical journal keys and cache keys.
+    // A fresh engine per job, stopped by the job's token. Its cells are
+    // found by their cache keys, which an identical job (resubmitted
+    // after a crash, or from another tenant) shares byte for byte.
     let engine = SweepEngine::with_cache(state.config.jobs.max(1), Arc::clone(&state.prepared))
-        .with_journal(Arc::clone(&state.journal))
-        .with_cancel(job.token.clone())
-        .scoped(&format!("serve/{:016x}", job.spec_fingerprint));
+        .with_cancel(job.token.clone());
 
     // `run_cells`, not `run_map`: the result cache is probed first, and
     // scene + BVH + path trace are built only for a cell that misses.
@@ -374,55 +352,45 @@ fn run_job(state: &ServeState, job: &Job) {
             note_cell(state, job, "cached", cell, fp, &record);
             return;
         }
-        // The cache write happens INSIDE the cell, before the engine
-        // journals `done`: `journaled done ⇒ result on disk` must hold
-        // across a kill at any instant.
-        let record = simulate_and_store(state, cell, fp, cfg_fp);
+        // A miss (never run, lost, or quarantined corrupt on load) is
+        // simulated and stored durably INSIDE the cell, before it settles
+        // `done`: `cached ⇒ done` must hold across a kill at any instant.
+        let report = state.prepared.get(cell.scene, &cell.config).run_policy(cell.policy);
+        let record = CellRecord {
+            scene: cell.scene.name().to_string(),
+            label: cell.label.clone(),
+            fingerprint: fp,
+            cycles: report.stats.cycles,
+            rays: report.stats.rays_completed,
+            box_tests: report.stats.box_tests,
+            tri_tests: report.stats.tri_tests,
+        };
+        if let Err(e) = state.cache.store(&key, cfg_fp, &record) {
+            eprintln!("[serve] cannot cache `{key}`: {e}");
+        }
         note_cell(state, job, "done", cell, fp, &record);
     });
 
-    // Settle the stragglers the closure never saw: panics (strike the
-    // poison list), interruptions, and journal-skips.
+    // Settle the cells the closure did not: a panicked one strikes the
+    // poison list; any other error is an interruption (the engine keeps
+    // no journal, so it skips no cell).
     for ((cell, &fp), result) in matrix.cells().iter().zip(matrix.keys()).zip(&results) {
-        let key = ResultCache::key(cell.scene.name(), fp);
-        match result {
-            Ok(_) => {}
-            Err(e) if e.kind == CellErrorKind::Panic => {
-                let strikes = state.poison.lock().unwrap().strike(&key, &e.message);
-                eprintln!(
-                    "[serve] {}: `{}` panicked (strike {strikes}/{}): {}",
-                    job.id, cell.label, state.config.poison_threshold, e.message
-                );
-                state.emit(&job.id, &cell.label, "failed", 0, 0);
-                bump(state, &job.id, |j| {
-                    j.failed_cells += 1;
-                    j.done_cells += 1;
-                });
-            }
-            Err(e) if e.kind == CellErrorKind::Interrupted => {
-                state.emit(&job.id, &cell.label, "interrupted", 0, 0);
-            }
-            Err(_) => {
-                // Journal says done (a previous daemon life) — serve the
-                // cached result. Its absence means the journal and cache
-                // disagree (the entry was quarantined corrupt, or lost
-                // with its disk): report it, then recompute — simulation
-                // is deterministic, so the replacement is bit-identical
-                // and the journal's `done` stays truthful.
-                match state.cache.load(&key, cfg_fp) {
-                    Some(record) => note_cell(state, job, "cached", cell, fp, &record),
-                    None => {
-                        eprintln!(
-                            "[serve] {}: `{}` journaled done but result missing from cache; \
-                             recomputing",
-                            job.id, cell.label
-                        );
-                        let record = simulate_and_store(state, cell, fp, cfg_fp);
-                        note_cell(state, job, "recomputed", cell, fp, &record);
-                    }
-                }
-            }
+        let Err(e) = result else { continue };
+        if e.kind != CellErrorKind::Panic {
+            state.emit(&job.id, &cell.label, "interrupted", 0, 0);
+            continue;
         }
+        let key = ResultCache::key(cell.scene.name(), fp);
+        let strikes = state.poison.lock().unwrap().strike(&key, &e.message);
+        eprintln!(
+            "[serve] {}: `{}` panicked (strike {strikes}/{}): {}",
+            job.id, cell.label, state.config.poison_threshold, e.message
+        );
+        state.emit(&job.id, &cell.label, "failed", 0, 0);
+        bump(state, &job.id, |j| {
+            j.failed_cells += 1;
+            j.done_cells += 1;
+        });
     }
 
     // Terminal state: an explicit cancel beats a deadline expiry beats
@@ -438,26 +406,6 @@ fn run_job(state: &ServeState, job: &Job) {
     // Hang up the event channel: a watcher that already drained the last
     // event wakes now instead of at its next 50 ms poll.
     state.watchers.lock().unwrap().remove(&job.id);
-}
-
-/// Simulates one cell (whose key fingerprint is `fp`) on its (memoized)
-/// prepared scene and writes the record to the result cache.
-fn simulate_and_store(state: &ServeState, cell: &Cell, fp: u64, cfg_fp: u64) -> CellRecord {
-    let key = ResultCache::key(cell.scene.name(), fp);
-    let report = state.prepared.get(cell.scene, &cell.config).run_policy(cell.policy);
-    let record = CellRecord {
-        scene: cell.scene.name().to_string(),
-        label: cell.label.clone(),
-        fingerprint: fp,
-        cycles: report.stats.cycles,
-        rays: report.stats.rays_completed,
-        box_tests: report.stats.box_tests,
-        tri_tests: report.stats.tri_tests,
-    };
-    if let Err(e) = state.cache.store(&key, cfg_fp, &record) {
-        eprintln!("[serve] cannot cache `{key}`: {e}");
-    }
-    record
 }
 
 fn bump(state: &ServeState, job_id: &str, f: impl FnOnce(&mut Job)) {
@@ -596,17 +544,11 @@ fn handle_submit(state: &ServeState, writer: &mut Wire, spec: SubmitSpec) -> boo
         }
     }
     let total_cells = plan.matrix.len();
-    let fingerprint = spec_fingerprint(&spec);
     let watch = spec.watch;
     let admitted = {
         let mut registry = state.registry.lock().unwrap();
-        let admitted = registry.admit(
-            spec,
-            fingerprint,
-            plan,
-            state.config.max_queue,
-            state.config.tenant_quota,
-        );
+        let admitted =
+            registry.admit(spec, plan, state.config.max_queue, state.config.tenant_quota);
         // Register the watcher before releasing the registry lock: the
         // executor cannot dequeue the job until we release, so no event
         // can be emitted before the watcher exists.

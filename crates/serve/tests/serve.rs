@@ -286,7 +286,7 @@ fn fingerprint_mismatch_is_rejected_and_match_accepted() {
 
 /// A job's plan is what the daemon addresses its cache by. One quick
 /// cell's cache key, as a literal: a fingerprint change that would
-/// orphan every filled cache and journal fails here first.
+/// orphan every filled cache fails here first.
 #[test]
 fn a_quick_cell_cache_key_is_pinned() {
     let plan = SubmitSpec::default().plan();
@@ -343,7 +343,6 @@ fn poisoned_cell_is_quarantined_with_forensics() {
     let mut cfg = config(dir.clone());
     cfg.before_cell = Some(panic_in_ref_vtq);
     cfg.poison_threshold = 2;
-    cfg.resume = true;
     let handle = Server::spawn(cfg).expect("respawn");
     let mut client = Client::connect(handle.addr()).expect("reconnect");
     let terminal = client.submit_and_watch(spec, |_| {}).expect("submit");
@@ -359,28 +358,38 @@ fn restart_serves_results_from_cache_without_rerunning() {
     let handle = Server::spawn(config(dir.clone())).expect("spawn");
     let mut client = Client::connect(handle.addr()).expect("connect");
 
-    let spec = tiny_spec();
+    let mut spec = tiny_spec();
+    spec.policies = vec![parse_policy("baseline").unwrap(), parse_policy("vtq").unwrap()];
     let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("submit");
     let Frame::Status { job, state, .. } = &terminal else { unreachable!() };
     assert_eq!(state, "done");
     let records = client.fetch_results(job).expect("results");
-    assert_eq!(records.len(), 1);
+    assert_eq!(records.len(), 2);
     handle.shutdown().expect("shutdown");
 
-    // "Restart" the daemon (resume mode, same dir) and resubmit: the
-    // cell must be served from the cache — no re-simulation — and the
-    // record must be bit-identical.
-    let mut cfg = config(dir.clone());
-    cfg.resume = true;
-    let handle = Server::spawn(cfg).expect("respawn");
+    // The cache is the daemon's one record of finished work: lose one of
+    // its entries, then restart over the same dir and resubmit. The
+    // surviving cell is served from the cache, the lost one re-simulated
+    // (deterministically, so bit-identically) and settled `done`.
+    assert!(!dir.join("journal.jsonl").exists(), "a daemon life keeps no journal");
+    let plan = spec.plan();
+    let (cell, fp) = (&plan.matrix.cells()[1], plan.matrix.keys()[1]);
+    let lost = ResultCache::key(cell.scene.name(), fp);
+    let cache = dir.join(vtq_serve::cache::CACHE_DIR);
+    std::fs::remove_file(cache.join(format!("{lost}.jsonl"))).expect("remove one entry");
+    let handle = Server::spawn(config(dir.clone())).expect("respawn");
     let mut client = Client::connect(handle.addr()).expect("reconnect");
     let mut events = Vec::new();
     let terminal = client.submit_and_watch(spec, |f| events.push(f.clone())).expect("resubmit");
-    let Frame::Status { job, cached_cells, .. } = &terminal else { unreachable!() };
-    assert_eq!(*cached_cells, 1, "restart must serve from cache: {events:?}");
+    let Frame::Status { job, state, done_cells, cached_cells, failed_cells, .. } = &terminal else {
+        unreachable!()
+    };
+    assert_eq!((state.as_str(), *failed_cells), ("done", 0));
+    assert_eq!((*done_cells, *cached_cells), (2, 1), "one cell cached, one re-run: {events:?}");
     let records2 = client.fetch_results(job).expect("results after restart");
     assert_eq!(records, records2, "cache survives restart bit-identically");
     handle.shutdown().expect("shutdown");
+    assert!(!dir.join("journal.jsonl").exists(), "a daemon life keeps no journal");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -474,8 +483,8 @@ fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
     assert_eq!(handle.prepared().misses(), each, "cold fill prepares each scene once");
     handle.shutdown().expect("shutdown");
 
-    // A new daemon life with a *fresh* journal (no `resume`): nothing says
-    // the cells are done except the result cache itself.
+    // A new daemon life over the same dir: nothing says the cells are
+    // done except the result cache itself.
     let handle = Server::spawn(config(dir.clone())).expect("respawn");
     let mut client = Client::connect(handle.addr()).expect("reconnect");
     let terminal = client.submit_and_watch(spec.clone(), |_| {}).expect("resubmit");
@@ -487,7 +496,7 @@ fn fresh_daemon_over_a_surviving_cache_prepares_no_scene() {
     assert_eq!((*cached_cells, *total_cells), (total, total));
     assert_eq!(client.fetch_results(job).expect("results"), first);
 
-    // A different submit scope (other journal keys) sharing the cells.
+    // A different submission sharing the cells.
     let mut subset = spec;
     subset.policies.truncate(2);
     let terminal = client.submit_and_watch(subset.clone(), |_| {}).expect("subset submit");
@@ -530,9 +539,8 @@ fn results_are_the_records_the_job_settled() {
     assert_eq!(client.fetch_results(job).expect("results again"), settled);
 
     // A job stalled before its first cell has settled nothing, though
-    // another job's run just cached a cell it names. (Its other cell
-    // keeps it off the journal: a job journaled done in full never
-    // enters a cell, so it could not stall.)
+    // another job's run just cached a cell it names: every cell enters
+    // the closure, where the stall precedes the cache probe.
     let terminal = client.submit_and_watch(tiny_spec(), |_| {}).expect("submit");
     let Frame::Status { state, .. } = &terminal else { unreachable!() };
     assert_eq!(state, "done");
